@@ -23,8 +23,8 @@
 //!    HMAC system-wide; per-family wall totals land as flat
 //!    `e2e_wall_seconds_<family>` regression scalars.
 //! 3. **Router shard axis** — one Erdős–Rényi topology run threaded at
-//!    `router_shards ∈ {1, 2, 4}` (1 = the classic single-router loop),
-//!    for cross-PR wall-clock comparison of the shard split itself.
+//!    `router_shards ∈ {1, 2, 4}`, for cross-PR wall-clock comparison of
+//!    the shard split itself.
 //! 4. **Churn axis** — the n=100 cells of two families re-run under a
 //!    seeded join + crash-rejoin [`ChurnSpec`] (a periphery vertex joins
 //!    late, another crashes and rejoins from its snapshot), on both

@@ -41,7 +41,7 @@ pub use node::{
 };
 pub use scenario::{
     run_scenario, run_scenario_on, run_scenario_recorded, run_scenario_traced, ConsensusCheck,
-    NodeStatus, RuntimeKind, Scenario, ScenarioConfig, ScenarioOutcome,
+    NodeStatus, RuntimeKind, Scenario, ScenarioOutcome,
 };
 pub use suite::{
     ChurnCase, FaultCase, GraphCase, PolicyCase, ScenarioGrid, ScenarioSuite, StrategyCase,

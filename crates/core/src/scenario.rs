@@ -81,9 +81,8 @@ pub struct Scenario {
     /// the run still stops the moment every correct node has decided.
     pub threaded_wall_timeout: Option<Duration>,
     /// Router shard count when run on the threaded substrate: `None`
-    /// defers to the runtime's auto default (`min(cores, 4)`),
-    /// `Some(1)` pins the classic single-router loop, larger values
-    /// spread delivery scheduling across that many shards (see
+    /// defers to the runtime's auto default (`min(cores, 4)`), `Some(k)`
+    /// spreads delivery scheduling across `k` shards (see
     /// [`ThreadedConfig::router_shards`]). Ignored by the simulator.
     pub router_shards: Option<usize>,
     /// Certificate-verification pipeline knob. `None` (the default) runs
@@ -95,10 +94,6 @@ pub struct Scenario {
     /// pool — every process verifies every certificate itself, exactly
     /// the pre-pipeline code paths. `Some(k)` pins a `k`-worker pool.
     pub verify_pool: Option<usize>,
-    /// The substrate [`Scenario::run`] executes on (default
-    /// [`RuntimeKind::Sim`]); set via [`ScenarioConfig::runtime`].
-    /// [`Scenario::run_on`] overrides it per call.
-    pub runtime: RuntimeKind,
     /// Attach an observability [`Recorder`] to the run (off by default).
     /// On the simulator the recorder runs in the **virtual** clock domain
     /// — two runs of the same scenario produce byte-identical
@@ -137,7 +132,6 @@ impl Scenario {
             threaded_wall_timeout: None,
             router_shards: None,
             verify_pool: None,
-            runtime: RuntimeKind::Sim,
             observe: false,
         }
     }
@@ -162,67 +156,53 @@ impl Scenario {
     }
 
     /// Sets the delay policy.
-    ///
-    /// Thin forward to [`ScenarioConfig::policy`]; prefer the typed
-    /// builder for new code.
-    pub fn with_policy(self, policy: DelayPolicy) -> Self {
-        self.configured(&ScenarioConfig::new().policy(policy))
+    pub fn with_policy(mut self, policy: DelayPolicy) -> Self {
+        self.sim.policy = policy;
+        self
     }
 
     /// Installs a network-level adversary (see [`TamperSpec`] for the
     /// within-model discipline).
-    ///
-    /// Thin forward to [`ScenarioConfig::tamper`]; prefer the typed
-    /// builder for new code.
-    pub fn with_tamper(self, tamper: TamperSpec) -> Self {
-        self.configured(&ScenarioConfig::new().tamper(tamper))
+    pub fn with_tamper(mut self, tamper: TamperSpec) -> Self {
+        self.tamper = Some(tamper);
+        self
     }
 
     /// Installs a dynamic-membership schedule (see [`Scenario::churn`]).
-    ///
-    /// Thin forward to [`ScenarioConfig::churn`]; prefer the typed
-    /// builder for new code.
-    pub fn with_churn(self, churn: ChurnSpec) -> Self {
-        self.configured(&ScenarioConfig::new().churn(churn))
+    pub fn with_churn(mut self, churn: ChurnSpec) -> Self {
+        self.churn = Some(churn);
+        self
     }
 
     /// Switches the planted recovery defect on (see
     /// [`Scenario::broken_recovery`]); test-only.
-    ///
-    /// Thin forward to [`ScenarioConfig::broken_recovery`]; prefer the
-    /// typed builder for new code.
-    pub fn with_broken_recovery(self, broken: bool) -> Self {
-        self.configured(&ScenarioConfig::new().broken_recovery(broken))
+    pub fn with_broken_recovery(mut self, broken: bool) -> Self {
+        self.broken_recovery = broken;
+        self
     }
 
     /// Overrides the threaded/socket-substrate wall-clock budget.
-    ///
-    /// Thin forward to [`ScenarioConfig::wall_timeout`]; prefer the typed
-    /// builder for new code.
-    pub fn with_threaded_wall_timeout(self, timeout: Duration) -> Self {
-        self.configured(&ScenarioConfig::new().wall_timeout(timeout))
+    pub fn with_threaded_wall_timeout(mut self, timeout: Duration) -> Self {
+        self.threaded_wall_timeout = Some(timeout);
+        self
     }
 
-    /// Pins the threaded-substrate router shard count (`1` = the classic
-    /// single-router loop; leaving the knob unset — or passing `0`,
-    /// which [`ThreadedConfig::router_shards`] defines as auto — defers
-    /// to the runtime's `min(cores, 4)` resolution, which is
-    /// machine-dependent, not pinned). No effect on the simulator.
-    ///
-    /// Thin forward to [`ScenarioConfig::router_shards`]; prefer the
-    /// typed builder for new code.
-    pub fn with_router_shards(self, shards: usize) -> Self {
-        self.configured(&ScenarioConfig::new().router_shards(shards))
+    /// Pins the threaded-substrate router shard count (leaving the knob
+    /// unset — or passing `0`, which [`ThreadedConfig::router_shards`]
+    /// defines as auto — defers to the runtime's `min(cores, 4)`
+    /// resolution, which is machine-dependent, not pinned). No effect on
+    /// the simulator.
+    pub fn with_router_shards(mut self, shards: usize) -> Self {
+        self.router_shards = Some(shards);
+        self
     }
 
     /// Pins the certificate-verification pipeline (see
     /// [`Scenario::verify_pool`]): `0` selects the serial baseline,
     /// `k > 0` a `k`-worker stage pool.
-    ///
-    /// Thin forward to [`ScenarioConfig::verify_pool`]; prefer the typed
-    /// builder for new code.
-    pub fn with_verify_pool(self, workers: usize) -> Self {
-        self.configured(&ScenarioConfig::new().verify_pool(workers))
+    pub fn with_verify_pool(mut self, workers: usize) -> Self {
+        self.verify_pool = Some(workers);
+        self
     }
 
     /// Whether this scenario runs the verification pipeline (anything but
@@ -233,37 +213,29 @@ impl Scenario {
 
     /// Switches structured-event observation on or off (see
     /// [`Scenario::observe`]).
-    ///
-    /// Thin forward to [`ScenarioConfig::observe`]; prefer the typed
-    /// builder for new code.
-    pub fn with_observe(self, observe: bool) -> Self {
-        self.configured(&ScenarioConfig::new().observe(observe))
+    pub fn with_observe(mut self, observe: bool) -> Self {
+        self.observe = observe;
+        self
     }
 
     /// Selects the full-`S_PD` baseline dissemination for correct nodes
     /// (delta gossip is the default) — what the equivalence sweep and the
     /// payload benches compare against.
-    ///
-    /// Thin forward to [`ScenarioConfig::full_gossip`]; prefer the typed
-    /// builder for new code.
-    pub fn with_full_gossip(self, full: bool) -> Self {
-        self.configured(&ScenarioConfig::new().full_gossip(full))
+    pub fn with_full_gossip(mut self, full: bool) -> Self {
+        self.full_gossip = full;
+        self
     }
 
     /// Sets the RNG seed.
-    ///
-    /// Thin forward to [`ScenarioConfig::seed`]; prefer the typed builder
-    /// for new code.
-    pub fn with_seed(self, seed: u64) -> Self {
-        self.configured(&ScenarioConfig::new().seed(seed))
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.sim.seed = seed;
+        self
     }
 
     /// Sets the simulation horizon.
-    ///
-    /// Thin forward to [`ScenarioConfig::horizon`]; prefer the typed
-    /// builder for new code.
-    pub fn with_horizon(self, max_time: Time) -> Self {
-        self.configured(&ScenarioConfig::new().horizon(max_time))
+    pub fn with_horizon(mut self, max_time: Time) -> Self {
+        self.sim.max_time = max_time;
+        self
     }
 
     /// The correct processes of this scenario (crash-faulty processes are
@@ -473,6 +445,19 @@ impl RuntimeKind {
 }
 
 impl Scenario {
+    /// Panics unless the delay policy has a wall-clock equivalent (see
+    /// [`Self::threaded_config`]); `substrate` names the runtime asked for.
+    fn reject_scripted_adversary(&self, substrate: &str) {
+        match self.sim.policy {
+            DelayPolicy::Synchronous { .. } | DelayPolicy::PartialSynchrony { .. } => {}
+            DelayPolicy::Asynchronous { .. } | DelayPolicy::Partitioned { .. } => panic!(
+                "delay policy {:?} is a scripted simulator adversary with no \
+                 {substrate}-runtime equivalent; run this scenario on RuntimeKind::Sim",
+                self.sim.policy
+            ),
+        }
+    }
+
     /// The [`ThreadedConfig`] equivalent of this scenario's simulator
     /// configuration: the seed carries over, the delay spread maps the
     /// policy's post-GST bound `δ` onto milliseconds (capped so sim-scale
@@ -496,14 +481,7 @@ impl Scenario {
     /// delay would silently invert impossibility results. Run such
     /// scenarios on [`RuntimeKind::Sim`].
     pub fn threaded_config(&self) -> ThreadedConfig {
-        match self.sim.policy {
-            DelayPolicy::Synchronous { .. } | DelayPolicy::PartialSynchrony { .. } => {}
-            DelayPolicy::Asynchronous { .. } | DelayPolicy::Partitioned { .. } => panic!(
-                "delay policy {:?} is a scripted simulator adversary with no \
-                 threaded-runtime equivalent; run this scenario on RuntimeKind::Sim",
-                self.sim.policy
-            ),
-        }
+        self.reject_scripted_adversary("threaded");
         ThreadedConfig {
             min_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(self.sim.policy.delta().clamp(1, 20)),
@@ -536,14 +514,7 @@ impl Scenario {
     /// [`DelayPolicy::Partitioned`], same contract as
     /// [`Self::threaded_config`].
     pub fn socket_config(&self) -> SocketConfig {
-        match self.sim.policy {
-            DelayPolicy::Synchronous { .. } | DelayPolicy::PartialSynchrony { .. } => {}
-            DelayPolicy::Asynchronous { .. } | DelayPolicy::Partitioned { .. } => panic!(
-                "delay policy {:?} is a scripted simulator adversary with no \
-                 socket-runtime equivalent; run this scenario on RuntimeKind::Sim",
-                self.sim.policy
-            ),
-        }
+        self.reject_scripted_adversary("socket");
         SocketConfig {
             wall_timeout: self
                 .threaded_wall_timeout
@@ -577,182 +548,6 @@ impl Scenario {
                 run_scenario_on(self, &mut runtime)
             }
         }
-    }
-
-    /// Applies every knob `config` carries (leaving the rest of the
-    /// scenario untouched) — the typed-builder path the `with_*` setters
-    /// forward to.
-    pub fn configured(mut self, config: &ScenarioConfig) -> Self {
-        if let Some(kind) = config.runtime {
-            self.runtime = kind;
-        }
-        if let Some(seed) = config.seed {
-            self.sim.seed = seed;
-        }
-        if let Some(horizon) = config.horizon {
-            self.sim.max_time = horizon;
-        }
-        if let Some(policy) = &config.policy {
-            self.sim.policy = policy.clone();
-        }
-        if let Some(tamper) = &config.tamper {
-            self.tamper = Some(tamper.clone());
-        }
-        if let Some(churn) = &config.churn {
-            self.churn = Some(churn.clone());
-        }
-        if let Some(broken) = config.broken_recovery {
-            self.broken_recovery = broken;
-        }
-        if let Some(full) = config.full_gossip {
-            self.full_gossip = full;
-        }
-        if let Some(timeout) = config.wall_timeout {
-            self.threaded_wall_timeout = Some(timeout);
-        }
-        if let Some(shards) = config.router_shards {
-            self.router_shards = Some(shards);
-        }
-        if let Some(workers) = config.verify_pool {
-            self.verify_pool = Some(workers);
-        }
-        if let Some(observe) = config.observe {
-            self.observe = observe;
-        }
-        self
-    }
-
-    /// Runs this scenario on its configured substrate
-    /// ([`Scenario::runtime`], set via [`ScenarioConfig::runtime`];
-    /// defaults to the simulator).
-    pub fn run(&self) -> ScenarioOutcome {
-        self.run_on(self.runtime)
-    }
-}
-
-/// Typed builder for a [`Scenario`]'s execution knobs: which substrate
-/// runs it ([`RuntimeKind`]), how the substrate is shaped (router shards,
-/// verify pool, wall timeout), what the adversary does (tamper, churn,
-/// planted defects), and what gets observed.
-///
-/// Every knob is optional; [`Scenario::configured`] applies only the ones
-/// that were set, so configs compose — a sweep can overlay a per-cell
-/// config on a shared base scenario without disturbing unrelated knobs.
-/// The legacy `Scenario::with_*` setters are thin forwards onto this
-/// builder and remain for compatibility; new code should build a
-/// `ScenarioConfig` once and apply it.
-///
-/// # Example
-///
-/// ```
-/// use cupft_core::{ProtocolMode, RuntimeKind, Scenario, ScenarioConfig};
-/// use cupft_graph::fig1b;
-///
-/// let config = ScenarioConfig::new()
-///     .runtime(RuntimeKind::Sim)
-///     .seed(7)
-///     .observe(true);
-/// let outcome = Scenario::new(fig1b().graph().clone(), ProtocolMode::KnownThreshold(1))
-///     .configured(&config)
-///     .run();
-/// assert!(outcome.check().consensus_solved());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioConfig {
-    runtime: Option<RuntimeKind>,
-    seed: Option<u64>,
-    horizon: Option<Time>,
-    policy: Option<DelayPolicy>,
-    tamper: Option<TamperSpec>,
-    churn: Option<ChurnSpec>,
-    broken_recovery: Option<bool>,
-    full_gossip: Option<bool>,
-    wall_timeout: Option<Duration>,
-    router_shards: Option<usize>,
-    verify_pool: Option<usize>,
-    observe: Option<bool>,
-}
-
-impl ScenarioConfig {
-    /// A config with every knob unset (applying it changes nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Selects the execution substrate ([`Scenario::run`] uses it).
-    pub fn runtime(mut self, kind: RuntimeKind) -> Self {
-        self.runtime = Some(kind);
-        self
-    }
-
-    /// Sets the RNG seed (simulator events; threaded delay sampler).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Sets the simulation horizon (ticks).
-    pub fn horizon(mut self, max_time: Time) -> Self {
-        self.horizon = Some(max_time);
-        self
-    }
-
-    /// Sets the delay policy (see [`DelayPolicy`]).
-    pub fn policy(mut self, policy: DelayPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Installs a network-level adversary (see [`TamperSpec`]).
-    pub fn tamper(mut self, tamper: TamperSpec) -> Self {
-        self.tamper = Some(tamper);
-        self
-    }
-
-    /// Installs a dynamic-membership schedule (see [`ChurnSpec`]).
-    pub fn churn(mut self, churn: ChurnSpec) -> Self {
-        self.churn = Some(churn);
-        self
-    }
-
-    /// Switches the planted recovery defect (test-only; see
-    /// [`Scenario::broken_recovery`]).
-    pub fn broken_recovery(mut self, broken: bool) -> Self {
-        self.broken_recovery = Some(broken);
-        self
-    }
-
-    /// Selects full-`S_PD` baseline dissemination over delta gossip.
-    pub fn full_gossip(mut self, full: bool) -> Self {
-        self.full_gossip = Some(full);
-        self
-    }
-
-    /// Overrides the wall-clock budget of the threaded and socket
-    /// substrates.
-    pub fn wall_timeout(mut self, timeout: Duration) -> Self {
-        self.wall_timeout = Some(timeout);
-        self
-    }
-
-    /// Pins the threaded-substrate router shard count (see
-    /// [`ThreadedConfig::router_shards`]).
-    pub fn router_shards(mut self, shards: usize) -> Self {
-        self.router_shards = Some(shards);
-        self
-    }
-
-    /// Pins the certificate-verification pipeline (see
-    /// [`Scenario::verify_pool`]): `0` is the serial baseline.
-    pub fn verify_pool(mut self, workers: usize) -> Self {
-        self.verify_pool = Some(workers);
-        self
-    }
-
-    /// Switches structured-event observation (see [`Scenario::observe`]).
-    pub fn observe(mut self, observe: bool) -> Self {
-        self.observe = Some(observe);
-        self
     }
 }
 
@@ -1237,40 +1032,12 @@ mod tests {
     }
 
     #[test]
-    fn scenario_config_overlays_only_set_knobs() {
-        let base = Scenario::new(fig1b().graph().clone(), ProtocolMode::KnownThreshold(1))
-            .with_seed(5)
-            .with_router_shards(2);
-        let config = ScenarioConfig::new()
-            .runtime(RuntimeKind::Threaded)
-            .observe(true)
-            .verify_pool(3);
-        let configured = base.clone().configured(&config);
-        // Set knobs land…
-        assert_eq!(configured.runtime, RuntimeKind::Threaded);
-        assert!(configured.observe);
-        assert_eq!(configured.verify_pool, Some(3));
-        // …unset knobs stay exactly what the base had.
-        assert_eq!(configured.sim.seed, 5);
-        assert_eq!(configured.router_shards, Some(2));
-        assert!(!configured.full_gossip);
-        // The legacy setters are forwards onto the same path.
-        let via_setter = base.with_observe(true).with_verify_pool(3);
-        assert!(via_setter.observe);
-        assert_eq!(via_setter.verify_pool, Some(3));
-    }
-
-    #[test]
     fn socket_runtime_matches_sim_decisions_on_fig1b() {
         let fig = fig1b();
         let scenario = Scenario::new(fig.graph().clone(), ProtocolMode::KnownThreshold(1))
             .with_byzantine(4, ByzantineStrategy::Silent)
-            .configured(
-                &ScenarioConfig::new()
-                    .runtime(RuntimeKind::Socket)
-                    .wall_timeout(Duration::from_secs(30)),
-            );
-        let socket = scenario.run();
+            .with_threaded_wall_timeout(Duration::from_secs(30));
+        let socket = scenario.run_on(RuntimeKind::Socket);
         assert!(socket.check().consensus_solved(), "{socket:?}");
         let sim = scenario.run_on(RuntimeKind::Sim);
         assert_eq!(

@@ -28,7 +28,7 @@
 //!
 //! Experiment code written against `Runtime` — like
 //! `cupft_core::run_scenario_on` and the `ScenarioSuite` batch engine —
-//! runs unchanged on either substrate.
+//! runs unchanged on all three substrates.
 //!
 //! # Example
 //!
@@ -72,6 +72,7 @@
 
 mod actor;
 mod delay;
+mod host;
 pub mod runtime;
 pub mod sim;
 pub mod socket;

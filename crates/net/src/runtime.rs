@@ -1,11 +1,12 @@
-//! The [`Runtime`] abstraction: one interface over both execution
+//! The [`Runtime`] abstraction: one interface over all three execution
 //! substrates.
 //!
 //! Protocol code is written against [`Actor`]; *experiment* code — the
 //! scenario runner, the suite engine, benches, tests — is written against
-//! `Runtime`, so the same `Scenario` drives either the deterministic
-//! discrete-event simulator ([`crate::sim::Simulation`]) or the OS-thread
-//! runtime ([`crate::threaded::ThreadedRuntime`]) without caring which.
+//! `Runtime`, so the same `Scenario` drives the deterministic
+//! discrete-event simulator ([`crate::sim::Simulation`]), the OS-thread
+//! runtime ([`crate::threaded::ThreadedRuntime`]) or the real-socket
+//! runtime ([`crate::socket::SocketRuntime`]) without caring which.
 //!
 //! The contract has three phases:
 //!
@@ -19,9 +20,9 @@
 //! The stop condition is a plain `FnMut() -> bool` evaluated on the
 //! driving thread between events. Actors signal progress to it through
 //! out-of-band state such as [`crate::threaded::Board`] — that works
-//! identically on both substrates, unlike direct actor inspection, which a
-//! threaded runtime cannot offer mid-run (the actors are owned by their
-//! threads until shutdown).
+//! identically on all three substrates, unlike direct actor inspection,
+//! which the threaded and socket runtimes cannot offer mid-run (the actors
+//! are owned by their threads until shutdown).
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 use std::sync::Arc;
@@ -129,10 +130,10 @@ pub struct RuntimeReport {
     /// Whether the caller's stop condition ended the run.
     pub stopped: bool,
     /// When the run ended: simulated ticks for the simulator, elapsed
-    /// milliseconds for the threaded runtime.
+    /// milliseconds for the threaded and socket runtimes.
     pub end_time: Time,
     /// Events processed (deliveries + timers for the simulator;
-    /// router-observed deliveries for the threaded runtime).
+    /// observed deliveries for the threaded and socket runtimes).
     pub events: u64,
     /// Network statistics of the run.
     pub stats: NetStats,
@@ -145,11 +146,12 @@ pub struct RuntimeReport {
 /// A substrate that can execute a set of [`Actor`]s to completion.
 ///
 /// Implemented by [`crate::sim::Simulation`] (deterministic, simulated
-/// time) and [`crate::threaded::ThreadedRuntime`] (real threads, wall-clock
-/// time). See the [module docs](self) for the phase contract.
+/// time), [`crate::threaded::ThreadedRuntime`] (real threads, wall-clock
+/// time) and [`crate::socket::SocketRuntime`] (real threads and TCP
+/// sockets). See the [module docs](self) for the phase contract.
 pub trait Runtime<M: 'static> {
-    /// A short human-readable substrate name (`"sim"` / `"threaded"`),
-    /// used in suite reports and test diagnostics.
+    /// A short human-readable substrate name (`"sim"` / `"threaded"` /
+    /// `"socket"`), used in suite reports and test diagnostics.
     fn name(&self) -> &'static str;
 
     /// Registers an actor. Must be called before the first run.
@@ -162,9 +164,9 @@ pub trait Runtime<M: 'static> {
 
     /// Installs a message-interception layer consulted once per send (see
     /// [`crate::tamper`]). Must be called before the run starts; installing
-    /// a second tamper replaces the first. Both substrates honor the same
-    /// trait, so an adversarial schedule is expressed once and runs on
-    /// either.
+    /// a second tamper replaces the first. All three substrates honor the
+    /// same trait, so an adversarial schedule is expressed once and runs
+    /// on any of them.
     fn set_tamper(&mut self, tamper: Box<dyn Tamper<M>>);
 
     /// Installs a stateless pre-delivery stage (see [`crate::stage`]).
@@ -240,9 +242,9 @@ pub trait Runtime<M: 'static> {
 
     /// Trait-object access to an actor's state.
     ///
-    /// For the threaded runtime this is only available once the run has
-    /// returned (actors live on their threads while running); the
-    /// simulator allows it at any time.
+    /// For the threaded and socket runtimes this is only available once
+    /// the run has returned (actors live on their threads while running);
+    /// the simulator allows it at any time.
     fn actor_dyn(&self, id: ProcessId) -> Option<&dyn Actor<M>>;
 
     /// Downcast access to an actor's concrete type (post-run state

@@ -1,7 +1,6 @@
 //! Deterministic discrete-event simulator.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cupft_graph::ProcessId;
@@ -11,10 +10,11 @@ use rand::SeedableRng;
 
 use crate::actor::{Actor, Context, Labeled, TimerKind};
 use crate::delay::DelayPolicy;
+use crate::host::{admit, Wheel};
 use crate::runtime::{Runtime, RuntimeReport};
 use crate::stage::Preflight;
 use crate::stats::NetStats;
-use crate::tamper::{Fate, Tamper};
+use crate::tamper::Tamper;
 use crate::Time;
 
 /// Configuration for a simulation run.
@@ -76,13 +76,6 @@ enum EventKind<M> {
     Start,
 }
 
-struct Event<M> {
-    time: Time,
-    seq: u64,
-    target: ProcessId,
-    kind: EventKind<M>,
-}
-
 /// The discrete-event simulator.
 ///
 /// Events are processed in `(time, sequence)` order, making executions a
@@ -92,9 +85,9 @@ struct Event<M> {
 pub struct Simulation<M> {
     actors: BTreeMap<ProcessId, Box<dyn Actor<M>>>,
     halted: BTreeMap<ProcessId, bool>,
-    queue: BinaryHeap<Reverse<OrderedEvent<M>>>,
+    /// Pending events `(target, kind)`, keyed by their time.
+    queue: Wheel<Time, (ProcessId, EventKind<M>)>,
     now: Time,
-    seq: u64,
     events_processed: u64,
     rng: StdRng,
     config: SimConfig,
@@ -109,34 +102,14 @@ pub struct Simulation<M> {
     tick_events: u64,
 }
 
-struct OrderedEvent<M>(Event<M>);
-
-impl<M> PartialEq for OrderedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.time == other.0.time && self.0.seq == other.0.seq
-    }
-}
-impl<M> Eq for OrderedEvent<M> {}
-impl<M> PartialOrd for OrderedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for OrderedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.time, self.0.seq).cmp(&(other.0.time, other.0.seq))
-    }
-}
-
 impl<M: Clone + Labeled + 'static> Simulation<M> {
     /// Creates a simulation with no actors.
     pub fn new(config: SimConfig) -> Self {
         Simulation {
             actors: BTreeMap::new(),
             halted: BTreeMap::new(),
-            queue: BinaryHeap::new(),
+            queue: Wheel::new(),
             now: 0,
-            seq: 0,
             events_processed: 0,
             rng: StdRng::seed_from_u64(config.seed),
             config,
@@ -223,19 +196,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
             "duplicate actor {id}"
         );
         self.halted.insert(id, false);
-        let seq = self.next_seq();
-        self.queue.push(Reverse(OrderedEvent(Event {
-            time: 0,
-            seq,
-            target: id,
-            kind: EventKind::Start,
-        })));
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+        self.queue.push(0, (id, EventKind::Start));
     }
 
     /// Current simulated time.
@@ -271,15 +232,12 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
         if self.halted.values().all(|&h| h) {
             return false;
         }
-        let Some(Reverse(OrderedEvent(event))) = self.queue.pop() else {
+        // Events past the horizon stay queued, so a later horizon
+        // extension could resume.
+        let Some((time, (target, kind))) = self.queue.pop_due(self.config.max_time) else {
             return false;
         };
-        if event.time > self.config.max_time {
-            // push back so a later horizon extension could resume
-            self.queue.push(Reverse(OrderedEvent(event)));
-            return false;
-        }
-        self.now = self.now.max(event.time);
+        self.now = self.now.max(time);
         self.events_processed += 1;
         if let Some(rec) = &self.recorder {
             if self.now != self.tick_now {
@@ -297,16 +255,16 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
             rec.hist_record("sim_queue_depth", self.queue.len() as u64);
         }
 
-        if self.halted.get(&event.target).copied().unwrap_or(true) {
+        if self.halted.get(&target).copied().unwrap_or(true) {
             return true; // drop events for halted/unknown actors
         }
-        let mut ctx = Context::new(self.now, event.target);
+        let mut ctx = Context::new(self.now, target);
         {
             let actor = self
                 .actors
-                .get_mut(&event.target)
+                .get_mut(&target)
                 .expect("event target registered");
-            match event.kind {
+            match kind {
                 EventKind::Start => actor.on_start(&mut ctx),
                 EventKind::Deliver { from, msg } => {
                     self.stats.messages_delivered += 1;
@@ -315,7 +273,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                         trace.push(TraceEntry {
                             time: self.now,
                             from,
-                            to: event.target,
+                            to: target,
                             label: msg.label(),
                         });
                     }
@@ -331,7 +289,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                                 rec.hist_record("stage_queue_wait_us", 0);
                             }
                         }
-                        stage.preflight(from, event.target, &msg);
+                        stage.preflight(from, target, &msg);
                     }
                     actor.on_message(from, msg, &mut ctx);
                 }
@@ -341,49 +299,37 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                 }
             }
         }
-        self.apply_effects(event.target, ctx);
+        self.apply_effects(target, ctx);
         true
     }
 
     fn apply_effects(&mut self, source: ProcessId, ctx: Context<M>) {
-        let Context {
-            sends,
-            timers,
-            halted,
-            ..
-        } = ctx;
+        let (sends, timers, halted) = ctx.into_effects();
         for (to, msg) in sends {
-            self.stats.record_send(msg.label(), msg.payload_units());
-            let mut delay = self
+            // The policy delay is drawn before the gate is consulted, also
+            // for messages the tamper drops: installing a tamper must not
+            // shift the RNG stream of the messages that survive it.
+            let delay = self
                 .config
                 .policy
                 .delay(source, to, self.now, &mut self.rng);
-            if let Some(tamper) = &mut self.tamper {
-                match tamper.disposition(source, to, msg.label(), self.now) {
-                    Fate::Deliver => {}
-                    Fate::Delay(extra) => delay += extra,
-                    Fate::Drop => {
-                        self.stats.record_drop(msg.payload_units());
-                        continue;
-                    }
-                }
-            }
-            let seq = self.next_seq();
-            self.queue.push(Reverse(OrderedEvent(Event {
-                time: self.now + delay,
-                seq,
-                target: to,
-                kind: EventKind::Deliver { from: source, msg },
-            })));
+            let Some(extra) = admit(
+                &mut self.stats,
+                &mut self.tamper,
+                source,
+                to,
+                msg.label(),
+                msg.payload_units(),
+                || self.now,
+            ) else {
+                continue;
+            };
+            let event = EventKind::Deliver { from: source, msg };
+            self.queue.push(self.now + delay + extra, (to, event));
         }
         for (kind, delay) in timers {
-            let seq = self.next_seq();
-            self.queue.push(Reverse(OrderedEvent(Event {
-                time: self.now + delay,
-                seq,
-                target: source,
-                kind: EventKind::Timer { kind },
-            })));
+            self.queue
+                .push(self.now + delay, (source, EventKind::Timer { kind }));
         }
         if halted {
             self.halted.insert(source, true);

@@ -41,7 +41,7 @@
 //! reproducible experiments and this runtime to validate that the
 //! protocols survive a real network stack and codec.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,10 +55,11 @@ use cupft_wire::frame::{frame, read_frame, FrameIoError};
 use cupft_wire::{Decode, Encode, Reader};
 use parking_lot::Mutex;
 
-use crate::actor::{Actor, Context, Labeled, TimerKind};
+use crate::actor::{Actor, Labeled};
+use crate::host::{actor_loop, admit, supervise, Egress, Wheel};
 use crate::runtime::{PeerAddr, Runtime, RuntimeReport};
 use crate::stats::NetStats;
-use crate::tamper::{Fate, Tamper};
+use crate::tamper::Tamper;
 use crate::Time;
 
 /// Configuration for the socket runtime.
@@ -101,31 +102,9 @@ struct Gate<M> {
     stats: NetStats,
 }
 
-/// A tamper-delayed, already-encoded frame waiting on the delay wheel.
-struct Delayed {
-    due: Instant,
-    seq: u64,
-    addr: SocketAddr,
-    bytes: Vec<u8>,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed: BinaryHeap is a max-heap, we want earliest due first
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
+/// A tamper-delayed, already-encoded frame on its way to the delay wheel:
+/// due instant, destination address, frame bytes.
+type Delayed = (Instant, SocketAddr, Vec<u8>);
 
 /// Per-destination-address writer pool. One writer thread per remote
 /// address owns the `TcpStream`, writes pre-framed bytes, and reconnects
@@ -230,20 +209,19 @@ fn writer_loop(
 /// when the runtime shuts down (same as the threaded router discarding
 /// its delay wheel).
 fn delay_loop(rx: Receiver<Delayed>, pool: Arc<ConnPool>) {
-    let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
+    let mut wheel: Wheel<Instant, (SocketAddr, Vec<u8>)> = Wheel::new();
     loop {
         let now = Instant::now();
-        while heap.peek().is_some_and(|d| d.due <= now) {
-            let d = heap.pop().expect("peeked");
-            pool.send_to(d.addr, d.bytes);
+        while let Some((_, (addr, bytes))) = wheel.pop_due(now) {
+            pool.send_to(addr, bytes);
         }
-        let wait = heap
-            .peek()
-            .map(|d| d.due.saturating_duration_since(now))
+        let wait = wheel
+            .next_key()
+            .map(|due| due.saturating_duration_since(now))
             .unwrap_or(Duration::from_millis(50))
             .min(Duration::from_millis(50));
         match rx.recv_timeout(wait) {
-            Ok(d) => heap.push(d),
+            Ok((due, addr, bytes)) => wheel.push(due, (addr, bytes)),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
@@ -256,7 +234,6 @@ struct SocketTx<M> {
     routes: Arc<HashMap<ProcessId, SocketAddr>>,
     pool: Arc<ConnPool>,
     delay: Sender<Delayed>,
-    delay_seq: Arc<Mutex<u64>>,
     halt: Sender<ProcessId>,
     start: Instant,
 }
@@ -268,35 +245,28 @@ impl<M> Clone for SocketTx<M> {
             routes: self.routes.clone(),
             pool: self.pool.clone(),
             delay: self.delay.clone(),
-            delay_seq: self.delay_seq.clone(),
             halt: self.halt.clone(),
             start: self.start,
         }
     }
 }
 
-impl<M: Labeled + Encode> SocketTx<M> {
+impl<M: Labeled + Encode> Egress<M> for SocketTx<M> {
     fn send(&self, from: ProcessId, to: ProcessId, msg: M) {
         let label = msg.label();
         let payload = msg.payload_units();
+        let now = || self.start.elapsed().as_millis() as Time;
         // Accounting and disposition are atomic under the gate lock; the
         // sending thread is the actor's own, so per-sender emission order
         // at the tamper is the actor's program order.
-        let extra =
-            {
-                let mut gate = self.gate.lock();
-                gate.stats.record_send(label, payload);
-                match gate.tamper.as_mut().map(|t| {
-                    t.disposition(from, to, label, self.start.elapsed().as_millis() as Time)
-                }) {
-                    None | Some(Fate::Deliver) => Duration::ZERO,
-                    Some(Fate::Delay(ms)) => Duration::from_millis(ms),
-                    Some(Fate::Drop) => {
-                        gate.stats.record_drop(payload);
-                        return;
-                    }
-                }
-            };
+        let admitted = {
+            let mut gate = self.gate.lock();
+            let Gate { tamper, stats } = &mut *gate;
+            admit(stats, tamper, from, to, label, payload, now)
+        };
+        let Some(extra) = admitted else {
+            return;
+        };
         // Sends to processes the route table does not know go nowhere —
         // the socket analogue of the simulator discarding events for
         // unknown actors.
@@ -308,20 +278,11 @@ impl<M: Labeled + Encode> SocketTx<M> {
         to.encode(&mut inner);
         msg.encode(&mut inner);
         let bytes = frame(&inner);
-        if extra.is_zero() {
+        if extra == 0 {
             self.pool.send_to(addr, bytes);
         } else {
-            let seq = {
-                let mut s = self.delay_seq.lock();
-                *s += 1;
-                *s
-            };
-            let _ = self.delay.send(Delayed {
-                due: Instant::now() + extra,
-                seq,
-                addr,
-                bytes,
-            });
+            let due = Instant::now() + Duration::from_millis(extra);
+            let _ = self.delay.send((due, addr, bytes));
         }
     }
 
@@ -537,14 +498,13 @@ where
         let start = Instant::now();
         let shutdown = Arc::new(AtomicBool::new(false));
         let actors = std::mem::take(&mut self.pending);
-        let ids: Vec<ProcessId> = actors.iter().map(|a| a.id()).collect();
 
         // Route table: local actors through our own listener (every send
         // rides TCP, so the codec is always exercised), remote peers from
         // the registered book.
         let mut routes: HashMap<ProcessId, SocketAddr> = self.book.clone();
-        for &id in &ids {
-            routes.insert(id, self.local_addr);
+        for actor in &actors {
+            routes.insert(actor.id(), self.local_addr);
         }
         let routes = Arc::new(routes);
 
@@ -588,7 +548,6 @@ where
             routes,
             pool: pool.clone(),
             delay: delay_tx,
-            delay_seq: Arc::new(Mutex::new(0)),
             halt: halt_tx,
             start,
         };
@@ -597,43 +556,21 @@ where
             let tx = tx.clone();
             let shutdown = shutdown.clone();
             actor_handles.push(thread::spawn(move || {
-                actor_loop(actor, rx, tx, shutdown, start)
+                actor_loop(actor, rx, tx, &shutdown, start)
             }));
         }
         drop(tx);
 
-        // Coordinator: track local halts, the stop condition, and the
-        // deadline. Remote peers are not ours to track — a multi-process
-        // driver coordinates global completion out of band.
-        let mut halted: BTreeMap<ProcessId, bool> = ids.iter().map(|&i| (i, false)).collect();
-        let deadline = start + self.config.wall_timeout;
-        let mut stopped = false;
-        loop {
-            if !halted.is_empty() && halted.values().all(|&h| h) {
-                break;
-            }
-            if stop()
-                || self
-                    .config
-                    .stop
-                    .as_ref()
-                    .is_some_and(|s| s.load(Ordering::SeqCst))
-            {
-                stopped = true;
-                break;
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
-            match halt_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(id) => {
-                    halted.insert(id, true);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        let all_halted = !halted.is_empty() && halted.values().all(|&h| h);
+        // Coordinator: only local halts are tracked. Remote peers are not
+        // ours to track — a multi-process driver coordinates global
+        // completion out of band.
+        let (all_halted, stopped) = supervise(
+            dispatch.inboxes.keys().copied().collect(),
+            &halt_rx,
+            stop,
+            self.config.stop.as_deref(),
+            start + self.config.wall_timeout,
+        );
 
         // Shutdown: stop actors first (no new sends), retire the delay
         // wheel, close outbound connections, then force-close accepted
@@ -685,112 +622,11 @@ where
     }
 }
 
-/// The actor loop, mirroring the threaded runtime's: fire due timers,
-/// drain bounded message batches between firings so neither can starve
-/// the other, and notify the coordinator on halt.
-fn actor_loop<M>(
-    mut actor: Box<dyn Actor<M>>,
-    inbox: Receiver<(ProcessId, M)>,
-    tx: SocketTx<M>,
-    shutdown: Arc<AtomicBool>,
-    start: Instant,
-) -> Box<dyn Actor<M>>
-where
-    M: Clone + Send + Labeled + Encode + 'static,
-{
-    let id = actor.id();
-    let mut timers: BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)> = BinaryHeap::new();
-    let now_ms = |start: Instant| -> Time { start.elapsed().as_millis() as Time };
-
-    let mut halted = false;
-    {
-        let mut ctx = Context::new(now_ms(start), id);
-        actor.on_start(&mut ctx);
-        halted = apply(&mut timers, &tx, id, ctx, now_ms(start)) || halted;
-    }
-
-    while !halted && !shutdown.load(Ordering::SeqCst) {
-        let now = now_ms(start);
-        let mut fired = false;
-        while timers
-            .peek()
-            .is_some_and(|&(std::cmp::Reverse(at), _)| at <= now)
-        {
-            let (_, kind) = timers.pop().expect("peeked");
-            let mut ctx = Context::new(now, id);
-            actor.on_timer(kind, &mut ctx);
-            halted = apply(&mut timers, &tx, id, ctx, now) || halted;
-            fired = true;
-            if halted {
-                break;
-            }
-        }
-        if halted {
-            break;
-        }
-        if fired {
-            let mut drained = 0;
-            while drained < 64 && !halted {
-                match inbox.try_recv() {
-                    Ok((from, msg)) => {
-                        let mut ctx = Context::new(now_ms(start), id);
-                        actor.on_message(from, msg, &mut ctx);
-                        halted = apply(&mut timers, &tx, id, ctx, now_ms(start)) || halted;
-                        drained += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if halted {
-                break;
-            }
-            continue;
-        }
-        let wait = timers
-            .peek()
-            .map(|&(std::cmp::Reverse(at), _)| Duration::from_millis(at.saturating_sub(now)))
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        match inbox.recv_timeout(wait) {
-            Ok((from, msg)) => {
-                let mut ctx = Context::new(now_ms(start), id);
-                actor.on_message(from, msg, &mut ctx);
-                halted = apply(&mut timers, &tx, id, ctx, now_ms(start)) || halted;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    if halted {
-        tx.halted(id);
-    }
-    actor
-}
-
-/// Applies buffered context effects; returns whether the actor halted.
-fn apply<M>(
-    timers: &mut BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)>,
-    tx: &SocketTx<M>,
-    id: ProcessId,
-    ctx: Context<M>,
-    now: Time,
-) -> bool
-where
-    M: Clone + Send + Labeled + Encode + 'static,
-{
-    let (sends, new_timers, halted) = ctx.into_effects();
-    for (to, msg) in sends {
-        tx.send(id, to, msg);
-    }
-    for (kind, delay) in new_timers {
-        timers.push((std::cmp::Reverse(now + delay), kind));
-    }
-    halted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Context;
+    use crate::tamper::Fate;
     use crate::threaded::Board;
     use cupft_wire::WireError;
 
@@ -951,6 +787,17 @@ mod tests {
         assert!(report.stopped || report.all_halted);
         assert!(started.elapsed() >= Duration::from_millis(120));
         assert_eq!(report.stats.label_count("PONG"), 1);
+    }
+
+    #[test]
+    fn empty_roster_is_all_halted_at_once() {
+        // Same rule as the threaded coordinator: with no local actors,
+        // "every local actor halted" holds vacuously.
+        let mut rt: SocketRuntime<Msg> = SocketRuntime::new(SocketConfig::default()).expect("bind");
+        let report = rt.run_to_completion();
+        assert!(report.all_halted, "no actors: vacuously all halted");
+        assert!(!report.stopped);
+        assert!(rt.elapsed() < SocketConfig::default().wall_timeout);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! delivery scheduling. It sees every message *once, at send time*, in the
 //! deterministic order the sending actor emitted it, and rules on its
 //! [`Fate`]: deliver normally, deliver with extra delay (reordering), or
-//! drop. Both substrates honor the same trait — install a tamper with
-//! [`crate::Runtime::set_tamper`] and the identical adversarial schedule
-//! logic runs on the simulator and on OS threads.
+//! drop. All three substrates honor the same trait — install a tamper
+//! with [`crate::Runtime::set_tamper`] and the identical adversarial
+//! schedule logic runs on the simulator, on OS threads and over sockets.
 //!
 //! Division of labor with the other adversary layers:
 //!

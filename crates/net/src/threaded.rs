@@ -9,11 +9,10 @@
 //! surface the [`crate::Runtime`] trait reports, so callers see exactly
 //! the counters a single router would have recorded.
 //!
-//! With `router_shards = 1` the runtime runs the classic single-router
-//! loop on the driving thread — bit-compatible with the pre-sharding
-//! runtime. With more shards, Θ(n²) all-to-all traffic (Erdős–Rényi
-//! knowledge graphs) and hub-focused traffic (scale-free graphs) no
-//! longer funnel through one router thread.
+//! `router_shards = 1` is the same plane with one shard. With more
+//! shards, Θ(n²) all-to-all traffic (Erdős–Rényi knowledge graphs) and
+//! hub-focused traffic (scale-free graphs) no longer funnel through one
+//! router thread.
 //!
 //! A [`Tamper`] layer, when installed, is serialized through a single
 //! dedicated shard (shard 0): every send is routed to it first, so the
@@ -50,7 +49,7 @@
 //! runtime for wall-clock validation that the protocols are not simulator
 //! artifacts.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -63,15 +62,16 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::actor::{Actor, Context, Labeled, TimerKind};
+use crate::actor::{Actor, Labeled};
+use crate::host::{actor_loop, admit, supervise, Egress, Wheel};
 use crate::runtime::{Runtime, RuntimeReport};
 use crate::stage::Preflight;
 use crate::stats::NetStats;
-use crate::tamper::{Fate, Tamper};
+use crate::tamper::Tamper;
 use crate::Time;
 
 /// Seed stride separating the per-shard delay-RNG streams (shard 0 keeps
-/// the configured seed unchanged, matching the single-router stream).
+/// the configured seed unchanged).
 const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Configuration for the threaded runtime.
@@ -92,12 +92,10 @@ pub struct ThreadedConfig {
     pub stop: Option<Arc<AtomicBool>>,
     /// Number of router shards the delivery plane runs on.
     ///
-    /// `0` (the default) resolves to `min(available cores, 4)`. `1` runs
-    /// the classic single-router loop on the driving thread —
-    /// bit-compatible with the pre-sharding runtime. Each shard owns its
-    /// own delay wheel, RNG stream (shard 0 keeps `seed` exactly), and
-    /// [`NetStats`] block; per-shard stats are merged in shard-index
-    /// order into the reported totals.
+    /// `0` (the default) resolves to `min(available cores, 4)`. Each
+    /// shard is one thread owning its own delay wheel, RNG stream (shard 0
+    /// keeps `seed` exactly), and [`NetStats`] block; per-shard stats are
+    /// merged in shard-index order into the reported totals.
     pub router_shards: usize,
     /// Number of stage-worker threads running the installed
     /// [`Preflight`] between the actor outboxes and the router plane.
@@ -173,16 +171,6 @@ impl<M> std::fmt::Debug for ThreadedReport<M> {
     }
 }
 
-enum RouterMsg<M> {
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-        label: &'static str,
-    },
-    Halted(ProcessId),
-}
-
 /// A message on a router shard's channel.
 enum ShardMsg<M> {
     /// A fresh send from an actor (or, with a tamper installed, the whole
@@ -231,11 +219,9 @@ fn worker_of(from: ProcessId, worker_count: usize) -> usize {
 }
 
 /// The actor-side handle onto the router plane: routes sends to the right
-/// shard (or the single router) and halt notices to the coordinator.
+/// shard and halt notices to the coordinator.
 enum Outbox<M> {
-    /// The classic single-router channel.
-    Single(Sender<RouterMsg<M>>),
-    /// The sharded plane: destination-hashed shard channels, an optional
+    /// The unstaged plane: destination-hashed shard channels, an optional
     /// sticky tamper shard every send is serialized through, and the
     /// coordinator's halt channel.
     Sharded {
@@ -272,7 +258,6 @@ enum Outbox<M> {
 impl<M> Clone for Outbox<M> {
     fn clone(&self) -> Self {
         match self {
-            Outbox::Single(tx) => Outbox::Single(tx.clone()),
             Outbox::Sharded {
                 shards,
                 tamper_shard,
@@ -304,18 +289,10 @@ impl<M> Clone for Outbox<M> {
     }
 }
 
-impl<M: Labeled> Outbox<M> {
+impl<M: Labeled> Egress<M> for Outbox<M> {
     fn send(&self, from: ProcessId, to: ProcessId, msg: M) {
         let label = msg.label();
         match self {
-            Outbox::Single(tx) => {
-                let _ = tx.send(RouterMsg::Send {
-                    from,
-                    to,
-                    msg,
-                    label,
-                });
-            }
             Outbox::Sharded {
                 shards,
                 tamper_shard,
@@ -364,9 +341,6 @@ impl<M: Labeled> Outbox<M> {
 
     fn halted(&self, id: ProcessId) {
         match self {
-            Outbox::Single(tx) => {
-                let _ = tx.send(RouterMsg::Halted(id));
-            }
             Outbox::Sharded { halt, .. } => {
                 let _ = halt.send(id);
             }
@@ -534,31 +508,8 @@ impl RouterObs {
     }
 }
 
-struct Pending<M> {
-    due: Instant,
-    seq: u64,
-    from: ProcessId,
-    to: ProcessId,
-    msg: M,
-}
-
-impl<M> PartialEq for Pending<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for Pending<M> {}
-impl<M> PartialOrd for Pending<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Pending<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed: BinaryHeap is a max-heap, we want earliest due first
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
+/// A shard's delay wheel: `(from, to, msg)` keyed by due instant.
+type DelayWheel<M> = Wheel<Instant, (ProcessId, ProcessId, M)>;
 
 /// The OS-thread [`Runtime`]: each actor on its own thread, a sharded
 /// router plane applying randomized delivery delays.
@@ -684,7 +635,7 @@ where
         let mut tamper = self.tamper.take();
         let preflight = self.preflight.take();
         let recorder = self.recorder.clone();
-        let run = run_router(
+        let run = run_plane(
             actors,
             &self.config,
             stop,
@@ -695,17 +646,7 @@ where
         self.finished.extend(run.actors);
         self.stats = run.stats.clone();
         self.elapsed = run.elapsed;
-        let obs = recorder.map(|rec| {
-            rec.gauge_set(
-                "router_shards",
-                self.config.effective_router_shards() as u64,
-            );
-            rec.gauge_set(
-                "verify_workers",
-                self.config.effective_verify_workers() as u64,
-            );
-            rec.snapshot()
-        });
+        let obs = recorder.map(|rec| rec.snapshot());
         let report = RuntimeReport {
             all_halted: run.all_halted,
             stopped: run.stopped,
@@ -764,195 +705,6 @@ struct RouterRun<M> {
     elapsed: Duration,
 }
 
-/// Spawns actor threads and drives the router plane until all actors
-/// halt, `stop` (or the config's external stop flag) fires, or the wall
-/// timeout expires. Dispatches on the effective shard count: one shard
-/// runs the classic single-router loop on the driving thread, more run
-/// [`run_router_sharded`].
-fn run_router<M>(
-    actors: Vec<Box<dyn Actor<M>>>,
-    config: &ThreadedConfig,
-    stop: &mut dyn FnMut() -> bool,
-    tamper: &mut Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
-    recorder: Option<Arc<Recorder>>,
-) -> RouterRun<M>
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    if config.effective_router_shards() <= 1 {
-        run_router_single(actors, config, stop, tamper, preflight, recorder)
-    } else {
-        run_router_sharded(actors, config, stop, tamper, preflight, recorder)
-    }
-}
-
-/// The classic single-router loop (`router_shards = 1`): delay wheel,
-/// stats, tamper, and halt tracking all on the driving thread.
-fn run_router_single<M>(
-    actors: Vec<Box<dyn Actor<M>>>,
-    config: &ThreadedConfig,
-    stop: &mut dyn FnMut() -> bool,
-    tamper: &mut Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
-    recorder: Option<Arc<Recorder>>,
-) -> RouterRun<M>
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let start = Instant::now();
-    let (router_tx, router_rx) = unbounded::<RouterMsg<M>>();
-    let shutdown = Arc::new(AtomicBool::new(false));
-
-    // With a preflight installed, actor traffic flows through the stage
-    // pool; sticky workers feed the same FIFO router channel, so each
-    // sender's sends still precede its halt there.
-    let unstaged = Outbox::Single(router_tx.clone());
-    let (actor_outbox, stage_handles) = match preflight {
-        Some(stage) => stage_front(&unstaged, stage, config, recorder.clone()),
-        None => (unstaged.clone(), Vec::new()),
-    };
-    drop(unstaged);
-
-    // Inbox per actor.
-    let mut inboxes: BTreeMap<ProcessId, Sender<(ProcessId, M)>> = BTreeMap::new();
-    let mut handles = Vec::new();
-    let ids: Vec<ProcessId> = actors.iter().map(|a| a.id()).collect();
-
-    for actor in actors {
-        let id = actor.id();
-        let (tx, rx) = bounded::<(ProcessId, M)>(4096);
-        inboxes.insert(id, tx);
-        let outbox = actor_outbox.clone();
-        let shutdown = shutdown.clone();
-        handles.push(thread::spawn(move || {
-            actor_loop(actor, rx, outbox, shutdown, start)
-        }));
-    }
-    drop(actor_outbox);
-    drop(router_tx);
-
-    // Router loop on this thread.
-    let mut stats = NetStats::default();
-    let mut heap: BinaryHeap<Pending<M>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut halted: BTreeMap<ProcessId, bool> = ids.iter().map(|&i| (i, false)).collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let deadline = start + config.wall_timeout;
-    let mut stopped = false;
-    let mut obs = RouterObs::default();
-
-    loop {
-        if halted.values().all(|&h| h) {
-            break;
-        }
-        if stop()
-            || config
-                .stop
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::SeqCst))
-        {
-            stopped = true;
-            break;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        if recorder.is_some() {
-            obs.inbox_depth.record(router_rx.len() as u64);
-            obs.wheel_depth.record(heap.len() as u64);
-        }
-        // Deliver everything due.
-        deliver_due(
-            &mut heap,
-            &mut seq,
-            &inboxes,
-            &mut stats,
-            now,
-            config,
-            &mut obs.deferrals,
-        );
-        let wait = heap
-            .peek()
-            .map(|p| p.due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(5))
-            .min(deadline.saturating_duration_since(now))
-            .min(Duration::from_millis(5));
-        match router_rx.recv_timeout(wait) {
-            Ok(RouterMsg::Send {
-                from,
-                to,
-                msg,
-                label,
-            }) => {
-                let payload = msg.payload_units();
-                stats.record_send(label, payload);
-                let mut tampered_extra = Duration::ZERO;
-                if let Some(t) = tamper.as_mut() {
-                    match t.disposition(from, to, label, start.elapsed().as_millis() as Time) {
-                        Fate::Deliver => {}
-                        Fate::Delay(ms) => tampered_extra = Duration::from_millis(ms),
-                        Fate::Drop => {
-                            stats.record_drop(payload);
-                            continue;
-                        }
-                    }
-                }
-                let spread = config
-                    .max_delay
-                    .saturating_sub(config.min_delay)
-                    .as_millis() as u64;
-                let extra = if spread == 0 {
-                    0
-                } else {
-                    rng.random_range(0..=spread)
-                };
-                let due = Instant::now()
-                    + config.min_delay
-                    + Duration::from_millis(extra)
-                    + tampered_extra;
-                seq += 1;
-                heap.push(Pending {
-                    due,
-                    seq,
-                    from,
-                    to,
-                    msg,
-                });
-            }
-            Ok(RouterMsg::Halted(id)) => {
-                halted.insert(id, true);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-
-    let all_halted = halted.values().all(|&h| h);
-    shutdown.store(true, Ordering::SeqCst);
-    drop(inboxes);
-    let mut out = BTreeMap::new();
-    for handle in handles {
-        let actor = handle.join().expect("actor thread panicked");
-        out.insert(actor.id(), actor);
-    }
-    // Stage workers exit once every actor has dropped its staged outbox.
-    for handle in stage_handles {
-        handle.join().expect("stage worker panicked");
-    }
-    if let Some(rec) = &recorder {
-        obs.merge_into(rec);
-    }
-    RouterRun {
-        actors: out,
-        stats,
-        all_halted,
-        stopped,
-        elapsed: start.elapsed(),
-    }
-}
-
 /// Pops every due entry off a shard's delay wheel and delivers it into the
 /// destination inbox. Channels are reliable (Section II-A): a full inbox
 /// defers delivery, never drops — the entry is re-pushed strictly later
@@ -960,33 +712,25 @@ where
 /// retrying. A disconnected receiver means the actor halted — dropping
 /// mirrors the simulator discarding events for halted actors.
 fn deliver_due<M: Labeled>(
-    heap: &mut BinaryHeap<Pending<M>>,
-    seq: &mut u64,
+    wheel: &mut DelayWheel<M>,
     inboxes: &BTreeMap<ProcessId, Sender<(ProcessId, M)>>,
     stats: &mut NetStats,
     now: Instant,
     config: &ThreadedConfig,
     deferred: &mut u64,
 ) {
-    while heap.peek().is_some_and(|p| p.due <= now) {
-        let p = heap.pop().expect("peeked");
-        if let Some(tx) = inboxes.get(&p.to) {
-            let payload = p.msg.payload_units();
-            match tx.try_send((p.from, p.msg)) {
+    while let Some((_, (from, to, msg))) = wheel.pop_due(now) {
+        if let Some(tx) = inboxes.get(&to) {
+            let payload = msg.payload_units();
+            match tx.try_send((from, msg)) {
                 Ok(()) => {
                     stats.messages_delivered += 1;
                     stats.record_delivery_payload(payload);
                 }
                 Err(TrySendError::Full((from, msg))) => {
                     *deferred += 1;
-                    *seq += 1;
-                    heap.push(Pending {
-                        due: now + config.min_delay.max(Duration::from_millis(1)),
-                        seq: *seq,
-                        from,
-                        to: p.to,
-                        msg,
-                    });
+                    let retry = now + config.min_delay.max(Duration::from_millis(1));
+                    wheel.push(retry, (from, to, msg));
                 }
                 Err(TrySendError::Disconnected(_)) => {}
             }
@@ -1031,8 +775,7 @@ where
     } = task;
     let shard_count = peers.len();
     let mut stats = NetStats::default();
-    let mut heap: BinaryHeap<Pending<M>> = BinaryHeap::new();
-    let mut seq = 0u64;
+    let mut wheel: DelayWheel<M> = Wheel::new();
     // Shard 0 keeps the configured seed; the others take decorrelated
     // streams along a golden-ratio stride.
     let mut rng = StdRng::seed_from_u64(
@@ -1046,9 +789,9 @@ where
         .as_millis() as u64;
     let deadline = start + config.wall_timeout;
     let mut obs = RouterObs::default();
+    let now_ms = || start.elapsed().as_millis() as Time;
 
-    let schedule = |heap: &mut BinaryHeap<Pending<M>>,
-                    seq: &mut u64,
+    let schedule = |wheel: &mut DelayWheel<M>,
                     rng: &mut StdRng,
                     from: ProcessId,
                     to: ProcessId,
@@ -1059,28 +802,20 @@ where
         } else {
             rng.random_range(0..=spread)
         };
-        *seq += 1;
-        heap.push(Pending {
-            due: Instant::now() + config.min_delay + Duration::from_millis(jitter) + extra,
-            seq: *seq,
-            from,
-            to,
-            msg,
-        });
+        let due = Instant::now() + config.min_delay + Duration::from_millis(jitter) + extra;
+        wheel.push(due, (from, to, msg));
     };
 
     loop {
         if shutdown.load(Ordering::SeqCst) {
-            // Drain, then exit. In the single-router loop an actor's
-            // final sends are recorded before its Halted is even
-            // observable (same FIFO channel); here halts bypass the
-            // shard channels, so the coordinator can raise shutdown
-            // while trailing sends still sit in `rx`. Account for them —
-            // record_send, tamper disposition, drop counting — so the
-            // merged stats of an all-halted run equal what the single
-            // router would have recorded. Nothing more gets *delivered*
-            // (the run is over; pending heap entries are discarded on
-            // either path), so only the accounting runs.
+            // Drain, then exit. Halts bypass the shard channels, so the
+            // coordinator can raise shutdown while an actor's trailing
+            // sends still sit in `rx`. Account for them — record_send,
+            // tamper disposition, drop counting — so the merged stats of
+            // an all-halted run count every send the actors emitted,
+            // whatever the shard count. Nothing more gets *delivered*
+            // (the run is over; pending wheel entries are discarded), so
+            // only the accounting runs.
             while let Ok(shard_msg) = rx.try_recv() {
                 // Forwards were already recorded by the tamper shard.
                 let ShardMsg::Send {
@@ -1093,14 +828,7 @@ where
                     continue;
                 };
                 let payload = msg.payload_units();
-                stats.record_send(label, payload);
-                if let Some(t) = tamper.as_mut() {
-                    if let Fate::Drop =
-                        t.disposition(from, to, label, start.elapsed().as_millis() as Time)
-                    {
-                        stats.record_drop(payload);
-                    }
-                }
+                let _ = admit(&mut stats, &mut tamper, from, to, label, payload, now_ms);
             }
             break;
         }
@@ -1110,20 +838,19 @@ where
         }
         if observe {
             obs.inbox_depth.record(rx.len() as u64);
-            obs.wheel_depth.record(heap.len() as u64);
+            obs.wheel_depth.record(wheel.len() as u64);
         }
         deliver_due(
-            &mut heap,
-            &mut seq,
+            &mut wheel,
             &inboxes,
             &mut stats,
             now,
             config,
             &mut obs.deferrals,
         );
-        let wait = heap
-            .peek()
-            .map(|p| p.due.saturating_duration_since(now))
+        let wait = wheel
+            .next_key()
+            .map(|due| due.saturating_duration_since(now))
             .unwrap_or(Duration::from_millis(5))
             .min(deadline.saturating_duration_since(now))
             .min(Duration::from_millis(5));
@@ -1135,17 +862,12 @@ where
                 label,
             }) => {
                 let payload = msg.payload_units();
-                stats.record_send(label, payload);
-                let mut extra = Duration::ZERO;
-                if let Some(t) = tamper.as_mut() {
-                    match t.disposition(from, to, label, start.elapsed().as_millis() as Time) {
-                        Fate::Deliver => {}
-                        Fate::Delay(ms) => extra = Duration::from_millis(ms),
-                        Fate::Drop => {
-                            stats.record_drop(payload);
-                            continue;
-                        }
-                    }
+                let Some(extra) = admit(&mut stats, &mut tamper, from, to, label, payload, now_ms)
+                else {
+                    continue;
+                };
+                let extra = Duration::from_millis(extra);
+                if tamper.is_some() {
                     // Tamper shard: hand surviving messages to their
                     // destination's shard for delay scheduling.
                     let dest = shard_of(to, shard_count);
@@ -1159,7 +881,7 @@ where
                         continue;
                     }
                 }
-                schedule(&mut heap, &mut seq, &mut rng, from, to, msg, extra);
+                schedule(&mut wheel, &mut rng, from, to, msg, extra);
             }
             Ok(ShardMsg::Forward {
                 from,
@@ -1167,7 +889,7 @@ where
                 msg,
                 extra,
             }) => {
-                schedule(&mut heap, &mut seq, &mut rng, from, to, msg, extra);
+                schedule(&mut wheel, &mut rng, from, to, msg, extra);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
@@ -1176,11 +898,12 @@ where
     (stats, obs)
 }
 
-/// The sharded router plane (`router_shards >= 2`): N shard threads own
-/// the delay wheels and stats; the driving thread coordinates halt
-/// tracking, the stop condition, and the deadline, then merges shard
-/// stats in index order.
-fn run_router_sharded<M>(
+/// Spawns the actor threads and the router plane — N shard threads owning
+/// the delay wheels and stats — and coordinates them from the driving
+/// thread until all actors halt, `stop` (or the config's external stop
+/// flag) fires, or the wall timeout expires; then merges shard stats in
+/// index order.
+fn run_plane<M>(
     actors: Vec<Box<dyn Actor<M>>>,
     config: &ThreadedConfig,
     stop: &mut dyn FnMut() -> bool,
@@ -1210,7 +933,6 @@ where
     // any destination).
     let mut inboxes: BTreeMap<ProcessId, Sender<(ProcessId, M)>> = BTreeMap::new();
     let mut actor_handles = Vec::new();
-    let ids: Vec<ProcessId> = actors.iter().map(|a| a.id()).collect();
     let tamper_shard = tamper.is_some().then_some(0);
 
     // With a preflight installed, actor traffic (sends *and* halts) flows
@@ -1228,6 +950,12 @@ where
         None => (unstaged.clone(), Vec::new()),
     };
     drop(unstaged);
+    if let Some(rec) = &recorder {
+        rec.gauge_set("router_shards", shard_count as u64);
+        // The stage-worker threads that actually exist: none without a
+        // preflight, none for the inline degenerate stage.
+        rec.gauge_set("verify_workers", stage_handles.len() as u64);
+    }
 
     let mut actor_rxs = Vec::new();
     for actor in &actors {
@@ -1239,7 +967,7 @@ where
         let outbox = actor_outbox.clone();
         let shutdown = shutdown.clone();
         actor_handles.push(thread::spawn(move || {
-            actor_loop(actor, rx, outbox, shutdown, start)
+            actor_loop(actor, rx, outbox, &shutdown, start)
         }));
     }
     drop(actor_outbox);
@@ -1264,37 +992,13 @@ where
     }
     drop(shard_txs);
 
-    // Coordinator loop on the driving thread: halt tracking, stop
-    // condition, deadline.
-    let mut halted: BTreeMap<ProcessId, bool> = ids.iter().map(|&i| (i, false)).collect();
-    let deadline = start + config.wall_timeout;
-    let mut stopped = false;
-    loop {
-        if halted.values().all(|&h| h) {
-            break;
-        }
-        if stop()
-            || config
-                .stop
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::SeqCst))
-        {
-            stopped = true;
-            break;
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-        match halt_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(id) => {
-                halted.insert(id, true);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-
-    let all_halted = halted.values().all(|&h| h);
+    let (all_halted, stopped) = supervise(
+        inboxes.keys().copied().collect(),
+        &halt_rx,
+        stop,
+        config.stop.as_deref(),
+        start + config.wall_timeout,
+    );
     shutdown.store(true, Ordering::SeqCst);
     // Merge shard stats (and shard obs) in index order: deterministic
     // given the per-shard outcomes, and conserving every counter (see
@@ -1324,119 +1028,6 @@ where
         stopped,
         elapsed: start.elapsed(),
     }
-}
-
-fn actor_loop<M>(
-    mut actor: Box<dyn Actor<M>>,
-    inbox: Receiver<(ProcessId, M)>,
-    router: Outbox<M>,
-    shutdown: Arc<AtomicBool>,
-    start: Instant,
-) -> Box<dyn Actor<M>>
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let id = actor.id();
-    let mut timers: BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)> = BinaryHeap::new();
-    let now_ms = |start: Instant| -> Time { start.elapsed().as_millis() as Time };
-
-    let mut halted = false;
-    {
-        let mut ctx = Context::new(now_ms(start), id);
-        actor.on_start(&mut ctx);
-        halted = apply(&mut timers, &router, id, ctx, now_ms(start)) || halted;
-    }
-
-    while !halted && !shutdown.load(Ordering::SeqCst) {
-        let now = now_ms(start);
-        // Fire due timers first.
-        let mut fired = false;
-        while timers
-            .peek()
-            .is_some_and(|&(std::cmp::Reverse(at), _)| at <= now)
-        {
-            let (_, kind) = timers.pop().expect("peeked");
-            let mut ctx = Context::new(now, id);
-            actor.on_timer(kind, &mut ctx);
-            halted = apply(&mut timers, &router, id, ctx, now) || halted;
-            fired = true;
-            if halted {
-                break;
-            }
-        }
-        if halted {
-            break;
-        }
-        if fired {
-            // Fairness: an actor whose per-tick work exceeds its own timer
-            // period would otherwise loop on due timers forever and never
-            // drain its inbox — sends keep flowing out while every reply
-            // rots undelivered (a livelock the family sweeps hit with
-            // 10 ms discovery ticks and debug-build candidate searches).
-            // Drain a bounded batch of queued messages between firings so
-            // neither timers nor messages can starve the other.
-            let mut drained = 0;
-            while drained < 64 && !halted {
-                match inbox.try_recv() {
-                    Ok((from, msg)) => {
-                        let mut ctx = Context::new(now_ms(start), id);
-                        actor.on_message(from, msg, &mut ctx);
-                        halted = apply(&mut timers, &router, id, ctx, now_ms(start)) || halted;
-                        drained += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if halted {
-                break;
-            }
-            continue;
-        }
-        let wait = timers
-            .peek()
-            .map(|&(std::cmp::Reverse(at), _)| Duration::from_millis(at.saturating_sub(now)))
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        match inbox.recv_timeout(wait) {
-            Ok((from, msg)) => {
-                let mut ctx = Context::new(now_ms(start), id);
-                actor.on_message(from, msg, &mut ctx);
-                halted = apply(&mut timers, &router, id, ctx, now_ms(start)) || halted;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    if halted {
-        router.halted(id);
-    }
-    actor
-}
-
-/// Applies buffered context effects; returns whether the actor halted.
-fn apply<M>(
-    timers: &mut BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)>,
-    router: &Outbox<M>,
-    id: ProcessId,
-    ctx: Context<M>,
-    now: Time,
-) -> bool
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let Context {
-        sends,
-        timers: new_timers,
-        halted,
-        ..
-    } = ctx;
-    for (to, msg) in sends {
-        router.send(id, to, msg);
-    }
-    for (kind, delay) in new_timers {
-        timers.push((std::cmp::Reverse(now + delay), kind));
-    }
-    halted
 }
 
 /// Shared decision board: a tiny utility actors can use (via `Arc`) to
@@ -1478,6 +1069,8 @@ impl<T: Clone> Board<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Context, TimerKind};
+    use crate::tamper::Fate;
 
     #[derive(Clone)]
     enum Msg {
@@ -1770,6 +1363,15 @@ mod tests {
             assert!(!report.all_halted);
             assert!(report.elapsed >= Duration::from_millis(200));
         }
+    }
+
+    #[test]
+    fn empty_roster_is_all_halted_at_once() {
+        let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig::default());
+        let report = rt.run_to_completion();
+        assert!(report.all_halted, "no actors: vacuously all halted");
+        assert!(!report.stopped);
+        assert!(rt.elapsed() < ThreadedConfig::default().wall_timeout);
     }
 
     #[test]

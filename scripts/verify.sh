@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification: formatting, lints, and the tier-1 build+test gate.
 #
-#   scripts/verify.sh          # everything (what the CI `full` path runs)
+#   scripts/verify.sh          # everything (what the CI `full` path runs),
+#                              # including the standalone benchmark/
+#                              # package's build and tests
 #   scripts/verify.sh --quick  # skip the release build (fast local loop,
 #                              # and the CI `quick` job); fronts the
 #                              # wire_roundtrip codec proptests, the
@@ -78,6 +80,13 @@ fi
 
 echo "==> cargo test -q"
 cargo test -q
+
+if [[ "$quick" -eq 0 ]]; then
+    # benchmark/ is a workspace of its own, so nothing above compiles it;
+    # it builds against the public Runtime / config surface by name.
+    echo "==> cargo test -q --manifest-path benchmark/Cargo.toml"
+    cargo test -q --manifest-path benchmark/Cargo.toml
+fi
 
 echo "verify.sh: all green"
 echo "VERIFY OK"

@@ -142,4 +142,17 @@ fn threaded_outcome_is_unaffected_by_observation() {
     assert!(obs.counter("stage_bundles") > 0);
     assert!(obs.histogram("router_inbox_depth").is_some());
     assert!(obs.gauges.contains_key("router_shards"));
+    // `verify_workers` counts the stage-worker threads that existed: the
+    // auto policy spawns a pool only when it resolves to more than one
+    // worker (otherwise the stage runs inline on the actor threads), and
+    // the serial baseline (`verify_pool = 0`) installs no stage at all.
+    let auto = scenario.threaded_config().effective_verify_workers() as u64;
+    let spawned = if auto > 1 { auto } else { 0 };
+    assert_eq!(obs.gauges["verify_workers"], spawned);
+    let serial = scenario
+        .with_observe(true)
+        .with_verify_pool(0)
+        .run_on(RuntimeKind::Threaded);
+    let serial_obs = serial.obs.expect("observed threaded run reports");
+    assert_eq!(serial_obs.gauges["verify_workers"], 0);
 }

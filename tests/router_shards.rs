@@ -4,11 +4,10 @@
 //!
 //! 1. **Decision parity** — the threaded runtime reaches exactly the
 //!    decisions the deterministic simulator reaches, no matter how many
-//!    router shards carry the traffic (`router_shards = 1` being the
-//!    bit-compatible classic single-router loop).
+//!    router shards carry the traffic.
 //! 2. **Stats conservation** — with a protocol whose traffic is
 //!    timing-independent, the per-shard `NetStats` blocks merge to
-//!    exactly the totals the single router records: messages and payload
+//!    exactly the totals a single shard records: messages and payload
 //!    units are conserved across the shard split.
 //! 3. **Tamper semantics under sharding** — a `TamperSpec` (the
 //!    `adversary_sweep` grid's within-model drop, plus a reorder chain)
