@@ -1,8 +1,9 @@
 //! Sink and Core identification (Algorithms 2 and 4).
 //!
 //! Both detectors evaluate a process's current [`KnowledgeView`]; the
-//! surrounding node re-invokes them whenever discovery changes the view,
-//! which realizes the `wait until ∃S1, S2 …` loops of the paper.
+//! surrounding node invokes them when it enters the system and then once
+//! per discovery tick whose view changed since the last attempt, which
+//! realizes the `wait until ∃S1, S2 …` loops of the paper.
 
 use cupft_graph::{CandidateSearch, KnowledgeView, ProcessSet, SinkCandidate};
 

@@ -371,7 +371,7 @@ impl Node {
     fn begin_participation(&mut self, ctx: &mut Context<NodeMsg>) {
         self.mark(PhaseMark::FirstGossip, ctx.now());
         self.send_discovery_round(ctx);
-        self.try_detect(ctx, true);
+        self.try_detect(ctx);
         ctx.set_timer(DISCOVERY_TICK, self.config.discovery_period);
     }
 
@@ -461,11 +461,11 @@ impl Node {
         self.detect_dirty = true;
         self.churn_event("churn_recover", "churn_recoveries", ctx.now());
         self.send_discovery_round(ctx);
-        self.try_detect(ctx, true);
+        self.try_detect(ctx);
         ctx.set_timer(DISCOVERY_TICK, self.config.discovery_period);
     }
 
-    fn try_detect(&mut self, ctx: &mut Context<NodeMsg>, on_tick: bool) {
+    fn try_detect(&mut self, ctx: &mut Context<NodeMsg>) {
         if self.detection.is_some() {
             return;
         }
@@ -485,9 +485,6 @@ impl Node {
                 CoreDetector::with_search(self.config.search).check(view)
             }
             ProtocolMode::NaiveGuess { settle_ticks } => {
-                if !on_tick {
-                    return; // stability is counted in discovery rounds
-                }
                 let best = NaiveSinkGuesser::default().check(view);
                 let Some(best) = best else {
                     self.naive_stable = None;
@@ -724,7 +721,7 @@ impl Actor<NodeMsg> for Node {
                         // re-run when the view actually changed.
                         let naive = matches!(self.config.mode, ProtocolMode::NaiveGuess { .. });
                         if naive || std::mem::take(&mut self.detect_dirty) {
-                            self.try_detect(ctx, true);
+                            self.try_detect(ctx);
                         }
                     }
                     Phase::Learning => {

@@ -16,12 +16,10 @@
 //! The heuristic is validated against the exact search by property tests in
 //! the crate's test suite.
 
-use crate::connectivity::DisjointPaths;
-use crate::digraph::DiGraph;
 use crate::error::GraphError;
-use crate::id::{ProcessId, ProcessSet};
-use crate::predicates::{derive_s2, is_sink_gdi, max_threshold, SinkDecomposition};
-use crate::scc::condensation;
+use crate::id::ProcessSet;
+use crate::predicates::{max_threshold_at, sink_at, subset_masks, Candidate, SinkDecomposition};
+use crate::snapshot::{select, Idx, ViewSnapshot};
 use crate::view::KnowledgeView;
 
 /// A candidate sink/core: a validated decomposition.
@@ -89,11 +87,16 @@ impl CandidateSearch {
     /// member claiming edges to unreceived processes can make the true sink
     /// look non-terminal in the received graph.
     pub fn candidate_s1_sets(&self, view: &KnowledgeView) -> Vec<ProcessSet> {
-        let received_graph = view.received_graph();
-        let cond = condensation(&received_graph);
-        let mut out: Vec<ProcessSet> = Vec::new();
-        for sink in cond.components() {
-            self.append_component_candidates(&received_graph, sink, &mut out);
+        let mut snap = ViewSnapshot::new(view);
+        let candidates = self.candidates(&mut snap);
+        let to_set = |s1: Vec<Idx>| snap.process_set(s1);
+        candidates.into_iter().map(to_set).collect()
+    }
+
+    fn candidates(&self, snap: &mut ViewSnapshot) -> Vec<Vec<Idx>> {
+        let mut out = Vec::new();
+        for component in snap.received_components() {
+            self.append_component_candidates(snap, &component, &mut out);
         }
         out
     }
@@ -103,31 +106,20 @@ impl CandidateSearch {
     /// then (size permitting) its minimum-cut splits.
     fn append_component_candidates(
         &self,
-        received_graph: &DiGraph,
-        sink: &ProcessSet,
-        out: &mut Vec<ProcessSet>,
+        snap: &mut ViewSnapshot,
+        component: &[Idx],
+        out: &mut Vec<Vec<Idx>>,
     ) {
-        let push_unique = |s: ProcessSet, out: &mut Vec<ProcessSet>| {
-            if !s.is_empty() && !out.contains(&s) {
-                out.push(s);
-            }
-        };
-        push_unique(sink.clone(), out);
-        let mut cur = sink.clone();
+        push_unique(component.to_vec(), out);
+        let mut cur = component.to_vec();
         for _ in 0..self.max_peels {
             if cur.len() <= 1 {
                 break;
             }
-            let sub = received_graph.induced(&cur);
             // Drop the member with the weakest internal connectivity
             // footprint (min of in/out degree, ties by ID for
             // determinism).
-            let victim = cur
-                .iter()
-                .copied()
-                .min_by_key(|&v| (sub.out_degree(v).min(sub.in_degree(v)), v))
-                .expect("non-empty candidate");
-            cur.remove(&victim);
+            cur.remove(snap.weakest_member(&cur));
             push_unique(cur.clone(), out);
         }
         // Minimum-cut splitting: a core embedded inside a larger SCC
@@ -135,8 +127,8 @@ impl CandidateSearch {
         // splitting the component at its minimum vertex cuts. All-pairs
         // flow probing is quadratic in the component — skipped above the
         // cutoff (see [`Self::cut_split_cutoff`]).
-        if sink.len() <= self.cut_split_cutoff {
-            cut_split(received_graph, sink, 3, out);
+        if component.len() <= self.cut_split_cutoff {
+            cut_split(snap, component, 3, out);
         }
     }
 
@@ -154,45 +146,36 @@ impl CandidateSearch {
         // computed. This is the identification hot path — every node of an
         // end-to-end run re-enters it on each discovery tick whose view
         // changed.
-        let received_graph = view.received_graph();
-        let cond = condensation(&received_graph);
-        let mut out: Vec<ProcessSet> = Vec::new();
+        let mut snap = ViewSnapshot::new(view);
+        let mut out: Vec<Vec<Idx>> = Vec::new();
         let mut checked = 0;
-        for sink in cond.components() {
-            self.append_component_candidates(&received_graph, sink, &mut out);
-            while checked < out.len() {
-                let s1 = out[checked].clone();
-                checked += 1;
-                let s2 = derive_s2(view, &s1, f);
-                if is_sink_gdi(view, f, &s1, &s2) {
-                    return Some(SinkCandidate {
-                        decomposition: SinkDecomposition {
-                            s1,
-                            s2,
-                            threshold: f,
-                        },
-                    });
+        for component in snap.received_components() {
+            self.append_component_candidates(&mut snap, &component, &mut out);
+            for s1 in &out[checked..] {
+                if let Some(decomposition) = sink_at(&mut snap, s1, f) {
+                    return Some(SinkCandidate { decomposition });
                 }
             }
+            checked = out.len();
         }
         // Exhaustive fallback for small views.
-        let received = view.received();
-        if received.len() <= self.exact_cutoff {
-            if let Ok(Some(cand)) = exact_sink_with_threshold(view, f, self.exact_cutoff) {
-                return Some(cand);
-            }
-        }
-        None
+        exact_sink_at(&mut snap, f, self.exact_cutoff)
+            .ok()
+            .flatten()
     }
 
     /// All validated candidates in the current view, each at its maximum
     /// threshold, ordered by descending threshold (ties: larger member set
     /// first, then lexicographically smaller `S1`).
     pub fn ranked_candidates(&self, view: &KnowledgeView) -> Vec<SinkCandidate> {
+        self.ranked(&mut ViewSnapshot::new(view))
+    }
+
+    fn ranked(&self, snap: &mut ViewSnapshot) -> Vec<SinkCandidate> {
         let mut found: Vec<SinkCandidate> = Vec::new();
-        for s1 in self.candidate_s1_sets(view) {
-            if let Some(dec) = max_threshold(view, &s1) {
-                let cand = SinkCandidate { decomposition: dec };
+        for s1 in self.candidates(snap) {
+            if let Some(decomposition) = max_threshold_at(snap, &s1) {
+                let cand = SinkCandidate { decomposition };
                 if !found.contains(&cand) {
                     found.push(cand);
                 }
@@ -211,13 +194,9 @@ impl CandidateSearch {
     /// if *internally maximal* — no strict subset of its member set forms a
     /// sink with a threshold at least as large (Theorem 8, condition (b)).
     pub fn best_core(&self, view: &KnowledgeView) -> Option<SinkCandidate> {
-        let ranked = self.ranked_candidates(view);
-        let best = ranked.into_iter().next()?;
-        if self.is_internally_maximal(view, &best) {
-            Some(best)
-        } else {
-            None
-        }
+        let mut snap = ViewSnapshot::new(view);
+        let best = self.ranked(&mut snap).into_iter().next()?;
+        self.internally_maximal(&mut snap, &best).then_some(best)
     }
 
     /// Theorem 8(b), made *stable* under partial knowledge: rejects
@@ -243,56 +222,50 @@ impl CandidateSearch {
     /// accept). Discovery continues and the check re-fires, so this
     /// conservatism costs latency, never termination.
     pub fn is_internally_maximal(&self, view: &KnowledgeView, candidate: &SinkCandidate) -> bool {
-        let members = candidate.members();
+        self.internally_maximal(&mut ViewSnapshot::new(view), candidate)
+    }
+
+    fn internally_maximal(&self, snap: &mut ViewSnapshot, candidate: &SinkCandidate) -> bool {
         let g_star = candidate.threshold();
         // Size stability: no subset large enough to beat g* can exist.
-        if members.len() <= 2 * g_star + 2 {
+        if candidate.members().len() <= 2 * g_star + 2 {
             return true;
         }
         // Otherwise we need ground truth for every member.
-        if !members.iter().all(|&p| view.has_pd_of(p)) {
+        let Some(members) = snap.received_indices(&candidate.members()) else {
             return false;
-        }
-        let eligible: Vec<ProcessId> = members.iter().copied().collect();
-        if eligible.len() <= self.exact_cutoff {
+        };
+        if let Ok(masks) = subset_masks(members.len(), self.exact_cutoff) {
             // Exhaustive: any subset decomposition landing strictly inside
             // `members` with threshold >= g* disqualifies.
-            for mask in 1u64..(1u64 << eligible.len()) {
-                let s1: ProcessSet = eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, &p)| p)
-                    .collect();
-                if s1.len() < 2 * g_star + 1 {
-                    continue;
-                }
-                if disqualifies(view, &s1, g_star, &members) {
+            let mut s1 = Vec::new();
+            for mask in masks.filter(|mask| mask.count_ones() as usize > 2 * g_star) {
+                select(&members, mask, &mut s1);
+                if disqualifies(snap, &s1, g_star, &members) {
                     return false;
                 }
             }
             true
         } else {
             // Heuristic: check peeled variants of the candidate's S1 only.
-            let mut cur = candidate.decomposition.s1.clone();
-            let graph = view.graph();
+            let mut cur = snap.indices(&candidate.decomposition.s1);
             for _ in 0..self.max_peels {
                 if cur.len() <= 2 * g_star + 1 {
                     break;
                 }
-                let sub = graph.induced(&cur);
-                let victim = cur
-                    .iter()
-                    .copied()
-                    .min_by_key(|&v| (sub.out_degree(v).min(sub.in_degree(v)), v))
-                    .expect("non-empty");
-                cur.remove(&victim);
-                if disqualifies(view, &cur, g_star, &members) {
+                cur.remove(snap.weakest_member(&cur));
+                if disqualifies(snap, &cur, g_star, &members) {
                     return false;
                 }
             }
             true
         }
+    }
+}
+
+fn push_unique(set: Vec<Idx>, out: &mut Vec<Vec<Idx>>) {
+    if !set.is_empty() && !out.contains(&set) {
+        out.push(set);
     }
 }
 
@@ -303,70 +276,86 @@ impl CandidateSearch {
 /// outsiders has a small vertex cut between some cross pair; the side
 /// containing the core, together with the cut, recovers the core exactly.
 /// Candidate volume is bounded by the recursion `depth` and a global cap.
-fn cut_split(graph: &DiGraph, set: &ProcessSet, depth: usize, out: &mut Vec<ProcessSet>) {
+fn cut_split(snap: &mut ViewSnapshot, set: &[Idx], depth: usize, out: &mut Vec<Vec<Idx>>) {
     const MAX_CANDIDATES: usize = 96;
     if depth == 0 || set.len() < 3 || out.len() >= MAX_CANDIDATES {
         return;
     }
-    let sub = graph.induced(set);
-    let dp = DisjointPaths::new(&sub);
-    // Find an ordered pair realizing the minimum number of disjoint paths.
-    let mut best: Option<(ProcessId, ProcessId, usize)> = None;
-    for u in sub.vertices() {
-        for v in sub.vertices() {
-            if u == v {
-                continue;
+    let mut net = snap.subnetwork(set);
+    // The first ordered pair realizing the minimum number of disjoint
+    // paths. Which pair that is decides the split, so every pair is
+    // scanned in order; each probe is capped at the minimum so far.
+    let mut best: Option<(usize, usize, usize)> = None;
+    for u in 0..set.len() {
+        for v in (0..set.len()).filter(|&v| v != u) {
+            let paths = net.paths(u, v, best.map(|(_, _, fewest)| fewest));
+            if paths == 0 {
+                // Not strongly connected: the SCC machinery covers this shape.
+                return;
             }
-            let bound = best.as_ref().map(|&(_, _, c)| c);
-            let c = dp.count_bounded(u, v, bound);
-            if best.as_ref().is_none_or(|&(_, _, bc)| c < bc) {
-                best = Some((u, v, c));
+            if best.is_none_or(|(_, _, fewest)| paths < fewest) {
+                best = Some((u, v, paths));
             }
         }
     }
-    let Some((u, _v, kappa)) = best else { return };
-    if kappa == 0 {
-        // Not strongly connected: the SCC machinery covers this shape.
-        return;
-    }
-    let (_, v, _) = best.expect("just matched");
-    let cut = dp.min_vertex_cut(u, v);
+    let Some((u, v, _)) = best else { return };
+    let cut: Vec<Idx> = net
+        .min_vertex_cut(u, v)
+        .into_iter()
+        .map(|pos| set[pos])
+        .collect();
     if cut.is_empty() || cut.len() >= set.len().saturating_sub(2) {
         return;
     }
-    let without_cut: ProcessSet = set.difference(&cut).copied().collect();
-    let side_u = sub.induced(&without_cut).reachable_from(u);
-    let rest: ProcessSet = without_cut.difference(&side_u).copied().collect();
-    let push_unique = |s: ProcessSet, out: &mut Vec<ProcessSet>| {
-        if !s.is_empty() && s.len() < set.len() && !out.contains(&s) {
-            out.push(s);
-        }
+    let minus = |set: &[Idx], gone: &[Idx]| -> Vec<Idx> {
+        let kept = set.iter().filter(|v| gone.binary_search(v).is_err());
+        kept.copied().collect()
     };
-    let side_u_cut: ProcessSet = side_u.union(&cut).copied().collect();
-    let rest_cut: ProcessSet = rest.union(&cut).copied().collect();
-    push_unique(side_u.clone(), out);
-    push_unique(side_u_cut.clone(), out);
-    push_unique(rest.clone(), out);
-    push_unique(rest_cut.clone(), out);
-    cut_split(graph, &side_u_cut, depth - 1, out);
-    cut_split(graph, &rest_cut, depth - 1, out);
+    let with_cut = |side: &[Idx]| {
+        let mut joined = [side, &cut].concat();
+        joined.sort_unstable();
+        joined
+    };
+    let without_cut = minus(set, &cut);
+    let side_u = snap.reachable_within(&without_cut, set[u]);
+    let rest = minus(&without_cut, &side_u);
+    let side_u_cut = with_cut(&side_u);
+    let rest_cut = with_cut(&rest);
+    for side in [&side_u, &side_u_cut, &rest, &rest_cut] {
+        if side.len() < set.len() {
+            push_unique(side.clone(), out);
+        }
+    }
+    cut_split(snap, &side_u_cut, depth - 1, out);
+    cut_split(snap, &rest_cut, depth - 1, out);
 }
 
 /// Whether candidate set `s1` (with any feasible `g ≥ g_star`) forms a sink
-/// whose members are a strict subset of `limit`.
-fn disqualifies(view: &KnowledgeView, s1: &ProcessSet, g_star: usize, limit: &ProcessSet) -> bool {
-    let size_bound = (s1.len() - 1) / 2;
-    for g in g_star..=size_bound {
-        let s2 = derive_s2(view, s1, g);
-        let v: ProcessSet = s1.union(&s2).copied().collect();
-        if v == *limit || !v.is_subset(limit) {
-            continue;
-        }
-        if is_sink_gdi(view, g, s1, &s2) {
-            return true;
+/// whose members are a strict subset of `limit ⊇ s1`.
+fn disqualifies(snap: &mut ViewSnapshot, s1: &[Idx], g_star: usize, limit: &[Idx]) -> bool {
+    let mut candidate = Candidate::new(snap, s1);
+    (g_star..=(s1.len() - 1) / 2).any(|g| {
+        let inside = candidate.s2(g).all(|v| limit.binary_search(&v).is_ok());
+        let strict = s1.len() + candidate.s2(g).count() < limit.len();
+        inside && strict && candidate.holds(snap, g)
+    })
+}
+
+/// [`exact_sink_with_threshold`] on a snapshot.
+fn exact_sink_at(
+    snap: &mut ViewSnapshot,
+    f: usize,
+    cutoff: usize,
+) -> Result<Option<SinkCandidate>, GraphError> {
+    let received = snap.received();
+    let mut s1 = Vec::new();
+    for mask in subset_masks(received.len(), cutoff)? {
+        select(&received, mask, &mut s1);
+        if let Some(decomposition) = sink_at(snap, &s1, f) {
+            return Ok(Some(SinkCandidate { decomposition }));
         }
     }
-    false
+    Ok(None)
 }
 
 /// Exhaustive version of Algorithm 2's search (ground truth for tests).
@@ -374,41 +363,13 @@ fn disqualifies(view: &KnowledgeView, s1: &ProcessSet, g_star: usize, limit: &Pr
 /// # Errors
 ///
 /// Returns [`GraphError::TooLargeForExactCheck`] when the received set
-/// exceeds `cutoff`.
+/// exceeds `cutoff` (or 63: subsets are enumerated as `u64` masks).
 pub fn exact_sink_with_threshold(
     view: &KnowledgeView,
     f: usize,
     cutoff: usize,
 ) -> Result<Option<SinkCandidate>, GraphError> {
-    let received: Vec<ProcessId> = view.received().into_iter().collect();
-    if received.len() > cutoff {
-        return Err(GraphError::TooLargeForExactCheck {
-            size: received.len(),
-            cutoff,
-        });
-    }
-    for mask in 1u64..(1u64 << received.len()) {
-        let s1: ProcessSet = received
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &p)| p)
-            .collect();
-        if s1.len() < 2 * f + 1 {
-            continue;
-        }
-        let s2 = derive_s2(view, &s1, f);
-        if is_sink_gdi(view, f, &s1, &s2) {
-            return Ok(Some(SinkCandidate {
-                decomposition: SinkDecomposition {
-                    s1,
-                    s2,
-                    threshold: f,
-                },
-            }));
-        }
-    }
-    Ok(None)
+    exact_sink_at(&mut ViewSnapshot::new(view), f, cutoff)
 }
 
 /// Exhaustive best-threshold sink over *all* subsets of the received set
@@ -417,27 +378,18 @@ pub fn exact_sink_with_threshold(
 /// # Errors
 ///
 /// Returns [`GraphError::TooLargeForExactCheck`] when the received set
-/// exceeds `cutoff`.
+/// exceeds `cutoff` (or 63: subsets are enumerated as `u64` masks).
 pub fn exact_best_sink(
     view: &KnowledgeView,
     cutoff: usize,
 ) -> Result<Option<SinkCandidate>, GraphError> {
-    let received: Vec<ProcessId> = view.received().into_iter().collect();
-    if received.len() > cutoff {
-        return Err(GraphError::TooLargeForExactCheck {
-            size: received.len(),
-            cutoff,
-        });
-    }
+    let mut snap = ViewSnapshot::new(view);
+    let received = snap.received();
     let mut best: Option<SinkCandidate> = None;
-    for mask in 1u64..(1u64 << received.len()) {
-        let s1: ProcessSet = received
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &p)| p)
-            .collect();
-        if let Some(dec) = max_threshold(view, &s1) {
+    let mut s1 = Vec::new();
+    for mask in subset_masks(received.len(), cutoff)? {
+        select(&received, mask, &mut s1);
+        if let Some(dec) = max_threshold_at(&mut snap, &s1) {
             let replace = match &best {
                 None => true,
                 Some(b) => {
@@ -539,6 +491,45 @@ mod tests {
         let view = KnowledgeView::omniscient(&g);
         assert!(exact_best_sink(&view, 8).is_err());
         assert!(exact_sink_with_threshold(&view, 1, 8).is_err());
+    }
+
+    /// An omniscient view of a directed cycle on `n` vertices (κ = 1).
+    fn cycle_view(n: u64) -> KnowledgeView {
+        KnowledgeView::omniscient(&DiGraph::from_edges((0..n).map(|i| (i, (i + 1) % n))))
+    }
+
+    #[test]
+    fn sixty_four_eligible_ids_are_refused_not_shifted() {
+        // Subsets are u64 masks: a caller-set cutoff of 64 or more used to
+        // reach `1 << 64` (debug panic, empty loop in release).
+        let view = cycle_view(64);
+        for cutoff in [64, usize::MAX] {
+            let too_large = Err(GraphError::TooLargeForExactCheck {
+                size: 64,
+                cutoff: 63,
+            });
+            assert_eq!(exact_sink_with_threshold(&view, 0, cutoff), too_large);
+            assert_eq!(exact_best_sink(&view, cutoff), too_large);
+        }
+    }
+
+    #[test]
+    fn internal_maximality_skips_enumeration_above_63_members() {
+        let view = cycle_view(64);
+        let whole = SinkCandidate {
+            decomposition: SinkDecomposition {
+                s1: view.received(),
+                s2: ProcessSet::new(),
+                threshold: 0,
+            },
+        };
+        let search = CandidateSearch {
+            exact_cutoff: 64,
+            ..CandidateSearch::default()
+        };
+        // Falls back to the peeled variants: a cycle minus vertices is a
+        // path, which is no sink, so nothing disqualifies the whole cycle.
+        assert!(search.is_internally_maximal(&view, &whole));
     }
 
     #[test]

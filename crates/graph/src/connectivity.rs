@@ -7,17 +7,140 @@
 //!
 //! "Node-disjoint" means internally disjoint: paths share no vertex other
 //! than the two endpoints. A direct edge counts as one path.
+//!
+//! # Which pairs `κ` needs
+//!
+//! `κ(G)` is a minimum over all `n(n−1)` ordered pairs, but
+//! [`SplitNetwork::connectivity`] probes far fewer. Start from the degree
+//! bound `κ ≤ min_v min(out(v), in(v))`, then probe *roots* `v₀, v₁, …`
+//! (ascending), each against every other vertex in both directions,
+//! lowering the running value to every count seen, and stop once more
+//! roots have been probed than the running value. This is Even's
+//! argument: a pair realising `κ` is separated by at most `κ` vertices
+//! (Menger; `κ − 1` plus the direct edge when the pair is adjacent), so
+//! among more than `κ` roots one lies outside the separator, on the
+//! source's or the target's side, and its probe towards the other side
+//! crosses the same separator and reads at most `κ`. About `2κn` probes
+//! instead of `n²`; `docs/PAPER_MAP.md` ("Which pairs `κ` needs") spells
+//! out both cases.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::digraph::DiGraph;
 use crate::id::{ProcessId, ProcessSet};
 use crate::maxflow::UnitFlowNetwork;
 
+/// The vertex-split unit-flow network of a digraph over dense vertex
+/// indices `0..n`: vertex `v` becomes `v_in = 2v` and `v_out = 2v + 1`
+/// joined by a capacity-1 arc, and every edge `u → w` becomes a capacity-1
+/// arc `u_out → w_in`. Max flow from `s_out` to `t_in` equals the maximum
+/// number of internally node-disjoint `s → t` paths (Menger).
+///
+/// Built once per (sub)graph; every query runs on the same network.
+#[derive(Debug, Clone)]
+pub(crate) struct SplitNetwork {
+    n: usize,
+    net: UnitFlowNetwork,
+    /// `min_v min(out(v), in(v))`: no ordered pair has more paths.
+    degree_bound: usize,
+}
+
+/// `n` split vertices (`v_in → v_out` at capacity 1) and no edges yet.
+fn split_vertices(n: usize) -> UnitFlowNetwork {
+    let mut net = UnitFlowNetwork::new(2 * n);
+    for v in 0..n {
+        net.add_edge(2 * v, 2 * v + 1, 1);
+    }
+    net
+}
+
+impl SplitNetwork {
+    /// The network of the digraph on `0..n` with the given edges (no
+    /// self-loops, no repeats).
+    pub(crate) fn new(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
+        let mut net = split_vertices(n);
+        let mut out_deg = vec![0usize; n];
+        let mut in_deg = vec![0usize; n];
+        for (u, w) in edges {
+            net.add_edge(2 * u + 1, 2 * w, 1);
+            out_deg[u] += 1;
+            in_deg[w] += 1;
+        }
+        let degree_bound = out_deg.into_iter().chain(in_deg).min().unwrap_or(0);
+        SplitNetwork {
+            n,
+            net,
+            degree_bound,
+        }
+    }
+
+    /// Node-disjoint paths from `s` to `t ≠ s`, counted no further than
+    /// `limit`.
+    pub(crate) fn paths(&mut self, s: usize, t: usize, limit: Option<usize>) -> usize {
+        debug_assert_ne!(s, t);
+        self.net.max_flow(2 * s + 1, 2 * t, limit)
+    }
+
+    /// `min(κ, cap)` — or, as soon as `κ < floor` is established, whatever
+    /// value below `floor` (≥ 1) established it. See the module docs for
+    /// why the probed pairs suffice.
+    ///
+    /// Graphs with 0 or 1 vertices have `κ` = their vertex count.
+    pub(crate) fn connectivity(&mut self, cap: usize, floor: usize) -> usize {
+        debug_assert!(floor >= 1);
+        if self.n <= 1 {
+            return self.n.min(cap);
+        }
+        let mut kappa = cap.min(self.degree_bound);
+        let mut root = 0;
+        while kappa >= floor && root <= kappa && root < self.n {
+            for v in (0..self.n).filter(|&v| v != root) {
+                for (s, t) in [(root, v), (v, root)] {
+                    kappa = kappa.min(self.paths(s, t, Some(kappa)));
+                    if kappa < floor {
+                        return kappa;
+                    }
+                }
+            }
+            root += 1;
+        }
+        kappa
+    }
+
+    /// A minimum set of vertices other than `s` and `t` whose removal
+    /// destroys every `s → t` path except the direct edge, ascending; the
+    /// one nearest `s` among the minimum ones.
+    ///
+    /// Unlike the path-counting network (all capacities 1), the cut
+    /// network gives edge arcs effectively infinite capacity so that every
+    /// minimum cut consists solely of vertex-split arcs — otherwise a flow
+    /// saturating the source's outgoing *edges* would yield a residual cut
+    /// with no vertex interpretation.
+    pub(crate) fn min_vertex_cut(&self, s: usize, t: usize) -> Vec<usize> {
+        let n = self.n;
+        let big = (n as u32) + 1;
+        let mut net = split_vertices(n);
+        // The first n arcs of the counting network are the vertex splits.
+        for (u_out, w_in) in self.net.edges().skip(n) {
+            if (u_out / 2, w_in / 2) != (s, t) {
+                net.add_edge(u_out, w_in, big);
+            }
+        }
+        net.max_flow(2 * s + 1, 2 * t, None);
+        let reach = net.residual_reachable(2 * s + 1);
+        // Vertex-split arcs v_in -> v_out that cross the cut.
+        (0..n)
+            .filter(|&v| v != s && v != t && reach[2 * v] && !reach[2 * v + 1])
+            .collect()
+    }
+}
+
 /// Node-disjoint path queries between ordered vertex pairs of one graph.
 ///
-/// Construction pre-indexes vertices; each query builds a fresh
-/// vertex-split unit-flow network.
+/// Construction indexes the vertices and builds the vertex-split
+/// unit-flow network once; every query reuses it (a query undoes only
+/// what the previous one routed).
 ///
 /// # Example
 ///
@@ -33,40 +156,26 @@ use crate::maxflow::UnitFlowNetwork;
 /// assert!(!dp.at_least(p(2), p(4), 4));
 /// ```
 #[derive(Debug, Clone)]
-pub struct DisjointPaths<'g> {
-    graph: &'g DiGraph,
+pub struct DisjointPaths {
     order: Vec<ProcessId>,
-    index: BTreeMap<ProcessId, usize>,
+    net: RefCell<SplitNetwork>,
 }
 
-impl<'g> DisjointPaths<'g> {
+impl DisjointPaths {
     /// Prepares disjoint-path queries over `graph`.
-    pub fn new(graph: &'g DiGraph) -> Self {
+    pub fn new(graph: &DiGraph) -> Self {
         let order: Vec<ProcessId> = graph.vertices().collect();
-        let index = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let index = |v: ProcessId| order.binary_search(&v).expect("edge endpoint is a vertex");
+        let edges = graph.edges().map(|(u, w)| (index(u), index(w)));
+        let net = SplitNetwork::new(order.len(), edges);
         DisjointPaths {
-            graph,
             order,
-            index,
+            net: RefCell::new(net),
         }
     }
 
-    /// Builds the standard vertex-split flow network:
-    /// node `v` becomes `v_in = 2i` and `v_out = 2i + 1` with a capacity-1
-    /// arc `v_in → v_out`; every graph edge `u → w` becomes a capacity-1
-    /// arc `u_out → w_in`. Max flow from `s_out` to `t_in` equals the
-    /// maximum number of internally node-disjoint `s → t` paths (Menger).
-    fn build_network(&self) -> UnitFlowNetwork {
-        let n = self.order.len();
-        let mut net = UnitFlowNetwork::new(2 * n);
-        for i in 0..n {
-            net.add_edge(2 * i, 2 * i + 1, 1);
-        }
-        for (u, w) in self.graph.edges() {
-            let (ui, wi) = (self.index[&u], self.index[&w]);
-            net.add_edge(2 * ui + 1, 2 * wi, 1);
-        }
-        net
+    fn index(&self, v: ProcessId) -> Option<usize> {
+        self.order.binary_search(&v).ok()
     }
 
     /// Maximum number of node-disjoint paths from `s` to `t`.
@@ -80,14 +189,13 @@ impl<'g> DisjointPaths<'g> {
 
     /// Like [`Self::count`] but stops once `limit` paths are found.
     pub fn count_bounded(&self, s: ProcessId, t: ProcessId, limit: Option<usize>) -> usize {
-        let (Some(&si), Some(&ti)) = (self.index.get(&s), self.index.get(&t)) else {
+        let (Some(si), Some(ti)) = (self.index(s), self.index(t)) else {
             return 0;
         };
         if s == t {
             return self.order.len();
         }
-        let mut net = self.build_network();
-        net.max_flow(2 * si + 1, 2 * ti, limit)
+        self.net.borrow_mut().paths(si, ti, limit)
     }
 
     /// Whether at least `k` node-disjoint paths join `s` to `t`.
@@ -106,45 +214,15 @@ impl<'g> DisjointPaths<'g> {
     /// with a direct edge present the returned set severs exactly the
     /// *indirect* paths. Returns an empty set when `t` is unreachable
     /// (other than via the direct edge).
-    ///
-    /// Unlike the path-counting network (all capacities 1), the cut
-    /// network gives edge arcs effectively infinite capacity so that every
-    /// minimum cut consists solely of vertex-split arcs — otherwise a flow
-    /// saturating the source's outgoing *edges* would yield a residual cut
-    /// with no vertex interpretation.
     pub fn min_vertex_cut(&self, s: ProcessId, t: ProcessId) -> ProcessSet {
-        let (Some(&si), Some(&ti)) = (self.index.get(&s), self.index.get(&t)) else {
+        let (Some(si), Some(ti)) = (self.index(s), self.index(t)) else {
             return ProcessSet::new();
         };
         if s == t {
             return ProcessSet::new();
         }
-        let n = self.order.len();
-        let big = (n as u32) + 1;
-        let mut net = UnitFlowNetwork::new(2 * n);
-        for i in 0..n {
-            net.add_edge(2 * i, 2 * i + 1, 1);
-        }
-        for (u, w) in self.graph.edges() {
-            if u == s && w == t {
-                continue; // a direct edge is not cuttable by vertices
-            }
-            let (ui, wi) = (self.index[&u], self.index[&w]);
-            net.add_edge(2 * ui + 1, 2 * wi, big);
-        }
-        net.max_flow(2 * si + 1, 2 * ti, None);
-        let reach = net.residual_reachable(2 * si + 1);
-        let mut cut = ProcessSet::new();
-        for (i, &v) in self.order.iter().enumerate() {
-            if v == s || v == t {
-                continue;
-            }
-            // Vertex-split arc v_in -> v_out crosses the cut.
-            if reach[2 * i] && !reach[2 * i + 1] {
-                cut.insert(v);
-            }
-        }
-        cut
+        let cut = self.net.borrow().min_vertex_cut(si, ti);
+        cut.into_iter().map(|v| self.order[v]).collect()
     }
 
     /// Extracts a maximum set of node-disjoint paths from `s` to `t`,
@@ -152,14 +230,14 @@ impl<'g> DisjointPaths<'g> {
     ///
     /// The number of returned paths equals [`Self::count`].
     pub fn extract(&self, s: ProcessId, t: ProcessId) -> Vec<Vec<ProcessId>> {
-        let (Some(&si), Some(&ti)) = (self.index.get(&s), self.index.get(&t)) else {
+        let (Some(si), Some(ti)) = (self.index(s), self.index(t)) else {
             return Vec::new();
         };
         if s == t {
             return vec![vec![s]];
         }
-        let mut net = self.build_network();
-        let flow = net.max_flow(2 * si + 1, 2 * ti, None);
+        let mut net = self.net.borrow_mut();
+        let flow = net.paths(si, ti, None);
         if flow == 0 {
             return Vec::new();
         }
@@ -167,7 +245,7 @@ impl<'g> DisjointPaths<'g> {
         // internal vertex has unit capacity, each node index appears at most
         // once as a source of flow, so successors are unique.
         let mut succ: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (a, b) in net.saturated_edges() {
+        for (a, b) in net.net.saturated_edges() {
             succ.entry(a).or_default().push(b);
         }
         let mut paths = Vec::with_capacity(flow);
@@ -216,21 +294,7 @@ impl DiGraph {
         if k == 0 || self.vertex_count() <= 1 {
             return true;
         }
-        // Quick degree-based rejection: each vertex needs out/in degree >= k.
-        for v in self.vertices() {
-            if self.out_degree(v) < k || self.in_degree(v) < k {
-                return false;
-            }
-        }
-        let dp = DisjointPaths::new(self);
-        for u in self.vertices() {
-            for v in self.vertices() {
-                if u != v && !dp.at_least(u, v, k) {
-                    return false;
-                }
-            }
-        }
-        true
+        DisjointPaths::new(self).net.into_inner().connectivity(k, k) >= k
     }
 
     /// The strong connectivity `κ(G)`: the largest `k` for which
@@ -238,75 +302,19 @@ impl DiGraph {
     ///
     /// For graphs with 0 or 1 vertices this returns the vertex count.
     pub fn strong_connectivity(&self) -> usize {
-        let n = self.vertex_count();
-        if n <= 1 {
-            return n;
-        }
-        // Upper bound: min over vertices of min(out-degree, in-degree).
-        let mut bound = usize::MAX;
-        let mut in_deg: BTreeMap<ProcessId, usize> = self.vertices().map(|v| (v, 0)).collect();
-        for (_, w) in self.edges() {
-            *in_deg.get_mut(&w).expect("edge endpoint is a vertex") += 1;
-        }
-        for v in self.vertices() {
-            bound = bound.min(self.out_degree(v)).min(in_deg[&v]);
-        }
-        if bound == 0 {
-            return 0;
-        }
-        let dp = DisjointPaths::new(self);
-        let mut kappa = bound;
-        for u in self.vertices() {
-            for v in self.vertices() {
-                if u == v {
-                    continue;
-                }
-                if kappa == 0 {
-                    return 0;
-                }
-                // Only need to know whether the pair reaches the current
-                // minimum; if not, lower it to the exact pair value.
-                let c = dp.count_bounded(u, v, Some(kappa));
-                kappa = kappa.min(c);
-            }
-        }
-        kappa
+        self.strong_connectivity_capped(usize::MAX)
     }
 
     /// Like [`Self::strong_connectivity`] but never spends effort proving
     /// connectivity beyond `cap`: returns `min(κ(G), cap)`.
     ///
     /// The sink predicates only ever need `κ` up to `(|S1|-1)/2 + 1`, so a
-    /// capped computation avoids the full all-pairs cost on dense sets.
+    /// capped computation avoids the full cost on dense sets.
     pub fn strong_connectivity_capped(&self, cap: usize) -> usize {
-        let n = self.vertex_count();
-        if n <= 1 {
-            return n.min(cap);
-        }
-        if cap == 0 {
-            return 0;
-        }
-        let dp = DisjointPaths::new(self);
-        let mut kappa = cap;
-        for u in self.vertices() {
-            if self.out_degree(u) < kappa {
-                kappa = self.out_degree(u);
-            }
-            if kappa == 0 {
-                return 0;
-            }
-            for v in self.vertices() {
-                if u == v {
-                    continue;
-                }
-                let c = dp.count_bounded(u, v, Some(kappa));
-                kappa = kappa.min(c);
-                if kappa == 0 {
-                    return 0;
-                }
-            }
-        }
-        kappa
+        DisjointPaths::new(self)
+            .net
+            .into_inner()
+            .connectivity(cap, 1)
     }
 
     /// Number of node-disjoint paths guaranteed from every vertex of `from`

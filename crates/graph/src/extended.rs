@@ -7,7 +7,7 @@ use crate::digraph::DiGraph;
 use crate::error::GraphError;
 use crate::id::{ProcessId, ProcessSet};
 use crate::osr::{osr_report, OsrReport};
-use crate::predicates::max_threshold;
+use crate::predicates::{max_threshold, subset_masks};
 use crate::view::KnowledgeView;
 
 /// The core of an extended `k`-OSR graph, with its detected parameters.
@@ -53,23 +53,20 @@ impl ExtendedOsrReport {
 /// # Errors
 ///
 /// Returns [`GraphError::TooLargeForExactCheck`] if the graph has more than
-/// `cutoff` vertices (the sink enumeration is exponential).
+/// `cutoff` (or 63) vertices (the sink enumeration is exponential).
 pub fn is_extended_k_osr(
     g: &DiGraph,
     k: usize,
     cutoff: usize,
 ) -> Result<ExtendedOsrReport, GraphError> {
-    let n = g.vertex_count();
-    if n > cutoff {
-        return Err(GraphError::TooLargeForExactCheck { size: n, cutoff });
-    }
+    let masks = subset_masks(g.vertex_count(), cutoff)?;
     let base = osr_report(g, k);
     let view = KnowledgeView::omniscient(g);
     let vertices: Vec<ProcessId> = g.vertices().collect();
 
     // Enumerate every S1 once; fold into (member set -> max threshold).
     let mut sink_thresholds: BTreeMap<ProcessSet, usize> = BTreeMap::new();
-    for mask in 1u64..(1u64 << vertices.len()) {
+    for mask in masks {
         let s1: ProcessSet = vertices
             .iter()
             .enumerate()

@@ -59,6 +59,7 @@ mod osr;
 mod predicates;
 mod scale;
 mod scc;
+mod snapshot;
 mod view;
 
 pub use candidates::{

@@ -1,7 +1,5 @@
 //! Unit-capacity max-flow (Dinic) used for Menger-style connectivity queries.
 
-use std::collections::VecDeque;
-
 /// A small max-flow network over dense `usize` node indices with integer
 /// capacities, specialized for the unit-capacity networks that arise from
 /// vertex-connectivity reductions.
@@ -26,20 +24,42 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct UnitFlowNetwork {
     n: usize,
-    // Edge list in pairs: edge 2k is forward, 2k+1 is its residual.
-    to: Vec<usize>,
+    // Arcs in pairs: arc 2k is forward, 2k+1 is its residual twin.
+    to: Vec<u32>,
     cap: Vec<u32>,
-    head: Vec<Vec<usize>>,
+    // Per-node arc lists in insertion order, threaded through `next`.
+    first: Vec<u32>,
+    last: Vec<u32>,
+    next: Vec<u32>,
+    // Forward arcs the last `max_flow` pushed flow over (repeats allowed);
+    // restoring exactly these returns the network to zero flow.
+    touched: Vec<u32>,
+    // Dinic scratch, reused by every query.
+    level: Vec<u32>,
+    iter: Vec<u32>,
+    queue: Vec<u32>,
+    path: Vec<u32>,
 }
+
+/// "No arc" / "no level" marker.
+const NIL: u32 = u32::MAX;
 
 impl UnitFlowNetwork {
     /// Creates a network with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
+        assert!(n < NIL as usize, "node count exceeds the index width");
         UnitFlowNetwork {
             n,
             to: Vec::new(),
             cap: Vec::new(),
-            head: vec![Vec::new(); n],
+            first: vec![NIL; n],
+            last: vec![NIL; n],
+            next: Vec::new(),
+            touched: Vec::new(),
+            level: vec![NIL; n],
+            iter: vec![NIL; n],
+            queue: Vec::with_capacity(n),
+            path: Vec::new(),
         }
     }
 
@@ -55,98 +75,131 @@ impl UnitFlowNetwork {
     /// Panics if either endpoint is out of range.
     pub fn add_edge(&mut self, from: usize, to: usize, capacity: u32) {
         assert!(from < self.n && to < self.n, "edge endpoint out of range");
-        let e = self.to.len();
-        self.to.push(to);
+        self.push_arc(from, to, capacity);
+        self.push_arc(to, from, 0);
+    }
+
+    fn push_arc(&mut self, from: usize, to: usize, capacity: u32) {
+        let e = self.to.len() as u32;
+        self.to.push(to as u32);
         self.cap.push(capacity);
-        self.head[from].push(e);
-        self.to.push(from);
-        self.cap.push(0);
-        self.head[to].push(e + 1);
+        self.next.push(NIL);
+        match self.last[from] {
+            NIL => self.first[from] = e,
+            prev => self.next[prev as usize] = e,
+        }
+        self.last[from] = e;
+    }
+
+    /// Forward edges as `(from, to)` pairs, in insertion order.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.to.len())
+            .step_by(2)
+            .map(|e| (self.to[e + 1] as usize, self.to[e] as usize))
+    }
+
+    /// Returns the residual capacities to the zero-flow state by undoing
+    /// only the arcs the last query pushed flow over.
+    fn restore(&mut self) {
+        for e in self.touched.drain(..) {
+            let e = e as usize;
+            self.cap[e] += self.cap[e + 1];
+            self.cap[e + 1] = 0;
+        }
     }
 
     /// Computes the maximum flow from `source` to `sink`, optionally
     /// stopping early once `limit` units have been routed (useful when the
     /// caller only needs to know whether the flow reaches a threshold).
     ///
-    /// Mutates internal residual capacities; call on a fresh network (or
-    /// clone) per query.
+    /// Every call starts from zero flow: whatever the previous query
+    /// routed is undone first, so one network serves any number of
+    /// queries, and the scratch the search needs is kept between them.
+    /// The residual state this call leaves behind is what
+    /// [`Self::residual_reachable`] and [`Self::saturated_edges`] read.
     pub fn max_flow(&mut self, source: usize, sink: usize, limit: Option<usize>) -> usize {
         assert!(source < self.n && sink < self.n, "terminal out of range");
+        self.restore();
         if source == sink {
             return usize::MAX;
         }
         let limit = limit.unwrap_or(usize::MAX);
         let mut flow = 0usize;
-        let mut level = vec![-1i32; self.n];
-        let mut iter = vec![0usize; self.n];
-
-        while flow < limit {
-            // BFS to build level graph.
-            level.fill(-1);
-            level[source] = 0;
-            let mut queue = VecDeque::from([source]);
-            while let Some(v) = queue.pop_front() {
-                for &e in &self.head[v] {
-                    let w = self.to[e];
-                    if self.cap[e] > 0 && level[w] < 0 {
-                        level[w] = level[v] + 1;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            if level[sink] < 0 {
-                break;
-            }
-            iter.fill(0);
-            // DFS blocking flow, one augmenting unit at a time (unit caps).
-            loop {
-                if flow >= limit {
-                    break;
-                }
-                let pushed = self.dfs_augment(source, sink, &level, &mut iter);
-                if pushed == 0 {
-                    break;
-                }
-                flow += pushed;
+        while flow < limit && self.build_levels(source, sink) {
+            self.iter.copy_from_slice(&self.first);
+            // Blocking flow, one augmenting unit at a time (unit caps).
+            while flow < limit && self.augment(source, sink) {
+                flow += 1;
             }
         }
         flow
     }
 
-    fn dfs_augment(&mut self, v: usize, sink: usize, level: &[i32], iter: &mut [usize]) -> usize {
-        // Iterative DFS along the level graph carrying one unit.
-        let mut path: Vec<usize> = Vec::new(); // edge indices
-        let mut cur = v;
+    /// BFS over residual arcs labelling nodes with their distance from
+    /// `source`; stops as soon as `sink` is labelled (every node nearer
+    /// than the sink is labelled by then). Returns whether it was reached.
+    fn build_levels(&mut self, source: usize, sink: usize) -> bool {
+        self.level.fill(NIL);
+        self.level[source] = 0;
+        self.queue.clear();
+        self.queue.push(source as u32);
+        let mut at = 0;
+        while at < self.queue.len() {
+            let v = self.queue[at] as usize;
+            at += 1;
+            let mut e = self.first[v];
+            while e != NIL {
+                let w = self.to[e as usize] as usize;
+                if self.cap[e as usize] > 0 && self.level[w] == NIL {
+                    self.level[w] = self.level[v] + 1;
+                    if w == sink {
+                        return true;
+                    }
+                    self.queue.push(w as u32);
+                }
+                e = self.next[e as usize];
+            }
+        }
+        false
+    }
+
+    /// Iterative DFS along the level graph carrying one unit from `source`
+    /// to `sink`; returns whether a unit was routed.
+    fn augment(&mut self, source: usize, sink: usize) -> bool {
+        self.path.clear();
+        let mut cur = source;
         loop {
             if cur == sink {
-                for &e in &path {
+                for &e in &self.path {
+                    let e = e as usize;
                     self.cap[e] -= 1;
                     self.cap[e ^ 1] += 1;
+                    self.touched.push((e & !1) as u32);
                 }
-                return 1;
+                return true;
             }
             let mut advanced = false;
-            while iter[cur] < self.head[cur].len() {
-                let e = self.head[cur][iter[cur]];
-                let w = self.to[e];
-                if self.cap[e] > 0 && level[w] == level[cur] + 1 {
-                    path.push(e);
+            while self.iter[cur] != NIL {
+                let e = self.iter[cur] as usize;
+                let w = self.to[e] as usize;
+                if self.cap[e] > 0 && self.level[w] == self.level[cur] + 1 {
+                    self.path.push(e as u32);
                     cur = w;
                     advanced = true;
                     break;
                 }
-                iter[cur] += 1;
+                self.iter[cur] = self.next[e];
             }
             if advanced {
                 continue;
             }
             // Dead end: retreat.
-            match path.pop() {
+            match self.path.pop() {
                 Some(e) => {
-                    cur = self.to[e ^ 1];
-                    iter[cur] += 1;
+                    cur = self.to[(e ^ 1) as usize] as usize;
+                    self.iter[cur] = self.next[e as usize];
                 }
-                None => return 0,
+                None => return false,
             }
         }
     }
@@ -157,14 +210,16 @@ impl UnitFlowNetwork {
     pub fn residual_reachable(&self, source: usize) -> Vec<bool> {
         let mut seen = vec![false; self.n];
         seen[source] = true;
-        let mut queue = VecDeque::from([source]);
-        while let Some(v) = queue.pop_front() {
-            for &e in &self.head[v] {
-                let w = self.to[e];
-                if self.cap[e] > 0 && !seen[w] {
+        let mut stack = vec![source];
+        while let Some(v) = stack.pop() {
+            let mut e = self.first[v];
+            while e != NIL {
+                let w = self.to[e as usize] as usize;
+                if self.cap[e as usize] > 0 && !seen[w] {
                     seen[w] = true;
-                    queue.push_back(w);
+                    stack.push(w);
                 }
+                e = self.next[e as usize];
             }
         }
         seen
@@ -174,15 +229,12 @@ impl UnitFlowNetwork {
     /// `(from, to)` pairs) that carry one unit of flow. Useful for path
     /// decomposition.
     pub fn saturated_edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for e in (0..self.to.len()).step_by(2) {
-            // Forward edge e originally had cap >= residual; it carries flow
-            // iff its residual twin gained capacity.
-            if self.cap[e + 1] > 0 {
-                out.push((self.to[e + 1], self.to[e]));
-            }
-        }
-        out
+        // A forward arc carries flow iff its residual twin gained capacity.
+        self.edges()
+            .zip(self.cap.chunks_exact(2))
+            .filter(|(_, caps)| caps[1] > 0)
+            .map(|(edge, _)| edge)
+            .collect()
     }
 }
 
@@ -264,6 +316,26 @@ mod tests {
         assert_eq!(sat.len(), 4);
         assert!(sat.contains(&(0, 1)));
         assert!(sat.contains(&(2, 3)));
+    }
+
+    #[test]
+    fn queries_on_one_network_are_independent() {
+        // 0 -> {1,2} -> 3 and a detour 1 -> 2: every query must see the
+        // zero-flow network, whatever the previous one routed.
+        let mut net = UnitFlowNetwork::new(4);
+        net.add_edge(0, 1, 1);
+        net.add_edge(0, 2, 1);
+        net.add_edge(1, 2, 1);
+        net.add_edge(1, 3, 1);
+        net.add_edge(2, 3, 1);
+        for _ in 0..3 {
+            assert_eq!(net.max_flow(0, 3, None), 2);
+            assert_eq!(net.max_flow(0, 3, Some(1)), 1);
+            assert_eq!(net.max_flow(1, 3, None), 2);
+            assert_eq!(net.max_flow(3, 0, None), 0);
+            assert_eq!(net.max_flow(0, 2, None), 2);
+        }
+        assert_eq!(net.saturated_edges().len(), 3);
     }
 
     #[test]

@@ -29,8 +29,11 @@
 //! `g ≥ 0`; `f_Gdi(S)` is the maximum such `g` and `k_Gdi(S) = f_Gdi(S)+1`
 //! is the set's connectivity.
 
+use std::ops::Range;
+
 use crate::error::GraphError;
-use crate::id::{ProcessId, ProcessSet};
+use crate::id::ProcessSet;
+use crate::snapshot::{select, Idx, Pointers, ViewSnapshot};
 use crate::view::KnowledgeView;
 
 /// A successful sink decomposition: sets `S1`, `S2` and the fault threshold
@@ -58,12 +61,105 @@ impl SinkDecomposition {
     }
 }
 
-/// Number of members of `s1` whose received PD contains `target`
-/// (the `S1 →^{·} {target}` count).
-fn pointers_into(view: &KnowledgeView, s1: &ProcessSet, target: ProcessId) -> usize {
-    s1.iter()
-        .filter(|&&i| view.pd_of(i).is_some_and(|pd| pd.contains(&target)))
-        .count()
+/// The non-empty subsets of `size` eligible processes as bit masks,
+/// ascending — what every exhaustive search enumerates.
+///
+/// # Errors
+///
+/// [`GraphError::TooLargeForExactCheck`] when `size` exceeds `cutoff`, or
+/// 63: the masks are `u64`, and `1 << 64` is not a subset count.
+pub(crate) fn subset_masks(size: usize, cutoff: usize) -> Result<Range<u64>, GraphError> {
+    let cutoff = cutoff.min(63);
+    if size > cutoff {
+        return Err(GraphError::TooLargeForExactCheck { size, cutoff });
+    }
+    Ok(1..1u64 << size)
+}
+
+/// One candidate `S1 ⊆ S_received` (non-empty) under evaluation on a
+/// snapshot: who it points at, and — once a rule asks — how strongly
+/// `G[S1]` is connected.
+pub(crate) struct Candidate<'a> {
+    s1: &'a [Idx],
+    pointers: Pointers,
+    /// `(cap, min(κ(G[S1]), cap))` of the widest computation so far.
+    kappa: Option<(usize, usize)>,
+}
+
+impl<'a> Candidate<'a> {
+    pub(crate) fn new(snap: &mut ViewSnapshot, s1: &'a [Idx]) -> Self {
+        debug_assert!(!s1.is_empty() && s1.iter().all(|&v| snap.is_received(v)));
+        Candidate {
+            s1,
+            pointers: snap.pointers(s1),
+            kappa: None,
+        }
+    }
+
+    /// The forced `S2` at threshold `g` (property P4's "exactly").
+    pub(crate) fn s2(&self, g: usize) -> impl Iterator<Item = Idx> + '_ {
+        self.pointers.s2(g)
+    }
+
+    /// `min(κ(G[S1]), cap)`.
+    fn kappa_capped(&mut self, snap: &mut ViewSnapshot, cap: usize) -> usize {
+        match self.kappa {
+            // A value below its cap is κ itself.
+            Some((known_cap, kappa)) if cap <= known_cap || kappa < known_cap => kappa.min(cap),
+            _ => {
+                let kappa = snap.subnetwork(self.s1).connectivity(cap, 1);
+                self.kappa = Some((cap, kappa));
+                kappa
+            }
+        }
+    }
+
+    /// P3 and the size half of P4 at threshold `g`: at most `g` members
+    /// point outside `S1 ∪ S2`, and `|S2| ≤ g`.
+    fn admits(&self, g: usize) -> bool {
+        self.s2(g).count() <= g && self.pointers.boundary(g) <= g
+    }
+
+    /// `isSinkGdi(g, S1, S2)` for the forced `S2` and a `g` within P1's
+    /// `|S1| ≥ 2g + 1`: P4, P3, then P2 (last: the only one that costs a
+    /// flow).
+    pub(crate) fn holds(&mut self, snap: &mut ViewSnapshot, g: usize) -> bool {
+        debug_assert!(self.s1.len() > 2 * g);
+        self.admits(g) && self.kappa_capped(snap, g + 1) > g
+    }
+
+    /// The largest threshold at which [`Self::holds`].
+    ///
+    /// Feasibility is not monotone in `g` (raising `g` shrinks `S2` and
+    /// can surface boundary edges), so the range `0..=(|S1|−1)/2` is
+    /// scanned from the top; `κ` is computed once, no further than the
+    /// best threshold P3/P4 admit.
+    pub(crate) fn max_threshold(&mut self, snap: &mut ViewSnapshot) -> Option<usize> {
+        let size_bound = (self.s1.len() - 1) / 2;
+        let admitted: Vec<usize> = (0..=size_bound).rev().filter(|&g| self.admits(g)).collect();
+        let kappa = self.kappa_capped(snap, *admitted.first()? + 1);
+        admitted.into_iter().find(|&g| g < kappa)
+    }
+
+    pub(crate) fn decomposition(&self, snap: &ViewSnapshot, g: usize) -> SinkDecomposition {
+        SinkDecomposition {
+            s1: snap.process_set(self.s1.iter().copied()),
+            s2: snap.process_set(self.s2(g)),
+            threshold: g,
+        }
+    }
+}
+
+/// `isSinkGdi(g, S1, S2)` for `S1 ⊆ S_received` and its forced `S2`.
+pub(crate) fn sink_at(snap: &mut ViewSnapshot, s1: &[Idx], g: usize) -> Option<SinkDecomposition> {
+    // P1.
+    if s1.len() <= 2 * g {
+        return None;
+    }
+    let mut candidate = Candidate::new(snap, s1);
+    candidate
+        .holds(snap, g)
+        .then(|| candidate.decomposition(snap, g))
 }
 
 /// Derives the forced `S2` for a threshold `g` and candidate `S1`
@@ -82,25 +178,11 @@ fn pointers_into(view: &KnowledgeView, s1: &ProcessSet, target: ProcessId) -> us
 /// assert_eq!(s2, process_set([2]));
 /// ```
 pub fn derive_s2(view: &KnowledgeView, s1: &ProcessSet, g: usize) -> ProcessSet {
-    view.known()
-        .iter()
-        .copied()
-        .filter(|p| !s1.contains(p))
-        .filter(|&p| pointers_into(view, s1, p) > g)
-        .collect()
-}
-
-/// Number of members of `s1` with at least one outgoing edge to a known
-/// process outside `s1 ∪ s2` (property P3's boundary count).
-fn boundary_count(view: &KnowledgeView, s1: &ProcessSet, s2: &ProcessSet) -> usize {
-    s1.iter()
-        .filter(|&&i| {
-            view.pd_of(i).is_some_and(|pd| {
-                pd.iter()
-                    .any(|t| !s1.contains(t) && !s2.contains(t) && view.knows(*t))
-            })
-        })
-        .count()
+    let mut snap = ViewSnapshot::new(view);
+    // Members the view has not heard of point at nothing it knows.
+    let s1 = snap.indices(s1);
+    let pointers = snap.pointers(&s1);
+    snap.process_set(pointers.s2(g))
 }
 
 /// Evaluates `isSinkGdi(g, S1, S2)` on a knowledge view (Algorithm 2,
@@ -109,6 +191,14 @@ fn boundary_count(view: &KnowledgeView, s1: &ProcessSet, s2: &ProcessSet) -> usi
 /// Returns `false` (rather than erroring) when `S1` contains processes
 /// whose PDs have not been received: their connectivity is not computable,
 /// which is exactly the situation properties P1–P4 are designed around.
+///
+/// `S2` must be exactly the derived set, and no larger than `g`. The size
+/// bound is implicit in Theorem 3's construction (`S2` holds Byzantine or
+/// slow *sink members*, of which there are at most `f`) and is load-
+/// bearing for Algorithm 4's soundness: without it, a process's initial
+/// view admits the trivial candidate `S1 = {self}`, `S2 = PD_self` at
+/// `g = 0`, and the Core algorithm would terminate before discovering
+/// anything.
 ///
 /// # Example
 ///
@@ -120,32 +210,10 @@ fn boundary_count(view: &KnowledgeView, s1: &ProcessSet, s2: &ProcessSet) -> usi
 /// assert!(is_sink_gdi(&view, 1, &process_set([1, 3, 4]), &process_set([2])));
 /// ```
 pub fn is_sink_gdi(view: &KnowledgeView, g: usize, s1: &ProcessSet, s2: &ProcessSet) -> bool {
-    if s1.is_empty() {
-        return false;
-    }
-    // S1 must be connectivity-computable: all PDs received.
-    if !s1.iter().all(|&p| view.has_pd_of(p)) {
-        return false;
-    }
-    // P1: |S1| >= 2g+1.
-    if s1.len() < 2 * g + 1 {
-        return false;
-    }
-    // P4: S2 is exactly the derived set, and no larger than g. The size
-    // bound is implicit in Theorem 3's construction (S2 holds Byzantine or
-    // slow *sink members*, of which there are at most f) and is load-
-    // bearing for Algorithm 4's soundness: without it, a process's initial
-    // view admits the trivial candidate S1 = {self}, S2 = PD_self at g = 0,
-    // and the Core algorithm would terminate before discovering anything.
-    if s2.len() > g || *s2 != derive_s2(view, s1, g) {
-        return false;
-    }
-    // P3: at most g members of S1 point outside S1 ∪ S2.
-    if boundary_count(view, s1, s2) > g {
-        return false;
-    }
-    // P2: κ(G[S1]) >= g+1 (checked last: most expensive).
-    view.graph().induced(s1).is_k_strongly_connected(g + 1)
+    let mut snap = ViewSnapshot::new(view);
+    snap.received_indices(s1)
+        .and_then(|s1| sink_at(&mut snap, &s1, g))
+        .is_some_and(|found| found.s2 == *s2)
 }
 
 /// Computes the maximum threshold `g` for which the candidate `S1`
@@ -155,27 +223,19 @@ pub fn is_sink_gdi(view: &KnowledgeView, g: usize, s1: &ProcessSet, s2: &Process
 /// within it, feasibility is not monotone in `g` (raising `g` shrinks `S2`
 /// and can surface boundary edges), so the range is scanned from the top.
 pub fn max_threshold(view: &KnowledgeView, s1: &ProcessSet) -> Option<SinkDecomposition> {
-    if s1.is_empty() || !s1.iter().all(|&p| view.has_pd_of(p)) {
+    let mut snap = ViewSnapshot::new(view);
+    let s1 = snap.received_indices(s1)?;
+    max_threshold_at(&mut snap, &s1)
+}
+
+/// [`max_threshold`] for `S1 ⊆ S_received` on a snapshot.
+pub(crate) fn max_threshold_at(snap: &mut ViewSnapshot, s1: &[Idx]) -> Option<SinkDecomposition> {
+    if s1.is_empty() {
         return None;
     }
-    let size_bound = (s1.len() - 1) / 2;
-    let sub = view.graph().induced(s1);
-    let kappa = sub.strong_connectivity_capped(size_bound + 1);
-    if kappa == 0 {
-        return None;
-    }
-    let hi = size_bound.min(kappa - 1);
-    for g in (0..=hi).rev() {
-        let s2 = derive_s2(view, s1, g);
-        if s2.len() <= g && boundary_count(view, s1, &s2) <= g {
-            return Some(SinkDecomposition {
-                s1: s1.clone(),
-                s2,
-                threshold: g,
-            });
-        }
-    }
-    None
+    let mut candidate = Candidate::new(snap, s1);
+    let g = candidate.max_threshold(snap)?;
+    Some(candidate.decomposition(snap, g))
 }
 
 /// Exact evaluation of `isSink*(S)` (Section V): searches all
@@ -185,46 +245,37 @@ pub fn max_threshold(view: &KnowledgeView, s1: &ProcessSet) -> Option<SinkDecomp
 /// # Errors
 ///
 /// Returns [`GraphError::TooLargeForExactCheck`] when `|S ∩ S_received|`
-/// exceeds `cutoff`, since the search enumerates subsets.
+/// exceeds `cutoff` (or 63), since the search enumerates subsets.
 pub fn is_sink_star(
     view: &KnowledgeView,
     s: &ProcessSet,
     cutoff: usize,
 ) -> Result<Option<SinkDecomposition>, GraphError> {
-    let eligible: Vec<ProcessId> = s.iter().copied().filter(|&p| view.has_pd_of(p)).collect();
-    if eligible.len() > cutoff {
-        return Err(GraphError::TooLargeForExactCheck {
-            size: eligible.len(),
-            cutoff,
-        });
+    let mut snap = ViewSnapshot::new(view);
+    let members = snap.indices(s);
+    let eligible: Vec<Idx> = members
+        .iter()
+        .copied()
+        .filter(|&v| snap.is_received(v))
+        .collect();
+    let masks = subset_masks(eligible.len(), cutoff)?;
+    if members.len() < s.len() {
+        // `S1 ∪ S2` stays inside `S_known`; it cannot reach the rest of `S`.
+        return Ok(None);
     }
     let mut best: Option<SinkDecomposition> = None;
-    for mask in 1u64..(1u64 << eligible.len()) {
-        let s1: ProcessSet = eligible
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &p)| p)
-            .collect();
-        let size_bound = (s1.len() - 1) / 2;
-        for g in (0..=size_bound).rev() {
+    let mut s1 = Vec::new();
+    for mask in masks {
+        select(&eligible, mask, &mut s1);
+        let mut candidate = Candidate::new(&mut snap, &s1);
+        for g in (0..=(s1.len() - 1) / 2).rev() {
             if best.as_ref().is_some_and(|b| g <= b.threshold) {
                 break; // cannot improve on the best threshold found
             }
-            let s2 = derive_s2(view, &s1, g);
-            let members: ProcessSet = s1.union(&s2).copied().collect();
-            if members != *s {
-                continue;
-            }
-            if is_sink_gdi(view, g, &s1, &s2) {
-                let better = best.as_ref().is_none_or(|b| g > b.threshold);
-                if better {
-                    best = Some(SinkDecomposition {
-                        s1: s1.clone(),
-                        s2,
-                        threshold: g,
-                    });
-                }
+            // `S1 ∪ S2 = S`: the forced S2 is exactly the rest of S.
+            let rest = members.iter().filter(|v| s1.binary_search(v).is_err());
+            if candidate.s2(g).eq(rest.copied()) && candidate.holds(&mut snap, g) {
+                best = Some(candidate.decomposition(&snap, g));
                 break; // lower g for same S1 cannot beat this
             }
         }
@@ -351,6 +402,22 @@ mod tests {
         let view = KnowledgeView::omniscient(&g);
         let err = is_sink_star(&view, &process_set(1..=25), 20).unwrap_err();
         assert!(matches!(err, GraphError::TooLargeForExactCheck { .. }));
+    }
+
+    #[test]
+    fn is_sink_star_refuses_64_eligible_ids() {
+        // Subsets are u64 masks; `1 << 64` must be an error, not a shift.
+        let g = DiGraph::from_edges((0..64).map(|i| (i, (i + 1) % 64)));
+        let view = KnowledgeView::omniscient(&g);
+        let err = is_sink_star(&view, &process_set(0..64), usize::MAX).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::TooLargeForExactCheck {
+                size: 64,
+                cutoff: 63
+            }
+        );
+        assert!(subset_masks(63, 64).is_ok_and(|masks| masks.end == 1 << 63));
     }
 
     #[test]

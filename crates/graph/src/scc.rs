@@ -26,34 +26,46 @@ use crate::id::{ProcessId, ProcessSet};
 /// ```
 pub fn strongly_connected_components(g: &DiGraph) -> Vec<ProcessSet> {
     let vertices: Vec<ProcessId> = g.vertices().collect();
-    let index_of: BTreeMap<ProcessId, usize> =
-        vertices.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let n = vertices.len();
+    let index_of: BTreeMap<ProcessId, u32> = vertices
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, i as u32))
+        .collect();
+    let adj: Vec<Vec<u32>> = vertices
+        .iter()
+        .map(|&v| g.out_neighbors(v).iter().map(|w| index_of[w]).collect())
+        .collect();
+    tarjan(vertices.len(), |v| &adj[v], |_| true)
+        .into_iter()
+        .map(|comp| comp.into_iter().map(|v| vertices[v as usize]).collect())
+        .collect()
+}
 
+/// Iterative Tarjan over the dense vertex indices `0..n` that `keep`
+/// admits; `out(v)` lists the successors of `v` (those `keep` rejects are
+/// skipped). Roots are tried and successors followed in ascending order.
+///
+/// Components come out in reverse topological order of the condensation
+/// (sinks first), each with its members ascending.
+pub(crate) fn tarjan<'a>(
+    n: usize,
+    out: impl Fn(usize) -> &'a [u32],
+    keep: impl Fn(usize) -> bool,
+) -> Vec<Vec<u32>> {
     const UNSET: usize = usize::MAX;
     let mut index = vec![UNSET; n];
     let mut lowlink = vec![UNSET; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut components: Vec<ProcessSet> = Vec::new();
+    let mut components: Vec<Vec<u32>> = Vec::new();
 
-    // Iterative Tarjan: the explicit call stack holds (vertex, neighbor
-    // iterator position over a pre-materialized adjacency list).
-    let adj: Vec<Vec<usize>> = vertices
-        .iter()
-        .map(|&v| {
-            g.out_neighbors(v)
-                .iter()
-                .map(|w| index_of[w])
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
-    for start in 0..n {
+    for start in (0..n).filter(|&v| keep(v)) {
         if index[start] != UNSET {
             continue;
         }
+        // The explicit call stack holds (vertex, position in its successor
+        // list).
         let mut call_stack: Vec<(usize, usize)> = vec![(start, 0)];
         index[start] = next_index;
         lowlink[start] = next_index;
@@ -62,9 +74,12 @@ pub fn strongly_connected_components(g: &DiGraph) -> Vec<ProcessSet> {
         on_stack[start] = true;
 
         while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
-            if *pos < adj[v].len() {
-                let w = adj[v][*pos];
+            if let Some(&w) = out(v).get(*pos) {
+                let w = w as usize;
                 *pos += 1;
+                if !keep(w) {
+                    continue;
+                }
                 if index[w] == UNSET {
                     index[w] = next_index;
                     lowlink[w] = next_index;
@@ -81,15 +96,16 @@ pub fn strongly_connected_components(g: &DiGraph) -> Vec<ProcessSet> {
                     lowlink[parent] = lowlink[parent].min(lowlink[v]);
                 }
                 if lowlink[v] == index[v] {
-                    let mut comp = ProcessSet::new();
+                    let mut comp = Vec::new();
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
-                        comp.insert(vertices[w]);
+                        comp.push(w as u32);
                         if w == v {
                             break;
                         }
                     }
+                    comp.sort_unstable();
                     components.push(comp);
                 }
             }

@@ -6,6 +6,10 @@
 #                              # package's build and tests
 #   scripts/verify.sh --quick  # skip the release build (fast local loop,
 #                              # and the CI `quick` job); fronts the
+#                              # proptest_graph kernel-vs-oracle
+#                              # properties and the core_search_parity
+#                              # pinned executions (the sink/core search
+#                              # returns what it always returned), the
 #                              # wire_roundtrip codec proptests, the
 #                              # adversary_sweep grid, the family_sweep
 #                              # (each graph family once at modest n), the
@@ -58,6 +62,10 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
 else
+    echo "==> cargo test -q --test proptest_graph (quick gate)"
+    cargo test -q --test proptest_graph
+    echo "==> cargo test -q --test core_search_parity (quick gate)"
+    cargo test -q --test core_search_parity
     echo "==> cargo test -q --test wire_roundtrip (quick gate)"
     cargo test -q --test wire_roundtrip
     echo "==> cargo test -q --test adversary_sweep (quick gate)"
