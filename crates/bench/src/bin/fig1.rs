@@ -6,10 +6,7 @@
 //! * Fig. 1b satisfies them: consensus is solved with one Byzantine
 //!   process under every strategy in the playbook.
 
-use cupft_bench::{
-    fmt_set, header, json_path_from_args, print_suite, row_json, verdict_json, write_json, Json,
-    Row,
-};
+use cupft_bench::{fmt_set, header, print_suite, Row};
 use cupft_core::{ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario, ScenarioSuite};
 use cupft_graph::{fig1a, fig1b, osr_report, process_set};
 
@@ -86,11 +83,4 @@ fn main() {
 
     println!();
     println!("Figure 1 reproduced: 1a impossible (✗), 1b solved under 3 Byzantine strategies (✓).");
-
-    if let Some(path) = json_path_from_args() {
-        let mut rows = vec![row_json(&row)];
-        rows.extend(report.verdicts.iter().map(verdict_json));
-        let doc = Json::obj([("bin", Json::str("fig1")), ("rows", Json::Arr(rows))]);
-        write_json(&path, &doc);
-    }
 }

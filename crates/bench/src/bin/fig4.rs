@@ -2,9 +2,7 @@
 //! identifies a unique core and consensus is solved with no process
 //! knowing the fault threshold.
 
-use cupft_bench::{
-    fmt_set, header, json_path_from_args, print_suite, verdict_json, write_json, Json, Row,
-};
+use cupft_bench::{fmt_set, header, print_suite, Row};
 use cupft_core::{ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario, ScenarioSuite};
 use cupft_graph::{fig4a, fig4b, is_extended_k_osr, process_set};
 
@@ -101,15 +99,4 @@ fn main() {
     println!();
     println!("Figure 4 reproduced: unique core identified and consensus solved with unknown f,");
     println!("including under a value-equivocating Byzantine core leader.");
-
-    if let Some(path) = json_path_from_args() {
-        let rows: Vec<Json> = seed_report
-            .verdicts
-            .iter()
-            .chain(&strategy_report.verdicts)
-            .map(verdict_json)
-            .collect();
-        let doc = Json::obj([("bin", Json::str("fig4")), ("rows", Json::Arr(rows))]);
-        write_json(&path, &doc);
-    }
 }

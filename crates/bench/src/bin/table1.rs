@@ -7,54 +7,12 @@
 //! impossibility cells must show no decision within the horizon under the
 //! adversarial (never-stabilizing) schedule.
 //!
-//! The nine cells are expressed as one [`ScenarioGrid`] per column (each
-//! column's witness graph carries its own Byzantine process ID) merged
-//! into a single [`ScenarioSuite`] and executed in parallel on the
+//! The nine cells are [`cupft_bench::table1_suite`] (also asserted on every
+//! `cargo test` by `tests/table1_matrix.rs`), executed in parallel on the
 //! deterministic simulator.
 
-use cupft_bench::{header, json_path_from_args, suite_json, write_json, Json, Row};
-use cupft_core::{FaultCase, ProtocolMode, RuntimeKind, ScenarioGrid, ScenarioSuite, SuiteVerdict};
-use cupft_graph::{fig1b, fig4a, process_set, DiGraph};
-use cupft_net::DelayPolicy;
-
-fn sync_policy() -> DelayPolicy {
-    DelayPolicy::Synchronous { delta: 10 }
-}
-
-fn psync_policy() -> DelayPolicy {
-    DelayPolicy::PartialSynchrony {
-        gst: 300,
-        delta: 10,
-        pre_gst_max: 200,
-    }
-}
-
-fn async_policy() -> DelayPolicy {
-    // GST never occurs within the horizon: delays up to 10^6 on a 10^5
-    // horizon. The checkable shadow of FLP: no deterministic protocol can
-    // be shown to decide under this schedule.
-    DelayPolicy::Asynchronous {
-        delta: 10,
-        unbounded_max: 1_000_000,
-    }
-}
-
-/// "Known n and f": every process's PD is the full membership.
-fn known_membership_graph() -> DiGraph {
-    DiGraph::complete(&process_set(1..=4))
-}
-
-/// One grid column: a witness graph, its identification mode, and its
-/// silent Byzantine process, swept over the three timing models.
-fn column(label: &str, graph: DiGraph, mode: ProtocolMode, byzantine: u64) -> ScenarioSuite {
-    ScenarioGrid::new()
-        .graph(label, graph, mode)
-        .fault(FaultCase::silent(byzantine))
-        .policy("sync", sync_policy(), 100_000)
-        .policy("psync", psync_policy(), 200_000)
-        .policy("async", async_policy(), 100_000)
-        .build()
-}
+use cupft_bench::{header, table1_suite, Row};
+use cupft_core::{RuntimeKind, SuiteVerdict};
 
 fn print_cells<'a>(cells: impl Iterator<Item = &'a SuiteVerdict>) {
     for verdict in cells {
@@ -66,25 +24,7 @@ fn main() {
     println!("Table I — deterministic Byzantine consensus per system model");
     println!("(paper: ✓ ✓ ✓ / ✓ ✓ ✓(this work) / ✗ ✗ ✗)");
 
-    let mut suite = column(
-        "known n, known f",
-        known_membership_graph(),
-        ProtocolMode::KnownThreshold(1),
-        4,
-    );
-    suite.extend(column(
-        "unknown n, known f (BFT-CUP)",
-        fig1b().graph().clone(),
-        ProtocolMode::KnownThreshold(1),
-        4,
-    ));
-    suite.extend(column(
-        "unknown n, unknown f (BFT-CUPFT)",
-        fig4a().graph().clone(),
-        ProtocolMode::UnknownThreshold,
-        9,
-    ));
-    let report = suite.run(RuntimeKind::Sim);
+    let report = table1_suite().run(RuntimeKind::Sim);
 
     let row = |policy: &str| {
         let needle = format!("/{policy}/");
@@ -134,9 +74,4 @@ fn main() {
         "Table I reproduced: 6/6 possibility cells solved, 3/3 async cells stalled safely ({})",
         report.summary()
     );
-
-    if let Some(path) = json_path_from_args() {
-        let doc = Json::obj([("bin", Json::str("table1")), ("suite", suite_json(&report))]);
-        write_json(&path, &doc);
-    }
 }

@@ -1,7 +1,8 @@
-//! Experiment harness support: scenario presets and row formatting shared
-//! by the table/figure binaries and the criterion benches.
+//! Paper-artifact harness: the Table I suite and the row formatting the
+//! table/figure binaries share.
 //!
-//! Each binary under `src/bin/` regenerates one artifact of the paper:
+//! Each binary under `src/bin/` regenerates one artifact of the paper and
+//! asserts it:
 //!
 //! | binary   | artifact |
 //! |----------|----------|
@@ -11,26 +12,74 @@
 //! | `fig3`   | Fig. 3 — false-sink self-declaration |
 //! | `fig4`   | Fig. 4 — BFT-CUPFT core identification and consensus |
 //! | `ablation_auth` | Section III claim — signatures vs. RRB baseline |
-//! | `adversary_grid` | Fault-injection engine sweep: composite strategy specs + tamper |
-//! | `graph_scale` | Graph-family scale series: generation + fast condition checks at 1k–50k vertices, per-family consensus rates |
-//! | `discovery_scale` | Delta-gossip series: full-`S_PD` vs delta `SETPDS` payload on the family sweep, end-to-end consensus at n=100–1000 on both runtimes |
 //!
-//! `table1`, `fig1`, `fig4`, `adversary_grid`, `graph_scale`, and
-//! `discovery_scale` accept `--json <path>` to leave a machine-readable
-//! artifact beside the text tables (see [`json`] and `scripts/bench.sh`,
-//! which merges them into `BENCH_adversary.json`, `BENCH_graph.json`, and
-//! `BENCH_discovery.json`).
+//! Performance is measured elsewhere: `benchmark/` (see `BENCHMARK.json`)
+//! is the repository's one benchmark.
 
 #![forbid(unsafe_code)]
 
-pub mod json;
-
-use cupft_core::{run_scenario, ConsensusCheck, Scenario, ScenarioOutcome, SuiteReport};
-use cupft_graph::ProcessSet;
-
-pub use json::{
-    json_path_from_args, obs_json, row_json, suite_json, verdict_json, write_json, Json,
+use cupft_core::{
+    run_scenario, ConsensusCheck, FaultCase, ProtocolMode, Scenario, ScenarioGrid, ScenarioOutcome,
+    ScenarioSuite, SuiteReport,
 };
+use cupft_graph::{fig1b, fig4a, process_set, DiGraph, ProcessSet};
+use cupft_net::DelayPolicy;
+
+/// Table I as one suite: {known n & f, unknown n & known f (BFT-CUP),
+/// unknown n & f (BFT-CUPFT)} × {synchronous, partially synchronous,
+/// asynchronous}, each column on a witness graph with one silent
+/// Byzantine process. Labels are `<column>/…/<sync|psync|async>/…`.
+///
+/// The asynchronous policy never stabilizes within its horizon (delays
+/// up to 10^6 on a 10^5 horizon) — the checkable shadow of FLP: those
+/// three cells must stall without disagreeing, the other six must solve
+/// consensus.
+pub fn table1_suite() -> ScenarioSuite {
+    let column = |label: &str, graph: DiGraph, mode: ProtocolMode, byzantine: u64| {
+        ScenarioGrid::new()
+            .graph(label, graph, mode)
+            .fault(FaultCase::silent(byzantine))
+            .policy("sync", DelayPolicy::Synchronous { delta: 10 }, 100_000)
+            .policy(
+                "psync",
+                DelayPolicy::PartialSynchrony {
+                    gst: 300,
+                    delta: 10,
+                    pre_gst_max: 200,
+                },
+                200_000,
+            )
+            .policy(
+                "async",
+                DelayPolicy::Asynchronous {
+                    delta: 10,
+                    unbounded_max: 1_000_000,
+                },
+                100_000,
+            )
+            .build()
+    };
+    // "Known n and f": every process's PD is the full membership.
+    let mut suite = column(
+        "known n, known f",
+        DiGraph::complete(&process_set(1..=4)),
+        ProtocolMode::KnownThreshold(1),
+        4,
+    );
+    suite.extend(column(
+        "unknown n, known f (BFT-CUP)",
+        fig1b().graph().clone(),
+        ProtocolMode::KnownThreshold(1),
+        4,
+    ));
+    suite.extend(column(
+        "unknown n, unknown f (BFT-CUPFT)",
+        fig4a().graph().clone(),
+        ProtocolMode::UnknownThreshold,
+        9,
+    ));
+    suite
+}
 
 /// One printed experiment row.
 #[derive(Debug, Clone)]

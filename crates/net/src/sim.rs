@@ -267,8 +267,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
             match kind {
                 EventKind::Start => actor.on_start(&mut ctx),
                 EventKind::Deliver { from, msg } => {
-                    self.stats.messages_delivered += 1;
-                    self.stats.record_delivery_payload(msg.payload_units());
+                    self.stats.record_delivery(msg.payload_units());
                     if let Some(trace) = &mut self.trace {
                         trace.push(TraceEntry {
                             time: self.now,

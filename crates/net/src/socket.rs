@@ -310,9 +310,7 @@ impl<M: Labeled + Decode> Dispatch<M> {
         if let Some(tx) = self.inboxes.get(&to) {
             let payload_units = msg.payload_units();
             if tx.send((from, msg)).is_ok() {
-                let mut gate = self.gate.lock();
-                gate.stats.messages_delivered += 1;
-                gate.stats.record_delivery_payload(payload_units);
+                self.gate.lock().stats.record_delivery(payload_units);
             }
         }
         Ok(())

@@ -57,9 +57,11 @@ impl NetStats {
         self.payload_dropped += payload;
     }
 
-    /// Records an actual delivery's payload weight (exactly once per
+    /// Records one delivery and its payload weight (exactly once per
     /// delivered message, at the moment the actor receives it).
-    pub(crate) fn record_delivery_payload(&mut self, payload: u64) {
+    #[inline]
+    pub(crate) fn record_delivery(&mut self, payload: u64) {
+        self.messages_delivered += 1;
         self.payload_delivered_units += payload;
     }
 
@@ -152,8 +154,7 @@ mod tests {
         s.record_send("SETPDS", 5);
         s.record_send("SETPDS", 3);
         s.record_drop(3);
-        s.record_delivery_payload(5);
-        s.messages_delivered = 1;
+        s.record_delivery(5);
         let text = s.to_string();
         assert!(text.contains("dropped=1"), "{text}");
         assert!(text.contains("payload_delivered=5"), "{text}");
@@ -195,14 +196,14 @@ mod tests {
         s.record_send("SETPDS", 5);
         s.record_send("SETPDS", 3);
         s.record_drop(3);
-        s.record_delivery_payload(5);
+        s.record_delivery(5);
         assert_eq!(s.payload_delivered_units, 5);
         // Conservation once everything scheduled has been delivered.
         assert_eq!(s.payload_delivered_units, s.payload_delivered());
         // Merge conserves the delivered counter too.
         let mut other = NetStats::default();
         other.record_send("SETPDS", 2);
-        other.record_delivery_payload(2);
+        other.record_delivery(2);
         s.merge(&other);
         assert_eq!(s.payload_delivered_units, 7);
         assert_eq!(s.payload_delivered_units, s.payload_delivered());

@@ -723,10 +723,7 @@ fn deliver_due<M: Labeled>(
         if let Some(tx) = inboxes.get(&to) {
             let payload = msg.payload_units();
             match tx.try_send((from, msg)) {
-                Ok(()) => {
-                    stats.messages_delivered += 1;
-                    stats.record_delivery_payload(payload);
-                }
+                Ok(()) => stats.record_delivery(payload),
                 Err(TrySendError::Full((from, msg))) => {
                     *deferred += 1;
                     let retry = now + config.min_delay.max(Duration::from_millis(1));

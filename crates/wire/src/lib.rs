@@ -1,10 +1,9 @@
 //! The one wire codec for every BFT-CUPFT protocol message.
 //!
 //! Hand-rolled and dependency-free by design — the workspace carries no
-//! serde, and the two codecs that predate this crate
-//! (`DiscoveryState::to_bytes` and `cupft_bench`'s JSON writer) set the
-//! precedent: explicit byte layouts, big-endian integers, bounds-checked
-//! reads, and no reflection. This crate lifts that discipline into a pair
+//! serde, and the codec that predates this crate
+//! (`DiscoveryState::to_bytes`) set the precedent: explicit byte layouts,
+//! big-endian integers, bounds-checked reads, and no reflection. This crate lifts that discipline into a pair
 //! of traits every message-owning crate implements for its own types:
 //!
 //! * [`Encode`] — append the canonical byte form to a buffer. Encoding is

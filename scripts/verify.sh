@@ -6,6 +6,8 @@
 #                              # package's build and tests
 #   scripts/verify.sh --quick  # skip the release build (fast local loop,
 #                              # and the CI `quick` job); fronts the
+#                              # trajectory_pins exact constants (sweep
+#                              # payload + virtual-time phase marks), the
 #                              # proptest_graph kernel-vs-oracle
 #                              # properties and the core_search_parity
 #                              # pinned executions (the sink/core search
@@ -62,6 +64,8 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
 else
+    echo "==> cargo test -q --test trajectory_pins (quick gate)"
+    cargo test -q --test trajectory_pins
     echo "==> cargo test -q --test proptest_graph (quick gate)"
     cargo test -q --test proptest_graph
     echo "==> cargo test -q --test core_search_parity (quick gate)"

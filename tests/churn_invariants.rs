@@ -26,7 +26,6 @@ use bft_cupft::core::{
 use bft_cupft::graph::{process_set, GraphFamily, ProcessId};
 use bft_cupft::net::DelayPolicy;
 use bft_cupft::obs::ObsReport;
-use cupft_bench::obs_json;
 
 fn psync() -> DelayPolicy {
     DelayPolicy::PartialSynchrony {
@@ -37,7 +36,7 @@ fn psync() -> DelayPolicy {
 }
 
 /// All five topology families (the four family-sweep parameterizations
-/// plus scale-free, which the end-to-end bench already solves at n=100).
+/// plus scale-free, which `tests/trajectory_pins.rs` solves at n=100).
 fn five_families() -> Vec<GraphFamily> {
     vec![
         GraphFamily::erdos_renyi(16, 1),
@@ -273,11 +272,6 @@ fn churn_at_scale_is_byte_deterministic() {
     assert_eq!(outcome_a.recovery_views, outcome_b.recovery_views);
     assert_eq!(outcome_a.end_time, outcome_b.end_time);
     assert_eq!(obs_a, obs_b, "same seed + schedule → equal ObsReports");
-    assert_eq!(
-        obs_json(&obs_a).to_string(),
-        obs_json(&obs_b).to_string(),
-        "obs JSON must be byte-identical"
-    );
     // The churn events are visible in the report's event ring / counters.
     assert_eq!(obs_a.counter("churn_joins"), 1);
     assert_eq!(obs_a.counter("churn_crashes"), 1);

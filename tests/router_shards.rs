@@ -13,6 +13,10 @@
 //!    `adversary_sweep` grid's within-model drop, plus a reorder chain)
 //!    is serialized through the dedicated tamper shard, so drop/delay
 //!    accounting and consensus verdicts are independent of shard count.
+//!
+//! The n = 1000 cells live in `tests/family_sweep.rs`
+//! (`thousand_vertex_cells_match_sim_decisions`, `#[ignore]`d); shard
+//! throughput is `benchmark/`'s `net.threaded.msgs_s.shards{1,2}`.
 
 use std::time::Duration;
 

@@ -3,76 +3,15 @@
 //! (The printable version with timings is `cargo run -p cupft-bench --bin
 //! table1`.)
 //!
-//! The nine cells are expressed as one [`ScenarioGrid`] per column (each
-//! column's witness graph carries its own Byzantine process) merged into a
-//! single [`ScenarioSuite`] and executed in parallel on the deterministic
-//! simulator.
+//! The nine cells are `cupft_bench::table1_suite()` — the one definition
+//! the binary prints and this test asserts on — run in parallel on the
+//! deterministic simulator.
 
-use bft_cupft::core::{
-    FaultCase, ProtocolMode, RuntimeKind, ScenarioGrid, ScenarioSuite, SuiteReport,
-};
-use bft_cupft::graph::{fig1b, fig4a, process_set, DiGraph};
-use bft_cupft::net::DelayPolicy;
-
-fn sync() -> DelayPolicy {
-    DelayPolicy::Synchronous { delta: 10 }
-}
-
-fn psync() -> DelayPolicy {
-    DelayPolicy::PartialSynchrony {
-        gst: 300,
-        delta: 10,
-        pre_gst_max: 200,
-    }
-}
-
-fn adversarial() -> DelayPolicy {
-    DelayPolicy::Asynchronous {
-        delta: 10,
-        unbounded_max: 1_000_000,
-    }
-}
-
-fn known_membership() -> DiGraph {
-    DiGraph::complete(&process_set(1..=4))
-}
-
-/// The full nine-cell matrix as one parallel suite run.
-fn run_matrix() -> SuiteReport {
-    let column = |label: &str, graph: DiGraph, mode: ProtocolMode, byz: u64| {
-        ScenarioGrid::new()
-            .graph(label, graph, mode)
-            .fault(FaultCase::silent(byz))
-            .policy("sync", sync(), 100_000)
-            .policy("psync", psync(), 200_000)
-            .policy("async", adversarial(), 50_000)
-            .build()
-    };
-    let mut suite: ScenarioSuite = column(
-        "known",
-        known_membership(),
-        ProtocolMode::KnownThreshold(1),
-        4,
-    );
-    suite.extend(column(
-        "bft-cup",
-        fig1b().graph().clone(),
-        ProtocolMode::KnownThreshold(1),
-        4,
-    ));
-    suite.extend(column(
-        "bft-cupft",
-        fig4a().graph().clone(),
-        ProtocolMode::UnknownThreshold,
-        9,
-    ));
-    assert_eq!(suite.len(), 9);
-    suite.run(RuntimeKind::Sim)
-}
+use bft_cupft::core::RuntimeKind;
 
 #[test]
 fn table1_matrix_holds() {
-    let report = run_matrix();
+    let report = cupft_bench::table1_suite().run(RuntimeKind::Sim);
     assert_eq!(report.verdicts.len(), 9);
     for verdict in &report.verdicts {
         if verdict.label.contains("/async/") {

@@ -2,7 +2,7 @@
 //!
 //! Two laws, checked for every wire type in the workspace (graph
 //! vocabulary, crypto records, discovery/committee/node protocol
-//! messages, adversary control specs, peer addresses, bench JSON):
+//! messages, adversary control specs, peer addresses):
 //!
 //! 1. `decode ∘ encode == id` — decoding the canonical bytes yields an
 //!    equal value;
@@ -34,7 +34,6 @@ use bft_cupft::wire::frame::{
     MAX_FRAME_PAYLOAD, WIRE_VERSION,
 };
 use bft_cupft::wire::{decode_from_slice, encode_to_vec, Decode, Encode, WireError};
-use cupft_bench::Json;
 
 /// The two codec laws, plus the frame envelope, for one value.
 fn rt<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) {
@@ -291,33 +290,6 @@ fn arb_strategy() -> BoxedStrategy<StrategySpec> {
     .boxed()
 }
 
-fn arb_json_leaf() -> BoxedStrategy<Json> {
-    prop_oneof![
-        any::<bool>().prop_map(Json::Bool),
-        any::<u64>().prop_map(Json::U64),
-        // Exercised through raw-bit encoding, so non-integral values
-        // matter; NaN is avoided only because `Json: PartialEq` (the
-        // codec itself preserves any bit pattern).
-        any::<u32>().prop_map(|n| Json::F64(f64::from(n) / 7.0)),
-        (0u64..1_000).prop_map(|n| Json::Str(format!("s{n}"))),
-    ]
-    .boxed()
-}
-
-fn arb_json() -> BoxedStrategy<Json> {
-    prop_oneof![
-        arb_json_leaf(),
-        pvec(arb_json_leaf(), 0..4).prop_map(Json::Arr).boxed(),
-        pvec(
-            ((0u64..16).prop_map(|n| format!("k{n}")), arb_json_leaf()),
-            0..4
-        )
-        .prop_map(Json::Obj)
-        .boxed(),
-    ]
-    .boxed()
-}
-
 // ---- round-trip laws, per wire type ---------------------------------------
 
 proptest! {
@@ -378,11 +350,6 @@ proptest! {
         rt(&tamper);
         rt(&ChurnSpec::new(churn));
         rt(&strategy);
-    }
-
-    #[test]
-    fn bench_json_roundtrips(json in arb_json()) {
-        rt(&json);
     }
 
     // ---- negative space: the codec never panics on hostile bytes ----
