@@ -65,15 +65,6 @@ pub struct NodeConfig {
     /// default delta gossip — the baseline the equivalence sweep and the
     /// payload benches compare against.
     pub full_gossip: bool,
-    /// Consult (and feed) the run's shared certificate-verdict pool
-    /// ([`cupft_detector::CertPool`]) from discovery, so each distinct
-    /// certificate pays for at most one HMAC check *system-wide* rather
-    /// than one per process, and a verification stage can settle verdicts
-    /// before delivery. On by default; the serial baseline cells of the
-    /// verify-pipeline parity tests switch it off. Only effective for
-    /// nodes built via [`Node::from_setup`] (the pool lives on the
-    /// [`SystemSetup`]).
-    pub shared_verify: bool,
     /// Candidate-search knobs for sink/core identification. The default
     /// skips min-cut splitting on SCCs above
     /// [`CandidateSearch::cut_split_cutoff`] (64) — raise it here for
@@ -119,7 +110,6 @@ impl Default for NodeConfig {
             replica: ReplicaConfig::default(),
             crash_at: None,
             full_gossip: false,
-            shared_verify: true,
             search: CandidateSearch::default(),
             recorder: None,
             join_at: None,
@@ -272,7 +262,10 @@ impl Node {
     }
 
     /// Convenience constructor from a [`SystemSetup`]; the node's own
-    /// certificate is interned in the setup's shared certificate pool.
+    /// certificate is interned in the setup's shared certificate pool, and
+    /// discovery verifies every certificate through that pool
+    /// ([`cupft_detector::CertPool`]), so each distinct certificate costs
+    /// one HMAC check system-wide rather than one per process.
     pub fn from_setup(
         setup: &SystemSetup,
         id: ProcessId,
@@ -280,11 +273,9 @@ impl Node {
         config: NodeConfig,
     ) -> Option<Self> {
         let key = setup.key_of(id)?.clone();
-        let mut discovery =
-            DiscoveryState::from_setup(setup, id)?.with_gossip(Node::gossip_of(&config));
-        if config.shared_verify {
-            discovery = discovery.with_shared_pool(setup.pool().clone());
-        }
+        let discovery = DiscoveryState::from_setup(setup, id)?
+            .with_gossip(Node::gossip_of(&config))
+            .with_shared_pool(setup.pool().clone());
         Some(Node::with_discovery(
             key,
             setup.registry().clone(),

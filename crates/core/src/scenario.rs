@@ -4,6 +4,11 @@
 //! Every experiment binary (Table I, Figures 1–4) and most integration
 //! tests are expressed as [`Scenario`]s run through the deterministic
 //! simulator.
+//!
+//! Every correct node of a run verifies certificates through the run's
+//! one shared [`cupft_detector::CertPool`] (built by [`SystemSetup`]), so
+//! each distinct certificate costs one HMAC system-wide, on every
+//! substrate.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -15,12 +20,11 @@ use cupft_adversary::{
 };
 use cupft_committee::Value;
 use cupft_detector::SystemSetup;
-use cupft_discovery::VerifyStage;
 use cupft_graph::{DiGraph, ProcessId, ProcessSet};
 use cupft_net::sim::Simulation;
 use cupft_net::socket::{SocketConfig, SocketRuntime};
 use cupft_net::threaded::{Board, ThreadedConfig, ThreadedRuntime};
-use cupft_net::{DelayPolicy, NetStats, Preflight, Runtime, SimConfig, Time};
+use cupft_net::{DelayPolicy, NetStats, Runtime, SimConfig, Time};
 use cupft_obs::{ObsReport, Recorder};
 
 use crate::byzantine::{ByzantineActor, ByzantineStrategy};
@@ -85,15 +89,6 @@ pub struct Scenario {
     /// spreads delivery scheduling across `k` shards (see
     /// [`ThreadedConfig::router_shards`]). Ignored by the simulator.
     pub router_shards: Option<usize>,
-    /// Certificate-verification pipeline knob. `None` (the default) runs
-    /// the pipeline with auto sizing: a [`VerifyStage`] preflight settles
-    /// verdicts in the run's shared [`cupft_detector::CertPool`] before
-    /// delivery, on a worker pool sized off the router-shard
-    /// auto-detection (threaded) or as a synchronous virtual stage (sim).
-    /// `Some(0)` pins the **serial baseline**: no preflight, no shared
-    /// pool — every process verifies every certificate itself, exactly
-    /// the pre-pipeline code paths. `Some(k)` pins a `k`-worker pool.
-    pub verify_pool: Option<usize>,
     /// Attach an observability [`Recorder`] to the run (off by default).
     /// On the simulator the recorder runs in the **virtual** clock domain
     /// — two runs of the same scenario produce byte-identical
@@ -131,7 +126,6 @@ impl Scenario {
             full_gossip: false,
             threaded_wall_timeout: None,
             router_shards: None,
-            verify_pool: None,
             observe: false,
         }
     }
@@ -195,20 +189,6 @@ impl Scenario {
     pub fn with_router_shards(mut self, shards: usize) -> Self {
         self.router_shards = Some(shards);
         self
-    }
-
-    /// Pins the certificate-verification pipeline (see
-    /// [`Scenario::verify_pool`]): `0` selects the serial baseline,
-    /// `k > 0` a `k`-worker stage pool.
-    pub fn with_verify_pool(mut self, workers: usize) -> Self {
-        self.verify_pool = Some(workers);
-        self
-    }
-
-    /// Whether this scenario runs the verification pipeline (anything but
-    /// the pinned `Some(0)` serial baseline).
-    pub fn pipelined_verify(&self) -> bool {
-        self.verify_pool != Some(0)
     }
 
     /// Switches structured-event observation on or off (see
@@ -491,13 +471,6 @@ impl Scenario {
             seed: self.sim.seed,
             stop: None,
             router_shards: self.router_shards.unwrap_or(0),
-            verify_workers: match self.verify_pool {
-                Some(n) if n > 0 => n,
-                // Auto (None) defers to the runtime's router-shard-sized
-                // pool; the Some(0) serial baseline never installs a
-                // preflight, so no pool spawns either way.
-                _ => 0,
-            },
         }
     }
 
@@ -582,7 +555,6 @@ fn populate<R: Runtime<NodeMsg>>(
                 },
                 crash_at: scenario.crashes.get(&v).copied(),
                 full_gossip: scenario.full_gossip,
-                shared_verify: scenario.pipelined_verify(),
                 recorder: recorder.cloned(),
                 join_at: join.map(|(tick, _)| tick),
                 seed_peers: join.map(|(_, seeds)| seeds.clone()).unwrap_or_default(),
@@ -607,28 +579,6 @@ fn populate<R: Runtime<NodeMsg>>(
         }
     }
     scenario.correct()
-}
-
-/// Adapts the discovery-level [`VerifyStage`] to the node message
-/// universe: only Algorithm 1 traffic carries certificates, so committee
-/// and learning messages pass the stage untouched.
-struct NodeVerifyStage(VerifyStage);
-
-impl Preflight<NodeMsg> for NodeVerifyStage {
-    fn preflight(&self, from: ProcessId, to: ProcessId, msg: &NodeMsg) {
-        if let NodeMsg::Discovery(inner) = msg {
-            self.0.preflight(from, to, inner);
-        }
-    }
-
-    /// Consensus and identification traffic has no stage work; only the
-    /// discovery messages the inner stage wants ride the worker pool.
-    fn wants(&self, msg: &NodeMsg) -> bool {
-        match msg {
-            NodeMsg::Discovery(inner) => self.0.wants(inner),
-            _ => false,
-        }
-    }
 }
 
 /// Reads the per-node observations back out of a finished runtime.
@@ -702,13 +652,6 @@ pub fn run_scenario_on<R: Runtime<NodeMsg>>(
     let correct = populate(scenario, &setup, &board, recorder.as_ref(), runtime);
     if let Some(spec) = &scenario.tamper {
         runtime.set_tamper(spec.build());
-    }
-    if scenario.pipelined_verify() {
-        let mut stage = VerifyStage::new(setup.pool().clone(), setup.registry().clone());
-        if let Some(rec) = &recorder {
-            stage = stage.with_recorder(rec.clone());
-        }
-        runtime.set_preflight(Arc::new(NodeVerifyStage(stage)));
     }
     if let Some(rec) = &recorder {
         runtime.set_recorder(rec.clone());

@@ -299,8 +299,8 @@ impl CertPool {
         self.len() == 0
     }
 
-    /// The memoized verdict for `fingerprint`, if any process (or stage
-    /// worker) has verified a record with it before.
+    /// The memoized verdict for `fingerprint`, if any process has
+    /// verified a record with it before.
     pub fn verdict(&self, fingerprint: u128) -> Option<bool> {
         self.verdicts
             .read()

@@ -61,19 +61,17 @@
 //! `tests/proptest_discovery.rs` hold both modes to that claim, including
 //! under message-reordering and dropping adversaries.
 //!
-//! # The verification stage
+//! # Shared verification
 //!
 //! Rule 3 generalizes across processes: the verdict of a certificate is a
-//! pure function of its bytes (an *oracle*), so **where** and **when** it
-//! is computed cannot affect Algorithm 1's fixpoint. [`VerifyStage`] is
-//! the stateless half of that split packaged as a
-//! [`cupft_net::Preflight`]: installed on a runtime, it pre-verifies
-//! inbound `SETPDS` bundles against a shared [`CertPool`] memo before
-//! delivery — batch-verifying whole bundles under one registry read lock —
-//! so by the time [`DiscoveryState::absorb`] runs, every verdict is a memo
-//! hit. On the threaded runtime the stage runs on a real worker pool off
-//! the protocol threads; in the simulator it runs synchronously at the
-//! delivery event, leaving traces byte-identical (see [`cupft_net::stage`]).
+//! pure function of its bytes (an *oracle*), so **which process** computes
+//! it cannot affect Algorithm 1's fixpoint. A state attached to the run's
+//! [`cupft_detector::CertPool`] via [`DiscoveryState::with_shared_pool`]
+//! settles the locally-unseen certificates of each inbound `SETPDS` in
+//! [`DiscoveryState::absorb_batch`], batch-verifying them under one
+//! registry read lock against the shared verdict memo, so each distinct
+//! certificate costs one HMAC system-wide. This is the only place a
+//! certificate is verified.
 //!
 //! The module exposes the protocol twice:
 //!
@@ -92,77 +90,9 @@ mod state;
 pub use msgs::{DiscoveryMsg, SyncState};
 pub use state::{DiscoveryState, GossipMode, DISCOVERY_TICK};
 
-use std::sync::Arc;
-
-use cupft_crypto::KeyRegistry;
-use cupft_detector::CertPool;
 use cupft_graph::ProcessId;
 use cupft_net::threaded::Board;
-use cupft_net::{Actor, Context, Preflight};
-use cupft_obs::Recorder;
-
-/// The stateless half of the certificate-verification pipeline: a
-/// [`Preflight`] that settles the verdict of every certificate aboard an
-/// inbound `SETPDS` in the shared [`CertPool`] memo before the message
-/// reaches its destination actor (see the [module docs](self)).
-///
-/// Cheap to clone (two `Arc`s); the threaded runtime shares one instance
-/// across its stage workers.
-#[derive(Debug, Clone)]
-pub struct VerifyStage {
-    pool: Arc<CertPool>,
-    registry: KeyRegistry,
-    recorder: Option<Arc<Recorder>>,
-}
-
-impl VerifyStage {
-    /// Creates a stage over the run's shared pool and key registry
-    /// (both typically borrowed from one `SystemSetup`).
-    pub fn new(pool: Arc<CertPool>, registry: KeyRegistry) -> Self {
-        VerifyStage {
-            pool,
-            registry,
-            recorder: None,
-        }
-    }
-
-    /// Attaches an observability recorder: each wanted bundle records a
-    /// `verify_bundles` count and a `verify_batch_certs` bundle-size
-    /// histogram. Both are functions of the message flow, not the clock,
-    /// so they are deterministic on the simulator.
-    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The shared pool the stage warms.
-    pub fn pool(&self) -> &Arc<CertPool> {
-        &self.pool
-    }
-}
-
-impl Preflight<DiscoveryMsg> for VerifyStage {
-    fn preflight(&self, _from: ProcessId, _to: ProcessId, msg: &DiscoveryMsg) {
-        if let DiscoveryMsg::SetPds { certs, .. } = msg {
-            if let Some(rec) = &self.recorder {
-                rec.counter_add("verify_bundles", 1);
-                rec.hist_record("verify_batch_certs", certs.len() as u64);
-            }
-            // Batch settlement: one memo probe pass plus one registry read
-            // lock for the whole bundle. Idempotent — re-running on a
-            // clone of the bundle is all memo hits.
-            self.pool.verify_batch(certs, &self.registry);
-        }
-    }
-
-    /// Only `SETPDS` bundles actually carrying certificates have stage
-    /// work; everything else — `GETPDS` polling traffic and the *empty*
-    /// delta replies that dominate a converged system — bypasses the
-    /// stage entirely.
-    fn wants(&self, msg: &DiscoveryMsg) -> bool {
-        matches!(msg, DiscoveryMsg::SetPds { certs, .. } if !certs.is_empty())
-    }
-}
+use cupft_net::{Actor, Context};
 
 /// A standalone discovery participant: runs Algorithm 1 forever (the
 /// `discovery` task has no termination condition of its own — the Sink and
@@ -375,44 +305,6 @@ mod tests {
             let discovery = as_discovery(actor.as_ref());
             assert_eq!(discovery.state().view().received_count(), 6);
         }
-    }
-
-    /// The verification stage settles whole-bundle verdicts in the shared
-    /// pool: after one preflight every certificate aboard the message has
-    /// a memoized verdict, and forged records are memoized as rejected.
-    #[test]
-    fn verify_stage_warms_the_shared_pool() {
-        use cupft_detector::PdCertificate;
-
-        let fig = fig1b();
-        let setup = SystemSetup::new(fig.graph());
-        let stage = VerifyStage::new(setup.pool().clone(), setup.registry().clone());
-
-        let good: Vec<_> = [1, 2, 3]
-            .map(p)
-            .iter()
-            .map(|&v| setup.shared_certificate_for(v).unwrap())
-            .collect();
-        let forged = std::sync::Arc::new(PdCertificate::forge(p(4), &setup.oracle().pd_of(p(4))));
-        let mut certs = good.clone();
-        certs.push(forged.clone());
-        let msg = DiscoveryMsg::SetPds {
-            certs: certs.into(),
-            state: SyncState::default(),
-        };
-
-        for cert in &good {
-            assert_eq!(setup.pool().verdict(cert.fingerprint()), None);
-        }
-        stage.preflight(p(1), p(2), &msg);
-        for cert in &good {
-            assert_eq!(setup.pool().verdict(cert.fingerprint()), Some(true));
-        }
-        assert_eq!(setup.pool().verdict(forged.fingerprint()), Some(false));
-        assert_eq!(stage.pool().forged_records(), 1);
-        // Idempotent: replaying the same bundle is all memo hits.
-        stage.preflight(p(1), p(3), &msg);
-        assert_eq!(stage.pool().forged_records(), 1);
     }
 
     /// Delta mode converges to byte-identical views at a fraction of the

@@ -82,9 +82,8 @@ pub struct DiscoveryState {
     /// without another HMAC check and without re-counting).
     verdicts: HashMap<u128, bool>,
     /// Optional system-wide verdict memo (the [`CertPool`] of the run's
-    /// `SystemSetup`): when attached, a certificate any process — or the
-    /// verification stage's worker pool — has already checked is never
-    /// re-verified here; this process only records the shared verdict in
+    /// `SystemSetup`): when attached, a certificate any process has
+    /// already checked is never re-verified here; this process only records the shared verdict in
     /// its local memo (so per-process forgery counters keep their exact
     /// serial semantics).
     shared: Option<Arc<CertPool>>,
@@ -167,8 +166,8 @@ impl DiscoveryState {
     }
 
     /// Attaches a system-wide verification memo (builder style). With a
-    /// shared pool, a fingerprint verified by *any* process or stage
-    /// worker is settled for all of them — verification is a pure function
+    /// shared pool, a fingerprint verified by *any* process is settled
+    /// for all of them — verification is a pure function
     /// of the record bytes against the one shared registry, so whoever
     /// checks first checks for everyone. Decisions are unchanged: only
     /// *who pays* for the HMAC moves, never the verdict.

@@ -128,18 +128,21 @@ pub(crate) trait Egress<M> {
 }
 
 /// Runs one actor on the calling thread until it halts, `shutdown` is
-/// raised, or its inbox disconnects; returns the actor in its final state.
-/// Actor time is elapsed milliseconds since `start`.
+/// raised, or its inbox disconnects; returns the actor in its final state
+/// and the number of timers it fired (the runtime adds that into
+/// [`NetStats::timers_fired`]). Actor time is elapsed milliseconds since
+/// `start`.
 pub(crate) fn actor_loop<M, E: Egress<M>>(
     mut actor: Box<dyn Actor<M>>,
     inbox: Receiver<(ProcessId, M)>,
     egress: E,
     shutdown: &AtomicBool,
     start: Instant,
-) -> Box<dyn Actor<M>> {
+) -> (Box<dyn Actor<M>>, u64) {
     let id = actor.id();
     let mut timers: BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)> = BinaryHeap::new();
     let now_ms = |start: Instant| -> Time { start.elapsed().as_millis() as Time };
+    let mut timers_fired = 0;
 
     let mut halted = false;
     {
@@ -159,6 +162,7 @@ pub(crate) fn actor_loop<M, E: Egress<M>>(
             let (_, kind) = timers.pop().expect("peeked");
             let mut ctx = Context::new(now, id);
             actor.on_timer(kind, &mut ctx);
+            timers_fired += 1;
             halted = apply(&mut timers, &egress, id, ctx, now) || halted;
             fired = true;
             if halted {
@@ -211,7 +215,7 @@ pub(crate) fn actor_loop<M, E: Egress<M>>(
     if halted {
         egress.halted(id);
     }
-    actor
+    (actor, timers_fired)
 }
 
 /// Applies buffered context effects; returns whether the actor halted.
@@ -414,10 +418,11 @@ mod tests {
         }
         let halted = halt_rx.recv_timeout(Duration::from_secs(20));
         shutdown.store(true, Ordering::SeqCst);
-        let actor = handle.join().expect("actor thread panicked");
+        let (actor, timers_fired) = handle.join().expect("actor thread panicked");
         assert_eq!(halted, Ok(ProcessId::new(1)), "halted on the last message");
         let busy: &Busy = actor.as_any().downcast_ref().expect("a Busy");
         assert_eq!(busy.received, MESSAGES);
+        assert_eq!(timers_fired, busy.seen_at_firing.len() as u64);
         // Between two firings at most one 64-message batch is drained, so
         // 150 messages take three batches and the timer kept firing while
         // the inbox emptied.

@@ -169,12 +169,11 @@ pub trait Runtime<M: 'static> {
     /// on any of them.
     fn set_tamper(&mut self, tamper: Box<dyn Tamper<M>>);
 
-    /// Installs a stateless pre-delivery stage (see [`crate::stage`]).
-    /// Must be called before the run starts; installing a second
-    /// preflight replaces the first. Substrates that support staging
-    /// override this — the default quietly ignores the stage, which is
-    /// always correct: a [`Preflight`] may run zero times per message by
-    /// contract.
+    /// Offers a stateless pre-delivery stage (see [`crate::stage`]). None
+    /// of the three substrates overrides this: the default quietly
+    /// ignores the stage, which is always correct — a [`Preflight`] may
+    /// run zero times per message by contract. A wrapping runtime may
+    /// forward it to the runtime it wraps.
     fn set_preflight(&mut self, preflight: Arc<dyn Preflight<M>>) {
         let _ = preflight;
     }

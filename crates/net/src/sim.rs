@@ -1,4 +1,9 @@
 //! Deterministic discrete-event simulator.
+//!
+//! A delivery event calls the receiver's `on_message` directly: nothing
+//! runs between the event queue and the handler, so the handler does all
+//! per-message work (certificate verification included) and the trace
+//! records only what the actors did.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -12,7 +17,6 @@ use crate::actor::{Actor, Context, Labeled, TimerKind};
 use crate::delay::DelayPolicy;
 use crate::host::{admit, Wheel};
 use crate::runtime::{Runtime, RuntimeReport};
-use crate::stage::Preflight;
 use crate::stats::NetStats;
 use crate::tamper::Tamper;
 use crate::Time;
@@ -94,7 +98,6 @@ pub struct Simulation<M> {
     stats: NetStats,
     trace: Option<Vec<TraceEntry>>,
     tamper: Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
     recorder: Option<Arc<Recorder>>,
     /// The virtual tick currently being profiled and how many events it
     /// has processed so far (only maintained while a recorder is set).
@@ -116,7 +119,6 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
             stats: NetStats::default(),
             trace: None,
             tamper: None,
-            preflight: None,
             recorder: None,
             tick_now: 0,
             tick_events: 0,
@@ -128,16 +130,6 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
     /// the RNG stream and event order are untouched.
     pub fn set_tamper(&mut self, tamper: Box<dyn Tamper<M>>) {
         self.tamper = Some(tamper);
-    }
-
-    /// Installs a stateless pre-delivery stage (see [`crate::stage`]) as a
-    /// deterministic *virtual* stage: it runs synchronously at the
-    /// delivery event, immediately before `on_message`. No events are
-    /// injected and no ordering changes, so event order, traces, and
-    /// [`Self::trace_fingerprint`] are byte-identical with and without a
-    /// preflight installed.
-    pub fn set_preflight(&mut self, preflight: Arc<dyn Preflight<M>>) {
-        self.preflight = Some(preflight);
     }
 
     /// Installs an observability recorder and switches its clock to the
@@ -276,20 +268,6 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                             label: msg.label(),
                         });
                     }
-                    if let Some(stage) = &self.preflight {
-                        if let Some(rec) = &self.recorder {
-                            if stage.wants(&msg) {
-                                // The virtual stage runs synchronously at
-                                // the delivery event, so queue wait is
-                                // zero *by construction* — recorded so the
-                                // histogram exists deterministically and
-                                // reads identically to the threaded one.
-                                rec.counter_add("stage_bundles", 1);
-                                rec.hist_record("stage_queue_wait_us", 0);
-                            }
-                        }
-                        stage.preflight(from, target, &msg);
-                    }
                     actor.on_message(from, msg, &mut ctx);
                 }
                 EventKind::Timer { kind } => {
@@ -398,10 +376,6 @@ impl<M: Clone + Labeled + 'static> Runtime<M> for Simulation<M> {
 
     fn set_tamper(&mut self, tamper: Box<dyn Tamper<M>>) {
         Simulation::set_tamper(self, tamper);
-    }
-
-    fn set_preflight(&mut self, preflight: Arc<dyn Preflight<M>>) {
-        Simulation::set_preflight(self, preflight);
     }
 
     fn set_recorder(&mut self, recorder: Arc<Recorder>) {
@@ -720,32 +694,6 @@ mod tests {
         c.enable_trace();
         c.run();
         assert_ne!(a.trace_fingerprint(), c.trace_fingerprint());
-    }
-
-    #[test]
-    fn preflight_runs_per_delivery_without_changing_the_trace() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        struct CountStage(Arc<AtomicU64>);
-        impl Preflight<Msg> for CountStage {
-            fn preflight(&self, _from: ProcessId, _to: ProcessId, _msg: &Msg) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let mut plain = pingpong_sim(13);
-        plain.enable_trace();
-        let plain_report = plain.run();
-        let seen = Arc::new(AtomicU64::new(0));
-        let mut staged = pingpong_sim(13);
-        staged.enable_trace();
-        staged.set_preflight(Arc::new(CountStage(seen.clone())));
-        let staged_report = staged.run();
-        // The virtual stage ran once per delivery…
-        assert_eq!(seen.load(Ordering::Relaxed), 12);
-        // …and changed nothing observable: same trace bytes, fingerprint,
-        // end time, stats.
-        assert_eq!(plain.trace(), staged.trace());
-        assert_eq!(plain.trace_fingerprint(), staged.trace_fingerprint());
-        assert_eq!(plain_report, staged_report);
     }
 
     #[test]

@@ -575,8 +575,10 @@ where
         // streams so readers unblock even if a remote never closes its
         // end, and join everything.
         shutdown.store(true, Ordering::SeqCst);
+        let mut timers_fired = 0;
         for handle in actor_handles {
-            let actor = handle.join().expect("socket actor panicked");
+            let (actor, fired) = handle.join().expect("socket actor panicked");
+            timers_fired += fired;
             self.finished.insert(actor.id(), actor);
         }
         drop(dispatch);
@@ -591,6 +593,7 @@ where
         delay_handle.join().expect("delay wheel panicked");
 
         self.stats = gate.lock().stats.clone();
+        self.stats.timers_fired += timers_fired;
         self.elapsed = start.elapsed();
         let report = RuntimeReport {
             all_halted,

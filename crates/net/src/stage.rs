@@ -1,40 +1,29 @@
-//! The stateless/stateful stage split: pre-delivery message processing.
+//! The pre-delivery hook: a stateless [`Preflight`] over messages.
 //!
-//! A [`Preflight`] is the *stateless* half of a pipeline (the
-//! `StatelessContext` of oskr-style replica architectures): pure,
-//! side-effect-free-with-respect-to-the-actor work — signature
-//! verification, fingerprint computation, bundle unpacking — that can run
-//! anywhere between a message leaving its sender and reaching its
+//! A [`Preflight`] is pure, side-effect-free-with-respect-to-the-actor
+//! work — signature verification, fingerprint computation — that could
+//! run anywhere between a message leaving its sender and reaching its
 //! receiver. All observable effects must flow through *shared memo
-//! structures* (e.g. a concurrent verification-verdict pool) that the
-//! stateful actor would have populated itself on the serial path.
+//! structures* that the receiving actor consults anyway, so skipping a
+//! preflight can never change a protocol decision.
 //!
-//! That contract is what makes the split runtime-agnostic:
-//!
-//! * the **threaded runtime** runs preflights on a real worker-stage pool
-//!   between the actor outboxes and the router plane, so crypto runs off
-//!   the protocol threads;
-//! * the **simulator** invokes the preflight *synchronously* at the
-//!   delivery event, immediately before `Actor::on_message`. No events
-//!   are injected and no ordering changes, so traces and fingerprints are
-//!   byte-identical with and without a preflight installed — the
-//!   determinism requirement for shrinker and replay artifacts.
-//!
-//! Because a preflight only warms memos the actor consults anyway,
-//! skipping it (or racing it with delivery) can never change a protocol
-//! decision — only who pays for the stateless work. That is exactly the
-//! oracle reading of certificate verification in Algorithm 1: the
-//! verdict of a record is a pure function of its bytes, independent of
-//! when or where it is computed.
+//! **No runtime in this crate runs one.** [`crate::Runtime::set_preflight`]
+//! keeps its default no-op on all three substrates, which the contract
+//! below allows: a preflight may run zero times per message. Certificate
+//! verification happens inside the receiving actor's `SETPDS` handler
+//! (`cupft_discovery::DiscoveryState::absorb_batch`), against the run's
+//! shared verdict memo, so each distinct certificate still costs one HMAC
+//! system-wide. The trait and the setter stay because external code
+//! (the `benchmark/` package's timing proxy) implements both.
 
 use cupft_graph::ProcessId;
 
 /// A stateless pre-delivery processing hook (see the [module docs](self)
 /// for the contract).
 ///
-/// `Send + Sync` because the threaded runtime shares one preflight across
-/// its stage workers; implementations keep their state in concurrent
-/// shared structures (or none at all).
+/// `Send + Sync` so one preflight can be shared across threads;
+/// implementations keep their state in concurrent shared structures (or
+/// none at all).
 pub trait Preflight<M>: Send + Sync {
     /// Processes `msg` before it is delivered to `to`.
     ///
@@ -44,19 +33,9 @@ pub trait Preflight<M>: Send + Sync {
     fn preflight(&self, from: ProcessId, to: ProcessId, msg: &M);
 
     /// Whether this preflight has any work to do for `msg`. Must be a
-    /// pure function of the message.
-    ///
-    /// Runtimes use this to keep uninteresting traffic off the stage
-    /// entirely: the threaded runtime routes `wants == false` messages
-    /// straight to the router plane instead of through the sender's
-    /// sticky stage worker, so a chatty protocol only pays the stage hop
-    /// for the messages that carry stage work (e.g. `SETPDS` certificate
-    /// bundles, not `GETPDS` polls or consensus votes). The bypass
-    /// relaxes per-sender ordering *between* wanted and un-wanted
-    /// messages — order among each class is preserved, and a halt still
-    /// trails every send — which the [`Preflight`] contract already
-    /// permits: skipping or reordering stateless work can never change a
-    /// protocol decision. The default wants everything.
+    /// pure function of the message. A runtime may skip the preflight for
+    /// messages it does not want; skipping stateless work can never
+    /// change a protocol decision. The default wants everything.
     fn wants(&self, msg: &M) -> bool {
         let _ = msg;
         true

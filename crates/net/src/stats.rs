@@ -23,14 +23,14 @@ pub struct NetStats {
     /// payload that actually reached the delivery schedule.
     pub payload_dropped: u64,
     /// Payload units counted **at actual delivery to an actor** — once
-    /// per delivered message, regardless of how many shard hops or stage
-    /// handoffs the (possibly `Arc`-shared, zero-copy) payload traveled
-    /// through. The conservation law under reliable channels is
+    /// per delivered message, regardless of how many shard hops the
+    /// (possibly `Arc`-shared, zero-copy) payload traveled through. The conservation law under reliable channels is
     /// `payload_delivered_units ≤ payload_units − payload_dropped`, with
     /// equality once every scheduled message has been delivered (the gap
     /// is payload still in flight at shutdown).
     pub payload_delivered_units: u64,
-    /// Total timer events fired.
+    /// Total timer events fired (on the wall-clock runtimes, summed over
+    /// the actor threads when they are joined).
     pub timers_fired: u64,
     /// Per-label message counts (the label comes from
     /// [`crate::Labeled::label`]).

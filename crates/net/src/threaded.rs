@@ -21,28 +21,10 @@
 //! semantics are independent of the shard count. Post-disposition, the
 //! message is handed to its destination's shard for delay scheduling.
 //!
-//! A [`Preflight`] stage, when installed, runs on a pool of
-//! [`ThreadedConfig::verify_workers`] **stage worker** threads sitting
-//! between the actor outboxes and the router plane: stateless work
-//! (certificate verification, fingerprint computation) runs off the
-//! protocol threads before delivery. Workers are *sticky by sender*
-//! (`from % workers`), and an actor's halt notice travels through the same
-//! worker as its sends, so per-sender emission order — the property the
-//! tamper serialization and the shutdown stats drain rely on — is
-//! preserved for everything the stage touches. Messages the preflight
-//! [`Preflight::wants`] not (polling and consensus traffic, typically)
-//! bypass the pool and go straight to the router plane — on a busy box a
-//! stage worker competing with hundreds of actor threads must not become
-//! a second serialization point for traffic it has no work for. A halt
-//! still trails every send: bypassed sends were forwarded by the actor
-//! itself before it emitted the halt. When auto sizing resolves to a
-//! single worker (a one-core box), the stage degenerates to running the
-//! preflight inline on the sending actor's thread — the shared verdict
-//! memo needs no extra thread, and a pool of one would be a second
-//! serialization point, not a pipeline (an explicitly pinned
-//! `verify_workers = 1` still spawns its one real worker). With no
-//! preflight installed the pool does not exist and sends take exactly
-//! the unstaged path.
+//! Actors send straight onto the shard channels from their own threads;
+//! there is no stage between an outbox and the router plane. Work such as
+//! certificate verification runs inside the receiving actor's handler,
+//! which already has a thread of its own.
 //!
 //! Real-time interleaving is inherently nondeterministic — use
 //! [`crate::sim::Simulation`] for reproducible experiments and this
@@ -65,7 +47,6 @@ use rand::{Rng, SeedableRng};
 use crate::actor::{Actor, Labeled};
 use crate::host::{actor_loop, admit, supervise, Egress, Wheel};
 use crate::runtime::{Runtime, RuntimeReport};
-use crate::stage::Preflight;
 use crate::stats::NetStats;
 use crate::tamper::Tamper;
 use crate::Time;
@@ -97,17 +78,6 @@ pub struct ThreadedConfig {
     /// keeps `seed` exactly), and [`NetStats`] block; per-shard stats are
     /// merged in shard-index order into the reported totals.
     pub router_shards: usize,
-    /// Number of stage-worker threads running the installed
-    /// [`Preflight`] between the actor outboxes and the router plane.
-    ///
-    /// `0` (the default) sizes the pool off the router-shard
-    /// auto-detection ([`Self::effective_router_shards`]); when that
-    /// resolves to a single worker (a one-core box) the stage runs
-    /// inline on the sending actors' threads instead of spawning a
-    /// pool of one. The pool only exists while a preflight is
-    /// installed — without one, sends take the unstaged path regardless
-    /// of this setting.
-    pub verify_workers: usize,
 }
 
 impl Default for ThreadedConfig {
@@ -119,7 +89,6 @@ impl Default for ThreadedConfig {
             seed: 0,
             stop: None,
             router_shards: 0,
-            verify_workers: 0,
         }
     }
 }
@@ -132,16 +101,6 @@ impl ThreadedConfig {
             0 => std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
                 .min(4),
-            n => n,
-        }
-    }
-
-    /// The stage-pool size this configuration resolves to:
-    /// `verify_workers`, or the router-shard auto-detection when left at
-    /// the `0` default.
-    pub fn effective_verify_workers(&self) -> usize {
-        match self.verify_workers {
-            0 => self.effective_router_shards(),
             n => n,
         }
     }
@@ -193,293 +152,41 @@ enum ShardMsg<M> {
     },
 }
 
-/// A message on a stage worker's channel: an actor's send awaiting its
-/// preflight, or the actor's halt notice riding the same sticky worker so
-/// it cannot overtake the sends emitted before it.
-enum StageMsg<M> {
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-        /// When the send entered the worker's queue — the stage
-        /// queue-wait histogram is `recv time − enqueued` (wall domain).
-        enqueued: Instant,
-    },
-    Halted(ProcessId),
-}
-
 /// The shard a destination's deliveries are scheduled on.
 fn shard_of(to: ProcessId, shard_count: usize) -> usize {
     (to.raw() as usize) % shard_count
 }
 
-/// The stage worker a sender's traffic is serialized through.
-fn worker_of(from: ProcessId, worker_count: usize) -> usize {
-    (from.raw() as usize) % worker_count
-}
-
-/// The actor-side handle onto the router plane: routes sends to the right
-/// shard and halt notices to the coordinator.
-enum Outbox<M> {
-    /// The unstaged plane: destination-hashed shard channels, an optional
-    /// sticky tamper shard every send is serialized through, and the
-    /// coordinator's halt channel.
-    Sharded {
-        shards: Arc<Vec<Sender<ShardMsg<M>>>>,
-        tamper_shard: Option<usize>,
-        halt: Sender<ProcessId>,
-    },
-    /// The staged plane: sends the preflight [`Preflight::wants`] flow
-    /// through the sender's sticky stage worker (which runs the preflight,
-    /// then forwards on the wrapped unstaged outbox); everything else goes
-    /// straight to the wrapped outbox, so uninteresting traffic never pays
-    /// the stage hop. Halts ride the sticky worker, so they cannot
-    /// overtake any staged send, and every bypassed send was already
-    /// forwarded when the halt was emitted.
-    Staged {
-        workers: Arc<Vec<Sender<StageMsg<M>>>>,
-        inner: Box<Outbox<M>>,
-        preflight: Arc<dyn Preflight<M>>,
-    },
-    /// The degenerate stage: the preflight runs on the sending actor's
-    /// thread immediately before the send enters the router plane. The
-    /// auto policy picks this over a worker pool when sizing resolves to
-    /// a single worker (a one-core box): the shared verdict memo needs no
-    /// extra thread to do its job, and a pool of one competing with every
-    /// actor thread for the same core is a serialization point, not a
-    /// pipeline. Per-sender emission order is exactly the unstaged one.
-    Inline {
-        inner: Box<Outbox<M>>,
-        preflight: Arc<dyn Preflight<M>>,
-        recorder: Option<Arc<Recorder>>,
-    },
-}
-
-impl<M> Clone for Outbox<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Outbox::Sharded {
-                shards,
-                tamper_shard,
-                halt,
-            } => Outbox::Sharded {
-                shards: shards.clone(),
-                tamper_shard: *tamper_shard,
-                halt: halt.clone(),
-            },
-            Outbox::Staged {
-                workers,
-                inner,
-                preflight,
-            } => Outbox::Staged {
-                workers: workers.clone(),
-                inner: inner.clone(),
-                preflight: preflight.clone(),
-            },
-            Outbox::Inline {
-                inner,
-                preflight,
-                recorder,
-            } => Outbox::Inline {
-                inner: inner.clone(),
-                preflight: preflight.clone(),
-                recorder: recorder.clone(),
-            },
-        }
-    }
+/// The actor-side handle onto the router plane: destination-hashed shard
+/// channels, an optional sticky tamper shard every send is serialized
+/// through, and the coordinator's halt channel.
+#[derive(Clone)]
+struct Outbox<M> {
+    shards: Arc<Vec<Sender<ShardMsg<M>>>>,
+    tamper_shard: Option<usize>,
+    halt: Sender<ProcessId>,
 }
 
 impl<M: Labeled> Egress<M> for Outbox<M> {
     fn send(&self, from: ProcessId, to: ProcessId, msg: M) {
         let label = msg.label();
-        match self {
-            Outbox::Sharded {
-                shards,
-                tamper_shard,
-                ..
-            } => {
-                // With a tamper installed every send flows through the
-                // tamper shard first, preserving per-sender emission order
-                // at the single tamper state.
-                let idx = tamper_shard.unwrap_or_else(|| shard_of(to, shards.len()));
-                let _ = shards[idx].send(ShardMsg::Send {
-                    from,
-                    to,
-                    msg,
-                    label,
-                });
-            }
-            Outbox::Staged {
-                workers,
-                inner,
-                preflight,
-            } => {
-                if preflight.wants(&msg) {
-                    let idx = worker_of(from, workers.len());
-                    let _ = workers[idx].send(StageMsg::Send {
-                        from,
-                        to,
-                        msg,
-                        enqueued: Instant::now(),
-                    });
-                } else {
-                    inner.send(from, to, msg);
-                }
-            }
-            Outbox::Inline {
-                inner,
-                preflight,
-                recorder,
-            } => {
-                if preflight.wants(&msg) {
-                    run_preflight(preflight.as_ref(), recorder, from, to, &msg, None);
-                }
-                inner.send(from, to, msg);
-            }
-        }
+        // With a tamper installed every send flows through the tamper
+        // shard first, preserving per-sender emission order at the single
+        // tamper state.
+        let idx = self
+            .tamper_shard
+            .unwrap_or_else(|| shard_of(to, self.shards.len()));
+        let _ = self.shards[idx].send(ShardMsg::Send {
+            from,
+            to,
+            msg,
+            label,
+        });
     }
 
     fn halted(&self, id: ProcessId) {
-        match self {
-            Outbox::Sharded { halt, .. } => {
-                let _ = halt.send(id);
-            }
-            Outbox::Staged { workers, .. } => {
-                // Through the sender's own sticky worker: by the time the
-                // halt reaches the router plane (or coordinator), every
-                // send this actor emitted before halting already has —
-                // staged sends by the worker's FIFO, bypassed sends
-                // because the actor forwarded them directly before
-                // emitting the halt.
-                let idx = worker_of(id, workers.len());
-                let _ = workers[idx].send(StageMsg::Halted(id));
-            }
-            Outbox::Inline { inner, .. } => inner.halted(id),
-        }
+        let _ = self.halt.send(id);
     }
-}
-
-/// Runs the preflight once, recording queue-wait and service-time
-/// histograms (wall microseconds) when a recorder is installed.
-/// `enqueued = None` is the inline degenerate stage: queue wait is zero
-/// by construction, recorded anyway so both stage shapes produce the
-/// same histogram set.
-fn run_preflight<M>(
-    preflight: &dyn Preflight<M>,
-    recorder: &Option<Arc<Recorder>>,
-    from: ProcessId,
-    to: ProcessId,
-    msg: &M,
-    enqueued: Option<Instant>,
-) {
-    match recorder {
-        Some(rec) => {
-            let wait = enqueued.map_or(0, |at| at.elapsed().as_micros() as u64);
-            rec.hist_record("stage_queue_wait_us", wait);
-            let served = Instant::now();
-            preflight.preflight(from, to, msg);
-            rec.hist_record("stage_service_us", served.elapsed().as_micros() as u64);
-            rec.counter_add("stage_bundles", 1);
-        }
-        None => preflight.preflight(from, to, msg),
-    }
-}
-
-/// One stage worker's loop: run the preflight on each send, then forward
-/// it (and halt notices, in order) on the wrapped unstaged outbox. Exits
-/// when every actor sharing the worker has dropped its sender.
-fn stage_loop<M>(
-    rx: Receiver<StageMsg<M>>,
-    inner: Outbox<M>,
-    preflight: Arc<dyn Preflight<M>>,
-    recorder: Option<Arc<Recorder>>,
-) where
-    M: Clone + Send + Labeled + 'static,
-{
-    while let Ok(stage_msg) = rx.recv() {
-        match stage_msg {
-            StageMsg::Send {
-                from,
-                to,
-                msg,
-                enqueued,
-            } => {
-                run_preflight(
-                    preflight.as_ref(),
-                    &recorder,
-                    from,
-                    to,
-                    &msg,
-                    Some(enqueued),
-                );
-                inner.send(from, to, msg);
-            }
-            StageMsg::Halted(id) => inner.halted(id),
-        }
-    }
-}
-
-/// Builds the actor-facing outbox for an installed preflight: a worker
-/// pool when there is parallelism to exploit, the inline degenerate stage
-/// when auto sizing resolves to a single worker (an explicitly pinned
-/// `verify_workers = 1` still gets its one real worker — tests use that
-/// to exercise the pool machinery deterministically).
-fn stage_front<M>(
-    inner: &Outbox<M>,
-    preflight: Arc<dyn Preflight<M>>,
-    config: &ThreadedConfig,
-    recorder: Option<Arc<Recorder>>,
-) -> (Outbox<M>, Vec<thread::JoinHandle<()>>)
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let workers = config.effective_verify_workers().max(1);
-    if config.verify_workers == 0 && workers <= 1 {
-        (
-            Outbox::Inline {
-                inner: Box::new(inner.clone()),
-                preflight,
-                recorder,
-            },
-            Vec::new(),
-        )
-    } else {
-        spawn_stage_pool(inner, preflight, workers, recorder)
-    }
-}
-
-/// Spawns the stage-worker pool in front of `inner`, returning the staged
-/// actor-facing outbox and the worker join handles. Callers drop their
-/// actor-side outbox clones to retire the pool.
-fn spawn_stage_pool<M>(
-    inner: &Outbox<M>,
-    preflight: Arc<dyn Preflight<M>>,
-    worker_count: usize,
-    recorder: Option<Arc<Recorder>>,
-) -> (Outbox<M>, Vec<thread::JoinHandle<()>>)
-where
-    M: Clone + Send + Labeled + 'static,
-{
-    let mut worker_txs = Vec::with_capacity(worker_count);
-    let mut handles = Vec::with_capacity(worker_count);
-    for _ in 0..worker_count {
-        let (tx, rx) = unbounded::<StageMsg<M>>();
-        worker_txs.push(tx);
-        let inner = inner.clone();
-        let preflight = preflight.clone();
-        let recorder = recorder.clone();
-        handles.push(thread::spawn(move || {
-            stage_loop(rx, inner, preflight, recorder)
-        }));
-    }
-    (
-        Outbox::Staged {
-            workers: Arc::new(worker_txs),
-            inner: Box::new(inner.clone()),
-            preflight,
-        },
-        handles,
-    )
 }
 
 /// Router-plane observability accumulators, kept local to each router
@@ -527,7 +234,6 @@ pub struct ThreadedRuntime<M> {
     last_report: Option<RuntimeReport>,
     elapsed: Duration,
     tamper: Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
     recorder: Option<Arc<Recorder>>,
 }
 
@@ -542,7 +248,6 @@ impl<M> ThreadedRuntime<M> {
             last_report: None,
             elapsed: Duration::ZERO,
             tamper: None,
-            preflight: None,
             recorder: None,
         }
     }
@@ -558,20 +263,9 @@ impl<M> ThreadedRuntime<M> {
         self.tamper = Some(tamper);
     }
 
-    /// Installs a stateless pre-delivery stage (see [`crate::stage`]),
-    /// executed by a pool of [`ThreadedConfig::verify_workers`] worker
-    /// threads between the actor outboxes and the router plane.
-    pub fn set_preflight(&mut self, preflight: Arc<dyn Preflight<M>>) {
-        assert!(
-            self.last_report.is_none(),
-            "ThreadedRuntime preflight must be installed before the run"
-        );
-        self.preflight = Some(preflight);
-    }
-
     /// Installs an observability recorder (see [`cupft_obs`]). The
-    /// recorder stays in the **wall** clock domain: stage and router
-    /// metrics are recorded in wall microseconds / raw depths, so a
+    /// recorder stays in the **wall** clock domain: router metrics are
+    /// recorded in wall microseconds / raw depths, so a
     /// threaded obs report is a profile, not a deterministic trace —
     /// use the simulator for byte-reproducible observation.
     pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
@@ -618,10 +312,6 @@ where
         ThreadedRuntime::set_tamper(self, tamper);
     }
 
-    fn set_preflight(&mut self, preflight: Arc<dyn Preflight<M>>) {
-        ThreadedRuntime::set_preflight(self, preflight);
-    }
-
     fn set_recorder(&mut self, recorder: Arc<Recorder>) {
         ThreadedRuntime::set_recorder(self, recorder);
     }
@@ -633,16 +323,8 @@ where
         }
         let actors = std::mem::take(&mut self.pending);
         let mut tamper = self.tamper.take();
-        let preflight = self.preflight.take();
         let recorder = self.recorder.clone();
-        let run = run_plane(
-            actors,
-            &self.config,
-            stop,
-            &mut tamper,
-            preflight,
-            recorder.clone(),
-        );
+        let run = run_plane(actors, &self.config, stop, &mut tamper, recorder.clone());
         self.finished.extend(run.actors);
         self.stats = run.stats.clone();
         self.elapsed = run.elapsed;
@@ -905,7 +587,6 @@ fn run_plane<M>(
     config: &ThreadedConfig,
     stop: &mut dyn FnMut() -> bool,
     tamper: &mut Option<Box<dyn Tamper<M>>>,
-    preflight: Option<Arc<dyn Preflight<M>>>,
     recorder: Option<Arc<Recorder>>,
 ) -> RouterRun<M>
 where
@@ -930,28 +611,13 @@ where
     // any destination).
     let mut inboxes: BTreeMap<ProcessId, Sender<(ProcessId, M)>> = BTreeMap::new();
     let mut actor_handles = Vec::new();
-    let tamper_shard = tamper.is_some().then_some(0);
-
-    // With a preflight installed, actor traffic (sends *and* halts) flows
-    // through the stage pool; a sender's halt rides its sticky worker, so
-    // when the coordinator observes it, every pre-halt send has already
-    // reached the shard channels — the existing shutdown drain then
-    // accounts for anything still queued there.
-    let unstaged = Outbox::Sharded {
+    let actor_outbox = Outbox {
         shards: shard_txs.clone(),
-        tamper_shard,
-        halt: halt_tx.clone(),
+        tamper_shard: tamper.is_some().then_some(0),
+        halt: halt_tx,
     };
-    let (actor_outbox, stage_handles) = match preflight {
-        Some(stage) => stage_front(&unstaged, stage, config, recorder.clone()),
-        None => (unstaged.clone(), Vec::new()),
-    };
-    drop(unstaged);
     if let Some(rec) = &recorder {
         rec.gauge_set("router_shards", shard_count as u64);
-        // The stage-worker threads that actually exist: none without a
-        // preflight, none for the inline degenerate stage.
-        rec.gauge_set("verify_workers", stage_handles.len() as u64);
     }
 
     let mut actor_rxs = Vec::new();
@@ -968,7 +634,6 @@ where
         }));
     }
     drop(actor_outbox);
-    drop(halt_tx);
 
     let mut shard_handles = Vec::with_capacity(shard_count);
     for (index, rx) in shard_rxs.into_iter().enumerate() {
@@ -1011,12 +676,9 @@ where
     drop(inboxes);
     let mut out = BTreeMap::new();
     for handle in actor_handles {
-        let actor = handle.join().expect("actor thread panicked");
+        let (actor, timers_fired) = handle.join().expect("actor thread panicked");
+        stats.timers_fired += timers_fired;
         out.insert(actor.id(), actor);
-    }
-    // Stage workers exit once every actor has dropped its staged outbox.
-    for handle in stage_handles {
-        handle.join().expect("stage worker panicked");
     }
     RouterRun {
         actors: out,
@@ -1183,106 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_pingpong_runs_preflight_and_preserves_stats() {
-        use std::sync::atomic::AtomicU64;
-
-        struct CountStage(Arc<AtomicU64>);
-        impl Preflight<Msg> for CountStage {
-            fn preflight(&self, _from: ProcessId, _to: ProcessId, _msg: &Msg) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        // Single and sharded router planes, pinned and auto pool sizes.
-        // (1, 0) resolves to one auto worker on every box — the inline
-        // degenerate stage — so the preflight-visibility and stats
-        // assertions cover that path deterministically too.
-        for (shards, workers) in [(1, 0), (1, 1), (1, 3), (4, 2), (4, 0)] {
-            let seen = Arc::new(AtomicU64::new(0));
-            let board = Board::new();
-            let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig {
-                wall_timeout: Duration::from_secs(5),
-                router_shards: shards,
-                verify_workers: workers,
-                ..ThreadedConfig::default()
-            });
-            for actor in pingpong_actors(&board) {
-                rt.add_actor(actor);
-            }
-            ThreadedRuntime::set_preflight(&mut rt, Arc::new(CountStage(seen.clone())));
-            let report = rt.run_to_completion();
-            assert!(
-                report.all_halted,
-                "shards={shards} workers={workers}: {report:?}"
-            );
-            // The stage saw every send exactly once, and the router-plane
-            // stats are unchanged by staging.
-            assert_eq!(seen.load(Ordering::Relaxed), 2, "workers={workers}");
-            assert_eq!(report.stats.messages_sent, 2, "workers={workers}");
-            assert_eq!(report.stats.messages_delivered, 2, "workers={workers}");
-            assert_eq!(report.stats.label_count("PING"), 1);
-            assert_eq!(report.stats.label_count("PONG"), 1);
-            assert_eq!(report.stats.payload_delivered_units, 4);
-        }
-    }
-
-    #[test]
-    fn selective_stage_bypasses_unwanted_messages() {
-        use std::sync::atomic::AtomicU64;
-
-        // Wants only PING: the PONG reply must bypass the worker pool and
-        // still deliver, with the router-plane stats unchanged.
-        struct PingStage(Arc<AtomicU64>);
-        impl Preflight<Msg> for PingStage {
-            fn preflight(&self, _from: ProcessId, _to: ProcessId, msg: &Msg) {
-                assert!(matches!(msg, Msg::Ping), "bypassed message reached stage");
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-            fn wants(&self, msg: &Msg) -> bool {
-                matches!(msg, Msg::Ping)
-            }
-        }
-
-        for (shards, workers) in [(1, 1), (4, 2)] {
-            let seen = Arc::new(AtomicU64::new(0));
-            let board = Board::new();
-            let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig {
-                wall_timeout: Duration::from_secs(5),
-                router_shards: shards,
-                verify_workers: workers,
-                ..ThreadedConfig::default()
-            });
-            for actor in pingpong_actors(&board) {
-                rt.add_actor(actor);
-            }
-            ThreadedRuntime::set_preflight(&mut rt, Arc::new(PingStage(seen.clone())));
-            let report = rt.run_to_completion();
-            assert!(
-                report.all_halted,
-                "shards={shards} workers={workers}: {report:?}"
-            );
-            assert_eq!(seen.load(Ordering::Relaxed), 1, "stage saw only the PING");
-            assert_eq!(report.stats.messages_sent, 2);
-            assert_eq!(report.stats.messages_delivered, 2);
-            assert_eq!(report.stats.payload_delivered_units, 4);
-        }
-    }
-
-    #[test]
-    fn verify_workers_auto_tracks_router_shards() {
-        let config = ThreadedConfig::default();
-        assert_eq!(
-            config.effective_verify_workers(),
-            config.effective_router_shards()
-        );
-        let pinned = ThreadedConfig {
-            verify_workers: 7,
-            ..ThreadedConfig::default()
-        };
-        assert_eq!(pinned.effective_verify_workers(), 7);
-    }
-
-    #[test]
     fn auto_shards_resolve_to_cores_capped_at_four() {
         let config = ThreadedConfig::default();
         assert_eq!(config.router_shards, 0);
@@ -1410,6 +972,7 @@ mod tests {
                 },
             );
             assert!(report.all_halted);
+            assert_eq!(report.stats.timers_fired, 3, "shards={shards}");
         }
     }
 

@@ -17,7 +17,9 @@
 #                              # (each graph family once at modest n), the
 #                              # delta-gossip discovery_equivalence sweep,
 #                              # the router_shards parity sweep, the
-#                              # verify_pipeline parity/determinism suite,
+#                              # verify_pipeline shared-verdict-memo suite
+#                              # (same fixpoint as private verification,
+#                              # forgeries counted once),
 #                              # the obs_determinism observability suite
 #                              # (byte-identical observed traces, no
 #                              # observer effect), and the churn gates
@@ -50,6 +52,12 @@ cargo clippy --all-targets -- -D warnings
 
 echo "==> cargo build --examples"
 cargo build --examples
+
+# benchmark/ pins its own Cargo.lock. --locked fails here, instead of
+# cargo silently rewriting that lock later, whenever a crate's dependency
+# edit no longer matches it.
+echo "==> cargo metadata --locked (benchmark/Cargo.lock still resolves)"
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml > /dev/null
 
 echo "==> cargo doc --no-deps -q"
 # Explicit exit-code check: `set -e` covers this today, but the doc gate
@@ -96,8 +104,8 @@ cargo test -q
 if [[ "$quick" -eq 0 ]]; then
     # benchmark/ is a workspace of its own, so nothing above compiles it;
     # it builds against the public Runtime / config surface by name.
-    echo "==> cargo test -q --manifest-path benchmark/Cargo.toml"
-    cargo test -q --manifest-path benchmark/Cargo.toml
+    echo "==> cargo test -q --locked --manifest-path benchmark/Cargo.toml"
+    cargo test -q --locked --manifest-path benchmark/Cargo.toml
 fi
 
 echo "verify.sh: all green"

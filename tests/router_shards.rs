@@ -330,50 +330,6 @@ fn tamper_drop_accounting_is_exact_under_sharding() {
     }
 }
 
-/// Routing the flood through a verification-stage worker pool (a no-op
-/// preflight here — the stats must not care what the stage computes)
-/// leaves the whole `NetStats` surface byte-identical to the unstaged
-/// single-router reference: staging moves work, never accounting.
-#[test]
-fn staged_delivery_conserves_netstats_exactly() {
-    use bft_cupft::net::Preflight;
-
-    struct NoopStage;
-    impl Preflight<FloodMsg> for NoopStage {
-        fn preflight(&self, _: ProcessId, _: ProcessId, _: &FloodMsg) {}
-    }
-
-    let floods = FLOOD_N * (FLOOD_N - 1) * FLOOD_R;
-    let dones = FLOOD_N * (FLOOD_N - 1);
-    let reference = {
-        let report = run_threaded(flood_actors(|_| FLOOD_N - 1), flood_config(1));
-        assert!(report.all_halted, "unstaged reference: {report:?}");
-        report.stats
-    };
-    for shards in SHARD_COUNTS {
-        for workers in [1, 3] {
-            let mut config = flood_config(shards);
-            config.verify_workers = workers;
-            let mut rt: ThreadedRuntime<FloodMsg> = ThreadedRuntime::new(config);
-            for actor in flood_actors(|_| FLOOD_N - 1) {
-                rt.add_actor(actor);
-            }
-            rt.set_preflight(std::sync::Arc::new(NoopStage));
-            let report = rt.run_to_completion();
-            assert!(
-                report.all_halted,
-                "shards={shards} workers={workers}: {report:?}"
-            );
-            assert_eq!(
-                report.stats, reference,
-                "shards={shards} workers={workers}: staged stats must equal unstaged"
-            );
-            assert_eq!(report.stats.messages_delivered, floods + dones);
-            assert_eq!(report.stats.payload_delivered_units, floods * FLOOD_PAYLOAD);
-        }
-    }
-}
-
 /// A serialized tamper must see each sender's emissions in order even
 /// when deliveries fan out across shards: this tamper asserts the
 /// per-sender monotone round structure the flood emits (R batches of

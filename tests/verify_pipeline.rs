@@ -1,143 +1,29 @@
-//! Acceptance tests for the parallel certificate-verification pipeline
-//! (stateless/stateful split, shared verdict pool, batch HMAC
-//! verification).
+//! Acceptance tests for shared certificate verification: every
+//! `DiscoveryState` attached to the run's `CertPool` settles the
+//! certificates of each `SETPDS` bundle in `absorb_batch` against one
+//! system-wide verdict memo (batch HMAC under one registry read lock),
+//! instead of verifying every certificate itself.
 //!
-//! Four claims:
+//! Two claims, both at the `DiscoveryState` level, with no runtime stage:
 //!
-//! 1. **Decision parity** — across three graph families and pipeline
-//!    settings `{0 (serial baseline), 1, 4}` workers, both substrates
-//!    reach exactly the decisions the serial deterministic simulator
-//!    reaches. Where verification runs (inline, shared memo, worker pool)
-//!    must never leak into what gets decided.
-//! 2. **Trace determinism** — simulator execution traces are
-//!    byte-identical (fingerprints included) with the pipeline on or off:
-//!    the virtual stage runs synchronously at the delivery event and
-//!    injects nothing.
-//! 3. **Fixpoint insensitivity** (property test) — under message
-//!    reordering and sender-dropping adversaries, pooled absorb reaches
-//!    the same knowledge fixpoint as serial absorb, view-for-view.
-//! 4. **Forgery accounting under concurrency** — a forged record replayed
+//! 1. **Fixpoint insensitivity** (property test) — under message
+//!    reordering and sender-dropping adversaries, absorbing through the
+//!    shared pool reaches the same knowledge fixpoint as private
+//!    verification, view-for-view.
+//! 2. **Forgery accounting under concurrency** — a forged record replayed
 //!    into many processes absorbing concurrently against one shared pool
 //!    is counted exactly once globally and once per process.
 
 use std::sync::Arc;
 
 use bft_cupft::adversary::TamperSpec;
-use bft_cupft::core::{
-    run_scenario_recorded, ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario,
-};
 use bft_cupft::detector::{PdCertificate, SystemSetup};
-use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode, VerifyStage};
+use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode};
 use bft_cupft::graph::{fig1b, process_set, DiGraph, GraphFamily, KnowledgeView, ProcessId};
 use bft_cupft::net::sim::Simulation;
 use bft_cupft::net::{DelayPolicy, SimConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-/// Pipeline settings swept by the parity tests: the pinned serial
-/// baseline, a single-worker pool, and a four-worker pool.
-const POOLS: [usize; 3] = [0, 1, 4];
-
-/// Retunes tick-denominated knobs for the threaded substrate (they are
-/// read as milliseconds there).
-fn threaded_variant(scenario: &Scenario, pool: usize) -> Scenario {
-    let mut s = scenario.clone().with_verify_pool(pool);
-    s.discovery_period = 10;
-    s.view_timeout_base = 2_000;
-    s
-}
-
-/// The parity workloads: three generated families at small n, all
-/// consensus-solvable under `KnownThreshold(1)` with all processes
-/// correct, plus the Fig. 1(b) witness with a silent Byzantine.
-fn parity_scenarios() -> Vec<(String, Scenario)> {
-    let families = [
-        ("erdos-renyi@n16", GraphFamily::erdos_renyi(16, 1)),
-        ("k-diamond@n16", GraphFamily::k_diamond(16, 1)),
-        (
-            "bridged-partition@n16",
-            GraphFamily::bridged_partition(16, 1),
-        ),
-    ];
-    let mut scenarios: Vec<(String, Scenario)> = families
-        .into_iter()
-        .map(|(label, family)| {
-            let graph = family
-                .generate(11)
-                .expect("valid family parameterization")
-                .system
-                .graph;
-            (
-                label.to_string(),
-                Scenario::new(graph, ProtocolMode::KnownThreshold(1)).with_seed(5),
-            )
-        })
-        .collect();
-    scenarios.push((
-        "fig1b/silent4".into(),
-        Scenario::new(fig1b().graph().clone(), ProtocolMode::KnownThreshold(1))
-            .with_byzantine(4, ByzantineStrategy::Silent)
-            .with_seed(3),
-    ));
-    scenarios
-}
-
-#[test]
-fn decisions_match_serial_sim_across_families_and_pool_sizes() {
-    for (label, scenario) in parity_scenarios() {
-        let serial = scenario
-            .clone()
-            .with_verify_pool(0)
-            .run_on(RuntimeKind::Sim);
-        assert!(
-            serial.check().consensus_solved(),
-            "{label} serial sim: {serial:?}"
-        );
-        for pool in POOLS {
-            let sim = scenario
-                .clone()
-                .with_verify_pool(pool)
-                .run_on(RuntimeKind::Sim);
-            assert_eq!(
-                serial.decisions, sim.decisions,
-                "{label}: sim decisions must not depend on the pipeline (pool={pool})"
-            );
-            let threaded = threaded_variant(&scenario, pool).run_on(RuntimeKind::Threaded);
-            assert!(
-                threaded.check().consensus_solved(),
-                "{label} threaded pool={pool}: {:?}",
-                threaded.decisions
-            );
-            assert_eq!(
-                serial.decisions, threaded.decisions,
-                "{label}: threaded (pool={pool}) decisions must equal serial sim"
-            );
-        }
-    }
-}
-
-/// The simulator's virtual stage is invisible in every recorded artifact:
-/// pooled and serial runs of the same scenario produce byte-identical
-/// execution traces (and hence equal fingerprints — the shrinker/replay
-/// guarantee), identical outcomes, and identical network statistics.
-#[test]
-fn sim_traces_are_byte_identical_pooled_vs_serial() {
-    let scenario = Scenario::new(fig1b().graph().clone(), ProtocolMode::KnownThreshold(1))
-        .with_byzantine(4, ByzantineStrategy::Silent)
-        .with_seed(7);
-    let (serial_outcome, serial_trace) =
-        run_scenario_recorded(&scenario.clone().with_verify_pool(0));
-    assert!(serial_outcome.check().consensus_solved());
-    for pooled in [scenario.clone(), scenario.clone().with_verify_pool(4)] {
-        let (outcome, trace) = run_scenario_recorded(&pooled);
-        assert_eq!(serial_trace.fingerprint(), trace.fingerprint());
-        assert_eq!(serial_trace, trace);
-        assert_eq!(serial_outcome.decisions, outcome.decisions);
-        assert_eq!(serial_outcome.decided_times, outcome.decided_times);
-        assert_eq!(serial_outcome.end_time, outcome.end_time);
-        assert_eq!(serial_outcome.stats, outcome.stats);
-    }
-}
 
 fn psync() -> DelayPolicy {
     DelayPolicy::PartialSynchrony {
@@ -171,9 +57,8 @@ fn arb_tamper() -> impl Strategy<Value = Option<TamperSpec>> {
     })
 }
 
-/// Runs discovery-only actors under `tamper`, serial or pooled (shared
-/// pool on every state plus the verification stage installed on the
-/// simulator), returning each process's final view.
+/// Runs discovery-only actors under `tamper`, each verifying privately or
+/// through the setup's shared pool, returning each process's final view.
 fn run_discovery(
     graph: &DiGraph,
     pooled: bool,
@@ -195,12 +80,6 @@ fn run_discovery(
     }
     if !parts.is_empty() {
         sim.set_tamper(TamperSpec::Chain(parts).build());
-    }
-    if pooled {
-        sim.set_preflight(Arc::new(VerifyStage::new(
-            setup.pool().clone(),
-            setup.registry().clone(),
-        )));
     }
     for v in graph.vertices() {
         let mut state = DiscoveryState::from_setup(&setup, v)
@@ -227,8 +106,8 @@ fn run_discovery(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Sharing verdicts (and pre-settling them in the stage) never moves
-    /// the knowledge fixpoint, under reordering adversaries.
+    /// Sharing verdicts never moves the knowledge fixpoint, under
+    /// reordering adversaries.
     #[test]
     fn pooled_absorb_preserves_fixpoint_under_reordering(
         graph in arb_graph(),
@@ -241,7 +120,7 @@ proptest! {
         prop_assert!(pooled.values().all(|v| v.received_count() >= 2));
     }
 
-    /// Same with a silenced (DropFrom) periphery sender: the pipeline
+    /// Same with a silenced (DropFrom) periphery sender: the shared memo
     /// cannot resurrect certificates the network never carried.
     #[test]
     fn pooled_absorb_preserves_fixpoint_under_drops(
