@@ -469,7 +469,6 @@ impl Scenario {
                 .threaded_wall_timeout
                 .unwrap_or(Duration::from_secs(60)),
             seed: self.sim.seed,
-            stop: None,
             router_shards: self.router_shards.unwrap_or(0),
         }
     }

@@ -1,4 +1,4 @@
-//! The actor abstraction shared by the simulator and the threaded runtime.
+//! The actor abstraction shared by every runtime.
 
 use cupft_graph::ProcessId;
 

@@ -1,20 +1,24 @@
 //! The mechanisms every runtime needs exactly once: the delay [`Wheel`],
-//! the send-time gate [`admit`], and — for the two wall-clock runtimes —
-//! the actor thread's loop ([`actor_loop`] over an [`Egress`]) and the
-//! driving thread's coordinator ([`supervise`]).
+//! the send-time gate [`admit`], and — for the one wall-clock runtime
+//! (`crate::wall`) — the actor thread's loop ([`actor_loop`] over an
+//! [`Egress`]) and the driving thread's coordinator ([`supervise`]).
 //!
-//! A transport on top of this only has to say "send this" and "I halted"
-//! ([`Egress`]); how a send travels (crossbeam shards, TCP frames) is the
-//! runtime's business, what happens around it is decided here.
+//! On the wall-clock runtime the gate runs on the sending actor's own
+//! thread: [`actor_loop`] counts each send, shows it to the tamper (one
+//! shared lock, taken only when a tamper is installed) and hands only the
+//! admitted messages to its link's [`Egress`]. How a message then travels
+//! (router shards, TCP frames) is the link's business.
 
 use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use cupft_graph::ProcessId;
+use parking_lot::Mutex;
 
-use crate::actor::{Actor, Context, TimerKind};
+use crate::actor::{Actor, Context, Labeled, TimerKind};
 use crate::stats::NetStats;
 use crate::tamper::{Fate, Tamper};
 use crate::Time;
@@ -97,7 +101,7 @@ impl<K: Ord + Copy, T> Wheel<K, T> {
 #[inline]
 pub(crate) fn admit<M>(
     stats: &mut NetStats,
-    tamper: &mut Option<Box<dyn Tamper<M>>>,
+    tamper: Option<&mut Box<dyn Tamper<M>>>,
     from: ProcessId,
     to: ProcessId,
     label: &'static str,
@@ -105,10 +109,7 @@ pub(crate) fn admit<M>(
     now: impl FnOnce() -> Time,
 ) -> Option<Time> {
     stats.record_send(label, payload);
-    match tamper
-        .as_mut()
-        .map(|t| t.disposition(from, to, label, now()))
-    {
+    match tamper.map(|t| t.disposition(from, to, label, now())) {
         None | Some(Fate::Deliver) => Some(0),
         Some(Fate::Delay(extra)) => Some(extra),
         Some(Fate::Drop) => {
@@ -118,41 +119,81 @@ pub(crate) fn admit<M>(
     }
 }
 
-/// An actor thread's handle onto its transport.
+/// An actor thread's handle onto its link.
 pub(crate) trait Egress<M> {
-    /// Hands one message to the transport.
-    fn send(&self, from: ProcessId, to: ProcessId, msg: M);
-    /// Tells the coordinator that actor `id` halted. Must not overtake the
-    /// sends the actor emitted before halting.
-    fn halted(&self, id: ProcessId);
+    /// Carries one admitted message, held back `extra` milliseconds on
+    /// top of the link's own delay (a tamper's [`Fate::Delay`]).
+    fn send(&self, from: ProcessId, to: ProcessId, msg: M, extra: Time);
 }
 
+/// What every actor thread of one wall-clock run shares.
+pub(crate) struct Shared<M> {
+    /// The installed tamper, consulted under this one lock.
+    pub(crate) tamper: Option<Mutex<Box<dyn Tamper<M>>>>,
+    /// Where an actor reports its halt to [`supervise`].
+    pub(crate) halts: Sender<ProcessId>,
+    /// Raised by the coordinator when the run is over; the link's
+    /// threads watch it too.
+    pub(crate) shutdown: Arc<AtomicBool>,
+    /// Actor time is elapsed milliseconds since this instant.
+    pub(crate) start: Instant,
+}
+
+impl<M> Shared<M> {
+    fn now(&self) -> Time {
+        self.start.elapsed().as_millis() as Time
+    }
+}
+
+type Timers = BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)>;
+
 /// Runs one actor on the calling thread until it halts, `shutdown` is
-/// raised, or its inbox disconnects; returns the actor in its final state
-/// and the number of timers it fired (the runtime adds that into
-/// [`NetStats::timers_fired`]). Actor time is elapsed milliseconds since
-/// `start`.
-pub(crate) fn actor_loop<M, E: Egress<M>>(
+/// raised, or its inbox disconnects; reports a halt on `halts`. Returns
+/// the actor in its final state and the [`NetStats`] of its own thread:
+/// every send it emitted (drops included) and every timer it fired.
+pub(crate) fn actor_loop<M: Labeled, E: Egress<M>>(
     mut actor: Box<dyn Actor<M>>,
     inbox: Receiver<(ProcessId, M)>,
     egress: E,
-    shutdown: &AtomicBool,
-    start: Instant,
-) -> (Box<dyn Actor<M>>, u64) {
+    shared: &Shared<M>,
+) -> (Box<dyn Actor<M>>, NetStats) {
     let id = actor.id();
-    let mut timers: BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)> = BinaryHeap::new();
-    let now_ms = |start: Instant| -> Time { start.elapsed().as_millis() as Time };
+    let mut timers = Timers::new();
+    let mut stats = NetStats::default();
+    let mut apply = |timers: &mut Timers, ctx: Context<M>, now: Time| {
+        let (sends, new_timers, halted) = ctx.into_effects();
+        for (to, msg) in sends {
+            let mut tamper = shared.tamper.as_ref().map(|t| t.lock());
+            let (label, payload) = (msg.label(), msg.payload_units());
+            let admitted = admit(
+                &mut stats,
+                tamper.as_deref_mut(),
+                id,
+                to,
+                label,
+                payload,
+                || shared.now(),
+            );
+            drop(tamper);
+            if let Some(extra) = admitted {
+                egress.send(id, to, msg, extra);
+            }
+        }
+        for (kind, delay) in new_timers {
+            timers.push((std::cmp::Reverse(now + delay), kind));
+        }
+        halted
+    };
     let mut timers_fired = 0;
 
-    let mut halted = false;
-    {
-        let mut ctx = Context::new(now_ms(start), id);
+    let mut halted = {
+        let mut ctx = Context::new(shared.now(), id);
         actor.on_start(&mut ctx);
-        halted = apply(&mut timers, &egress, id, ctx, now_ms(start)) || halted;
-    }
+        apply(&mut timers, ctx, shared.now())
+    };
 
-    while !halted && !shutdown.load(Ordering::SeqCst) {
-        let now = now_ms(start);
+    while !halted && !shared.shutdown.load(Ordering::SeqCst) {
+        let now = shared.now();
         // Fire due timers first.
         let mut fired = false;
         while timers
@@ -163,7 +204,7 @@ pub(crate) fn actor_loop<M, E: Egress<M>>(
             let mut ctx = Context::new(now, id);
             actor.on_timer(kind, &mut ctx);
             timers_fired += 1;
-            halted = apply(&mut timers, &egress, id, ctx, now) || halted;
+            halted = apply(&mut timers, ctx, now) || halted;
             fired = true;
             if halted {
                 break;
@@ -184,9 +225,9 @@ pub(crate) fn actor_loop<M, E: Egress<M>>(
             while drained < 64 && !halted {
                 match inbox.try_recv() {
                     Ok((from, msg)) => {
-                        let mut ctx = Context::new(now_ms(start), id);
+                        let mut ctx = Context::new(shared.now(), id);
                         actor.on_message(from, msg, &mut ctx);
-                        halted = apply(&mut timers, &egress, id, ctx, now_ms(start)) || halted;
+                        halted = apply(&mut timers, ctx, shared.now()) || halted;
                         drained += 1;
                     }
                     Err(_) => break,
@@ -204,53 +245,35 @@ pub(crate) fn actor_loop<M, E: Egress<M>>(
             .min(Duration::from_millis(20));
         match inbox.recv_timeout(wait) {
             Ok((from, msg)) => {
-                let mut ctx = Context::new(now_ms(start), id);
+                let mut ctx = Context::new(shared.now(), id);
                 actor.on_message(from, msg, &mut ctx);
-                halted = apply(&mut timers, &egress, id, ctx, now_ms(start)) || halted;
+                halted = apply(&mut timers, ctx, shared.now()) || halted;
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     if halted {
-        egress.halted(id);
+        let _ = shared.halts.send(id);
     }
-    (actor, timers_fired)
-}
-
-/// Applies buffered context effects; returns whether the actor halted.
-fn apply<M, E: Egress<M>>(
-    timers: &mut BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)>,
-    egress: &E,
-    id: ProcessId,
-    ctx: Context<M>,
-    now: Time,
-) -> bool {
-    let (sends, new_timers, halted) = ctx.into_effects();
-    for (to, msg) in sends {
-        egress.send(id, to, msg);
-    }
-    for (kind, delay) in new_timers {
-        timers.push((std::cmp::Reverse(now + delay), kind));
-    }
-    halted
+    stats.timers_fired = timers_fired;
+    (actor, stats)
 }
 
 /// The coordinator loop of a wall-clock run, on the driving thread: waits
 /// until every actor in `live` has reported its halt on `halts`, the
-/// caller's `stop` condition or the external `flag` fires, or `deadline`
-/// passes. Returns `(all_halted, stopped)`. An empty `live` set is
-/// all-halted at once (vacuous truth), whoever the caller is.
+/// caller's `stop` condition fires, or `deadline` passes. Returns
+/// `(all_halted, stopped)`. An empty `live` set is all-halted at once
+/// (vacuous truth), whoever the caller is.
 pub(crate) fn supervise(
     mut live: BTreeSet<ProcessId>,
     halts: &Receiver<ProcessId>,
     stop: &mut dyn FnMut() -> bool,
-    flag: Option<&AtomicBool>,
     deadline: Instant,
 ) -> (bool, bool) {
     let mut stopped = false;
     while !live.is_empty() {
-        if stop() || flag.is_some_and(|s| s.load(Ordering::SeqCst)) {
+        if stop() {
             stopped = true;
             break;
         }
@@ -271,7 +294,7 @@ pub(crate) fn supervise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{bounded, unbounded, Sender};
+    use crossbeam::channel::{bounded, unbounded};
 
     #[test]
     fn wheel_pops_equal_keys_in_push_order() {
@@ -310,7 +333,7 @@ mod tests {
         let mut stats = NetStats::default();
         let mut tamper = fate.map(|f| Box::new(Rule(f)) as Box<dyn Tamper<()>>);
         let (from, to) = (ProcessId::new(1), ProcessId::new(2));
-        let verdict = admit(&mut stats, &mut tamper, from, to, "X", 7, || 0);
+        let verdict = admit(&mut stats, tamper.as_mut(), from, to, "X", 7, || 0);
         (verdict, stats)
     }
 
@@ -340,13 +363,16 @@ mod tests {
         assert_eq!(plain, admit_under(Some(Fate::Deliver)));
     }
 
-    /// An egress that only reports halts.
-    struct HaltProbe(Sender<ProcessId>);
-    impl Egress<u32> for HaltProbe {
-        fn send(&self, _: ProcessId, _: ProcessId, _: u32) {}
-        fn halted(&self, id: ProcessId) {
-            let _ = self.0.send(id);
+    impl Labeled for u32 {
+        fn label(&self) -> &'static str {
+            "N"
         }
+    }
+
+    /// An egress that carries nothing anywhere.
+    struct Discard;
+    impl Egress<u32> for Discard {
+        fn send(&self, _: ProcessId, _: ProcessId, _: u32, _: Time) {}
     }
 
     /// Re-arms its timer at delay 1 and works longer than that in the
@@ -391,7 +417,12 @@ mod tests {
         let (inbox_tx, inbox_rx) = bounded::<(ProcessId, u32)>(MESSAGES as usize);
         let (halt_tx, halt_rx) = unbounded();
         let (fired_tx, fired_rx) = unbounded();
-        let shutdown = std::sync::Arc::new(AtomicBool::new(false));
+        let shared = Arc::new(Shared {
+            tamper: None,
+            halts: halt_tx,
+            shutdown: Arc::default(),
+            start: Instant::now(),
+        });
         let actor = Box::new(Busy {
             last: MESSAGES,
             received: 0,
@@ -399,16 +430,8 @@ mod tests {
             first_firing: fired_tx,
         });
         let handle = {
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || {
-                actor_loop(
-                    actor,
-                    inbox_rx,
-                    HaltProbe(halt_tx),
-                    &shutdown,
-                    Instant::now(),
-                )
-            })
+            let shared = shared.clone();
+            std::thread::spawn(move || actor_loop(actor, inbox_rx, Discard, &shared))
         };
         // Only once the actor is inside its first (over-long) timer handler
         // do the messages arrive: from here on a timer is always due.
@@ -417,12 +440,12 @@ mod tests {
             inbox_tx.send((ProcessId::new(2), n)).expect("inbox open");
         }
         let halted = halt_rx.recv_timeout(Duration::from_secs(20));
-        shutdown.store(true, Ordering::SeqCst);
-        let (actor, timers_fired) = handle.join().expect("actor thread panicked");
+        shared.shutdown.store(true, Ordering::SeqCst);
+        let (actor, stats) = handle.join().expect("actor thread panicked");
         assert_eq!(halted, Ok(ProcessId::new(1)), "halted on the last message");
         let busy: &Busy = actor.as_any().downcast_ref().expect("a Busy");
         assert_eq!(busy.received, MESSAGES);
-        assert_eq!(timers_fired, busy.seen_at_firing.len() as u64);
+        assert_eq!(stats.timers_fired, busy.seen_at_firing.len() as u64);
         // Between two firings at most one 64-message batch is drained, so
         // 150 messages take three batches and the timer kept firing while
         // the inbox emptied.

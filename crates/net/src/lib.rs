@@ -7,24 +7,32 @@
 //! between correct processes sent after GST are delivered within `δ`;
 //! before GST, delays are arbitrary (but finite: channels are reliable).
 //!
-//! Three interchangeable runtimes execute the same [`Actor`] code behind
-//! the shared [`Runtime`] trait:
+//! Three interchangeable substrates execute the same [`Actor`] code
+//! behind the shared [`Runtime`] trait — the deterministic simulator and
+//! one wall-clock runtime over two links:
 //!
 //! * [`sim::Simulation`] — a deterministic discrete-event simulator with an
 //!   explicit GST, seeded adversarial pre-GST delays, and scripted delay
 //!   policies (needed to reproduce the indistinguishability executions of
 //!   Theorem 7 exactly);
-//! * [`threaded::ThreadedRuntime`] — an OS-thread runtime using channel
-//!   inboxes with randomized real-time delays applied by a **sharded
-//!   router plane** ([`ThreadedConfig::router_shards`],
-//!   destination-hashed, per-shard delay wheels and stats merged
+//! * [`threaded::ThreadedRuntime`] — the wall-clock runtime over in-memory
+//!   channels: randomized real-time delays applied by a **sharded router
+//!   plane** ([`ThreadedConfig::router_shards`], destination-hashed,
+//!   per-shard delay wheels and delivery counters merged
 //!   deterministically), for wall-clock validation
 //!   ([`threaded::run_threaded`] remains as a by-value convenience);
-//! * [`socket::SocketRuntime`] — a real-socket runtime carrying every
-//!   send over TCP in the versioned [`cupft_wire`] frame format, with
+//! * [`socket::SocketRuntime`] — the same wall-clock runtime over TCP:
+//!   every send travels in the versioned [`cupft_wire`] frame format, with
 //!   peers addressed by opaque [`PeerAddr`]s — loopback within one OS
 //!   process, or genuinely distributed across processes via
 //!   [`Runtime::register_peer`].
+//!
+//! One runtime, two links; the tamper is consulted on the sender's
+//! thread. Both wall-clock substrates are [`wall::WallRuntime`]: they
+//! share the actor threads, the coordinator, shutdown and report
+//! assembly, and on both each send is counted and shown to an installed
+//! [`Tamper`] on the sending actor's own thread before the link carries
+//! it.
 //!
 //! Experiment code written against `Runtime` — like
 //! `cupft_core::run_scenario_on` and the `ScenarioSuite` batch engine —
@@ -80,6 +88,7 @@ pub mod stage;
 mod stats;
 pub mod tamper;
 pub mod threaded;
+pub mod wall;
 
 pub use actor::{Actor, Context, Labeled, TimerKind};
 pub use delay::DelayPolicy;

@@ -4,9 +4,12 @@
 //! Protocol code is written against [`Actor`]; *experiment* code — the
 //! scenario runner, the suite engine, benches, tests — is written against
 //! `Runtime`, so the same `Scenario` drives the deterministic
-//! discrete-event simulator ([`crate::sim::Simulation`]), the OS-thread
-//! runtime ([`crate::threaded::ThreadedRuntime`]) or the real-socket
-//! runtime ([`crate::socket::SocketRuntime`]) without caring which.
+//! discrete-event simulator ([`crate::sim::Simulation`]) or the one
+//! wall-clock runtime over either of its two links — in-memory channels
+//! ([`crate::threaded::ThreadedRuntime`]) or TCP
+//! ([`crate::socket::SocketRuntime`]) — without caring which. The trait
+//! has exactly two implementations: the simulator and the wall-clock
+//! runtime, which consults the tamper on the sender's thread.
 //!
 //! The contract has three phases:
 //!
@@ -146,9 +149,10 @@ pub struct RuntimeReport {
 /// A substrate that can execute a set of [`Actor`]s to completion.
 ///
 /// Implemented by [`crate::sim::Simulation`] (deterministic, simulated
-/// time), [`crate::threaded::ThreadedRuntime`] (real threads, wall-clock
-/// time) and [`crate::socket::SocketRuntime`] (real threads and TCP
-/// sockets). See the [module docs](self) for the phase contract.
+/// time) and by the wall-clock runtime (real threads, wall-clock time)
+/// behind [`crate::threaded::ThreadedRuntime`] and
+/// [`crate::socket::SocketRuntime`]. See the [module docs](self) for the
+/// phase contract.
 pub trait Runtime<M: 'static> {
     /// A short human-readable substrate name (`"sim"` / `"threaded"` /
     /// `"socket"`), used in suite reports and test diagnostics.
@@ -222,7 +226,7 @@ pub trait Runtime<M: 'static> {
     ///
     /// **One run per runtime.** Portable callers must call this exactly
     /// once; what a second call does is substrate-defined (the simulator
-    /// resumes its event loop under the new stop condition, the threaded
+    /// resumes its event loop under the new stop condition, the wall-clock
     /// runtime returns the recorded report unchanged — its actor threads
     /// are gone). Phased execution is an inherent-API feature
     /// ([`crate::sim::Simulation::run_until`]), not a trait feature.

@@ -292,7 +292,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                 .delay(source, to, self.now, &mut self.rng);
             let Some(extra) = admit(
                 &mut self.stats,
-                &mut self.tamper,
+                self.tamper.as_mut(),
                 source,
                 to,
                 msg.label(),

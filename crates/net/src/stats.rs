@@ -6,7 +6,8 @@ use std::fmt;
 /// Counters describing one run of a runtime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Total messages handed to the network.
+    /// Total messages handed to the network (on the wall-clock runtime,
+    /// counted on the sending actor's thread).
     pub messages_sent: u64,
     /// Total messages delivered to actors.
     pub messages_delivered: u64,
@@ -23,13 +24,14 @@ pub struct NetStats {
     /// payload that actually reached the delivery schedule.
     pub payload_dropped: u64,
     /// Payload units counted **at actual delivery to an actor** — once
-    /// per delivered message, regardless of how many shard hops the
-    /// (possibly `Arc`-shared, zero-copy) payload traveled through. The conservation law under reliable channels is
+    /// per delivered message.
+    ///
+    /// The conservation law under reliable channels is
     /// `payload_delivered_units ≤ payload_units − payload_dropped`, with
     /// equality once every scheduled message has been delivered (the gap
     /// is payload still in flight at shutdown).
     pub payload_delivered_units: u64,
-    /// Total timer events fired (on the wall-clock runtimes, summed over
+    /// Total timer events fired (on the wall-clock runtime, summed over
     /// the actor threads when they are joined).
     pub timers_fired: u64,
     /// Per-label message counts (the label comes from
@@ -84,13 +86,13 @@ impl NetStats {
     /// Folds another stats block into this one, summing every counter and
     /// per-label map.
     ///
-    /// This is how the sharded threaded router merges per-shard stats back
-    /// into the run's single `NetStats` surface: shards are merged in
-    /// shard-index order, so given the same per-shard outcomes the merged
-    /// totals are deterministic, and every aggregate (`messages_sent`,
-    /// `payload_units`, `by_label`, …) is conserved — the merge of N shard
-    /// stats equals what one router observing all N traffic streams would
-    /// have recorded.
+    /// This is how the wall-clock runtime assembles the run's single
+    /// `NetStats` surface from per-thread blocks — each actor thread's
+    /// sends, drops and timers, then the link's deliveries (router shards
+    /// in shard-index order, or socket readers). Every aggregate
+    /// (`messages_sent`, `payload_units`, `by_label`, …) is conserved: the
+    /// merge equals what one observer of all the traffic would have
+    /// recorded.
     pub fn merge(&mut self, other: &NetStats) {
         self.messages_sent += other.messages_sent;
         self.messages_delivered += other.messages_delivered;

@@ -26,12 +26,11 @@
 //! the call sequence; on the simulator the call sequence itself is
 //! deterministic, so seeded tampers replay exactly.
 //!
-//! On the threaded runtime's sharded router plane the tamper is
-//! serialized through a single dedicated shard: regardless of
-//! [`crate::ThreadedConfig::router_shards`], one `&mut` tamper state sees
-//! every message once, at send time, with each sender's emissions in
-//! order — so a `TamperSpec`'s observable semantics do not change with
-//! the shard count.
+//! On the wall-clock runtime (both links) the tamper is consulted on the
+//! sending actor's own thread, under one lock: one `&mut` tamper state
+//! sees every message once, at send time, with each sender's emissions in
+//! program order — so a `TamperSpec`'s observable semantics do not change
+//! with the link or with [`crate::ThreadedConfig::router_shards`].
 
 use cupft_graph::ProcessId;
 
@@ -43,7 +42,7 @@ pub enum Fate {
     /// Deliver under the substrate's normal delay policy.
     Deliver,
     /// Deliver, but add this many ticks (simulator) / milliseconds
-    /// (threaded runtime) on top of the policy delay.
+    /// (wall-clock runtime) on top of the policy delay.
     Delay(Time),
     /// Never deliver. Counted in [`crate::NetStats::messages_dropped`].
     Drop,

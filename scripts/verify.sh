@@ -16,7 +16,9 @@
 #                              # adversary_sweep grid, the family_sweep
 #                              # (each graph family once at modest n), the
 #                              # delta-gossip discovery_equivalence sweep,
-#                              # the router_shards parity sweep, the
+#                              # the router_shards parity sweep and the
+#                              # socket_parity suite (one link-conformance
+#                              # body on both wall-clock links), the
 #                              # verify_pipeline shared-verdict-memo suite
 #                              # (same fixpoint as private verification,
 #                              # forgeries counted once),
@@ -88,6 +90,8 @@ else
     cargo test -q --test discovery_equivalence
     echo "==> cargo test -q --test router_shards (quick gate)"
     cargo test -q --test router_shards
+    echo "==> cargo test -q --test socket_parity (quick gate)"
+    cargo test -q --test socket_parity
     echo "==> cargo test -q --test verify_pipeline (quick gate)"
     cargo test -q --test verify_pipeline
     echo "==> cargo test -q --test obs_determinism (quick gate)"

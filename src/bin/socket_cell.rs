@@ -173,7 +173,6 @@ fn run_node(args: &Args, id: u64) -> Result<(), String> {
     let stop = Arc::new(AtomicBool::new(false));
     let mut rt: SocketRuntime<bft_cupft::core::NodeMsg> = SocketRuntime::new(SocketConfig {
         wall_timeout: Duration::from_secs(args.wall),
-        stop: Some(stop.clone()),
         ..SocketConfig::default()
     })
     .map_err(|e| format!("bind listener: {e}"))?;
@@ -228,8 +227,8 @@ fn run_node(args: &Args, id: u64) -> Result<(), String> {
         });
     }
 
-    // The stop flag ends the run; the polled closure only reports the
-    // decision (once) — the node keeps serving gossip for slower peers.
+    // The polled closure reports the decision (once) and ends the run only
+    // on the stop flag — the node keeps serving gossip for slower peers.
     let mut announced = false;
     rt.run_until_stopped(&mut || {
         if !announced {
@@ -239,7 +238,7 @@ fn run_node(args: &Args, id: u64) -> Result<(), String> {
                 announced = true;
             }
         }
-        false
+        stop.load(Ordering::SeqCst)
     });
     Ok(())
 }

@@ -10,20 +10,21 @@
 //!    one OS process per vertex, runs consensus over genuine inter-process
 //!    TCP, and asserts decision parity against the simulator itself
 //!    (printing the `SOCKET PARITY OK` line this test greps, same as CI).
-//! 3. **Tamper order** — a serialized [`Tamper`] installed on the socket
-//!    runtime sees each sender's emissions in program order, mirroring
-//!    `router_shards::tamper_sees_per_sender_emission_order_on_every_shard_count`
-//!    for the TCP substrate: encode/enqueue happens at send time on the
-//!    sending actor's thread, so the order-asserting tamper must never
-//!    trip even though deliveries fan out across connections.
+//! 3. **Link conformance** — the shared flood body of `tests/link`, the
+//!    same one `tests/router_shards.rs` runs on the threaded link: exact
+//!    `NetStats` conservation, exact tamper drop accounting, per-sender
+//!    emission order at the tamper (even though deliveries fan out across
+//!    connections), and a tamper delay that is still delivered.
 
 use std::process::Command;
 use std::time::Duration;
 
 use bft_cupft::core::{ProtocolMode, RuntimeKind, Scenario};
-use bft_cupft::graph::{GraphFamily, ProcessId};
-use bft_cupft::net::{Actor, Context, Fate, Labeled, Runtime, SocketConfig, SocketRuntime, Tamper};
-use bft_cupft::wire::{Decode, Encode, Reader, WireError};
+use bft_cupft::graph::GraphFamily;
+use bft_cupft::net::{SocketConfig, SocketRuntime};
+use link::FloodMsg;
+
+mod link;
 
 /// Retunes tick-denominated knobs for the socket substrate (read as
 /// milliseconds there, same as the threaded retuning).
@@ -99,143 +100,32 @@ fn multiprocess_cell_matches_sim_on_erdos_renyi() {
     cell_reports_parity("erdos-renyi", 10);
 }
 
-// ---- tamper order over TCP (mirrors tests/router_shards.rs) ----
+// ---- link conformance: the flood workload of tests/link ----
 
-const FLOOD_N: u64 = 9;
-const FLOOD_R: u64 = 5;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum FloodMsg {
-    Flood,
-    Done,
+fn flood_runtime() -> SocketRuntime<FloodMsg> {
+    SocketRuntime::new(SocketConfig {
+        wall_timeout: Duration::from_secs(30),
+        ..SocketConfig::default()
+    })
+    .expect("bind")
 }
 
-impl Labeled for FloodMsg {
-    fn label(&self) -> &'static str {
-        match self {
-            FloodMsg::Flood => "FLOOD",
-            FloodMsg::Done => "DONE",
-        }
-    }
+#[test]
+fn socket_netstats_totals_are_conserved() {
+    link::conserves_netstats(flood_runtime());
 }
 
-impl Encode for FloodMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            FloodMsg::Flood => 0,
-            FloodMsg::Done => 1,
-        });
-    }
-}
-
-impl Decode for FloodMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(FloodMsg::Flood),
-            1 => Ok(FloodMsg::Done),
-            tag => Err(WireError::BadTag {
-                ty: "FloodMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-/// Sends `FLOOD_R` flood rounds plus one `Done` to every peer at startup,
-/// halts after receiving a preset count (same shape as the threaded
-/// runtime's stats-conservation flood).
-struct FloodActor {
-    id: ProcessId,
-    peers: Vec<ProcessId>,
-    expect: u64,
-    got: u64,
-}
-
-impl Actor<FloodMsg> for FloodActor {
-    fn id(&self) -> ProcessId {
-        self.id
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn on_start(&mut self, ctx: &mut Context<FloodMsg>) {
-        for _ in 0..FLOOD_R {
-            for &peer in &self.peers {
-                ctx.send(peer, FloodMsg::Flood);
-            }
-        }
-        for &peer in &self.peers {
-            ctx.send(peer, FloodMsg::Done);
-        }
-    }
-    fn on_message(&mut self, _: ProcessId, _: FloodMsg, ctx: &mut Context<FloodMsg>) {
-        self.got += 1;
-        if self.got >= self.expect {
-            ctx.halt();
-        }
-    }
-}
-
-fn flood_actors() -> Vec<Box<dyn Actor<FloodMsg>>> {
-    let ids: Vec<ProcessId> = (1..=FLOOD_N).map(ProcessId::new).collect();
-    ids.iter()
-        .map(|&id| {
-            Box::new(FloodActor {
-                id,
-                peers: ids.iter().copied().filter(|&p| p != id).collect(),
-                expect: (FLOOD_N - 1) * (FLOOD_R + 1),
-                got: 0,
-            }) as Box<dyn Actor<FloodMsg>>
-        })
-        .collect()
-}
-
-/// Asserts the per-sender monotone round structure the flood emits
-/// (`FLOOD_R` batches of peers in ID order, then the `Done` batch) — any
-/// reordering before the tamper point would trip it. Same checker as the
-/// sharded-router mirror test.
-struct OrderAssertingTamper {
-    last_to: std::collections::BTreeMap<ProcessId, (u64, u64)>,
-}
-
-impl Tamper<FloodMsg> for OrderAssertingTamper {
-    fn disposition(&mut self, from: ProcessId, to: ProcessId, _: &'static str, _: u64) -> Fate {
-        let entry = self.last_to.entry(from).or_insert((0, 0));
-        let to_idx = to.raw();
-        if to_idx <= entry.1 {
-            entry.0 += 1; // new round wrapped past the sender's peer list
-            assert!(
-                entry.0 < FLOOD_R + 1,
-                "sender {from} emitted more rounds than it floods"
-            );
-        }
-        entry.1 = to_idx;
-        Fate::Deliver
-    }
+#[test]
+fn socket_tamper_drop_accounting_is_exact() {
+    link::drop_accounting_is_exact(flood_runtime());
 }
 
 #[test]
 fn socket_tamper_sees_per_sender_emission_order() {
-    let mut rt: SocketRuntime<FloodMsg> = SocketRuntime::new(SocketConfig {
-        wall_timeout: Duration::from_secs(30),
-        ..SocketConfig::default()
-    })
-    .expect("bind");
-    for actor in flood_actors() {
-        rt.add_actor(actor);
-    }
-    Runtime::set_tamper(
-        &mut rt,
-        Box::new(OrderAssertingTamper {
-            last_to: std::collections::BTreeMap::new(),
-        }),
-    );
-    let report = rt.run_to_completion();
-    assert!(report.all_halted, "{report:?}");
-    // Every actor received everything it expected before halting, so the
-    // drop-free TCP run conserves the totals exactly.
-    let total = FLOOD_N * (FLOOD_N - 1) * (FLOOD_R + 1);
-    assert_eq!(report.stats.messages_sent, total);
-    assert_eq!(report.stats.messages_delivered, total);
-    assert_eq!(report.stats.messages_dropped, 0);
+    link::tamper_sees_emission_order(flood_runtime());
+}
+
+#[test]
+fn socket_tamper_delay_is_delivered() {
+    link::delayed_messages_are_delivered(flood_runtime());
 }
