@@ -255,7 +255,7 @@ impl EquivocateValueStrategy {
                 continue;
             }
             let msg = if i < half { a.clone() } else { b.clone() };
-            ctx.send(m, NodeMsg::Committee(msg));
+            ctx.send(m, msg.into());
         }
         self.equivocation_sent = true;
     }

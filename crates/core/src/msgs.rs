@@ -14,13 +14,21 @@ use cupft_wire::{Decode, Encode, Reader, WireError};
 pub enum NodeMsg {
     /// Algorithm 1 traffic.
     Discovery(DiscoveryMsg),
-    /// Committee consensus traffic (Algorithm 3 line 4).
-    Committee(CommitteeMsg),
+    /// Committee consensus traffic (Algorithm 3 line 4). Boxed: a
+    /// committee message is ~150 bytes against discovery's 64, and it is a
+    /// few dozen messages per decision against discovery's hundreds of
+    /// thousands, so the box keeps every `NodeMsg` discovery-sized.
+    Committee(Box<CommitteeMsg>),
     /// "Send me the decided value" (Algorithm 3 line 6).
     GetDecidedVal,
     /// The decided value (Algorithm 3 line 10).
     DecidedVal(Value),
 }
+
+// Every queued simulator event and every wall-clock inbox slot holds one
+// `NodeMsg`, so its size is paid per message in flight: a new variant that
+// would grow it past discovery's 64 bytes must be boxed.
+const _: () = assert!(std::mem::size_of::<NodeMsg>() <= 64);
 
 impl Labeled for NodeMsg {
     fn label(&self) -> &'static str {
@@ -67,7 +75,7 @@ impl Decode for NodeMsg {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(NodeMsg::Discovery(DiscoveryMsg::decode(r)?)),
-            1 => Ok(NodeMsg::Committee(CommitteeMsg::decode(r)?)),
+            1 => Ok(NodeMsg::Committee(Box::new(CommitteeMsg::decode(r)?))),
             2 => Ok(NodeMsg::GetDecidedVal),
             3 => Ok(NodeMsg::DecidedVal(Value::decode(r)?)),
             tag => Err(WireError::BadTag { ty: "NodeMsg", tag }),
@@ -83,7 +91,7 @@ impl From<DiscoveryMsg> for NodeMsg {
 
 impl From<CommitteeMsg> for NodeMsg {
     fn from(m: CommitteeMsg) -> Self {
-        NodeMsg::Committee(m)
+        NodeMsg::Committee(Box::new(m))
     }
 }
 

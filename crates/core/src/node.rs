@@ -559,7 +559,7 @@ impl Node {
 
     fn apply_replica_effects(&mut self, fx: cupft_committee::Effects, ctx: &mut Context<NodeMsg>) {
         for (to, msg) in fx.msgs {
-            ctx.send(to, NodeMsg::Committee(msg));
+            ctx.send(to, msg.into());
         }
         if let Some((kind, delay)) = fx.timer {
             ctx.set_timer(kind, delay);
@@ -661,13 +661,13 @@ impl Actor<NodeMsg> for Node {
             }
             NodeMsg::Committee(m) => match &mut self.replica {
                 Some(replica) => {
-                    let fx = replica.handle(from, m);
+                    let fx = replica.handle(from, *m);
                     self.apply_replica_effects(fx, ctx);
                 }
                 None => {
                     const BACKLOG_CAP: usize = 8192;
                     if self.committee_backlog.len() < BACKLOG_CAP {
-                        self.committee_backlog.push((from, m));
+                        self.committee_backlog.push((from, *m));
                     }
                 }
             },

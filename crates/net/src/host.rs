@@ -3,13 +3,18 @@
 //! (`crate::wall`) — the actor thread's loop ([`actor_loop`] over an
 //! [`Egress`]) and the driving thread's coordinator ([`supervise`]).
 //!
+//! The [`Wheel`] keeps one FIFO bucket per distinct key, because the
+//! simulator queues thousands of events on each virtual tick; the
+//! wall-clock keys (`Instant`s) are nearly unique and pay one small bucket
+//! per item instead.
+//!
 //! On the wall-clock runtime the gate runs on the sending actor's own
 //! thread: [`actor_loop`] counts each send, shows it to the tamper (one
 //! shared lock, taken only when a tamper is installed) and hands only the
 //! admitted messages to its link's [`Egress`]. How a message then travels
 //! (router shards, TCP frames) is the link's business.
 
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,73 +28,60 @@ use crate::stats::NetStats;
 use crate::tamper::{Fate, Tamper};
 use crate::Time;
 
-/// A min-heap of items ordered by `(key, insertion order)`: the earliest
-/// key pops first, and equal keys pop in the order they were pushed.
+/// A queue of items ordered by `(key, insertion order)`: the earliest key
+/// pops first, and equal keys pop in the order they were pushed.
+///
+/// One FIFO bucket per distinct key. The simulator is the heavy user:
+/// thousands of its events share each virtual tick and only ~10² ticks are
+/// pending, so a push appends to an existing bucket and a pop takes the
+/// front of the first one, instead of sifting through a heap of every
+/// pending event. The wall-clock users (router shards, the socket delay
+/// thread) key by `Instant`, which is nearly unique, so there most buckets
+/// hold one item.
 pub(crate) struct Wheel<K, T> {
-    heap: BinaryHeap<Entry<K, T>>,
-    seq: u64,
-}
-
-struct Entry<K, T> {
-    key: K,
-    seq: u64,
-    item: T,
-}
-
-impl<K: Ord, T> PartialEq for Entry<K, T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl<K: Ord, T> Eq for Entry<K, T> {}
-impl<K: Ord, T> PartialOrd for Entry<K, T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord, T> Ord for Entry<K, T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed: BinaryHeap is a max-heap, we want the earliest key first
-        (&other.key, other.seq).cmp(&(&self.key, self.seq))
-    }
+    buckets: BTreeMap<K, VecDeque<T>>,
+    len: usize,
 }
 
 impl<K: Ord + Copy, T> Wheel<K, T> {
     pub(crate) fn new() -> Self {
         Wheel {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            buckets: BTreeMap::new(),
+            len: 0,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     #[inline]
     pub(crate) fn push(&mut self, key: K, item: T) {
-        self.seq += 1;
-        self.heap.push(Entry {
-            key,
-            seq: self.seq,
-            item,
-        });
+        self.buckets.entry(key).or_default().push_back(item);
+        self.len += 1;
     }
 
     /// The key that pops next, if any.
     #[inline]
     pub(crate) fn next_key(&self) -> Option<K> {
-        self.heap.peek().map(|e| e.key)
+        self.buckets.first_key_value().map(|(&key, _)| key)
     }
 
     /// Pops the earliest entry if its key is at or before `now`; later
     /// entries stay queued.
     #[inline]
     pub(crate) fn pop_due(&mut self, now: K) -> Option<(K, T)> {
-        if self.heap.peek()?.key > now {
+        let mut first = self.buckets.first_entry()?;
+        let key = *first.key();
+        if key > now {
             return None;
         }
-        self.heap.pop().map(|e| (e.key, e.item))
+        let item = first.get_mut().pop_front().expect("no empty bucket");
+        if first.get().is_empty() {
+            first.remove();
+        }
+        self.len -= 1;
+        Some((key, item))
     }
 }
 
@@ -145,7 +137,7 @@ impl<M> Shared<M> {
     }
 }
 
-type Timers = BinaryHeap<(std::cmp::Reverse<Time>, TimerKind)>;
+type Timers = Wheel<Time, TimerKind>;
 
 /// Runs one actor on the calling thread until it halts, `shutdown` is
 /// raised, or its inbox disconnects; reports a halt on `halts`. Returns
@@ -180,7 +172,7 @@ pub(crate) fn actor_loop<M: Labeled, E: Egress<M>>(
             }
         }
         for (kind, delay) in new_timers {
-            timers.push((std::cmp::Reverse(now + delay), kind));
+            timers.push(now + delay, kind);
         }
         halted
     };
@@ -196,11 +188,7 @@ pub(crate) fn actor_loop<M: Labeled, E: Egress<M>>(
         let now = shared.now();
         // Fire due timers first.
         let mut fired = false;
-        while timers
-            .peek()
-            .is_some_and(|&(std::cmp::Reverse(at), _)| at <= now)
-        {
-            let (_, kind) = timers.pop().expect("peeked");
+        while let Some((_, kind)) = timers.pop_due(now) {
             let mut ctx = Context::new(now, id);
             actor.on_timer(kind, &mut ctx);
             timers_fired += 1;
@@ -239,8 +227,8 @@ pub(crate) fn actor_loop<M: Labeled, E: Egress<M>>(
             continue;
         }
         let wait = timers
-            .peek()
-            .map(|&(std::cmp::Reverse(at), _)| Duration::from_millis(at.saturating_sub(now)))
+            .next_key()
+            .map(|at| Duration::from_millis(at.saturating_sub(now)))
             .unwrap_or(Duration::from_millis(20))
             .min(Duration::from_millis(20));
         match inbox.recv_timeout(wait) {
@@ -295,6 +283,8 @@ pub(crate) fn supervise(
 mod tests {
     use super::*;
     use crossbeam::channel::{bounded, unbounded};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn wheel_pops_equal_keys_in_push_order() {
@@ -319,6 +309,64 @@ mod tests {
         assert_eq!(wheel.pop_due(10), Some((10, ())), "due exactly now");
         assert_eq!(wheel.pop_due(10), None, "the later entry stays queued");
         assert_eq!(wheel.len(), 1);
+    }
+
+    /// Drives a seeded random interleaving of `push` and `pop_due` against
+    /// a sorted `(key, push seq)` model, checking `len` and `next_key`
+    /// after every step. `key_of(rng, seq)` draws each pushed key (≥ 1, so
+    /// "just below the earliest key" always exists).
+    fn wheel_matches_sorted_model(seed: u64, key_of: fn(&mut StdRng, u64) -> u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wheel: Wheel<u64, u64> = Wheel::new();
+        let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let (mut pops, mut misses) = (0, 0);
+        for seq in 0..4_000 {
+            if rng.random_range(0..10u8) < 6 {
+                let key = key_of(&mut rng, seq);
+                wheel.push(key, seq);
+                model.insert((key, seq));
+            } else {
+                let earliest = model.first().map_or(1, |&(key, _)| key);
+                let now = match rng.random_range(0..3u8) {
+                    0 => earliest,
+                    1 => earliest - 1,
+                    _ => earliest + rng.random_range(0..4),
+                };
+                let due = model.first().copied().filter(|&(key, _)| key <= now);
+                if let Some(entry) = due {
+                    model.remove(&entry);
+                    pops += 1;
+                } else {
+                    misses += 1;
+                }
+                assert_eq!(wheel.pop_due(now), due, "step {seq}, now {now}");
+            }
+            assert_eq!(wheel.len(), model.len(), "step {seq}");
+            assert_eq!(wheel.next_key(), model.first().map(|&(key, _)| key));
+        }
+        assert!(pops > 300 && misses > 300, "{pops} pops, {misses} misses");
+        let rest: Vec<_> = std::iter::from_fn(|| wheel.pop_due(u64::MAX)).collect();
+        assert!(
+            rest.into_iter().eq(model),
+            "drains in (key, push seq) order"
+        );
+    }
+
+    #[test]
+    fn wheel_matches_model_on_duplicate_heavy_keys() {
+        for seed in 0..4 {
+            wheel_matches_sorted_model(seed, |rng, _| rng.random_range(1..=16));
+        }
+    }
+
+    #[test]
+    fn wheel_matches_model_on_distinct_keys() {
+        for seed in 0..4 {
+            // The push seq in the low bits makes every key unique.
+            wheel_matches_sorted_model(seed, |rng, seq| {
+                (rng.random_range(1..=1 << 20) << 12) | seq
+            });
+        }
     }
 
     /// A tamper with one fixed ruling.

@@ -87,10 +87,17 @@ enum EventKind<M> {
 /// determinism is load-bearing: the Theorem 7 reproduction compares whole
 /// executions across systems A, B, and AB.
 pub struct Simulation<M> {
-    actors: BTreeMap<ProcessId, Box<dyn Actor<M>>>,
-    halted: BTreeMap<ProcessId, bool>,
-    /// Pending events `(target, kind)`, keyed by their time.
-    queue: Wheel<Time, (ProcessId, EventKind<M>)>,
+    /// Actors and their halt flags, one slot each in registration order;
+    /// `live` counts the unhalted.
+    actors: Vec<Box<dyn Actor<M>>>,
+    halted: Vec<bool>,
+    live: usize,
+    /// Each id's slot, read once per send; its key order is the id order
+    /// `actor_ids` reports.
+    slot_of: BTreeMap<ProcessId, usize>,
+    /// Pending events `(target slot, kind)`, keyed by their time. A send to
+    /// an unregistered id carries slot `usize::MAX`: counted, then dropped.
+    queue: Wheel<Time, (usize, EventKind<M>)>,
     now: Time,
     events_processed: u64,
     rng: StdRng,
@@ -109,8 +116,10 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
     /// Creates a simulation with no actors.
     pub fn new(config: SimConfig) -> Self {
         Simulation {
-            actors: BTreeMap::new(),
-            halted: BTreeMap::new(),
+            actors: Vec::new(),
+            halted: Vec::new(),
+            live: 0,
+            slot_of: BTreeMap::new(),
             queue: Wheel::new(),
             now: 0,
             events_processed: 0,
@@ -183,12 +192,15 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
     /// Panics if an actor with the same ID is already registered.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) {
         let id = actor.id();
+        let slot = self.actors.len();
         assert!(
-            self.actors.insert(id, actor).is_none(),
+            self.slot_of.insert(id, slot).is_none(),
             "duplicate actor {id}"
         );
-        self.halted.insert(id, false);
-        self.queue.push(0, (id, EventKind::Start));
+        self.actors.push(actor);
+        self.halted.push(false);
+        self.live += 1;
+        self.queue.push(0, (slot, EventKind::Start));
     }
 
     /// Current simulated time.
@@ -203,30 +215,28 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
 
     /// Immutable access to an actor (for assertions between steps).
     pub fn actor(&self, id: ProcessId) -> Option<&dyn Actor<M>> {
-        self.actors.get(&id).map(|b| b.as_ref())
+        self.slot_of.get(&id).map(|&s| self.actors[s].as_ref())
     }
 
     /// Downcast access to an actor's concrete type.
     pub fn actor_as<T: 'static>(&self, id: ProcessId) -> Option<&T> {
-        self.actors
-            .get(&id)
-            .and_then(|b| b.as_any().downcast_ref::<T>())
+        self.actor(id)?.as_any().downcast_ref()
     }
 
     /// Whether the given actor has halted.
     pub fn is_halted(&self, id: ProcessId) -> bool {
-        self.halted.get(&id).copied().unwrap_or(false)
+        self.slot_of.get(&id).is_some_and(|&slot| self.halted[slot])
     }
 
     /// Processes the next event. Returns `false` when the queue is empty,
     /// the time horizon is exceeded, or every actor has halted.
     pub fn step(&mut self) -> bool {
-        if self.halted.values().all(|&h| h) {
+        if self.live == 0 {
             return false;
         }
         // Events past the horizon stay queued, so a later horizon
         // extension could resume.
-        let Some((time, (target, kind))) = self.queue.pop_due(self.config.max_time) else {
+        let Some((time, (slot, kind))) = self.queue.pop_due(self.config.max_time) else {
             return false;
         };
         self.now = self.now.max(time);
@@ -247,40 +257,36 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
             rec.hist_record("sim_queue_depth", self.queue.len() as u64);
         }
 
-        if self.halted.get(&target).copied().unwrap_or(true) {
-            return true; // drop events for halted/unknown actors
+        if self.halted.get(slot).copied().unwrap_or(true) {
+            return true; // drop events for halted/unregistered actors
         }
+        let actor = &mut self.actors[slot];
+        let target = actor.id();
         let mut ctx = Context::new(self.now, target);
-        {
-            let actor = self
-                .actors
-                .get_mut(&target)
-                .expect("event target registered");
-            match kind {
-                EventKind::Start => actor.on_start(&mut ctx),
-                EventKind::Deliver { from, msg } => {
-                    self.stats.record_delivery(msg.payload_units());
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEntry {
-                            time: self.now,
-                            from,
-                            to: target,
-                            label: msg.label(),
-                        });
-                    }
-                    actor.on_message(from, msg, &mut ctx);
+        match kind {
+            EventKind::Start => actor.on_start(&mut ctx),
+            EventKind::Deliver { from, msg } => {
+                self.stats.record_delivery(msg.payload_units());
+                if let Some(trace) = &mut self.trace {
+                    trace.push(TraceEntry {
+                        time: self.now,
+                        from,
+                        to: target,
+                        label: msg.label(),
+                    });
                 }
-                EventKind::Timer { kind } => {
-                    self.stats.timers_fired += 1;
-                    actor.on_timer(kind, &mut ctx);
-                }
+                actor.on_message(from, msg, &mut ctx);
+            }
+            EventKind::Timer { kind } => {
+                self.stats.timers_fired += 1;
+                actor.on_timer(kind, &mut ctx);
             }
         }
-        self.apply_effects(target, ctx);
+        self.apply_effects(slot, target, ctx);
         true
     }
 
-    fn apply_effects(&mut self, source: ProcessId, ctx: Context<M>) {
+    fn apply_effects(&mut self, slot: usize, source: ProcessId, ctx: Context<M>) {
         let (sends, timers, halted) = ctx.into_effects();
         for (to, msg) in sends {
             // The policy delay is drawn before the gate is consulted, also
@@ -301,15 +307,17 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
             ) else {
                 continue;
             };
+            let target = self.slot_of.get(&to).copied().unwrap_or(usize::MAX);
             let event = EventKind::Deliver { from: source, msg };
-            self.queue.push(self.now + delay + extra, (to, event));
+            self.queue.push(self.now + delay + extra, (target, event));
         }
         for (kind, delay) in timers {
             self.queue
-                .push(self.now + delay, (source, EventKind::Timer { kind }));
+                .push(self.now + delay, (slot, EventKind::Timer { kind }));
         }
-        if halted {
-            self.halted.insert(source, true);
+        if halted && !self.halted[slot] {
+            self.halted[slot] = true;
+            self.live -= 1;
         }
     }
 
@@ -336,7 +344,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
         let obs = self.obs_snapshot();
         RunReport {
             end_time: self.now,
-            all_halted: self.halted.values().all(|&h| h),
+            all_halted: self.live == 0,
             events: self.events_processed,
             stats: self.stats.clone(),
             obs,
@@ -361,7 +369,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
 
     /// Consumes the simulation, returning the actors for inspection.
     pub fn into_actors(self) -> BTreeMap<ProcessId, Box<dyn Actor<M>>> {
-        self.actors
+        BTreeMap::from_iter(self.actors.into_iter().map(|a| (a.id(), a)))
     }
 }
 
@@ -386,7 +394,7 @@ impl<M: Clone + Labeled + 'static> Runtime<M> for Simulation<M> {
         let stopped = self.run_until(|_| stop());
         let obs = self.obs_snapshot();
         RuntimeReport {
-            all_halted: self.halted.values().all(|&h| h),
+            all_halted: self.live == 0,
             stopped,
             end_time: self.now,
             events: self.events_processed,
@@ -400,11 +408,11 @@ impl<M: Clone + Labeled + 'static> Runtime<M> for Simulation<M> {
     }
 
     fn actor_ids(&self) -> Vec<ProcessId> {
-        self.actors.keys().copied().collect()
+        self.slot_of.keys().copied().collect()
     }
 
     fn actor_dyn(&self, id: ProcessId) -> Option<&dyn Actor<M>> {
-        self.actors.get(&id).map(|b| b.as_ref())
+        self.actor(id)
     }
 }
 
@@ -702,5 +710,101 @@ mod tests {
         sim.run();
         assert!(sim.trace().is_empty());
         assert_eq!(sim.trace_fingerprint(), 0xcbf29ce484222325);
+    }
+
+    /// Halts on a timer `halt_after` ticks in, and keeps a later timer
+    /// pending so the queue is never empty when it halts. On start it
+    /// sends one `Ping` to each of `targets`.
+    struct Sleeper {
+        id: ProcessId,
+        halt_after: Time,
+        targets: Vec<ProcessId>,
+    }
+    impl Actor<Msg> for Sleeper {
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            for &to in &self.targets {
+                ctx.send(to, Msg::Ping(0));
+            }
+            ctx.set_timer(0, self.halt_after);
+            ctx.set_timer(1, 1_000_000);
+        }
+        fn on_message(&mut self, _: ProcessId, _: Msg, _: &mut Context<Msg>) {}
+        fn on_timer(&mut self, kind: TimerKind, ctx: &mut Context<Msg>) {
+            if kind == 0 {
+                ctx.halt();
+            }
+        }
+    }
+
+    fn sleepers(specs: &[(u64, Time)]) -> Simulation<Msg> {
+        let mut sim = Simulation::new(SimConfig::default());
+        for &(id, halt_after) in specs {
+            sim.add_actor(Box::new(Sleeper {
+                id: ProcessId::new(id),
+                halt_after,
+                targets: vec![],
+            }));
+        }
+        sim
+    }
+
+    #[test]
+    fn actors_registered_out_of_id_order_come_back_in_id_order() {
+        let mut sim = sleepers(&[(7, 30), (2, 10), (5, 20)]);
+        let ids: Vec<_> = [2, 5, 7].map(ProcessId::new).into();
+        assert_eq!(Runtime::actor_ids(&sim), ids);
+        for &id in &ids {
+            assert_eq!(sim.actor_as::<Sleeper>(id).map(|s| s.id), Some(id));
+            assert_eq!(sim.actor(id).map(|a| a.id()), Some(id));
+        }
+        assert!(sim.actor(ProcessId::new(3)).is_none());
+        assert!(sim.run().all_halted);
+        let actors = sim.into_actors();
+        assert_eq!(actors.keys().copied().collect::<Vec<_>>(), ids);
+        assert!(actors.iter().all(|(&id, actor)| actor.id() == id));
+    }
+
+    #[test]
+    fn send_to_unregistered_id_is_counted_never_delivered() {
+        let mut sim = Simulation::new(SimConfig::default());
+        sim.add_actor(Box::new(Sleeper {
+            id: ProcessId::new(1),
+            halt_after: 500,
+            targets: vec![ProcessId::new(99), ProcessId::new(1)],
+        }));
+        let report = sim.run();
+        assert!(report.all_halted);
+        assert_eq!(report.stats.messages_sent, 2);
+        assert_eq!(report.stats.messages_delivered, 1, "only the self-send");
+        // start, the two deliveries (one dropped when popped), the halt timer
+        assert_eq!(report.events, 4);
+        assert!(!sim.is_halted(ProcessId::new(99)));
+    }
+
+    #[test]
+    fn all_halted_flips_exactly_when_the_last_actor_halts() {
+        let mut sim = sleepers(&[(3, 30), (1, 10), (2, 20)]);
+        let order = [1, 2, 3].map(ProcessId::new);
+        for (i, &id) in order.iter().enumerate() {
+            assert!(!sim.is_halted(id));
+            assert!(sim.run_until(|s| s.is_halted(id)));
+            let report = Runtime::run_until_stopped(&mut sim, &mut || true);
+            assert_eq!(report.all_halted, i == order.len() - 1, "after {id}");
+        }
+        // Every actor still has a timer queued, yet nothing more runs.
+        assert!(!sim.step());
+    }
+
+    #[test]
+    fn empty_simulation_returns_at_once_all_halted() {
+        let report = Simulation::<Msg>::new(SimConfig::default()).run();
+        assert!(report.all_halted);
+        assert_eq!((report.events, report.end_time), (0, 0));
     }
 }

@@ -182,7 +182,7 @@ fn arb_committee() -> BoxedStrategy<CommitteeMsg> {
 fn arb_node_msg() -> BoxedStrategy<NodeMsg> {
     prop_oneof![
         arb_discovery().prop_map(NodeMsg::Discovery),
-        arb_committee().prop_map(NodeMsg::Committee),
+        arb_committee().prop_map(NodeMsg::from),
         Just(NodeMsg::GetDecidedVal),
         arb_value().prop_map(NodeMsg::DecidedVal),
     ]
@@ -395,7 +395,7 @@ proptest! {
 fn sample_msg() -> NodeMsg {
     let mut registry = KeyRegistry::new();
     let key = registry.register(3);
-    NodeMsg::Committee(CommitteeMsg::prepare(&key, 2, digest(b"proposal")))
+    NodeMsg::from(CommitteeMsg::prepare(&key, 2, digest(b"proposal")))
 }
 
 #[test]
