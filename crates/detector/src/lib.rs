@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use cupft_crypto::{KeyRegistry, SignedPd, SigningKey};
 use cupft_graph::{DiGraph, ProcessId, ProcessSet};
@@ -72,17 +72,19 @@ impl PdOracle {
 /// *their own* ID with arbitrary contents, but records fabricated for
 /// other IDs fail verification.
 ///
-/// Every certificate carries a precomputed 128-bit [fingerprint] of its
-/// exact contents (author, PD, signature bytes), so equality has a
-/// constant-time fast path, `Hash` is O(1), and the discovery layer can
-/// dedup/memoize by fingerprint instead of re-hashing or re-verifying
-/// whole records.
+/// Every certificate caches a 128-bit [fingerprint] of its exact contents
+/// (author, PD, signature bytes), computed on first use, so `Hash` is
+/// O(1) after the first call, equality fast-rejects once both sides are
+/// hashed, and the discovery layer can dedup/memoize by fingerprint
+/// instead of re-hashing or re-verifying whole records.
 ///
 /// [fingerprint]: Self::fingerprint
 #[derive(Debug, Clone)]
 pub struct PdCertificate {
     inner: SignedPd,
-    fp: u128,
+    /// Filled by [`Self::fingerprint`] on first call; every constructor
+    /// leaves it empty.
+    fp: OnceLock<u128>,
 }
 
 /// SHA-256 over the canonical record bytes, truncated to 128 bits.
@@ -93,8 +95,10 @@ pub struct PdCertificate {
 /// forged record colliding with an already-verified one would smuggle an
 /// unverified certificate past the HMAC check (and a collision with a
 /// rejected one would censor a valid record). A domain-separated SHA-256
-/// closes that door; the cost is paid once per certificate construction,
-/// never on the absorb hot path.
+/// closes that door. The cost is paid on first use, at most once per
+/// certificate allocation, and never taken from a peer; the discovery
+/// layer drops duplicates by exact record equality first, so a decoded
+/// copy of a record its receiver already holds is never hashed.
 fn cert_fingerprint(inner: &SignedPd) -> u128 {
     let mut bytes = Vec::with_capacity(44 + inner.pd().len() * 8);
     bytes.extend_from_slice(b"cupft-cert-fp-v1");
@@ -110,19 +114,18 @@ fn cert_fingerprint(inner: &SignedPd) -> u128 {
 }
 
 impl PdCertificate {
-    fn from_inner(inner: SignedPd) -> Self {
-        let fp = cert_fingerprint(&inner);
-        PdCertificate { inner, fp }
-    }
-
     /// Rebuilds a certificate from a deserialized [`SignedPd`] record.
     ///
-    /// The fingerprint is recomputed from the record bytes, so a codec
-    /// round-trip (serialize → [`Self::from_signed`]) reproduces the
-    /// identical fingerprint — and the rebuilt certificate verifies iff
-    /// the serialized one did (the signature travels verbatim).
+    /// No hashing happens here: the fingerprint is computed from the
+    /// record bytes on first use, so a codec round-trip (serialize →
+    /// [`Self::from_signed`]) yields the identical fingerprint when asked
+    /// for — and the rebuilt certificate verifies iff the serialized one
+    /// did (the signature travels verbatim).
     pub fn from_signed(inner: SignedPd) -> Self {
-        PdCertificate::from_inner(inner)
+        PdCertificate {
+            inner,
+            fp: OnceLock::new(),
+        }
     }
 
     /// The record in wire-typed form (author, raw PD, signature) — the
@@ -134,14 +137,14 @@ impl PdCertificate {
     /// Signs `pd` as `key`'s participant detector output.
     pub fn sign(key: &SigningKey, pd: &ProcessSet) -> Self {
         let raw: Vec<u64> = pd.iter().map(|p| p.raw()).collect();
-        PdCertificate::from_inner(SignedPd::sign(key, raw))
+        PdCertificate::from_signed(SignedPd::sign(key, raw))
     }
 
     /// Fabricates an unverifiable record claiming to be `author`'s PD —
     /// the attack Algorithm 1's signatures exist to prevent.
     pub fn forge(author: ProcessId, pd: &ProcessSet) -> Self {
         let raw: Vec<u64> = pd.iter().map(|p| p.raw()).collect();
-        PdCertificate::from_inner(SignedPd::forge(author.raw(), raw))
+        PdCertificate::from_signed(SignedPd::forge(author.raw(), raw))
     }
 
     /// The claimed author.
@@ -154,13 +157,14 @@ impl PdCertificate {
         self.inner.pd().iter().map(|&r| ProcessId::new(r)).collect()
     }
 
-    /// The precomputed content fingerprint: a pure function of author, PD,
-    /// and signature bytes (truncated domain-separated SHA-256, so
-    /// collisions are infeasible even for adversarially crafted records —
-    /// the property the discovery layer's verification memoization relies
-    /// on). Equality remains exact — the fingerprint only *fast-rejects*.
+    /// The content fingerprint: a pure function of author, PD, and
+    /// signature bytes (truncated domain-separated SHA-256, so collisions
+    /// are infeasible even for adversarially crafted records — the
+    /// property the discovery layer's verification memoization relies
+    /// on). Computed on first call and cached; never taken from a peer.
+    /// Equality remains exact — the fingerprint only *fast-rejects*.
     pub fn fingerprint(&self) -> u128 {
-        self.fp
+        *self.fp.get_or_init(|| cert_fingerprint(&self.inner))
     }
 
     /// Verifies the signature against the registry.
@@ -178,7 +182,14 @@ impl PdCertificate {
 impl PartialEq for PdCertificate {
     fn eq(&self, other: &Self) -> bool {
         // fp is a pure function of inner: unequal fps ⇒ unequal records.
-        self.fp == other.fp && self.inner == other.inner
+        // Only fingerprints already computed are compared; equality never
+        // hashes.
+        if let (Some(a), Some(b)) = (self.fp.get(), other.fp.get()) {
+            if a != b {
+                return false;
+            }
+        }
+        self.inner == other.inner
     }
 }
 impl Eq for PdCertificate {}
@@ -194,17 +205,18 @@ impl Ord for PdCertificate {
     }
 }
 
-/// O(1): hashes the cached fingerprint only.
+/// Hashes the fingerprint only (computing it on first use), so `Hash`
+/// agrees with `Eq`.
 impl Hash for PdCertificate {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u128(self.fp);
+        state.write_u128(self.fingerprint());
     }
 }
 
 /// Wire form: exactly the inner [`SignedPd`] record — the fingerprint is
 /// derived state and never travels (a peer-supplied fingerprint would be
-/// an unverified claim; recomputing it on decode keeps the memoization
-/// sound).
+/// an unverified claim). A decoded certificate computes its own on first
+/// use, which keeps the memoization sound.
 impl cupft_wire::Encode for PdCertificate {
     fn encode(&self, out: &mut Vec<u8>) {
         cupft_wire::Encode::encode(&self.inner, out);
@@ -477,6 +489,7 @@ impl SystemSetup {
 mod tests {
     use super::*;
     use cupft_graph::process_set;
+    use std::collections::HashSet;
 
     fn p(n: u64) -> ProcessId {
         ProcessId::new(n)
@@ -574,6 +587,63 @@ mod tests {
         let forged2 = PdCertificate::from_signed(forged.as_signed().clone());
         assert_eq!(forged2.fingerprint(), forged.fingerprint());
         assert!(!forged2.verify(setup.registry()));
+    }
+
+    fn wire_copy(cert: &PdCertificate) -> PdCertificate {
+        cupft_wire::decode_from_slice(&cupft_wire::encode_to_vec(cert)).expect("decodes")
+    }
+
+    #[test]
+    // The `OnceLock` only ever caches a pure function of the record, so
+    // the key's hash cannot change while it sits in the set.
+    #[allow(clippy::mutable_key_type)]
+    fn decoded_copies_equal_hash_and_verify_like_their_originals() {
+        let g = DiGraph::from_edges([(1, 2), (2, 1)]);
+        let setup = SystemSetup::new(&g);
+        let signed = setup.certificate_for(p(1)).unwrap();
+        let forged = PdCertificate::forge(p(2), &process_set([9]));
+        for original in [&signed, &forged] {
+            assert!(original.fp.get().is_none(), "constructors do not hash");
+            let copy = wire_copy(original);
+            assert!(copy.fp.get().is_none(), "decode does not hash");
+            assert_eq!(&copy, original);
+            assert_eq!(copy.fingerprint(), original.fingerprint());
+            let mut set = HashSet::new();
+            assert!(set.insert(original.clone()));
+            assert!(
+                !set.insert(copy),
+                "a decoded copy lands in its original's slot"
+            );
+        }
+        assert!(wire_copy(&signed).verify(setup.registry()));
+        assert!(!wire_copy(&forged).verify(setup.registry()));
+    }
+
+    #[test]
+    fn equality_is_exact_whether_or_not_either_side_is_hashed() {
+        let g = DiGraph::from_edges([(1, 2), (2, 1)]);
+        let setup = SystemSetup::new(&g);
+        let key = setup.key_of(p(1)).unwrap();
+        let cert = PdCertificate::sign(key, &process_set([2]));
+        // Same author, unequal records: a different PD, and the same PD
+        // under a different signature.
+        let other_pd = PdCertificate::sign(key, &process_set([2, 3]));
+        let other_sig = PdCertificate::forge(p(1), &process_set([2]));
+        let copy = |c: &PdCertificate, hashed: bool| {
+            let c = wire_copy(c);
+            if hashed {
+                c.fingerprint();
+            }
+            assert_eq!(c.fp.get().is_some(), hashed);
+            c
+        };
+        for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
+            assert_eq!(copy(&cert, x), copy(&cert, y));
+            for other in [&other_pd, &other_sig] {
+                assert_ne!(copy(&cert, x), copy(other, y));
+                assert_ne!(copy(other, x), copy(&cert, y));
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!    learns anything, its state changes, the equality breaks on the next
 //!    exchanged message, and polling resumes.
 //! 3. **Memoized verification.** [`DiscoveryState::absorb`] discards exact
-//!    duplicates *before* signature verification and caches the
+//!    duplicates *before* hashing or signature verification and caches the
 //!    fingerprints of both verified and rejected records, so each
 //!    distinct certificate pays for at most one HMAC check per process
 //!    and replayed forgeries are counted once.

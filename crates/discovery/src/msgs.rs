@@ -116,7 +116,11 @@ impl Decode for SyncState {
 /// Wire form: `tag:u8` (0 = `GETPDS`, 1 = `SETPDS`) followed by the
 /// variant fields. The `Arc` sharing wrappers are a process-local
 /// optimization and do not travel: decode rebuilds fresh bundles, and
-/// every certificate's fingerprint is recomputed from its record bytes.
+/// every certificate's fingerprint is computed on first use from its
+/// record bytes, never taken from the peer. Decoding hashes nothing:
+/// [`crate::DiscoveryState::absorb`] drops a copy of a record its
+/// receiver already holds by exact equality before any fingerprint is
+/// read.
 impl Encode for DiscoveryMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {

@@ -278,19 +278,18 @@ impl DiscoveryState {
     }
 
     /// Absorbs one signed PD record (Algorithm 1 lines 4–6): discard
-    /// duplicates by equality (fingerprint fast path) **before** paying
-    /// for signature verification, verify at most once per distinct
-    /// record — with a *single* memo probe per unique fingerprint (local
-    /// verdict map first, then the shared pool, then the HMAC itself) —
-    /// reject conflicts, update the view.
+    /// duplicates of the held record by exact equality **before** reading
+    /// the fingerprint or paying for signature verification, so a decoded
+    /// copy of a record already held is never hashed; hash and verify at
+    /// most once per distinct record — with a *single* memo probe per
+    /// unique fingerprint (local verdict map first, then the shared pool,
+    /// then the HMAC itself) — reject conflicts, update the view.
     pub fn absorb(&mut self, record: Arc<PdCertificate>) {
+        if self.holds(&record) {
+            return; // exact duplicate: no hashing, no verification, no counters
+        }
         let fp = record.fingerprint();
         let author = record.author();
-        if let Some(existing) = self.certs.get(&author) {
-            if **existing == *record {
-                return; // exact duplicate: no verification, no counters
-            }
-        }
         if !self.settle_verdict(fp, &record) {
             return; // forgery (fresh or replayed): counted at most once
         }
@@ -316,14 +315,17 @@ impl DiscoveryState {
     /// [`CertPool::verify_batch`] call first — one memo lock acquisition
     /// and one registry batch session for the whole bundle instead of per
     /// record — then each record runs the ordinary stateful absorb
-    /// against the now-warm local memo. Verdicts, counters, and view
-    /// updates are byte-identical to absorbing the records one by one.
+    /// against the now-warm local memo. Held records are skipped before
+    /// the memo probe (their fingerprints are always in the local memo
+    /// already), so the miss set is unchanged and they are never hashed.
+    /// Verdicts, counters, and view updates are byte-identical to
+    /// absorbing the records one by one.
     pub fn absorb_batch(&mut self, certs: &[Arc<PdCertificate>]) {
         if certs.len() > 1 {
             if let Some(pool) = self.shared.clone() {
                 let misses: Vec<Arc<PdCertificate>> = certs
                     .iter()
-                    .filter(|c| !self.verdicts.contains_key(&c.fingerprint()))
+                    .filter(|c| !self.holds(c) && !self.verdicts.contains_key(&c.fingerprint()))
                     .cloned()
                     .collect();
                 if !misses.is_empty() {
@@ -337,6 +339,16 @@ impl DiscoveryState {
         for record in certs {
             self.absorb(record.clone());
         }
+    }
+
+    /// Whether `record` is exactly the certificate held for its author:
+    /// the same allocation, or an equal record (e.g. a decoded copy).
+    /// Equality compares the record bytes and never computes a
+    /// fingerprint.
+    fn holds(&self, record: &Arc<PdCertificate>) -> bool {
+        self.certs
+            .get(&record.author())
+            .is_some_and(|held| Arc::ptr_eq(held, record) || **held == **record)
     }
 
     /// Settles the verification verdict for `fp` with exactly one local
