@@ -55,16 +55,9 @@ pub struct SinkDetector {
 impl SinkDetector {
     /// Creates a detector for the given system fault threshold.
     pub fn new(fault_threshold: usize) -> Self {
-        SinkDetector::with_search(fault_threshold, CandidateSearch::default())
-    }
-
-    /// Creates a detector with explicit search knobs — e.g. a raised
-    /// [`CandidateSearch::cut_split_cutoff`] for graphs whose qualified
-    /// core hides inside an SCC larger than the default cutoff.
-    pub fn with_search(fault_threshold: usize, search: CandidateSearch) -> Self {
         SinkDetector {
             fault_threshold,
-            search,
+            search: CandidateSearch::default(),
         }
     }
 
@@ -104,12 +97,6 @@ pub struct CoreDetector {
 }
 
 impl CoreDetector {
-    /// Creates a detector with explicit search knobs (see
-    /// [`SinkDetector::with_search`]).
-    pub fn with_search(search: CandidateSearch) -> Self {
-        CoreDetector { search }
-    }
-
     /// One evaluation of the `wait until` condition (Algorithm 4 line 2),
     /// with the *unexplained-remainder guard*.
     ///

@@ -18,7 +18,7 @@
 //! assignment + delay policy) through either runtime behind the
 //! `cupft_net::Runtime` trait and checks the four consensus properties;
 //! the [`suite`] module fans whole scenario families across worker
-//! threads. Together they power every experiment binary and most
+//! threads. Together they power the paper-artifact tests and most other
 //! integration tests.
 
 #![forbid(unsafe_code)]
@@ -40,8 +40,8 @@ pub use node::{
     CHURN_RECOVER_TICK,
 };
 pub use scenario::{
-    run_scenario, run_scenario_on, run_scenario_recorded, run_scenario_traced, ConsensusCheck,
-    NodeStatus, RuntimeKind, Scenario, ScenarioOutcome,
+    run_scenario, run_scenario_on, run_scenario_recorded, ConsensusCheck, NodeStatus, RuntimeKind,
+    Scenario, ScenarioOutcome,
 };
 pub use suite::{
     ChurnCase, FaultCase, GraphCase, PolicyCase, ScenarioGrid, ScenarioSuite, StrategyCase,

@@ -8,7 +8,7 @@ use cupft_committee::{view_of_timer, Committee, CommitteeMsg, Replica, ReplicaCo
 use cupft_crypto::{KeyRegistry, SigningKey};
 use cupft_detector::SystemSetup;
 use cupft_discovery::{DiscoveryState, GossipMode, DISCOVERY_TICK};
-use cupft_graph::{CandidateSearch, ProcessId, ProcessSet};
+use cupft_graph::{ProcessId, ProcessSet};
 use cupft_net::threaded::Board;
 use cupft_net::{Actor, Context, Time};
 use cupft_obs::{PhaseMark, Recorder};
@@ -65,12 +65,6 @@ pub struct NodeConfig {
     /// default delta gossip — the baseline the equivalence sweep and the
     /// payload benches compare against.
     pub full_gossip: bool,
-    /// Candidate-search knobs for sink/core identification. The default
-    /// skips min-cut splitting on SCCs above
-    /// [`CandidateSearch::cut_split_cutoff`] (64) — raise it here for
-    /// topologies whose qualified core is embedded in a larger strongly
-    /// connected component.
-    pub search: CandidateSearch,
     /// Observability recorder (see [`cupft_obs`]): when set, the node
     /// stamps its [`PhaseMark`] timeline (first gossip → `S_PD` fixpoint →
     /// sink identified → view installed → decided) and records discovery /
@@ -110,7 +104,6 @@ impl Default for NodeConfig {
             replica: ReplicaConfig::default(),
             crash_at: None,
             full_gossip: false,
-            search: CandidateSearch::default(),
             recorder: None,
             join_at: None,
             seed_peers: ProcessSet::new(),
@@ -469,12 +462,8 @@ impl Node {
         }
         let view = self.discovery.view();
         let found = match self.config.mode {
-            ProtocolMode::KnownThreshold(f) => {
-                SinkDetector::with_search(f, self.config.search).check(view)
-            }
-            ProtocolMode::UnknownThreshold => {
-                CoreDetector::with_search(self.config.search).check(view)
-            }
+            ProtocolMode::KnownThreshold(f) => SinkDetector::new(f).check(view),
+            ProtocolMode::UnknownThreshold => CoreDetector::default().check(view),
             ProtocolMode::NaiveGuess { settle_ticks } => {
                 let best = NaiveSinkGuesser::default().check(view);
                 let Some(best) = best else {

@@ -1,9 +1,9 @@
 //! Whole-system scenario runner: graph + fault assignment + delay policy
 //! in, consensus-property verdicts out.
 //!
-//! Every experiment binary (Table I, Figures 1–4) and most integration
-//! tests are expressed as [`Scenario`]s run through the deterministic
-//! simulator.
+//! The paper-artifact tests (Table I, Figures 1–4) and most other
+//! integration tests are expressed as [`Scenario`]s run through the
+//! deterministic simulator.
 //!
 //! Every correct node of a run verifies certificates through the run's
 //! one shared [`cupft_detector::CertPool`] (built by [`SystemSetup`]), so
@@ -560,7 +560,6 @@ fn populate<R: Runtime<NodeMsg>>(
                 leave_at: churn.and_then(|c| c.leave_of(v)),
                 crash_recover: churn.and_then(|c| c.crash_recover_of(v)),
                 broken_recovery: scenario.broken_recovery,
-                ..NodeConfig::default()
             };
             let mut node = Node::from_setup(setup, v, scenario.value_of(v), config)
                 .expect("vertex registered");
@@ -679,18 +678,6 @@ pub fn run_scenario_on<R: Runtime<NodeMsg>>(
 /// on the deterministic simulator.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     scenario.run_on(RuntimeKind::Sim)
-}
-
-/// Like [`run_scenario`], additionally returning the full delivery trace —
-/// used by the indistinguishability tests that compare whole executions
-/// event-for-event (Theorem 7). Simulator-only: tracing is a determinism
-/// feature.
-pub fn run_scenario_traced(scenario: &Scenario) -> (ScenarioOutcome, Vec<cupft_net::TraceEntry>) {
-    let mut sim: Simulation<NodeMsg> = Simulation::new(scenario.sim.clone());
-    sim.enable_trace();
-    let outcome = run_scenario_on(scenario, &mut sim);
-    let trace = sim.trace().to_vec();
-    (outcome, trace)
 }
 
 /// Runs a scenario on the deterministic simulator with full execution

@@ -9,8 +9,8 @@
 //! and — on the deterministic simulator — every verdict is identical to a
 //! sequential run.
 //!
-//! [`ScenarioGrid`] builds the standard cross product the experiment
-//! binaries sweep: graph family × fault assignment × Byzantine strategy ×
+//! [`ScenarioGrid`] builds the standard cross product the sweep tests
+//! run: graph family × fault assignment × Byzantine strategy ×
 //! delay policy × seed (the strategy axis — [`StrategyCase`] — carries
 //! [`ByzantineStrategy`] spec trees from the fault-injection engine and is
 //! skipped in labels when unset). The graph axis accepts hand-picked
@@ -254,7 +254,7 @@ impl SuiteReport {
             .sum()
     }
 
-    /// One-line summary for experiment binaries.
+    /// One-line summary of the run.
     pub fn summary(&self) -> String {
         format!(
             "{}/{} solved on {} ({} workers, {} msgs, {:.2?} wall)",
@@ -396,7 +396,7 @@ pub struct PolicyCase {
     pub horizon: Time,
 }
 
-/// The cross product the experiment binaries sweep: graph family × fault
+/// The cross product the sweep tests run: graph family × fault
 /// assignment × delay policy × seed, expanded into a [`ScenarioSuite`].
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioGrid {

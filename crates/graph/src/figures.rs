@@ -5,7 +5,7 @@
 //! an edge list *consistent with every property the text asserts* about the
 //! figure (captions, worked examples, and the predicate evaluations quoted
 //! in Sections III–V). The properties themselves are re-verified by this
-//! module's tests and by the `fig*` experiment binaries, so any divergence
+//! module's tests and by the figure tests in `tests/`, so any divergence
 //! from the original drawings is behavior-preserving by construction.
 //!
 //! Known constraints encoded here:

@@ -23,8 +23,8 @@
 //!   [`scale_osr_check`]).
 //!
 //! `docs/PAPER_MAP.md` at the repository root maps every definition,
-//! theorem, figure, and table of the paper to the modules, tests, and
-//! experiment binaries that reproduce it.
+//! theorem, figure, and table of the paper to the modules and tests that
+//! reproduce it.
 //!
 //! # Example
 //!

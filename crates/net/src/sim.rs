@@ -165,26 +165,6 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
         self.trace.as_deref().unwrap_or(&[])
     }
 
-    /// A stable fingerprint of the trace (FNV-1a over entries), for
-    /// determinism assertions: identical seeds must produce identical
-    /// fingerprints.
-    pub fn trace_fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf29ce484222325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x100000001b3);
-            }
-        };
-        for e in self.trace() {
-            mix(&e.time.to_be_bytes());
-            mix(&e.from.raw().to_be_bytes());
-            mix(&e.to.raw().to_be_bytes());
-            mix(e.label.as_bytes());
-        }
-        hash
-    }
-
     /// Registers an actor and schedules its `on_start` at time 0.
     ///
     /// # Panics
@@ -690,26 +670,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_fingerprint_deterministic() {
-        let mut a = pingpong_sim(21);
-        a.enable_trace();
-        a.run();
-        let mut b = pingpong_sim(21);
-        b.enable_trace();
-        b.run();
-        assert_eq!(a.trace_fingerprint(), b.trace_fingerprint());
-        let mut c = pingpong_sim(22);
-        c.enable_trace();
-        c.run();
-        assert_ne!(a.trace_fingerprint(), c.trace_fingerprint());
-    }
-
-    #[test]
     fn trace_disabled_by_default() {
         let mut sim = pingpong_sim(4);
         sim.run();
         assert!(sim.trace().is_empty());
-        assert_eq!(sim.trace_fingerprint(), 0xcbf29ce484222325);
     }
 
     /// Halts on a timer `halt_after` ticks in, and keeps a later timer

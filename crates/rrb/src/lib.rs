@@ -20,8 +20,9 @@
 //! Full fidelity to the 120-line protocol suite of \[10\] is out of scope
 //! (the paper's point is precisely that signatures make it unnecessary);
 //! delivery is validated empirically on the `G_di` graph families in the
-//! tests, and the `auth_vs_rrb` bench compares message complexity against
-//! the signed Discovery protocol.
+//! tests, and `section3_signatures_outscale_reliable_broadcast` in
+//! `tests/theorems.rs` compares its message cost against the signed
+//! Discovery protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -197,7 +198,8 @@ impl RrbState {
 
 /// A standalone actor flooding one payload (its own PD) and collecting
 /// deliveries — the unauthenticated counterpart of
-/// `cupft_discovery::DiscoveryActor` used in the ablation bench.
+/// `cupft_discovery::DiscoveryActor`, which the Section III test in
+/// `tests/theorems.rs` measures it against.
 #[derive(Debug)]
 pub struct RrbActor {
     state: RrbState,

@@ -6,6 +6,9 @@
 #                              # package's build and tests
 #   scripts/verify.sh --quick  # skip the release build (fast local loop,
 #                              # and the CI `quick` job); fronts the
+#                              # paper claims (table1_matrix,
+#                              # impossibility, theorems: Table I,
+#                              # Figs. 1-4, §III), the
 #                              # trajectory_pins exact constants (sweep
 #                              # payload + virtual-time phase marks), the
 #                              # proptest_graph kernel-vs-oracle
@@ -74,6 +77,8 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
 else
+    echo "==> cargo test -q --test table1_matrix --test impossibility --test theorems (paper claims)"
+    cargo test -q --test table1_matrix --test impossibility --test theorems
     echo "==> cargo test -q --test trajectory_pins (quick gate)"
     cargo test -q --test trajectory_pins
     echo "==> cargo test -q --test proptest_graph (quick gate)"

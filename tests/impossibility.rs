@@ -1,8 +1,11 @@
 //! Cross-crate integration: the paper's impossibility results, reproduced
 //! as concrete failing executions.
 
-use bft_cupft::core::{run_scenario, ByzantineStrategy, ProtocolMode, Scenario};
-use bft_cupft::graph::{fig1a, fig2a, fig2b, fig2c, fig3a, process_set};
+use bft_cupft::adversary::{ExecutionTrace, TraceEventKind};
+use bft_cupft::core::{
+    run_scenario, run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario,
+};
+use bft_cupft::graph::{fig1a, fig2a, fig2b, fig2c, fig3a, fig3b, process_set};
 use bft_cupft::net::DelayPolicy;
 
 const NAIVE: ProtocolMode = ProtocolMode::NaiveGuess { settle_ticks: 3 };
@@ -98,6 +101,24 @@ fn fig3a_false_sink_splits_decision() {
     assert!(!check.agreement, "{check:?}");
 }
 
+/// Fig. 3b, the other half of the pair: {2,3,4,6} see the same local
+/// view as on Fig. 3a, but here 5 and 7 really are Byzantine (silent).
+/// The naive guesser behaves exactly as on Fig. 3a, and here that
+/// behaviour solves consensus: no f-unknown protocol can tell the two
+/// graphs apart.
+#[test]
+fn fig3b_same_local_view_solves_consensus() {
+    let mut scenario = Scenario::new(fig3b().graph().clone(), NAIVE)
+        .with_byzantine(5, ByzantineStrategy::Silent)
+        .with_byzantine(7, ByzantineStrategy::Silent);
+    for p in [1u64, 2, 3, 4, 6] {
+        scenario = scenario.with_value(p, b"x");
+    }
+    let outcome = run_scenario(&scenario);
+    let check = outcome.check();
+    assert!(check.consensus_solved(), "{check:?}");
+}
+
 /// Theorem 7 binds EVERY f-unknown protocol — including the Core
 /// algorithm itself. On Fig. 2c (which fails the extended requirements:
 /// two sinks of equal connectivity) the Core algorithm splits exactly like
@@ -136,8 +157,6 @@ fn core_algorithm_also_splits_on_fig2c_as_theorem7_demands() {
 /// merely same-outcome. Uses the crash-fault model of the proof.
 #[test]
 fn theorem7_traces_are_event_identical() {
-    use bft_cupft::core::run_scenario_traced;
-
     let inner = process_set([1, 2, 3]);
     // System A: 4 crashes at time 0 (the proof's weaker fault model).
     // The delay schedule must match AB's within {1,2,3}: use the same
@@ -154,7 +173,7 @@ fn theorem7_traces_are_event_identical() {
     for p in 1..=3u64 {
         a = a.with_value(p, b"v");
     }
-    let (oa, trace_a) = run_scenario_traced(&a);
+    let (oa, trace_a) = run_scenario_recorded(&a);
     assert!(oa.check().consensus_solved(), "{:?}", oa.check());
     let decision_a = oa.last_decision_time().unwrap();
 
@@ -174,18 +193,25 @@ fn theorem7_traces_are_event_identical() {
     for p in 5..=8u64 {
         ab = ab.with_value(p, b"u");
     }
-    let (oab, trace_ab) = run_scenario_traced(&ab);
+    let (oab, trace_ab) = run_scenario_recorded(&ab);
     // Agreement is violated in AB…
     assert!(!oab.check().agreement, "{:?}", oab.check());
 
     // …and the executions of {1,2,3} are event-identical up to A's
     // decision time: same deliveries, same senders, same times, same
     // message kinds.
-    let filter = |trace: &[bft_cupft::net::TraceEntry]| -> Vec<(u64, u64, u64, &'static str)> {
+    let filter = |trace: &ExecutionTrace| -> Vec<(u64, u64, u64, &'static str)> {
         trace
+            .events
             .iter()
-            .filter(|e| e.time <= decision_a && inner.contains(&e.to))
-            .map(|e| (e.time, e.from.raw(), e.to.raw(), e.label))
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Delivered { from, to, label }
+                    if e.time <= decision_a && inner.contains(&to) =>
+                {
+                    Some((e.time, from.raw(), to.raw(), label))
+                }
+                _ => None,
+            })
             .collect()
     };
     let a_events = filter(&trace_a);
