@@ -49,16 +49,12 @@ impl Detection {
 #[derive(Debug, Clone, Default)]
 pub struct SinkDetector {
     fault_threshold: usize,
-    search: CandidateSearch,
 }
 
 impl SinkDetector {
     /// Creates a detector for the given system fault threshold.
     pub fn new(fault_threshold: usize) -> Self {
-        SinkDetector {
-            fault_threshold,
-            search: CandidateSearch::default(),
-        }
+        SinkDetector { fault_threshold }
     }
 
     /// The fault threshold this detector was given.
@@ -68,7 +64,7 @@ impl SinkDetector {
 
     /// One evaluation of the `wait until` condition (Algorithm 2 line 3).
     pub fn check(&self, view: &KnowledgeView) -> Option<Detection> {
-        self.search
+        CandidateSearch
             .sink_with_threshold(view, self.fault_threshold)
             .map(Detection::from_candidate)
     }
@@ -87,14 +83,12 @@ impl SinkDetector {
 /// use cupft_graph::{fig4b, process_set, KnowledgeView};
 ///
 /// let view = KnowledgeView::omniscient(fig4b().graph());
-/// let detection = CoreDetector::default().check(&view).expect("core identifiable");
+/// let detection = CoreDetector.check(&view).expect("core identifiable");
 /// assert_eq!(detection.members, process_set([5, 6, 7, 8, 9]));
 /// assert_eq!(detection.threshold, 2); // k_Gdi = 3
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct CoreDetector {
-    search: CandidateSearch,
-}
+pub struct CoreDetector;
 
 impl CoreDetector {
     /// One evaluation of the `wait until` condition (Algorithm 4 line 2),
@@ -114,7 +108,7 @@ impl CoreDetector {
     /// still owes more PDs than the candidate tolerates — by which time
     /// the real core is visible and outranks it (property C1).
     pub fn check(&self, view: &KnowledgeView) -> Option<Detection> {
-        let candidate = self.search.best_core(view)?;
+        let candidate = CandidateSearch.best_core(view)?;
         let members = candidate.members();
         let unexplained = view
             .missing_pds()
@@ -133,16 +127,14 @@ impl CoreDetector {
 /// candidate in the current view, with **no** maximality guarantee across
 /// the (undiscoverable) rest of the system.
 #[derive(Debug, Clone, Default)]
-pub struct NaiveSinkGuesser {
-    search: CandidateSearch,
-}
+pub struct NaiveSinkGuesser;
 
 impl NaiveSinkGuesser {
     /// The best candidate visible in the view, if any with threshold ≥ 1
     /// (a threshold-0 "sink" is any singleton and would trivialize the
     /// guess; Observation 1's sets all have `g ≥ 1`).
     pub fn check(&self, view: &KnowledgeView) -> Option<Detection> {
-        self.search
+        CandidateSearch
             .ranked_candidates(view)
             .into_iter()
             .find(|c| c.threshold() >= 1)
@@ -175,7 +167,7 @@ mod tests {
     #[test]
     fn core_detector_on_fig4a() {
         let view = KnowledgeView::omniscient(fig4a().graph());
-        let d = CoreDetector::default().check(&view).unwrap();
+        let d = CoreDetector.check(&view).unwrap();
         assert_eq!(d.members, process_set([1, 2, 3, 4, 5]));
         assert_eq!(d.threshold, 2);
     }
@@ -183,7 +175,7 @@ mod tests {
     #[test]
     fn core_detector_on_fig4b() {
         let view = KnowledgeView::omniscient(fig4b().graph());
-        let d = CoreDetector::default().check(&view).unwrap();
+        let d = CoreDetector.check(&view).unwrap();
         assert_eq!(d.members, process_set([5, 6, 7, 8, 9]));
     }
 
@@ -191,7 +183,7 @@ mod tests {
     fn naive_guesser_adopts_false_sink_on_fig3a() {
         // The Section IV observation: {1,2,3,4,6} (+S2 {5,7}) qualifies.
         let view = KnowledgeView::omniscient(fig3a().graph());
-        let d = NaiveSinkGuesser::default().check(&view).unwrap();
+        let d = NaiveSinkGuesser.check(&view).unwrap();
         // the guesser picks the highest-threshold candidate, which is the
         // false sink (threshold 2 beats the true sink's 1)
         assert_eq!(d.members, process_set([1, 2, 3, 4, 5, 6, 7]));
@@ -205,12 +197,12 @@ mod tests {
         let g = fig2c();
         let sub = g.graph().induced(&process_set([1, 2, 3, 4]));
         let view = KnowledgeView::omniscient(&sub);
-        let d = NaiveSinkGuesser::default().check(&view).unwrap();
+        let d = NaiveSinkGuesser.check(&view).unwrap();
         assert_eq!(d.members, process_set([1, 2, 3, 4]));
         // Process 6's view of the B side:
         let sub = g.graph().induced(&process_set([5, 6, 7, 8]));
         let view = KnowledgeView::omniscient(&sub);
-        let d = NaiveSinkGuesser::default().check(&view).unwrap();
+        let d = NaiveSinkGuesser.check(&view).unwrap();
         assert_eq!(d.members, process_set([5, 6, 7, 8]));
     }
 
@@ -226,8 +218,8 @@ mod tests {
         let g = fig2c();
         let a = KnowledgeView::omniscient(&g.graph().induced(&process_set([1, 2, 3, 4])));
         let b = KnowledgeView::omniscient(&g.graph().induced(&process_set([5, 6, 7, 8])));
-        let da = CoreDetector::default().check(&a).unwrap();
-        let db = CoreDetector::default().check(&b).unwrap();
+        let da = CoreDetector.check(&a).unwrap();
+        let db = CoreDetector.check(&b).unwrap();
         assert_ne!(da.members, db.members);
     }
 
@@ -252,7 +244,7 @@ mod tests {
             params.non_sink_size = 3;
             let sys = Generator::from_seed(seed).generate(&params).unwrap();
             let view = KnowledgeView::omniscient(&sys.graph);
-            let d = CoreDetector::default().check(&view).expect("core found");
+            let d = CoreDetector.check(&view).expect("core found");
             assert_eq!(d.members, sys.sink, "seed {seed}");
         }
     }

@@ -463,9 +463,9 @@ impl Node {
         let view = self.discovery.view();
         let found = match self.config.mode {
             ProtocolMode::KnownThreshold(f) => SinkDetector::new(f).check(view),
-            ProtocolMode::UnknownThreshold => CoreDetector::default().check(view),
+            ProtocolMode::UnknownThreshold => CoreDetector.check(view),
             ProtocolMode::NaiveGuess { settle_ticks } => {
-                let best = NaiveSinkGuesser::default().check(view);
+                let best = NaiveSinkGuesser.check(view);
                 let Some(best) = best else {
                     self.naive_stable = None;
                     return;

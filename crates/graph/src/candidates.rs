@@ -46,37 +46,28 @@ impl SinkCandidate {
     }
 }
 
-/// Configuration for candidate search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CandidateSearch {
-    /// Maximum set size for exhaustive subset enumeration; beyond it only
-    /// heuristic candidates are considered.
-    pub exact_cutoff: usize,
-    /// Maximum number of peeling steps applied to each sink component of
-    /// the received graph.
-    pub max_peels: usize,
-    /// Maximum component size for minimum-cut splitting. Cut splitting
-    /// probes all ordered vertex pairs with a max-flow bound, which is
-    /// quadratic-times-flow in the component size — essential for the
-    /// paper's small witness graphs (a core buried inside a larger SCC),
-    /// hopeless on the giant random SCCs that large-scale views contain.
-    /// Components above the cutoff skip it; the planted committees of the
-    /// scalable graph families are their own (small) sink SCCs, so they
-    /// are found without it.
-    pub cut_split_cutoff: usize,
-}
+/// The sink/core search of Algorithms 2 and 4 (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CandidateSearch;
 
-impl Default for CandidateSearch {
-    fn default() -> Self {
-        CandidateSearch {
-            exact_cutoff: 14,
-            max_peels: 4,
-            cut_split_cutoff: 64,
-        }
-    }
-}
+/// Maximum number of peeling steps applied to each component of the
+/// received graph.
+const MAX_PEELS: usize = 4;
+
+/// Maximum component size for minimum-cut splitting. Cut splitting probes
+/// all ordered vertex pairs with a max-flow bound, which is
+/// quadratic-times-flow in the component size — essential for the paper's
+/// small witness graphs (a core buried inside a larger SCC), hopeless on
+/// the giant random SCCs that large-scale views contain. Components above
+/// the cutoff skip it; the planted committees of the scalable graph
+/// families are their own (small) sink SCCs, so they are found without it.
+const CUT_SPLIT_CUTOFF: usize = 64;
 
 impl CandidateSearch {
+    /// Maximum set size for exhaustive subset enumeration; beyond it only
+    /// heuristic candidates are considered.
+    pub const EXACT_CUTOFF: usize = 14;
+
     /// Candidate `S1` sets derived from the structure of the received
     /// graph: every SCC of `G[S_received]` in reverse topological order
     /// (sink components first), plus "peeled" variants of each (iteratively
@@ -112,7 +103,7 @@ impl CandidateSearch {
     ) {
         push_unique(component.to_vec(), out);
         let mut cur = component.to_vec();
-        for _ in 0..self.max_peels {
+        for _ in 0..MAX_PEELS {
             if cur.len() <= 1 {
                 break;
             }
@@ -126,8 +117,8 @@ impl CandidateSearch {
         // (e.g. Fig. 4a, where the whole graph is one SCC) is exposed by
         // splitting the component at its minimum vertex cuts. All-pairs
         // flow probing is quadratic in the component — skipped above the
-        // cutoff (see [`Self::cut_split_cutoff`]).
-        if component.len() <= self.cut_split_cutoff {
+        // cutoff (see [`CUT_SPLIT_CUTOFF`]).
+        if component.len() <= CUT_SPLIT_CUTOFF {
             cut_split(snap, component, 3, out);
         }
     }
@@ -159,7 +150,7 @@ impl CandidateSearch {
             checked = out.len();
         }
         // Exhaustive fallback for small views.
-        exact_sink_at(&mut snap, f, self.exact_cutoff)
+        exact_sink_at(&mut snap, f, Self::EXACT_CUTOFF)
             .ok()
             .flatten()
     }
@@ -235,7 +226,7 @@ impl CandidateSearch {
         let Some(members) = snap.received_indices(&candidate.members()) else {
             return false;
         };
-        if let Ok(masks) = subset_masks(members.len(), self.exact_cutoff) {
+        if let Ok(masks) = subset_masks(members.len(), Self::EXACT_CUTOFF) {
             // Exhaustive: any subset decomposition landing strictly inside
             // `members` with threshold >= g* disqualifies.
             let mut s1 = Vec::new();
@@ -249,7 +240,7 @@ impl CandidateSearch {
         } else {
             // Heuristic: check peeled variants of the candidate's S1 only.
             let mut cur = snap.indices(&candidate.decomposition.s1);
-            for _ in 0..self.max_peels {
+            for _ in 0..MAX_PEELS {
                 if cur.len() <= 2 * g_star + 1 {
                     break;
                 }
@@ -406,11 +397,6 @@ pub fn exact_best_sink(
     Ok(best)
 }
 
-/// Convenience: all heuristic candidates of the default search.
-pub fn enumerate_sink_candidates(view: &KnowledgeView) -> Vec<SinkCandidate> {
-    CandidateSearch::default().ranked_candidates(view)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,8 +415,7 @@ mod tests {
     #[test]
     fn heuristic_finds_worked_example_sink() {
         let view = worked_view();
-        let search = CandidateSearch::default();
-        let cand = search.sink_with_threshold(&view, 1).unwrap();
+        let cand = CandidateSearch.sink_with_threshold(&view, 1).unwrap();
         assert_eq!(cand.members(), process_set([1, 2, 3, 4]));
         assert_eq!(cand.decomposition.s1, process_set([1, 3, 4]));
         assert_eq!(cand.decomposition.s2, process_set([2]));
@@ -439,10 +424,10 @@ mod tests {
     #[test]
     fn heuristic_matches_exact_on_worked_example() {
         let view = worked_view();
-        let exact = exact_sink_with_threshold(&view, 1, 14).unwrap().unwrap();
-        let heuristic = CandidateSearch::default()
-            .sink_with_threshold(&view, 1)
+        let exact = exact_sink_with_threshold(&view, 1, CandidateSearch::EXACT_CUTOFF)
+            .unwrap()
             .unwrap();
+        let heuristic = CandidateSearch.sink_with_threshold(&view, 1).unwrap();
         assert_eq!(exact.members(), heuristic.members());
     }
 
@@ -450,16 +435,14 @@ mod tests {
     fn no_candidate_before_enough_knowledge() {
         // Only own PD received: nothing satisfies |S1| >= 3 for f = 1.
         let view = KnowledgeView::new(1.into(), process_set([2, 3, 4]));
-        assert!(CandidateSearch::default()
-            .sink_with_threshold(&view, 1)
-            .is_none());
+        assert!(CandidateSearch.sink_with_threshold(&view, 1).is_none());
     }
 
     #[test]
     fn core_on_complete_graph_is_whole_set() {
         let g = DiGraph::complete(&process_set(1..=5));
         let view = KnowledgeView::omniscient(&g);
-        let core = CandidateSearch::default().best_core(&view).unwrap();
+        let core = CandidateSearch.best_core(&view).unwrap();
         assert_eq!(core.members(), process_set(1..=5));
         assert_eq!(core.threshold(), 2);
         assert_eq!(core.connectivity(), 3);
@@ -469,7 +452,7 @@ mod tests {
     fn ranked_candidates_ordering() {
         let g = DiGraph::complete(&process_set(1..=5));
         let view = KnowledgeView::omniscient(&g);
-        let ranked = CandidateSearch::default().ranked_candidates(&view);
+        let ranked = CandidateSearch.ranked_candidates(&view);
         assert!(!ranked.is_empty());
         for pair in ranked.windows(2) {
             assert!(pair[0].threshold() >= pair[1].threshold());
@@ -480,7 +463,9 @@ mod tests {
     fn exact_best_sink_on_complete_graph() {
         let g = DiGraph::complete(&process_set(1..=5));
         let view = KnowledgeView::omniscient(&g);
-        let best = exact_best_sink(&view, 14).unwrap().unwrap();
+        let best = exact_best_sink(&view, CandidateSearch::EXACT_CUTOFF)
+            .unwrap()
+            .unwrap();
         assert_eq!(best.threshold(), 2);
         assert_eq!(best.members(), process_set(1..=5));
     }
@@ -511,6 +496,7 @@ mod tests {
             assert_eq!(exact_sink_with_threshold(&view, 0, cutoff), too_large);
             assert_eq!(exact_best_sink(&view, cutoff), too_large);
         }
+        assert!(subset_masks(63, 64).is_ok_and(|masks| masks.end == 1 << 63));
     }
 
     #[test]
@@ -523,13 +509,9 @@ mod tests {
                 threshold: 0,
             },
         };
-        let search = CandidateSearch {
-            exact_cutoff: 64,
-            ..CandidateSearch::default()
-        };
         // Falls back to the peeled variants: a cycle minus vertices is a
         // path, which is no sink, so nothing disqualifies the whole cycle.
-        assert!(search.is_internally_maximal(&view, &whole));
+        assert!(CandidateSearch.is_internally_maximal(&view, &whole));
     }
 
     #[test]
@@ -540,47 +522,50 @@ mod tests {
         view.record_pd(2.into(), process_set([1, 3]));
         view.record_pd(3.into(), process_set([1, 2]));
         view.record_pd(4.into(), process_set([9]));
-        let search = CandidateSearch::default();
-        let cand = search.sink_with_threshold(&view, 1);
+        let cand = CandidateSearch.sink_with_threshold(&view, 1);
         // {1,2,3} is 2-strongly-connected, size 3 = 2f+1; 4's claimed PD
         // pointing at 9 keeps it out of S2 (only one pointer).
         let cand = cand.expect("sink should be identifiable by peeling");
         assert_eq!(cand.decomposition.s1, process_set([1, 2, 3]));
     }
 
+    /// Core K4 `{1..4}` closed into one SCC by the directed path
+    /// `4 → 5 → … → last → 1`.
+    fn core_on_a_cycle(last: u64) -> KnowledgeView {
+        let mut g = DiGraph::complete(&process_set(1..=4));
+        for v in 4..last {
+            g.add_edge(v.into(), (v + 1).into());
+        }
+        g.add_edge(last.into(), 1.into());
+        KnowledgeView::omniscient(&g)
+    }
+
     #[test]
     fn cut_split_cutoff_governs_embedded_core_discovery() {
-        // Core K4 inside a larger SCC needs cut splitting to surface; a
-        // search whose cutoff excludes the component must fall back to the
-        // other candidate sources (and, on a view this small, still find it
-        // via the exhaustive fallback) while the default search finds it
-        // heuristically.
-        let mut g = DiGraph::complete(&process_set(1..=4));
-        g.add_edge(4.into(), 5.into());
-        g.add_edge(5.into(), 1.into());
-        let view = KnowledgeView::omniscient(&g);
-        let with_split = CandidateSearch::default();
-        let with = with_split.candidate_s1_sets(&view);
-        assert!(with.contains(&process_set(1..=4)));
-        let without_split = CandidateSearch {
-            cut_split_cutoff: 0,
-            ..CandidateSearch::default()
-        };
-        let without = without_split.candidate_s1_sets(&view);
-        assert!(
-            without.len() < with.len(),
-            "cutoff 0 must drop the split-derived candidates ({} vs {})",
-            without.len(),
-            with.len()
-        );
-        assert!(without.iter().all(|s| with.contains(s)));
-        // The lazy path and the eager enumeration agree on the result.
+        // A core inside a small SCC surfaces by cut splitting, and the lazy
+        // path and the eager enumeration agree on it.
+        let view = core_on_a_cycle(5);
+        assert!(CandidateSearch
+            .candidate_s1_sets(&view)
+            .contains(&process_set(1..=4)));
         assert_eq!(
-            with_split
+            CandidateSearch
                 .sink_with_threshold(&view, 1)
                 .map(|c| c.members()),
             Some(process_set(1..=4))
         );
+        // Above the cutoff the component contributes only itself and its
+        // peels (the tail of the cycle, one vertex each), so the core stays
+        // buried: no candidate is 2-strongly connected and 70 received PDs
+        // are beyond the exhaustive fallback.
+        let view = core_on_a_cycle(70);
+        assert!(view.received_count() > CUT_SPLIT_CUTOFF);
+        let peels = (0..=MAX_PEELS as u64).map(|p| process_set((1..=4).chain(5 + p..=70)));
+        assert_eq!(
+            CandidateSearch.candidate_s1_sets(&view),
+            peels.collect::<Vec<_>>()
+        );
+        assert_eq!(CandidateSearch.sink_with_threshold(&view, 1), None);
     }
 
     #[test]
@@ -593,8 +578,7 @@ mod tests {
         g.add_edge(5.into(), 1.into());
         g.add_edge(5.into(), 2.into());
         let view = KnowledgeView::omniscient(&g);
-        let search = CandidateSearch::default();
-        let core = search.best_core(&view).unwrap();
+        let core = CandidateSearch.best_core(&view).unwrap();
         assert_eq!(core.members(), process_set(1..=4));
         assert_eq!(core.threshold(), 1);
     }

@@ -25,7 +25,6 @@
 //! out both cases.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use crate::digraph::DiGraph;
 use crate::id::{ProcessId, ProcessSet};
@@ -224,59 +223,6 @@ impl DisjointPaths {
         let cut = self.net.borrow().min_vertex_cut(si, ti);
         cut.into_iter().map(|v| self.order[v]).collect()
     }
-
-    /// Extracts a maximum set of node-disjoint paths from `s` to `t`,
-    /// each returned as the full vertex sequence `s, …, t`.
-    ///
-    /// The number of returned paths equals [`Self::count`].
-    pub fn extract(&self, s: ProcessId, t: ProcessId) -> Vec<Vec<ProcessId>> {
-        let (Some(si), Some(ti)) = (self.index(s), self.index(t)) else {
-            return Vec::new();
-        };
-        if s == t {
-            return vec![vec![s]];
-        }
-        let mut net = self.net.borrow_mut();
-        let flow = net.paths(si, ti, None);
-        if flow == 0 {
-            return Vec::new();
-        }
-        // Decompose: successor map over flow-carrying arcs. Because every
-        // internal vertex has unit capacity, each node index appears at most
-        // once as a source of flow, so successors are unique.
-        let mut succ: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (a, b) in net.net.saturated_edges() {
-            succ.entry(a).or_default().push(b);
-        }
-        let mut paths = Vec::with_capacity(flow);
-        let start = 2 * si + 1;
-        for _ in 0..flow {
-            let mut path = vec![s];
-            let mut cur = start;
-            loop {
-                let nexts = succ.get_mut(&cur);
-                let Some(nexts) = nexts else { break };
-                let Some(next) = nexts.pop() else { break };
-                if next == 2 * ti {
-                    path.push(t);
-                    break;
-                }
-                // next is some w_in; hop through w_out.
-                let w = self.order[next / 2];
-                path.push(w);
-                // consume the in->out arc
-                let through = succ.get_mut(&next).and_then(|v| v.pop());
-                match through {
-                    Some(out) => cur = out,
-                    None => break,
-                }
-            }
-            if path.last() == Some(&t) {
-                paths.push(path);
-            }
-        }
-        paths
-    }
 }
 
 impl DiGraph {
@@ -427,32 +373,6 @@ mod tests {
     fn direct_edge_plus_detour() {
         let g = DiGraph::from_edges([(1, 2), (1, 3), (3, 2)]);
         assert_eq!(g.disjoint_path_count(p(1), p(2)), 2);
-    }
-
-    #[test]
-    fn extract_paths_are_disjoint_and_valid() {
-        let g = DiGraph::complete(&process_set([1, 2, 3, 4, 5]));
-        let dp = DisjointPaths::new(&g);
-        let paths = dp.extract(p(1), p(4));
-        assert_eq!(paths.len(), 4);
-        let mut internals = ProcessSet::new();
-        for path in &paths {
-            assert_eq!(path.first(), Some(&p(1)));
-            assert_eq!(path.last(), Some(&p(4)));
-            for w in path.windows(2) {
-                assert!(g.has_edge(w[0], w[1]), "edge {}->{} missing", w[0], w[1]);
-            }
-            for &v in &path[1..path.len() - 1] {
-                assert!(internals.insert(v), "internal vertex {v} reused");
-            }
-        }
-    }
-
-    #[test]
-    fn extract_empty_when_unreachable() {
-        let g = DiGraph::from_edges([(2, 1)]);
-        let dp = DisjointPaths::new(&g);
-        assert!(dp.extract(p(1), p(2)).is_empty());
     }
 
     #[test]

@@ -795,7 +795,7 @@ fn build_bridged_partition(
 mod tests {
     use super::*;
     use crate::osr::osr_report;
-    use crate::scale::sink_with_threshold;
+    use crate::osr::sink_with_threshold;
 
     #[test]
     fn catalogue_families_meet_their_advertisement() {

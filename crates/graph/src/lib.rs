@@ -18,9 +18,9 @@
 //!   generators for the `G_di` and extended-OSR graph families
 //!   ([`Generator`]),
 //! * parametric topology families with advertised guarantees
-//!   ([`GraphFamily`]) and the large-`n` fast paths that certify them
-//!   without the exponential candidate machinery ([`sink_with_threshold`],
-//!   [`scale_osr_check`]).
+//!   ([`GraphFamily`]) and the near-linear planted-sink search that
+//!   certifies them without the exponential candidate machinery
+//!   ([`sink_with_threshold`]).
 //!
 //! `docs/PAPER_MAP.md` at the repository root maps every definition,
 //! theorem, figure, and table of the paper to the modules and tests that
@@ -47,7 +47,6 @@
 mod candidates;
 mod connectivity;
 mod digraph;
-mod dot;
 mod error;
 mod extended;
 mod families;
@@ -57,18 +56,13 @@ mod id;
 mod maxflow;
 mod osr;
 mod predicates;
-mod scale;
 mod scc;
 mod snapshot;
 mod view;
 
-pub use candidates::{
-    enumerate_sink_candidates, exact_best_sink, exact_sink_with_threshold, CandidateSearch,
-    SinkCandidate,
-};
+pub use candidates::{exact_best_sink, exact_sink_with_threshold, CandidateSearch, SinkCandidate};
 pub use connectivity::DisjointPaths;
 pub use digraph::DiGraph;
-pub use dot::{to_dot, DotStyle};
 pub use error::GraphError;
 pub use extended::{is_extended_k_osr, CoreWitness, ExtendedOsrReport};
 pub use families::{FamilyGuarantees, FamilySample, GraphFamily};
@@ -76,8 +70,7 @@ pub use figures::{fig1a, fig1b, fig2a, fig2b, fig2c, fig3a, fig3b, fig4a, fig4b,
 pub use generate::{GdiParams, GeneratedSystem, Generator};
 pub use id::{process_set, ProcessId, ProcessSet};
 pub use maxflow::UnitFlowNetwork;
-pub use osr::{osr_report, sink_members, OsrReport};
-pub use predicates::{derive_s2, is_sink_gdi, is_sink_star, max_threshold, SinkDecomposition};
-pub use scale::{scale_osr_check, sink_with_threshold, CheckBudget, ScaleReport};
+pub use osr::{osr_report, sink_members, sink_with_threshold, OsrReport};
+pub use predicates::{derive_s2, is_sink_gdi, max_threshold, SinkDecomposition};
 pub use scc::{condensation, strongly_connected_components, Condensation};
 pub use view::KnowledgeView;

@@ -116,7 +116,7 @@ impl UnitFlowNetwork {
     /// routed is undone first, so one network serves any number of
     /// queries, and the scratch the search needs is kept between them.
     /// The residual state this call leaves behind is what
-    /// [`Self::residual_reachable`] and [`Self::saturated_edges`] read.
+    /// [`Self::residual_reachable`] reads.
     pub fn max_flow(&mut self, source: usize, sink: usize, limit: Option<usize>) -> usize {
         assert!(source < self.n && sink < self.n, "terminal out of range");
         self.restore();
@@ -224,18 +224,6 @@ impl UnitFlowNetwork {
         }
         seen
     }
-
-    /// After a [`Self::max_flow`] call, returns the forward edges (as
-    /// `(from, to)` pairs) that carry one unit of flow. Useful for path
-    /// decomposition.
-    pub fn saturated_edges(&self) -> Vec<(usize, usize)> {
-        // A forward arc carries flow iff its residual twin gained capacity.
-        self.edges()
-            .zip(self.cap.chunks_exact(2))
-            .filter(|(_, caps)| caps[1] > 0)
-            .map(|(edge, _)| edge)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -304,21 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn saturated_edges_form_paths() {
-        let mut net = UnitFlowNetwork::new(4);
-        net.add_edge(0, 1, 1);
-        net.add_edge(1, 3, 1);
-        net.add_edge(0, 2, 1);
-        net.add_edge(2, 3, 1);
-        let f = net.max_flow(0, 3, None);
-        let sat = net.saturated_edges();
-        assert_eq!(f, 2);
-        assert_eq!(sat.len(), 4);
-        assert!(sat.contains(&(0, 1)));
-        assert!(sat.contains(&(2, 3)));
-    }
-
-    #[test]
     fn queries_on_one_network_are_independent() {
         // 0 -> {1,2} -> 3 and a detour 1 -> 2: every query must see the
         // zero-flow network, whatever the previous one routed.
@@ -335,7 +308,9 @@ mod tests {
             assert_eq!(net.max_flow(3, 0, None), 0);
             assert_eq!(net.max_flow(0, 2, None), 2);
         }
-        assert_eq!(net.saturated_edges().len(), 3);
+        // The residual state is the last query's alone: both arcs out of 0
+        // are saturated, so nothing else is reachable from it.
+        assert_eq!(net.residual_reachable(0), [true, false, false, false]);
     }
 
     #[test]

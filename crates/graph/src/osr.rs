@@ -1,4 +1,5 @@
-//! The `k`-One Sink Reducibility (`k`-OSR) recognizer (Definition 1).
+//! The `k`-One Sink Reducibility (`k`-OSR) recognizer (Definition 1) and
+//! the omniscient qualified-sink search ([`sink_with_threshold`]).
 
 use crate::digraph::DiGraph;
 use crate::id::ProcessSet;
@@ -118,10 +119,88 @@ pub fn sink_members(g: &DiGraph) -> ProcessSet {
     out
 }
 
+/// Identifies the qualified sink of a planted-sink graph: the unique sink
+/// component `S` of the condensation with `|S| ≥ 2f + 1` and
+/// `κ(G[S]) ≥ f + 1`.
+///
+/// This is Algorithm 2's `∃ S1, S2` search for the omniscient case, in
+/// near-linear time: one Tarjan pass plus a connectivity check capped at
+/// `f + 1` on the sink subgraph only, so graphs whose sink is
+/// committee-sized stay cheap while the periphery scales to 10k–100k
+/// vertices.
+///
+/// Returns `None` when the graph has no unique sink, the sink is smaller
+/// than `2f + 1`, or its connectivity is below `f + 1`.
+///
+/// # Example
+///
+/// ```
+/// use cupft_graph::{sink_with_threshold, DiGraph, process_set};
+///
+/// // Sink triangle {1,2,3}; 4 and 5 each point into it twice.
+/// let mut g = DiGraph::complete(&process_set([1, 2, 3]));
+/// for (a, b) in [(4, 1), (4, 2), (5, 2), (5, 3)] {
+///     g.add_edge(a.into(), b.into());
+/// }
+/// assert_eq!(sink_with_threshold(&g, 1), Some(process_set([1, 2, 3])));
+/// assert_eq!(sink_with_threshold(&g, 2), None); // needs |S| >= 5
+/// ```
+pub fn sink_with_threshold(g: &DiGraph, f: usize) -> Option<ProcessSet> {
+    let cond = condensation(g);
+    let sink = cond.unique_sink()?.clone();
+    if sink.len() < 2 * f + 1 {
+        return None;
+    }
+    let sub = g.induced(&sink);
+    if sub.strong_connectivity_capped(f + 1) < f + 1 {
+        return None;
+    }
+    Some(sink)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::id::process_set;
+
+    fn feeders_graph() -> DiGraph {
+        let mut g = DiGraph::complete(&process_set([1, 2, 3]));
+        for (a, b) in [(4, 1), (4, 2), (5, 2), (5, 3)] {
+            g.add_edge(a.into(), b.into());
+        }
+        g
+    }
+
+    #[test]
+    fn sink_with_threshold_finds_planted_sink() {
+        let g = feeders_graph();
+        assert_eq!(sink_with_threshold(&g, 1), Some(process_set([1, 2, 3])));
+    }
+
+    #[test]
+    fn sink_with_threshold_respects_size_bound() {
+        let g = feeders_graph();
+        assert_eq!(sink_with_threshold(&g, 2), None);
+    }
+
+    #[test]
+    fn sink_with_threshold_rejects_weak_sink() {
+        // Directed 5-cycle sink: kappa = 1 < f+1 for f = 1.
+        let mut g = DiGraph::from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]);
+        g.add_edge(9.into(), 1.into());
+        g.add_edge(9.into(), 2.into());
+        assert_eq!(sink_with_threshold(&g, 1), None);
+        assert_eq!(sink_with_threshold(&g, 0), Some(process_set(1..=5)));
+    }
+
+    #[test]
+    fn sink_with_threshold_rejects_two_sinks() {
+        let mut g = DiGraph::complete(&process_set([1, 2, 3]));
+        g.merge(&DiGraph::complete(&process_set([4, 5, 6])));
+        g.add_edge(7.into(), 1.into());
+        g.add_edge(7.into(), 4.into());
+        assert_eq!(sink_with_threshold(&g, 1), None);
+    }
 
     #[test]
     fn triangle_with_feeders_is_2_osr() {

@@ -33,7 +33,7 @@ use std::ops::Range;
 
 use crate::error::GraphError;
 use crate::id::ProcessSet;
-use crate::snapshot::{select, Idx, Pointers, ViewSnapshot};
+use crate::snapshot::{Idx, Pointers, ViewSnapshot};
 use crate::view::KnowledgeView;
 
 /// A successful sink decomposition: sets `S1`, `S2` and the fault threshold
@@ -238,51 +238,6 @@ pub(crate) fn max_threshold_at(snap: &mut ViewSnapshot, s1: &[Idx]) -> Option<Si
     Some(candidate.decomposition(snap, g))
 }
 
-/// Exact evaluation of `isSink*(S)` (Section V): searches all
-/// decompositions `S = S1 ∪ S2` with `S1 ⊆ S_received` and returns the one
-/// with the maximum threshold (`f_Gdi(S)`), or `None` if `S` is not a sink.
-///
-/// # Errors
-///
-/// Returns [`GraphError::TooLargeForExactCheck`] when `|S ∩ S_received|`
-/// exceeds `cutoff` (or 63), since the search enumerates subsets.
-pub fn is_sink_star(
-    view: &KnowledgeView,
-    s: &ProcessSet,
-    cutoff: usize,
-) -> Result<Option<SinkDecomposition>, GraphError> {
-    let mut snap = ViewSnapshot::new(view);
-    let members = snap.indices(s);
-    let eligible: Vec<Idx> = members
-        .iter()
-        .copied()
-        .filter(|&v| snap.is_received(v))
-        .collect();
-    let masks = subset_masks(eligible.len(), cutoff)?;
-    if members.len() < s.len() {
-        // `S1 ∪ S2` stays inside `S_known`; it cannot reach the rest of `S`.
-        return Ok(None);
-    }
-    let mut best: Option<SinkDecomposition> = None;
-    let mut s1 = Vec::new();
-    for mask in masks {
-        select(&eligible, mask, &mut s1);
-        let mut candidate = Candidate::new(&mut snap, &s1);
-        for g in (0..=(s1.len() - 1) / 2).rev() {
-            if best.as_ref().is_some_and(|b| g <= b.threshold) {
-                break; // cannot improve on the best threshold found
-            }
-            // `S1 ∪ S2 = S`: the forced S2 is exactly the rest of S.
-            let rest = members.iter().filter(|v| s1.binary_search(v).is_err());
-            if candidate.s2(g).eq(rest.copied()) && candidate.holds(&mut snap, g) {
-                best = Some(candidate.decomposition(&snap, g));
-                break; // lower g for same S1 cannot beat this
-            }
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,49 +330,6 @@ mod tests {
             assert_eq!(best.threshold, ((n - 1) / 2) as usize, "K{n}");
             assert!(best.s2.is_empty());
         }
-    }
-
-    #[test]
-    fn is_sink_star_finds_best_decomposition() {
-        let view = fig1b_partial_view();
-        let s = process_set([1, 2, 3, 4]);
-        let best = is_sink_star(&view, &s, 16).unwrap().unwrap();
-        assert_eq!(best.threshold, 1);
-        assert_eq!(best.s1, process_set([1, 3, 4]));
-        assert_eq!(best.s2, process_set([2]));
-    }
-
-    #[test]
-    fn is_sink_star_rejects_non_sinks() {
-        let view = fig1b_partial_view();
-        // {1,3} is not expressible: derived S2 at any g never equals {3}∖...
-        assert!(is_sink_star(&view, &process_set([1, 3]), 16)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn is_sink_star_cutoff_enforced() {
-        let g = DiGraph::complete(&process_set(1..=25));
-        let view = KnowledgeView::omniscient(&g);
-        let err = is_sink_star(&view, &process_set(1..=25), 20).unwrap_err();
-        assert!(matches!(err, GraphError::TooLargeForExactCheck { .. }));
-    }
-
-    #[test]
-    fn is_sink_star_refuses_64_eligible_ids() {
-        // Subsets are u64 masks; `1 << 64` must be an error, not a shift.
-        let g = DiGraph::from_edges((0..64).map(|i| (i, (i + 1) % 64)));
-        let view = KnowledgeView::omniscient(&g);
-        let err = is_sink_star(&view, &process_set(0..64), usize::MAX).unwrap_err();
-        assert_eq!(
-            err,
-            GraphError::TooLargeForExactCheck {
-                size: 64,
-                cutoff: 63
-            }
-        );
-        assert!(subset_masks(63, 64).is_ok_and(|masks| masks.end == 1 << 63));
     }
 
     #[test]

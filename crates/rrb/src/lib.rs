@@ -593,7 +593,7 @@ mod unauth_tests {
     fn unauthenticated_sink_identification_on_fig1b() {
         let fig = fig1b();
         let sim = run_unauth(&fig, 1, 11);
-        let search = CandidateSearch::default();
+        let search = CandidateSearch;
         for &member in &process_set([1, 2, 3]) {
             let actor: &UnauthDiscoveryActor = sim.actor_as(member).unwrap();
             let detection = search

@@ -62,7 +62,10 @@ cargo build --examples
 # cargo silently rewriting that lock later, whenever a crate's dependency
 # edit no longer matches it.
 echo "==> cargo metadata --locked (benchmark/Cargo.lock still resolves)"
-cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml > /dev/null
+if ! cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml > /dev/null; then
+    echo "verify.sh: a crate's [dependencies] changed and benchmark/Cargo.lock no longer matches; refresh that lock in the same change (ROADMAP item 1)" >&2
+    exit 1
+fi
 
 echo "==> cargo doc --no-deps -q"
 # Explicit exit-code check: `set -e` covers this today, but the doc gate

@@ -26,6 +26,12 @@ mod oracle {
         SinkCandidate, SinkDecomposition, UnitFlowNetwork,
     };
 
+    /// The kernel's search constants: its exact cutoff is public, its peel
+    /// count and cut-split cutoff are repeated here.
+    const EXACT_CUTOFF: usize = CandidateSearch::EXACT_CUTOFF;
+    const MAX_PEELS: usize = 4;
+    const CUT_SPLIT_CUTOFF: usize = 64;
+
     fn position(order: &[ProcessId], v: ProcessId) -> usize {
         order.binary_search(&v).expect("vertex of the graph")
     }
@@ -202,14 +208,13 @@ mod oracle {
     }
 
     fn append_component_candidates(
-        search: &CandidateSearch,
         received_graph: &DiGraph,
         component: &ProcessSet,
         out: &mut Vec<ProcessSet>,
     ) {
         push_unique(component.clone(), out);
         let mut cur = component.clone();
-        for _ in 0..search.max_peels {
+        for _ in 0..MAX_PEELS {
             if cur.len() <= 1 {
                 break;
             }
@@ -217,7 +222,7 @@ mod oracle {
             cur.remove(&victim);
             push_unique(cur.clone(), out);
         }
-        if component.len() <= search.cut_split_cutoff {
+        if component.len() <= CUT_SPLIT_CUTOFF {
             cut_split(received_graph, component, 3, out);
         }
     }
@@ -259,11 +264,11 @@ mod oracle {
         cut_split(graph, &rest_cut, depth - 1, out);
     }
 
-    pub fn candidate_s1_sets(search: &CandidateSearch, view: &KnowledgeView) -> Vec<ProcessSet> {
+    pub fn candidate_s1_sets(view: &KnowledgeView) -> Vec<ProcessSet> {
         let received_graph = view.received_graph();
         let mut out = Vec::new();
         for component in condensation(&received_graph).components() {
-            append_component_candidates(search, &received_graph, component, &mut out);
+            append_component_candidates(&received_graph, component, &mut out);
         }
         out
     }
@@ -307,28 +312,24 @@ mod oracle {
             .collect()
     }
 
-    pub fn sink_with_threshold(
-        search: &CandidateSearch,
-        view: &KnowledgeView,
-        f: usize,
-    ) -> Option<SinkCandidate> {
-        for s1 in candidate_s1_sets(search, view) {
+    pub fn sink_with_threshold(view: &KnowledgeView, f: usize) -> Option<SinkCandidate> {
+        for s1 in candidate_s1_sets(view) {
             let s2 = derive_s2(view, &s1, f);
             if is_sink_gdi(view, f, &s1, &s2) {
                 return Some(candidate(s1, s2, f));
             }
         }
-        if view.received_count() <= search.exact_cutoff {
-            if let Ok(Some(found)) = exact_sink_with_threshold(view, f, search.exact_cutoff) {
+        if view.received_count() <= EXACT_CUTOFF {
+            if let Ok(Some(found)) = exact_sink_with_threshold(view, f, EXACT_CUTOFF) {
                 return Some(found);
             }
         }
         None
     }
 
-    pub fn ranked_candidates(search: &CandidateSearch, view: &KnowledgeView) -> Vec<SinkCandidate> {
+    pub fn ranked_candidates(view: &KnowledgeView) -> Vec<SinkCandidate> {
         let mut found: Vec<SinkCandidate> = Vec::new();
-        for s1 in candidate_s1_sets(search, view) {
+        for s1 in candidate_s1_sets(view) {
             if let Some(decomposition) = max_threshold(view, &s1) {
                 let cand = SinkCandidate { decomposition };
                 if !found.contains(&cand) {
@@ -345,16 +346,12 @@ mod oracle {
         found
     }
 
-    pub fn best_core(search: &CandidateSearch, view: &KnowledgeView) -> Option<SinkCandidate> {
-        let best = ranked_candidates(search, view).into_iter().next()?;
-        is_internally_maximal(search, view, &best).then_some(best)
+    pub fn best_core(view: &KnowledgeView) -> Option<SinkCandidate> {
+        let best = ranked_candidates(view).into_iter().next()?;
+        is_internally_maximal(view, &best).then_some(best)
     }
 
-    pub fn is_internally_maximal(
-        search: &CandidateSearch,
-        view: &KnowledgeView,
-        candidate: &SinkCandidate,
-    ) -> bool {
+    pub fn is_internally_maximal(view: &KnowledgeView, candidate: &SinkCandidate) -> bool {
         let members = candidate.members();
         let g_star = candidate.threshold();
         if members.len() <= 2 * g_star + 2 {
@@ -364,7 +361,7 @@ mod oracle {
             return false;
         }
         let eligible: Vec<ProcessId> = members.iter().copied().collect();
-        if eligible.len() <= search.exact_cutoff {
+        if eligible.len() <= EXACT_CUTOFF {
             (1u64..(1u64 << eligible.len()))
                 .map(|mask| subset(&eligible, mask))
                 .filter(|s1| s1.len() > 2 * g_star)
@@ -372,7 +369,7 @@ mod oracle {
         } else {
             let mut cur = candidate.decomposition.s1.clone();
             let graph = view.graph();
-            for _ in 0..search.max_peels {
+            for _ in 0..MAX_PEELS {
                 if cur.len() <= 2 * g_star + 1 {
                     break;
                 }
@@ -502,30 +499,6 @@ proptest! {
             g2.add_edge(a, b);
             let after = g2.disjoint_path_count(a, b);
             prop_assert!(after >= before.max(1));
-        }
-    }
-
-    /// Extracted paths realize the count and are internally disjoint.
-    #[test]
-    fn extracted_paths_valid(g in arb_digraph(10)) {
-        let dp = DisjointPaths::new(&g);
-        for u in g.vertices().take(3) {
-            for v in g.vertices().take(3) {
-                if u == v { continue; }
-                let paths = dp.extract(u, v);
-                prop_assert_eq!(paths.len(), dp.count(u, v));
-                let mut internals = ProcessSet::new();
-                for path in &paths {
-                    prop_assert_eq!(path.first(), Some(&u));
-                    prop_assert_eq!(path.last(), Some(&v));
-                    for w in path.windows(2) {
-                        prop_assert!(g.has_edge(w[0], w[1]));
-                    }
-                    for &x in &path[1..path.len() - 1] {
-                        prop_assert!(internals.insert(x), "reused internal {}", x);
-                    }
-                }
-            }
         }
     }
 
@@ -667,55 +640,44 @@ fn assert_connectivity_matches_oracle(g: &DiGraph) {
 /// The sink/core search kernel against the oracle on one view: every
 /// candidate list, ranking, tie-break and decomposition must be the same.
 fn assert_search_matches_oracle(view: &KnowledgeView) {
-    // The second search is small enough that the peeled-variant branch of
-    // the internal-maximality check runs too.
-    let searches = [
-        CandidateSearch::default(),
-        CandidateSearch {
-            exact_cutoff: 4,
-            max_peels: 2,
-            cut_split_cutoff: 6,
-        },
-    ];
-    for search in &searches {
-        let candidates = search.candidate_s1_sets(view);
-        assert_eq!(candidates, oracle::candidate_s1_sets(search, view));
-        for s1 in &candidates {
+    let search = CandidateSearch;
+    let candidates = search.candidate_s1_sets(view);
+    assert_eq!(candidates, oracle::candidate_s1_sets(view));
+    for s1 in &candidates {
+        assert_eq!(
+            bft_cupft::graph::max_threshold(view, s1),
+            oracle::max_threshold(view, s1)
+        );
+        for g in 0..=2 {
+            let s2 = bft_cupft::graph::derive_s2(view, s1, g);
+            assert_eq!(s2, oracle::derive_s2(view, s1, g));
             assert_eq!(
-                bft_cupft::graph::max_threshold(view, s1),
-                oracle::max_threshold(view, s1)
-            );
-            for g in 0..=2 {
-                let s2 = bft_cupft::graph::derive_s2(view, s1, g);
-                assert_eq!(s2, oracle::derive_s2(view, s1, g));
-                assert_eq!(
-                    bft_cupft::graph::is_sink_gdi(view, g, s1, &s2),
-                    oracle::is_sink_gdi(view, g, s1, &s2)
-                );
-            }
-        }
-        let ranked = search.ranked_candidates(view);
-        assert_eq!(ranked, oracle::ranked_candidates(search, view));
-        for candidate in &ranked {
-            assert_eq!(
-                search.is_internally_maximal(view, candidate),
-                oracle::is_internally_maximal(search, view, candidate),
-                "{candidate:?}"
+                bft_cupft::graph::is_sink_gdi(view, g, s1, &s2),
+                oracle::is_sink_gdi(view, g, s1, &s2)
             );
         }
-        assert_eq!(search.best_core(view), oracle::best_core(search, view));
-        for f in 0..=2 {
-            assert_eq!(
-                search.sink_with_threshold(view, f),
-                oracle::sink_with_threshold(search, view, f),
-                "f = {f}"
-            );
-            assert_eq!(
-                exact_sink_with_threshold(view, f, 12),
-                oracle::exact_sink_with_threshold(view, f, 12),
-                "exact, f = {f}"
-            );
-        }
+    }
+    let ranked = search.ranked_candidates(view);
+    assert_eq!(ranked, oracle::ranked_candidates(view));
+    for candidate in &ranked {
+        assert_eq!(
+            search.is_internally_maximal(view, candidate),
+            oracle::is_internally_maximal(view, candidate),
+            "{candidate:?}"
+        );
+    }
+    assert_eq!(search.best_core(view), oracle::best_core(view));
+    for f in 0..=2 {
+        assert_eq!(
+            search.sink_with_threshold(view, f),
+            oracle::sink_with_threshold(view, f),
+            "f = {f}"
+        );
+        assert_eq!(
+            exact_sink_with_threshold(view, f, 12),
+            oracle::exact_sink_with_threshold(view, f, 12),
+            "exact, f = {f}"
+        );
     }
 }
 
@@ -775,6 +737,29 @@ fn root_probing_reads_a_minimum_realised_across_a_direct_edge() {
     assert_eq!(bridge.strong_connectivity(), 1);
     assert!(bridge.is_k_strongly_connected(1) && !bridge.is_k_strongly_connected(2));
     assert_connectivity_matches_oracle(&bridge);
+}
+
+/// Omniscient views above the exact cutoff, where the internal-maximality
+/// check peels the candidate's `S1` instead of enumerating subsets — a
+/// branch the n ≤ 10 views below never reach. One fixed seed keeps this to
+/// a few debug seconds; a proptest over n = 15..18 costs minutes.
+#[test]
+fn kernel_matches_oracle_above_the_exact_cutoff() {
+    let mut rng = Rng(0x5eed_c0de);
+    for n in [16, 18] {
+        for percent in [40, 75] {
+            let view = KnowledgeView::omniscient(&random_digraph(n, percent, &mut rng));
+            let peeled = CandidateSearch.ranked_candidates(&view).iter().any(|c| {
+                let size = c.members().len();
+                size > CandidateSearch::EXACT_CUTOFF && size > 2 * c.threshold() + 2
+            });
+            assert!(
+                peeled,
+                "n = {n}, {percent} %: no candidate takes the peeled branch"
+            );
+            assert_search_matches_oracle(&view);
+        }
+    }
 }
 
 proptest! {

@@ -78,11 +78,13 @@ fn theorem5_sink_detection_sound_and_consistent() {
             .generate(&GdiParams::new(1))
             .unwrap();
         let view = KnowledgeView::omniscient(&sys.graph);
-        let search = CandidateSearch::default();
-        let heuristic = search.sink_with_threshold(&view, 1).expect("sink found");
+        let heuristic = CandidateSearch
+            .sink_with_threshold(&view, 1)
+            .expect("sink found");
         assert_eq!(heuristic.members(), sys.expected_detection(), "seed {seed}");
-        if view.received().len() <= 14 {
-            let exact = bft_cupft::graph::exact_sink_with_threshold(&view, 1, 14)
+        let cutoff = CandidateSearch::EXACT_CUTOFF;
+        if view.received().len() <= cutoff {
+            let exact = bft_cupft::graph::exact_sink_with_threshold(&view, 1, cutoff)
                 .unwrap()
                 .expect("exact sink");
             assert_eq!(exact.members(), heuristic.members(), "seed {seed}");
@@ -96,16 +98,16 @@ fn theorem5_sink_detection_sound_and_consistent() {
 fn theorem9_core_detection_matches_exact() {
     for fig in [fig4a(), fig4b()] {
         let view = KnowledgeView::omniscient(fig.graph());
-        let core = CandidateSearch::default()
-            .best_core(&view)
-            .expect("core found");
+        let core = CandidateSearch.best_core(&view).expect("core found");
         assert_eq!(
             &core.members(),
             fig.expected_sink().unwrap(),
             "{}",
             fig.name()
         );
-        let exact = exact_best_sink(&view, 14).unwrap().expect("exact best");
+        let exact = exact_best_sink(&view, CandidateSearch::EXACT_CUTOFF)
+            .unwrap()
+            .expect("exact best");
         assert_eq!(exact.members(), core.members(), "{}", fig.name());
         assert_eq!(exact.threshold(), core.threshold(), "{}", fig.name());
     }
@@ -153,7 +155,7 @@ fn section3_worked_example_detection() {
     let mut view = KnowledgeView::new(1.into(), process_set([2, 3, 4]));
     view.record_pd(3.into(), process_set([1, 2, 4]));
     view.record_pd(4.into(), process_set([1, 2, 3]));
-    let detection = CandidateSearch::default()
+    let detection = CandidateSearch
         .sink_with_threshold(&view, 1)
         .expect("worked example must identify the sink");
     assert_eq!(detection.members(), process_set([1, 2, 3, 4]));
