@@ -1,14 +1,14 @@
-//! Dynamic-membership schedules as data, plus their deterministic shrinker.
+//! Dynamic-membership schedules as data, shrinkable like fault assignments.
 //!
 //! The paper assumes a *static* universe: participants are unknown but
 //! fixed at t=0. A [`ChurnSpec`] relaxes that — it is a scheduled list of
 //! membership events (late joins, silent departures, crash-recoveries)
 //! mirroring the [`crate::spec::StrategySpec`] / [`crate::TamperSpec`]
 //! discipline: plain cloneable data with [labels](ChurnSpec::label), a
-//! [size metric](churn_size), and strictly-smaller
+//! [size metric](Shrinkable::size), and strictly-smaller
 //! [simplifications](ChurnEvent::simplifications), so churn schedules ride
-//! the same grid axes and the same greedy shrinking loop as fault
-//! assignments. The runtimes honor a spec *identically by construction*:
+//! the same grid axes and the same greedy [`shrink`](fn@crate::shrink)
+//! loop as fault assignments. The runtimes honor a spec *identically by construction*:
 //! churn is executed at the actor level (time-gated dormancy, `halt()` on
 //! departure, snapshot/restore on crash-recovery), which both substrates
 //! already treat the same way.
@@ -21,6 +21,7 @@ use cupft_graph::{ProcessId, ProcessSet};
 use cupft_net::Time;
 
 use crate::fmt_process_set;
+use crate::shrink::Shrinkable;
 
 /// One scheduled membership event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,107 +232,48 @@ impl ChurnSpec {
     }
 }
 
-/// The churn shrinker's size metric: the sum of per-event weights, so both
-/// "fewer events" and "simpler event" are progress.
-pub fn churn_size(spec: &ChurnSpec) -> usize {
-    spec.events.iter().map(|e| e.size()).sum()
-}
+impl Shrinkable for ChurnSpec {
+    const NOUN: &'static str = "schedule";
 
-/// Outcome of a churn shrink search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChurnShrinkOutcome {
-    /// The minimal failing schedule found.
-    pub minimal: ChurnSpec,
-    /// Accepted rewrite steps (0 = the input was already minimal).
-    pub steps: usize,
-    /// Oracle invocations spent on candidates (excludes the initial
-    /// confirmation run).
-    pub attempts: usize,
-}
-
-impl ChurnShrinkOutcome {
-    /// Whether the search made the schedule strictly smaller.
-    pub fn shrank(&self) -> bool {
-        self.steps > 0
+    /// The sum of per-event weights, so both "fewer events" and "simpler
+    /// event" are progress.
+    fn size(&self) -> usize {
+        self.events.iter().map(|e| e.size()).sum()
     }
-}
 
-/// The strictly smaller candidates of `spec`, in the deterministic order
-/// the shrinker tries them: event removals first (front to back), then
-/// per-event simplifications, deduplicated order-preservingly.
-pub fn churn_candidates(spec: &ChurnSpec) -> Vec<ChurnSpec> {
-    let mut out = Vec::new();
-    for i in 0..spec.events.len() {
-        let mut smaller = spec.clone();
-        smaller.events.remove(i);
-        out.push(smaller);
-    }
-    for (i, event) in spec.events.iter().enumerate() {
-        for simpler in event.simplifications() {
-            let mut rewritten = spec.clone();
-            rewritten.events[i] = simpler;
-            out.push(rewritten);
+    /// Event removals first (front to back), then per-event
+    /// simplifications, deduplicated order-preservingly.
+    fn candidates(&self) -> Vec<Self> {
+        let mut out = Vec::new();
+        for i in 0..self.events.len() {
+            let mut smaller = self.clone();
+            smaller.events.remove(i);
+            out.push(smaller);
         }
-    }
-    let mut seen: Vec<ChurnSpec> = Vec::new();
-    out.retain(|c| {
-        if seen.contains(c) {
-            false
-        } else {
-            seen.push(c.clone());
-            true
-        }
-    });
-    out
-}
-
-/// Greedily minimizes a failing churn schedule under `still_fails` — the
-/// same contract as [`crate::shrink`](fn@crate::shrink) over fault
-/// assignments: a deterministic oracle, candidates in fixed order, every
-/// accepted step strictly decreases [`churn_size`], so the search
-/// terminates and re-runs reproduce the same minimum and attempt count.
-///
-/// # Panics
-///
-/// Panics if `still_fails(&initial)` is `false`: shrinking a passing
-/// schedule is a caller bug that would otherwise "minimize" to garbage
-/// silently.
-pub fn shrink_churn(
-    initial: ChurnSpec,
-    still_fails: &mut dyn FnMut(&ChurnSpec) -> bool,
-) -> ChurnShrinkOutcome {
-    assert!(
-        still_fails(&initial),
-        "shrink_churn() requires a failing initial schedule"
-    );
-    let mut current = initial;
-    let mut steps = 0;
-    let mut attempts = 0;
-    loop {
-        let mut improved = false;
-        for candidate in churn_candidates(&current) {
-            debug_assert!(churn_size(&candidate) < churn_size(&current));
-            attempts += 1;
-            if still_fails(&candidate) {
-                current = candidate;
-                steps += 1;
-                improved = true;
-                break;
+        for (i, event) in self.events.iter().enumerate() {
+            for simpler in event.simplifications() {
+                let mut rewritten = self.clone();
+                rewritten.events[i] = simpler;
+                out.push(rewritten);
             }
         }
-        if !improved {
-            return ChurnShrinkOutcome {
-                minimal: current,
-                steps,
-                attempts,
-            };
-        }
+        let mut seen: Vec<ChurnSpec> = Vec::new();
+        out.retain(|c| {
+            if seen.contains(c) {
+                false
+            } else {
+                seen.push(c.clone());
+                true
+            }
+        });
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shrink::shrink;
     use cupft_graph::process_set;
 
     fn p(n: u64) -> ProcessId {
@@ -393,17 +335,17 @@ mod tests {
 
     #[test]
     fn size_counts_events_and_seeds() {
-        assert_eq!(churn_size(&ChurnSpec::default()), 0);
-        assert_eq!(churn_size(&sample()), 4);
+        assert_eq!(ChurnSpec::default().size(), 0);
+        assert_eq!(sample().size(), 4);
     }
 
     #[test]
     fn candidates_are_strictly_smaller_and_deduped() {
         let s = sample();
-        let cs = churn_candidates(&s);
+        let cs = s.candidates();
         assert!(!cs.is_empty());
         for c in &cs {
-            assert!(churn_size(c) < churn_size(&s));
+            assert!(c.size() < s.size());
         }
         // Removals come first; the seeded join also simplifies in place.
         assert_eq!(cs[0].events.len(), 2);
@@ -421,14 +363,14 @@ mod tests {
                 node: p(1),
             },
         ]);
-        assert_eq!(churn_candidates(&dup).len(), 1);
+        assert_eq!(dup.candidates().len(), 1);
     }
 
     #[test]
     fn shrinks_to_single_event_reproducer() {
         // Oracle: fails whenever node 7 crash-recovers at all.
         let mut oracle = |s: &ChurnSpec| s.crash_recover_of(p(7)).is_some();
-        let outcome = shrink_churn(sample(), &mut oracle);
+        let outcome = shrink(sample(), &mut oracle);
         assert_eq!(
             outcome.minimal,
             ChurnSpec::new(vec![ChurnEvent::CrashRecoverAt {
@@ -439,8 +381,8 @@ mod tests {
         );
         assert!(outcome.shrank());
         // Deterministic re-run, and already-minimal input is a fixpoint.
-        assert_eq!(shrink_churn(sample(), &mut oracle), outcome);
-        let again = shrink_churn(outcome.minimal.clone(), &mut oracle);
+        assert_eq!(shrink(sample(), &mut oracle), outcome);
+        let again = shrink(outcome.minimal.clone(), &mut oracle);
         assert_eq!(again.steps, 0);
     }
 
@@ -448,6 +390,6 @@ mod tests {
     #[should_panic(expected = "failing initial schedule")]
     fn passing_input_panics() {
         let mut oracle = |_: &ChurnSpec| false;
-        shrink_churn(ChurnSpec::default(), &mut oracle);
+        shrink(ChurnSpec::default(), &mut oracle);
     }
 }

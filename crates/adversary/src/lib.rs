@@ -23,15 +23,15 @@
 //!   hook. **[`TraceChecker`]** ([`invariant`]) rules on the §II-B
 //!   consensus properties (agreement, validity, integrity,
 //!   termination-by-bound) post-hoc over traces.
-//! * **Shrinking** ([`shrink`](fn@shrink)) — given a violating assignment,
-//!   deterministically search for a minimal failing variant by pruning
-//!   strategy combinators and fault sets.
+//! * **Shrinking** ([`shrink`](fn@shrink)) — given a violating assignment
+//!   or churn schedule, deterministically search for a minimal failing
+//!   variant by pruning strategy combinators, fault sets and churn events.
 //! * **Churn** ([`churn`]) — dynamic-membership schedules
 //!   ([`ChurnSpec`]: late joins, silent departures, crash-recoveries) as
 //!   the same kind of shrinkable data tree, with weakened invariants
 //!   (churn-agreement, join-convergence, recovery-consistency) checked by
 //!   [`TraceChecker::with_churn`] over [`TraceEventKind::Knowledge`]
-//!   samples, and a dedicated [`shrink_churn`] minimizer.
+//!   samples, minimized by the same [`shrink`](fn@shrink).
 //!
 //! `cupft_core` wires these into the `Scenario` runner (recorded runs, a
 //! strategy grid axis, and a shrink driver); see `tests/adversary_catch.rs`
@@ -48,14 +48,11 @@ pub mod shrink;
 pub mod spec;
 pub mod strategy;
 pub mod trace;
-mod wire;
 
-pub use churn::{
-    churn_candidates, churn_size, shrink_churn, ChurnEvent, ChurnShrinkOutcome, ChurnSpec,
-};
+pub use churn::{ChurnEvent, ChurnSpec};
 pub use invariant::{ChurnContext, Invariant, TraceChecker, Violation};
 pub use sched::TamperSpec;
-pub use shrink::{assignment_size, shrink, Assignment, ShrinkOutcome};
+pub use shrink::{shrink, Assignment, ShrinkOutcome, Shrinkable};
 pub use spec::StrategySpec;
 pub use strategy::{
     DelayRelease, FlipAfter, Mute, Strategy, StrategyActor, TargetSubset, FLIP_TICK, RELEASE_TICK,

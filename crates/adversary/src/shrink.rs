@@ -1,19 +1,19 @@
 //! Deterministic counterexample shrinking.
 //!
-//! Given a fault [`Assignment`] whose execution violates some invariant,
-//! [`shrink`] searches for a *minimal* failing variant: it repeatedly
-//! tries strictly smaller rewrites — dropping whole Byzantine processes,
-//! then applying [`StrategySpec::simplifications`] per process — and
-//! greedily keeps the first rewrite the caller's oracle still judges
+//! Given a failing input — a fault [`Assignment`] or a
+//! [`ChurnSpec`](crate::ChurnSpec) schedule — [`shrink`] searches for a
+//! *minimal* failing variant: it repeatedly tries the input's strictly
+//! smaller [`Shrinkable::candidates`] — removals first (whole Byzantine
+//! processes, whole churn events), then in-place simplifications — and
+//! greedily keeps the first candidate the caller's oracle still judges
 //! failing. Candidates are generated in a fixed order and every accepted
-//! step strictly decreases [`assignment_size`], so the search is
+//! step strictly decreases [`Shrinkable::size`], so the search is
 //! deterministic and terminates; re-running it on the same inputs yields
 //! the same minimum and the same attempt count.
 //!
-//! The oracle is a plain closure (`&[(ProcessId, StrategySpec)] -> bool`)
-//! so this module stays independent of how executions are produced —
-//! `cupft_core` wires it to "re-run the scenario, record the trace, ask
-//! the invariant checker".
+//! The oracle is a plain closure (`&T -> bool`) so this module stays
+//! independent of how executions are produced — `cupft_core` wires it to
+//! "re-run the scenario, record the trace, ask the invariant checker".
 
 use cupft_graph::ProcessId;
 
@@ -22,17 +22,53 @@ use crate::spec::StrategySpec;
 /// A fault assignment: which processes are Byzantine, and what each runs.
 pub type Assignment = Vec<(ProcessId, StrategySpec)>;
 
-/// The shrinker's size metric: strategy-tree nodes plus one per entry, so
-/// both "fewer faulty processes" and "simpler strategy" are progress.
-pub fn assignment_size(assignment: &Assignment) -> usize {
-    assignment.iter().map(|(_, s)| 1 + s.size()).sum()
+/// An input [`shrink`] can minimize.
+pub trait Shrinkable: Clone {
+    /// What the input is called in the failing-input panic.
+    const NOUN: &'static str;
+
+    /// The size metric every candidate strictly decreases.
+    fn size(&self) -> usize;
+
+    /// The strictly smaller candidates, in the deterministic order the
+    /// shrinker tries them.
+    fn candidates(&self) -> Vec<Self>;
+}
+
+impl Shrinkable for Assignment {
+    const NOUN: &'static str = "assignment";
+
+    /// Strategy-tree nodes plus one per entry, so both "fewer faulty
+    /// processes" and "simpler strategy" are progress.
+    fn size(&self) -> usize {
+        self.iter().map(|(_, s)| 1 + s.size()).sum()
+    }
+
+    /// Entry removals first (front to back), then per-entry spec
+    /// simplifications.
+    fn candidates(&self) -> Vec<Self> {
+        let mut out = Vec::new();
+        for i in 0..self.len() {
+            let mut smaller = self.clone();
+            smaller.remove(i);
+            out.push(smaller);
+        }
+        for (i, (id, spec)) in self.iter().enumerate() {
+            for simpler in spec.simplifications() {
+                let mut rewritten = self.clone();
+                rewritten[i] = (*id, simpler);
+                out.push(rewritten);
+            }
+        }
+        out
+    }
 }
 
 /// Outcome of a shrink search.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShrinkOutcome {
-    /// The minimal failing assignment found.
-    pub minimal: Assignment,
+pub struct ShrinkOutcome<T> {
+    /// The minimal failing input found.
+    pub minimal: T,
     /// Accepted rewrite steps (0 = the input was already minimal).
     pub steps: usize,
     /// Oracle invocations spent on candidates (excludes the initial
@@ -40,36 +76,16 @@ pub struct ShrinkOutcome {
     pub attempts: usize,
 }
 
-impl ShrinkOutcome {
-    /// Whether the search made the assignment strictly smaller.
+impl<T> ShrinkOutcome<T> {
+    /// Whether the search made the input strictly smaller.
     pub fn shrank(&self) -> bool {
         self.steps > 0
     }
 }
 
-/// The strictly smaller candidates of `assignment`, in the deterministic
-/// order the shrinker tries them: entry removals first (front to back),
-/// then per-entry spec simplifications.
-pub fn candidates(assignment: &Assignment) -> Vec<Assignment> {
-    let mut out = Vec::new();
-    for i in 0..assignment.len() {
-        let mut smaller = assignment.clone();
-        smaller.remove(i);
-        out.push(smaller);
-    }
-    for (i, (id, spec)) in assignment.iter().enumerate() {
-        for simpler in spec.simplifications() {
-            let mut rewritten = assignment.clone();
-            rewritten[i] = (*id, simpler);
-            out.push(rewritten);
-        }
-    }
-    out
-}
-
-/// Greedily minimizes a failing assignment under `still_fails`.
+/// Greedily minimizes a failing input under `still_fails`.
 ///
-/// `still_fails` must be a deterministic predicate ("this assignment's
+/// `still_fails` must be a deterministic predicate ("this input's
 /// execution still violates the invariant of interest"); it is *not*
 /// required to be monotone — the shrinker simply keeps the first smaller
 /// candidate that still fails and restarts from it.
@@ -78,21 +94,22 @@ pub fn candidates(assignment: &Assignment) -> Vec<Assignment> {
 ///
 /// Panics if `still_fails(&initial)` is `false`: shrinking a passing case
 /// is a caller bug that would otherwise "minimize" to garbage silently.
-pub fn shrink(
-    initial: Assignment,
-    still_fails: &mut dyn FnMut(&Assignment) -> bool,
-) -> ShrinkOutcome {
+pub fn shrink<T: Shrinkable>(
+    initial: T,
+    still_fails: &mut dyn FnMut(&T) -> bool,
+) -> ShrinkOutcome<T> {
     assert!(
         still_fails(&initial),
-        "shrink() requires a failing initial assignment"
+        "shrink() requires a failing initial {}",
+        T::NOUN
     );
     let mut current = initial;
     let mut steps = 0;
     let mut attempts = 0;
     loop {
         let mut improved = false;
-        for candidate in candidates(&current) {
-            debug_assert!(assignment_size(&candidate) < assignment_size(&current));
+        for candidate in current.candidates() {
+            debug_assert!(candidate.size() < current.size());
             attempts += 1;
             if still_fails(&candidate) {
                 current = candidate;
@@ -131,18 +148,19 @@ mod tests {
 
     #[test]
     fn size_metric_counts_entries_and_nodes() {
-        assert_eq!(assignment_size(&vec![]), 0);
-        assert_eq!(assignment_size(&vec![(p(4), StrategySpec::Silent)]), 2);
-        assert_eq!(assignment_size(&vec![(p(4), composite())]), 4);
+        let empty: Assignment = vec![];
+        assert_eq!(empty.size(), 0);
+        assert_eq!(vec![(p(4), StrategySpec::Silent)].size(), 2);
+        assert_eq!(vec![(p(4), composite())].size(), 4);
     }
 
     #[test]
     fn candidates_are_strictly_smaller() {
         let a: Assignment = vec![(p(4), composite()), (p(5), StrategySpec::Silent)];
-        let cs = candidates(&a);
+        let cs = a.candidates();
         assert!(!cs.is_empty());
         for c in &cs {
-            assert!(assignment_size(c) < assignment_size(&a));
+            assert!(c.size() < a.size());
         }
         // removals come first
         assert_eq!(cs[0], vec![(p(5), StrategySpec::Silent)]);

@@ -13,11 +13,11 @@
 //! Strategies are *described* by [`ByzantineStrategy`] (=
 //! [`cupft_adversary::StrategySpec`], re-exported for compatibility — a
 //! cloneable, shrinkable expression tree) and *executed* by per-strategy
-//! [`Strategy`] implementations compiled via [`build_strategy`]. The old
-//! enum-dispatch actor is gone; [`ByzantineActor`] is now a thin adapter
-//! binding a compiled strategy to a process identity, so combinator specs
-//! (delay-release, target-subset, flip-after) compose with every protocol
-//! strategy for free.
+//! [`Strategy`] implementations compiled via [`build_strategy`]; the
+//! scenario runner binds a compiled strategy to a process identity with
+//! [`cupft_adversary::StrategyActor`], so combinator specs (delay-release,
+//! target-subset, flip-after) compose with every protocol strategy for
+//! free.
 
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ use cupft_crypto::{KeyRegistry, SigningKey};
 use cupft_detector::PdCertificate;
 use cupft_discovery::{DiscoveryMsg, DiscoveryState, SyncState, DISCOVERY_TICK};
 use cupft_graph::{ProcessId, ProcessSet};
-use cupft_net::{Actor, Context};
+use cupft_net::Context;
 
 use crate::msgs::NodeMsg;
 
@@ -347,73 +347,28 @@ pub fn build_strategy(
     }
 }
 
-/// A faulty process executing a compiled [`ByzantineStrategy`].
-#[derive(Debug)]
-pub struct ByzantineActor {
-    id: ProcessId,
-    spec: ByzantineStrategy,
-    strategy: Box<dyn Strategy<NodeMsg>>,
-}
-
-impl ByzantineActor {
-    /// Creates the faulty process.
-    ///
-    /// `true_pd` is what the participant detector actually returned; some
-    /// strategies ignore it and substitute their own claim.
-    pub fn new(
-        key: SigningKey,
-        registry: KeyRegistry,
-        true_pd: ProcessSet,
-        strategy: ByzantineStrategy,
-        period: u64,
-    ) -> Self {
-        let id = ProcessId::new(key.id());
-        let compiled = build_strategy(&strategy, &key, &registry, &true_pd, period);
-        ByzantineActor {
-            id,
-            spec: strategy,
-            strategy: compiled,
-        }
-    }
-
-    /// The strategy spec in play.
-    pub fn strategy(&self) -> &ByzantineStrategy {
-        &self.spec
-    }
-}
-
-impl Actor<NodeMsg> for ByzantineActor {
-    fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
-        self.strategy.on_start(ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
-        self.strategy.on_message(from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, timer: u64, ctx: &mut Context<NodeMsg>) {
-        self.strategy.on_timer(timer, ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cupft_adversary::StrategyActor;
     use cupft_graph::process_set;
+    use cupft_net::Actor;
 
-    fn make(strategy: ByzantineStrategy) -> (ByzantineActor, KeyRegistry) {
+    /// Builds the faulty process the way the scenario runner does.
+    fn actor(
+        key: &SigningKey,
+        registry: &KeyRegistry,
+        true_pd: ProcessSet,
+        strategy: &ByzantineStrategy,
+    ) -> StrategyActor<NodeMsg> {
+        let id = ProcessId::new(key.id());
+        StrategyActor::new(id, build_strategy(strategy, key, registry, &true_pd, 20))
+    }
+
+    fn make(strategy: ByzantineStrategy) -> (StrategyActor<NodeMsg>, KeyRegistry) {
         let mut registry = KeyRegistry::new();
         let key = registry.register(4);
-        let actor =
-            ByzantineActor::new(key, registry.clone(), process_set([1, 2, 3]), strategy, 20);
+        let actor = actor(&key, &registry, process_set([1, 2, 3]), &strategy);
         (actor, registry)
     }
 
@@ -463,7 +418,7 @@ mod tests {
             even: process_set([1]),
             odd: process_set([2]),
         });
-        let pd_served = |actor: &mut ByzantineActor, from: u64| {
+        let pd_served = |actor: &mut StrategyActor<NodeMsg>, from: u64| {
             let mut ctx = Context::new(0, actor.id());
             actor.on_message(ProcessId::new(from), get_pds(), &mut ctx);
             match &ctx.queued_sends()[0].1 {
@@ -505,16 +460,15 @@ mod tests {
     fn equivocate_value_sends_conflicting_proposals() {
         let mut registry = KeyRegistry::new();
         let key = registry.register(1); // lowest ID => view-0 leader
-        let mut actor = ByzantineActor::new(
-            key,
-            registry,
+        let mut actor = actor(
+            &key,
+            &registry,
             process_set([2, 3, 4]),
-            ByzantineStrategy::EquivocateValue {
+            &ByzantineStrategy::EquivocateValue {
                 committee: process_set([1, 2, 3, 4]),
                 value_a: Value::from_static(b"A"),
                 value_b: Value::from_static(b"B"),
             },
-            20,
         );
         let mut ctx = Context::new(100, actor.id());
         actor.on_timer(DISCOVERY_TICK, &mut ctx);
@@ -567,8 +521,9 @@ mod tests {
 
     #[test]
     fn spec_is_retained_for_inspection() {
+        // `compiled_names_match_spec_labels` ties each name to its spec.
         let (actor, _) = make(ByzantineStrategy::Silent);
-        assert!(actor.strategy().is_silent());
+        assert_eq!(actor.strategy().name(), "silent");
     }
 
     /// Compiled `Strategy::name()`s must match their spec's `label()` for

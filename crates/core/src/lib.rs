@@ -31,7 +31,7 @@ pub mod node;
 pub mod scenario;
 pub mod suite;
 
-pub use byzantine::{build_strategy, ByzantineActor, ByzantineStrategy};
+pub use byzantine::{build_strategy, ByzantineStrategy};
 pub use cupft_adversary::{ChurnEvent, ChurnSpec, TamperSpec};
 pub use detect::{CoreDetector, Detection, NaiveSinkGuesser, SinkDetector};
 pub use msgs::NodeMsg;

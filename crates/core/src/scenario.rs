@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cupft_adversary::{
-    ChurnContext, ChurnSpec, ExecutionTrace, KnowledgeMoment, RecordingTamper, SendLog, TamperSpec,
-    TraceChecker, TraceEvent, TraceEventKind,
+    ChurnContext, ChurnSpec, ExecutionTrace, KnowledgeMoment, RecordingTamper, SendLog,
+    StrategyActor, TamperSpec, TraceChecker, TraceEvent, TraceEventKind,
 };
 use cupft_committee::Value;
 use cupft_detector::SystemSetup;
@@ -27,7 +27,7 @@ use cupft_net::threaded::{Board, ThreadedConfig, ThreadedRuntime};
 use cupft_net::{DelayPolicy, NetStats, Runtime, SimConfig, Time};
 use cupft_obs::{ObsReport, Recorder};
 
-use crate::byzantine::{ByzantineActor, ByzantineStrategy};
+use crate::byzantine::{build_strategy, ByzantineStrategy};
 use crate::msgs::NodeMsg;
 use crate::node::{Node, NodeConfig, ProtocolMode};
 
@@ -525,7 +525,8 @@ impl Scenario {
 
 /// Registers the scenario's actors on `runtime`: correct (and
 /// crash-faulty) processes as [`Node`]s wired to `board`, Byzantine
-/// processes as [`ByzantineActor`]s. Returns the correct process set.
+/// processes as [`StrategyActor`]s running their compiled strategy.
+/// Returns the correct process set.
 fn populate<R: Runtime<NodeMsg>>(
     scenario: &Scenario,
     setup: &SystemSetup,
@@ -535,14 +536,15 @@ fn populate<R: Runtime<NodeMsg>>(
 ) -> ProcessSet {
     for v in scenario.graph.vertices() {
         if let Some(strategy) = scenario.byzantine.get(&v) {
-            let key = setup.key_of(v).expect("registered").clone();
-            runtime.add_actor(Box::new(ByzantineActor::new(
+            let key = setup.key_of(v).expect("registered");
+            let compiled = build_strategy(
+                strategy,
                 key,
-                setup.registry().clone(),
-                setup.oracle().pd_of(v),
-                strategy.clone(),
+                setup.registry(),
+                &setup.oracle().pd_of(v),
                 scenario.discovery_period,
-            )));
+            );
+            runtime.add_actor(Box::new(StrategyActor::new(v, compiled)));
         } else {
             let churn = scenario.churn.as_ref();
             let join = churn.and_then(|c| c.join_of(v));

@@ -2,9 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::{RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::hmac::hmac_sha256;
 use crate::sha256::{Digest, DIGEST_LEN};
@@ -137,13 +135,13 @@ impl KeyRegistry {
     /// the Sybil guard — one ID, one key.
     pub fn register(&mut self, id: u64) -> SigningKey {
         let secret = derive_secret(id);
-        self.inner.write().secrets.insert(id, secret);
+        self.write().secrets.insert(id, secret);
         SigningKey { id, secret }
     }
 
     /// Whether `id` has been registered.
     pub fn contains(&self, id: u64) -> bool {
-        self.inner.read().secrets.contains_key(&id)
+        self.read().secrets.contains_key(&id)
     }
 
     /// Verifies that `sig` is `id`'s signature over `message`.
@@ -151,7 +149,7 @@ impl KeyRegistry {
     /// Returns `false` for unregistered IDs, signer mismatches, and invalid
     /// tags.
     pub fn verify(&self, id: u64, message: &[u8], sig: &Signature) -> bool {
-        verify_against(&self.inner.read(), id, message, sig)
+        verify_against(&self.read(), id, message, sig)
     }
 
     /// Opens a batch-verification session: the returned [`BatchVerifier`]
@@ -162,19 +160,25 @@ impl KeyRegistry {
     /// [`Self::register`] is blocked while a session is open — keep
     /// sessions short-lived.
     pub fn batch(&self) -> BatchVerifier<'_> {
-        BatchVerifier {
-            inner: self.inner.read(),
-        }
+        BatchVerifier { inner: self.read() }
     }
 
     /// Number of registered processes.
     pub fn len(&self) -> usize {
-        self.inner.read().secrets.len()
+        self.read().secrets.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().secrets.is_empty()
+        self.read().secrets.is_empty()
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, RegistryInner> {
+        self.inner.read().expect("key registry poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, RegistryInner> {
+        self.inner.write().expect("key registry poisoned")
     }
 }
 

@@ -16,12 +16,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use cupft_graph::ProcessId;
-use parking_lot::Mutex;
 
 use crate::actor::{Actor, Context, Labeled, TimerKind};
 use crate::stats::NetStats;
@@ -155,7 +154,10 @@ pub(crate) fn actor_loop<M: Labeled, E: Egress<M>>(
     let mut apply = |timers: &mut Timers, ctx: Context<M>, now: Time| {
         let (sends, new_timers, halted) = ctx.into_effects();
         for (to, msg) in sends {
-            let mut tamper = shared.tamper.as_ref().map(|t| t.lock());
+            let mut tamper = shared
+                .tamper
+                .as_ref()
+                .map(|t| t.lock().expect("tamper lock poisoned"));
             let (label, payload) = (msg.label(), msg.payload_units());
             let admitted = admit(
                 &mut stats,

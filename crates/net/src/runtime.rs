@@ -27,12 +27,11 @@
 //! which the threaded and socket runtimes cannot offer mid-run (the actors
 //! are owned by their threads until shutdown).
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use cupft_graph::ProcessId;
 use cupft_obs::{ObsReport, Recorder};
-use cupft_wire::{Decode, Encode, Reader, WireError};
 
 use crate::actor::Actor;
 use crate::stage::Preflight;
@@ -68,69 +67,13 @@ impl std::fmt::Display for PeerAddr {
     }
 }
 
-/// Wire form: `tag:u8` (0 = Local, 1 = Tcp/v4, 2 = Tcp/v6) followed by the
-/// raw process ID, or octets ‖ `port:u16`. Lets a driver ship a peer
-/// address book to node processes in the same framed vocabulary as
-/// everything else.
-impl Encode for PeerAddr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            PeerAddr::Local(id) => {
-                out.push(0);
-                id.encode(out);
-            }
-            PeerAddr::Tcp(addr) => match addr.ip() {
-                IpAddr::V4(ip) => {
-                    out.push(1);
-                    out.extend_from_slice(&ip.octets());
-                    addr.port().encode(out);
-                }
-                IpAddr::V6(ip) => {
-                    out.push(2);
-                    out.extend_from_slice(&ip.octets());
-                    addr.port().encode(out);
-                }
-            },
-        }
-    }
-}
-
-impl Decode for PeerAddr {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(PeerAddr::Local(ProcessId::decode(r)?)),
-            1 => {
-                let mut octets = [0u8; 4];
-                octets.copy_from_slice(r.take(4)?);
-                let port = r.u16()?;
-                Ok(PeerAddr::Tcp(SocketAddr::new(
-                    IpAddr::V4(Ipv4Addr::from(octets)),
-                    port,
-                )))
-            }
-            2 => {
-                let mut octets = [0u8; 16];
-                octets.copy_from_slice(r.take(16)?);
-                let port = r.u16()?;
-                Ok(PeerAddr::Tcp(SocketAddr::new(
-                    IpAddr::V6(Ipv6Addr::from(octets)),
-                    port,
-                )))
-            }
-            tag => Err(WireError::BadTag {
-                ty: "PeerAddr",
-                tag,
-            }),
-        }
-    }
-}
-
 /// Outcome of one [`Runtime`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeReport {
     /// Whether every actor halted before the runtime's bound.
     pub all_halted: bool,
-    /// Whether the caller's stop condition ended the run.
+    /// Whether the caller's stop condition ended the run (always `false`
+    /// from [`crate::sim::Simulation::run`], which takes none).
     pub stopped: bool,
     /// When the run ended: simulated ticks for the simulator, elapsed
     /// milliseconds for the threaded and socket runtimes.

@@ -55,25 +55,6 @@ pub struct TraceEntry {
     pub label: &'static str,
 }
 
-/// Outcome of a simulation run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunReport {
-    /// Simulated time when the run stopped.
-    pub end_time: Time,
-    /// Whether every actor halted (vs. hitting `max_time` / event
-    /// exhaustion with live actors).
-    pub all_halted: bool,
-    /// Number of events processed.
-    pub events: u64,
-    /// Network statistics.
-    pub stats: NetStats,
-    /// Observability snapshot, present when a recorder was installed via
-    /// [`Simulation::set_recorder`]. In the simulator every value in the
-    /// snapshot is in the virtual clock domain and therefore a pure
-    /// function of configuration + seed.
-    pub obs: Option<ObsReport>,
-}
-
 enum EventKind<M> {
     Deliver { from: ProcessId, msg: M },
     Timer { kind: TimerKind },
@@ -317,18 +298,26 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
         Some(rec.snapshot())
     }
 
-    /// Runs until no progress is possible (all halted, horizon reached, or
-    /// no events left).
-    pub fn run(&mut self) -> RunReport {
-        while self.step() {}
+    /// The report of the run so far; `stopped` records whether a caller's
+    /// stop condition ended it.
+    fn report(&mut self, stopped: bool) -> RuntimeReport {
         let obs = self.obs_snapshot();
-        RunReport {
-            end_time: self.now,
+        RuntimeReport {
             all_halted: self.live == 0,
+            stopped,
+            end_time: self.now,
             events: self.events_processed,
             stats: self.stats.clone(),
             obs,
         }
+    }
+
+    /// Runs until no progress is possible (all halted, horizon reached, or
+    /// no events left). No stop condition is involved, so the report's
+    /// `stopped` is `false`.
+    pub fn run(&mut self) -> RuntimeReport {
+        while self.step() {}
+        self.report(false)
     }
 
     /// Runs until `predicate` returns true (checked after each event) or no
@@ -372,15 +361,7 @@ impl<M: Clone + Labeled + 'static> Runtime<M> for Simulation<M> {
 
     fn run_until_stopped(&mut self, stop: &mut dyn FnMut() -> bool) -> RuntimeReport {
         let stopped = self.run_until(|_| stop());
-        let obs = self.obs_snapshot();
-        RuntimeReport {
-            all_halted: self.live == 0,
-            stopped,
-            end_time: self.now,
-            events: self.events_processed,
-            stats: self.stats.clone(),
-            obs,
-        }
+        self.report(stopped)
     }
 
     fn stats(&self) -> &NetStats {

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -44,7 +44,6 @@ use cupft_graph::ProcessId;
 use cupft_obs::Recorder;
 use cupft_wire::frame::{frame, read_frame};
 use cupft_wire::{Decode, Encode, Reader, WireError};
-use parking_lot::Mutex;
 
 use crate::actor::Labeled;
 use crate::host::{Egress, Wheel};
@@ -135,12 +134,16 @@ impl ConnPool {
         let tx = self
             .conns
             .lock()
+            .expect("connection pool poisoned")
             .entry(addr)
             .or_insert_with(|| {
                 let (tx, rx) = unbounded::<Vec<u8>>();
                 let shutdown = self.shutdown.clone();
                 let writer = thread::spawn(move || writer_loop(addr, rx, &shutdown));
-                self.handles.lock().push(writer);
+                self.handles
+                    .lock()
+                    .expect("writer handles poisoned")
+                    .push(writer);
                 tx
             })
             .clone();
@@ -151,8 +154,8 @@ impl ConnPool {
     /// drains its queue, then exits and closes its stream) and joins the
     /// writer threads.
     fn close(&self) {
-        self.conns.lock().clear();
-        let handles = std::mem::take(&mut *self.handles.lock());
+        self.conns.lock().expect("connection pool poisoned").clear();
+        let handles = std::mem::take(&mut *self.handles.lock().expect("writer handles poisoned"));
         for handle in handles {
             handle.join().expect("socket writer panicked");
         }

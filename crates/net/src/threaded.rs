@@ -18,14 +18,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use cupft_graph::ProcessId;
 use cupft_obs::{Histogram, Recorder};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -357,22 +356,26 @@ impl<T: Clone> Board<T> {
 
     /// Publishes `value` for process `id`.
     pub fn publish(&self, id: ProcessId, value: T) {
-        self.inner.lock().insert(id, value);
+        self.entries().insert(id, value);
     }
 
     /// Snapshot of all published values.
     pub fn snapshot(&self) -> BTreeMap<ProcessId, T> {
-        self.inner.lock().clone()
+        self.entries().clone()
     }
 
     /// Number of published entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.entries().len()
     }
 
     /// Whether nothing has been published.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.entries().is_empty()
+    }
+
+    fn entries(&self) -> MutexGuard<'_, BTreeMap<ProcessId, T>> {
+        self.inner.lock().expect("board lock poisoned")
     }
 }
 

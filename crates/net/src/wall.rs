@@ -23,14 +23,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Sender};
 use cupft_graph::ProcessId;
 use cupft_obs::Recorder;
-use parking_lot::Mutex;
 
 use crate::actor::{Actor, Labeled};
 use crate::host::{actor_loop, supervise, Egress, Shared};

@@ -7,7 +7,7 @@
 //! cargo run --example adversary_demo
 //! ```
 
-use bft_cupft::adversary::{assignment_size, shrink, Assignment, Invariant};
+use bft_cupft::adversary::{shrink, Assignment, Invariant, Shrinkable};
 use bft_cupft::core::{
     run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario, TamperSpec,
 };
@@ -91,8 +91,8 @@ fn main() {
     let shrunk = shrink(initial.clone(), &mut oracle);
     println!(
         "shrunk size {} -> {} in {} steps ({} candidate runs): {}",
-        assignment_size(&initial),
-        assignment_size(&shrunk.minimal),
+        initial.size(),
+        shrunk.minimal.size(),
         shrunk.steps,
         shrunk.attempts,
         shrunk

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification: formatting, lints, and the tier-1 build+test gate.
+# Repo verification: lock files, formatting, lints, and the tier-1
+# build+test gate.
 #
 #   scripts/verify.sh          # everything (what the CI `full` path runs),
 #                              # including the standalone benchmark/
@@ -49,14 +50,16 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
-echo "==> cargo fmt --check"
-cargo fmt --check
-
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
-
-echo "==> cargo build --examples"
-cargo build --examples
+# Lock gates first: every later cargo command would quietly rewrite a
+# stale root Cargo.lock, so check it before anything else resolves.
+# --locked fails whenever a manifest's dependency edit no longer matches
+# the committed lock (cargo tolerates a lock entry for a package that left
+# the graph entirely, not a changed edge of one that stays).
+echo "==> cargo metadata --locked (root Cargo.lock matches the manifests)"
+if ! cargo metadata --locked --offline --format-version 1 > /dev/null; then
+    echo "verify.sh: a Cargo.toml's dependencies changed and the root Cargo.lock no longer matches; run cargo metadata --offline and commit the refreshed Cargo.lock in the same change" >&2
+    exit 1
+fi
 
 # benchmark/ pins its own Cargo.lock. --locked fails here, instead of
 # cargo silently rewriting that lock later, whenever a crate's dependency
@@ -66,6 +69,15 @@ if ! cargo metadata --locked --offline --format-version 1 --manifest-path benchm
     echo "verify.sh: a crate's [dependencies] changed and benchmark/Cargo.lock no longer matches; refresh that lock in the same change (ROADMAP item 1)" >&2
     exit 1
 fi
+
+echo "==> cargo fmt --check"
+cargo fmt --check
+
+echo "==> cargo clippy --all-targets -- -D warnings"
+cargo clippy --all-targets -- -D warnings
+
+echo "==> cargo build --examples"
+cargo build --examples
 
 echo "==> cargo doc --no-deps -q"
 # Explicit exit-code check: `set -e` covers this today, but the doc gate

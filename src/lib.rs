@@ -19,5 +19,4 @@ pub use cupft_discovery as discovery;
 pub use cupft_graph as graph;
 pub use cupft_net as net;
 pub use cupft_obs as obs;
-pub use cupft_rrb as rrb;
 pub use cupft_wire as wire;

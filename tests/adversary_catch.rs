@@ -11,7 +11,7 @@
 //! 4. injection of the same spec works on the threaded substrate too
 //!    (trace/shrink stay sim-only, per the determinism contract).
 
-use bft_cupft::adversary::{assignment_size, shrink, Assignment, Invariant};
+use bft_cupft::adversary::{shrink, Assignment, Invariant, Shrinkable};
 use bft_cupft::core::{
     run_scenario_recorded, ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario,
 };
@@ -76,9 +76,11 @@ fn inject_flag_shrink_end_to_end() {
     // the minimal failing variant is the empty fault assignment.
     let outcome = shrink(initial.clone(), &mut violates_agreement);
     assert!(outcome.shrank(), "a strictly smaller variant exists");
-    assert!(assignment_size(&outcome.minimal) < assignment_size(&initial));
+    assert!(outcome.minimal.size() < initial.size());
     assert!(violates_agreement(&outcome.minimal));
     assert_eq!(outcome.minimal, vec![], "the graph alone already fails");
+    // The search order is pinned: one accepted step after one attempt.
+    assert_eq!((outcome.steps, outcome.attempts), (1, 1));
 
     // 3b: constrained to "process 4 stays faulty" (the experimenter's
     // question: which part of the composite strategy matters?), the
@@ -89,7 +91,8 @@ fn inject_flag_shrink_end_to_end() {
         constrained.minimal,
         vec![(ProcessId::new(4), ByzantineStrategy::Silent)]
     );
-    assert!(assignment_size(&constrained.minimal) < assignment_size(&initial));
+    assert_eq!((constrained.steps, constrained.attempts), (2, 5));
+    assert!(constrained.minimal.size() < initial.size());
 
     // determinism: the whole record→check→shrink loop replays identically
     let replay = shrink(initial, &mut violates_agreement);

@@ -7,13 +7,13 @@
 //! 2. the churn-armed checker flags the **RecoveryConsistency** violation
 //!    from the recorded trace's knowledge samples (crash view vs.
 //!    recovery view), not from re-inspecting actors;
-//! 3. [`shrink_churn`] reduces the failing schedule — crash event plus
+//! 3. [`shrink`] reduces the failing schedule — crash event plus
 //!    decoy join and leave — to the minimal single-event reproducer, all
 //!    deterministic under the fixed seed;
 //! 4. the control run (same schedule, honest recovery) passes every
 //!    weakened invariant, so the flag is what the checker catches.
 
-use bft_cupft::adversary::{churn_size, shrink_churn, ChurnEvent, ChurnSpec, Invariant};
+use bft_cupft::adversary::{shrink, ChurnEvent, ChurnSpec, Invariant, Shrinkable};
 use bft_cupft::core::{run_scenario_recorded, ProtocolMode, Scenario};
 use bft_cupft::graph::{fig1b, process_set, ProcessId};
 use bft_cupft::net::DelayPolicy;
@@ -100,9 +100,9 @@ fn inject_flag_shrink_churn_end_to_end() {
 
     // 3: the shrinker strips both decoys and keeps the crash-rejoin —
     // the minimal reproducer is the single culprit event, unsimplified.
-    let shrunk = shrink_churn(initial.clone(), &mut violates_recovery);
+    let shrunk = shrink(initial.clone(), &mut violates_recovery);
     assert!(shrunk.shrank(), "decoys must be removable");
-    assert!(churn_size(&shrunk.minimal) < churn_size(&initial));
+    assert!(shrunk.minimal.size() < initial.size());
     assert_eq!(
         shrunk.minimal,
         ChurnSpec::new(vec![ChurnEvent::CrashRecoverAt {
@@ -112,10 +112,12 @@ fn inject_flag_shrink_churn_end_to_end() {
         }]),
         "minimal reproducer is the bare crash-rejoin"
     );
+    // The search order is pinned: both decoy removals, four attempts.
+    assert_eq!((shrunk.steps, shrunk.attempts), (2, 4));
     assert!(violates_recovery(&shrunk.minimal));
 
     // determinism: the whole record→check→shrink loop replays identically
-    let replay = shrink_churn(initial, &mut violates_recovery);
+    let replay = shrink(initial, &mut violates_recovery);
     assert_eq!(replay, shrunk);
     let (_, trace_b) = run_scenario_recorded(&scenario);
     assert_eq!(trace.fingerprint(), trace_b.fingerprint());

@@ -20,17 +20,14 @@
 //! Full fidelity to the 120-line protocol suite of \[10\] is out of scope
 //! (the paper's point is precisely that signatures make it unnecessary);
 //! delivery is validated empirically on the `G_di` graph families in the
-//! tests, and `section3_signatures_outscale_reliable_broadcast` in
-//! `tests/theorems.rs` compares its message cost against the signed
-//! Discovery protocol.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! tests below, and `section3_signatures_outscale_reliable_broadcast` in
+//! `tests/theorems.rs` (the only user of this module) compares its message
+//! cost against the signed Discovery protocol.
 
 use std::collections::BTreeMap;
 
-use cupft_graph::{DiGraph, ProcessId, ProcessSet};
-use cupft_net::{Actor, Context, Labeled};
+use bft_cupft::graph::{DiGraph, KnowledgeView, ProcessId, ProcessSet};
+use bft_cupft::net::{Actor, Context, Labeled, TimerKind};
 
 /// A broadcast payload: opaque bytes identified by `(origin, tag)`.
 ///
@@ -118,11 +115,6 @@ impl RrbState {
         self.delivered.keys()
     }
 
-    /// Whether `payload` has been delivered.
-    pub fn is_delivered(&self, payload: &RrbPayload) -> bool {
-        self.delivered.contains_key(payload)
-    }
-
     /// Handles a flooded copy; returns forwards to send plus the payloads
     /// newly delivered by this copy.
     pub fn handle(&mut self, msg: RrbMsg) -> (Vec<(ProcessId, RrbMsg)>, Vec<RrbPayload>) {
@@ -179,7 +171,7 @@ impl RrbState {
 
     /// Exact count of node-disjoint origin→self routes in the union of
     /// received routes (Menger on the union graph).
-    pub fn disjoint_route_count(&self, payload: &RrbPayload) -> usize {
+    fn disjoint_route_count(&self, payload: &RrbPayload) -> usize {
         let Some(paths) = self.received_paths.get(payload) else {
             return 0;
         };
@@ -198,8 +190,8 @@ impl RrbState {
 
 /// A standalone actor flooding one payload (its own PD) and collecting
 /// deliveries — the unauthenticated counterpart of
-/// `cupft_discovery::DiscoveryActor`, which the Section III test in
-/// `tests/theorems.rs` measures it against.
+/// `bft_cupft::discovery::DiscoveryActor`, which the Section III test
+/// measures it against.
 #[derive(Debug)]
 pub struct RrbActor {
     state: RrbState,
@@ -261,9 +253,9 @@ impl Actor<RrbMsg> for RrbActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cupft_graph::{fig1b, process_set, GdiParams, Generator};
-    use cupft_net::sim::Simulation;
-    use cupft_net::{DelayPolicy, SimConfig};
+    use bft_cupft::graph::{fig1b, process_set, GdiParams, Generator};
+    use bft_cupft::net::sim::Simulation;
+    use bft_cupft::net::{DelayPolicy, SimConfig};
 
     fn p(n: u64) -> ProcessId {
         ProcessId::new(n)
@@ -444,16 +436,6 @@ mod tests {
     }
 }
 
-impl RrbState {
-    /// The full routes recorded for `payload` (diagnostics).
-    pub fn routes_of(&self, payload: &RrbPayload) -> &[Vec<ProcessId>] {
-        self.received_paths
-            .get(payload)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-}
-
 /// The *unauthenticated* discovery pipeline of the original BFT-CUP \[10\]:
 /// every process floods its PD via reachable reliable broadcast, and a PD
 /// enters the local [`KnowledgeView`] only once delivered over more than
@@ -471,9 +453,6 @@ pub struct UnauthDiscoveryActor {
     own_payload: RrbPayload,
     period: u64,
 }
-
-use cupft_graph::KnowledgeView;
-use cupft_net::TimerKind;
 
 /// Timer kind for the unauthenticated re-flood round.
 pub const REFLOOD_TICK: TimerKind = 0xF100D;
@@ -498,11 +477,6 @@ impl UnauthDiscoveryActor {
     /// The knowledge view assembled from delivered PDs.
     pub fn view(&self) -> &KnowledgeView {
         &self.view
-    }
-
-    /// The underlying broadcast state.
-    pub fn rrb(&self) -> &RrbState {
-        &self.rrb
     }
 }
 
@@ -560,11 +534,11 @@ impl Actor<RrbMsg> for UnauthDiscoveryActor {
 #[cfg(test)]
 mod unauth_tests {
     use super::*;
-    use cupft_graph::{fig1b, process_set, CandidateSearch};
-    use cupft_net::sim::Simulation;
-    use cupft_net::{DelayPolicy, SimConfig};
+    use bft_cupft::graph::{fig1b, process_set, CandidateSearch, FigureGraph};
+    use bft_cupft::net::sim::Simulation;
+    use bft_cupft::net::{DelayPolicy, SimConfig};
 
-    fn run_unauth(fig: &cupft_graph::FigureGraph, f: usize, seed: u64) -> Simulation<RrbMsg> {
+    fn run_unauth(fig: &FigureGraph, f: usize, seed: u64) -> Simulation<RrbMsg> {
         let mut sim: Simulation<RrbMsg> = Simulation::new(SimConfig {
             seed,
             max_time: 100_000,

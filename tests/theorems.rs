@@ -10,7 +10,9 @@ use bft_cupft::graph::{
 };
 use bft_cupft::net::sim::Simulation;
 use bft_cupft::net::{DelayPolicy, SimConfig};
-use bft_cupft::rrb::{RrbActor, RrbMsg};
+use rrb::{RrbActor, RrbMsg};
+
+mod rrb;
 
 /// Theorem 1 (necessity side, spot check): the witness graphs satisfying
 /// BFT-CUP have (f+1)-OSR safe subgraphs with ≥ 2f+1 sinks.

@@ -2,7 +2,7 @@
 //!
 //! Two laws, checked for every wire type in the workspace (graph
 //! vocabulary, crypto records, discovery/committee/node protocol
-//! messages, adversary control specs, peer addresses):
+//! messages):
 //!
 //! 1. `decode ∘ encode == id` — decoding the canonical bytes yields an
 //!    equal value;
@@ -14,13 +14,11 @@
 //! rejected with structured errors (never a panic, never an over-read),
 //! both at the frame envelope and inside message payloads.
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 use std::sync::Arc;
 
 use proptest::collection::{btree_set, vec as pvec};
 use proptest::prelude::*;
 
-use bft_cupft::adversary::{ChurnEvent, ChurnSpec, StrategySpec, TamperSpec};
 use bft_cupft::committee::{CommitteeMsg, PreparedCert, Value, ViewChangeRecord};
 use bft_cupft::core::NodeMsg;
 use bft_cupft::crypto::sha256::{digest, Digest};
@@ -28,7 +26,6 @@ use bft_cupft::crypto::{domains, KeyRegistry, Signature, SignedPd, SignedValue};
 use bft_cupft::detector::PdCertificate;
 use bft_cupft::discovery::{DiscoveryMsg, SyncState};
 use bft_cupft::graph::{ProcessId, ProcessSet};
-use bft_cupft::net::PeerAddr;
 use bft_cupft::wire::frame::{
     frame, read_frame, unframe, write_frame, FrameIoError, FRAME_MAGIC, HEADER_LEN,
     MAX_FRAME_PAYLOAD, WIRE_VERSION,
@@ -189,107 +186,6 @@ fn arb_node_msg() -> BoxedStrategy<NodeMsg> {
     .boxed()
 }
 
-fn arb_peer_addr() -> BoxedStrategy<PeerAddr> {
-    prop_oneof![
-        arb_pid().prop_map(PeerAddr::Local),
-        (any::<u32>(), any::<u16>()).prop_map(|(ip, port)| {
-            PeerAddr::Tcp(SocketAddr::new(IpAddr::V4(Ipv4Addr::from(ip)), port))
-        }),
-        ((any::<u64>(), any::<u64>()), any::<u16>()).prop_map(|((hi, lo), port)| {
-            let ip = (u128::from(hi) << 64) | u128::from(lo);
-            PeerAddr::Tcp(SocketAddr::new(IpAddr::V6(Ipv6Addr::from(ip)), port))
-        }),
-    ]
-    .boxed()
-}
-
-fn arb_tamper_leaf() -> BoxedStrategy<TamperSpec> {
-    prop_oneof![
-        (1u64..100, any::<u64>())
-            .prop_map(|(window, seed)| TamperSpec::ReorderWindow { window, seed }),
-        (arb_pset(), 0u64..50)
-            .prop_map(|(senders, extra)| TamperSpec::DelayFrom { senders, extra }),
-        arb_pset().prop_map(|senders| TamperSpec::DropFrom { senders }),
-    ]
-    .boxed()
-}
-
-fn arb_tamper() -> BoxedStrategy<TamperSpec> {
-    prop_oneof![
-        arb_tamper_leaf(),
-        pvec(arb_tamper_leaf(), 0..3)
-            .prop_map(TamperSpec::Chain)
-            .boxed(),
-    ]
-    .boxed()
-}
-
-fn arb_churn_event() -> BoxedStrategy<ChurnEvent> {
-    prop_oneof![
-        (any::<u64>(), arb_pid(), arb_pset()).prop_map(|(tick, node, seed_peers)| {
-            ChurnEvent::JoinAt {
-                tick,
-                node,
-                seed_peers,
-            }
-        }),
-        (any::<u64>(), arb_pid()).prop_map(|(tick, node)| ChurnEvent::LeaveAt { tick, node }),
-        (any::<u64>(), arb_pid(), any::<u64>()).prop_map(|(tick, node, down_for)| {
-            ChurnEvent::CrashRecoverAt {
-                tick,
-                node,
-                down_for,
-            }
-        }),
-    ]
-    .boxed()
-}
-
-fn arb_strategy_leaf() -> BoxedStrategy<StrategySpec> {
-    prop_oneof![
-        Just(StrategySpec::Silent),
-        arb_pset().prop_map(|claimed| StrategySpec::FakePd { claimed }),
-        (arb_pset(), arb_pset()).prop_map(|(even, odd)| StrategySpec::EquivocatePd { even, odd }),
-        (arb_pid(), arb_pset())
-            .prop_map(|(victim, claimed)| StrategySpec::ForgeUnsignedPd { victim, claimed }),
-        arb_value().prop_map(|value| StrategySpec::LieDecidedVal { value }),
-        (arb_pset(), arb_value(), arb_value()).prop_map(|(committee, value_a, value_b)| {
-            StrategySpec::EquivocateValue {
-                committee,
-                value_a,
-                value_b,
-            }
-        }),
-    ]
-    .boxed()
-}
-
-fn arb_strategy() -> BoxedStrategy<StrategySpec> {
-    prop_oneof![
-        arb_strategy_leaf(),
-        (any::<u64>(), arb_strategy_leaf()).prop_map(|(until, inner)| {
-            StrategySpec::DelayRelease {
-                until,
-                inner: Box::new(inner),
-            }
-        }),
-        (arb_pset(), arb_strategy_leaf()).prop_map(|(targets, inner)| {
-            StrategySpec::TargetSubset {
-                targets,
-                inner: Box::new(inner),
-            }
-        }),
-        (any::<u64>(), arb_strategy_leaf(), arb_strategy_leaf()).prop_map(|(at, before, after)| {
-            StrategySpec::FlipAfter {
-                at,
-                before: Box::new(before),
-                after: Box::new(after),
-            }
-        }),
-    ]
-    .boxed()
-}
-
 // ---- round-trip laws, per wire type ---------------------------------------
 
 proptest! {
@@ -336,22 +232,6 @@ proptest! {
         rt(&msg);
     }
 
-    #[test]
-    fn peer_addrs_roundtrip(addr in arb_peer_addr()) {
-        rt(&addr);
-    }
-
-    #[test]
-    fn adversary_control_roundtrips(
-        tamper in arb_tamper(),
-        churn in pvec(arb_churn_event(), 0..5),
-        strategy in arb_strategy(),
-    ) {
-        rt(&tamper);
-        rt(&ChurnSpec::new(churn));
-        rt(&strategy);
-    }
-
     // ---- negative space: the codec never panics on hostile bytes ----
 
     #[test]
@@ -361,8 +241,6 @@ proptest! {
         let _ = decode_from_slice::<NodeMsg>(&bytes);
         let _ = decode_from_slice::<DiscoveryMsg>(&bytes);
         let _ = decode_from_slice::<CommitteeMsg>(&bytes);
-        let _ = decode_from_slice::<StrategySpec>(&bytes);
-        let _ = decode_from_slice::<PeerAddr>(&bytes);
         let _ = unframe(&bytes);
         prop_assert!(true);
     }
