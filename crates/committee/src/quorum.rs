@@ -76,11 +76,6 @@ impl Committee {
     pub fn members(&self) -> &[ProcessId] {
         &self.members
     }
-
-    /// The member set.
-    pub fn member_set(&self) -> ProcessSet {
-        self.members.iter().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +133,6 @@ mod tests {
         let c = Committee::new(process_set([1, 3]), 0);
         assert!(c.contains(p(1)));
         assert!(!c.contains(p(2)));
-        assert_eq!(c.member_set(), process_set([1, 3]));
     }
 
     #[test]

@@ -417,8 +417,7 @@ impl Node {
         self.down = false;
         self.recovered = true;
         let snapshot = self.crash_snapshot.take().unwrap_or_default();
-        let pool = self.discovery.shared_pool().cloned();
-        let mut restored = if self.config.broken_recovery {
+        let restored = if self.config.broken_recovery {
             // Deliberate defect (test-only): forget everything learned
             // before the crash and restart discovery from the bare PD.
             let own_pd = self
@@ -433,9 +432,7 @@ impl Node {
             DiscoveryState::from_bytes(&snapshot, self.registry.clone())
                 .expect("crash snapshot was produced by to_bytes")
         };
-        if let Some(pool) = pool {
-            restored = restored.with_shared_pool(pool);
-        }
+        let mut restored = restored.with_shared_pool(self.discovery.pool().clone());
         // New incarnation: peers' sync-skip memo must not suppress the
         // rejoined node, and its own peer memos are gone with the restore.
         restored.bump_epoch();

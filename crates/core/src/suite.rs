@@ -42,7 +42,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cupft_adversary::ChurnSpec;
 use cupft_graph::{DiGraph, GraphFamily};
 use cupft_net::{DelayPolicy, Time};
 
@@ -245,15 +244,6 @@ impl SuiteReport {
             .sum()
     }
 
-    /// Total payload units (e.g. certificates carried by SETPDS traffic)
-    /// sent across all scenarios.
-    pub fn total_payload_units(&self) -> u64 {
-        self.verdicts
-            .iter()
-            .map(|v| v.outcome.stats.payload_units)
-            .sum()
-    }
-
     /// One-line summary of the run.
     pub fn summary(&self) -> String {
         format!(
@@ -286,8 +276,6 @@ pub struct FaultCase {
     pub label: String,
     /// Byzantine assignments (raw process ID → strategy).
     pub byzantine: Vec<(u64, ByzantineStrategy)>,
-    /// Crash times (raw process ID → crash tick).
-    pub crashes: Vec<(u64, Time)>,
 }
 
 impl FaultCase {
@@ -304,14 +292,13 @@ impl FaultCase {
         FaultCase {
             label: format!("silent{id}"),
             byzantine: vec![(id, ByzantineStrategy::Silent)],
-            crashes: Vec::new(),
         }
     }
 }
 
 /// A strategy-assignment axis entry of a [`ScenarioGrid`] — the
 /// fault-injection engine's own axis, orthogonal to [`FaultCase`]
-/// (which keeps carrying crashes and legacy per-graph Byzantine IDs).
+/// (which keeps carrying legacy per-graph Byzantine IDs).
 /// When the axis is set, grid labels gain a strategy segment:
 /// `graph/fault/strategy/policy/seed`.
 #[derive(Debug, Clone, Default)]
@@ -347,44 +334,6 @@ impl StrategyCase {
     }
 }
 
-/// A churn-schedule axis entry of a [`ScenarioGrid`] — dynamic membership
-/// as a grid dimension, orthogonal to faults and strategies. When the axis
-/// is set, grid labels gain a churn segment (after the strategy segment):
-/// `graph/fault[/strategy][/churn]/policy/seed`.
-#[derive(Debug, Clone, Default)]
-pub struct ChurnCase {
-    /// Display label (defaults to the spec's own compact label).
-    pub label: String,
-    /// The membership schedule.
-    pub spec: ChurnSpec,
-}
-
-impl ChurnCase {
-    /// The stable-membership entry (useful as a baseline row on an
-    /// otherwise churning axis).
-    pub fn none() -> Self {
-        ChurnCase {
-            label: "stable".into(),
-            spec: ChurnSpec::default(),
-        }
-    }
-
-    /// A case labeled with the spec's own compact label
-    /// (`churn[join@100<9>,...]`).
-    pub fn of(spec: ChurnSpec) -> Self {
-        ChurnCase {
-            label: spec.label(),
-            spec,
-        }
-    }
-
-    /// Overrides the display label.
-    pub fn labeled(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-}
-
 /// A delay-policy axis entry of a [`ScenarioGrid`].
 #[derive(Debug, Clone)]
 pub struct PolicyCase {
@@ -403,7 +352,6 @@ pub struct ScenarioGrid {
     graphs: Vec<GraphCase>,
     faults: Vec<FaultCase>,
     strategies: Vec<StrategyCase>,
-    churns: Vec<ChurnCase>,
     policies: Vec<PolicyCase>,
     seeds: Vec<u64>,
 }
@@ -475,14 +423,6 @@ impl ScenarioGrid {
         self
     }
 
-    /// Adds a churn-schedule axis entry. Leaving the axis unset keeps the
-    /// classic labels; setting it crosses every [`ChurnCase`] into the
-    /// product and inserts its label segment.
-    pub fn churn(mut self, case: ChurnCase) -> Self {
-        self.churns.push(case);
-        self
-    }
-
     /// Adds a delay-policy axis entry.
     pub fn policy(mut self, label: impl Into<String>, policy: DelayPolicy, horizon: Time) -> Self {
         self.policies.push(PolicyCase {
@@ -520,11 +460,6 @@ impl ScenarioGrid {
         } else {
             self.strategies.iter().map(Some).collect()
         };
-        let churn_axis: Vec<Option<&ChurnCase>> = if self.churns.is_empty() {
-            vec![None]
-        } else {
-            self.churns.iter().map(Some).collect()
-        };
         let policy_axis: Vec<Option<&PolicyCase>> = if self.policies.is_empty() {
             vec![None]
         } else {
@@ -534,70 +469,51 @@ impl ScenarioGrid {
         for g in &self.graphs {
             for f in faults {
                 for s in &strategy_axis {
-                    for c in &churn_axis {
-                        for p in &policy_axis {
-                            for &seed in seeds {
-                                let mut scenario =
-                                    Scenario::new(g.graph.clone(), g.mode).with_seed(seed);
-                                for (id, strategy) in &f.byzantine {
-                                    scenario = scenario.with_byzantine(*id, strategy.clone());
-                                }
-                                for &(id, at) in &f.crashes {
-                                    scenario = scenario.with_crash(id, at);
-                                }
-                                let strategy_segment = match s {
-                                    Some(case) => {
-                                        for (id, spec) in &case.assign {
-                                            // A cell whose label promises both a
-                                            // FaultCase assignment and a strategy
-                                            // for the same process would silently
-                                            // run only the latter (map insert =
-                                            // last-wins) — reject the ambiguity.
-                                            assert!(
-                                                !f.byzantine.iter().any(|(fid, _)| fid == id),
-                                                "process {id} is assigned by both fault case \
+                    for p in &policy_axis {
+                        for &seed in seeds {
+                            let mut scenario =
+                                Scenario::new(g.graph.clone(), g.mode).with_seed(seed);
+                            for (id, strategy) in &f.byzantine {
+                                scenario = scenario.with_byzantine(*id, strategy.clone());
+                            }
+                            let strategy_segment = match s {
+                                Some(case) => {
+                                    for (id, spec) in &case.assign {
+                                        // A cell whose label promises both a
+                                        // FaultCase assignment and a strategy
+                                        // for the same process would silently
+                                        // run only the latter (map insert =
+                                        // last-wins) — reject the ambiguity.
+                                        assert!(
+                                            !f.byzantine.iter().any(|(fid, _)| fid == id),
+                                            "process {id} is assigned by both fault case \
                                                  {:?} and strategy case {:?}; give each axis \
                                                  disjoint process IDs",
-                                                f.label,
-                                                case.label,
-                                            );
-                                            scenario = scenario.with_byzantine(*id, spec.clone());
-                                        }
-                                        format!("/{}", case.label)
+                                            f.label,
+                                            case.label,
+                                        );
+                                        scenario = scenario.with_byzantine(*id, spec.clone());
                                     }
-                                    None => String::new(),
-                                };
-                                let churn_segment = match c {
-                                    Some(case) => {
-                                        if !case.spec.is_empty() {
-                                            scenario = scenario.with_churn(case.spec.clone());
-                                        }
-                                        format!("/{}", case.label)
-                                    }
-                                    None => String::new(),
-                                };
-                                let policy_label = match *p {
-                                    Some(case) => {
-                                        scenario = scenario
-                                            .with_policy(case.policy.clone())
-                                            .with_horizon(case.horizon);
-                                        case.label.as_str()
-                                    }
-                                    None => "default",
-                                };
-                                suite.push(
-                                    format!(
-                                        "{}/{}{}{}/{}/s{}",
-                                        g.label,
-                                        f.label,
-                                        strategy_segment,
-                                        churn_segment,
-                                        policy_label,
-                                        seed
-                                    ),
-                                    scenario,
-                                );
-                            }
+                                    format!("/{}", case.label)
+                                }
+                                None => String::new(),
+                            };
+                            let policy_label = match *p {
+                                Some(case) => {
+                                    scenario = scenario
+                                        .with_policy(case.policy.clone())
+                                        .with_horizon(case.horizon);
+                                    case.label.as_str()
+                                }
+                                None => "default",
+                            };
+                            suite.push(
+                                format!(
+                                    "{}/{}{}/{}/s{}",
+                                    g.label, f.label, strategy_segment, policy_label, seed
+                                ),
+                                scenario,
+                            );
                         }
                     }
                 }
@@ -713,34 +629,6 @@ mod tests {
         );
         let byz = &suite.entries()[2].scenario.byzantine;
         assert!(byz.contains_key(&cupft_graph::ProcessId::new(4)));
-    }
-
-    #[test]
-    fn churn_axis_crosses_and_labels() {
-        use cupft_adversary::ChurnEvent;
-        use cupft_graph::ProcessId;
-        let suite = ScenarioGrid::new()
-            .graph(
-                "fig1b",
-                fig1b().graph().clone(),
-                ProtocolMode::KnownThreshold(1),
-            )
-            .churn(ChurnCase::none())
-            .churn(ChurnCase::of(ChurnSpec::new(vec![ChurnEvent::LeaveAt {
-                tick: 50,
-                node: ProcessId::new(7),
-            }])))
-            .seeds(0..2)
-            .build();
-        assert_eq!(suite.len(), 4); // 1 graph x 2 churn cases x 2 seeds
-        assert_eq!(suite.entries()[0].label, "fig1b/correct/stable/default/s0");
-        assert_eq!(
-            suite.entries()[2].label,
-            "fig1b/correct/churn[leave@50<7>]/default/s0"
-        );
-        // The stable baseline carries no churn at all.
-        assert!(suite.entries()[0].scenario.churn.is_none());
-        assert!(suite.entries()[2].scenario.churn.is_some());
     }
 
     #[test]

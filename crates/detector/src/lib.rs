@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -326,11 +327,11 @@ impl CertPool {
     /// pure function, so the verdicts agree anyway). A rejected
     /// fingerprint bumps [`Self::forged_records`] exactly once, on the
     /// insert that stuck.
-    pub fn record_verdict(&self, fingerprint: u128, ok: bool) -> bool {
+    fn record_verdict(&self, fingerprint: u128, ok: bool) -> bool {
         let mut verdicts = self.verdicts.write().expect("cert pool poisoned");
         match verdicts.entry(fingerprint) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
                 e.insert(ok);
                 if !ok {
                     self.forged_records.fetch_add(1, Ordering::Relaxed);
@@ -340,32 +341,34 @@ impl CertPool {
         }
     }
 
-    /// Memoized single-certificate verification: probes the shared
-    /// verdict memo, falls back to the HMAC check, and records the
-    /// result so no other process pays for this fingerprint again.
-    pub fn verify_cert(&self, cert: &PdCertificate, registry: &KeyRegistry) -> bool {
-        if let Some(ok) = self.verdict(cert.fingerprint()) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return ok;
-        }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let ok = cert.verify(registry);
-        self.record_verdict(cert.fingerprint(), ok)
-    }
-
-    /// Batch verification of a whole SETPDS bundle: one memo probe pass
-    /// under a single lock acquisition, then one [`KeyRegistry::batch`]
-    /// session for the misses, then one pass recording the fresh
-    /// verdicts. Returns one verdict per input certificate, in order.
+    /// Memoized verification of a whole SETPDS bundle: one memo probe
+    /// pass under a single lock acquisition, then one
+    /// [`KeyRegistry::batch`] session for the misses, then one pass
+    /// recording the fresh verdicts. A fingerprint missed more than once
+    /// in the bundle is verified once; its repeats reuse that verdict and
+    /// count as memo hits. Returns one verdict per input certificate, in
+    /// order.
     pub fn verify_batch(&self, certs: &[Arc<PdCertificate>], registry: &KeyRegistry) -> Vec<bool> {
         let mut out = vec![false; certs.len()];
+        // First index of each distinct missed fingerprint, and each
+        // repeat paired with that first index.
         let mut misses: Vec<usize> = Vec::new();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
         {
             let verdicts = self.verdicts.read().expect("cert pool poisoned");
+            let mut first_miss: HashMap<u128, usize> = HashMap::new();
             for (i, cert) in certs.iter().enumerate() {
-                match verdicts.get(&cert.fingerprint()) {
-                    Some(&ok) => out[i] = ok,
-                    None => misses.push(i),
+                let fp = cert.fingerprint();
+                if let Some(&ok) = verdicts.get(&fp) {
+                    out[i] = ok;
+                } else {
+                    match first_miss.entry(fp) {
+                        Entry::Occupied(e) => repeats.push((i, *e.get())),
+                        Entry::Vacant(e) => {
+                            e.insert(i);
+                            misses.push(i);
+                        }
+                    }
                 }
             }
         }
@@ -384,6 +387,9 @@ impl CertPool {
         }
         for &i in &misses {
             out[i] = self.record_verdict(certs[i].fingerprint(), out[i]);
+        }
+        for (i, first) in repeats {
+            out[i] = out[first];
         }
         out
     }
@@ -646,6 +652,11 @@ mod tests {
         }
     }
 
+    /// One certificate through the pool's only verification entry point.
+    fn verify_one(pool: &CertPool, cert: &Arc<PdCertificate>, registry: &KeyRegistry) -> bool {
+        pool.verify_batch(std::slice::from_ref(cert), registry)[0]
+    }
+
     #[test]
     fn pool_memoizes_verdicts_and_counts_forgeries_once() {
         let g = DiGraph::from_edges([(1, 2), (2, 1)]);
@@ -654,17 +665,17 @@ mod tests {
         let good = setup.shared_certificate_for(p(1)).unwrap();
         let forged = Arc::new(PdCertificate::forge(p(2), &process_set([9])));
         assert_eq!(pool.verdict(good.fingerprint()), None);
-        assert!(pool.verify_cert(&good, setup.registry()));
+        assert!(verify_one(pool, &good, setup.registry()));
         assert_eq!(pool.verdict(good.fingerprint()), Some(true));
         // Re-verifying hits the memo (same verdict, no recount).
-        assert!(pool.verify_cert(&good, setup.registry()));
+        assert!(verify_one(pool, &good, setup.registry()));
         for _ in 0..3 {
-            assert!(!pool.verify_cert(&forged, setup.registry()));
+            assert!(!verify_one(pool, &forged, setup.registry()));
         }
         assert_eq!(pool.forged_records(), 1);
         // A second distinct forgery counts separately.
         let other = Arc::new(PdCertificate::forge(p(1), &process_set([4, 5])));
-        assert!(!pool.verify_cert(&other, setup.registry()));
+        assert!(!verify_one(pool, &other, setup.registry()));
         assert_eq!(pool.forged_records(), 2);
     }
 
@@ -698,8 +709,8 @@ mod tests {
         let b = setup.shared_certificate_for(p(2)).unwrap();
         assert_eq!((pool.memo_hits(), pool.memo_misses()), (0, 0));
         // Cold single verify: one miss; warm re-verify: one hit.
-        assert!(pool.verify_cert(&a, setup.registry()));
-        assert!(pool.verify_cert(&a, setup.registry()));
+        assert!(verify_one(pool, &a, setup.registry()));
+        assert!(verify_one(pool, &a, setup.registry()));
         assert_eq!((pool.memo_hits(), pool.memo_misses()), (1, 1));
         // Batch with one warm and one cold entry splits accordingly.
         let bundle = vec![a.clone(), b.clone()];
@@ -708,6 +719,23 @@ mod tests {
         // Fully warm batch is all hits.
         assert_eq!(pool.verify_batch(&bundle, setup.registry()), [true, true]);
         assert_eq!((pool.memo_hits(), pool.memo_misses()), (4, 2));
+    }
+
+    #[test]
+    fn repeated_record_in_one_bundle_is_verified_once() {
+        let setup = SystemSetup::new(&DiGraph::from_edges([(1, 2), (2, 1)]));
+        let good = setup.shared_certificate_for(p(1)).unwrap();
+        let pool = CertPool::new();
+        let bundle = vec![good.clone(), good.clone(), good];
+        assert_eq!(pool.verify_batch(&bundle, setup.registry()), [true; 3]);
+        assert_eq!((pool.memo_hits(), pool.memo_misses()), (2, 1));
+        // The same bundle of one forgery: one HMAC, one forged record.
+        let forged = Arc::new(PdCertificate::forge(p(2), &process_set([9])));
+        let pool = CertPool::new();
+        let bundle = vec![forged.clone(), forged.clone(), forged];
+        assert_eq!(pool.verify_batch(&bundle, setup.registry()), [false; 3]);
+        assert_eq!(pool.memo_misses(), 1);
+        assert_eq!(pool.forged_records(), 1);
     }
 
     #[test]
@@ -721,7 +749,7 @@ mod tests {
                 let forged = &forged;
                 s.spawn(move || {
                     for _ in 0..16 {
-                        assert!(!setup.pool().verify_cert(forged, setup.registry()));
+                        assert!(!verify_one(setup.pool(), forged, setup.registry()));
                     }
                 });
             }

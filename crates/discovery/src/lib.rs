@@ -29,11 +29,12 @@
 //!    up to a ~2⁻¹²⁸ fingerprint collision). The moment either side
 //!    learns anything, its state changes, the equality breaks on the next
 //!    exchanged message, and polling resumes.
-//! 3. **Memoized verification.** [`DiscoveryState::absorb`] discards exact
-//!    duplicates *before* hashing or signature verification and caches the
-//!    fingerprints of both verified and rejected records, so each
-//!    distinct certificate pays for at most one HMAC check per process
-//!    and replayed forgeries are counted once.
+//! 3. **Memoized verification.** [`DiscoveryState::absorb_batch`]
+//!    discards exact duplicates of held records *before* hashing or
+//!    signature verification and settles the rest through the state's
+//!    [`cupft_detector::CertPool`] verdict memo, so each distinct
+//!    certificate pays for at most one HMAC check; a per-process set of
+//!    forged fingerprints counts each replayed forgery once.
 //!
 //! ## Why Algorithm 1's invariants survive
 //!
@@ -65,13 +66,14 @@
 //!
 //! Rule 3 generalizes across processes: the verdict of a certificate is a
 //! pure function of its bytes (an *oracle*), so **which process** computes
-//! it cannot affect Algorithm 1's fixpoint. A state attached to the run's
-//! [`cupft_detector::CertPool`] via [`DiscoveryState::with_shared_pool`]
-//! settles the locally-unseen certificates of each inbound `SETPDS` in
-//! [`DiscoveryState::absorb_batch`], batch-verifying them under one
-//! registry read lock against the shared verdict memo, so each distinct
-//! certificate costs one HMAC system-wide. This is the only place a
-//! certificate is verified.
+//! it cannot affect Algorithm 1's fixpoint. Every state verifies through
+//! one [`cupft_detector::CertPool`]: a private pool by default, or the
+//! run's pool after [`DiscoveryState::with_shared_pool`].
+//! [`DiscoveryState::absorb_batch`] hands the not-held certificates of
+//! each inbound `SETPDS` to one [`cupft_detector::CertPool::verify_batch`]
+//! call, batch-verifying the memo misses under one registry read lock, so
+//! with the shared pool each distinct certificate costs one HMAC
+//! system-wide. This is the only place a certificate is verified.
 //!
 //! The module exposes the protocol twice:
 //!

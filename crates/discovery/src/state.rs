@@ -1,6 +1,6 @@
 //! Runtime-agnostic Discovery state machine.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use cupft_crypto::{KeyRegistry, SigningKey};
@@ -48,9 +48,10 @@ pub enum GossipMode {
 /// nodes.
 ///
 /// Certificates are held as `Arc<PdCertificate>` and re-shipped by
-/// reference; signature verification is memoized by certificate
-/// fingerprint, so each distinct record pays for at most one HMAC check
-/// per process no matter how often the network re-delivers it.
+/// reference; signature verification goes through the state's
+/// [`CertPool`] verdict memo (private to the process, or the run's shared
+/// one), so each distinct record pays for at most one HMAC check no matter
+/// how often the network re-delivers it.
 ///
 /// # Example
 ///
@@ -76,17 +77,12 @@ pub struct DiscoveryState {
     have: Arc<ProcessSet>,
     /// Summary of the held certificate set.
     sync: SyncState,
-    /// Memoized verification verdicts by fingerprint — one map, one probe
-    /// per unique fingerprint on the absorb path (`true` = signature
-    /// verified, `false` = known forgery: replays of either are settled
-    /// without another HMAC check and without re-counting).
-    verdicts: HashMap<u128, bool>,
-    /// Optional system-wide verdict memo (the [`CertPool`] of the run's
-    /// `SystemSetup`): when attached, a certificate any process has
-    /// already checked is never re-verified here; this process only records the shared verdict in
-    /// its local memo (so per-process forgery counters keep their exact
-    /// serial semantics).
-    shared: Option<Arc<CertPool>>,
+    /// The one verification verdict memo: a private pool by default, the
+    /// run's system-wide pool after [`Self::with_shared_pool`].
+    pool: Arc<CertPool>,
+    /// Fingerprints of the forged records this process rejected, so
+    /// [`Self::rejected_forgeries`] counts each distinct forgery once.
+    forged: HashSet<u128>,
     /// The last [`SyncState`] each peer reported (via either message
     /// kind). Delta mode skips `GETPDS` toward peers whose report matches
     /// our own state.
@@ -108,20 +104,15 @@ impl DiscoveryState {
     /// defaults to [`GossipMode::Delta`].
     pub fn new(key: &SigningKey, registry: KeyRegistry, pd: ProcessSet) -> Self {
         let own_cert = Arc::new(PdCertificate::sign(key, &pd));
-        DiscoveryState::with_own_cert(key, registry, pd, own_cert)
+        DiscoveryState::with_own_cert(registry, pd, own_cert)
     }
 
-    fn with_own_cert(
-        key: &SigningKey,
-        registry: KeyRegistry,
-        pd: ProcessSet,
-        own_cert: Arc<PdCertificate>,
-    ) -> Self {
-        let id = ProcessId::new(key.id());
+    /// The state of a process whose own record is `own_cert` and whose PD
+    /// is `pd`, verifying through a fresh private [`CertPool`].
+    fn with_own_cert(registry: KeyRegistry, pd: ProcessSet, own_cert: Arc<PdCertificate>) -> Self {
+        let id = own_cert.author();
         let mut sync = SyncState::default();
         sync.add(own_cert.fingerprint());
-        let mut verdicts = HashMap::new();
-        verdicts.insert(own_cert.fingerprint(), true);
         let mut certs = BTreeMap::new();
         certs.insert(id, own_cert);
         DiscoveryState {
@@ -131,8 +122,8 @@ impl DiscoveryState {
             certs,
             have: Arc::new([id].into_iter().collect()),
             sync,
-            verdicts,
-            shared: None,
+            pool: Arc::new(CertPool::new()),
+            forged: HashSet::new(),
             peer_state: BTreeMap::new(),
             mode: GossipMode::default(),
             changed: true,
@@ -148,10 +139,8 @@ impl DiscoveryState {
     ///
     /// Returns `None` if `id` is not part of the setup.
     pub fn from_setup(setup: &cupft_detector::SystemSetup, id: ProcessId) -> Option<Self> {
-        let key = setup.key_of(id)?;
         let own_cert = setup.shared_certificate_for(id)?;
         Some(DiscoveryState::with_own_cert(
-            key,
             setup.registry().clone(),
             setup.oracle().pd_of(id),
             own_cert,
@@ -165,14 +154,14 @@ impl DiscoveryState {
         self
     }
 
-    /// Attaches a system-wide verification memo (builder style). With a
-    /// shared pool, a fingerprint verified by *any* process is settled
-    /// for all of them — verification is a pure function
-    /// of the record bytes against the one shared registry, so whoever
-    /// checks first checks for everyone. Decisions are unchanged: only
-    /// *who pays* for the HMAC moves, never the verdict.
+    /// Replaces the private verification memo with a system-wide one
+    /// (builder style). With a shared pool, a fingerprint verified by
+    /// *any* process is settled for all of them — verification is a pure
+    /// function of the record bytes against the one shared registry, so
+    /// whoever checks first checks for everyone. Decisions are unchanged:
+    /// only *who pays* for the HMAC moves, never the verdict.
     pub fn with_shared_pool(mut self, pool: Arc<CertPool>) -> Self {
-        self.shared = Some(pool);
+        self.pool = pool;
         self
     }
 
@@ -194,11 +183,6 @@ impl DiscoveryState {
     /// The verified certificates held (`S_PD`).
     pub fn certificates(&self) -> impl Iterator<Item = &PdCertificate> + '_ {
         self.certs.values().map(|c| c.as_ref())
-    }
-
-    /// The held certificates as shared handles.
-    pub fn shared_certificates(&self) -> impl Iterator<Item = &Arc<PdCertificate>> + '_ {
-        self.certs.values()
     }
 
     /// The summary of the held certificate set (what peers receive in
@@ -277,67 +261,56 @@ impl DiscoveryState {
         }
     }
 
-    /// Absorbs one signed PD record (Algorithm 1 lines 4–6): discard
-    /// duplicates of the held record by exact equality **before** reading
-    /// the fingerprint or paying for signature verification, so a decoded
-    /// copy of a record already held is never hashed; hash and verify at
-    /// most once per distinct record — with a *single* memo probe per
-    /// unique fingerprint (local verdict map first, then the shared pool,
-    /// then the HMAC itself) — reject conflicts, update the view.
+    /// Absorbs one signed PD record (Algorithm 1 lines 4–6); see
+    /// [`Self::absorb_batch`].
     pub fn absorb(&mut self, record: Arc<PdCertificate>) {
-        if self.holds(&record) {
-            return; // exact duplicate: no hashing, no verification, no counters
+        self.absorb_batch(&[record]);
+    }
+
+    /// Absorbs a `SETPDS` bundle (Algorithm 1 lines 4–6 for each record).
+    /// Records equal to the one held for their author are dropped first,
+    /// by exact equality, so a decoded copy of a held record is never
+    /// hashed or verified. The rest are settled by one
+    /// [`CertPool::verify_batch`] call, which pays at most one HMAC per
+    /// distinct record, and then admitted in bundle order: a forgery is
+    /// counted once per distinct record, a verified record from an author
+    /// already held is a conflict (first wins), and any other verified
+    /// record joins `S_PD` and the view.
+    pub fn absorb_batch(&mut self, certs: &[Arc<PdCertificate>]) {
+        let fresh: Vec<Arc<PdCertificate>> =
+            certs.iter().filter(|c| !self.holds(c)).cloned().collect();
+        if fresh.is_empty() {
+            return;
         }
-        let fp = record.fingerprint();
-        let author = record.author();
-        if !self.settle_verdict(fp, &record) {
-            return; // forgery (fresh or replayed): counted at most once
-        }
-        match self.certs.get(&author) {
-            Some(_) => {
-                // Equivocating author (necessarily Byzantine): first wins.
-                self.conflicting_records += 1;
-            }
-            None => {
-                let pd = record.pd();
-                self.sync.add(fp);
-                Arc::make_mut(&mut self.have).insert(author);
-                self.certs.insert(author, record);
-                if self.view.record_pd(author, pd) {
-                    self.changed = true;
-                }
-            }
+        let verdicts = self.pool.verify_batch(&fresh, &self.registry);
+        for (record, ok) in fresh.into_iter().zip(verdicts) {
+            self.admit(record, ok);
         }
     }
 
-    /// Absorbs a whole `SETPDS` bundle. With a shared pool attached the
-    /// bundle's locally-unseen fingerprints are settled through one
-    /// [`CertPool::verify_batch`] call first — one memo lock acquisition
-    /// and one registry batch session for the whole bundle instead of per
-    /// record — then each record runs the ordinary stateful absorb
-    /// against the now-warm local memo. Held records are skipped before
-    /// the memo probe (their fingerprints are always in the local memo
-    /// already), so the miss set is unchanged and they are never hashed.
-    /// Verdicts, counters, and view updates are byte-identical to
-    /// absorbing the records one by one.
-    pub fn absorb_batch(&mut self, certs: &[Arc<PdCertificate>]) {
-        if certs.len() > 1 {
-            if let Some(pool) = self.shared.clone() {
-                let misses: Vec<Arc<PdCertificate>> = certs
-                    .iter()
-                    .filter(|c| !self.holds(c) && !self.verdicts.contains_key(&c.fingerprint()))
-                    .cloned()
-                    .collect();
-                if !misses.is_empty() {
-                    let verdicts = pool.verify_batch(&misses, &self.registry);
-                    for (cert, ok) in misses.iter().zip(verdicts) {
-                        self.record_local_verdict(cert.fingerprint(), ok);
-                    }
-                }
-            }
+    /// Admits one record with its verification verdict.
+    fn admit(&mut self, record: Arc<PdCertificate>, ok: bool) {
+        if self.holds(&record) {
+            return; // an earlier copy in the same bundle was just admitted
         }
-        for record in certs {
-            self.absorb(record.clone());
+        if !ok {
+            if self.forged.insert(record.fingerprint()) {
+                self.rejected_forgeries += 1;
+            }
+            return;
+        }
+        let author = record.author();
+        if self.certs.contains_key(&author) {
+            // Equivocating author (necessarily Byzantine): first wins.
+            self.conflicting_records += 1;
+            return;
+        }
+        self.sync.add(record.fingerprint());
+        Arc::make_mut(&mut self.have).insert(author);
+        let pd = record.pd();
+        self.certs.insert(author, record);
+        if self.view.record_pd(author, pd) {
+            self.changed = true;
         }
     }
 
@@ -351,37 +324,11 @@ impl DiscoveryState {
             .is_some_and(|held| Arc::ptr_eq(held, record) || **held == **record)
     }
 
-    /// Settles the verification verdict for `fp` with exactly one local
-    /// memo probe; on a local miss, consults the shared pool (which
-    /// verifies on *its* miss), or verifies directly when no pool is
-    /// attached. The per-process forgery counter bumps only when the
-    /// verdict enters the local memo — once per distinct fingerprint per
-    /// process, exactly the serial semantics.
-    fn settle_verdict(&mut self, fp: u128, record: &PdCertificate) -> bool {
-        if let Some(&ok) = self.verdicts.get(&fp) {
-            return ok;
-        }
-        let ok = match &self.shared {
-            Some(pool) => pool.verify_cert(record, &self.registry),
-            None => record.verify(&self.registry),
-        };
-        self.record_local_verdict(fp, ok);
-        ok
-    }
-
-    /// First local sighting of a verdict: memoize it and count a forgery.
-    fn record_local_verdict(&mut self, fp: u128, ok: bool) {
-        if self.verdicts.insert(fp, ok).is_none() && !ok {
-            self.rejected_forgeries += 1;
-        }
-    }
-
-    /// The attached system-wide verification memo, if any — exposed so a
-    /// crash-recovering node can re-attach the run's pool to a state
-    /// rebuilt from a snapshot (the pool itself is process-shared and is
-    /// never serialized).
-    pub fn shared_pool(&self) -> Option<&Arc<CertPool>> {
-        self.shared.as_ref()
+    /// The verification memo in use — exposed so a crash-recovering node
+    /// can re-attach the run's pool to a state rebuilt from a snapshot
+    /// (the pool itself is never serialized).
+    pub fn pool(&self) -> &Arc<CertPool> {
+        &self.pool
     }
 
     /// Seeds `S_known` with extra identifiers without recording PDs: the
@@ -418,8 +365,8 @@ impl DiscoveryState {
     /// existed: the traits adopted the snapshot's conventions, not the
     /// other way around.
     ///
-    /// Volatile fields (per-peer sync reports, verdict memos, forgery
-    /// counters, the shared pool handle) are deliberately excluded: a
+    /// Volatile fields (per-peer sync reports, the verdict pool, forgery
+    /// counters) are deliberately excluded: a
     /// rejoining node must re-learn the world's state, and memo/counter
     /// contents are observability, not protocol state. The encoding is
     /// canonical (sorted sets, certificates in author order), so
@@ -451,8 +398,8 @@ impl DiscoveryState {
     /// malformed or truncated snapshot, or when the snapshot lacks the
     /// owner's own certificate.
     ///
-    /// The rebuilt state has fresh volatile fields (empty peer reports, no
-    /// shared pool); callers re-attach the pool via
+    /// The rebuilt state has fresh volatile fields (empty peer reports, a
+    /// private pool); callers re-attach the run's pool via
     /// [`Self::with_shared_pool`] and bump the incarnation via
     /// [`Self::bump_epoch`] as the *recovery* — distinct from mere
     /// deserialization, which round-trips byte-identically.
@@ -480,29 +427,9 @@ impl DiscoveryState {
         // Trailing garbage: not our snapshot.
         r.finish().ok()?;
         let own = certs.iter().find(|c| c.author() == id)?.clone();
-        let mut state = DiscoveryState {
-            id,
-            registry,
-            view: KnowledgeView::new(id, own.pd()),
-            certs: BTreeMap::new(),
-            have: Arc::new([id].into_iter().collect()),
-            sync: SyncState::default(),
-            verdicts: HashMap::new(),
-            shared: None,
-            peer_state: BTreeMap::new(),
-            mode,
-            changed: true,
-            rejected_forgeries: 0,
-            conflicting_records: 0,
-        };
-        state.sync.add(own.fingerprint());
-        state.verdicts.insert(own.fingerprint(), true);
-        state.certs.insert(id, own);
-        for cert in certs {
-            if cert.author() != id {
-                state.absorb(cert);
-            }
-        }
+        let mut state = DiscoveryState::with_own_cert(registry, own.pd(), own).with_gossip(mode);
+        certs.retain(|c| c.author() != id);
+        state.absorb_batch(&certs);
         // Re-seed identifiers that were known without a received PD (seed
         // peers, members learned only transitively) so S_known — and hence
         // the polling horizon and the re-serialized bytes — match exactly.

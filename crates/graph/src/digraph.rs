@@ -56,22 +56,6 @@ impl DiGraph {
         g
     }
 
-    /// Builds a graph from an adjacency mapping: `pds[i]` is the set of
-    /// processes that `i` initially knows (its participant detector output).
-    pub fn from_adjacency<I>(pds: I) -> Self
-    where
-        I: IntoIterator<Item = (ProcessId, ProcessSet)>,
-    {
-        let mut g = DiGraph::new();
-        for (v, outs) in pds {
-            g.add_vertex(v);
-            for w in outs {
-                g.add_edge(v, w);
-            }
-        }
-        g
-    }
-
     /// Adds a vertex (no-op if present).
     pub fn add_vertex(&mut self, v: ProcessId) {
         self.adj.entry(v).or_default();
@@ -88,11 +72,6 @@ impl DiGraph {
         }
         self.adj.entry(from).or_default().insert(to);
         self.adj.entry(to).or_default();
-    }
-
-    /// Removes a directed edge if present; returns whether it existed.
-    pub fn remove_edge(&mut self, from: ProcessId, to: ProcessId) -> bool {
-        self.adj.get_mut(&from).is_some_and(|s| s.remove(&to))
     }
 
     /// Removes a vertex and all incident edges; returns whether it existed.
@@ -146,11 +125,6 @@ impl DiGraph {
         self.adj.get(&v).cloned().unwrap_or_default()
     }
 
-    /// Borrowed out-neighbors of `v`, if `v` is a vertex.
-    pub fn out_neighbors_ref(&self, v: ProcessId) -> Option<&ProcessSet> {
-        self.adj.get(&v)
-    }
-
     /// In-neighbors of `v` (computed by scan; O(V+E)).
     pub fn in_neighbors(&self, v: ProcessId) -> ProcessSet {
         self.adj
@@ -168,18 +142,6 @@ impl DiGraph {
     /// In-degree of `v` (computed by scan; O(V+E)).
     pub fn in_degree(&self, v: ProcessId) -> usize {
         self.adj.values().filter(|outs| outs.contains(&v)).count()
-    }
-
-    /// The reverse (transpose) graph.
-    pub fn reversed(&self) -> DiGraph {
-        let mut g = DiGraph::new();
-        for v in self.vertices() {
-            g.add_vertex(v);
-        }
-        for (u, v) in self.edges() {
-            g.add_edge(v, u);
-        }
-        g
     }
 
     /// The subgraph induced by `keep`: `G[keep]` in the paper's notation.
@@ -427,16 +389,6 @@ mod tests {
         assert_eq!(g.out_neighbors(p(2)), process_set([4]));
         assert_eq!(g.in_degree(p(2)), 2);
         assert_eq!(g.out_degree(p(2)), 1);
-    }
-
-    #[test]
-    fn reversed_swaps_edges() {
-        let g = DiGraph::from_edges([(1, 2), (2, 3)]);
-        let r = g.reversed();
-        assert!(r.has_edge(p(2), p(1)));
-        assert!(r.has_edge(p(3), p(2)));
-        assert_eq!(r.edge_count(), 2);
-        assert_eq!(r.vertex_count(), 3);
     }
 
     #[test]

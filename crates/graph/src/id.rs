@@ -2,7 +2,6 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A unique process identifier.
 ///
@@ -56,40 +55,15 @@ impl From<ProcessId> for u64 {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed per-element hash.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-/// The 128-bit contribution one element makes to a set fingerprint
-/// (two independent 64-bit mixes, concatenated).
-#[inline]
-fn element_fingerprint(raw: u64) -> u128 {
-    let lo = mix64(raw) as u128;
-    let hi = mix64(raw ^ 0xa5a5_a5a5_a5a5_a5a5) as u128;
-    (hi << 64) | lo
-}
-
-/// An ordered set of process identifiers with a cached fingerprint.
+/// An ordered set of process identifiers.
 ///
 /// Stored as a sorted, deduplicated `Vec<ProcessId>` — compact and
-/// cache-friendly compared to a `BTreeSet` — with a 128-bit *commutative*
-/// fingerprint (the wrapping sum of per-element [SplitMix64] hashes)
-/// maintained incrementally on every insert/remove. The fingerprint makes
-/// hashing **O(1)** and gives equality a constant-time fast reject, which
-/// is what the delta-gossip discovery path leans on: per-peer sync states
-/// compare whole certificate sets by fingerprint instead of re-walking
-/// them.
+/// cache-friendly compared to a `BTreeSet`. Equality, hashing and the
+/// (lexicographic) order are the `Vec`'s own.
 ///
 /// Iteration is in ascending ID order, so every protocol decision derived
 /// from iteration stays deterministic across runs (the property the old
 /// `BTreeSet` alias provided).
-///
-/// [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 ///
 /// # Example
 ///
@@ -100,29 +74,23 @@ fn element_fingerprint(raw: u64) -> u128 {
 /// assert!(s.insert(ProcessId::new(3)));
 /// assert!(s.insert(ProcessId::new(1)));
 /// assert!(!s.insert(ProcessId::new(3))); // already present
-/// assert_eq!(s, process_set([1, 3]));
-/// assert_eq!(s.fingerprint(), process_set([3, 1]).fingerprint());
+/// assert_eq!(s, process_set([3, 1]));
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessSet {
     items: Vec<ProcessId>,
-    fp: u128,
 }
 
 impl ProcessSet {
     /// Creates an empty set.
     pub const fn new() -> Self {
-        ProcessSet {
-            items: Vec::new(),
-            fp: 0,
-        }
+        ProcessSet { items: Vec::new() }
     }
 
     /// Creates an empty set with room for `capacity` members.
     pub fn with_capacity(capacity: usize) -> Self {
         ProcessSet {
             items: Vec::with_capacity(capacity),
-            fp: 0,
         }
     }
 
@@ -134,13 +102,6 @@ impl ProcessSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// The cached order-independent 128-bit fingerprint: equal sets always
-    /// have equal fingerprints, and distinct sets collide with negligible
-    /// probability (~2⁻¹²⁸ per pair). Maintained in O(1) per mutation.
-    pub fn fingerprint(&self) -> u128 {
-        self.fp
     }
 
     /// Whether `p` is a member (binary search).
@@ -164,7 +125,6 @@ impl ProcessSet {
                 Err(at) => self.items.insert(at, p),
             }
         }
-        self.fp = self.fp.wrapping_add(element_fingerprint(p.raw()));
         true
     }
 
@@ -173,7 +133,6 @@ impl ProcessSet {
         match self.items.binary_search(p) {
             Ok(at) => {
                 self.items.remove(at);
-                self.fp = self.fp.wrapping_sub(element_fingerprint(p.raw()));
                 true
             }
             Err(_) => false,
@@ -183,20 +142,11 @@ impl ProcessSet {
     /// Removes all members.
     pub fn clear(&mut self) {
         self.items.clear();
-        self.fp = 0;
     }
 
     /// Keeps only the members for which `keep` returns `true`.
-    pub fn retain(&mut self, mut keep: impl FnMut(&ProcessId) -> bool) {
-        let mut fp = self.fp;
-        self.items.retain(|p| {
-            let k = keep(p);
-            if !k {
-                fp = fp.wrapping_sub(element_fingerprint(p.raw()));
-            }
-            k
-        });
-        self.fp = fp;
+    pub fn retain(&mut self, keep: impl FnMut(&ProcessId) -> bool) {
+        self.items.retain(keep);
     }
 
     /// Iterates members in ascending order.
@@ -257,11 +207,6 @@ impl ProcessSet {
         self.items.iter().all(|p| other.contains(p))
     }
 
-    /// Whether every member of `other` is in `self`.
-    pub fn is_superset(&self, other: &ProcessSet) -> bool {
-        other.is_subset(self)
-    }
-
     /// Whether the sets share no member.
     pub fn is_disjoint(&self, other: &ProcessSet) -> bool {
         self.intersection(other).next().is_none()
@@ -315,39 +260,6 @@ impl<'a, F: Fn(bool, bool) -> bool> Iterator for MergeIter<'a, F> {
     }
 }
 
-impl PartialEq for ProcessSet {
-    fn eq(&self, other: &Self) -> bool {
-        // Fingerprint + length give a constant-time reject; on a match the
-        // element compare is what makes Eq exact (never trust 128 bits
-        // alone where byte-identical equivalence is asserted).
-        self.fp == other.fp && self.items == other.items
-    }
-}
-impl Eq for ProcessSet {}
-
-impl PartialOrd for ProcessSet {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Lexicographic over ascending members — the same order the old
-/// `BTreeSet` alias had, so `BTreeSet<ProcessSet>` collections keep their
-/// ordering.
-impl Ord for ProcessSet {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.items.cmp(&other.items)
-    }
-}
-
-/// O(1): hashes the cached fingerprint and length instead of the members.
-impl Hash for ProcessSet {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u128(self.fp);
-        state.write_usize(self.items.len());
-    }
-}
-
 impl fmt::Debug for ProcessSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.items.iter()).finish()
@@ -359,10 +271,7 @@ impl FromIterator<ProcessId> for ProcessSet {
         let mut items: Vec<ProcessId> = iter.into_iter().collect();
         items.sort_unstable();
         items.dedup();
-        let fp = items.iter().fold(0u128, |acc, p| {
-            acc.wrapping_add(element_fingerprint(p.raw()))
-        });
-        ProcessSet { items, fp }
+        ProcessSet { items }
     }
 }
 
@@ -426,6 +335,7 @@ pub fn process_set<I: IntoIterator<Item = u64>>(raw: I) -> ProcessSet {
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
     fn hash_of(s: &ProcessSet) -> u64 {
         let mut h = DefaultHasher::new();
@@ -478,36 +388,23 @@ mod tests {
         assert!(s.remove(&ProcessId::new(5)));
         assert!(!s.remove(&ProcessId::new(5)));
         assert_eq!(s, process_set([2]));
-    }
-
-    #[test]
-    fn fingerprint_is_order_independent_and_incremental() {
+        // Grown in any order equals collected; remove + reinsert returns.
         let collected = process_set([7, 1, 9, 4]);
         let mut grown = ProcessSet::new();
         for raw in [9, 4, 7, 1] {
             grown.insert(ProcessId::new(raw));
         }
-        assert_eq!(collected.fingerprint(), grown.fingerprint());
         assert_eq!(collected, grown);
-        // remove + reinsert returns to the same fingerprint
-        let before = grown.fingerprint();
         grown.remove(&ProcessId::new(4));
-        assert_ne!(grown.fingerprint(), before);
+        assert_ne!(collected, grown);
         grown.insert(ProcessId::new(4));
-        assert_eq!(grown.fingerprint(), before);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_nearby_sets() {
-        // {1,2} vs {3}: a naive sum of raw IDs would collide.
-        assert_ne!(
-            process_set([1, 2]).fingerprint(),
-            process_set([3]).fingerprint()
-        );
-        assert_ne!(
-            process_set([1, 4]).fingerprint(),
-            process_set([2, 3]).fingerprint()
-        );
+        assert_eq!(collected, grown);
+        let mut odd = process_set([1, 2, 3, 4, 5]);
+        odd.retain(|p| p.raw() % 2 == 1);
+        assert_eq!(odd, process_set([1, 3, 5]));
+        odd.clear();
+        assert!(odd.is_empty());
+        assert_eq!(odd, ProcessSet::new());
     }
 
     #[test]
@@ -530,7 +427,6 @@ mod tests {
         assert_eq!(inter, process_set([2, 5]));
         assert!(process_set([2, 5]).is_subset(&b));
         assert!(!a.is_subset(&b));
-        assert!(b.is_superset(&process_set([4])));
         assert!(process_set([7, 8]).is_disjoint(&a));
         assert!(!a.is_disjoint(&b));
     }
@@ -540,14 +436,6 @@ mod tests {
         assert!(process_set([1, 2]) < process_set([1, 3]));
         assert!(process_set([1]) < process_set([1, 2]));
         assert!(process_set([2]) > process_set([1, 9, 10]));
-    }
-
-    #[test]
-    fn retain_updates_fingerprint() {
-        let mut s = process_set([1, 2, 3, 4, 5]);
-        s.retain(|p| p.raw() % 2 == 1);
-        assert_eq!(s, process_set([1, 3, 5]));
-        assert_eq!(s.fingerprint(), process_set([1, 3, 5]).fingerprint());
     }
 
     #[test]
@@ -561,14 +449,5 @@ mod tests {
         assert_eq!(by_ref, vec![1, 5, 9]);
         assert_eq!(s.first(), Some(&ProcessId::new(1)));
         assert_eq!(s.last(), Some(&ProcessId::new(9)));
-    }
-
-    #[test]
-    fn clear_resets_fingerprint() {
-        let mut s = process_set([1, 2]);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.fingerprint(), 0);
-        assert_eq!(s, ProcessSet::new());
     }
 }

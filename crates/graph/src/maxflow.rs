@@ -63,11 +63,6 @@ impl UnitFlowNetwork {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
     /// Adds a directed edge with the given capacity.
     ///
     /// # Panics

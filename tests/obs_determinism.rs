@@ -85,6 +85,16 @@ fn observed_sim_runs_are_byte_deterministic_at_scale() {
         "memo misses {misses} vs pool {}",
         obs_a.gauges["cert_pool_len"]
     );
+    // The pool's accounting on this exact run, pinned: any change to who
+    // probes the memo, or how often, moves one of these.
+    let pool_gauges = [
+        "cert_memo_hits",
+        "cert_memo_misses",
+        "cert_pool_len",
+        "cert_forged_records",
+    ]
+    .map(|g| obs_a.gauges[g]);
+    assert_eq!(pool_gauges, [383, 83, 103, 0]);
     // ...and the event-loop tick profile.
     let per_tick = obs_a
         .histogram("sim_events_per_tick")
