@@ -404,7 +404,7 @@ mod tests {
         match &sends[0].1 {
             NodeMsg::Discovery(DiscoveryMsg::SetPds { certs, .. }) => {
                 let own = certs.iter().find(|c| c.author() == actor.id()).unwrap();
-                assert_eq!(own.pd(), claimed);
+                assert_eq!(*own.pd(), claimed);
                 // the lie is self-signed, hence verifiable
                 assert!(own.verify(&registry));
             }
@@ -424,7 +424,7 @@ mod tests {
             match &ctx.queued_sends()[0].1 {
                 NodeMsg::Discovery(DiscoveryMsg::SetPds { certs, .. }) => {
                     assert!(certs[0].verify(&registry));
-                    certs[0].pd()
+                    certs[0].pd().clone()
                 }
                 _ => panic!("expected SetPds"),
             }

@@ -44,6 +44,6 @@ pub use scenario::{
     Scenario, ScenarioOutcome,
 };
 pub use suite::{
-    FaultCase, GraphCase, PolicyCase, ScenarioGrid, ScenarioSuite, StrategyCase, SuiteEntry,
-    SuiteReport, SuiteVerdict,
+    FaultCase, GraphCase, PolicyCase, ScenarioGrid, ScenarioSuite, SuiteEntry, SuiteReport,
+    SuiteVerdict,
 };

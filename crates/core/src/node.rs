@@ -57,9 +57,6 @@ pub struct NodeConfig {
     pub discovery_period: u64,
     /// Committee replica configuration.
     pub replica: ReplicaConfig,
-    /// If set, the node crashes (goes permanently silent) at this time —
-    /// used for the crash-fault executions of Theorem 7.
-    pub crash_at: Option<Time>,
     /// Run discovery with the literal full-`S_PD` dissemination of
     /// Algorithm 1 ([`cupft_discovery::GossipMode::Full`]) instead of the
     /// default delta gossip — the baseline the equivalence sweep and the
@@ -102,7 +99,6 @@ impl Default for NodeConfig {
             mode: ProtocolMode::UnknownThreshold,
             discovery_period: 20,
             replica: ReplicaConfig::default(),
-            crash_at: None,
             full_gossip: false,
             recorder: None,
             join_at: None,
@@ -317,10 +313,6 @@ impl Node {
     /// Whether the node has been through a churn crash-recovery.
     pub fn recovered(&self) -> bool {
         self.recovered
-    }
-
-    fn crashed(&self, now: Time) -> bool {
-        self.config.crash_at.is_some_and(|t| now >= t)
     }
 
     /// Whether the node is currently outside the system: not yet joined,
@@ -601,9 +593,6 @@ impl Actor<NodeMsg> for Node {
     }
 
     fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
-        if self.crashed(ctx.now()) {
-            return;
-        }
         if let Some(at) = self.config.leave_at {
             ctx.set_timer(CHURN_LEAVE_TICK, at.saturating_sub(ctx.now()));
         }
@@ -621,7 +610,7 @@ impl Actor<NodeMsg> for Node {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
-        if self.crashed(ctx.now()) || self.dormant() {
+        if self.dormant() {
             return;
         }
         match msg {
@@ -669,9 +658,6 @@ impl Actor<NodeMsg> for Node {
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Context<NodeMsg>) {
-        if self.crashed(ctx.now()) {
-            return;
-        }
         // Churn timers fire *through* dormancy: the join tick is what ends
         // the pre-join dormancy, and the recover tick is what ends the
         // down window.
@@ -850,24 +836,5 @@ mod tests {
         assert!(node.recovered());
         // Fresh state: only the node's own record is present.
         assert_eq!(node.discovery().view().received().len(), 1);
-    }
-
-    #[test]
-    fn crashed_node_is_silent() {
-        let mut registry = KeyRegistry::new();
-        let key = registry.register(1);
-        let mut node = Node::new(
-            key,
-            registry,
-            [ProcessId::new(2)].into_iter().collect(),
-            Value::from_static(b"v"),
-            NodeConfig {
-                crash_at: Some(0),
-                ..NodeConfig::default()
-            },
-        );
-        let mut ctx = Context::new(5, ProcessId::new(1));
-        node.on_start(&mut ctx);
-        assert!(ctx.queued_sends().is_empty());
     }
 }

@@ -53,9 +53,6 @@ pub struct Scenario {
     pub mode: ProtocolMode,
     /// Byzantine assignment (absent processes are correct).
     pub byzantine: BTreeMap<ProcessId, ByzantineStrategy>,
-    /// Crash times for crash-faulty processes (correct-but-crashing:
-    /// Theorem 7's weaker fault model).
-    pub crashes: BTreeMap<ProcessId, Time>,
     /// Proposal per process (defaults to `v<id>`).
     pub values: BTreeMap<ProcessId, Value>,
     /// Optional network-level adversary (installed on either substrate via
@@ -107,7 +104,6 @@ impl Scenario {
             graph,
             mode,
             byzantine: BTreeMap::new(),
-            crashes: BTreeMap::new(),
             values: BTreeMap::new(),
             tamper: None,
             churn: None,
@@ -133,12 +129,6 @@ impl Scenario {
     /// Assigns a Byzantine strategy.
     pub fn with_byzantine(mut self, id: u64, strategy: ByzantineStrategy) -> Self {
         self.byzantine.insert(ProcessId::new(id), strategy);
-        self
-    }
-
-    /// Assigns a crash time.
-    pub fn with_crash(mut self, id: u64, at: Time) -> Self {
-        self.crashes.insert(ProcessId::new(id), at);
         self
     }
 
@@ -218,12 +208,12 @@ impl Scenario {
         self
     }
 
-    /// The correct processes of this scenario (crash-faulty processes are
-    /// *not* correct — they are counted as faulty for the verdicts).
+    /// The correct processes of this scenario: every vertex without a
+    /// Byzantine assignment.
     pub fn correct(&self) -> ProcessSet {
         self.graph
             .vertices()
-            .filter(|v| !self.byzantine.contains_key(v) && !self.crashes.contains_key(v))
+            .filter(|v| !self.byzantine.contains_key(v))
             .collect()
     }
 
@@ -523,8 +513,8 @@ impl Scenario {
     }
 }
 
-/// Registers the scenario's actors on `runtime`: correct (and
-/// crash-faulty) processes as [`Node`]s wired to `board`, Byzantine
+/// Registers the scenario's actors on `runtime`: correct processes as
+/// [`Node`]s wired to `board` (scheduled leavers excepted), Byzantine
 /// processes as [`StrategyActor`]s running their compiled strategy.
 /// Returns the correct process set.
 fn populate<R: Runtime<NodeMsg>>(
@@ -554,7 +544,6 @@ fn populate<R: Runtime<NodeMsg>>(
                 replica: cupft_committee::ReplicaConfig {
                     timeout_base: scenario.view_timeout_base,
                 },
-                crash_at: scenario.crashes.get(&v).copied(),
                 full_gossip: scenario.full_gossip,
                 recorder: recorder.cloned(),
                 join_at: join.map(|(tick, _)| tick),
@@ -566,11 +555,8 @@ fn populate<R: Runtime<NodeMsg>>(
             let mut node = Node::from_setup(setup, v, scenario.value_of(v), config)
                 .expect("vertex registered");
             let is_leaver = churn.is_some_and(|c| c.leave_of(v).is_some());
-            if !scenario.crashes.contains_key(&v) && !is_leaver {
-                // Only *correct* nodes report to the board: the stop
-                // condition counts board entries against the correct set,
-                // and a crash-faulty node may decide before its crash tick.
-                // A scheduled leaver is excused the same way — it may
+            if !is_leaver {
+                // A scheduled leaver does not report to the board: it may
                 // decide before departing, but the run must not stop (or
                 // keep waiting) on its account.
                 node = node.with_board(board.clone());
@@ -834,20 +820,20 @@ mod tests {
     }
 
     #[test]
-    fn crash_faulty_decider_does_not_end_run_early() {
-        // Process 4 decides long before its (late) crash tick and would
+    fn late_leaver_decider_does_not_end_run_early() {
+        // Process 4 decides long before its (late) leave tick and would
         // inflate a naive decided-count; the run must still continue until
-        // every *correct* process has decided (regression test: the board
-        // stop condition only counts correct nodes).
+        // every process that stays has decided (regression test: the board
+        // stop condition does not count leavers).
+        use cupft_adversary::ChurnEvent;
         let fig = fig1b();
         let scenario = Scenario::new(fig.graph().clone(), ProtocolMode::KnownThreshold(1))
-            .with_crash(4, 50_000);
+            .with_churn(ChurnSpec::new(vec![ChurnEvent::LeaveAt {
+                tick: 50_000,
+                node: ProcessId::new(4),
+            }]));
         let outcome = run_scenario(&scenario);
-        assert!(!outcome
-            .decisions
-            .contains_key(&cupft_graph::ProcessId::new(4)));
-        let check = outcome.check();
-        assert!(check.consensus_solved(), "{outcome:?}");
+        assert!(outcome.check().consensus_solved(), "{outcome:?}");
     }
 
     #[test]

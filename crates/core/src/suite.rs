@@ -10,14 +10,13 @@
 //! sequential run.
 //!
 //! [`ScenarioGrid`] builds the standard cross product the sweep tests
-//! run: graph family × fault assignment × Byzantine strategy ×
-//! delay policy × seed (the strategy axis — [`StrategyCase`] — carries
-//! [`ByzantineStrategy`] spec trees from the fault-injection engine and is
-//! skipped in labels when unset). The graph axis accepts hand-picked
-//! graphs ([`ScenarioGrid::graph`]) or a whole *family × size* sweep
-//! generated from a [`cupft_graph::GraphFamily`]
+//! run: graph family × fault assignment × delay policy × seed. A fault
+//! assignment ([`FaultCase`]) maps processes to [`ByzantineStrategy`] spec
+//! trees from the fault-injection engine. The graph axis accepts
+//! hand-picked graphs ([`ScenarioGrid::graph`]) or a whole *family × size*
+//! sweep generated from a [`cupft_graph::GraphFamily`]
 //! ([`ScenarioGrid::family`]), so suites can scale topology families
-//! alongside faults, strategies, and seeds.
+//! alongside faults and seeds.
 //!
 //! # Example
 //!
@@ -269,10 +268,11 @@ pub struct GraphCase {
     pub mode: ProtocolMode,
 }
 
-/// A fault-assignment axis entry of a [`ScenarioGrid`].
+/// A fault-assignment axis entry of a [`ScenarioGrid`]: which processes
+/// are Byzantine and which strategy each one runs.
 #[derive(Debug, Clone, Default)]
 pub struct FaultCase {
-    /// Display label (e.g. `"silent4"`).
+    /// Display label (e.g. `"silent4"`, `"silent@4"`).
     pub label: String,
     /// Byzantine assignments (raw process ID → strategy).
     pub byzantine: Vec<(u64, ByzantineStrategy)>,
@@ -294,36 +294,12 @@ impl FaultCase {
             byzantine: vec![(id, ByzantineStrategy::Silent)],
         }
     }
-}
 
-/// A strategy-assignment axis entry of a [`ScenarioGrid`] — the
-/// fault-injection engine's own axis, orthogonal to [`FaultCase`]
-/// (which keeps carrying legacy per-graph Byzantine IDs).
-/// When the axis is set, grid labels gain a strategy segment:
-/// `graph/fault/strategy/policy/seed`.
-#[derive(Debug, Clone, Default)]
-pub struct StrategyCase {
-    /// Display label (defaults to the specs' own compact labels).
-    pub label: String,
-    /// Strategy assignments (raw process ID → spec).
-    pub assign: Vec<(u64, ByzantineStrategy)>,
-}
-
-impl StrategyCase {
-    /// The no-extra-faults entry (useful as a baseline row on an
-    /// otherwise adversarial axis).
-    pub fn none() -> Self {
-        StrategyCase {
-            label: "honest".into(),
-            assign: Vec::new(),
-        }
-    }
-
-    /// A single process running `spec`, labeled `<spec-label><id>`.
+    /// A single process running `spec`, labeled `<spec-label>@<id>`.
     pub fn single(id: u64, spec: ByzantineStrategy) -> Self {
-        StrategyCase {
+        FaultCase {
             label: format!("{}@{id}", spec.label()),
-            assign: vec![(id, spec)],
+            byzantine: vec![(id, spec)],
         }
     }
 
@@ -351,7 +327,6 @@ pub struct PolicyCase {
 pub struct ScenarioGrid {
     graphs: Vec<GraphCase>,
     faults: Vec<FaultCase>,
-    strategies: Vec<StrategyCase>,
     policies: Vec<PolicyCase>,
     seeds: Vec<u64>,
 }
@@ -379,7 +354,7 @@ impl ScenarioGrid {
     /// topology, within one grid) and run in `mode`.
     ///
     /// Family samples embed no Byzantine processes; cross them with
-    /// [`FaultCase`] / [`StrategyCase`] axes by vertex ID (IDs are
+    /// [`FaultCase`] entries by vertex ID (IDs are
     /// contiguous from 1 with the sink first — see the
     /// [`cupft_graph::GraphFamily`] docs for the layout).
     ///
@@ -411,15 +386,6 @@ impl ScenarioGrid {
     /// Adds a fault-assignment axis entry.
     pub fn fault(mut self, case: FaultCase) -> Self {
         self.faults.push(case);
-        self
-    }
-
-    /// Adds a strategy-assignment axis entry. Leaving the axis unset
-    /// keeps the classic `graph/fault/policy/seed` labels; setting it
-    /// crosses every [`StrategyCase`] into the product and inserts its
-    /// label segment.
-    pub fn strategy(mut self, case: StrategyCase) -> Self {
-        self.strategies.push(case);
         self
     }
 
@@ -455,11 +421,6 @@ impl ScenarioGrid {
         } else {
             &self.seeds
         };
-        let strategy_axis: Vec<Option<&StrategyCase>> = if self.strategies.is_empty() {
-            vec![None]
-        } else {
-            self.strategies.iter().map(Some).collect()
-        };
         let policy_axis: Vec<Option<&PolicyCase>> = if self.policies.is_empty() {
             vec![None]
         } else {
@@ -468,53 +429,25 @@ impl ScenarioGrid {
         let mut suite = ScenarioSuite::new();
         for g in &self.graphs {
             for f in faults {
-                for s in &strategy_axis {
-                    for p in &policy_axis {
-                        for &seed in seeds {
-                            let mut scenario =
-                                Scenario::new(g.graph.clone(), g.mode).with_seed(seed);
-                            for (id, strategy) in &f.byzantine {
-                                scenario = scenario.with_byzantine(*id, strategy.clone());
-                            }
-                            let strategy_segment = match s {
-                                Some(case) => {
-                                    for (id, spec) in &case.assign {
-                                        // A cell whose label promises both a
-                                        // FaultCase assignment and a strategy
-                                        // for the same process would silently
-                                        // run only the latter (map insert =
-                                        // last-wins) — reject the ambiguity.
-                                        assert!(
-                                            !f.byzantine.iter().any(|(fid, _)| fid == id),
-                                            "process {id} is assigned by both fault case \
-                                                 {:?} and strategy case {:?}; give each axis \
-                                                 disjoint process IDs",
-                                            f.label,
-                                            case.label,
-                                        );
-                                        scenario = scenario.with_byzantine(*id, spec.clone());
-                                    }
-                                    format!("/{}", case.label)
-                                }
-                                None => String::new(),
-                            };
-                            let policy_label = match *p {
-                                Some(case) => {
-                                    scenario = scenario
-                                        .with_policy(case.policy.clone())
-                                        .with_horizon(case.horizon);
-                                    case.label.as_str()
-                                }
-                                None => "default",
-                            };
-                            suite.push(
-                                format!(
-                                    "{}/{}{}/{}/s{}",
-                                    g.label, f.label, strategy_segment, policy_label, seed
-                                ),
-                                scenario,
-                            );
+                for p in &policy_axis {
+                    for &seed in seeds {
+                        let mut scenario = Scenario::new(g.graph.clone(), g.mode).with_seed(seed);
+                        for (id, strategy) in &f.byzantine {
+                            scenario = scenario.with_byzantine(*id, strategy.clone());
                         }
+                        let policy_label = match *p {
+                            Some(case) => {
+                                scenario = scenario
+                                    .with_policy(case.policy.clone())
+                                    .with_horizon(case.horizon);
+                                case.label.as_str()
+                            }
+                            None => "default",
+                        };
+                        suite.push(
+                            format!("{}/{}/{}/s{}", g.label, f.label, policy_label, seed),
+                            scenario,
+                        );
                     }
                 }
             }
@@ -608,8 +541,8 @@ mod tests {
                 fig1b().graph().clone(),
                 ProtocolMode::KnownThreshold(1),
             )
-            .strategy(StrategyCase::single(4, ByzantineStrategy::Silent))
-            .strategy(StrategyCase::single(
+            .fault(FaultCase::single(4, ByzantineStrategy::Silent))
+            .fault(FaultCase::single(
                 4,
                 ByzantineStrategy::TargetSubset {
                     targets: cupft_graph::process_set([1, 2]),
@@ -619,30 +552,13 @@ mod tests {
             .seeds(0..2)
             .build();
         assert_eq!(suite.len(), 4); // 1 graph x 2 strategies x 2 seeds
-        assert_eq!(
-            suite.entries()[0].label,
-            "fig1b/correct/silent@4/default/s0"
-        );
+        assert_eq!(suite.entries()[0].label, "fig1b/silent@4/default/s0");
         assert_eq!(
             suite.entries()[2].label,
-            "fig1b/correct/target{1,2}(silent)@4/default/s0"
+            "fig1b/target{1,2}(silent)@4/default/s0"
         );
         let byz = &suite.entries()[2].scenario.byzantine;
         assert!(byz.contains_key(&cupft_graph::ProcessId::new(4)));
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint process IDs")]
-    fn colliding_fault_and_strategy_axes_are_rejected() {
-        ScenarioGrid::new()
-            .graph(
-                "fig1b",
-                fig1b().graph().clone(),
-                ProtocolMode::KnownThreshold(1),
-            )
-            .fault(FaultCase::silent(4))
-            .strategy(StrategyCase::single(4, ByzantineStrategy::Silent))
-            .build();
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //!   through the shared registry. A Byzantine *actor* in the simulation has
 //!   no API to read another process's key, so forging a correct process's
 //!   signature is impossible by construction — which is exactly the
-//!   existential-unforgeability assumption the paper makes.
+//!   existential-unforgeability assumption the paper makes;
+//! * [`SignedValue`] — a domain-separated signed payload (the committee's
+//!   votes and decisions).
+//!
+//! The signed PD record `⟨i, PDᵢ⟩ᵢ` itself lives in `cupft_detector`
+//! (`PdCertificate`), which signs its own wire encoding with these keys.
 //!
 //! # Example
 //!
@@ -40,4 +45,4 @@ mod signed;
 mod wire;
 
 pub use keys::{BatchVerifier, KeyRegistry, Signature, SigningKey};
-pub use signed::{SignedPd, SignedValue};
+pub use signed::SignedValue;

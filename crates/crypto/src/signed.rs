@@ -1,124 +1,8 @@
-//! Signed protocol payloads: PD certificates and generic signed values.
+//! Generic signed values: the committee's votes and decisions.
 
 use bytes::Bytes;
 
-use crate::keys::{BatchVerifier, KeyRegistry, Signature, SigningKey};
-
-/// Canonical encoding of a participant-detector record `⟨i, PDᵢ⟩`.
-fn pd_message(author: u64, pd: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + pd.len() * 8);
-    out.extend_from_slice(b"cupft-pd-v1");
-    out.extend_from_slice(&author.to_be_bytes());
-    out.extend_from_slice(&(pd.len() as u64).to_be_bytes());
-    for &p in pd {
-        out.extend_from_slice(&p.to_be_bytes());
-    }
-    out
-}
-
-/// A signed participant-detector record `⟨i, PDᵢ⟩ᵢ` (Algorithm 1, line 1).
-///
-/// The PD is stored sorted and deduplicated so the signed encoding is
-/// canonical: two records with the same logical PD always verify the same
-/// way.
-///
-/// # Example
-///
-/// ```
-/// use cupft_crypto::{KeyRegistry, SignedPd};
-///
-/// let mut registry = KeyRegistry::new();
-/// let key = registry.register(1);
-/// let record = SignedPd::sign(&key, vec![3, 2, 2]);
-/// assert_eq!(record.pd(), &[2, 3]);
-/// assert!(record.verify(&registry));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SignedPd {
-    author: u64,
-    pd: Vec<u64>,
-    signature: Signature,
-}
-
-impl SignedPd {
-    /// Signs `pd` (sorted + deduplicated) as `key`'s participant detector
-    /// output.
-    pub fn sign(key: &SigningKey, mut pd: Vec<u64>) -> Self {
-        pd.sort_unstable();
-        pd.dedup();
-        let signature = key.sign(&pd_message(key.id(), &pd));
-        SignedPd {
-            author: key.id(),
-            pd,
-            signature,
-        }
-    }
-
-    /// Builds an *unverifiable* record: a Byzantine process claiming a PD
-    /// for `author` without holding `author`'s key. Always fails
-    /// [`Self::verify`] unless `author` happens to equal the forging key's
-    /// ID.
-    pub fn forge(author: u64, mut pd: Vec<u64>) -> Self {
-        pd.sort_unstable();
-        pd.dedup();
-        SignedPd {
-            author,
-            pd,
-            signature: Signature::forged(author),
-        }
-    }
-
-    /// Rebuilds a record from its wire parts, re-canonicalizing the PD
-    /// (sorted + deduplicated) so the encoding a verifier checks is the
-    /// same one [`Self::sign`] produced. Used by deserialization layers;
-    /// the attached signature is carried verbatim, so the rebuilt record
-    /// verifies iff the serialized one did.
-    pub fn from_parts(author: u64, mut pd: Vec<u64>, signature: Signature) -> Self {
-        pd.sort_unstable();
-        pd.dedup();
-        SignedPd {
-            author,
-            pd,
-            signature,
-        }
-    }
-
-    /// The claimed author.
-    pub fn author(&self) -> u64 {
-        self.author
-    }
-
-    /// The claimed PD contents (sorted, deduplicated).
-    pub fn pd(&self) -> &[u64] {
-        &self.pd
-    }
-
-    /// The attached signature (valid or forged) — exposed so callers can
-    /// fingerprint the *exact* record, signature bytes included.
-    pub fn signature(&self) -> &Signature {
-        &self.signature
-    }
-
-    /// Verifies the record against the registry.
-    pub fn verify(&self, registry: &KeyRegistry) -> bool {
-        registry.verify(
-            self.author,
-            &pd_message(self.author, &self.pd),
-            &self.signature,
-        )
-    }
-
-    /// Verifies the record inside an open [`BatchVerifier`] session —
-    /// same verdict as [`Self::verify`], amortizing the registry lock
-    /// over a whole bundle.
-    pub fn verify_with(&self, batch: &BatchVerifier<'_>) -> bool {
-        batch.verify(
-            self.author,
-            &pd_message(self.author, &self.pd),
-            &self.signature,
-        )
-    }
-}
+use crate::keys::{KeyRegistry, Signature, SigningKey};
 
 /// A generic signed byte payload with a domain-separation label, used by
 /// the committee consensus protocol for votes and decisions.
@@ -208,47 +92,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn signed_pd_roundtrip() {
-        let mut reg = KeyRegistry::new();
-        let key = reg.register(1);
-        let rec = SignedPd::sign(&key, vec![2, 3, 4]);
-        assert!(rec.verify(&reg));
-        assert_eq!(rec.author(), 1);
-        assert_eq!(rec.pd(), &[2, 3, 4]);
-    }
-
-    #[test]
-    fn signed_pd_canonicalizes() {
-        let mut reg = KeyRegistry::new();
-        let key = reg.register(1);
-        let a = SignedPd::sign(&key, vec![4, 2, 3, 2]);
-        let b = SignedPd::sign(&key, vec![2, 3, 4]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn forged_pd_fails_verification() {
-        let mut reg = KeyRegistry::new();
-        reg.register(1);
-        let forged = SignedPd::forge(1, vec![9, 9, 9]);
-        assert!(!forged.verify(&reg));
-    }
-
-    #[test]
-    fn byzantine_cannot_modify_correct_pd() {
-        // Byzantine 2 receives 1's signed PD and tries to alter it.
-        let mut reg = KeyRegistry::new();
-        let key1 = reg.register(1);
-        reg.register(2);
-        let original = SignedPd::sign(&key1, vec![5, 6]);
-        // Rebuilding the record with different contents requires 1's key;
-        // the only structural option is a forgery, which fails.
-        let tampered = SignedPd::forge(1, vec![5, 6, 7]);
-        assert!(original.verify(&reg));
-        assert!(!tampered.verify(&reg));
-    }
-
-    #[test]
     fn signed_value_roundtrip_and_domain_separation() {
         let mut reg = KeyRegistry::new();
         let key = reg.register(3);
@@ -268,45 +111,5 @@ mod tests {
         // A verifier checking it as 4's message must fail (signer encoded).
         assert_eq!(v.signer(), 3);
         assert!(v.verify(&reg, "prepare"));
-    }
-
-    #[test]
-    fn verify_with_agrees_with_verify() {
-        let mut reg = KeyRegistry::new();
-        let key = reg.register(1);
-        let good = SignedPd::sign(&key, vec![2, 3]);
-        let bad = SignedPd::forge(4, vec![2, 3]);
-        let batch = reg.batch();
-        assert!(good.verify_with(&batch));
-        assert!(!bad.verify_with(&batch));
-        drop(batch);
-        assert!(good.verify(&reg));
-        assert!(!bad.verify(&reg));
-    }
-
-    #[test]
-    fn from_parts_reconstructs_verifiable_record() {
-        let mut reg = KeyRegistry::new();
-        let key = reg.register(6);
-        let original = SignedPd::sign(&key, vec![1, 2, 9]);
-        let rebuilt = SignedPd::from_parts(
-            original.author(),
-            original.pd().to_vec(),
-            *original.signature(),
-        );
-        assert_eq!(rebuilt, original);
-        assert!(rebuilt.verify(&reg));
-        // A tampered PD no longer matches the carried signature.
-        let tampered = SignedPd::from_parts(original.author(), vec![1, 2], *original.signature());
-        assert!(!tampered.verify(&reg));
-    }
-
-    #[test]
-    fn empty_pd_signs() {
-        let mut reg = KeyRegistry::new();
-        let key = reg.register(10);
-        let rec = SignedPd::sign(&key, vec![]);
-        assert!(rec.verify(&reg));
-        assert!(rec.pd().is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Wire codecs for the crypto vocabulary: signatures and signed records.
+//! Wire codecs for the crypto vocabulary: signatures and signed values.
 //!
 //! Layouts (all integers big-endian, following the workspace-wide
 //! conventions in [`cupft_wire`]):
@@ -6,10 +6,6 @@
 //! * [`Signature`] — `signer:u64 ‖ tag:[u8;32]` (raw digest, no length
 //!   prefix). This is byte-for-byte the layout the discovery snapshot
 //!   codec used before the traits existed.
-//! * [`SignedPd`] — `author:u64 ‖ pd:(u64 count ‖ u64…) ‖ Signature`.
-//!   Decode re-canonicalizes through [`SignedPd::from_parts`], so a
-//!   hostile non-sorted encoding still yields the canonical record (and
-//!   a signature over anything else fails verification as it should).
 //! * [`SignedValue`] — `signer:u64 ‖ domain:str ‖ payload:bytes ‖
 //!   Signature`; the domain is interned against [`crate::domains`] and
 //!   unknown domains are rejected at decode time.
@@ -18,7 +14,7 @@ use bytes::Bytes;
 use cupft_wire::{put_bytes, Decode, Encode, Reader, WireError};
 
 use crate::sha256::DIGEST_LEN;
-use crate::{domains, Signature, SignedPd, SignedValue};
+use crate::{domains, Signature, SignedValue};
 
 impl Encode for Signature {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -32,23 +28,6 @@ impl Decode for Signature {
         let signer = r.u64()?;
         let tag = r.take(DIGEST_LEN)?.try_into().expect("digest length");
         Ok(Signature::from_parts(signer, tag))
-    }
-}
-
-impl Encode for SignedPd {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.author().encode(out);
-        self.pd().encode(out);
-        self.signature().encode(out);
-    }
-}
-
-impl Decode for SignedPd {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let author = r.u64()?;
-        let pd = Vec::<u64>::decode(r)?;
-        let signature = Signature::decode(r)?;
-        Ok(SignedPd::from_parts(author, pd, signature))
     }
 }
 
@@ -89,18 +68,6 @@ mod tests {
         let back: Signature = decode_from_slice(&encode_to_vec(&sig)).unwrap();
         assert_eq!(back, sig);
         assert!(reg.verify(5, b"message", &back));
-    }
-
-    #[test]
-    fn signed_pd_roundtrips_verbatim() {
-        let mut reg = KeyRegistry::new();
-        let key = reg.register(3);
-        let rec = SignedPd::sign(&key, vec![9, 1, 4]);
-        let bytes = encode_to_vec(&rec);
-        let back: SignedPd = decode_from_slice(&bytes).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(encode_to_vec(&back), bytes);
-        assert!(back.verify(&reg));
     }
 
     #[test]

@@ -3,22 +3,27 @@
 //! Section II-C: each process `i` obtains its initial knowledge from a
 //! local oracle `PDᵢ` returning a fixed subset of processes; the oracles
 //! collectively define the knowledge connectivity graph. This crate
-//! provides the oracle ([`PdOracle`]), signed PD certificates bridging the
-//! crypto substrate to [`cupft_graph`] types ([`PdCertificate`]), and the
-//! [`SystemSetup`] helper wiring a whole simulated system (keys + oracles)
-//! from a knowledge connectivity graph.
+//! provides the oracle ([`PdOracle`]), the signed PD record `⟨i, PDᵢ⟩ᵢ`
+//! ([`PdCertificate`], whose one wire encoding is also what it signs and
+//! hashes), the shared [`CertPool`], and the [`SystemSetup`] helper wiring
+//! a whole simulated system (keys + oracles) from a knowledge connectivity
+//! graph.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
-use cupft_crypto::{KeyRegistry, SignedPd, SigningKey};
+use cupft_crypto::{KeyRegistry, SigningKey};
 use cupft_graph::{DiGraph, ProcessId, ProcessSet};
+
+mod signed;
+mod wire;
+
+pub use signed::PdCertificate;
 
 /// The participant detector oracle: a static map from process to its
 /// initial knowledge, derived from a knowledge connectivity graph.
@@ -63,170 +68,6 @@ impl PdOracle {
     /// All processes known to the oracle.
     pub fn processes(&self) -> ProcessSet {
         self.pds.keys().copied().collect()
-    }
-}
-
-/// A signature-carrying PD record in graph-typed form.
-///
-/// Correct processes produce these once at startup (Algorithm 1 line 1
-/// signs `⟨i, PDᵢ⟩ᵢ`); Byzantine processes may fabricate records for
-/// *their own* ID with arbitrary contents, but records fabricated for
-/// other IDs fail verification.
-///
-/// Every certificate caches a 128-bit [fingerprint] of its exact contents
-/// (author, PD, signature bytes), computed on first use, so `Hash` is
-/// O(1) after the first call, equality fast-rejects once both sides are
-/// hashed, and the discovery layer can dedup/memoize by fingerprint
-/// instead of re-hashing or re-verifying whole records.
-///
-/// [fingerprint]: Self::fingerprint
-#[derive(Debug, Clone)]
-pub struct PdCertificate {
-    inner: SignedPd,
-    /// Filled by [`Self::fingerprint`] on first call; every constructor
-    /// leaves it empty.
-    fp: OnceLock<u128>,
-}
-
-/// SHA-256 over the canonical record bytes, truncated to 128 bits.
-///
-/// The fingerprint must be *collision-resistant against adversarial
-/// inputs*, not merely well-mixed: the discovery layer memoizes signature
-/// verification by fingerprint, so a Byzantine process able to craft a
-/// forged record colliding with an already-verified one would smuggle an
-/// unverified certificate past the HMAC check (and a collision with a
-/// rejected one would censor a valid record). A domain-separated SHA-256
-/// closes that door. The cost is paid on first use, at most once per
-/// certificate allocation, and never taken from a peer; the discovery
-/// layer drops duplicates by exact record equality first, so a decoded
-/// copy of a record its receiver already holds is never hashed.
-fn cert_fingerprint(inner: &SignedPd) -> u128 {
-    let mut bytes = Vec::with_capacity(44 + inner.pd().len() * 8);
-    bytes.extend_from_slice(b"cupft-cert-fp-v1");
-    bytes.extend_from_slice(&inner.author().to_be_bytes());
-    bytes.extend_from_slice(&(inner.pd().len() as u64).to_be_bytes());
-    for p in inner.pd() {
-        bytes.extend_from_slice(&p.to_be_bytes());
-    }
-    bytes.extend_from_slice(&inner.signature().signer().to_be_bytes());
-    bytes.extend_from_slice(inner.signature().tag());
-    let digest = cupft_crypto::sha256::digest(&bytes);
-    u128::from_be_bytes(digest[..16].try_into().expect("digest is 32 bytes"))
-}
-
-impl PdCertificate {
-    /// Rebuilds a certificate from a deserialized [`SignedPd`] record.
-    ///
-    /// No hashing happens here: the fingerprint is computed from the
-    /// record bytes on first use, so a codec round-trip (serialize →
-    /// [`Self::from_signed`]) yields the identical fingerprint when asked
-    /// for — and the rebuilt certificate verifies iff the serialized one
-    /// did (the signature travels verbatim).
-    pub fn from_signed(inner: SignedPd) -> Self {
-        PdCertificate {
-            inner,
-            fp: OnceLock::new(),
-        }
-    }
-
-    /// The record in wire-typed form (author, raw PD, signature) — the
-    /// counterpart of [`Self::from_signed`] for serialization layers.
-    pub fn as_signed(&self) -> &SignedPd {
-        &self.inner
-    }
-
-    /// Signs `pd` as `key`'s participant detector output.
-    pub fn sign(key: &SigningKey, pd: &ProcessSet) -> Self {
-        let raw: Vec<u64> = pd.iter().map(|p| p.raw()).collect();
-        PdCertificate::from_signed(SignedPd::sign(key, raw))
-    }
-
-    /// Fabricates an unverifiable record claiming to be `author`'s PD —
-    /// the attack Algorithm 1's signatures exist to prevent.
-    pub fn forge(author: ProcessId, pd: &ProcessSet) -> Self {
-        let raw: Vec<u64> = pd.iter().map(|p| p.raw()).collect();
-        PdCertificate::from_signed(SignedPd::forge(author.raw(), raw))
-    }
-
-    /// The claimed author.
-    pub fn author(&self) -> ProcessId {
-        ProcessId::new(self.inner.author())
-    }
-
-    /// The claimed PD.
-    pub fn pd(&self) -> ProcessSet {
-        self.inner.pd().iter().map(|&r| ProcessId::new(r)).collect()
-    }
-
-    /// The content fingerprint: a pure function of author, PD, and
-    /// signature bytes (truncated domain-separated SHA-256, so collisions
-    /// are infeasible even for adversarially crafted records — the
-    /// property the discovery layer's verification memoization relies
-    /// on). Computed on first call and cached; never taken from a peer.
-    /// Equality remains exact — the fingerprint only *fast-rejects*.
-    pub fn fingerprint(&self) -> u128 {
-        *self.fp.get_or_init(|| cert_fingerprint(&self.inner))
-    }
-
-    /// Verifies the signature against the registry.
-    pub fn verify(&self, registry: &KeyRegistry) -> bool {
-        self.inner.verify(registry)
-    }
-
-    /// Verifies the signature inside an open batch session (see
-    /// [`cupft_crypto::KeyRegistry::batch`]).
-    pub fn verify_with(&self, batch: &cupft_crypto::BatchVerifier<'_>) -> bool {
-        self.inner.verify_with(batch)
-    }
-}
-
-impl PartialEq for PdCertificate {
-    fn eq(&self, other: &Self) -> bool {
-        // fp is a pure function of inner: unequal fps ⇒ unequal records.
-        // Only fingerprints already computed are compared; equality never
-        // hashes.
-        if let (Some(a), Some(b)) = (self.fp.get(), other.fp.get()) {
-            if a != b {
-                return false;
-            }
-        }
-        self.inner == other.inner
-    }
-}
-impl Eq for PdCertificate {}
-
-impl PartialOrd for PdCertificate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PdCertificate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.inner.cmp(&other.inner)
-    }
-}
-
-/// Hashes the fingerprint only (computing it on first use), so `Hash`
-/// agrees with `Eq`.
-impl Hash for PdCertificate {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u128(self.fingerprint());
-    }
-}
-
-/// Wire form: exactly the inner [`SignedPd`] record — the fingerprint is
-/// derived state and never travels (a peer-supplied fingerprint would be
-/// an unverified claim). A decoded certificate computes its own on first
-/// use, which keeps the memoization sound.
-impl cupft_wire::Encode for PdCertificate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        cupft_wire::Encode::encode(&self.inner, out);
-    }
-}
-
-impl cupft_wire::Decode for PdCertificate {
-    fn decode(r: &mut cupft_wire::Reader<'_>) -> Result<Self, cupft_wire::WireError> {
-        <SignedPd as cupft_wire::Decode>::decode(r).map(PdCertificate::from_signed)
     }
 }
 
@@ -516,7 +357,7 @@ mod tests {
         let setup = SystemSetup::new(&g);
         let cert = setup.certificate_for(p(1)).unwrap();
         assert_eq!(cert.author(), p(1));
-        assert_eq!(cert.pd(), process_set([2, 3]));
+        assert_eq!(cert.pd(), &process_set([2, 3]));
         assert!(cert.verify(setup.registry()));
     }
 
@@ -538,7 +379,7 @@ mod tests {
         let key2 = setup.key_of(p(2)).unwrap();
         let lying = PdCertificate::sign(key2, &process_set([1, 42, 99]));
         assert!(lying.verify(setup.registry()));
-        assert_eq!(lying.pd(), process_set([1, 42, 99]));
+        assert_eq!(lying.pd(), &process_set([1, 42, 99]));
     }
 
     #[test]
@@ -574,23 +415,27 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint());
         // Same author + PD but forged signature ⇒ different fingerprint
         // (the signature bytes are part of the record's identity).
-        let forged = PdCertificate::forge(p(1), &a.pd());
+        let forged = PdCertificate::forge(p(1), a.pd());
         assert_ne!(a.fingerprint(), forged.fingerprint());
         assert_ne!(a, forged);
     }
 
     #[test]
     fn from_signed_roundtrips_fingerprint_and_verdict() {
+        // A record rebuilt from its signed parts keeps its fingerprint
+        // and its verdict.
         let g = DiGraph::from_edges([(1, 2), (2, 1)]);
         let setup = SystemSetup::new(&g);
         let cert = setup.certificate_for(p(1)).unwrap();
-        let rebuilt = PdCertificate::from_signed(cert.as_signed().clone());
+        let rebuilt =
+            PdCertificate::from_parts(cert.author(), cert.pd().clone(), *cert.signature());
         assert_eq!(rebuilt, cert);
         assert_eq!(rebuilt.fingerprint(), cert.fingerprint());
         assert!(rebuilt.verify(setup.registry()));
         // Forged records survive the round-trip as forged.
         let forged = PdCertificate::forge(p(2), &process_set([9]));
-        let forged2 = PdCertificate::from_signed(forged.as_signed().clone());
+        let forged2 =
+            PdCertificate::from_parts(forged.author(), forged.pd().clone(), *forged.signature());
         assert_eq!(forged2.fingerprint(), forged.fingerprint());
         assert!(!forged2.verify(setup.registry()));
     }
@@ -609,9 +454,9 @@ mod tests {
         let signed = setup.certificate_for(p(1)).unwrap();
         let forged = PdCertificate::forge(p(2), &process_set([9]));
         for original in [&signed, &forged] {
-            assert!(original.fp.get().is_none(), "constructors do not hash");
+            assert!(!original.is_hashed(), "constructors do not hash");
             let copy = wire_copy(original);
-            assert!(copy.fp.get().is_none(), "decode does not hash");
+            assert!(!copy.is_hashed(), "decode does not hash");
             assert_eq!(&copy, original);
             assert_eq!(copy.fingerprint(), original.fingerprint());
             let mut set = HashSet::new();
@@ -640,7 +485,7 @@ mod tests {
             if hashed {
                 c.fingerprint();
             }
-            assert_eq!(c.fp.get().is_some(), hashed);
+            assert_eq!(c.is_hashed(), hashed);
             c
         };
         for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {

@@ -307,7 +307,7 @@ impl DiscoveryState {
         }
         self.sync.add(record.fingerprint());
         Arc::make_mut(&mut self.have).insert(author);
-        let pd = record.pd();
+        let pd = record.pd().clone();
         self.certs.insert(author, record);
         if self.view.record_pd(author, pd) {
             self.changed = true;
@@ -427,7 +427,8 @@ impl DiscoveryState {
         // Trailing garbage: not our snapshot.
         r.finish().ok()?;
         let own = certs.iter().find(|c| c.author() == id)?.clone();
-        let mut state = DiscoveryState::with_own_cert(registry, own.pd(), own).with_gossip(mode);
+        let mut state =
+            DiscoveryState::with_own_cert(registry, own.pd().clone(), own).with_gossip(mode);
         certs.retain(|c| c.author() != id);
         state.absorb_batch(&certs);
         // Re-seed identifiers that were known without a received PD (seed

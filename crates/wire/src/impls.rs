@@ -180,12 +180,10 @@ impl Encode for ProcessSet {
 
 impl Decode for ProcessSet {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.len_prefix()?;
-        let mut out = ProcessSet::with_capacity(len);
-        for _ in 0..len {
-            out.insert(ProcessId::decode(r)?);
-        }
-        Ok(out)
+        // Collect, then canonicalize with one sort + dedup: a hostile
+        // (e.g. reversed) order costs O(n log n), never a shifting insert
+        // per ID.
+        Ok(Vec::<ProcessId>::decode(r)?.into_iter().collect())
     }
 }
 

@@ -17,7 +17,10 @@
 #                              # pinned executions (the sink/core search
 #                              # returns what it always returned), the
 #                              # wire_roundtrip codec proptests, the
-#                              # adversary_sweep grid, the family_sweep
+#                              # proptest_protocol properties (signed-PD
+#                              # tamper evidence, consensus under random
+#                              # faults), the suite_grid and
+#                              # adversary_sweep grids, the family_sweep
 #                              # (each graph family once at modest n), the
 #                              # delta-gossip discovery_equivalence sweep,
 #                              # the router_shards parity sweep and the
@@ -102,6 +105,10 @@ else
     cargo test -q --test core_search_parity
     echo "==> cargo test -q --test wire_roundtrip (quick gate)"
     cargo test -q --test wire_roundtrip
+    echo "==> cargo test -q --test proptest_protocol (quick gate)"
+    cargo test -q --test proptest_protocol
+    echo "==> cargo test -q --test suite_grid (quick gate)"
+    cargo test -q --test suite_grid
     echo "==> cargo test -q --test adversary_sweep (quick gate)"
     cargo test -q --test adversary_sweep
     echo "==> cargo test -q --test family_sweep (quick gate)"

@@ -1,31 +1,32 @@
-//! The fault-injection engine's acceptance sweep: a 64-cell grid on the
-//! new strategy axis (graph × strategy × policy × seed), plus injection
-//! parity on the threaded substrate and a within-model network tamper.
+//! The fault-injection engine's acceptance sweep: a 64-cell grid whose
+//! fault axis carries strategy specs (graph × strategy × policy × seed),
+//! plus injection parity on the threaded substrate and a within-model
+//! network tamper.
 //!
 //! Both swept graphs satisfy their knowledge-connectivity requirements,
 //! so every cell must solve consensus no matter how the single Byzantine
 //! process (4, outside both cores) composes its strategy.
 
 use bft_cupft::core::{
-    ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario, ScenarioGrid, ScenarioSuite,
-    StrategyCase, TamperSpec,
+    ByzantineStrategy, FaultCase, ProtocolMode, RuntimeKind, Scenario, ScenarioGrid, ScenarioSuite,
+    TamperSpec,
 };
 use bft_cupft::graph::{fig1b, fig4b, process_set, ProcessId};
 use bft_cupft::net::DelayPolicy;
 
 /// The four swept strategies: one plain leaf, one protocol attack, and
 /// two combinator compositions.
-fn strategies() -> Vec<StrategyCase> {
+fn strategies() -> Vec<FaultCase> {
     vec![
-        StrategyCase::single(4, ByzantineStrategy::Silent),
-        StrategyCase::single(
+        FaultCase::single(4, ByzantineStrategy::Silent),
+        FaultCase::single(
             4,
             ByzantineStrategy::ForgeUnsignedPd {
                 victim: ProcessId::new(1),
                 claimed: process_set([4]),
             },
         ),
-        StrategyCase::single(
+        FaultCase::single(
             4,
             ByzantineStrategy::DelayRelease {
                 until: 300,
@@ -34,7 +35,7 @@ fn strategies() -> Vec<StrategyCase> {
                 }),
             },
         ),
-        StrategyCase::single(
+        FaultCase::single(
             4,
             ByzantineStrategy::FlipAfter {
                 at: 400,
@@ -66,7 +67,7 @@ fn policies(grid: ScenarioGrid) -> ScenarioGrid {
 fn sweep() -> ScenarioSuite {
     let with_strategies = |mut grid: ScenarioGrid| {
         for case in strategies() {
-            grid = grid.strategy(case);
+            grid = grid.fault(case);
         }
         policies(grid)
     };
@@ -93,7 +94,7 @@ fn sixty_four_cell_strategy_grid_solves_on_sim() {
     assert_eq!(suite.len(), 64);
     let report = suite.run(RuntimeKind::Sim);
     assert!(report.all_solved(), "failed cells: {:?}", report.failures());
-    // the strategy segment shows up in labels
+    // the fault segment carries the strategy label
     assert!(report.verdicts[0].label.contains("/silent@4/"));
     assert!(report
         .verdicts

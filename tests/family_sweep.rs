@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 
 use bft_cupft::core::{
     ByzantineStrategy, FaultCase, ProtocolMode, RuntimeKind, Scenario, ScenarioGrid, ScenarioSuite,
-    StrategyCase,
 };
 use bft_cupft::graph::GraphFamily;
 use bft_cupft::net::DelayPolicy;
@@ -136,15 +135,14 @@ fn families_tolerate_a_silent_expendable_vertex() {
                         ProtocolMode::KnownThreshold(1),
                     )
                     .fault(FaultCase::none())
-                    .strategy(StrategyCase::none())
-                    .strategy(StrategyCase::single(victim, ByzantineStrategy::Silent))
+                    .fault(FaultCase::single(victim, ByzantineStrategy::Silent))
                     .policy("psync", psync(), 400_000)
                     .seeds(0..1)
                     .build(),
             );
         }
     }
-    assert_eq!(suite.len(), 16); // 4 families x 2 sizes x {honest, silent}
+    assert_eq!(suite.len(), 16); // 4 families x 2 sizes x {correct, silent}
     let report = suite.run(RuntimeKind::Sim);
     assert!(
         report.all_solved(),

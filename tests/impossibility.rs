@@ -151,19 +151,20 @@ fn core_algorithm_also_splits_on_fig2c_as_theorem7_demands() {
 }
 
 /// The full strength of Theorem 7's argument: the executions of processes
-/// {1,2,3} in system A (process 4 crashed from the start) and in system AB
+/// {1,2,3} in system A (process 4 silent from the start) and in system AB
 /// (everyone correct, non-{1,2,3} messages delayed) are *identical event
 /// for event* up to the decision point — literally indistinguishable, not
-/// merely same-outcome. Uses the crash-fault model of the proof.
+/// merely same-outcome. A process silent from tick 0 is the proof's crash
+/// fault: it sends nothing and is not counted as correct.
 #[test]
 fn theorem7_traces_are_event_identical() {
     let inner = process_set([1, 2, 3]);
-    // System A: 4 crashes at time 0 (the proof's weaker fault model).
+    // System A: 4 is silent from time 0 (the proof's crash fault).
     // The delay schedule must match AB's within {1,2,3}: use the same
     // Partitioned policy, under which intra-{1,2,3} delay is the constant
     // delta in both systems.
     let mut a = Scenario::new(fig2a().graph().clone(), NAIVE)
-        .with_crash(4, 0)
+        .with_byzantine(4, ByzantineStrategy::Silent)
         .with_policy(DelayPolicy::Partitioned {
             delta: 10,
             groups: vec![inner.clone()],

@@ -2,7 +2,7 @@
 //! protocol, and crash behavior, driven by hand through `Context`.
 
 use bft_cupft::committee::Value;
-use bft_cupft::core::{Node, NodeConfig, NodeMsg, Phase, ProtocolMode};
+use bft_cupft::core::{Node, NodeConfig, NodeMsg, Phase, ProtocolMode, CHURN_LEAVE_TICK};
 use bft_cupft::detector::SystemSetup;
 use bft_cupft::discovery::{DiscoveryMsg, SyncState, DISCOVERY_TICK};
 use bft_cupft::graph::{fig1b, process_set, ProcessId};
@@ -174,6 +174,7 @@ fn undecided_node_parks_requests_and_answers_on_decision() {
 
 #[test]
 fn crashed_node_stops_mid_protocol() {
+    // A silent departure (no goodbye) is, to everyone else, a crash.
     let fig = fig1b();
     let setup = SystemSetup::new(fig.graph());
     let mut node = Node::from_setup(
@@ -182,7 +183,7 @@ fn crashed_node_stops_mid_protocol() {
         Value::from_static(b"mine"),
         NodeConfig {
             mode: ProtocolMode::KnownThreshold(1),
-            crash_at: Some(15),
+            leave_at: Some(15),
             ..NodeConfig::default()
         },
     )
@@ -190,6 +191,8 @@ fn crashed_node_stops_mid_protocol() {
     let mut ctx = Context::new(0, p(7));
     node.on_start(&mut ctx);
     assert!(!ctx.queued_sends().is_empty(), "alive before the crash");
+    let mut ctx = Context::new(15, p(7));
+    node.on_timer(CHURN_LEAVE_TICK, &mut ctx);
     let mut ctx = Context::new(20, p(7));
     node.on_message(p(1), NodeMsg::GetDecidedVal, &mut ctx);
     node.on_timer(bft_cupft::discovery::DISCOVERY_TICK, &mut ctx);

@@ -2,7 +2,8 @@
 //! under randomized seeds, fault placements, and delay parameters.
 
 use bft_cupft::core::{run_scenario, ByzantineStrategy, ProtocolMode, Scenario};
-use bft_cupft::crypto::{KeyRegistry, SignedPd};
+use bft_cupft::crypto::KeyRegistry;
+use bft_cupft::detector::PdCertificate;
 use bft_cupft::graph::{fig1b, fig4b, process_set, GdiParams, Generator, ProcessId};
 use bft_cupft::net::DelayPolicy;
 use proptest::prelude::*;
@@ -103,18 +104,13 @@ proptest! {
     ) {
         let mut registry = KeyRegistry::new();
         let key = registry.register(author);
-        let record = SignedPd::sign(&key, pd.clone());
+        let pd = process_set(pd);
+        let record = PdCertificate::sign(&key, &pd);
         prop_assert!(record.verify(&registry));
         // Any record with different contents must be a forgery.
-        let mut sorted = pd.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut tampered_pd = sorted.clone();
-        tampered_pd.extend(tamper);
-        tampered_pd.sort_unstable();
-        tampered_pd.dedup();
-        if tampered_pd != sorted {
-            let forged = SignedPd::forge(author, tampered_pd);
+        let tampered_pd = process_set(pd.iter().map(|p| p.raw()).chain(tamper));
+        if tampered_pd != pd {
+            let forged = PdCertificate::forge(ProcessId::new(author), &tampered_pd);
             prop_assert!(!forged.verify(&registry));
         }
     }

@@ -22,10 +22,10 @@ use proptest::prelude::*;
 use bft_cupft::committee::{CommitteeMsg, PreparedCert, Value, ViewChangeRecord};
 use bft_cupft::core::NodeMsg;
 use bft_cupft::crypto::sha256::{digest, Digest};
-use bft_cupft::crypto::{domains, KeyRegistry, Signature, SignedPd, SignedValue};
+use bft_cupft::crypto::{domains, KeyRegistry, Signature, SignedValue};
 use bft_cupft::detector::PdCertificate;
 use bft_cupft::discovery::{DiscoveryMsg, SyncState};
-use bft_cupft::graph::{ProcessId, ProcessSet};
+use bft_cupft::graph::{process_set, ProcessId, ProcessSet};
 use bft_cupft::wire::frame::{
     frame, read_frame, unframe, write_frame, FrameIoError, FRAME_MAGIC, HEADER_LEN,
     MAX_FRAME_PAYLOAD, WIRE_VERSION,
@@ -68,11 +68,6 @@ fn arb_sig() -> impl Strategy<Value = Signature> {
         .prop_map(|(signer, seed)| Signature::from_parts(signer, digest(&seed.to_be_bytes())))
 }
 
-fn arb_signed_pd() -> impl Strategy<Value = SignedPd> {
-    (0u64..64, pvec(0u64..256, 0..10), arb_sig())
-        .prop_map(|(author, pd, sig)| SignedPd::from_parts(author, pd, sig))
-}
-
 fn arb_domain() -> impl Strategy<Value = &'static str> {
     (0usize..domains::ALL.len()).prop_map(|i| domains::ALL[i])
 }
@@ -88,7 +83,9 @@ fn arb_signed_value() -> impl Strategy<Value = SignedValue> {
 }
 
 fn arb_cert() -> impl Strategy<Value = PdCertificate> {
-    arb_signed_pd().prop_map(PdCertificate::from_signed)
+    (0u64..64, pvec(0u64..256, 0..10), arb_sig()).prop_map(|(author, pd, sig)| {
+        PdCertificate::from_parts(ProcessId::new(author), process_set(pd), sig)
+    })
 }
 
 fn arb_sync_state() -> impl Strategy<Value = SyncState> {
@@ -200,12 +197,10 @@ proptest! {
     #[test]
     fn crypto_records_roundtrip(
         sig in arb_sig(),
-        pd in arb_signed_pd(),
         val in arb_signed_value(),
         cert in arb_cert(),
     ) {
         rt(&sig);
-        rt(&pd);
         rt(&val);
         rt(&cert);
     }
@@ -364,4 +359,63 @@ fn signed_roundtrip_still_verifies_after_the_wire() {
     let committee =
         bft_cupft::committee::Committee::new(bft_cupft::graph::process_set([1, 2, 3, 4]), 1);
     assert!(back.verify(&registry, &committee));
+}
+
+#[test]
+fn hostile_order_process_set_decodes_to_the_canonical_set() {
+    // A peer may list a have-set (or a certificate PD) in any order. A
+    // reversed 2^20-entry encoding with every ID twice must still decode
+    // to the sorted, deduplicated set — in one sort, not one shifting
+    // insert per ID.
+    const ENTRIES: u64 = 1 << 20;
+    let mut bytes = Vec::with_capacity(8 * (ENTRIES as usize + 1));
+    bft_cupft::wire::put_len(&mut bytes, ENTRIES as usize);
+    for i in (0..ENTRIES).rev() {
+        (i / 2).encode(&mut bytes);
+    }
+    let set: ProcessSet = decode_from_slice(&bytes).expect("decodes");
+    assert_eq!(set.len() as u64, ENTRIES / 2);
+    assert_eq!(set, (0..ENTRIES / 2).map(ProcessId::new).collect());
+}
+
+/// The signed PD record's bytes, pinned: its wire encoding, its HMAC tag
+/// (which signs `"cupft-pd-v1" ‖ author ‖ pd`), and its fingerprint
+/// (which hashes `"cupft-cert-fp-v1" ‖ encoding`). Any codec or
+/// signing-message change that moves one byte fails here.
+#[test]
+fn signed_pd_record_bytes_are_pinned() {
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+    const HEAD: &str = "0000000000000007\
+                        0000000000000004\
+                        0000000000000001\
+                        0000000000000003\
+                        0000000000000009\
+                        00000000000000c8\
+                        0000000000000007";
+    let mut registry = KeyRegistry::new();
+    let key = registry.register(7);
+    let pd = bft_cupft::graph::process_set([1, 3, 9, 200]);
+    let signed = PdCertificate::sign(&key, &pd);
+    let forged = PdCertificate::forge(ProcessId::new(7), &pd);
+    for (cert, tag, fp, verifies) in [
+        (
+            &signed,
+            "25d5241003649add7d004a8c8179de6d46f6032cb319f327dbcdd868e62fe2f7",
+            0xc7cd62cfc95fc92d2dfe718130d0a4af_u128,
+            true,
+        ),
+        (
+            &forged,
+            "dededededededededededededededededededededededededededededededede",
+            0x6024aa8a2ae935790c725d51549b764e_u128,
+            false,
+        ),
+    ] {
+        assert_eq!(hex(&encode_to_vec(cert)), format!("{HEAD}{tag}"));
+        assert_eq!(hex(cert.signature().tag()), tag);
+        assert_eq!(cert.fingerprint(), fp);
+        assert_eq!(cert.verify(&registry), verifies);
+    }
 }
