@@ -10,8 +10,13 @@
 //!   Scenarios I and II of Section III — silent Byzantine members and slow
 //!   correct members simply never enter the received graph, and lying
 //!   Byzantine members are peeled — and every witness graph in the paper.
-//! * **Exact search**: exhaustive subset enumeration used as ground truth in
-//!   tests and for small views, guarded by a cutoff.
+//! * **Exact search**: the answer of exhaustive subset enumeration, used as
+//!   ground truth in tests and as the fallback for small views, guarded by
+//!   a cutoff on `|S_received|`. Only subsets of the *feasible parts* are
+//!   tried — the strongly connected pieces of the received graph left after
+//!   dropping members with at most `f` neighbours inside their piece, where
+//!   every `S1` with `κ(G[S1]) ≥ f + 1` must lie — and the lowest-mask hit
+//!   among them is the one plain enumeration would return.
 //!
 //! The heuristic is validated against the exact search by property tests in
 //! the crate's test suite.
@@ -55,7 +60,7 @@ pub struct CandidateSearch;
 const MAX_PEELS: usize = 4;
 
 /// Maximum component size for minimum-cut splitting. Cut splitting probes
-/// all ordered vertex pairs with a max-flow bound, which is
+/// ordered vertex pairs with a max-flow bound, up to all of them, which is
 /// quadratic-times-flow in the component size — essential for the paper's
 /// small witness graphs (a core buried inside a larger SCC), hopeless on
 /// the giant random SCCs that large-scale views contain. Components above
@@ -138,10 +143,11 @@ impl CandidateSearch {
         // end-to-end run re-enters it on each discovery tick whose view
         // changed.
         let mut snap = ViewSnapshot::new(view);
+        let components = snap.received_components();
         let mut out: Vec<Vec<Idx>> = Vec::new();
         let mut checked = 0;
-        for component in snap.received_components() {
-            self.append_component_candidates(&mut snap, &component, &mut out);
+        for component in &components {
+            self.append_component_candidates(&mut snap, component, &mut out);
             for s1 in &out[checked..] {
                 if let Some(decomposition) = sink_at(&mut snap, s1, f) {
                     return Some(SinkCandidate { decomposition });
@@ -150,7 +156,7 @@ impl CandidateSearch {
             checked = out.len();
         }
         // Exhaustive fallback for small views.
-        exact_sink_at(&mut snap, f, Self::EXACT_CUTOFF)
+        exact_sink_at(&mut snap, components, f, Self::EXACT_CUTOFF)
             .ok()
             .flatten()
     }
@@ -266,6 +272,9 @@ fn push_unique(set: Vec<Idx>, out: &mut Vec<Vec<Idx>>) {
 /// A set containing a high-connectivity core plus weakly-attached
 /// outsiders has a small vertex cut between some cross pair; the side
 /// containing the core, together with the cut, recovers the core exactly.
+/// The split is at the first ordered pair (ascending, source-major) with
+/// only `κ(G[set])` disjoint paths: `κ` is computed once by root probing,
+/// and the scan stops at the first pair that reaches it.
 /// Candidate volume is bounded by the recursion `depth` and a global cap.
 fn cut_split(snap: &mut ViewSnapshot, set: &[Idx], depth: usize, out: &mut Vec<Vec<Idx>>) {
     const MAX_CANDIDATES: usize = 96;
@@ -273,23 +282,19 @@ fn cut_split(snap: &mut ViewSnapshot, set: &[Idx], depth: usize, out: &mut Vec<V
         return;
     }
     let mut net = snap.subnetwork(set);
-    // The first ordered pair realizing the minimum number of disjoint
-    // paths. Which pair that is decides the split, so every pair is
-    // scanned in order; each probe is capped at the minimum so far.
-    let mut best: Option<(usize, usize, usize)> = None;
-    for u in 0..set.len() {
-        for v in (0..set.len()).filter(|&v| v != u) {
-            let paths = net.paths(u, v, best.map(|(_, _, fewest)| fewest));
-            if paths == 0 {
-                // Not strongly connected: the SCC machinery covers this shape.
-                return;
-            }
-            if best.is_none_or(|(_, _, fewest)| paths < fewest) {
-                best = Some((u, v, paths));
-            }
-        }
+    let kappa = net.connectivity(usize::MAX, 1);
+    if kappa == 0 {
+        // Not strongly connected: the SCC machinery covers this shape.
+        return;
     }
-    let Some((u, v, _)) = best else { return };
+    // The first ordered pair, in scan order, joined by only κ disjoint
+    // paths: which pair that is decides the split. Probes are capped at
+    // κ + 1, just enough to tell κ from more.
+    let mut pairs = (0..set.len()).flat_map(|u| (0..set.len()).map(move |v| (u, v)));
+    let Some((u, v)) = pairs.find(|&(u, v)| u != v && net.paths(u, v, Some(kappa + 1)) == kappa)
+    else {
+        return;
+    };
     let cut: Vec<Idx> = net
         .min_vertex_cut(u, v)
         .into_iter()
@@ -332,24 +337,45 @@ fn disqualifies(snap: &mut ViewSnapshot, s1: &[Idx], g_star: usize, limit: &[Idx
     })
 }
 
-/// [`exact_sink_with_threshold`] on a snapshot.
+/// [`exact_sink_with_threshold`] on a snapshot whose received graph has
+/// the strongly connected `components`.
+///
+/// The plain search tries every subset of `S_received` by ascending mask
+/// and returns the first hit. A hit lies inside one feasible part (see
+/// [`ViewSnapshot::feasible_parts`]), so only subsets of those are tried.
+/// Inside a part, local bit order follows the global one, so a part's
+/// first hit is its lowest-mask hit; of those, the lowest global mask wins
+/// — exactly the plain search's answer.
 fn exact_sink_at(
     snap: &mut ViewSnapshot,
+    components: Vec<Vec<Idx>>,
     f: usize,
     cutoff: usize,
 ) -> Result<Option<SinkCandidate>, GraphError> {
     let received = snap.received();
+    // Refuse exactly the views the plain enumeration refuses.
+    subset_masks(received.len(), cutoff)?;
+    let global_mask = |s1: &[Idx]| -> u64 {
+        let bit = |v| received.binary_search(v).expect("S1 ⊆ S_received");
+        s1.iter().map(|v| 1 << bit(v)).sum()
+    };
+    let mut hits = Vec::new();
     let mut s1 = Vec::new();
-    for mask in subset_masks(received.len(), cutoff)? {
-        select(&received, mask, &mut s1);
-        if let Some(decomposition) = sink_at(snap, &s1, f) {
-            return Ok(Some(SinkCandidate { decomposition }));
-        }
+    for part in snap.feasible_parts(components, f) {
+        let hit = subset_masks(part.len(), cutoff)?.find_map(|mask| {
+            select(&part, mask, &mut s1);
+            sink_at(snap, &s1, f).map(|decomposition| (global_mask(&s1), decomposition))
+        });
+        hits.extend(hit);
     }
-    Ok(None)
+    let lowest = hits.into_iter().min_by_key(|&(mask, _)| mask);
+    Ok(lowest.map(|(_, decomposition)| SinkCandidate { decomposition }))
 }
 
-/// Exhaustive version of Algorithm 2's search (ground truth for tests).
+/// Exhaustive version of Algorithm 2's search (ground truth for tests):
+/// the first hit of enumerating every subset of `S_received` as a mask
+/// over ascending identifiers, found by trying only the subsets that can
+/// hit (`docs/PAPER_MAP.md`, "Where a valid S1 can lie").
 ///
 /// # Errors
 ///
@@ -360,7 +386,9 @@ pub fn exact_sink_with_threshold(
     f: usize,
     cutoff: usize,
 ) -> Result<Option<SinkCandidate>, GraphError> {
-    exact_sink_at(&mut ViewSnapshot::new(view), f, cutoff)
+    let mut snap = ViewSnapshot::new(view);
+    let components = snap.received_components();
+    exact_sink_at(&mut snap, components, f, cutoff)
 }
 
 /// Exhaustive best-threshold sink over *all* subsets of the received set
@@ -401,7 +429,7 @@ pub fn exact_best_sink(
 mod tests {
     use super::*;
     use crate::digraph::DiGraph;
-    use crate::id::process_set;
+    use crate::id::{process_set, ProcessId};
 
     /// Process 1's view in the Section III worked example (Fig. 1b,
     /// process 2 slow, process 4 Byzantine claiming PD {1,2,3}).
@@ -566,6 +594,66 @@ mod tests {
             peels.collect::<Vec<_>>()
         );
         assert_eq!(CandidateSearch.sink_with_threshold(&view, 1), None);
+    }
+
+    /// Complete digraphs on each of `groups`, nothing between them.
+    fn disjoint_cliques(groups: &[&[u64]]) -> KnowledgeView {
+        let edges = groups.iter().flat_map(|group| {
+            let pairs = group
+                .iter()
+                .flat_map(|&a| group.iter().map(move |&b| (a, b)));
+            pairs.filter(|(a, b)| a != b)
+        });
+        KnowledgeView::omniscient(&DiGraph::from_edges(edges))
+    }
+
+    #[test]
+    fn exact_search_returns_the_lowest_mask_hit_across_parts() {
+        // Two valid triangles at f = 1. Over the IDs {1,2,3,4,5,9},
+        // {3,4,5} has the lower mask in the first layout and {1,2,3} in
+        // the second; the condensation lists the component of ID 1 first
+        // in both, so neither the first nor the last part's hit passes.
+        for (groups, expected) in [
+            ([[1, 2, 9], [3, 4, 5]], [3, 4, 5]),
+            ([[1, 2, 3], [4, 5, 9]], [1, 2, 3]),
+        ] {
+            let view = disjoint_cliques(&[&groups[0], &groups[1]]);
+            let found = exact_sink_with_threshold(&view, 1, CandidateSearch::EXACT_CUTOFF);
+            let s1 = found.unwrap().map(|c| c.decomposition.s1);
+            assert_eq!(s1, Some(process_set(expected)), "{groups:?}");
+        }
+    }
+
+    #[test]
+    fn exact_search_reaches_past_the_plain_enumeration() {
+        // 18 disjoint directed 3-cycles (κ = 1) below one K4 on the top
+        // IDs: 58 received PDs, and the plain enumeration's first hit
+        // would be mask 2^54 + 2^55 + 2^56. Only the K4 survives peeling.
+        let mut g = DiGraph::complete(&process_set(55..=58));
+        for c in 0..18 {
+            let [a, b, d] = [1, 2, 3].map(|i| ProcessId::new(3 * c + i));
+            for (from, to) in [(a, b), (b, d), (d, a)] {
+                g.add_edge(from, to);
+            }
+        }
+        let view = KnowledgeView::omniscient(&g);
+        assert_eq!(view.received_count(), 58);
+        let found = exact_sink_with_threshold(&view, 1, 63).unwrap().unwrap();
+        assert_eq!(found.decomposition.s1, process_set(55..=57));
+        assert_eq!(found.decomposition.s2, process_set([58]));
+    }
+
+    #[test]
+    fn exact_search_keeps_a_lone_sink_at_threshold_zero() {
+        // 1 knows 2 and 3 only through their PDs; its own PD is empty,
+        // which makes {1} a sink at g = 0 and the lowest mask of all.
+        // {2,3} is the only other one, and peeling would leave only it.
+        let mut view = KnowledgeView::new(1.into(), ProcessSet::new());
+        view.record_pd(2.into(), process_set([3]));
+        view.record_pd(3.into(), process_set([2]));
+        let found = exact_sink_with_threshold(&view, 0, CandidateSearch::EXACT_CUTOFF);
+        let members = found.unwrap().map(|c| c.members());
+        assert_eq!(members, Some(process_set([1])));
     }
 
     #[test]

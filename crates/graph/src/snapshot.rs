@@ -177,6 +177,55 @@ impl ViewSnapshot {
         tarjan(self.ids.len(), |v| self.out(v as Idx), |v| self.received[v])
     }
 
+    /// The *feasible parts* of `S_received` for threshold `f`, given its
+    /// strongly connected `components`: the disjoint vertex sets that hold
+    /// every `S1` with `κ(G[S1]) ≥ f + 1` and `|S1| ≥ 2f + 1`, in no
+    /// particular order.
+    ///
+    /// Such an `S1` is strongly connected, so it lies inside one component;
+    /// at `f ≥ 1` each member also has at least `f + 1` in- and
+    /// out-neighbours inside `S1`. Members short of that inside their part
+    /// are dropped until none is left, the survivors re-split into
+    /// components, and parts smaller than `2f + 1` go. At `f = 0` nothing
+    /// is dropped: a lone vertex with an empty PD is a sink at `g = 0`.
+    pub(crate) fn feasible_parts(&mut self, components: Vec<Vec<Idx>>, f: usize) -> Vec<Vec<Idx>> {
+        if f == 0 {
+            return components;
+        }
+        let fits = |part: &Vec<Idx>| part.len() > 2 * f;
+        let mut pending: Vec<Vec<Idx>> = components.into_iter().filter(fits).collect();
+        let mut parts = Vec::new();
+        while let Some(part) = pending.pop() {
+            let (outs, ins) = self.local_graph(&part);
+            let kept = degree_core(&outs, &ins, f + 1);
+            if kept.iter().all(|&kept| kept) {
+                parts.push(part);
+                continue;
+            }
+            let split = tarjan(part.len(), |pos| &outs[pos], |pos| kept[pos]);
+            let to_vertices = |c: Vec<u32>| c.into_iter().map(|pos| part[pos as usize]).collect();
+            pending.extend(split.into_iter().map(to_vertices).filter(fits));
+        }
+        parts
+    }
+
+    /// `G[set]` over positions in `set`: each member's out- and
+    /// in-neighbours inside `set`, ascending.
+    fn local_graph(&mut self, set: &[Idx]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        self.mark(set);
+        let inside = |adj: &[Idx]| -> Vec<u32> {
+            let slots = adj.iter().map(|&w| self.slot[w as usize]);
+            slots
+                .filter(|&slot| slot != 0)
+                .map(|slot| slot - 1)
+                .collect()
+        };
+        let outs = set.iter().map(|&v| inside(self.out(v))).collect();
+        let ins = set.iter().map(|&v| inside(self.inn(v))).collect();
+        self.unmark(set);
+        (outs, ins)
+    }
+
     /// Marks `set` in `slot` (position + 1); the caller clears it.
     fn mark(&mut self, set: &[Idx]) {
         for (pos, &v) in set.iter().enumerate() {
@@ -282,6 +331,31 @@ impl ViewSnapshot {
             weakest_target,
         }
     }
+}
+
+/// Which vertices of the graph with adjacency `outs`/`ins` survive
+/// repeatedly dropping every vertex with fewer than `k` in- or
+/// out-neighbours among the survivors.
+fn degree_core(outs: &[Vec<u32>], ins: &[Vec<u32>], k: usize) -> Vec<bool> {
+    let mut out_deg: Vec<usize> = outs.iter().map(Vec::len).collect();
+    let mut in_deg: Vec<usize> = ins.iter().map(Vec::len).collect();
+    let mut kept: Vec<bool> = (0..outs.len())
+        .map(|v| out_deg[v] >= k && in_deg[v] >= k)
+        .collect();
+    let mut doomed: Vec<usize> = (0..outs.len()).filter(|&v| !kept[v]).collect();
+    while let Some(v) = doomed.pop() {
+        for (adj, deg) in [(&outs[v], &mut in_deg), (&ins[v], &mut out_deg)] {
+            for &w in adj {
+                let w = w as usize;
+                deg[w] -= 1;
+                if kept[w] && deg[w] < k {
+                    kept[w] = false;
+                    doomed.push(w);
+                }
+            }
+        }
+    }
+    kept
 }
 
 /// The subset of `eligible` selected by the bits of `mask`, into `subset`.

@@ -7,13 +7,16 @@
 #                              # package's build and tests
 #   scripts/verify.sh --quick  # skip the release build (fast local loop,
 #                              # and the CI `quick` job); fronts the
-#                              # paper claims (table1_matrix,
-#                              # impossibility, theorems: Table I,
-#                              # Figs. 1-4, §III), the
+#                              # sink-search gates (the cupft-graph unit
+#                              # tests, incl. the exhaustive fallback's
+#                              # feasible-part enumeration, and the
+#                              # proptest_graph kernel-vs-oracle
+#                              # properties), the paper claims
+#                              # (table1_matrix, impossibility, theorems:
+#                              # Table I, Figs. 1-4, §III), the
 #                              # trajectory_pins exact constants (sweep
 #                              # payload + virtual-time phase marks), the
-#                              # proptest_graph kernel-vs-oracle
-#                              # properties and the core_search_parity
+#                              # core_search_parity
 #                              # pinned executions (the sink/core search
 #                              # returns what it always returned), the
 #                              # wire_roundtrip codec proptests, the
@@ -95,12 +98,14 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
 else
+    echo "==> cargo test -q -p cupft-graph --lib (quick gate)"
+    cargo test -q -p cupft-graph --lib
+    echo "==> cargo test -q --test proptest_graph (quick gate)"
+    cargo test -q --test proptest_graph
     echo "==> cargo test -q --test table1_matrix --test impossibility --test theorems (paper claims)"
     cargo test -q --test table1_matrix --test impossibility --test theorems
     echo "==> cargo test -q --test trajectory_pins (quick gate)"
     cargo test -q --test trajectory_pins
-    echo "==> cargo test -q --test proptest_graph (quick gate)"
-    cargo test -q --test proptest_graph
     echo "==> cargo test -q --test core_search_parity (quick gate)"
     cargo test -q --test core_search_parity
     echo "==> cargo test -q --test wire_roundtrip (quick gate)"
