@@ -1,159 +1,114 @@
-//! Sink and Core identification (Algorithms 2 and 4).
+//! Sink and Core identification (Algorithms 2 and 4) and Observation 1's
+//! naive guesser.
 //!
-//! Both detectors evaluate a process's current [`KnowledgeView`]; the
-//! surrounding node invokes them when it enters the system and then once
-//! per discovery tick whose view changed since the last attempt, which
-//! realizes the `wait until ∃S1, S2 …` loops of the paper.
+//! Each is one evaluation of a `wait until ∃S1, S2 …` predicate over a
+//! process's current [`KnowledgeView`]; the surrounding node invokes
+//! [`ProtocolMode::identify`] when it enters the system and then once per
+//! discovery tick whose view changed since the last attempt, which
+//! realizes the paper's waiting loops.
 
-use cupft_graph::{CandidateSearch, KnowledgeView, ProcessSet, SinkCandidate};
+use cupft_graph::{CandidateSearch, KnowledgeView, SinkDecomposition};
 
-/// A successful identification: the member set plus the fault threshold
-/// the committee must be parameterized with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Detection {
-    /// The identified sink/core members (`S1 ∪ S2`).
-    pub members: ProcessSet,
-    /// The threshold: the given `f` (Sink) or `f_Gdi` (Core).
-    pub threshold: usize,
-    /// The `S1` part of the decomposition (connectivity-computable).
-    pub s1: ProcessSet,
-    /// The `S2` part (absorbed members, PDs possibly missing).
-    pub s2: ProcessSet,
+/// Which identification algorithm the node runs before consensus.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProtocolMode {
+    /// Authenticated BFT-CUP: the fault threshold is provided
+    /// (Algorithm 2).
+    KnownThreshold(usize),
+    /// BFT-CUPFT: no process knows the fault threshold (Algorithm 4).
+    UnknownThreshold,
+    /// Observation 1's naive guesser: adopt the best `isSink*` candidate
+    /// visible in the view. Exists to reproduce the Theorem 7
+    /// impossibility.
+    NaiveGuess,
 }
 
-impl Detection {
-    fn from_candidate(candidate: SinkCandidate) -> Self {
-        Detection {
-            members: candidate.members(),
-            threshold: candidate.threshold(),
-            s1: candidate.decomposition.s1.clone(),
-            s2: candidate.decomposition.s2,
-        }
-    }
-}
-
-/// Algorithm 2: Sink identification with a *known* fault threshold.
-///
-/// # Example
-///
-/// ```
-/// use cupft_core::SinkDetector;
-/// use cupft_graph::{fig1b, process_set, KnowledgeView};
-///
-/// // Omniscient view of Fig. 1b: the sink is {1,2,3,4}.
-/// let view = KnowledgeView::omniscient(fig1b().graph());
-/// let detector = SinkDetector::new(1);
-/// let detection = detector.check(&view).expect("sink identifiable");
-/// assert_eq!(detection.members, process_set([1, 2, 3, 4]));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SinkDetector {
-    fault_threshold: usize,
-}
-
-impl SinkDetector {
-    /// Creates a detector for the given system fault threshold.
-    pub fn new(fault_threshold: usize) -> Self {
-        SinkDetector { fault_threshold }
-    }
-
-    /// The fault threshold this detector was given.
-    pub fn fault_threshold(&self) -> usize {
-        self.fault_threshold
-    }
-
-    /// One evaluation of the `wait until` condition (Algorithm 2 line 3).
-    pub fn check(&self, view: &KnowledgeView) -> Option<Detection> {
-        CandidateSearch
-            .sink_with_threshold(view, self.fault_threshold)
-            .map(Detection::from_candidate)
-    }
-}
-
-/// Algorithm 4: Core identification with an *unknown* fault threshold.
-///
-/// Returns the best-threshold candidate only when it is internally maximal
-/// (Theorem 8(b)); in a graph satisfying the BFT-CUPFT requirements this
-/// is exactly the core.
-///
-/// # Example
-///
-/// ```
-/// use cupft_core::CoreDetector;
-/// use cupft_graph::{fig4b, process_set, KnowledgeView};
-///
-/// let view = KnowledgeView::omniscient(fig4b().graph());
-/// let detection = CoreDetector.check(&view).expect("core identifiable");
-/// assert_eq!(detection.members, process_set([5, 6, 7, 8, 9]));
-/// assert_eq!(detection.threshold, 2); // k_Gdi = 3
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CoreDetector;
-
-impl CoreDetector {
-    /// One evaluation of the `wait until` condition (Algorithm 4 line 2),
-    /// with the *unexplained-remainder guard*.
+impl ProtocolMode {
+    /// One evaluation of the mode's `wait until` condition: the sink or
+    /// core the node adopts, with the fault threshold its committee is
+    /// parameterized with, or `None` to keep discovering.
     ///
-    /// The guard: the candidate is finalized only when the known processes
-    /// **outside** it whose PDs are still missing number at most the
-    /// candidate's threshold. Rationale — a Byzantine process advertising
-    /// an empty (or tiny, self-contained) PD forms a syntactically valid
-    /// low-threshold "core" (e.g. a singleton at `g = 0`) that a process
-    /// could adopt before discovering the real core; trusting such a
-    /// committee surrenders Agreement to a single fault. Under the
-    /// BFT-CUPFT graph requirements the guard is eventually satisfied by
-    /// the true core: at most `f ≤ f_Gdi` silent Byzantine processes stay
-    /// missing forever, and property C2 delivers every correct PD. The
-    /// lying candidate, by contrast, stays blocked exactly while the view
+    /// * `KnownThreshold(f)` — Algorithm 2 line 3: a sink at the given `f`.
+    /// * `UnknownThreshold` — Algorithm 4 line 2: the best-threshold
+    ///   candidate, only when it is internally maximal (Theorem 8(b)) and
+    ///   passes the *unexplained-remainder guard* below. In a graph
+    ///   satisfying the BFT-CUPFT requirements this is exactly the core.
+    /// * `NaiveGuess` — the best candidate with threshold ≥ 1, with **no**
+    ///   maximality guarantee across the (undiscoverable) rest of the
+    ///   system. A threshold-0 "sink" is any singleton and would trivialize
+    ///   the guess; Observation 1's sets all have `g ≥ 1`.
+    ///
+    /// The guard: a core candidate is finalized only when the known
+    /// processes **outside** it whose PDs are still missing number at most
+    /// the candidate's threshold. Rationale — a Byzantine process
+    /// advertising an empty (or tiny, self-contained) PD forms a
+    /// syntactically valid low-threshold "core" (e.g. a singleton at
+    /// `g = 0`) that a process could adopt before discovering the real
+    /// core; trusting such a committee surrenders Agreement to a single
+    /// fault. The lying candidate stays blocked exactly while the view
     /// still owes more PDs than the candidate tolerates — by which time
-    /// the real core is visible and outranks it (property C1).
-    pub fn check(&self, view: &KnowledgeView) -> Option<Detection> {
-        let candidate = CandidateSearch.best_core(view)?;
-        let members = candidate.members();
-        let unexplained = view
-            .missing_pds()
-            .iter()
-            .filter(|p| !members.contains(p))
-            .count();
-        if unexplained > candidate.threshold() {
-            return None;
+    /// the real core is visible and outranks it (property C1). Once every
+    /// correct PD has arrived (property C2), at most `f ≤ f_Gdi` silent
+    /// Byzantine processes stay missing, so the true core passes. Whether
+    /// it still passes when a Byzantine PD names identifiers nobody owns,
+    /// which never deliver a PD, is an open question: ROADMAP.md item 1
+    /// measured `fig4a` never deciding under three such identifiers.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cupft_core::ProtocolMode;
+    /// use cupft_graph::{fig1b, fig4b, process_set, KnowledgeView};
+    ///
+    /// // Omniscient view of Fig. 1b: the sink is {1,2,3,4}.
+    /// let view = KnowledgeView::omniscient(fig1b().graph());
+    /// let sink = ProtocolMode::KnownThreshold(1).identify(&view);
+    /// assert_eq!(sink.expect("sink identifiable").members(), process_set([1, 2, 3, 4]));
+    ///
+    /// let view = KnowledgeView::omniscient(fig4b().graph());
+    /// let core = ProtocolMode::UnknownThreshold.identify(&view);
+    /// let core = core.expect("core identifiable");
+    /// assert_eq!(core.members(), process_set([5, 6, 7, 8, 9]));
+    /// assert_eq!(core.threshold, 2); // k_Gdi = 3
+    /// ```
+    pub fn identify(self, view: &KnowledgeView) -> Option<SinkDecomposition> {
+        match self {
+            ProtocolMode::KnownThreshold(f) => CandidateSearch.sink_with_threshold(view, f),
+            ProtocolMode::UnknownThreshold => {
+                let candidate = CandidateSearch.best_core(view)?;
+                let members = candidate.members();
+                let unexplained = view
+                    .missing_pds()
+                    .iter()
+                    .filter(|p| !members.contains(p))
+                    .count();
+                if unexplained > candidate.threshold {
+                    return None;
+                }
+                Some(candidate)
+            }
+            ProtocolMode::NaiveGuess => CandidateSearch
+                .ranked_candidates(view)
+                .into_iter()
+                .find(|c| c.threshold >= 1),
         }
-        Some(Detection::from_candidate(candidate))
-    }
-}
-
-/// Observation 1: the *naive* guesser a process is reduced to when the
-/// graph is only in `G_di` and `f` is unknown — the best `isSink*`
-/// candidate in the current view, with **no** maximality guarantee across
-/// the (undiscoverable) rest of the system.
-#[derive(Debug, Clone, Default)]
-pub struct NaiveSinkGuesser;
-
-impl NaiveSinkGuesser {
-    /// The best candidate visible in the view, if any with threshold ≥ 1
-    /// (a threshold-0 "sink" is any singleton and would trivialize the
-    /// guess; Observation 1's sets all have `g ≥ 1`).
-    pub fn check(&self, view: &KnowledgeView) -> Option<Detection> {
-        CandidateSearch
-            .ranked_candidates(view)
-            .into_iter()
-            .find(|c| c.threshold() >= 1)
-            .map(Detection::from_candidate)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::ProtocolMode::{KnownThreshold, NaiveGuess, UnknownThreshold};
     use super::*;
     use cupft_graph::{
         fig1b, fig2c, fig3a, fig4a, fig4b, process_set, GdiParams, Generator, KnowledgeView,
+        ProcessSet,
     };
 
     #[test]
     fn sink_detector_on_fig1b() {
         let view = KnowledgeView::omniscient(fig1b().graph());
-        let d = SinkDetector::new(1).check(&view).unwrap();
-        assert_eq!(d.members, process_set([1, 2, 3, 4]));
+        let d = KnownThreshold(1).identify(&view).unwrap();
+        assert_eq!(d.members(), process_set([1, 2, 3, 4]));
         assert_eq!(d.threshold, 1);
     }
 
@@ -161,32 +116,32 @@ mod tests {
     fn sink_detector_needs_enough_view() {
         // A process that has only its own PD cannot identify a sink.
         let view = KnowledgeView::new(1.into(), process_set([2, 3, 4]));
-        assert!(SinkDetector::new(1).check(&view).is_none());
+        assert!(KnownThreshold(1).identify(&view).is_none());
     }
 
     #[test]
     fn core_detector_on_fig4a() {
         let view = KnowledgeView::omniscient(fig4a().graph());
-        let d = CoreDetector.check(&view).unwrap();
-        assert_eq!(d.members, process_set([1, 2, 3, 4, 5]));
+        let d = UnknownThreshold.identify(&view).unwrap();
+        assert_eq!(d.members(), process_set([1, 2, 3, 4, 5]));
         assert_eq!(d.threshold, 2);
     }
 
     #[test]
     fn core_detector_on_fig4b() {
         let view = KnowledgeView::omniscient(fig4b().graph());
-        let d = CoreDetector.check(&view).unwrap();
-        assert_eq!(d.members, process_set([5, 6, 7, 8, 9]));
+        let d = UnknownThreshold.identify(&view).unwrap();
+        assert_eq!(d.members(), process_set([5, 6, 7, 8, 9]));
     }
 
     #[test]
     fn naive_guesser_adopts_false_sink_on_fig3a() {
         // The Section IV observation: {1,2,3,4,6} (+S2 {5,7}) qualifies.
         let view = KnowledgeView::omniscient(fig3a().graph());
-        let d = NaiveSinkGuesser.check(&view).unwrap();
+        let d = NaiveGuess.identify(&view).unwrap();
         // the guesser picks the highest-threshold candidate, which is the
         // false sink (threshold 2 beats the true sink's 1)
-        assert_eq!(d.members, process_set([1, 2, 3, 4, 5, 6, 7]));
+        assert_eq!(d.members(), process_set([1, 2, 3, 4, 5, 6, 7]));
         assert_eq!(d.threshold, 2);
     }
 
@@ -197,13 +152,13 @@ mod tests {
         let g = fig2c();
         let sub = g.graph().induced(&process_set([1, 2, 3, 4]));
         let view = KnowledgeView::omniscient(&sub);
-        let d = NaiveSinkGuesser.check(&view).unwrap();
-        assert_eq!(d.members, process_set([1, 2, 3, 4]));
+        let d = NaiveGuess.identify(&view).unwrap();
+        assert_eq!(d.members(), process_set([1, 2, 3, 4]));
         // Process 6's view of the B side:
         let sub = g.graph().induced(&process_set([5, 6, 7, 8]));
         let view = KnowledgeView::omniscient(&sub);
-        let d = NaiveSinkGuesser.check(&view).unwrap();
-        assert_eq!(d.members, process_set([5, 6, 7, 8]));
+        let d = NaiveGuess.identify(&view).unwrap();
+        assert_eq!(d.members(), process_set([5, 6, 7, 8]));
     }
 
     #[test]
@@ -218,9 +173,9 @@ mod tests {
         let g = fig2c();
         let a = KnowledgeView::omniscient(&g.graph().induced(&process_set([1, 2, 3, 4])));
         let b = KnowledgeView::omniscient(&g.graph().induced(&process_set([5, 6, 7, 8])));
-        let da = CoreDetector.check(&a).unwrap();
-        let db = CoreDetector.check(&b).unwrap();
-        assert_ne!(da.members, db.members);
+        let da = UnknownThreshold.identify(&a).unwrap();
+        let db = UnknownThreshold.identify(&b).unwrap();
+        assert_ne!(da.members(), db.members());
     }
 
     #[test]
@@ -230,8 +185,8 @@ mod tests {
                 .generate(&GdiParams::new(1))
                 .unwrap();
             let view = KnowledgeView::omniscient(&sys.graph);
-            let d = SinkDetector::new(1).check(&view).expect("sink found");
-            assert_eq!(d.members, sys.expected_detection(), "seed {seed}");
+            let d = KnownThreshold(1).identify(&view).expect("sink found");
+            assert_eq!(d.members(), sys.expected_detection(), "seed {seed}");
         }
     }
 
@@ -244,8 +199,28 @@ mod tests {
             params.non_sink_size = 3;
             let sys = Generator::from_seed(seed).generate(&params).unwrap();
             let view = KnowledgeView::omniscient(&sys.graph);
-            let d = CoreDetector.check(&view).expect("core found");
-            assert_eq!(d.members, sys.sink, "seed {seed}");
+            let d = UnknownThreshold.identify(&view).expect("core found");
+            assert_eq!(d.members(), sys.sink, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn core_guard_waits_for_pds_outside_a_tiny_false_core() {
+        // Real core: K5 {1..5} at g = 2. Byzantine 9 advertises an empty
+        // PD, which makes {9} a valid sink at g = 0.
+        let mut view = KnowledgeView::new(1.into(), process_set([2, 3, 4, 5, 9]));
+        view.record_pd(9.into(), ProcessSet::new());
+        let best = CandidateSearch.best_core(&view).unwrap();
+        assert_eq!(best.members(), process_set([9]));
+        // Four known processes outside {9} still owe their PDs: more than
+        // the candidate's threshold of 0, so the guard refuses it.
+        assert_eq!(UnknownThreshold.identify(&view), None);
+        for p in 2..=5u64 {
+            let pd = process_set((1..=5).filter(|&q| q != p));
+            view.record_pd(p.into(), pd);
+        }
+        let d = UnknownThreshold.identify(&view).unwrap();
+        assert_eq!(d.members(), process_set(1..=5));
+        assert_eq!(d.threshold, 2);
     }
 }

@@ -11,8 +11,9 @@
 //!   algorithm (Algorithm 4) replacing Sink — no process knows `f`;
 //! * the **naive sink guesser** (Section IV / Observation 1): what a
 //!   process *can only do* when the graph is merely in `G_di` and `f` is
-//!   unknown — adopt the first stable `isSink*` candidate. This node
-//!   exists to *fail*: it reproduces the Theorem 7 agreement violation.
+//!   unknown — adopt the best visible `isSink*` candidate with `g ≥ 1`
+//!   whenever the view changes. This mode exists to *fail*: it reproduces
+//!   the Theorem 7 agreement violation.
 //!
 //! The [`scenario`] module runs whole systems (graph + Byzantine strategy
 //! assignment + delay policy) through either runtime behind the
@@ -33,10 +34,10 @@ pub mod suite;
 
 pub use byzantine::{build_strategy, ByzantineStrategy};
 pub use cupft_adversary::{ChurnEvent, ChurnSpec, TamperSpec};
-pub use detect::{CoreDetector, Detection, NaiveSinkGuesser, SinkDetector};
+pub use detect::ProtocolMode;
 pub use msgs::NodeMsg;
 pub use node::{
-    Node, NodeConfig, Phase, ProtocolMode, CHURN_CRASH_TICK, CHURN_JOIN_TICK, CHURN_LEAVE_TICK,
+    Node, NodeConfig, Phase, CHURN_CRASH_TICK, CHURN_JOIN_TICK, CHURN_LEAVE_TICK,
     CHURN_RECOVER_TICK,
 };
 pub use scenario::{

@@ -1,5 +1,6 @@
-//! The full protocol node: Algorithm 3 with a pluggable identification
-//! algorithm (Sink, Core, or the naive guesser).
+//! The full protocol node: Algorithm 3 around the identification step
+//! its [`ProtocolMode`] selects (Sink, Core, or the naive guesser), run on
+//! entry and then once per discovery tick whose view changed.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -8,12 +9,12 @@ use cupft_committee::{view_of_timer, Committee, CommitteeMsg, Replica, ReplicaCo
 use cupft_crypto::{KeyRegistry, SigningKey};
 use cupft_detector::SystemSetup;
 use cupft_discovery::{DiscoveryState, GossipMode, DISCOVERY_TICK};
-use cupft_graph::{ProcessId, ProcessSet};
+use cupft_graph::{ProcessId, ProcessSet, SinkDecomposition};
 use cupft_net::threaded::Board;
 use cupft_net::{Actor, Context, Time};
 use cupft_obs::{PhaseMark, Recorder};
 
-use crate::detect::{CoreDetector, Detection, NaiveSinkGuesser, SinkDetector};
+use crate::detect::ProtocolMode;
 use crate::msgs::NodeMsg;
 
 /// Timer kind for a scheduled late join (see [`NodeConfig::join_at`]).
@@ -30,23 +31,6 @@ pub const CHURN_CRASH_TICK: u64 = 0xC4A3;
 /// Timer kind for the recovery of a crashed node, armed by the crash
 /// handler with the configured down time.
 pub const CHURN_RECOVER_TICK: u64 = 0xC4A4;
-
-/// Which identification algorithm the node runs before consensus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolMode {
-    /// Authenticated BFT-CUP: the fault threshold is provided
-    /// (Algorithm 2).
-    KnownThreshold(usize),
-    /// BFT-CUPFT: no process knows the fault threshold (Algorithm 4).
-    UnknownThreshold,
-    /// Observation 1's naive guesser: adopt the best `isSink*` candidate
-    /// after it has been stable for `settle_ticks` discovery rounds.
-    /// Exists to reproduce the Theorem 7 impossibility.
-    NaiveGuess {
-        /// Discovery rounds a candidate must survive unchanged.
-        settle_ticks: u32,
-    },
-}
 
 /// Node tuning knobs.
 #[derive(Debug, Clone)]
@@ -155,19 +139,19 @@ pub struct Node {
 
     discovery: DiscoveryState,
     phase: Phase,
-    detection: Option<Detection>,
+    detection: Option<SinkDecomposition>,
     committee: Option<Committee>,
     replica: Option<Replica>,
     committee_backlog: Vec<(ProcessId, CommitteeMsg)>,
     decided: Option<Value>,
     pending_requests: ProcessSet,
     answers: BTreeMap<Vec<u8>, ProcessSet>,
-    naive_stable: Option<(Detection, u32)>,
     /// Whether the view changed since the last identification attempt.
-    /// Sink/Core detection is a pure function of the view, so re-running
-    /// it on an unchanged view is wasted work — and running it on *every*
-    /// view change (instead of once per discovery tick) is what made the
-    /// candidate search the end-to-end bottleneck at n ≥ a few hundred.
+    /// Identification is a pure function of the view in every mode, so
+    /// re-running it on an unchanged view is wasted work — and running it
+    /// on *every* view change (instead of once per discovery tick) is what
+    /// made the candidate search the end-to-end bottleneck at n ≥ a few
+    /// hundred.
     detect_dirty: bool,
 
     /// Simulated time at which identification succeeded.
@@ -235,7 +219,6 @@ impl Node {
             decided: None,
             pending_requests: ProcessSet::new(),
             answers: BTreeMap::new(),
-            naive_stable: None,
             detect_dirty: false,
             detection_time: None,
             decided_time: None,
@@ -291,7 +274,7 @@ impl Node {
     }
 
     /// The identification result, if reached.
-    pub fn detection(&self) -> Option<&Detection> {
+    pub fn detection(&self) -> Option<&SinkDecomposition> {
         self.detection.as_ref()
     }
 
@@ -394,7 +377,6 @@ impl Node {
         self.committee_backlog.clear();
         self.pending_requests = ProcessSet::new();
         self.answers.clear();
-        self.naive_stable = None;
         self.detect_dirty = false;
         self.phase = Phase::Discovering;
         self.down = true;
@@ -449,47 +431,21 @@ impl Node {
                 self.discovery.view().known().len() as u64,
             );
         }
-        let view = self.discovery.view();
-        let found = match self.config.mode {
-            ProtocolMode::KnownThreshold(f) => SinkDetector::new(f).check(view),
-            ProtocolMode::UnknownThreshold => CoreDetector.check(view),
-            ProtocolMode::NaiveGuess { settle_ticks } => {
-                let best = NaiveSinkGuesser.check(view);
-                let Some(best) = best else {
-                    self.naive_stable = None;
-                    return;
-                };
-                match &mut self.naive_stable {
-                    Some((prev, count)) if *prev == best => {
-                        *count += 1;
-                        if *count >= settle_ticks {
-                            Some(best)
-                        } else {
-                            None
-                        }
-                    }
-                    _ => {
-                        self.naive_stable = Some((best, 1));
-                        None
-                    }
-                }
-            }
-        };
-        if let Some(detection) = found {
+        if let Some(detection) = self.config.mode.identify(self.discovery.view()) {
             self.adopt_detection(detection, ctx);
         }
     }
 
-    fn adopt_detection(&mut self, detection: Detection, ctx: &mut Context<NodeMsg>) {
+    fn adopt_detection(&mut self, detection: SinkDecomposition, ctx: &mut Context<NodeMsg>) {
         self.detection_time = Some(ctx.now());
         self.mark(PhaseMark::SinkIdentified, ctx.now());
-        let committee = Committee::new(detection.members.clone(), detection.threshold);
+        let committee = Committee::new(detection.members(), detection.threshold);
         // A recovered node never resumes the replica role: per-view vote
         // state is volatile, so a member that crashed mid-consensus could
         // equivocate against its own pre-crash votes if it restarted the
         // replica. It rejoins passively and adopts the committee's
         // decision through the ⌈(|S|+1)/2⌉ learning backstop instead.
-        let is_member = detection.members.contains(&self.id) && !self.recovered;
+        let is_member = committee.contains(self.id) && !self.recovered;
         self.detection = Some(detection);
         self.committee = Some(committee.clone());
         if is_member {
@@ -525,10 +481,10 @@ impl Node {
     }
 
     fn send_learning_round(&mut self, ctx: &mut Context<NodeMsg>) {
-        let Some(detection) = &self.detection else {
+        let Some(committee) = &self.committee else {
             return;
         };
-        for &member in &detection.members {
+        for &member in committee.members() {
             if member != self.id {
                 ctx.send(member, NodeMsg::GetDecidedVal);
             }
@@ -621,7 +577,7 @@ impl Actor<NodeMsg> for Node {
                 // Identification is deferred to the next discovery tick:
                 // at scale the view changes on nearly every delivery, and
                 // the candidate search is far too expensive to re-run per
-                // message. Detection stays a pure function of the view, so
+                // message. Identification is a pure function of the view, so
                 // batching attempts per tick changes *when* a node
                 // identifies (by < one period), never *what*.
                 if self.discovery.take_changed() {
@@ -678,12 +634,7 @@ impl Actor<NodeMsg> for Node {
                 match self.phase {
                     Phase::Discovering => {
                         self.send_discovery_round(ctx);
-                        // The naive guesser counts candidate stability in
-                        // discovery rounds, so it must evaluate every tick;
-                        // the real detectors are pure in the view and only
-                        // re-run when the view actually changed.
-                        let naive = matches!(self.config.mode, ProtocolMode::NaiveGuess { .. });
-                        if naive || std::mem::take(&mut self.detect_dirty) {
+                        if std::mem::take(&mut self.detect_dirty) {
                             self.try_detect(ctx);
                         }
                     }
@@ -836,5 +787,28 @@ mod tests {
         assert!(node.recovered());
         // Fresh state: only the node's own record is present.
         assert_eq!(node.discovery().view().received().len(), 1);
+    }
+
+    #[test]
+    fn unchanged_view_is_identified_once() {
+        for mode in [
+            ProtocolMode::KnownThreshold(1),
+            ProtocolMode::UnknownThreshold,
+            ProtocolMode::NaiveGuess,
+        ] {
+            let recorder = Arc::new(Recorder::new());
+            let mut node = test_node(NodeConfig {
+                mode,
+                recorder: Some(recorder.clone()),
+                ..NodeConfig::default()
+            });
+            node.on_start(&mut Context::new(0, ProcessId::new(1)));
+            for at in [20, 40] {
+                node.on_timer(DISCOVERY_TICK, &mut Context::new(at, ProcessId::new(1)));
+            }
+            assert_eq!(node.phase(), Phase::Discovering, "{mode:?}");
+            let attempts = recorder.snapshot().counter("detect_attempts");
+            assert_eq!(attempts, 1, "{mode:?}");
+        }
     }
 }

@@ -28,8 +28,9 @@ use cupft_net::{DelayPolicy, NetStats, Runtime, SimConfig, Time};
 use cupft_obs::{ObsReport, Recorder};
 
 use crate::byzantine::{build_strategy, ByzantineStrategy};
+use crate::detect::ProtocolMode;
 use crate::msgs::NodeMsg;
-use crate::node::{Node, NodeConfig, ProtocolMode};
+use crate::node::{Node, NodeConfig};
 
 /// A complete experiment description.
 ///
@@ -600,7 +601,7 @@ fn collect<R: Runtime<NodeMsg>>(
             recovery_views.insert(id, sample.clone());
         }
         final_views.insert(id, node.discovery().view().received());
-        detections.insert(id, node.detection().map(|d| d.members.clone()));
+        detections.insert(id, node.detection().map(|d| d.members()));
         detection_times.insert(id, node.detection_time);
         decided_times.insert(id, node.decided_time);
     }

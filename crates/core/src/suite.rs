@@ -45,7 +45,7 @@ use cupft_graph::{DiGraph, GraphFamily};
 use cupft_net::{DelayPolicy, Time};
 
 use crate::byzantine::ByzantineStrategy;
-use crate::node::ProtocolMode;
+use crate::detect::ProtocolMode;
 use crate::scenario::{ConsensusCheck, RuntimeKind, Scenario, ScenarioOutcome};
 
 /// One labeled scenario of a suite.

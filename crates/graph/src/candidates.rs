@@ -27,30 +27,6 @@ use crate::predicates::{max_threshold_at, sink_at, subset_masks, Candidate, Sink
 use crate::snapshot::{select, Idx, ViewSnapshot};
 use crate::view::KnowledgeView;
 
-/// A candidate sink/core: a validated decomposition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SinkCandidate {
-    /// The validated decomposition (`S1`, `S2`, threshold).
-    pub decomposition: SinkDecomposition,
-}
-
-impl SinkCandidate {
-    /// All members of the candidate (`S1 ∪ S2`).
-    pub fn members(&self) -> ProcessSet {
-        self.decomposition.members()
-    }
-
-    /// The candidate's fault threshold `f_Gdi`.
-    pub fn threshold(&self) -> usize {
-        self.decomposition.threshold
-    }
-
-    /// The candidate's connectivity `k_Gdi = f_Gdi + 1`.
-    pub fn connectivity(&self) -> usize {
-        self.decomposition.connectivity()
-    }
-}
-
 /// The sink/core search of Algorithms 2 and 4 (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidateSearch;
@@ -133,7 +109,7 @@ impl CandidateSearch {
     ///
     /// Returns `None` when the view does not yet contain a valid sink —
     /// the caller keeps discovering and retries (the `wait until`).
-    pub fn sink_with_threshold(&self, view: &KnowledgeView, f: usize) -> Option<SinkCandidate> {
+    pub fn sink_with_threshold(&self, view: &KnowledgeView, f: usize) -> Option<SinkDecomposition> {
         // Candidates are generated *lazily per component*, in exactly the
         // order `candidate_s1_sets` would produce them: the condensation's
         // sink components come first, so on a graph with a planted
@@ -150,7 +126,7 @@ impl CandidateSearch {
             self.append_component_candidates(&mut snap, component, &mut out);
             for s1 in &out[checked..] {
                 if let Some(decomposition) = sink_at(&mut snap, s1, f) {
-                    return Some(SinkCandidate { decomposition });
+                    return Some(decomposition);
                 }
             }
             checked = out.len();
@@ -164,25 +140,24 @@ impl CandidateSearch {
     /// All validated candidates in the current view, each at its maximum
     /// threshold, ordered by descending threshold (ties: larger member set
     /// first, then lexicographically smaller `S1`).
-    pub fn ranked_candidates(&self, view: &KnowledgeView) -> Vec<SinkCandidate> {
+    pub fn ranked_candidates(&self, view: &KnowledgeView) -> Vec<SinkDecomposition> {
         self.ranked(&mut ViewSnapshot::new(view))
     }
 
-    fn ranked(&self, snap: &mut ViewSnapshot) -> Vec<SinkCandidate> {
-        let mut found: Vec<SinkCandidate> = Vec::new();
+    fn ranked(&self, snap: &mut ViewSnapshot) -> Vec<SinkDecomposition> {
+        let mut found: Vec<SinkDecomposition> = Vec::new();
         for s1 in self.candidates(snap) {
             if let Some(decomposition) = max_threshold_at(snap, &s1) {
-                let cand = SinkCandidate { decomposition };
-                if !found.contains(&cand) {
-                    found.push(cand);
+                if !found.contains(&decomposition) {
+                    found.push(decomposition);
                 }
             }
         }
         found.sort_by(|a, b| {
-            b.threshold()
-                .cmp(&a.threshold())
+            b.threshold
+                .cmp(&a.threshold)
                 .then_with(|| b.members().len().cmp(&a.members().len()))
-                .then_with(|| a.decomposition.s1.cmp(&b.decomposition.s1))
+                .then_with(|| a.s1.cmp(&b.s1))
         });
         found
     }
@@ -190,7 +165,7 @@ impl CandidateSearch {
     /// Algorithm 4's search: the best candidate by threshold, accepted only
     /// if *internally maximal* — no strict subset of its member set forms a
     /// sink with a threshold at least as large (Theorem 8, condition (b)).
-    pub fn best_core(&self, view: &KnowledgeView) -> Option<SinkCandidate> {
+    pub fn best_core(&self, view: &KnowledgeView) -> Option<SinkDecomposition> {
         let mut snap = ViewSnapshot::new(view);
         let best = self.ranked(&mut snap).into_iter().next()?;
         self.internally_maximal(&mut snap, &best).then_some(best)
@@ -216,14 +191,22 @@ impl CandidateSearch {
     /// complete a higher-threshold subset (this is not hypothetical — a
     /// view holding all of Fig. 4a's PDs *except one core member's* admits
     /// a whole-graph pseudo-core that the literal Algorithm 4 text would
-    /// accept). Discovery continues and the check re-fires, so this
-    /// conservatism costs latency, never termination.
-    pub fn is_internally_maximal(&self, view: &KnowledgeView, candidate: &SinkCandidate) -> bool {
+    /// accept). Discovery continues and the check re-fires, so while the
+    /// missing PDs are still on their way this conservatism costs latency.
+    /// Whether it still terminates when a member's identifier is owned by
+    /// no process, so that its PD never arrives, is an open question:
+    /// ROADMAP.md item 1 measured `fig4a` stalling under a Byzantine PD
+    /// that names three made-up identifiers.
+    pub fn is_internally_maximal(
+        &self,
+        view: &KnowledgeView,
+        candidate: &SinkDecomposition,
+    ) -> bool {
         self.internally_maximal(&mut ViewSnapshot::new(view), candidate)
     }
 
-    fn internally_maximal(&self, snap: &mut ViewSnapshot, candidate: &SinkCandidate) -> bool {
-        let g_star = candidate.threshold();
+    fn internally_maximal(&self, snap: &mut ViewSnapshot, candidate: &SinkDecomposition) -> bool {
+        let g_star = candidate.threshold;
         // Size stability: no subset large enough to beat g* can exist.
         if candidate.members().len() <= 2 * g_star + 2 {
             return true;
@@ -245,7 +228,7 @@ impl CandidateSearch {
             true
         } else {
             // Heuristic: check peeled variants of the candidate's S1 only.
-            let mut cur = snap.indices(&candidate.decomposition.s1);
+            let mut cur = snap.indices(&candidate.s1);
             for _ in 0..MAX_PEELS {
                 if cur.len() <= 2 * g_star + 1 {
                     break;
@@ -351,7 +334,7 @@ fn exact_sink_at(
     components: Vec<Vec<Idx>>,
     f: usize,
     cutoff: usize,
-) -> Result<Option<SinkCandidate>, GraphError> {
+) -> Result<Option<SinkDecomposition>, GraphError> {
     let received = snap.received();
     // Refuse exactly the views the plain enumeration refuses.
     subset_masks(received.len(), cutoff)?;
@@ -369,7 +352,7 @@ fn exact_sink_at(
         hits.extend(hit);
     }
     let lowest = hits.into_iter().min_by_key(|&(mask, _)| mask);
-    Ok(lowest.map(|(_, decomposition)| SinkCandidate { decomposition }))
+    Ok(lowest.map(|(_, decomposition)| decomposition))
 }
 
 /// Exhaustive version of Algorithm 2's search (ground truth for tests):
@@ -385,7 +368,7 @@ pub fn exact_sink_with_threshold(
     view: &KnowledgeView,
     f: usize,
     cutoff: usize,
-) -> Result<Option<SinkCandidate>, GraphError> {
+) -> Result<Option<SinkDecomposition>, GraphError> {
     let mut snap = ViewSnapshot::new(view);
     let components = snap.received_components();
     exact_sink_at(&mut snap, components, f, cutoff)
@@ -401,24 +384,19 @@ pub fn exact_sink_with_threshold(
 pub fn exact_best_sink(
     view: &KnowledgeView,
     cutoff: usize,
-) -> Result<Option<SinkCandidate>, GraphError> {
+) -> Result<Option<SinkDecomposition>, GraphError> {
     let mut snap = ViewSnapshot::new(view);
     let received = snap.received();
-    let mut best: Option<SinkCandidate> = None;
+    let mut best: Option<SinkDecomposition> = None;
     let mut s1 = Vec::new();
     for mask in subset_masks(received.len(), cutoff)? {
         select(&received, mask, &mut s1);
         if let Some(dec) = max_threshold_at(&mut snap, &s1) {
-            let replace = match &best {
-                None => true,
-                Some(b) => {
-                    dec.threshold > b.threshold()
-                        || (dec.threshold == b.threshold()
-                            && dec.members().len() > b.members().len())
-                }
-            };
+            let replace = best.as_ref().is_none_or(|b| {
+                (dec.threshold, dec.members().len()) > (b.threshold, b.members().len())
+            });
             if replace {
-                best = Some(SinkCandidate { decomposition: dec });
+                best = Some(dec);
             }
         }
     }
@@ -445,8 +423,8 @@ mod tests {
         let view = worked_view();
         let cand = CandidateSearch.sink_with_threshold(&view, 1).unwrap();
         assert_eq!(cand.members(), process_set([1, 2, 3, 4]));
-        assert_eq!(cand.decomposition.s1, process_set([1, 3, 4]));
-        assert_eq!(cand.decomposition.s2, process_set([2]));
+        assert_eq!(cand.s1, process_set([1, 3, 4]));
+        assert_eq!(cand.s2, process_set([2]));
     }
 
     #[test]
@@ -472,7 +450,7 @@ mod tests {
         let view = KnowledgeView::omniscient(&g);
         let core = CandidateSearch.best_core(&view).unwrap();
         assert_eq!(core.members(), process_set(1..=5));
-        assert_eq!(core.threshold(), 2);
+        assert_eq!(core.threshold, 2);
         assert_eq!(core.connectivity(), 3);
     }
 
@@ -483,7 +461,7 @@ mod tests {
         let ranked = CandidateSearch.ranked_candidates(&view);
         assert!(!ranked.is_empty());
         for pair in ranked.windows(2) {
-            assert!(pair[0].threshold() >= pair[1].threshold());
+            assert!(pair[0].threshold >= pair[1].threshold);
         }
     }
 
@@ -494,7 +472,7 @@ mod tests {
         let best = exact_best_sink(&view, CandidateSearch::EXACT_CUTOFF)
             .unwrap()
             .unwrap();
-        assert_eq!(best.threshold(), 2);
+        assert_eq!(best.threshold, 2);
         assert_eq!(best.members(), process_set(1..=5));
     }
 
@@ -530,12 +508,10 @@ mod tests {
     #[test]
     fn internal_maximality_skips_enumeration_above_63_members() {
         let view = cycle_view(64);
-        let whole = SinkCandidate {
-            decomposition: SinkDecomposition {
-                s1: view.received(),
-                s2: ProcessSet::new(),
-                threshold: 0,
-            },
+        let whole = SinkDecomposition {
+            s1: view.received(),
+            s2: ProcessSet::new(),
+            threshold: 0,
         };
         // Falls back to the peeled variants: a cycle minus vertices is a
         // path, which is no sink, so nothing disqualifies the whole cycle.
@@ -554,7 +530,7 @@ mod tests {
         // {1,2,3} is 2-strongly-connected, size 3 = 2f+1; 4's claimed PD
         // pointing at 9 keeps it out of S2 (only one pointer).
         let cand = cand.expect("sink should be identifiable by peeling");
-        assert_eq!(cand.decomposition.s1, process_set([1, 2, 3]));
+        assert_eq!(cand.s1, process_set([1, 2, 3]));
     }
 
     /// Core K4 `{1..4}` closed into one SCC by the directed path
@@ -619,7 +595,7 @@ mod tests {
         ] {
             let view = disjoint_cliques(&[&groups[0], &groups[1]]);
             let found = exact_sink_with_threshold(&view, 1, CandidateSearch::EXACT_CUTOFF);
-            let s1 = found.unwrap().map(|c| c.decomposition.s1);
+            let s1 = found.unwrap().map(|c| c.s1);
             assert_eq!(s1, Some(process_set(expected)), "{groups:?}");
         }
     }
@@ -639,8 +615,8 @@ mod tests {
         let view = KnowledgeView::omniscient(&g);
         assert_eq!(view.received_count(), 58);
         let found = exact_sink_with_threshold(&view, 1, 63).unwrap().unwrap();
-        assert_eq!(found.decomposition.s1, process_set(55..=57));
-        assert_eq!(found.decomposition.s2, process_set([58]));
+        assert_eq!(found.s1, process_set(55..=57));
+        assert_eq!(found.s2, process_set([58]));
     }
 
     #[test]
@@ -668,6 +644,6 @@ mod tests {
         let view = KnowledgeView::omniscient(&g);
         let core = CandidateSearch.best_core(&view).unwrap();
         assert_eq!(core.members(), process_set(1..=4));
-        assert_eq!(core.threshold(), 1);
+        assert_eq!(core.threshold, 1);
     }
 }

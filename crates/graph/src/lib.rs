@@ -60,7 +60,7 @@ mod scc;
 mod snapshot;
 mod view;
 
-pub use candidates::{exact_best_sink, exact_sink_with_threshold, CandidateSearch, SinkCandidate};
+pub use candidates::{exact_best_sink, exact_sink_with_threshold, CandidateSearch};
 pub use connectivity::DisjointPaths;
 pub use digraph::DiGraph;
 pub use error::GraphError;

@@ -10,7 +10,7 @@ use bft_cupft::core::{run_scenario, ByzantineStrategy, ProtocolMode, Scenario};
 use bft_cupft::graph::{fig2a, fig2b, fig2c, fig4a, process_set};
 use bft_cupft::net::DelayPolicy;
 
-const NAIVE: ProtocolMode = ProtocolMode::NaiveGuess { settle_ticks: 3 };
+const NAIVE: ProtocolMode = ProtocolMode::NaiveGuess;
 
 fn main() {
     println!("─── Theorem 7, scene 1: system A (Fig. 2a) ───");

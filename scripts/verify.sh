@@ -9,8 +9,10 @@
 #                              # and the CI `quick` job); fronts the
 #                              # sink-search gates (the cupft-graph unit
 #                              # tests, incl. the exhaustive fallback's
-#                              # feasible-part enumeration, and the
-#                              # proptest_graph kernel-vs-oracle
+#                              # feasible-part enumeration, the cupft-core
+#                              # unit tests, incl. the Core guard and the
+#                              # one identification gate per view change,
+#                              # and the proptest_graph kernel-vs-oracle
 #                              # properties), the paper claims
 #                              # (table1_matrix, impossibility, theorems:
 #                              # Table I, Figs. 1-4, §III), the
@@ -100,6 +102,8 @@ if [[ "$quick" -eq 0 ]]; then
 else
     echo "==> cargo test -q -p cupft-graph --lib (quick gate)"
     cargo test -q -p cupft-graph --lib
+    echo "==> cargo test -q -p cupft-core --lib (quick gate)"
+    cargo test -q -p cupft-core --lib
     echo "==> cargo test -q --test proptest_graph (quick gate)"
     cargo test -q --test proptest_graph
     echo "==> cargo test -q --test table1_matrix --test impossibility --test theorems (paper claims)"

@@ -83,7 +83,7 @@ fn four_families_three_sizes_solve_on_threads() {
     assert_eq!(suite.len(), 12); // 4 families x 3 sizes x 1 seed
 
     // Tick-denominated knobs read as milliseconds on the threaded
-    // substrate. Detection re-runs on every view change, so a generous
+    // substrate. Identification re-runs on every view change, so a generous
     // discovery period costs little latency while keeping the per-tick
     // candidate search (expensive on whole-graph sinks like the ring) off
     // the CPU; the long view timeout keeps real scheduling jitter from

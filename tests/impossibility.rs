@@ -8,7 +8,7 @@ use bft_cupft::core::{
 use bft_cupft::graph::{fig1a, fig2a, fig2b, fig2c, fig3a, fig3b, process_set};
 use bft_cupft::net::DelayPolicy;
 
-const NAIVE: ProtocolMode = ProtocolMode::NaiveGuess { settle_ticks: 3 };
+const NAIVE: ProtocolMode = ProtocolMode::NaiveGuess;
 
 /// Fig. 1a: the graph violates Theorem 1's (necessary) conditions; with
 /// the bridge silent, the components decide independently.

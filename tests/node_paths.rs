@@ -47,7 +47,10 @@ fn learning_node() -> Node {
     // Identification runs on the discovery tick, not per message.
     node.on_timer(DISCOVERY_TICK, &mut ctx);
     assert_eq!(node.phase(), Phase::Learning, "{:?}", node.detection());
-    assert_eq!(node.detection().unwrap().members, process_set([1, 2, 3, 4]));
+    assert_eq!(
+        node.detection().unwrap().members(),
+        process_set([1, 2, 3, 4])
+    );
     node
 }
 

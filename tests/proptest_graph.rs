@@ -23,7 +23,7 @@ use proptest::prelude::*;
 mod oracle {
     use bft_cupft::graph::{
         condensation, CandidateSearch, DiGraph, GraphError, KnowledgeView, ProcessId, ProcessSet,
-        SinkCandidate, SinkDecomposition, UnitFlowNetwork,
+        SinkDecomposition, UnitFlowNetwork,
     };
 
     /// The kernel's search constants: its exact cutoff is public, its peel
@@ -273,17 +273,15 @@ mod oracle {
         out
     }
 
-    fn candidate(s1: ProcessSet, s2: ProcessSet, threshold: usize) -> SinkCandidate {
-        SinkCandidate {
-            decomposition: SinkDecomposition { s1, s2, threshold },
-        }
+    fn candidate(s1: ProcessSet, s2: ProcessSet, threshold: usize) -> SinkDecomposition {
+        SinkDecomposition { s1, s2, threshold }
     }
 
     pub fn exact_sink_with_threshold(
         view: &KnowledgeView,
         f: usize,
         cutoff: usize,
-    ) -> Result<Option<SinkCandidate>, GraphError> {
+    ) -> Result<Option<SinkDecomposition>, GraphError> {
         let received: Vec<ProcessId> = view.received().into_iter().collect();
         if received.len() > cutoff {
             return Err(GraphError::TooLargeForExactCheck {
@@ -312,7 +310,7 @@ mod oracle {
             .collect()
     }
 
-    pub fn sink_with_threshold(view: &KnowledgeView, f: usize) -> Option<SinkCandidate> {
+    pub fn sink_with_threshold(view: &KnowledgeView, f: usize) -> Option<SinkDecomposition> {
         for s1 in candidate_s1_sets(view) {
             let s2 = derive_s2(view, &s1, f);
             if is_sink_gdi(view, f, &s1, &s2) {
@@ -327,33 +325,32 @@ mod oracle {
         None
     }
 
-    pub fn ranked_candidates(view: &KnowledgeView) -> Vec<SinkCandidate> {
-        let mut found: Vec<SinkCandidate> = Vec::new();
+    pub fn ranked_candidates(view: &KnowledgeView) -> Vec<SinkDecomposition> {
+        let mut found: Vec<SinkDecomposition> = Vec::new();
         for s1 in candidate_s1_sets(view) {
             if let Some(decomposition) = max_threshold(view, &s1) {
-                let cand = SinkCandidate { decomposition };
-                if !found.contains(&cand) {
-                    found.push(cand);
+                if !found.contains(&decomposition) {
+                    found.push(decomposition);
                 }
             }
         }
         found.sort_by(|a, b| {
-            b.threshold()
-                .cmp(&a.threshold())
+            b.threshold
+                .cmp(&a.threshold)
                 .then_with(|| b.members().len().cmp(&a.members().len()))
-                .then_with(|| a.decomposition.s1.cmp(&b.decomposition.s1))
+                .then_with(|| a.s1.cmp(&b.s1))
         });
         found
     }
 
-    pub fn best_core(view: &KnowledgeView) -> Option<SinkCandidate> {
+    pub fn best_core(view: &KnowledgeView) -> Option<SinkDecomposition> {
         let best = ranked_candidates(view).into_iter().next()?;
         is_internally_maximal(view, &best).then_some(best)
     }
 
-    pub fn is_internally_maximal(view: &KnowledgeView, candidate: &SinkCandidate) -> bool {
+    pub fn is_internally_maximal(view: &KnowledgeView, candidate: &SinkDecomposition) -> bool {
         let members = candidate.members();
-        let g_star = candidate.threshold();
+        let g_star = candidate.threshold;
         if members.len() <= 2 * g_star + 2 {
             return true;
         }
@@ -367,7 +364,7 @@ mod oracle {
                 .filter(|s1| s1.len() > 2 * g_star)
                 .all(|s1| !disqualifies(view, &s1, g_star, &members))
         } else {
-            let mut cur = candidate.decomposition.s1.clone();
+            let mut cur = candidate.s1.clone();
             let graph = view.graph();
             for _ in 0..MAX_PEELS {
                 if cur.len() <= 2 * g_star + 1 {
@@ -751,7 +748,7 @@ fn kernel_matches_oracle_above_the_exact_cutoff() {
             let view = KnowledgeView::omniscient(&random_digraph(n, percent, &mut rng));
             let peeled = CandidateSearch.ranked_candidates(&view).iter().any(|c| {
                 let size = c.members().len();
-                size > CandidateSearch::EXACT_CUTOFF && size > 2 * c.threshold() + 2
+                size > CandidateSearch::EXACT_CUTOFF && size > 2 * c.threshold + 2
             });
             assert!(
                 peeled,

@@ -111,7 +111,7 @@ fn theorem9_core_detection_matches_exact() {
             .unwrap()
             .expect("exact best");
         assert_eq!(exact.members(), core.members(), "{}", fig.name());
-        assert_eq!(exact.threshold(), core.threshold(), "{}", fig.name());
+        assert_eq!(exact.threshold, core.threshold, "{}", fig.name());
     }
 }
 
