@@ -14,8 +14,33 @@ use cupft_graph::{CandidateSearch, KnowledgeView, SinkDecomposition};
 pub enum ProtocolMode {
     /// Authenticated BFT-CUP: the fault threshold is provided
     /// (Algorithm 2).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cupft_core::ProtocolMode;
+    /// use cupft_graph::{fig1b, process_set, KnowledgeView};
+    ///
+    /// // Omniscient view of Fig. 1b: the sink is {1,2,3,4}.
+    /// let view = KnowledgeView::omniscient(fig1b().graph());
+    /// let sink = ProtocolMode::KnownThreshold(1).identify(&view);
+    /// assert_eq!(sink.expect("sink identifiable").members(), process_set([1, 2, 3, 4]));
+    /// ```
     KnownThreshold(usize),
     /// BFT-CUPFT: no process knows the fault threshold (Algorithm 4).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cupft_core::ProtocolMode;
+    /// use cupft_graph::{fig4b, process_set, KnowledgeView};
+    ///
+    /// let view = KnowledgeView::omniscient(fig4b().graph());
+    /// let core = ProtocolMode::UnknownThreshold.identify(&view);
+    /// let core = core.expect("core identifiable");
+    /// assert_eq!(core.members(), process_set([5, 6, 7, 8, 9]));
+    /// assert_eq!(core.threshold, 2); // k_Gdi = 3
+    /// ```
     UnknownThreshold,
     /// Observation 1's naive guesser: adopt the best `isSink*` candidate
     /// visible in the view. Exists to reproduce the Theorem 7
@@ -53,24 +78,6 @@ impl ProtocolMode {
     /// it still passes when a Byzantine PD names identifiers nobody owns,
     /// which never deliver a PD, is an open question: ROADMAP.md item 1
     /// measured `fig4a` never deciding under three such identifiers.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use cupft_core::ProtocolMode;
-    /// use cupft_graph::{fig1b, fig4b, process_set, KnowledgeView};
-    ///
-    /// // Omniscient view of Fig. 1b: the sink is {1,2,3,4}.
-    /// let view = KnowledgeView::omniscient(fig1b().graph());
-    /// let sink = ProtocolMode::KnownThreshold(1).identify(&view);
-    /// assert_eq!(sink.expect("sink identifiable").members(), process_set([1, 2, 3, 4]));
-    ///
-    /// let view = KnowledgeView::omniscient(fig4b().graph());
-    /// let core = ProtocolMode::UnknownThreshold.identify(&view);
-    /// let core = core.expect("core identifiable");
-    /// assert_eq!(core.members(), process_set([5, 6, 7, 8, 9]));
-    /// assert_eq!(core.threshold, 2); // k_Gdi = 3
-    /// ```
     pub fn identify(self, view: &KnowledgeView) -> Option<SinkDecomposition> {
         match self {
             ProtocolMode::KnownThreshold(f) => CandidateSearch.sink_with_threshold(view, f),
