@@ -1,8 +1,10 @@
-//! Committee protocol messages and their signed canonical encodings.
+//! Committee protocol messages. Each holds its fields once plus one
+//! [`Signature`] over [`signing_message`] of them, so what is signed is
+//! exactly what is sent.
 
 use bytes::Bytes;
 use cupft_crypto::sha256::{digest, Digest, DIGEST_LEN};
-use cupft_crypto::{KeyRegistry, SignedValue, SigningKey};
+use cupft_crypto::{KeyRegistry, Signature, SigningKey};
 use cupft_graph::ProcessId;
 use cupft_net::Labeled;
 use cupft_wire::{Decode, Encode, Reader, WireError};
@@ -12,40 +14,34 @@ use crate::quorum::Committee;
 /// The value type the committee agrees on.
 pub type Value = Bytes;
 
-/// Signing domains (domain separation prevents cross-phase replay).
-/// Shared with [`cupft_crypto::domains`] so the wire codec can intern
-/// decoded domains back onto the same statics.
-const D_PREPREPARE: &str = cupft_crypto::domains::PREPREPARE;
-const D_PREPARE: &str = cupft_crypto::domains::PREPARE;
-const D_COMMIT: &str = cupft_crypto::domains::COMMIT;
-const D_VIEWCHANGE: &str = cupft_crypto::domains::VIEWCHANGE;
+/// Signing domains, one per message kind. The domain is implied by the
+/// kind and never travels, so a signature of one kind cannot be replayed
+/// as another.
+const D_PREPREPARE: &str = "cupft-preprepare";
+const D_PREPARE: &str = "cupft-prepare";
+const D_COMMIT: &str = "cupft-commit";
+const D_VIEWCHANGE: &str = "cupft-viewchange";
 
-fn encode_view_value(view: u64, value: &Value) -> Bytes {
-    let mut out = Vec::with_capacity(8 + value.len());
-    out.extend_from_slice(&view.to_be_bytes());
-    out.extend_from_slice(value);
-    Bytes::from(out)
+/// The bytes a committee signature covers: the kind's domain label, the
+/// view, then the kind's other signed fields, all in `cupft_wire`
+/// encoding.
+fn signing_message<T: Encode + ?Sized>(domain: &str, view: u64, fields: &T) -> Vec<u8> {
+    let mut out = Vec::with_capacity(96);
+    domain.encode(&mut out);
+    view.encode(&mut out);
+    fields.encode(&mut out);
+    out
 }
 
-fn encode_view_digest(view: u64, digest: &Digest) -> Bytes {
-    let mut out = Vec::with_capacity(8 + 32);
-    out.extend_from_slice(&view.to_be_bytes());
-    out.extend_from_slice(digest);
-    Bytes::from(out)
-}
-
-fn encode_view_change(new_view: u64, prepared: Option<(u64, &Digest)>) -> Bytes {
-    let mut out = Vec::with_capacity(8 + 1 + 8 + 32);
-    out.extend_from_slice(&new_view.to_be_bytes());
-    match prepared {
-        Some((view, digest)) => {
-            out.push(1);
-            out.extend_from_slice(&view.to_be_bytes());
-            out.extend_from_slice(digest);
-        }
-        None => out.push(0),
-    }
-    Bytes::from(out)
+/// Whether `signature` is a committee member's signature over `message`.
+fn member_signed(
+    registry: &KeyRegistry,
+    committee: &Committee,
+    signature: &Signature,
+    message: &[u8],
+) -> bool {
+    committee.contains(ProcessId::new(signature.signer()))
+        && registry.verify(signature.signer(), message, signature)
 }
 
 /// A *prepared certificate*: proof that some quorum prepared `value` in
@@ -58,7 +54,7 @@ pub struct PreparedCert {
     /// The prepared value.
     pub value: Value,
     /// Quorum of prepare signatures over `(view, digest(value))`.
-    pub prepares: Vec<SignedValue>,
+    pub prepares: Vec<Signature>,
 }
 
 impl PreparedCert {
@@ -66,15 +62,10 @@ impl PreparedCert {
     /// distinct committee members over this view/digest, and there are at
     /// least `quorum_size` of them.
     pub fn verify(&self, registry: &KeyRegistry, committee: &Committee) -> bool {
-        let d = digest(&self.value);
-        let expected = encode_view_digest(self.view, &d);
+        let message = signing_message(D_PREPARE, self.view, &digest(&self.value)[..]);
         let mut signers = std::collections::BTreeSet::new();
         for p in &self.prepares {
-            if !p.verify(registry, D_PREPARE) || p.payload() != &expected {
-                return false;
-            }
-            let signer = ProcessId::new(p.signer());
-            if !committee.contains(signer) || !signers.insert(signer) {
+            if !member_signed(registry, committee, p, &message) || !signers.insert(p.signer()) {
                 return false;
             }
         }
@@ -89,42 +80,35 @@ pub struct ViewChangeRecord {
     pub new_view: u64,
     /// The sender's highest prepared certificate, if any.
     pub prepared: Option<PreparedCert>,
-    /// Signature over `(new_view, prepared summary)`.
-    pub signed: SignedValue,
+    /// Signature over `new_view` and `prepared`.
+    pub signature: Signature,
 }
 
 impl ViewChangeRecord {
     /// Signs a view-change vote.
     pub fn sign(key: &SigningKey, new_view: u64, prepared: Option<PreparedCert>) -> Self {
-        let summary = prepared.as_ref().map(|c| (c.view, digest(&c.value)));
-        let payload = encode_view_change(new_view, summary.as_ref().map(|(v, d)| (*v, d)));
+        let signature = key.sign(&signing_message(D_VIEWCHANGE, new_view, &prepared));
         ViewChangeRecord {
             new_view,
             prepared,
-            signed: SignedValue::sign(key, D_VIEWCHANGE, payload),
+            signature,
         }
     }
 
     /// The voting process.
     pub fn signer(&self) -> ProcessId {
-        ProcessId::new(self.signed.signer())
+        ProcessId::new(self.signature.signer())
     }
 
-    /// Verifies signature, payload consistency, committee membership, and
-    /// the embedded prepared certificate (when present).
+    /// Verifies the signature, committee membership, and the embedded
+    /// prepared certificate (when present).
     pub fn verify(&self, registry: &KeyRegistry, committee: &Committee) -> bool {
-        if !committee.contains(self.signer()) {
-            return false;
-        }
-        let summary = self.prepared.as_ref().map(|c| (c.view, digest(&c.value)));
-        let payload = encode_view_change(self.new_view, summary.as_ref().map(|(v, d)| (*v, d)));
-        if self.signed.payload() != &payload || !self.signed.verify(registry, D_VIEWCHANGE) {
-            return false;
-        }
-        match &self.prepared {
-            Some(cert) => cert.verify(registry, committee),
-            None => true,
-        }
+        let message = signing_message(D_VIEWCHANGE, self.new_view, &self.prepared);
+        member_signed(registry, committee, &self.signature, &message)
+            && self
+                .prepared
+                .as_ref()
+                .is_none_or(|cert| cert.verify(registry, committee))
     }
 }
 
@@ -139,7 +123,7 @@ pub enum CommitteeMsg {
         /// Proposed value.
         value: Value,
         /// Leader signature over `(view, value)`.
-        signed: SignedValue,
+        signature: Signature,
         /// View-change justification (empty for view 0).
         justification: Vec<ViewChangeRecord>,
     },
@@ -150,7 +134,7 @@ pub enum CommitteeMsg {
         /// Digest of the pre-prepared value.
         digest: Digest,
         /// Voter signature.
-        signed: SignedValue,
+        signature: Signature,
     },
     /// Commit vote over `(view, digest)`.
     Commit {
@@ -159,7 +143,7 @@ pub enum CommitteeMsg {
         /// Digest of the prepared value.
         digest: Digest,
         /// Voter signature.
-        signed: SignedValue,
+        signature: Signature,
     },
     /// View-change vote.
     ViewChange(ViewChangeRecord),
@@ -173,32 +157,32 @@ impl CommitteeMsg {
         value: Value,
         justification: Vec<ViewChangeRecord>,
     ) -> Self {
-        let signed = SignedValue::sign(key, D_PREPREPARE, encode_view_value(view, &value));
+        let signature = key.sign(&signing_message(D_PREPREPARE, view, &value));
         CommitteeMsg::PrePrepare {
             view,
             value,
-            signed,
+            signature,
             justification,
         }
     }
 
     /// Builds a signed prepare vote.
     pub fn prepare(key: &SigningKey, view: u64, d: Digest) -> Self {
-        let signed = SignedValue::sign(key, D_PREPARE, encode_view_digest(view, &d));
+        let signature = key.sign(&signing_message(D_PREPARE, view, &d[..]));
         CommitteeMsg::Prepare {
             view,
             digest: d,
-            signed,
+            signature,
         }
     }
 
     /// Builds a signed commit vote.
     pub fn commit(key: &SigningKey, view: u64, d: Digest) -> Self {
-        let signed = SignedValue::sign(key, D_COMMIT, encode_view_digest(view, &d));
+        let signature = key.sign(&signing_message(D_COMMIT, view, &d[..]));
         CommitteeMsg::Commit {
             view,
             digest: d,
-            signed,
+            signature,
         }
     }
 
@@ -206,51 +190,43 @@ impl CommitteeMsg {
     /// against the registry and committee. (Leader/view semantics are the
     /// replica's job; this checks authenticity.)
     pub fn verify(&self, registry: &KeyRegistry, committee: &Committee) -> bool {
-        match self {
+        let (message, justification) = match self {
             CommitteeMsg::PrePrepare {
                 view,
                 value,
-                signed,
                 justification,
-            } => {
-                let signer = ProcessId::new(signed.signer());
-                committee.contains(signer)
-                    && signed.payload() == &encode_view_value(*view, value)
-                    && signed.verify(registry, D_PREPREPARE)
-                    && justification
-                        .iter()
-                        .all(|vc| vc.verify(registry, committee))
+                ..
+            } => (
+                signing_message(D_PREPREPARE, *view, value),
+                &justification[..],
+            ),
+            CommitteeMsg::Prepare { view, digest, .. } => {
+                (signing_message(D_PREPARE, *view, &digest[..]), &[][..])
             }
-            CommitteeMsg::Prepare {
-                view,
-                digest,
-                signed,
-            } => {
-                committee.contains(ProcessId::new(signed.signer()))
-                    && signed.payload() == &encode_view_digest(*view, digest)
-                    && signed.verify(registry, D_PREPARE)
+            CommitteeMsg::Commit { view, digest, .. } => {
+                (signing_message(D_COMMIT, *view, &digest[..]), &[][..])
             }
-            CommitteeMsg::Commit {
-                view,
-                digest,
-                signed,
-            } => {
-                committee.contains(ProcessId::new(signed.signer()))
-                    && signed.payload() == &encode_view_digest(*view, digest)
-                    && signed.verify(registry, D_COMMIT)
-            }
-            CommitteeMsg::ViewChange(vc) => vc.verify(registry, committee),
+            CommitteeMsg::ViewChange(vc) => return vc.verify(registry, committee),
+        };
+        member_signed(registry, committee, self.signature(), &message)
+            && justification
+                .iter()
+                .all(|vc| vc.verify(registry, committee))
+    }
+
+    /// The attached signature.
+    pub fn signature(&self) -> &Signature {
+        match self {
+            CommitteeMsg::PrePrepare { signature, .. }
+            | CommitteeMsg::Prepare { signature, .. }
+            | CommitteeMsg::Commit { signature, .. } => signature,
+            CommitteeMsg::ViewChange(vc) => &vc.signature,
         }
     }
 
     /// The signer of the message.
     pub fn signer(&self) -> ProcessId {
-        match self {
-            CommitteeMsg::PrePrepare { signed, .. }
-            | CommitteeMsg::Prepare { signed, .. }
-            | CommitteeMsg::Commit { signed, .. } => ProcessId::new(signed.signer()),
-            CommitteeMsg::ViewChange(vc) => vc.signer(),
-        }
+        ProcessId::new(self.signature().signer())
     }
 }
 
@@ -291,7 +267,7 @@ impl Encode for ViewChangeRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         self.new_view.encode(out);
         self.prepared.encode(out);
-        self.signed.encode(out);
+        self.signature.encode(out);
     }
 }
 
@@ -300,14 +276,15 @@ impl Decode for ViewChangeRecord {
         Ok(ViewChangeRecord {
             new_view: r.u64()?,
             prepared: Option::decode(r)?,
-            signed: SignedValue::decode(r)?,
+            signature: Signature::decode(r)?,
         })
     }
 }
 
 /// Wire form: `tag:u8` (0 = `PREPREPARE`, 1 = `PREPARE`, 2 = `COMMIT`,
 /// 3 = `VIEWCHANGE`) followed by the variant fields; digests travel as
-/// raw 32-byte strings. Decoding restores structure only — authenticity
+/// raw 32-byte strings, and the signing domain is implied by the tag, so
+/// it never travels. Decoding restores structure only — authenticity
 /// is still [`CommitteeMsg::verify`]'s job, exactly as for a locally
 /// constructed message.
 impl Encode for CommitteeMsg {
@@ -316,34 +293,34 @@ impl Encode for CommitteeMsg {
             CommitteeMsg::PrePrepare {
                 view,
                 value,
-                signed,
+                signature,
                 justification,
             } => {
                 out.push(0);
                 view.encode(out);
                 value.encode(out);
-                signed.encode(out);
+                signature.encode(out);
                 justification.encode(out);
             }
             CommitteeMsg::Prepare {
                 view,
                 digest,
-                signed,
+                signature,
             } => {
                 out.push(1);
                 view.encode(out);
                 out.extend_from_slice(digest);
-                signed.encode(out);
+                signature.encode(out);
             }
             CommitteeMsg::Commit {
                 view,
                 digest,
-                signed,
+                signature,
             } => {
                 out.push(2);
                 view.encode(out);
                 out.extend_from_slice(digest);
-                signed.encode(out);
+                signature.encode(out);
             }
             CommitteeMsg::ViewChange(vc) => {
                 out.push(3);
@@ -359,18 +336,18 @@ impl Decode for CommitteeMsg {
             0 => Ok(CommitteeMsg::PrePrepare {
                 view: r.u64()?,
                 value: Value::decode(r)?,
-                signed: SignedValue::decode(r)?,
+                signature: Signature::decode(r)?,
                 justification: Vec::decode(r)?,
             }),
             1 => Ok(CommitteeMsg::Prepare {
                 view: r.u64()?,
                 digest: decode_digest(r)?,
-                signed: SignedValue::decode(r)?,
+                signature: Signature::decode(r)?,
             }),
             2 => Ok(CommitteeMsg::Commit {
                 view: r.u64()?,
                 digest: decode_digest(r)?,
-                signed: SignedValue::decode(r)?,
+                signature: Signature::decode(r)?,
             }),
             3 => Ok(CommitteeMsg::ViewChange(ViewChangeRecord::decode(r)?)),
             tag => Err(WireError::BadTag {
@@ -402,26 +379,104 @@ mod tests {
         assert_eq!(msg.label(), "PREPREPARE");
     }
 
+    /// A valid prepared certificate: members 1..=3 (a quorum) prepared
+    /// `value` in `view`.
+    fn cert(keys: &[SigningKey], view: u64, value: &'static [u8]) -> PreparedCert {
+        let d = digest(value);
+        PreparedCert {
+            view,
+            value: Bytes::from_static(value),
+            prepares: keys[..3]
+                .iter()
+                .map(|k| *CommitteeMsg::prepare(k, view, d).signature())
+                .collect(),
+        }
+    }
+
+    fn signature_mut(msg: &mut CommitteeMsg) -> &mut Signature {
+        match msg {
+            CommitteeMsg::PrePrepare { signature, .. }
+            | CommitteeMsg::Prepare { signature, .. }
+            | CommitteeMsg::Commit { signature, .. } => signature,
+            CommitteeMsg::ViewChange(vc) => &mut vc.signature,
+        }
+    }
+
     #[test]
     fn tampered_preprepare_rejected() {
+        // Rewriting any one signed field of any kind breaks the signature.
+        // The embedded certificate is swapped for another *valid* one, so
+        // only the view-change signature can reject it.
+        type Tamper = fn(&mut CommitteeMsg, &[SigningKey]);
         let (registry, keys, committee) = setup();
-        let msg = CommitteeMsg::pre_prepare(&keys[0], 0, Bytes::from_static(b"v"), vec![]);
-        if let CommitteeMsg::PrePrepare {
-            view,
-            signed,
-            justification,
-            ..
-        } = msg
-        {
-            let tampered = CommitteeMsg::PrePrepare {
-                view,
-                value: Bytes::from_static(b"EVIL"),
-                signed,
-                justification,
-            };
-            assert!(!tampered.verify(&registry, &committee));
-        } else {
-            unreachable!();
+        let d = digest(b"v");
+        let pp = CommitteeMsg::pre_prepare(&keys[0], 0, Bytes::from_static(b"v"), vec![]);
+        let prep = CommitteeMsg::prepare(&keys[1], 3, d);
+        let comm = CommitteeMsg::commit(&keys[2], 3, d);
+        let vc = CommitteeMsg::ViewChange(ViewChangeRecord::sign(
+            &keys[3],
+            2,
+            Some(cert(&keys, 1, b"v")),
+        ));
+        let cases: [(&str, CommitteeMsg, Tamper); 9] = [
+            ("pre-prepare view", pp.clone(), |m, _| {
+                if let CommitteeMsg::PrePrepare { view, .. } = m {
+                    *view += 1;
+                }
+            }),
+            ("pre-prepare value", pp, |m, _| {
+                if let CommitteeMsg::PrePrepare { value, .. } = m {
+                    *value = Bytes::from_static(b"EVIL");
+                }
+            }),
+            ("prepare view", prep.clone(), |m, _| {
+                if let CommitteeMsg::Prepare { view, .. } = m {
+                    *view += 1;
+                }
+            }),
+            ("prepare digest", prep, |m, _| {
+                if let CommitteeMsg::Prepare { digest: d, .. } = m {
+                    *d = digest(b"EVIL");
+                }
+            }),
+            ("commit view", comm.clone(), |m, _| {
+                if let CommitteeMsg::Commit { view, .. } = m {
+                    *view += 1;
+                }
+            }),
+            ("commit digest", comm, |m, _| {
+                if let CommitteeMsg::Commit { digest: d, .. } = m {
+                    *d = digest(b"EVIL");
+                }
+            }),
+            ("new_view", vc.clone(), |m, _| {
+                if let CommitteeMsg::ViewChange(vc) = m {
+                    vc.new_view += 1;
+                }
+            }),
+            ("prepared view", vc.clone(), |m, keys| {
+                if let CommitteeMsg::ViewChange(vc) = m {
+                    vc.prepared = Some(cert(keys, 0, b"v"));
+                }
+            }),
+            ("prepared value", vc, |m, keys| {
+                if let CommitteeMsg::ViewChange(vc) = m {
+                    vc.prepared = Some(cert(keys, 1, b"w"));
+                }
+            }),
+        ];
+        for (field, original, tamper) in cases {
+            assert!(original.verify(&registry, &committee), "{field}: original");
+            let mut tampered = original.clone();
+            tamper(&mut tampered, &keys);
+            assert_ne!(tampered, original, "{field}: tamper must apply");
+            if let CommitteeMsg::ViewChange(ViewChangeRecord {
+                prepared: Some(c), ..
+            }) = &tampered
+            {
+                assert!(c.verify(&registry, &committee), "{field}: swapped cert");
+            }
+            assert!(!tampered.verify(&registry, &committee), "{field}: tampered");
         }
     }
 
@@ -439,23 +494,29 @@ mod tests {
 
     #[test]
     fn prepare_not_replayable_as_commit() {
+        // No kind's signature verifies on another kind, even where the
+        // signed fields coincide: the pre-prepare's value is the votes'
+        // digest, so only the domain tells those three apart.
         let (registry, keys, committee) = setup();
         let d = digest(b"v");
-        let prep = CommitteeMsg::prepare(&keys[1], 3, d);
-        if let CommitteeMsg::Prepare {
-            view,
-            digest,
-            signed,
-        } = prep
-        {
-            let fake_commit = CommitteeMsg::Commit {
-                view,
-                digest,
-                signed,
-            };
-            assert!(!fake_commit.verify(&registry, &committee));
-        } else {
-            unreachable!();
+        let msgs = [
+            CommitteeMsg::pre_prepare(&keys[0], 3, Bytes::copy_from_slice(&d), vec![]),
+            CommitteeMsg::prepare(&keys[0], 3, d),
+            CommitteeMsg::commit(&keys[0], 3, d),
+            CommitteeMsg::ViewChange(ViewChangeRecord::sign(&keys[0], 3, None)),
+        ];
+        for from in &msgs {
+            assert!(from.verify(&registry, &committee), "{}", from.label());
+            for onto in msgs.iter().filter(|m| m.label() != from.label()) {
+                let mut replay = onto.clone();
+                *signature_mut(&mut replay) = *from.signature();
+                assert!(
+                    !replay.verify(&registry, &committee),
+                    "{} signature accepted on a {}",
+                    from.label(),
+                    onto.label()
+                );
+            }
         }
     }
 
@@ -473,10 +534,7 @@ mod tests {
         let (registry, keys, committee) = setup();
         let value = Bytes::from_static(b"v");
         let d = digest(&value);
-        let make_prepare = |k: &SigningKey| match CommitteeMsg::prepare(k, 2, d) {
-            CommitteeMsg::Prepare { signed, .. } => signed,
-            _ => unreachable!(),
-        };
+        let make_prepare = |k: &SigningKey| *CommitteeMsg::prepare(k, 2, d).signature();
         // quorum = 3
         let good = PreparedCert {
             view: 2,

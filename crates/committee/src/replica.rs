@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cupft_crypto::sha256::{digest, Digest};
-use cupft_crypto::{KeyRegistry, SigningKey};
+use cupft_crypto::{KeyRegistry, Signature, SigningKey};
 use cupft_graph::ProcessId;
 
 use crate::msgs::{CommitteeMsg, PreparedCert, Value, ViewChangeRecord};
@@ -106,7 +106,7 @@ pub struct Replica {
     accepted: BTreeMap<u64, Digest>,
     /// Values learned from valid pre-prepares, for commit-time lookup.
     values: BTreeMap<(u64, Digest), Value>,
-    prepares: BTreeMap<(u64, Digest), BTreeMap<ProcessId, CommitteeMsg>>,
+    prepares: BTreeMap<(u64, Digest), BTreeMap<ProcessId, Signature>>,
     commits: BTreeMap<(u64, Digest), BTreeSet<ProcessId>>,
     sent_prepare: BTreeSet<u64>,
     sent_commit: BTreeSet<u64>,
@@ -208,9 +208,11 @@ impl Replica {
                 justification,
                 ..
             } => self.on_pre_prepare(view, value, signer, justification, &mut fx),
-            prepare @ CommitteeMsg::Prepare { .. } => {
-                self.on_prepare(prepare, &mut fx);
-            }
+            CommitteeMsg::Prepare {
+                view,
+                digest,
+                signature,
+            } => self.on_prepare(view, digest, signature, &mut fx),
             CommitteeMsg::Commit { view, digest, .. } => {
                 self.on_commit(view, digest, signer, &mut fx);
             }
@@ -288,29 +290,18 @@ impl Replica {
         }
     }
 
-    fn on_prepare(&mut self, msg: CommitteeMsg, fx: &mut Effects) {
-        let (view, d) = match &msg {
-            CommitteeMsg::Prepare { view, digest, .. } => (*view, *digest),
-            _ => return,
-        };
-        let signer = msg.signer();
+    fn on_prepare(&mut self, view: u64, d: Digest, signature: Signature, fx: &mut Effects) {
         self.prepares
             .entry((view, d))
             .or_default()
-            .insert(signer, msg);
+            .insert(ProcessId::new(signature.signer()), signature);
         let count = self.prepares[&(view, d)].len();
         if count >= self.committee.quorum_size() {
             // We are "prepared" for (view, d) if we know the value.
             if let Some(value) = self.values.get(&(view, d)).cloned() {
                 let better = self.prepared_cert.as_ref().is_none_or(|c| view > c.view);
                 if better {
-                    let prepares = self.prepares[&(view, d)]
-                        .values()
-                        .filter_map(|m| match m {
-                            CommitteeMsg::Prepare { signed, .. } => Some(signed.clone()),
-                            _ => None,
-                        })
-                        .collect();
+                    let prepares = self.prepares[&(view, d)].values().copied().collect();
                     self.prepared_cert = Some(PreparedCert {
                         view,
                         value,
@@ -338,9 +329,6 @@ impl Replica {
 
     fn on_view_change(&mut self, vc: ViewChangeRecord, fx: &mut Effects) {
         let nv = vc.new_view;
-        if nv <= self.view && self.sent_view_change.contains(&nv) {
-            // stale
-        }
         self.view_changes
             .entry(nv)
             .or_default()

@@ -15,7 +15,7 @@ pub enum NodeMsg {
     /// Algorithm 1 traffic.
     Discovery(DiscoveryMsg),
     /// Committee consensus traffic (Algorithm 3 line 4). Boxed: a
-    /// committee message is ~150 bytes against discovery's 64, and it is a
+    /// committee message is 104 bytes against discovery's 64, and it is a
     /// few dozen messages per decision against discovery's hundreds of
     /// thousands, so the box keeps every `NodeMsg` discovery-sized.
     Committee(Box<CommitteeMsg>),

@@ -14,12 +14,12 @@
 //!   through the shared registry. A Byzantine *actor* in the simulation has
 //!   no API to read another process's key, so forging a correct process's
 //!   signature is impossible by construction — which is exactly the
-//!   existential-unforgeability assumption the paper makes;
-//! * [`SignedValue`] — a domain-separated signed payload (the committee's
-//!   votes and decisions).
+//!   existential-unforgeability assumption the paper makes.
 //!
-//! The signed PD record `⟨i, PDᵢ⟩ᵢ` itself lives in `cupft_detector`
-//! (`PdCertificate`), which signs its own wire encoding with these keys.
+//! The signed records themselves live with the protocols that send them:
+//! the PD record `⟨i, PDᵢ⟩ᵢ` in `cupft_detector` (`PdCertificate`) and
+//! the committee votes in `cupft_committee` (`CommitteeMsg`). Each signs
+//! its own wire encoding with these keys and carries one [`Signature`].
 //!
 //! # Example
 //!
@@ -36,13 +36,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod domains;
 pub mod hmac;
 pub mod sha256;
 
 mod keys;
-mod signed;
 mod wire;
 
 pub use keys::{BatchVerifier, KeyRegistry, Signature, SigningKey};
-pub use signed::SignedValue;

@@ -13,7 +13,10 @@
 #                              # unit tests, incl. the Core guard and the
 #                              # one identification gate per view change,
 #                              # and the proptest_graph kernel-vs-oracle
-#                              # properties), the paper claims
+#                              # properties), the cupft-committee unit
+#                              # tests (the signed-field and cross-kind
+#                              # replay tables, the replica state machine),
+#                              # the paper claims
 #                              # (table1_matrix, impossibility, theorems:
 #                              # Table I, Figs. 1-4, §III), the
 #                              # trajectory_pins exact constants (sweep
@@ -104,6 +107,8 @@ else
     cargo test -q -p cupft-graph --lib
     echo "==> cargo test -q -p cupft-core --lib (quick gate)"
     cargo test -q -p cupft-core --lib
+    echo "==> cargo test -q -p cupft-committee --lib (quick gate)"
+    cargo test -q -p cupft-committee --lib
     echo "==> cargo test -q --test proptest_graph (quick gate)"
     cargo test -q --test proptest_graph
     echo "==> cargo test -q --test table1_matrix --test impossibility --test theorems (paper claims)"
