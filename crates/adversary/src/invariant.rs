@@ -334,21 +334,15 @@ mod tests {
 
     #[test]
     fn clean_trace_passes() {
-        let trace = ExecutionTrace::assemble(
-            vec![],
-            vec![],
-            vec![decided(10, 1, b"a"), decided(12, 2, b"a")],
-        );
+        let trace =
+            ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a"), decided(12, 2, b"a")]);
         assert!(checker().check(&trace).is_empty());
     }
 
     #[test]
     fn disagreement_is_flagged() {
-        let trace = ExecutionTrace::assemble(
-            vec![],
-            vec![],
-            vec![decided(10, 1, b"a"), decided(12, 2, b"b")],
-        );
+        let trace =
+            ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a"), decided(12, 2, b"b")]);
         let violations = checker().check(&trace);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, Invariant::Agreement);
@@ -359,21 +353,15 @@ mod tests {
     #[test]
     fn byzantine_decisions_do_not_count() {
         // process 9 is not correct: its "decision" is ignored
-        let trace = ExecutionTrace::assemble(
-            vec![],
-            vec![],
-            vec![decided(10, 1, b"a"), decided(11, 9, b"evil")],
-        );
+        let trace =
+            ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a"), decided(11, 9, b"evil")]);
         assert!(checker().check(&trace).is_empty());
     }
 
     #[test]
     fn invalid_value_is_flagged() {
-        let trace = ExecutionTrace::assemble(
-            vec![],
-            vec![],
-            vec![decided(10, 1, b"zz"), decided(11, 2, b"zz")],
-        );
+        let trace =
+            ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"zz"), decided(11, 2, b"zz")]);
         let violations = checker().check(&trace);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, Invariant::Validity);
@@ -382,7 +370,6 @@ mod tests {
     #[test]
     fn double_decide_is_flagged() {
         let trace = ExecutionTrace::assemble(
-            vec![],
             vec![],
             vec![
                 decided(10, 1, b"a"),
@@ -414,11 +401,8 @@ mod tests {
     fn churn_agreement_counts_departed_deciders() {
         // Process 9 is outside the correct set (it departed mid-run), but
         // its decision still counts for the weakened agreement.
-        let trace = ExecutionTrace::assemble(
-            vec![],
-            vec![],
-            vec![decided(10, 1, b"a"), decided(11, 9, b"b")],
-        );
+        let trace =
+            ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a"), decided(11, 9, b"b")]);
         let plain = checker().check(&trace);
         assert!(plain.is_empty(), "static agreement ignores process 9");
         let ctx = ChurnContext {
@@ -439,18 +423,18 @@ mod tests {
             ..ChurnContext::default()
         };
         // Converged joiner: clean.
-        let good = ExecutionTrace::assemble(vec![], vec![], vec![decided(10, 1, b"a")])
+        let good = ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a")])
             .with_knowledge(vec![knowledge(50, 2, &[1, 2, 3], KnowledgeMoment::Final)]);
         assert!(churn_checker(ctx.clone()).check(&good).is_empty());
         // Missing PDs: flagged, with the gap named.
-        let short = ExecutionTrace::assemble(vec![], vec![], vec![decided(10, 1, b"a")])
+        let short = ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a")])
             .with_knowledge(vec![knowledge(50, 2, &[1, 2], KnowledgeMoment::Final)]);
         let violations = churn_checker(ctx.clone()).check(&short);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].invariant, Invariant::JoinConvergence);
         assert!(violations[0].detail.contains("{3}"));
         // No sample at all: also flagged.
-        let missing = ExecutionTrace::assemble(vec![], vec![], vec![decided(10, 1, b"a")]);
+        let missing = ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a")]);
         assert!(churn_checker(ctx.clone()).violates(&missing, Invariant::JoinConvergence));
         // A joiner that later departed is exempt.
         let departed = ChurnContext {
@@ -467,14 +451,14 @@ mod tests {
             ..ChurnContext::default()
         };
         // Clean recovery: restored and final views contain the crash view.
-        let good = ExecutionTrace::assemble(vec![], vec![], vec![]).with_knowledge(vec![
+        let good = ExecutionTrace::assemble(vec![], vec![]).with_knowledge(vec![
             knowledge(20, 1, &[1, 2, 3], KnowledgeMoment::AtCrash),
             knowledge(40, 1, &[1, 2, 3], KnowledgeMoment::AtRecovery),
             knowledge(90, 1, &[1, 2, 3, 4], KnowledgeMoment::Final),
         ]);
         assert!(churn_checker(ctx.clone()).check(&good).is_empty());
         // Broken recovery: the restored view lost PDs it had at the crash.
-        let regressed = ExecutionTrace::assemble(vec![], vec![], vec![]).with_knowledge(vec![
+        let regressed = ExecutionTrace::assemble(vec![], vec![]).with_knowledge(vec![
             knowledge(20, 1, &[1, 2, 3], KnowledgeMoment::AtCrash),
             knowledge(40, 1, &[1], KnowledgeMoment::AtRecovery),
             knowledge(90, 1, &[1, 2, 3], KnowledgeMoment::Final),
@@ -484,22 +468,19 @@ mod tests {
         assert_eq!(violations[0].invariant, Invariant::RecoveryConsistency);
         assert!(violations[0].detail.contains("restored"));
         // Contradicting the pre-crash decision is also flagged.
-        let contradicted = ExecutionTrace::assemble(
-            vec![],
-            vec![],
-            vec![decided(10, 1, b"a"), decided(60, 1, b"b")],
-        )
-        .with_knowledge(vec![knowledge(20, 1, &[1], KnowledgeMoment::AtCrash)]);
+        let contradicted =
+            ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a"), decided(60, 1, b"b")])
+                .with_knowledge(vec![knowledge(20, 1, &[1], KnowledgeMoment::AtCrash)]);
         assert!(churn_checker(ctx.clone()).violates(&contradicted, Invariant::RecoveryConsistency));
         // A recoverer with no crash sample (never reached the crash) is
         // vacuously consistent.
-        let vacuous = ExecutionTrace::assemble(vec![], vec![], vec![]);
+        let vacuous = ExecutionTrace::assemble(vec![], vec![]);
         assert!(churn_checker(ctx).check(&vacuous).is_empty());
     }
 
     #[test]
     fn termination_bound_is_checked_when_set() {
-        let trace = ExecutionTrace::assemble(vec![], vec![], vec![decided(10, 1, b"a")]);
+        let trace = ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a")]);
         // no bound: no termination verdict
         assert!(checker().check(&trace).is_empty());
         // bound: process 2 never decided, process 1 decided in time
@@ -508,11 +489,8 @@ mod tests {
         assert_eq!(violations[0].invariant, Invariant::TerminationBy(50));
         assert!(violations[0].detail.contains('2'));
         // decided but too late also violates
-        let late = ExecutionTrace::assemble(
-            vec![],
-            vec![],
-            vec![decided(10, 1, b"a"), decided(99, 2, b"a")],
-        );
+        let late =
+            ExecutionTrace::assemble(vec![], vec![decided(10, 1, b"a"), decided(99, 2, b"a")]);
         let violations = checker().with_termination_bound(50).check(&late);
         assert_eq!(violations.len(), 1);
     }

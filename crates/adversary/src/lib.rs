@@ -5,24 +5,24 @@
 //! adversary space a first-class, composable subsystem instead of a fixed
 //! enum of hard-coded actors. Five pieces:
 //!
-//! * **[`Strategy`]** ([`strategy`]) — what a faulty process does, as a
-//!   composable trait with combinators ([`TargetSubset`], [`DelayRelease`],
-//!   [`FlipAfter`], [`Mute`]); [`StrategyActor`] runs any strategy on
-//!   either [`cupft_net::Runtime`] substrate.
+//! * **Combinators** ([`strategy`]) — what a faulty process does is a
+//!   plain [`cupft_net::Actor`]; [`TargetSubset`], [`DelayRelease`] and
+//!   [`FlipAfter`] wrap one actor in another, and [`Mute`] is the silent
+//!   leaf, so a composed strategy runs on every [`cupft_net::Runtime`]
+//!   substrate unchanged.
 //! * **[`StrategySpec`]** ([`spec`]) — the same strategies as *data*: a
 //!   cloneable expression tree used for grid axes, labels, and shrinking.
-//!   Protocol crates compile specs into boxed strategies for their message
+//!   Protocol crates compile specs into boxed actors for their message
 //!   type.
 //! * **[`TamperSpec`]** ([`sched`]) — network-side adversaries (reorder
 //!   windows, targeted slow-downs, within-model drops) described as data
 //!   and compiled onto the [`cupft_net::Tamper`] interception hook, so one
 //!   schedule runs on both the simulator and the threaded runtime.
 //! * **Traces** ([`trace`]) — every send / delivery / decision of a run as
-//!   a compact [`ExecutionTrace`] with a stable fingerprint;
-//!   [`RecordingTamper`] captures sends through the same interception
-//!   hook. **[`TraceChecker`]** ([`invariant`]) rules on the §II-B
-//!   consensus properties (agreement, validity, integrity,
-//!   termination-by-bound) post-hoc over traces.
+//!   a compact [`ExecutionTrace`] with a stable fingerprint, built from
+//!   the simulator's own send/delivery trace. **[`TraceChecker`]**
+//!   ([`invariant`]) rules on the §II-B consensus properties (agreement,
+//!   validity, integrity, termination-by-bound) post-hoc over traces.
 //! * **Shrinking** ([`shrink`](fn@shrink)) — given a violating assignment
 //!   or churn schedule, deterministically search for a minimal failing
 //!   variant by pruning strategy combinators, fault sets and churn events.
@@ -54,17 +54,13 @@ pub use invariant::{ChurnContext, Invariant, TraceChecker, Violation};
 pub use sched::TamperSpec;
 pub use shrink::{shrink, Assignment, ShrinkOutcome, Shrinkable};
 pub use spec::StrategySpec;
-pub use strategy::{
-    DelayRelease, FlipAfter, Mute, Strategy, StrategyActor, TargetSubset, FLIP_TICK, RELEASE_TICK,
-};
-pub use trace::{
-    ExecutionTrace, KnowledgeMoment, RecordingTamper, SendLog, TraceEvent, TraceEventKind,
-};
+pub use strategy::{DelayRelease, FlipAfter, Mute, TargetSubset, FLIP_TICK, RELEASE_TICK};
+pub use trace::{ExecutionTrace, KnowledgeMoment, TraceEvent, TraceEventKind};
 
 /// Formats a process set compactly (`{1,2,3}`) — the shared formatter
-/// behind every spec/strategy/tamper label, so display names cannot
-/// drift apart.
-pub fn fmt_process_set(s: &cupft_graph::ProcessSet) -> String {
+/// behind every spec and tamper label, so display names cannot drift
+/// apart.
+pub(crate) fn fmt_process_set(s: &cupft_graph::ProcessSet) -> String {
     let ids: Vec<String> = s.iter().map(|p| p.raw().to_string()).collect();
     format!("{{{}}}", ids.join(","))
 }

@@ -1,10 +1,10 @@
 //! [`StrategySpec`]: Byzantine strategies as *data*.
 //!
-//! The executable [`crate::Strategy`] objects are opaque state machines —
-//! good for running, useless for storing in a [grid axis], comparing, or
+//! The executable Byzantine actors are opaque state machines — good for
+//! running, useless for storing in a [grid axis], comparing, or
 //! *shrinking*. `StrategySpec` is the declarative mirror: a small
 //! expression tree naming a strategy. Protocol crates compile a spec into
-//! a boxed `Strategy` for their own message type (see
+//! a boxed [`cupft_net::Actor`] for their own message type (see
 //! `cupft_core::byzantine::build_strategy`); the [`crate::shrink`](mod@crate::shrink) module
 //! rewrites specs into strictly smaller failing variants.
 //!
@@ -116,9 +116,8 @@ impl StrategySpec {
         matches!(self, StrategySpec::Silent)
     }
 
-    /// Compact display label (suite labels, shrink reports). Matches the
-    /// compiled strategy's `Strategy::name()` — guarded by a test in
-    /// `cupft_core::byzantine`.
+    /// Compact display label (suite labels, shrink reports): the one name
+    /// a strategy has.
     pub fn label(&self) -> String {
         let set = crate::fmt_process_set;
         match self {

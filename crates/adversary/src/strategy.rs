@@ -1,13 +1,10 @@
-//! The composable Byzantine-strategy abstraction.
+//! The composable Byzantine-strategy combinators.
 //!
-//! A [`Strategy`] is what a faulty process *does*: it receives the same
-//! event hooks as a [`cupft_net::Actor`] but is a free-standing, composable
-//! value — combinators wrap strategies in other strategies, so "serve a
-//! fabricated PD, but only to processes 1–3, and only after tick 400" is
-//! three nested values rather than a new hand-written actor.
-//!
-//! [`StrategyActor`] adapts any boxed strategy into an `Actor` so both
-//! runtimes can execute it unchanged.
+//! A faulty process is a plain [`cupft_net::Actor`]: what it *does* is its
+//! three event hooks. The combinators here wrap one actor in another, so
+//! "serve a fabricated PD, but only to processes 1–3, and only after tick
+//! 400" is three nested values rather than a new hand-written actor, and
+//! both runtimes execute the result unchanged.
 //!
 //! The adversary here is *static* (paper §II-A): a strategy is fixed
 //! before the run. What it may do is bounded by the model — it can send
@@ -18,82 +15,11 @@
 use cupft_graph::{ProcessId, ProcessSet};
 use cupft_net::{Actor, Context, Time, TimerKind};
 
-/// What a faulty process does, hook by hook.
-///
-/// Implementations must be deterministic state machines (like actors), so
-/// simulator runs replay identically and recorded traces are stable.
-pub trait Strategy<M>: Send + std::fmt::Debug {
-    /// Compact display name, used in suite labels and shrink reports.
-    fn name(&self) -> String;
-
-    /// Invoked once before any delivery.
-    fn on_start(&mut self, ctx: &mut Context<M>) {
-        let _ = ctx;
-    }
-
-    /// Invoked per delivered message.
-    fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<M>);
-
-    /// Invoked when a timer this strategy set fires.
-    fn on_timer(&mut self, kind: TimerKind, ctx: &mut Context<M>) {
-        let _ = (kind, ctx);
-    }
-}
-
-/// Adapter: a [`Strategy`] plus an identity is an [`Actor`].
-pub struct StrategyActor<M> {
-    id: ProcessId,
-    strategy: Box<dyn Strategy<M>>,
-}
-
-impl<M> StrategyActor<M> {
-    /// Binds `strategy` to process `id`.
-    pub fn new(id: ProcessId, strategy: Box<dyn Strategy<M>>) -> Self {
-        StrategyActor { id, strategy }
-    }
-
-    /// The wrapped strategy.
-    pub fn strategy(&self) -> &dyn Strategy<M> {
-        self.strategy.as_ref()
-    }
-}
-
-impl<M> std::fmt::Debug for StrategyActor<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StrategyActor")
-            .field("id", &self.id)
-            .field("strategy", &self.strategy)
-            .finish()
-    }
-}
-
-impl<M: Send + 'static> Actor<M> for StrategyActor<M> {
-    fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<M>) {
-        self.strategy.on_start(ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<M>) {
-        self.strategy.on_message(from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, kind: TimerKind, ctx: &mut Context<M>) {
-        self.strategy.on_timer(kind, ctx);
-    }
-}
-
 /// Runs `f` against a scratch context and merges the scratch effects back
 /// into `ctx` through `keep_send` (timers and halt always pass through).
 ///
-/// This is how wrapper combinators observe and filter an inner strategy's
-/// sends without the inner strategy knowing it is wrapped.
+/// This is how wrapper combinators observe and filter an inner actor's
+/// sends without the inner actor knowing it is wrapped.
 fn reframe<M>(
     ctx: &mut Context<M>,
     f: impl FnOnce(&mut Context<M>),
@@ -113,14 +39,18 @@ fn reframe<M>(
     }
 }
 
-/// The stay-silent strategy: sends nothing, ever — the adversary's
+/// The stay-silent process: sends nothing, ever — the adversary's
 /// strongest play against knowledge connectivity (paper Figs. 1a, 2a, 2b).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Mute;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mute(pub ProcessId);
 
-impl<M: Send> Strategy<M> for Mute {
-    fn name(&self) -> String {
-        "silent".into()
+impl<M: Send> Actor<M> for Mute {
+    fn id(&self) -> ProcessId {
+        self.0
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_message(&mut self, _: ProcessId, _: M, _: &mut Context<M>) {}
@@ -131,31 +61,18 @@ impl<M: Send> Strategy<M> for Mute {
 /// Byzantine process may always choose not to send).
 pub struct TargetSubset<M> {
     targets: ProcessSet,
-    inner: Box<dyn Strategy<M>>,
+    inner: Box<dyn Actor<M>>,
 }
 
 impl<M> TargetSubset<M> {
     /// Restricts `inner`'s sends to `targets`.
-    pub fn new(targets: ProcessSet, inner: Box<dyn Strategy<M>>) -> Self {
+    pub fn new(targets: ProcessSet, inner: Box<dyn Actor<M>>) -> Self {
         TargetSubset { targets, inner }
     }
 }
 
-impl<M> std::fmt::Debug for TargetSubset<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TargetSubset")
-            .field("targets", &self.targets)
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
 impl<M: Send + 'static> TargetSubset<M> {
-    fn route(
-        &mut self,
-        ctx: &mut Context<M>,
-        f: impl FnOnce(&mut dyn Strategy<M>, &mut Context<M>),
-    ) {
+    fn route(&mut self, ctx: &mut Context<M>, f: impl FnOnce(&mut dyn Actor<M>, &mut Context<M>)) {
         let (inner, targets) = (self.inner.as_mut(), &self.targets);
         reframe(
             ctx,
@@ -169,13 +86,13 @@ impl<M: Send + 'static> TargetSubset<M> {
     }
 }
 
-impl<M: Send + 'static> Strategy<M> for TargetSubset<M> {
-    fn name(&self) -> String {
-        format!(
-            "target{}({})",
-            crate::fmt_process_set(&self.targets),
-            self.inner.name()
-        )
+impl<M: Send + 'static> Actor<M> for TargetSubset<M> {
+    fn id(&self) -> ProcessId {
+        self.inner.id()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_start(&mut self, ctx: &mut Context<M>) {
@@ -202,14 +119,14 @@ pub const RELEASE_TICK: TimerKind = 0xAD5E_0000_0000_0000;
 /// through unmodified.
 pub struct DelayRelease<M> {
     release_at: Time,
-    inner: Box<dyn Strategy<M>>,
+    inner: Box<dyn Actor<M>>,
     held: Vec<(ProcessId, M)>,
     armed: bool,
 }
 
 impl<M> DelayRelease<M> {
     /// Holds `inner`'s sends until `release_at`.
-    pub fn new(release_at: Time, inner: Box<dyn Strategy<M>>) -> Self {
+    pub fn new(release_at: Time, inner: Box<dyn Actor<M>>) -> Self {
         DelayRelease {
             release_at,
             inner,
@@ -224,22 +141,8 @@ impl<M> DelayRelease<M> {
     }
 }
 
-impl<M> std::fmt::Debug for DelayRelease<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DelayRelease")
-            .field("release_at", &self.release_at)
-            .field("held", &self.held.len())
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
 impl<M: Send + 'static> DelayRelease<M> {
-    fn route(
-        &mut self,
-        ctx: &mut Context<M>,
-        f: impl FnOnce(&mut dyn Strategy<M>, &mut Context<M>),
-    ) {
+    fn route(&mut self, ctx: &mut Context<M>, f: impl FnOnce(&mut dyn Actor<M>, &mut Context<M>)) {
         let releasing = ctx.now() >= self.release_at;
         let held = &mut self.held;
         let inner = self.inner.as_mut();
@@ -267,9 +170,13 @@ impl<M: Send + 'static> DelayRelease<M> {
     }
 }
 
-impl<M: Send + 'static> Strategy<M> for DelayRelease<M> {
-    fn name(&self) -> String {
-        format!("delay@{}({})", self.release_at, self.inner.name())
+impl<M: Send + 'static> Actor<M> for DelayRelease<M> {
+    fn id(&self) -> ProcessId {
+        self.inner.id()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_start(&mut self, ctx: &mut Context<M>) {
@@ -309,14 +216,14 @@ pub const FLIP_TICK: TimerKind = 0xAD5F_0000_0000_0000;
 /// from a buffering strategy discards its backlog by design.
 pub struct FlipAfter<M> {
     at: Time,
-    before: Box<dyn Strategy<M>>,
-    after: Box<dyn Strategy<M>>,
+    before: Box<dyn Actor<M>>,
+    after: Box<dyn Actor<M>>,
     switched: bool,
 }
 
 impl<M> FlipAfter<M> {
     /// Runs `before` until `at`, then `after`.
-    pub fn new(at: Time, before: Box<dyn Strategy<M>>, after: Box<dyn Strategy<M>>) -> Self {
+    pub fn new(at: Time, before: Box<dyn Actor<M>>, after: Box<dyn Actor<M>>) -> Self {
         FlipAfter {
             at,
             before,
@@ -326,19 +233,8 @@ impl<M> FlipAfter<M> {
     }
 }
 
-impl<M> std::fmt::Debug for FlipAfter<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlipAfter")
-            .field("at", &self.at)
-            .field("before", &self.before)
-            .field("after", &self.after)
-            .field("switched", &self.switched)
-            .finish()
-    }
-}
-
 impl<M: Send + 'static> FlipAfter<M> {
-    fn active(&mut self, ctx: &mut Context<M>) -> &mut dyn Strategy<M> {
+    fn active(&mut self, ctx: &mut Context<M>) -> &mut dyn Actor<M> {
         if ctx.now() >= self.at {
             if !self.switched {
                 self.switched = true;
@@ -351,14 +247,13 @@ impl<M: Send + 'static> FlipAfter<M> {
     }
 }
 
-impl<M: Send + 'static> Strategy<M> for FlipAfter<M> {
-    fn name(&self) -> String {
-        format!(
-            "flip@{}[{}->{}]",
-            self.at,
-            self.before.name(),
-            self.after.name()
-        )
+impl<M: Send + 'static> Actor<M> for FlipAfter<M> {
+    fn id(&self) -> ProcessId {
+        self.before.id()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_start(&mut self, ctx: &mut Context<M>) {
@@ -392,13 +287,15 @@ mod tests {
     use super::*;
     use cupft_graph::process_set;
 
-    /// Sends `n` to 1, 2, 3 on every event.
-    #[derive(Debug)]
+    /// Process 9, sending `n` to 1, 2, 3 on every event.
     struct Chatter(u32);
 
-    impl Strategy<u32> for Chatter {
-        fn name(&self) -> String {
-            "chatter".into()
+    impl Actor<u32> for Chatter {
+        fn id(&self) -> ProcessId {
+            ProcessId::new(9)
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
         }
         fn on_start(&mut self, ctx: &mut Context<u32>) {
             ctx.send_all([1, 2, 3].map(ProcessId::new), self.0);
@@ -413,11 +310,11 @@ mod tests {
 
     #[test]
     fn mute_sends_nothing() {
-        let mut s = Mute;
+        let mut s = Mute(ProcessId::new(9));
         let mut ctx: Context<u32> = Context::new(0, ProcessId::new(9));
-        Strategy::on_start(&mut s, &mut ctx);
-        Strategy::on_message(&mut s, ProcessId::new(1), 7, &mut ctx);
-        Strategy::on_timer(&mut s, 1, &mut ctx);
+        s.on_start(&mut ctx);
+        s.on_message(ProcessId::new(1), 7, &mut ctx);
+        s.on_timer(1, &mut ctx);
         assert!(ctx.queued_sends().is_empty());
         assert!(ctx.queued_timers().is_empty());
     }
@@ -429,7 +326,7 @@ mod tests {
         s.on_start(&mut ctx);
         let tos: Vec<u64> = ctx.queued_sends().iter().map(|(to, _)| to.raw()).collect();
         assert_eq!(tos, vec![1, 3]);
-        assert!(s.name().contains("target{1,3}"));
+        assert_eq!(s.id(), ProcessId::new(9));
     }
 
     #[test]
@@ -509,7 +406,7 @@ mod tests {
     fn flip_after_arms_wake_timer_and_flips_without_traffic() {
         // Silent -> Chatter: without the wake timer the flip would never
         // happen (Mute receives no events to observe the clock through).
-        let mut s = FlipAfter::new(100, Box::new(Mute), Box::new(Chatter(5)));
+        let mut s = FlipAfter::new(100, Box::new(Mute(ProcessId::new(9))), Box::new(Chatter(5)));
         let mut ctx: Context<u32> = Context::new(0, ProcessId::new(9));
         s.on_start(&mut ctx);
         assert_eq!(ctx.queued_timers(), &[(FLIP_TICK, 100)]);
@@ -523,7 +420,7 @@ mod tests {
 
     #[test]
     fn flip_after_switches_strategy() {
-        let mut s = FlipAfter::new(100, Box::new(Mute), Box::new(Chatter(5)));
+        let mut s = FlipAfter::new(100, Box::new(Mute(ProcessId::new(9))), Box::new(Chatter(5)));
         let mut ctx: Context<u32> = Context::new(0, ProcessId::new(9));
         s.on_message(ProcessId::new(1), 0, &mut ctx);
         assert!(ctx.queued_sends().is_empty());
@@ -537,15 +434,5 @@ mod tests {
         let mut ctx3: Context<u32> = Context::new(200, ProcessId::new(9));
         s.on_message(ProcessId::new(1), 0, &mut ctx3);
         assert_eq!(ctx3.queued_sends().len(), 3);
-    }
-
-    #[test]
-    fn strategy_actor_delegates() {
-        let mut actor = StrategyActor::new(ProcessId::new(9), Box::new(Chatter(1)));
-        assert_eq!(Actor::id(&actor), ProcessId::new(9));
-        let mut ctx: Context<u32> = Context::new(0, ProcessId::new(9));
-        Actor::on_start(&mut actor, &mut ctx);
-        assert_eq!(ctx.queued_sends().len(), 3);
-        assert_eq!(actor.strategy().name(), "chatter");
     }
 }

@@ -1,20 +1,14 @@
 //! Execution traces: compact send/deliver/decide event logs.
 //!
-//! An [`ExecutionTrace`] is the post-hoc evidence of one run: every send
-//! (captured through a [`RecordingTamper`] installed on the substrate),
-//! every delivery (the simulator's built-in delivery trace), and every
-//! decision (read back from the actors). The [`crate::invariant`] checker
-//! rules on consensus properties over traces; determinism tests compare
+//! An [`ExecutionTrace`] is the post-hoc evidence of one simulator run:
+//! every send and every delivery (the simulator's own trace, see
+//! [`cupft_net::Simulation::enable_trace`]), and every decision (read
+//! back from the actors). The [`crate::invariant`] checker rules on consensus
+//! properties over traces; determinism tests compare
 //! [`ExecutionTrace::fingerprint`]s between record and replay runs.
-//!
-//! Recording works on either substrate (the tamper hook is portable), but
-//! byte-identical replay is a *simulator* guarantee — threaded runs trace
-//! real nondeterministic interleavings.
-
-use std::sync::{Arc, Mutex};
 
 use cupft_graph::{ProcessId, ProcessSet};
-use cupft_net::{Fate, Tamper, Time};
+use cupft_net::Time;
 
 /// When a [`TraceEventKind::Knowledge`] sample was taken relative to a
 /// node's churn lifecycle.
@@ -112,17 +106,13 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
-    /// Merges the three per-kind streams into one trace. Each stream must
-    /// already be in its own recording order; the merge is a stable sort
-    /// on `(time, kind rank)`, so equal-time events keep stream order and
-    /// the result is deterministic whenever the streams are.
-    pub fn assemble(
-        sends: Vec<TraceEvent>,
-        deliveries: Vec<TraceEvent>,
-        decisions: Vec<TraceEvent>,
-    ) -> Self {
-        let mut events = sends;
-        events.extend(deliveries);
+    /// Merges the traffic stream (sends and deliveries) and the decision
+    /// stream into one trace. Each stream must already be in its own
+    /// recording order; the merge is a stable sort on `(time, kind rank)`,
+    /// so equal-time events keep stream order and the result is
+    /// deterministic whenever the streams are.
+    pub fn assemble(traffic: Vec<TraceEvent>, decisions: Vec<TraceEvent>) -> Self {
+        let mut events = traffic;
         events.extend(decisions);
         events.sort_by_key(|e| (e.time, e.kind.rank()));
         ExecutionTrace { events }
@@ -228,82 +218,9 @@ impl ExecutionTrace {
     }
 }
 
-/// A cloneable handle to a send log filled in by a [`RecordingTamper`].
-#[derive(Debug, Clone, Default)]
-pub struct SendLog {
-    inner: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl SendLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        SendLog::default()
-    }
-
-    /// Drains the recorded events.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.inner.lock().expect("send log poisoned"))
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("send log poisoned").len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A [`Tamper`] that records every send into a [`SendLog`], delegating the
-/// actual fate decision to an optional inner tamper (identity when absent).
-/// Install it with `Runtime::set_tamper` to turn any run into a traced run.
-pub struct RecordingTamper<M> {
-    log: SendLog,
-    inner: Option<Box<dyn Tamper<M>>>,
-}
-
-impl<M> RecordingTamper<M> {
-    /// Records into `log`; `inner` (if any) still rules on message fates.
-    pub fn new(log: SendLog, inner: Option<Box<dyn Tamper<M>>>) -> Self {
-        RecordingTamper { log, inner }
-    }
-}
-
-impl<M: Send> Tamper<M> for RecordingTamper<M> {
-    fn disposition(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        label: &'static str,
-        now: Time,
-    ) -> Fate {
-        let fate = match &mut self.inner {
-            Some(t) => t.disposition(from, to, label, now),
-            None => Fate::Deliver,
-        };
-        self.log
-            .inner
-            .lock()
-            .expect("send log poisoned")
-            .push(TraceEvent {
-                time: now,
-                kind: TraceEventKind::Sent {
-                    from,
-                    to,
-                    label,
-                    dropped: fate == Fate::Drop,
-                },
-            });
-        fate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::TamperSpec;
     use cupft_graph::process_set;
 
     fn p(n: u64) -> ProcessId {
@@ -346,8 +263,7 @@ mod tests {
     #[test]
     fn assemble_orders_by_time_then_kind() {
         let trace = ExecutionTrace::assemble(
-            vec![sent(0, 1, 2), sent(5, 2, 1)],
-            vec![delivered(5, 1, 2)],
+            vec![sent(0, 1, 2), delivered(5, 1, 2), sent(5, 2, 1)],
             vec![decided(5, 1, b"v")],
         );
         assert_eq!(trace.len(), 4);
@@ -360,9 +276,9 @@ mod tests {
 
     #[test]
     fn fingerprint_is_content_sensitive() {
-        let a = ExecutionTrace::assemble(vec![sent(0, 1, 2)], vec![], vec![]);
-        let b = ExecutionTrace::assemble(vec![sent(0, 1, 2)], vec![], vec![]);
-        let c = ExecutionTrace::assemble(vec![sent(0, 1, 3)], vec![], vec![]);
+        let a = ExecutionTrace::assemble(vec![sent(0, 1, 2)], vec![]);
+        let b = ExecutionTrace::assemble(vec![sent(0, 1, 2)], vec![]);
+        let c = ExecutionTrace::assemble(vec![sent(0, 1, 3)], vec![]);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_ne!(ExecutionTrace::default().fingerprint(), a.fingerprint());
@@ -371,8 +287,7 @@ mod tests {
     #[test]
     fn decisions_iterator_filters() {
         let trace = ExecutionTrace::assemble(
-            vec![sent(0, 1, 2)],
-            vec![delivered(3, 1, 2)],
+            vec![sent(0, 1, 2), delivered(3, 1, 2)],
             vec![decided(9, 1, b"v"), decided(9, 2, b"v")],
         );
         let d: Vec<_> = trace.decisions().collect();
@@ -390,7 +305,7 @@ mod tests {
                 moment,
             },
         };
-        let base = ExecutionTrace::assemble(vec![sent(5, 1, 2)], vec![], vec![decided(5, 1, b"v")]);
+        let base = ExecutionTrace::assemble(vec![sent(5, 1, 2)], vec![decided(5, 1, b"v")]);
         let trace = base
             .clone()
             .with_knowledge(vec![sample(5, 1, [1, 2], KnowledgeMoment::Final)]);
@@ -411,24 +326,5 @@ mod tests {
         assert_ne!(trace.fingerprint(), crash.fingerprint());
         let widened = base.with_knowledge(vec![sample(5, 1, [1, 3], KnowledgeMoment::Final)]);
         assert_ne!(trace.fingerprint(), widened.fingerprint());
-    }
-
-    #[test]
-    fn recording_tamper_logs_and_delegates() {
-        let log = SendLog::new();
-        let inner: Box<dyn Tamper<u32>> = TamperSpec::DropFrom {
-            senders: process_set([4]),
-        }
-        .build();
-        let mut rec = RecordingTamper::new(log.clone(), Some(inner));
-        assert_eq!(rec.disposition(p(1), p(2), "X", 10), Fate::Deliver);
-        assert_eq!(rec.disposition(p(4), p(2), "X", 11), Fate::Drop);
-        let events = log.take();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            events[1].kind,
-            TraceEventKind::Sent { dropped: true, .. }
-        ));
-        assert!(log.is_empty());
     }
 }

@@ -1,5 +1,5 @@
-//! Byzantine process strategies over [`NodeMsg`], built on the
-//! [`cupft_adversary`] strategy engine.
+//! Byzantine processes over [`NodeMsg`], built on the [`cupft_adversary`]
+//! strategy engine.
 //!
 //! The adversary is *static* (Section II-A): the strategy of each faulty
 //! process is fixed before the run. Signatures bound what a Byzantine
@@ -12,22 +12,21 @@
 //!
 //! Strategies are *described* by [`ByzantineStrategy`] (=
 //! [`cupft_adversary::StrategySpec`], re-exported for compatibility — a
-//! cloneable, shrinkable expression tree) and *executed* by per-strategy
-//! [`Strategy`] implementations compiled via [`build_strategy`]; the
-//! scenario runner binds a compiled strategy to a process identity with
-//! [`cupft_adversary::StrategyActor`], so combinator specs (delay-release,
-//! target-subset, flip-after) compose with every protocol strategy for
-//! free.
+//! cloneable, shrinkable expression tree) and *executed* as the
+//! [`Actor`] that [`build_strategy`] compiles for the faulty process; the
+//! scenario runner registers that actor as is, so combinator specs
+//! (delay-release, target-subset, flip-after) compose with every protocol
+//! strategy for free.
 
 use std::sync::Arc;
 
-use cupft_adversary::{DelayRelease, FlipAfter, Mute, Strategy, TargetSubset};
+use cupft_adversary::{DelayRelease, FlipAfter, Mute, TargetSubset};
 use cupft_committee::{CommitteeMsg, Value};
 use cupft_crypto::{KeyRegistry, SigningKey};
 use cupft_detector::PdCertificate;
 use cupft_discovery::{DiscoveryMsg, DiscoveryState, SyncState, DISCOVERY_TICK};
 use cupft_graph::{ProcessId, ProcessSet};
-use cupft_net::Context;
+use cupft_net::{Actor, Context};
 
 use crate::msgs::NodeMsg;
 
@@ -50,6 +49,10 @@ impl DiscoveryLoop {
             discovery: DiscoveryState::new(key, registry, pd),
             period,
         }
+    }
+
+    fn id(&self) -> ProcessId {
+        self.discovery.id()
     }
 
     fn start(&mut self, ctx: &mut Context<NodeMsg>) {
@@ -86,12 +89,15 @@ impl DiscoveryLoop {
 #[derive(Debug)]
 struct FakePdStrategy {
     disc: DiscoveryLoop,
-    claimed: ProcessSet,
 }
 
-impl Strategy<NodeMsg> for FakePdStrategy {
-    fn name(&self) -> String {
-        format!("fakepd{}", cupft_adversary::fmt_process_set(&self.claimed))
+impl Actor<NodeMsg> for FakePdStrategy {
+    fn id(&self) -> ProcessId {
+        self.disc.id()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
@@ -119,9 +125,13 @@ struct EquivocatePdStrategy {
     odd: ProcessSet,
 }
 
-impl Strategy<NodeMsg> for EquivocatePdStrategy {
-    fn name(&self) -> String {
-        "equivpd".into()
+impl Actor<NodeMsg> for EquivocatePdStrategy {
+    fn id(&self) -> ProcessId {
+        ProcessId::new(self.key.id())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
@@ -157,9 +167,13 @@ struct ForgeUnsignedPdStrategy {
     claimed: ProcessSet,
 }
 
-impl Strategy<NodeMsg> for ForgeUnsignedPdStrategy {
-    fn name(&self) -> String {
-        format!("forge<{}>", self.victim.raw())
+impl Actor<NodeMsg> for ForgeUnsignedPdStrategy {
+    fn id(&self) -> ProcessId {
+        self.disc.id()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
@@ -198,9 +212,13 @@ struct LieDecidedValStrategy {
     value: Value,
 }
 
-impl Strategy<NodeMsg> for LieDecidedValStrategy {
-    fn name(&self) -> String {
-        "lieval".into()
+impl Actor<NodeMsg> for LieDecidedValStrategy {
+    fn id(&self) -> ProcessId {
+        self.disc.id()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
@@ -261,9 +279,13 @@ impl EquivocateValueStrategy {
     }
 }
 
-impl Strategy<NodeMsg> for EquivocateValueStrategy {
-    fn name(&self) -> String {
-        "equivval".into()
+impl Actor<NodeMsg> for EquivocateValueStrategy {
+    fn id(&self) -> ProcessId {
+        ProcessId::new(self.key.id())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
@@ -283,8 +305,8 @@ impl Strategy<NodeMsg> for EquivocateValueStrategy {
     }
 }
 
-/// Compiles a [`ByzantineStrategy`] spec into an executable strategy for
-/// the faulty process holding `key`.
+/// Compiles a [`ByzantineStrategy`] spec into the actor of the faulty
+/// process holding `key`.
 ///
 /// `true_pd` is what the participant detector actually returned; some
 /// strategies ignore it and substitute their own claim. Combinator specs
@@ -296,12 +318,11 @@ pub fn build_strategy(
     registry: &KeyRegistry,
     true_pd: &ProcessSet,
     period: u64,
-) -> Box<dyn Strategy<NodeMsg>> {
+) -> Box<dyn Actor<NodeMsg>> {
     match spec {
-        ByzantineStrategy::Silent => Box::new(Mute),
+        ByzantineStrategy::Silent => Box::new(Mute(ProcessId::new(key.id()))),
         ByzantineStrategy::FakePd { claimed } => Box::new(FakePdStrategy {
             disc: DiscoveryLoop::new(key, registry.clone(), claimed.clone(), period),
-            claimed: claimed.clone(),
         }),
         ByzantineStrategy::EquivocatePd { even, odd } => Box::new(EquivocatePdStrategy {
             key: key.clone(),
@@ -350,25 +371,13 @@ pub fn build_strategy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cupft_adversary::StrategyActor;
     use cupft_graph::process_set;
-    use cupft_net::Actor;
 
-    /// Builds the faulty process the way the scenario runner does.
-    fn actor(
-        key: &SigningKey,
-        registry: &KeyRegistry,
-        true_pd: ProcessSet,
-        strategy: &ByzantineStrategy,
-    ) -> StrategyActor<NodeMsg> {
-        let id = ProcessId::new(key.id());
-        StrategyActor::new(id, build_strategy(strategy, key, registry, &true_pd, 20))
-    }
-
-    fn make(strategy: ByzantineStrategy) -> (StrategyActor<NodeMsg>, KeyRegistry) {
+    /// Builds faulty process 4 the way the scenario runner does.
+    fn make(strategy: ByzantineStrategy) -> (Box<dyn Actor<NodeMsg>>, KeyRegistry) {
         let mut registry = KeyRegistry::new();
         let key = registry.register(4);
-        let actor = actor(&key, &registry, process_set([1, 2, 3]), &strategy);
+        let actor = build_strategy(&strategy, &key, &registry, &process_set([1, 2, 3]), 20);
         (actor, registry)
     }
 
@@ -418,7 +427,7 @@ mod tests {
             even: process_set([1]),
             odd: process_set([2]),
         });
-        let pd_served = |actor: &mut StrategyActor<NodeMsg>, from: u64| {
+        let pd_served = |actor: &mut Box<dyn Actor<NodeMsg>>, from: u64| {
             let mut ctx = Context::new(0, actor.id());
             actor.on_message(ProcessId::new(from), get_pds(), &mut ctx);
             match &ctx.queued_sends()[0].1 {
@@ -460,16 +469,12 @@ mod tests {
     fn equivocate_value_sends_conflicting_proposals() {
         let mut registry = KeyRegistry::new();
         let key = registry.register(1); // lowest ID => view-0 leader
-        let mut actor = actor(
-            &key,
-            &registry,
-            process_set([2, 3, 4]),
-            &ByzantineStrategy::EquivocateValue {
-                committee: process_set([1, 2, 3, 4]),
-                value_a: Value::from_static(b"A"),
-                value_b: Value::from_static(b"B"),
-            },
-        );
+        let spec = ByzantineStrategy::EquivocateValue {
+            committee: process_set([1, 2, 3, 4]),
+            value_a: Value::from_static(b"A"),
+            value_b: Value::from_static(b"B"),
+        };
+        let mut actor = build_strategy(&spec, &key, &registry, &process_set([2, 3, 4]), 20);
         let mut ctx = Context::new(100, actor.id());
         actor.on_timer(DISCOVERY_TICK, &mut ctx);
         let proposals: Vec<&NodeMsg> = ctx
@@ -519,18 +524,12 @@ mod tests {
         assert_eq!(ctx.queued_sends().len(), 1);
     }
 
+    /// Every compiled actor, combinators included, must answer to the
+    /// faulty process's id: the runtimes register and address actors by
+    /// `id()`, so a wrapper reporting anything else would strand the
+    /// process.
     #[test]
-    fn spec_is_retained_for_inspection() {
-        // `compiled_names_match_spec_labels` ties each name to its spec.
-        let (actor, _) = make(ByzantineStrategy::Silent);
-        assert_eq!(actor.strategy().name(), "silent");
-    }
-
-    /// Compiled `Strategy::name()`s must match their spec's `label()` for
-    /// every variant, or suite labels and shrink reports silently drift
-    /// apart (the two are maintained in different crates).
-    #[test]
-    fn compiled_names_match_spec_labels() {
+    fn compiled_actors_answer_to_the_faulty_id() {
         let specs = vec![
             ByzantineStrategy::Silent,
             ByzantineStrategy::FakePd {
@@ -574,7 +573,7 @@ mod tests {
         let key = registry.register(4);
         for spec in specs {
             let compiled = build_strategy(&spec, &key, &registry, &process_set([1, 2, 3]), 20);
-            assert_eq!(compiled.name(), spec.label(), "{spec:?}");
+            assert_eq!(compiled.id(), ProcessId::new(4), "{spec:?}");
         }
     }
 }

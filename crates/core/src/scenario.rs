@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cupft_adversary::{
-    ChurnContext, ChurnSpec, ExecutionTrace, KnowledgeMoment, RecordingTamper, SendLog,
-    StrategyActor, TamperSpec, TraceChecker, TraceEvent, TraceEventKind,
+    ChurnContext, ChurnSpec, ExecutionTrace, KnowledgeMoment, TamperSpec, TraceChecker, TraceEvent,
+    TraceEventKind,
 };
 use cupft_committee::Value;
 use cupft_detector::SystemSetup;
@@ -24,7 +24,7 @@ use cupft_graph::{DiGraph, ProcessId, ProcessSet};
 use cupft_net::sim::Simulation;
 use cupft_net::socket::{SocketConfig, SocketRuntime};
 use cupft_net::threaded::{Board, ThreadedConfig, ThreadedRuntime};
-use cupft_net::{DelayPolicy, NetStats, Runtime, SimConfig, Time};
+use cupft_net::{DelayPolicy, NetStats, Runtime, SimConfig, Time, TraceKind};
 use cupft_obs::{ObsReport, Recorder};
 
 use crate::byzantine::{build_strategy, ByzantineStrategy};
@@ -516,7 +516,7 @@ impl Scenario {
 
 /// Registers the scenario's actors on `runtime`: correct processes as
 /// [`Node`]s wired to `board` (scheduled leavers excepted), Byzantine
-/// processes as [`StrategyActor`]s running their compiled strategy.
+/// processes as the actors [`build_strategy`] compiles from their spec.
 /// Returns the correct process set.
 fn populate<R: Runtime<NodeMsg>>(
     scenario: &Scenario,
@@ -528,14 +528,13 @@ fn populate<R: Runtime<NodeMsg>>(
     for v in scenario.graph.vertices() {
         if let Some(strategy) = scenario.byzantine.get(&v) {
             let key = setup.key_of(v).expect("registered");
-            let compiled = build_strategy(
+            runtime.add_actor(build_strategy(
                 strategy,
                 key,
                 setup.registry(),
                 &setup.oracle().pd_of(v),
                 scenario.discovery_period,
-            );
-            runtime.add_actor(Box::new(StrategyActor::new(v, compiled)));
+            ));
         } else {
             let churn = scenario.churn.as_ref();
             let join = churn.and_then(|c| c.join_of(v));
@@ -670,10 +669,9 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
 }
 
 /// Runs a scenario on the deterministic simulator with full execution
-/// recording: every send (captured through a [`RecordingTamper`] chained
-/// in front of the scenario's own tamper, if any), every delivery (the
-/// simulator's delivery trace), and every decision of a correct process,
-/// merged into one [`ExecutionTrace`].
+/// recording: every send and every delivery (the simulator's own trace,
+/// sends marked when the scenario's tamper dropped them), and every
+/// decision of a correct process, merged into one [`ExecutionTrace`].
 ///
 /// The trace is a pure function of the scenario (including its seed):
 /// recording the same scenario twice yields byte-identical traces — the
@@ -682,25 +680,25 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
 pub fn run_scenario_recorded(scenario: &Scenario) -> (ScenarioOutcome, ExecutionTrace) {
     let mut sim: Simulation<NodeMsg> = Simulation::new(scenario.sim.clone());
     sim.enable_trace();
-    let log = SendLog::new();
-    let inner = scenario.tamper.as_ref().map(|t| t.build());
-    sim.set_tamper(Box::new(RecordingTamper::new(log.clone(), inner)));
-    // The recorder *wraps* the scenario tamper, so strip it from the copy
-    // the runner sees — run_scenario_on would otherwise re-install it over
-    // the recorder.
-    let mut stripped = scenario.clone();
-    stripped.tamper = None;
-    let outcome = run_scenario_on(&stripped, &mut sim);
+    let outcome = run_scenario_on(scenario, &mut sim);
 
-    let deliveries: Vec<TraceEvent> = sim
+    let traffic: Vec<TraceEvent> = sim
         .trace()
         .iter()
         .map(|e| TraceEvent {
             time: e.time,
-            kind: TraceEventKind::Delivered {
-                from: e.from,
-                to: e.to,
-                label: e.label,
+            kind: match e.kind {
+                TraceKind::Sent { dropped } => TraceEventKind::Sent {
+                    from: e.from,
+                    to: e.to,
+                    label: e.label,
+                    dropped,
+                },
+                TraceKind::Delivered => TraceEventKind::Delivered {
+                    from: e.from,
+                    to: e.to,
+                    label: e.label,
+                },
             },
         })
         .collect();
@@ -721,7 +719,7 @@ pub fn run_scenario_recorded(scenario: &Scenario) -> (ScenarioOutcome, Execution
             kind: TraceEventKind::Decided { process, value },
         })
         .collect();
-    let mut trace = ExecutionTrace::assemble(log.take(), deliveries, decisions);
+    let mut trace = ExecutionTrace::assemble(traffic, decisions);
     if scenario.churn.is_some() {
         // Knowledge samples feed the weakened churn invariants; they are
         // only merged for churn scenarios so churn-free trace fingerprints
@@ -845,6 +843,9 @@ mod tests {
             .with_seed(7);
         let (outcome, trace) = run_scenario_recorded(&scenario);
         assert!(outcome.check().consensus_solved());
+        // the whole recorded execution is pinned
+        assert_eq!(trace.len(), 1246);
+        assert_eq!(trace.fingerprint(), 0xead3a9cd358202dd);
         // every correct decision shows up as a trace event
         assert_eq!(trace.decisions().count(), scenario.correct().len());
         // sends and deliveries were captured
@@ -888,12 +889,15 @@ mod tests {
         let (outcome, trace) = run_scenario_recorded(&scenario);
         assert!(outcome.check().consensus_solved(), "{outcome:?}");
         assert!(outcome.stats.messages_dropped > 0);
-        let dropped = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::Sent { dropped: true, .. }))
-            .count() as u64;
+        let count = |pred: fn(&TraceEventKind) -> bool| {
+            trace.events.iter().filter(|e| pred(&e.kind)).count() as u64
+        };
+        let dropped = count(|k| matches!(k, TraceEventKind::Sent { dropped: true, .. }));
         assert_eq!(dropped, outcome.stats.messages_dropped);
+        let sent = count(|k| matches!(k, TraceEventKind::Sent { .. }));
+        assert_eq!(sent, outcome.stats.messages_sent);
+        let delivered = count(|k| matches!(k, TraceEventKind::Delivered { .. }));
+        assert_eq!(delivered, outcome.stats.messages_delivered);
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub struct SuiteEntry {
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioSuite {
     entries: Vec<SuiteEntry>,
-    workers: Option<usize>,
 }
 
 impl ScenarioSuite {
@@ -85,13 +84,6 @@ impl ScenarioSuite {
         self.entries.extend(other.entries);
     }
 
-    /// Caps the worker thread count (default: available parallelism,
-    /// bounded by the suite size).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
     /// The scenarios in insertion order.
     pub fn entries(&self) -> &[SuiteEntry] {
         &self.entries
@@ -102,16 +94,6 @@ impl ScenarioSuite {
     /// the threaded substrate, where they are read as milliseconds.
     pub fn entries_mut(&mut self) -> &mut [SuiteEntry] {
         &mut self.entries
-    }
-
-    /// Pins the threaded-substrate router shard count on every entry
-    /// (see [`Scenario::with_router_shards`]) — the suite-level knob for
-    /// sim-vs-threaded parity sweeps across shard counts. No effect on
-    /// simulator runs.
-    pub fn set_router_shards(&mut self, shards: usize) {
-        for entry in &mut self.entries {
-            entry.scenario.router_shards = Some(shards);
-        }
     }
 
     /// Number of scenarios.
@@ -135,7 +117,7 @@ impl ScenarioSuite {
             // and reader threads, so fan out even more conservatively.
             RuntimeKind::Socket => hw.min(2),
         };
-        self.workers.unwrap_or(cap).min(self.entries.len()).max(1)
+        cap.min(self.entries.len()).max(1)
     }
 
     /// Runs every scenario on the given substrate, fanning across worker
@@ -301,12 +283,6 @@ impl FaultCase {
             label: format!("{}@{id}", spec.label()),
             byzantine: vec![(id, spec)],
         }
-    }
-
-    /// Overrides the display label.
-    pub fn labeled(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
     }
 }
 
@@ -523,13 +499,13 @@ mod tests {
     #[test]
     fn parallel_suite_matches_sequential_outcomes() {
         let suite = small_grid().build();
-        let parallel = suite.clone().run(RuntimeKind::Sim);
-        let sequential = suite.clone().with_workers(1).run(RuntimeKind::Sim);
-        for (p, s) in parallel.verdicts.iter().zip(&sequential.verdicts) {
-            assert_eq!(p.label, s.label);
-            assert_eq!(p.check, s.check);
-            assert_eq!(p.outcome.decisions, s.outcome.decisions);
-            assert_eq!(p.outcome.end_time, s.outcome.end_time);
+        let parallel = suite.run(RuntimeKind::Sim);
+        for (p, entry) in parallel.verdicts.iter().zip(suite.entries()) {
+            let s = entry.scenario.run_on(RuntimeKind::Sim);
+            assert_eq!(p.label, entry.label);
+            assert_eq!(p.check, s.check());
+            assert_eq!(p.outcome.decisions, s.decisions);
+            assert_eq!(p.outcome.end_time, s.end_time);
         }
     }
 

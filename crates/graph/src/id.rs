@@ -206,11 +206,6 @@ impl ProcessSet {
         }
         self.items.iter().all(|p| other.contains(p))
     }
-
-    /// Whether the sets share no member.
-    pub fn is_disjoint(&self, other: &ProcessSet) -> bool {
-        self.intersection(other).next().is_none()
-    }
 }
 
 /// Two-pointer merge over two sorted slices, yielding elements selected by
@@ -427,8 +422,6 @@ mod tests {
         assert_eq!(inter, process_set([2, 5]));
         assert!(process_set([2, 5]).is_subset(&b));
         assert!(!a.is_subset(&b));
-        assert!(process_set([7, 8]).is_disjoint(&a));
-        assert!(!a.is_disjoint(&b));
     }
 
     #[test]

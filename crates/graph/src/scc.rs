@@ -168,12 +168,6 @@ impl Condensation {
             _ => None,
         }
     }
-
-    /// Whether `v` belongs to a sink component ("sink member").
-    pub fn is_sink_member(&self, v: ProcessId) -> bool {
-        self.component_of(v)
-            .is_some_and(|c| self.edges[c].is_empty())
-    }
 }
 
 /// Computes the condensation of `g`.
@@ -268,9 +262,6 @@ mod tests {
         let g = DiGraph::from_edges([(1, 2), (2, 1), (3, 4), (4, 3), (2, 3), (5, 1)]);
         let c = condensation(&g);
         assert_eq!(c.unique_sink(), Some(&process_set([3, 4])));
-        assert!(c.is_sink_member(p(3)));
-        assert!(!c.is_sink_member(p(1)));
-        assert!(!c.is_sink_member(p(5)));
     }
 
     #[test]
@@ -287,7 +278,6 @@ mod tests {
         g.add_vertex(p(9));
         let c = condensation(&g);
         assert_eq!(c.sinks().len(), 1);
-        assert!(c.is_sink_member(p(9)));
     }
 
     #[test]

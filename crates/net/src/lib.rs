@@ -93,7 +93,7 @@ pub mod wall;
 pub use actor::{Actor, Context, Labeled, TimerKind};
 pub use delay::DelayPolicy;
 pub use runtime::{PeerAddr, Runtime, RuntimeReport};
-pub use sim::{SimConfig, Simulation, TraceEntry};
+pub use sim::{SimConfig, Simulation, TraceEntry, TraceKind};
 pub use socket::{SocketConfig, SocketRuntime};
 pub use stage::Preflight;
 pub use stats::NetStats;

@@ -42,17 +42,31 @@ impl Default for SimConfig {
     }
 }
 
-/// One delivered-event record in a simulation trace.
+/// One send or delivery record in a simulation trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
-    /// Delivery time.
+    /// Send time or delivery time, by `kind`.
     pub time: Time,
     /// Sender.
     pub from: ProcessId,
-    /// Receiver.
+    /// Addressee.
     pub to: ProcessId,
     /// Message label (from [`Labeled`]).
     pub label: &'static str,
+    /// Whether the entry records a send or a delivery.
+    pub kind: TraceKind,
+}
+
+/// What a [`TraceEntry`] records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceKind {
+    /// An actor handed the message to the network.
+    Sent {
+        /// Whether the tamper dropped it.
+        dropped: bool,
+    },
+    /// The message reached its (live, registered) addressee.
+    Delivered,
 }
 
 enum EventKind<M> {
@@ -134,9 +148,10 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
         self.recorder = Some(recorder);
     }
 
-    /// Enables delivery tracing: every delivered message is recorded as a
-    /// [`TraceEntry`]. Costs memory proportional to message volume; off by
-    /// default.
+    /// Enables execution tracing: every send (at send time, after the
+    /// tamper has ruled on it) and every delivery is recorded as a
+    /// [`TraceEntry`], in execution order. Costs memory proportional to
+    /// message volume; off by default.
     pub fn enable_trace(&mut self) {
         self.trace.get_or_insert_with(Vec::new);
     }
@@ -234,6 +249,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                         from,
                         to: target,
                         label: msg.label(),
+                        kind: TraceKind::Delivered,
                     });
                 }
                 actor.on_message(from, msg, &mut ctx);
@@ -257,7 +273,7 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                 .config
                 .policy
                 .delay(source, to, self.now, &mut self.rng);
-            let Some(extra) = admit(
+            let admitted = admit(
                 &mut self.stats,
                 self.tamper.as_mut(),
                 source,
@@ -265,7 +281,19 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                 msg.label(),
                 msg.payload_units(),
                 || self.now,
-            ) else {
+            );
+            if let Some(trace) = &mut self.trace {
+                trace.push(TraceEntry {
+                    time: self.now,
+                    from: source,
+                    to,
+                    label: msg.label(),
+                    kind: TraceKind::Sent {
+                        dropped: admitted.is_none(),
+                    },
+                });
+            }
+            let Some(extra) = admitted else {
                 continue;
             };
             let target = self.slot_of.get(&to).copied().unwrap_or(usize::MAX);
@@ -640,8 +668,18 @@ mod tests {
     fn trace_records_deliveries() {
         let mut sim = pingpong_sim(4);
         sim.enable_trace();
-        sim.run();
-        assert_eq!(sim.trace().len(), 12);
+        let report = sim.run();
+        let delivered = sim
+            .trace()
+            .iter()
+            .filter(|e| e.kind == TraceKind::Delivered)
+            .count();
+        assert_eq!(delivered, 12);
+        // every send is traced too
+        assert_eq!(
+            sim.trace().len() as u64,
+            report.stats.messages_delivered + report.stats.messages_sent
+        );
         assert!(sim.trace().iter().any(|e| e.label == "PING"));
         assert!(sim.trace().iter().any(|e| e.label == "PONG"));
         // trace times are monotone

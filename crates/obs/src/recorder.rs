@@ -7,7 +7,7 @@ use crate::clock::Clock;
 use crate::hist::Histogram;
 use crate::report::{ObsEvent, ObsReport, PhaseMark, PhaseTimeline};
 
-/// Default capacity of the event ring. Phase-mark events for a
+/// Capacity of every recorder's event ring. Phase-mark events for a
 /// 1000-node run fit with room to spare; older entries are evicted (and
 /// counted) rather than growing without bound.
 pub const DEFAULT_EVENT_CAPACITY: usize = 8192;
@@ -34,22 +34,16 @@ struct Inner {
 #[derive(Debug)]
 pub struct Recorder {
     clock: Clock,
-    capacity: usize,
     inner: Mutex<Inner>,
 }
 
 impl Recorder {
-    /// A recorder with the default event-ring capacity, clock in the
-    /// wall domain (the simulator switches it to virtual on install).
+    /// A recorder with an event ring of [`DEFAULT_EVENT_CAPACITY`], clock
+    /// in the wall domain (the simulator switches it to virtual on
+    /// install).
     pub fn new() -> Self {
-        Recorder::with_event_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// A recorder with an explicit event-ring capacity.
-    pub fn with_event_capacity(capacity: usize) -> Self {
         Recorder {
             clock: Clock::new(),
-            capacity,
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -77,13 +71,6 @@ impl Recorder {
         self.lock().gauges.insert(name, value);
     }
 
-    /// Raises the named gauge to `value` if larger (high-water marks).
-    pub fn gauge_max(&self, name: &'static str, value: u64) {
-        let mut inner = self.lock();
-        let slot = inner.gauges.entry(name).or_insert(0);
-        *slot = (*slot).max(value);
-    }
-
     /// Records one sample into the named histogram.
     pub fn hist_record(&self, name: &'static str, value: u64) {
         let mut inner = self.lock();
@@ -108,7 +95,7 @@ impl Recorder {
     /// trace exact even before the driver advanced the clock).
     pub fn event_at(&self, node: u64, what: &'static str, at: u64) {
         let mut inner = self.lock();
-        if inner.events.len() >= self.capacity {
+        if inner.events.len() >= DEFAULT_EVENT_CAPACITY {
             inner.events.pop_front();
             inner.dropped += 1;
         }
@@ -174,28 +161,27 @@ mod tests {
         rec.counter_add("ticks", 3);
         rec.gauge_set("depth", 7);
         rec.gauge_set("depth", 4);
-        rec.gauge_max("peak", 9);
-        rec.gauge_max("peak", 6);
         rec.hist_record("batch", 16);
         let report = rec.snapshot();
         assert_eq!(report.counter("ticks"), 5);
         assert_eq!(report.counter("absent"), 0);
         assert_eq!(report.gauges["depth"], 4);
-        assert_eq!(report.gauges["peak"], 9);
         assert_eq!(report.histogram("batch").unwrap().count(), 1);
         assert!(report.histogram("absent").is_none());
     }
 
     #[test]
     fn event_ring_evicts_oldest_and_counts_drops() {
-        let rec = Recorder::with_event_capacity(2);
-        rec.event_at(1, "a", 10);
-        rec.event_at(1, "b", 20);
-        rec.event_at(1, "c", 30);
+        let rec = Recorder::new();
+        rec.event_at(1, "first", 0);
+        for at in 1..=DEFAULT_EVENT_CAPACITY as u64 {
+            rec.event_at(1, "later", at);
+        }
         let report = rec.snapshot();
         assert_eq!(report.events_dropped, 1);
-        let names: Vec<_> = report.events.iter().map(|e| e.what.as_str()).collect();
-        assert_eq!(names, ["b", "c"], "oldest entry evicted first");
+        assert_eq!(report.events.len(), DEFAULT_EVENT_CAPACITY);
+        assert_eq!(report.events[0].at, 1, "oldest entry evicted first");
+        assert!(report.events.iter().all(|e| e.what == "later"));
     }
 
     #[test]

@@ -16,6 +16,10 @@
 #                              # properties), the cupft-committee unit
 #                              # tests (the signed-field and cross-kind
 #                              # replay tables, the replica state machine),
+#                              # the cupft-adversary unit tests (combinators,
+#                              # traces, invariants, shrinking) and the
+#                              # adversary_catch / churn_catch
+#                              # inject-trace-flag-shrink loops,
 #                              # the paper claims
 #                              # (table1_matrix, impossibility, theorems:
 #                              # Table I, Figs. 1-4, §III), the
@@ -109,6 +113,10 @@ else
     cargo test -q -p cupft-core --lib
     echo "==> cargo test -q -p cupft-committee --lib (quick gate)"
     cargo test -q -p cupft-committee --lib
+    echo "==> cargo test -q -p cupft-adversary --lib (quick gate)"
+    cargo test -q -p cupft-adversary --lib
+    echo "==> cargo test -q --test adversary_catch --test churn_catch (quick gate)"
+    cargo test -q --test adversary_catch --test churn_catch
     echo "==> cargo test -q --test proptest_graph (quick gate)"
     cargo test -q --test proptest_graph
     echo "==> cargo test -q --test table1_matrix --test impossibility --test theorems (paper claims)"

