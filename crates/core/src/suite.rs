@@ -108,8 +108,9 @@ impl ScenarioSuite {
 
     fn worker_count(&self, kind: RuntimeKind) -> usize {
         let hw = std::thread::available_parallelism().map_or(4, |n| n.get());
-        // Threaded-runtime scenarios spawn one thread per actor on top of
-        // the worker, so cap the fan-out to keep total thread count sane.
+        // A wall-clock scenario brings its own worker pool (one worker per
+        // core) and router shards, so scenarios run side by side already
+        // oversubscribe the cores: cap the fan-out.
         let cap = match kind {
             RuntimeKind::Sim => hw,
             RuntimeKind::Threaded => hw.min(4),

@@ -31,7 +31,7 @@ pub trait Labeled {
 /// Actors are single-threaded state machines: the runtime calls exactly one
 /// of the `on_*` hooks at a time and the actor reacts by recording effects
 /// (sends, timers, halting) on the [`Context`]. This makes the same actor
-/// code runnable on the discrete-event simulator and on OS threads.
+/// code runnable on the discrete-event simulator and on a worker pool.
 pub trait Actor<M>: Send {
     /// This actor's process identifier.
     fn id(&self) -> ProcessId;

@@ -1,22 +1,23 @@
 //! The mechanisms every runtime needs exactly once: the delay [`Wheel`],
 //! the send-time gate [`admit`], and — for the one wall-clock runtime
-//! (`crate::wall`) — the actor thread's loop ([`actor_loop`] over an
-//! [`Egress`]) and the driving thread's coordinator ([`supervise`]).
+//! (`crate::wall`) — the worker [`Pool`] that runs every actor in turns,
+//! and the driving thread's coordinator ([`supervise`]).
 //!
 //! The [`Wheel`] keeps one FIFO bucket per distinct key, because the
 //! simulator queues thousands of events on each virtual tick; the
 //! wall-clock keys (`Instant`s) are nearly unique and pay one small bucket
 //! per item instead.
 //!
-//! On the wall-clock runtime the gate runs on the sending actor's own
-//! thread: [`actor_loop`] counts each send, shows it to the tamper (one
+//! On the wall-clock runtime the gate runs on the worker running the
+//! sending actor: a turn counts each send, shows it to the tamper (one
 //! shared lock, taken only when a tamper is installed) and hands only the
 //! admitted messages to its link's [`Egress`]. How a message then travels
-//! (router shards, TCP frames) is the link's business.
+//! (router shards, TCP frames) and into which mailbox ([`Pool::deliver`])
+//! is the link's business.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -110,63 +111,380 @@ pub(crate) fn admit<M>(
     }
 }
 
-/// An actor thread's handle onto its link.
+/// A worker's handle onto its link.
 pub(crate) trait Egress<M> {
     /// Carries one admitted message, held back `extra` milliseconds on
     /// top of the link's own delay (a tamper's [`Fate::Delay`]).
     fn send(&self, from: ProcessId, to: ProcessId, msg: M, extra: Time);
 }
 
-/// What every actor thread of one wall-clock run shares.
-pub(crate) struct Shared<M> {
-    /// The installed tamper, consulted under this one lock.
-    pub(crate) tamper: Option<Mutex<Box<dyn Tamper<M>>>>,
-    /// Where an actor reports its halt to [`supervise`].
-    pub(crate) halts: Sender<ProcessId>,
-    /// Raised by the coordinator when the run is over; the link's
-    /// threads watch it too.
-    pub(crate) shutdown: Arc<AtomicBool>,
-    /// Actor time is elapsed milliseconds since this instant.
-    pub(crate) start: Instant,
-}
+/// The most messages one mailbox holds: a link that finds it full retries
+/// later (the threaded router) or waits (a socket reader, which is TCP
+/// back-pressure). Below the cap a mailbox allocates only for what it
+/// holds.
+const MAILBOX_CAP: usize = 4096;
 
-impl<M> Shared<M> {
-    fn now(&self) -> Time {
-        self.start.elapsed().as_millis() as Time
-    }
+/// The most messages one turn handles after the actor's due timers.
+///
+/// Fairness: an actor whose per-tick work exceeds its own timer period
+/// would otherwise loop on due timers forever and never drain its mailbox
+/// (a livelock the family sweeps hit with 10 ms discovery ticks and
+/// debug-build candidate searches), and an actor with a long backlog would
+/// hold its worker while every other actor's timers wait. A turn drains
+/// one bounded batch and yields.
+const BATCH: usize = 64;
+
+/// How far apart the pool starts consecutive actors: actor `k` (in
+/// registration order) starts `k` spacings into the run, or on its first
+/// delivery if that comes sooner.
+///
+/// Actors that start in the same millisecond arm their periodic timers in
+/// phase, so every period fires them all at once: the workers serialize
+/// that burst, and every reply computed at the back of it answers a stale
+/// request. On an 80-node dense Erdős–Rényi system over loopback TCP
+/// (10 seeds, 2 cores), starting every actor at once sent 1.6× the
+/// messages and 1.7× the certificates per decision that starts spread
+/// over 8 ms send; spreading them over 3 ms kept most of the excess.
+const START_SPACING: Duration = Duration::from_micros(100);
+
+/// What a link's delivery into a mailbox came to.
+pub(crate) enum Delivery<M> {
+    /// Queued for one of the destination's next turns.
+    Queued,
+    /// The mailbox is at [`MAILBOX_CAP`]: the message comes back.
+    Full(M),
+    /// Not a local actor, halted, or the run is over: discarded.
+    Closed,
 }
 
 type Timers = Wheel<Time, TimerKind>;
 
-/// Runs one actor on the calling thread until it halts, `shutdown` is
-/// raised, or its inbox disconnects; reports a halt on `halts`. Returns
-/// the actor in its final state and the [`NetStats`] of its own thread:
-/// every send it emitted (drops included) and every timer it fired.
-pub(crate) fn actor_loop<M: Labeled, E: Egress<M>>(
-    mut actor: Box<dyn Actor<M>>,
-    inbox: Receiver<(ProcessId, M)>,
-    egress: E,
-    shared: &Shared<M>,
-) -> (Box<dyn Actor<M>>, NetStats) {
-    let id = actor.id();
-    let mut timers = Timers::new();
-    let mut stats = NetStats::default();
-    let mut apply = |timers: &mut Timers, ctx: Context<M>, now: Time| {
+/// One actor's mailbox and scheduling state, shared with the link threads
+/// that deliver into it.
+struct Mailbox<M> {
+    queue: VecDeque<(ProcessId, M)>,
+    /// On the ready list or running a turn; a delivery into an
+    /// unscheduled mailbox puts its actor on the ready list.
+    scheduled: bool,
+    /// Halted, or the run is over: takes no more messages.
+    closed: bool,
+    /// When this actor is registered to wake on the pool's wake wheel;
+    /// its entries there for any other time are stale.
+    wake: Option<Time>,
+}
+
+/// What only the worker running the actor's turn touches.
+struct Body<M> {
+    actor: Box<dyn Actor<M>>,
+    timers: Timers,
+    /// Every send it emitted (drops included) and every timer it fired.
+    stats: NetStats,
+    started: bool,
+}
+
+struct Cell<M> {
+    mailbox: Mutex<Mailbox<M>>,
+    /// Signalled when a full mailbox frees a slot or closes.
+    space: Condvar,
+    body: Mutex<Body<M>>,
+}
+
+/// The ready list and the wake-ups of actors that sleep until a timer.
+struct RunQueue {
+    ready: VecDeque<usize>,
+    wakes: Wheel<Time, usize>,
+}
+
+/// What a finished turn leaves for the run queue.
+enum After {
+    Nothing,
+    Requeue(usize),
+    Wake(Time, usize),
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("worker pool lock poisoned")
+}
+
+/// The wall-clock runtime's worker pool: every actor of a run, each with a
+/// mailbox that grows as it fills (up to [`MAILBOX_CAP`]), run in turns by
+/// a fixed set of workers ([`Pool::work`]).
+///
+/// An actor is runnable when its mailbox is non-empty or one of its timers
+/// is due, and it runs on one worker at a time. A turn starts the actor
+/// (first turn only), fires its due timers, handles at most [`BATCH`]
+/// messages, and yields. Each send is counted and shown to the tamper
+/// ([`admit`]) on the worker running the sender, in program order, before
+/// the link's [`Egress`] carries it.
+pub(crate) struct Pool<M> {
+    slots: BTreeMap<ProcessId, usize>,
+    cells: Vec<Cell<M>>,
+    queue: Mutex<RunQueue>,
+    /// Signalled when the ready list gains an entry, an earlier wake-up is
+    /// registered, or the run is over.
+    work: Condvar,
+    /// The installed tamper, consulted under this one lock.
+    tamper: Option<Mutex<Box<dyn Tamper<M>>>>,
+    /// Where a halt is reported to [`supervise`].
+    halts: Sender<ProcessId>,
+    /// Raised when the run is over; the link's threads watch it too.
+    pub(crate) shutdown: Arc<AtomicBool>,
+    /// Actor time is elapsed milliseconds since this instant.
+    start: Instant,
+}
+
+impl<M: Labeled> Pool<M> {
+    /// Actors start in registration order, [`START_SPACING`] apart.
+    pub(crate) fn new(
+        actors: Vec<Box<dyn Actor<M>>>,
+        tamper: Option<Box<dyn Tamper<M>>>,
+        halts: Sender<ProcessId>,
+        start: Instant,
+    ) -> Self {
+        let slots = actors
+            .iter()
+            .enumerate()
+            .map(|(slot, a)| (a.id(), slot))
+            .collect();
+        let (mut ready, mut wakes) = (VecDeque::new(), Wheel::new());
+        let cells: Vec<Cell<M>> = actors
+            .into_iter()
+            .enumerate()
+            .map(|(slot, actor)| {
+                let at = (START_SPACING * slot as u32).as_millis() as Time;
+                if at == 0 {
+                    ready.push_back(slot);
+                } else {
+                    wakes.push(at, slot);
+                }
+                Cell {
+                    mailbox: Mutex::new(Mailbox {
+                        queue: VecDeque::new(),
+                        scheduled: at == 0,
+                        closed: false,
+                        wake: (at > 0).then_some(at),
+                    }),
+                    space: Condvar::new(),
+                    body: Mutex::new(Body {
+                        actor,
+                        timers: Timers::new(),
+                        stats: NetStats::default(),
+                        started: false,
+                    }),
+                }
+            })
+            .collect();
+        Pool {
+            slots,
+            queue: Mutex::new(RunQueue { ready, wakes }),
+            cells,
+            work: Condvar::new(),
+            tamper: tamper.map(Mutex::new),
+            halts,
+            shutdown: Arc::default(),
+            start,
+        }
+    }
+
+    /// The local actors, in ID order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.slots.keys().copied()
+    }
+
+    /// How many workers the run gets: one per available core, and never
+    /// more than there are actors.
+    pub(crate) fn worker_count(&self) -> usize {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(self.cells.len())
+    }
+
+    fn now(&self) -> Time {
+        self.start.elapsed().as_millis() as Time
+    }
+
+    /// Queues `msg` from `from` for actor `to`. On a full mailbox, returns
+    /// the message as [`Delivery::Full`], or with `wait` blocks until a
+    /// slot frees or the mailbox closes.
+    pub(crate) fn deliver(
+        &self,
+        to: ProcessId,
+        from: ProcessId,
+        msg: M,
+        wait: bool,
+    ) -> Delivery<M> {
+        let Some(&slot) = self.slots.get(&to) else {
+            return Delivery::Closed;
+        };
+        let cell = &self.cells[slot];
+        let mut mailbox = lock(&cell.mailbox);
+        while !mailbox.closed && mailbox.queue.len() >= MAILBOX_CAP {
+            if !wait {
+                return Delivery::Full(msg);
+            }
+            mailbox = cell.space.wait(mailbox).expect("worker pool lock poisoned");
+        }
+        if mailbox.closed {
+            return Delivery::Closed;
+        }
+        mailbox.queue.push_back((from, msg));
+        let was_idle = !std::mem::replace(&mut mailbox.scheduled, true);
+        drop(mailbox);
+        if was_idle {
+            lock(&self.queue).ready.push_back(slot);
+            self.work.notify_one();
+        }
+        Delivery::Queued
+    }
+
+    /// One worker: runs turns until the run is over.
+    pub(crate) fn work<E: Egress<M>>(&self, egress: &E) {
+        let mut after = After::Nothing;
+        while let Some(slot) = self.next_turn(after) {
+            after = self.turn(slot, egress);
+        }
+    }
+
+    /// Files what the last turn left, then waits for the next runnable
+    /// actor: the ready list's front, after every due wake-up has joined
+    /// it. `None` once the run is over.
+    fn next_turn(&self, after: After) -> Option<usize> {
+        let mut queue = lock(&self.queue);
+        if let After::Wake(at, slot) = after {
+            if queue.wakes.next_key().is_none_or(|first| at < first) {
+                // Another idle worker may be sleeping past `at`.
+                self.work.notify_one();
+            }
+            queue.wakes.push(at, slot);
+        }
+        let mut requeue = match after {
+            After::Requeue(slot) => Some(slot),
+            _ => None,
+        };
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            while let Some((at, slot)) = queue.wakes.pop_due(self.now()) {
+                let mut mailbox = lock(&self.cells[slot].mailbox);
+                if mailbox.wake == Some(at) {
+                    mailbox.wake = None;
+                    if !mailbox.closed && !std::mem::replace(&mut mailbox.scheduled, true) {
+                        queue.ready.push_back(slot);
+                    }
+                }
+            }
+            // Behind the actors whose timers came due meanwhile.
+            queue.ready.extend(requeue.take());
+            if let Some(slot) = queue.ready.pop_front() {
+                if !queue.ready.is_empty() {
+                    self.work.notify_one();
+                }
+                return Some(slot);
+            }
+            queue = match queue.wakes.next_key() {
+                Some(at) => {
+                    let due = self.start + Duration::from_millis(at);
+                    let wait = due.saturating_duration_since(Instant::now());
+                    self.work
+                        .wait_timeout(queue, wait)
+                        .expect("worker pool lock poisoned")
+                        .0
+                }
+                None => self.work.wait(queue).expect("worker pool lock poisoned"),
+            };
+        }
+    }
+
+    /// One turn of the actor in `slot`.
+    fn turn<E: Egress<M>>(&self, slot: usize, egress: &E) -> After {
+        let cell = &self.cells[slot];
+        let mut body = lock(&cell.body);
+        let body = &mut *body;
+        let id = body.actor.id();
+        let mut halted = false;
+        if !body.started {
+            body.started = true;
+            let mut ctx = Context::new(self.now(), id);
+            body.actor.on_start(&mut ctx);
+            halted = self.apply(body, ctx, self.now(), egress);
+        }
+        let now = self.now();
+        while !halted {
+            let Some((_, kind)) = body.timers.pop_due(now) else {
+                break;
+            };
+            let mut ctx = Context::new(now, id);
+            body.actor.on_timer(kind, &mut ctx);
+            body.stats.timers_fired += 1;
+            halted = self.apply(body, ctx, now, egress);
+        }
+        for _ in 0..BATCH {
+            if halted {
+                break;
+            }
+            let Some((from, msg)) = self.pop(cell) else {
+                break;
+            };
+            let mut ctx = Context::new(self.now(), id);
+            body.actor.on_message(from, msg, &mut ctx);
+            halted = self.apply(body, ctx, self.now(), egress);
+        }
+        let next = body.timers.next_key();
+
+        let mut mailbox = lock(&cell.mailbox);
+        if halted {
+            mailbox.closed = true;
+            mailbox.queue = VecDeque::new();
+            drop(mailbox);
+            cell.space.notify_all();
+            let _ = self.halts.send(id);
+            return After::Nothing;
+        }
+        if !mailbox.queue.is_empty() || next.is_some_and(|at| at <= self.now()) {
+            return After::Requeue(slot);
+        }
+        mailbox.scheduled = false;
+        match next {
+            Some(at) if mailbox.wake.is_none_or(|wake| at < wake) => {
+                mailbox.wake = Some(at);
+                After::Wake(at, slot)
+            }
+            _ => After::Nothing,
+        }
+    }
+
+    fn pop(&self, cell: &Cell<M>) -> Option<(ProcessId, M)> {
+        let mut mailbox = lock(&cell.mailbox);
+        if mailbox.queue.len() >= MAILBOX_CAP {
+            cell.space.notify_all();
+        }
+        mailbox.queue.pop_front()
+    }
+
+    /// Applies a handler's effects: each send through [`admit`] to the
+    /// link, in program order; each timer onto the actor's wheel. Returns
+    /// whether the handler halted the actor.
+    fn apply<E: Egress<M>>(
+        &self,
+        body: &mut Body<M>,
+        ctx: Context<M>,
+        now: Time,
+        egress: &E,
+    ) -> bool {
+        let id = ctx.self_id();
         let (sends, new_timers, halted) = ctx.into_effects();
         for (to, msg) in sends {
-            let mut tamper = shared
-                .tamper
-                .as_ref()
-                .map(|t| t.lock().expect("tamper lock poisoned"));
+            let mut tamper = self.tamper.as_ref().map(lock);
             let (label, payload) = (msg.label(), msg.payload_units());
             let admitted = admit(
-                &mut stats,
+                &mut body.stats,
                 tamper.as_deref_mut(),
                 id,
                 to,
                 label,
                 payload,
-                || shared.now(),
+                || self.now(),
             );
             drop(tamper);
             if let Some(extra) = admitted {
@@ -174,80 +492,34 @@ pub(crate) fn actor_loop<M: Labeled, E: Egress<M>>(
             }
         }
         for (kind, delay) in new_timers {
-            timers.push(now + delay, kind);
+            body.timers.push(now + delay, kind);
         }
         halted
-    };
-    let mut timers_fired = 0;
+    }
 
-    let mut halted = {
-        let mut ctx = Context::new(shared.now(), id);
-        actor.on_start(&mut ctx);
-        apply(&mut timers, ctx, shared.now())
-    };
-
-    while !halted && !shared.shutdown.load(Ordering::SeqCst) {
-        let now = shared.now();
-        // Fire due timers first.
-        let mut fired = false;
-        while let Some((_, kind)) = timers.pop_due(now) {
-            let mut ctx = Context::new(now, id);
-            actor.on_timer(kind, &mut ctx);
-            timers_fired += 1;
-            halted = apply(&mut timers, ctx, now) || halted;
-            fired = true;
-            if halted {
-                break;
-            }
+    /// Ends the run: idle workers return, running ones after their turn,
+    /// and every mailbox closes, so a link thread waiting on a full one
+    /// moves on.
+    pub(crate) fn shut_down(&self) {
+        {
+            let _queue = lock(&self.queue);
+            self.shutdown.store(true, Ordering::SeqCst);
         }
-        if halted {
-            break;
-        }
-        if fired {
-            // Fairness: an actor whose per-tick work exceeds its own timer
-            // period would otherwise loop on due timers forever and never
-            // drain its inbox — sends keep flowing out while every reply
-            // rots undelivered (a livelock the family sweeps hit with
-            // 10 ms discovery ticks and debug-build candidate searches).
-            // Drain a bounded batch of queued messages between firings so
-            // neither timers nor messages can starve the other.
-            let mut drained = 0;
-            while drained < 64 && !halted {
-                match inbox.try_recv() {
-                    Ok((from, msg)) => {
-                        let mut ctx = Context::new(shared.now(), id);
-                        actor.on_message(from, msg, &mut ctx);
-                        halted = apply(&mut timers, ctx, shared.now()) || halted;
-                        drained += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if halted {
-                break;
-            }
-            continue;
-        }
-        let wait = timers
-            .next_key()
-            .map(|at| Duration::from_millis(at.saturating_sub(now)))
-            .unwrap_or(Duration::from_millis(20))
-            .min(Duration::from_millis(20));
-        match inbox.recv_timeout(wait) {
-            Ok((from, msg)) => {
-                let mut ctx = Context::new(shared.now(), id);
-                actor.on_message(from, msg, &mut ctx);
-                halted = apply(&mut timers, ctx, shared.now()) || halted;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+        self.work.notify_all();
+        for cell in &self.cells {
+            lock(&cell.mailbox).closed = true;
+            cell.space.notify_all();
         }
     }
-    if halted {
-        let _ = shared.halts.send(id);
+
+    /// Every actor in its final state with its own counters, in
+    /// registration order.
+    pub(crate) fn into_actors(self) -> impl Iterator<Item = (Box<dyn Actor<M>>, NetStats)> {
+        self.cells.into_iter().map(|cell| {
+            let body = cell.body.into_inner().expect("worker pool lock poisoned");
+            (body.actor, body.stats)
+        })
     }
-    stats.timers_fired = timers_fired;
-    (actor, stats)
 }
 
 /// The coordinator loop of a wall-clock run, on the driving thread: waits
@@ -284,7 +556,7 @@ pub(crate) fn supervise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{bounded, unbounded};
+    use crossbeam::channel::unbounded;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -426,8 +698,8 @@ mod tests {
     }
 
     /// Re-arms its timer at delay 1 and works longer than that in the
-    /// handler, so a timer is due every time the loop looks. Halts on the
-    /// `last`-th message.
+    /// handler, so a timer is due at every turn. Halts on the `last`-th
+    /// message.
     struct Busy {
         last: u32,
         received: u32,
@@ -464,44 +736,75 @@ mod tests {
     #[test]
     fn always_due_timer_cannot_starve_the_inbox() {
         const MESSAGES: u32 = 150;
-        let (inbox_tx, inbox_rx) = bounded::<(ProcessId, u32)>(MESSAGES as usize);
         let (halt_tx, halt_rx) = unbounded();
         let (fired_tx, fired_rx) = unbounded();
-        let shared = Arc::new(Shared {
-            tamper: None,
-            halts: halt_tx,
-            shutdown: Arc::default(),
-            start: Instant::now(),
-        });
         let actor = Box::new(Busy {
             last: MESSAGES,
             received: 0,
             seen_at_firing: Vec::new(),
             first_firing: fired_tx,
         });
-        let handle = {
-            let shared = shared.clone();
-            std::thread::spawn(move || actor_loop(actor, inbox_rx, Discard, &shared))
-        };
-        // Only once the actor is inside its first (over-long) timer handler
-        // do the messages arrive: from here on a timer is always due.
-        fired_rx.recv().expect("timer fired");
-        for n in 0..MESSAGES {
-            inbox_tx.send((ProcessId::new(2), n)).expect("inbox open");
-        }
-        let halted = halt_rx.recv_timeout(Duration::from_secs(20));
-        shared.shutdown.store(true, Ordering::SeqCst);
-        let (actor, stats) = handle.join().expect("actor thread panicked");
+        let pool = Pool::new(vec![actor], None, halt_tx, Instant::now());
+        let halted = std::thread::scope(|scope| {
+            scope.spawn(|| pool.work(&Discard));
+            // Only once the actor is inside its first (over-long) timer
+            // handler do the messages arrive: from here on a timer is due
+            // at every turn.
+            fired_rx.recv().expect("timer fired");
+            for n in 0..MESSAGES {
+                let queued = pool.deliver(ProcessId::new(1), ProcessId::new(2), n, false);
+                assert!(matches!(queued, Delivery::Queued));
+            }
+            let halted = halt_rx.recv_timeout(Duration::from_secs(20));
+            pool.shut_down();
+            halted
+        });
         assert_eq!(halted, Ok(ProcessId::new(1)), "halted on the last message");
+        let (actor, stats) = pool.into_actors().next().expect("one actor");
         let busy: &Busy = actor.as_any().downcast_ref().expect("a Busy");
         assert_eq!(busy.received, MESSAGES);
         assert_eq!(stats.timers_fired, busy.seen_at_firing.len() as u64);
-        // Between two firings at most one 64-message batch is drained, so
+        // Between two firings at most one 64-message batch is handled, so
         // 150 messages take three batches and the timer kept firing while
-        // the inbox emptied.
+        // the mailbox emptied.
         assert!(busy.seen_at_firing.len() >= 3, "{:?}", busy.seen_at_firing);
         for pair in busy.seen_at_firing.windows(2) {
             assert!(pair[1] - pair[0] <= 64, "{:?}", busy.seen_at_firing);
         }
+    }
+
+    #[test]
+    fn a_full_mailbox_refuses_or_waits_and_a_closed_one_discards() {
+        let (halt_tx, _halt_rx) = unbounded();
+        let actor = Box::new(Busy {
+            last: u32::MAX,
+            received: 0,
+            seen_at_firing: Vec::new(),
+            first_firing: unbounded().0,
+        });
+        let pool = Pool::new(vec![actor], None, halt_tx, Instant::now());
+        let (to, from) = (ProcessId::new(1), ProcessId::new(2));
+        for n in 0..MAILBOX_CAP as u32 {
+            assert!(matches!(pool.deliver(to, from, n, false), Delivery::Queued));
+        }
+        assert!(matches!(
+            pool.deliver(to, from, 7, false),
+            Delivery::Full(7)
+        ));
+        assert!(matches!(
+            pool.deliver(ProcessId::new(9), from, 7, false),
+            Delivery::Closed
+        ));
+        std::thread::scope(|scope| {
+            // A waiting delivery returns once the run is over.
+            let waiting = scope.spawn(|| pool.deliver(to, from, 8, true));
+            std::thread::sleep(Duration::from_millis(20));
+            pool.shut_down();
+            assert!(matches!(
+                waiting.join().expect("no panic"),
+                Delivery::Closed
+            ));
+        });
+        assert!(matches!(pool.deliver(to, from, 9, false), Delivery::Closed));
     }
 }

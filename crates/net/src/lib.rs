@@ -27,12 +27,13 @@
 //!   process, or genuinely distributed across processes via
 //!   [`Runtime::register_peer`].
 //!
-//! One runtime, two links; the tamper is consulted on the sender's
-//! thread. Both wall-clock substrates are [`wall::WallRuntime`]: they
-//! share the actor threads, the coordinator, shutdown and report
-//! assembly, and on both each send is counted and shown to an installed
-//! [`Tamper`] on the sending actor's own thread before the link carries
-//! it.
+//! One runtime, two links; the tamper is consulted on the worker running
+//! the sender. Both wall-clock substrates are [`wall::WallRuntime`]: they
+//! share the worker pool (one growing mailbox per actor, one worker
+//! thread per available core running the actors in turns, no thread per
+//! actor), the coordinator, shutdown and report assembly, and on both each
+//! send is counted and shown to an installed [`Tamper`] on the worker
+//! running the sender before the link carries it.
 //!
 //! Experiment code written against `Runtime` — like
 //! `cupft_core::run_scenario_on` and the `ScenarioSuite` batch engine —

@@ -9,7 +9,7 @@
 //! ([`crate::threaded::ThreadedRuntime`]) or TCP
 //! ([`crate::socket::SocketRuntime`]) — without caring which. The trait
 //! has exactly two implementations: the simulator and the wall-clock
-//! runtime, which consults the tamper on the sender's thread.
+//! runtime, which consults the tamper on the worker running the sender.
 //!
 //! The contract has three phases:
 //!
@@ -25,7 +25,7 @@
 //! out-of-band state such as [`crate::threaded::Board`] — that works
 //! identically on all three substrates, unlike direct actor inspection,
 //! which the threaded and socket runtimes cannot offer mid-run (the actors
-//! are owned by their threads until shutdown).
+//! are owned by their worker pool until shutdown).
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -92,7 +92,7 @@ pub struct RuntimeReport {
 /// A substrate that can execute a set of [`Actor`]s to completion.
 ///
 /// Implemented by [`crate::sim::Simulation`] (deterministic, simulated
-/// time) and by the wall-clock runtime (real threads, wall-clock time)
+/// time) and by the wall-clock runtime (a worker pool, wall-clock time)
 /// behind [`crate::threaded::ThreadedRuntime`] and
 /// [`crate::socket::SocketRuntime`]. See the [module docs](self) for the
 /// phase contract.
@@ -170,8 +170,8 @@ pub trait Runtime<M: 'static> {
     /// **One run per runtime.** Portable callers must call this exactly
     /// once; what a second call does is substrate-defined (the simulator
     /// resumes its event loop under the new stop condition, the wall-clock
-    /// runtime returns the recorded report unchanged — its actor threads
-    /// are gone). Phased execution is an inherent-API feature
+    /// runtime returns the recorded report unchanged — its worker pool is
+    /// gone). Phased execution is an inherent-API feature
     /// ([`crate::sim::Simulation::run_until`]), not a trait feature.
     fn run_until_stopped(&mut self, stop: &mut dyn FnMut() -> bool) -> RuntimeReport;
 

@@ -1,6 +1,7 @@
 //! The socket link: the wall-clock runtime's actors over loopback (or
 //! LAN) TCP — one runtime, two links; the tamper is consulted on the
-//! sender's thread.
+//! worker running the sender, and the actors share the runtime's worker
+//! pool (no thread per actor).
 //!
 //! [`SocketRuntime`] is the shared wall-clock runtime over this link.
 //! Where the threaded link carries messages through in-memory channels,
@@ -24,10 +25,12 @@
 //! `TcpStream` and reconnecting with bounded retries on failure. Inbound
 //! traffic runs through an accept loop spawning one reader thread per
 //! connection; readers decode `from ‖ to ‖ msg` frames, deliver into the
-//! destination actor's inbox and count the deliveries.
+//! destination actor's mailbox and count the deliveries. A reader that
+//! finds a mailbox full waits for a free slot and stops reading meanwhile,
+//! so a slow actor pushes back on its senders through TCP.
 //!
-//! The sending actor's thread has already counted each message and shown
-//! it to the tamper: `Fate::Drop` never reaches this link, and
+//! The worker running the sender has already counted each message and
+//! shown it to the tamper: `Fate::Drop` never reaches this link, and
 //! `Fate::Delay` routes the already-encoded frame through a delay-wheel
 //! thread that forwards it to the connection pool when due.
 
@@ -46,10 +49,10 @@ use cupft_wire::frame::{frame, read_frame};
 use cupft_wire::{Decode, Encode, Reader, WireError};
 
 use crate::actor::Labeled;
-use crate::host::{Egress, Wheel};
+use crate::host::{Delivery, Egress, Pool, Wheel};
 use crate::runtime::PeerAddr;
 use crate::stats::NetStats;
-use crate::wall::{Inboxes, Link, WallRuntime};
+use crate::wall::{Link, WallRuntime};
 use crate::Time;
 
 /// Reconnect attempts a writer makes per frame before giving the frame up
@@ -88,8 +91,8 @@ pub struct SocketLink {
     book: HashMap<ProcessId, SocketAddr>,
 }
 
-/// The wall-clock runtime over the socket link: each actor on its own
-/// thread, every send encoded and carried over TCP — loopback within one
+/// The wall-clock runtime over the socket link: actors on the worker
+/// pool, every send encoded and carried over TCP — loopback within one
 /// OS process, real peers across processes via [`crate::Runtime::register_peer`].
 pub type SocketRuntime<M> = WallRuntime<M, SocketLink>;
 
@@ -198,7 +201,7 @@ fn writer_loop(addr: SocketAddr, rx: Receiver<Vec<u8>>, shutdown: &AtomicBool) {
 
 /// The delay wheel thread: holds tamper-delayed frames until due, then
 /// forwards them to the connection pool. Exits once every sender is gone
-/// (the actors have been joined); pending frames are discarded, as the
+/// (the workers have been joined); pending frames are discarded, as the
 /// threaded link discards its delay wheels.
 fn delay_loop(rx: Receiver<Delayed>, pool: &ConnPool) {
     let mut wheel: Wheel<Instant, (SocketAddr, Vec<u8>)> = Wheel::new();
@@ -251,9 +254,9 @@ impl<M: Encode> Egress<M> for SocketTx {
 }
 
 /// Decodes a frame's `from ‖ to ‖ msg` payload and delivers it into the
-/// destination inbox, counting the delivery.
+/// destination mailbox, waiting while that is full; counts the delivery.
 fn dispatch<M: Labeled + Decode>(
-    inboxes: &Inboxes<M>,
+    pool: &Pool<M>,
     stats: &mut NetStats,
     payload: &[u8],
 ) -> Result<(), WireError> {
@@ -262,11 +265,9 @@ fn dispatch<M: Labeled + Decode>(
     let to = ProcessId::decode(&mut r)?;
     let msg = M::decode(&mut r)?;
     r.finish()?;
-    if let Some(tx) = inboxes.get(&to) {
-        let payload_units = msg.payload_units();
-        if tx.send((from, msg)).is_ok() {
-            stats.record_delivery(payload_units);
-        }
+    let payload_units = msg.payload_units();
+    if let Delivery::Queued = pool.deliver(to, from, msg, true) {
+        stats.record_delivery(payload_units);
     }
     Ok(())
 }
@@ -274,11 +275,11 @@ fn dispatch<M: Labeled + Decode>(
 /// One reader thread's loop: framed reads until clean EOF, a stream
 /// error, or a malformed frame — a peer that desyncs the stream cannot be
 /// resynchronized. Returns the deliveries it made.
-fn reader_loop<M: Labeled + Decode>(stream: TcpStream, inboxes: &Inboxes<M>) -> NetStats {
+fn reader_loop<M: Labeled + Decode>(stream: TcpStream, pool: &Pool<M>) -> NetStats {
     let mut stats = NetStats::default();
     let mut reader = BufReader::new(stream);
     while let Ok(Some(payload)) = read_frame(&mut reader) {
-        if dispatch(inboxes, &mut stats, &payload).is_err() {
+        if dispatch(pool, &mut stats, &payload).is_err() {
             break;
         }
     }
@@ -291,14 +292,13 @@ fn reader_loop<M: Labeled + Decode>(stream: TcpStream, inboxes: &Inboxes<M>) -> 
 /// join the readers even if a peer never closes its end.
 fn accept_loop<M: Labeled + Decode + Send + 'static>(
     listener: TcpListener,
-    inboxes: Arc<Inboxes<M>>,
-    shutdown: &AtomicBool,
+    pool: &Arc<Pool<M>>,
 ) -> Vec<(TcpStream, JoinHandle<NetStats>)> {
     let mut readers = Vec::new();
     listener
         .set_nonblocking(true)
         .expect("listener nonblocking");
-    while !shutdown.load(Ordering::SeqCst) {
+    while !pool.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 stream.set_nonblocking(false).expect("stream blocking");
@@ -306,8 +306,8 @@ fn accept_loop<M: Labeled + Decode + Send + 'static>(
                 let Ok(clone) = stream.try_clone() else {
                     continue;
                 };
-                let inboxes = inboxes.clone();
-                let reader = thread::spawn(move || reader_loop(stream, &inboxes));
+                let pool = pool.clone();
+                let reader = thread::spawn(move || reader_loop(stream, &pool));
                 readers.push((clone, reader));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -340,22 +340,21 @@ impl<M: Labeled + Encode + Decode + Send + 'static> Link<M> for SocketLink {
     /// registered book.
     fn open(
         &mut self,
-        inboxes: Inboxes<M>,
-        shutdown: &Arc<AtomicBool>,
+        actors: &Arc<Pool<M>>,
         _: Option<&Arc<Recorder>>,
     ) -> (SocketTx, SocketPlane) {
         let mut routes = self.book.clone();
-        routes.extend(inboxes.keys().map(|&id| (id, self.local_addr)));
+        routes.extend(actors.ids().map(|id| (id, self.local_addr)));
         let pool = Arc::new(ConnPool {
             conns: Mutex::default(),
             handles: Mutex::default(),
-            shutdown: shutdown.clone(),
+            shutdown: actors.shutdown.clone(),
         });
         let (delay_tx, delay_rx) = unbounded::<Delayed>();
         let accept = {
             let listener = self.listener.try_clone().expect("listener clone");
-            let (inboxes, shutdown) = (Arc::new(inboxes), shutdown.clone());
-            thread::spawn(move || accept_loop(listener, inboxes, &shutdown))
+            let actors = actors.clone();
+            thread::spawn(move || accept_loop(listener, &actors))
         };
         let delay = {
             let pool = pool.clone();
@@ -375,12 +374,12 @@ impl<M: Labeled + Encode + Decode + Send + 'static> Link<M> for SocketLink {
     }
 
     /// Retires the delay thread first (it exits on disconnect now that the
-    /// actors' send handles are gone), then the writers, the accept loop
+    /// workers' send handles are gone), then the writers, the accept loop
     /// and — after force-closing the accepted streams, so readers unblock
     /// even if a remote never closes its end — the readers.
     fn close(plane: SocketPlane, _: Option<&Arc<Recorder>>) -> NetStats {
         plane.delay.join().expect("delay wheel panicked");
-        // Nothing calls `send_to` after `close`: actors and the delay
+        // Nothing calls `send_to` after `close`: the workers and the delay
         // thread, its only callers, are joined.
         plane.pool.close();
         let readers = plane.accept.join().expect("accept loop panicked");

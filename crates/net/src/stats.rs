@@ -32,7 +32,7 @@ pub struct NetStats {
     /// is payload still in flight at shutdown).
     pub payload_delivered_units: u64,
     /// Total timer events fired (on the wall-clock runtime, summed over
-    /// the actor threads when they are joined).
+    /// the actors when the run is over).
     pub timers_fired: u64,
     /// Per-label message counts (the label comes from
     /// [`crate::Labeled::label`]).
@@ -87,8 +87,8 @@ impl NetStats {
     /// per-label map.
     ///
     /// This is how the wall-clock runtime assembles the run's single
-    /// `NetStats` surface from per-thread blocks — each actor thread's
-    /// sends, drops and timers, then the link's deliveries (router shards
+    /// `NetStats` surface from per-actor and per-thread blocks — each
+    /// actor's sends, drops and timers, then the link's deliveries (router shards
     /// in shard-index order, or socket readers). Every aggregate
     /// (`messages_sent`, `payload_units`, `by_label`, …) is conserved: the
     /// merge equals what one observer of all the traffic would have

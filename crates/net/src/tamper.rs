@@ -6,7 +6,8 @@
 //! [`Fate`]: deliver normally, deliver with extra delay (reordering), or
 //! drop. All three substrates honor the same trait — install a tamper
 //! with [`crate::Runtime::set_tamper`] and the identical adversarial
-//! schedule logic runs on the simulator, on OS threads and over sockets.
+//! schedule logic runs on the simulator, on in-memory channels and over
+//! sockets.
 //!
 //! Division of labor with the other adversary layers:
 //!
@@ -27,7 +28,7 @@
 //! deterministic, so seeded tampers replay exactly.
 //!
 //! On the wall-clock runtime (both links) the tamper is consulted on the
-//! sending actor's own thread, under one lock: one `&mut` tamper state
+//! worker running the sending actor's turn, under one lock: one `&mut` tamper state
 //! sees every message once, at send time, with each sender's emissions in
 //! program order — so a `TamperSpec`'s observable semantics do not change
 //! with the link or with [`crate::ThreadedConfig::router_shards`].

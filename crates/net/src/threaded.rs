@@ -1,15 +1,17 @@
 //! The threaded link: the wall-clock runtime's actors over in-memory
 //! channels — one runtime, two links; the tamper is consulted on the
-//! sender's thread.
+//! worker running the sender, and the actors share the runtime's worker
+//! pool (no thread per actor).
 //!
 //! [`ThreadedRuntime`] is the shared wall-clock runtime over this link.
-//! An admitted message (the sending actor's thread already counted it and
-//! showed it to the tamper) is hashed by destination onto one of
+//! An admitted message (the worker running the sender already counted it
+//! and showed it to the tamper) is hashed by destination onto one of
 //! [`ThreadedConfig::router_shards`] router shards. Each shard is one
 //! thread owning its own delay wheel, RNG stream and delivery counters; it
 //! applies a randomized delay and then delivers into the destination
-//! actor's inbox. Per-shard counters merge in shard-index order into the
-//! run's single [`NetStats`].
+//! actor's mailbox, retrying later when that mailbox is full. Per-shard
+//! counters merge in shard-index order into the run's single
+//! [`NetStats`].
 //!
 //! `router_shards = 1` is the same plane with one shard. With more
 //! shards, Θ(n²) all-to-all traffic (Erdős–Rényi knowledge graphs) and
@@ -17,22 +19,22 @@
 //! router thread.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use cupft_graph::ProcessId;
 use cupft_obs::{Histogram, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::actor::{Actor, Labeled};
-use crate::host::{Egress, Wheel};
+use crate::host::{Delivery, Egress, Pool, Wheel};
 use crate::runtime::Runtime;
 use crate::stats::NetStats;
-use crate::wall::{Inboxes, Link, WallRuntime};
+use crate::wall::{Link, WallRuntime};
 use crate::Time;
 
 /// Seed stride separating the per-shard delay-RNG streams (shard 0 keeps
@@ -85,8 +87,8 @@ impl ThreadedConfig {
     }
 }
 
-/// The wall-clock runtime over the threaded link: each actor on its own
-/// thread, a sharded router plane applying randomized delivery delays.
+/// The wall-clock runtime over the threaded link: actors on the worker
+/// pool, a sharded router plane applying randomized delivery delays.
 pub type ThreadedRuntime<M> = WallRuntime<M, ThreadedConfig>;
 
 impl<M> ThreadedRuntime<M> {
@@ -119,7 +121,8 @@ impl<M> std::fmt::Debug for ThreadedReport<M> {
     }
 }
 
-/// Runs `actors` on OS threads until all halt or the wall timeout expires.
+/// Runs `actors` on the worker pool until all halt or the wall timeout
+/// expires.
 ///
 /// Thin wrapper over [`ThreadedRuntime`] retained for callers that want
 /// the actors back by value.
@@ -172,7 +175,7 @@ pub(crate) struct RouterObs {
     inbox_depth: Histogram,
     /// Delay-wheel (pending heap) size sampled once per loop iteration.
     wheel_depth: Histogram,
-    /// Deliveries re-pushed because the destination inbox was full.
+    /// Deliveries re-pushed because the destination mailbox was full.
     deferrals: u64,
 }
 
@@ -202,8 +205,7 @@ impl<M: Clone + Send + Labeled + 'static> Link<M> for ThreadedConfig {
 
     fn open(
         &mut self,
-        inboxes: Inboxes<M>,
-        shutdown: &Arc<AtomicBool>,
+        pool: &Arc<Pool<M>>,
         recorder: Option<&Arc<Recorder>>,
     ) -> (Outbox<M>, Self::Open) {
         let shard_count = self.effective_router_shards();
@@ -215,9 +217,9 @@ impl<M: Clone + Send + Labeled + 'static> Link<M> for ThreadedConfig {
         for index in 0..shard_count {
             let (tx, rx) = unbounded();
             shards.push(tx);
-            let (config, inboxes, shutdown) = (self.clone(), inboxes.clone(), shutdown.clone());
+            let (config, pool) = (self.clone(), pool.clone());
             handles.push(thread::spawn(move || {
-                shard_loop(index, rx, &inboxes, &config, &shutdown, observe)
+                shard_loop(index, rx, &pool, &config, observe)
             }));
         }
         let outbox = Outbox {
@@ -243,48 +245,44 @@ impl<M: Clone + Send + Labeled + 'static> Link<M> for ThreadedConfig {
 }
 
 /// Pops every due entry off a shard's delay wheel and delivers it into the
-/// destination inbox. Channels are reliable (Section II-A): a full inbox
-/// defers delivery, never drops — the entry is re-pushed strictly later
-/// than `now` so this loop terminates; the wall timeout bounds total
-/// retrying. A disconnected receiver means the actor halted — dropping
-/// mirrors the simulator discarding events for halted actors.
+/// destination mailbox. Channels are reliable (Section II-A): a full
+/// mailbox defers delivery, never drops — the entry is re-pushed strictly
+/// later than `now` so this loop terminates; the wall timeout bounds total
+/// retrying. A closed mailbox means the actor halted — dropping mirrors
+/// the simulator discarding events for halted actors.
 fn deliver_due<M: Labeled>(
     wheel: &mut DelayWheel<M>,
-    inboxes: &Inboxes<M>,
+    pool: &Pool<M>,
     stats: &mut NetStats,
     now: Instant,
     config: &ThreadedConfig,
     deferred: &mut u64,
 ) {
     while let Some((_, (from, to, msg))) = wheel.pop_due(now) {
-        if let Some(tx) = inboxes.get(&to) {
-            let payload = msg.payload_units();
-            match tx.try_send((from, msg)) {
-                Ok(()) => stats.record_delivery(payload),
-                Err(TrySendError::Full((from, msg))) => {
-                    *deferred += 1;
-                    let retry = now + config.min_delay.max(Duration::from_millis(1));
-                    wheel.push(retry, (from, to, msg));
-                }
-                Err(TrySendError::Disconnected(_)) => {}
+        let payload = msg.payload_units();
+        match pool.deliver(to, from, msg, false) {
+            Delivery::Queued => stats.record_delivery(payload),
+            Delivery::Full(msg) => {
+                *deferred += 1;
+                let retry = now + config.min_delay.max(Duration::from_millis(1));
+                wheel.push(retry, (from, to, msg));
             }
+            Delivery::Closed => {}
         }
     }
 }
 
 /// One router shard's loop: schedule admitted messages through the delay
-/// wheel and deliver due ones into inboxes, until `shutdown` is raised.
-/// Exiting drops the shard's inbox senders, which wakes actors idling on
-/// an empty inbox. Returns the shard's delivery counters and
-/// observability accumulators for the shard-index-order merge. `observe`
-/// gates the per-iteration depth sampling so unobserved runs pay nothing
-/// beyond a branch.
+/// wheel and deliver due ones into mailboxes, until the pool's `shutdown`
+/// is raised. Returns the shard's delivery counters and observability
+/// accumulators for the shard-index-order merge. `observe` gates the
+/// per-iteration depth sampling so unobserved runs pay nothing beyond a
+/// branch.
 fn shard_loop<M: Labeled>(
     index: usize,
     rx: Receiver<Routed<M>>,
-    inboxes: &Inboxes<M>,
+    pool: &Pool<M>,
     config: &ThreadedConfig,
-    shutdown: &AtomicBool,
     observe: bool,
 ) -> (NetStats, RouterObs) {
     let mut stats = NetStats::default();
@@ -303,7 +301,7 @@ fn shard_loop<M: Labeled>(
     let mut obs = RouterObs::default();
     // The run is over once `shutdown` is up: pending wheel entries are
     // discarded.
-    while !shutdown.load(Ordering::SeqCst) {
+    while !pool.shutdown.load(Ordering::SeqCst) {
         let now = Instant::now();
         if observe {
             obs.inbox_depth.record(rx.len() as u64);
@@ -311,7 +309,7 @@ fn shard_loop<M: Labeled>(
         }
         deliver_due(
             &mut wheel,
-            inboxes,
+            pool,
             &mut stats,
             now,
             config,
@@ -549,7 +547,7 @@ mod tests {
         }
         rt.set_tamper(Box::new(DropPings));
         let report = rt.run_to_completion();
-        // The PING is swallowed on the sender's thread, so nobody ever
+        // The PING is swallowed on the sender's worker, so nobody ever
         // replies or halts; the run ends at the wall timeout.
         assert!(!report.all_halted);
         assert_eq!(report.stats.label_count("PING"), 1);

@@ -1,18 +1,18 @@
 //! The one wall-clock runtime: one runtime, two links; the tamper is
-//! consulted on the sender's thread.
+//! consulted on the worker running the sender.
 //!
 //! [`WallRuntime`] carries everything a wall-clock run does around its
 //! actors: registration and the before-the-run asserts, the tamper and
-//! recorder, one bounded inbox and one OS thread per actor running
-//! `host::actor_loop`, the coordinator (`host::supervise`), shutdown, the
-//! [`RuntimeReport`] and post-run inspection. A link supplies only
-//! how an admitted message travels into its destination's inbox — the
-//! threaded link through destination-hashed router shards
-//! ([`crate::ThreadedConfig`]), the socket link as a wire frame over TCP
-//! ([`crate::socket::SocketLink`]).
+//! recorder, the worker pool (`host::Pool`: one growing mailbox per actor,
+//! one worker thread per available core running the actors in turns), the
+//! coordinator (`host::supervise`), shutdown, the [`RuntimeReport`] and
+//! post-run inspection. A link supplies only how an admitted message
+//! travels into its destination's mailbox — the threaded link through
+//! destination-hashed router shards ([`crate::ThreadedConfig`]), the
+//! socket link as a wire frame over TCP ([`crate::socket::SocketLink`]).
 //!
-//! Every send is counted and shown to the tamper on the sending actor's
-//! own thread (`host::admit` inside `actor_loop`), under one lock taken
+//! Every send is counted and shown to the tamper on the worker running
+//! the sending actor (`host::admit` inside a turn), under one lock taken
 //! only when a tamper is installed. So the tamper sees each message once,
 //! with one `&mut` state, and each sender's emissions in program order, on
 //! either link and at any router-shard count.
@@ -22,30 +22,26 @@
 //! runtime to validate that the protocols are not simulator artifacts.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::unbounded;
 use cupft_graph::ProcessId;
 use cupft_obs::Recorder;
 
 use crate::actor::{Actor, Labeled};
-use crate::host::{actor_loop, supervise, Egress, Shared};
+use crate::host::{supervise, Egress, Pool};
 use crate::runtime::{PeerAddr, Runtime, RuntimeReport};
 use crate::stats::NetStats;
 use crate::tamper::Tamper;
 use crate::Time;
 
-/// The actor inboxes a link delivers into.
-pub(crate) type Inboxes<M> = BTreeMap<ProcessId, Sender<(ProcessId, M)>>;
-
 /// How a message travels between the actors of a [`WallRuntime`].
 pub(crate) trait Link<M>: Sized {
     /// The substrate name [`Runtime::name`] reports.
     const NAME: &'static str;
-    /// The actor threads' handle for sending.
+    /// The workers' handle for sending.
     type Tx: Egress<M> + Clone + Send + 'static;
     /// What the link keeps running between [`Link::open`] and
     /// [`Link::close`].
@@ -54,17 +50,17 @@ pub(crate) trait Link<M>: Sized {
     /// The run's wall-clock budget.
     fn wall_timeout(&self) -> Duration;
 
-    /// Starts carrying messages into `inboxes`, until `shutdown` is
-    /// raised.
+    /// Starts carrying messages into the mailboxes of `pool`, until its
+    /// `shutdown` is raised.
     fn open(
         &mut self,
-        inboxes: Inboxes<M>,
-        shutdown: &Arc<AtomicBool>,
+        pool: &Arc<Pool<M>>,
         recorder: Option<&Arc<Recorder>>,
     ) -> (Self::Tx, Self::Open);
 
-    /// Retires the link once every actor thread has been joined (so no
-    /// [`Link::Tx`] is left); returns the deliveries it counted.
+    /// Retires the link once every worker has been joined (so no
+    /// [`Link::Tx`] is left); returns the deliveries it counted. Every
+    /// thread of the link that holds the pool is joined by then.
     fn close(open: Self::Open, recorder: Option<&Arc<Recorder>>) -> NetStats;
 
     /// Registers `id` at `addr`; `local` says whether `id` is one of this
@@ -84,12 +80,12 @@ pub(crate) trait Link<M>: Sized {
     }
 }
 
-/// The wall-clock [`Runtime`]: each actor on its own thread, messages
-/// carried by the link `L`.
+/// The wall-clock [`Runtime`]: actors run in turns on a worker pool,
+/// messages carried by the link `L`.
 ///
 /// Lifecycle mirrors the trait contract: [`Runtime::add_actor`] before the
-/// run, one [`Runtime::run_until_stopped`] (actors are consumed by their
-/// threads and collected back at shutdown), then post-run inspection via
+/// run, one [`Runtime::run_until_stopped`] (actors move into the pool and
+/// are collected back at shutdown), then post-run inspection via
 /// [`Runtime::actor_as`]. A second run request returns the recorded report
 /// unchanged.
 pub struct WallRuntime<M, L> {
@@ -156,8 +152,8 @@ where
         self.pending.push(actor);
     }
 
-    /// The tamper is consulted on each sending actor's thread; `now` is
-    /// elapsed milliseconds.
+    /// The tamper is consulted on the worker running each sending actor;
+    /// `now` is elapsed milliseconds.
     fn set_tamper(&mut self, tamper: Box<dyn Tamper<M>>) {
         self.before_run("the tamper must be installed");
         self.tamper = Some(tamper);
@@ -188,50 +184,36 @@ where
         }
         let start = Instant::now();
         let (halts, halt_rx) = unbounded();
-        let shared = Arc::new(Shared {
-            tamper: self.tamper.take().map(Mutex::new),
-            halts,
-            shutdown: Arc::default(),
-            start,
-        });
-        let mut inboxes = Inboxes::new();
-        let mut actors = Vec::new();
-        for actor in std::mem::take(&mut self.pending) {
-            let (tx, rx) = bounded(4096);
-            inboxes.insert(actor.id(), tx);
-            actors.push((actor, rx));
-        }
-        let live = inboxes.keys().copied().collect();
-        let (tx, link) = self
-            .link
-            .open(inboxes, &shared.shutdown, self.recorder.as_ref());
-        let handles: Vec<_> = actors
-            .into_iter()
-            .map(|(actor, rx)| {
-                let (tx, shared) = (tx.clone(), shared.clone());
-                thread::spawn(move || actor_loop(actor, rx, tx, &shared))
-            })
-            .collect();
-        drop(tx);
+        let actors = std::mem::take(&mut self.pending);
+        let live = actors.iter().map(|actor| actor.id()).collect();
+        let pool = Arc::new(Pool::new(actors, self.tamper.take(), halts, start));
+        let (tx, link) = self.link.open(&pool, self.recorder.as_ref());
 
         // Only local halts are tracked: remote peers are not ours to
         // track — a multi-process driver coordinates completion out of
         // band, through `stop`.
         let deadline = start + self.link.wall_timeout();
-        let (all_halted, stopped) = supervise(live, &halt_rx, stop, deadline);
-
-        // Raising `shutdown` stops the actors and the link's own threads (a
-        // router shard that exits drops its inbox senders, which wakes an
-        // idle actor). Once the actors are joined no send is left in
-        // flight towards the link, which can then be retired.
-        shared.shutdown.store(true, Ordering::SeqCst);
+        let (all_halted, stopped) = thread::scope(|scope| {
+            for _ in 0..pool.worker_count() {
+                let (pool, tx) = (&pool, tx.clone());
+                scope.spawn(move || pool.work(&tx));
+            }
+            drop(tx);
+            let verdict = supervise(live, &halt_rx, stop, deadline);
+            // Shutdown stops the workers and the link's own threads, and
+            // closes every mailbox. Once the workers are joined no send is
+            // left in flight towards the link, which can then be retired.
+            pool.shut_down();
+            verdict
+        });
+        let link_stats = L::close(link, self.recorder.as_ref());
+        let pool = Arc::into_inner(pool).expect("the link let go of the pool");
         let mut stats = NetStats::default();
-        for handle in handles {
-            let (actor, sent) = handle.join().expect("actor thread panicked");
+        for (actor, sent) in pool.into_actors() {
             stats.merge(&sent);
             self.finished.insert(actor.id(), actor);
         }
-        stats.merge(&L::close(link, self.recorder.as_ref()));
+        stats.merge(&link_stats);
 
         self.elapsed = start.elapsed();
         self.stats = stats.clone();

@@ -17,7 +17,10 @@
 #                              # tests (the signed-field and cross-kind
 #                              # replay tables, the replica state machine),
 #                              # the cupft-adversary unit tests (combinators,
-#                              # traces, invariants, shrinking) and the
+#                              # traces, invariants, shrinking), the
+#                              # cupft-net unit tests (the delay wheel, the
+#                              # send gate, the worker pool's fairness
+#                              # batch and mailbox cap, both links) and the
 #                              # adversary_catch / churn_catch
 #                              # inject-trace-flag-shrink loops,
 #                              # the paper claims
@@ -37,7 +40,8 @@
 #                              # delta-gossip discovery_equivalence sweep,
 #                              # the router_shards parity sweep and the
 #                              # socket_parity suite (one link-conformance
-#                              # body on both wall-clock links), the
+#                              # body on both wall-clock links, worker
+#                              # pool included), the
 #                              # verify_pipeline shared-verdict-memo suite
 #                              # (same fixpoint as private verification,
 #                              # forgeries counted once),
@@ -115,6 +119,8 @@ else
     cargo test -q -p cupft-committee --lib
     echo "==> cargo test -q -p cupft-adversary --lib (quick gate)"
     cargo test -q -p cupft-adversary --lib
+    echo "==> cargo test -q -p cupft-net --lib (quick gate)"
+    cargo test -q -p cupft-net --lib
     echo "==> cargo test -q --test adversary_catch --test churn_catch (quick gate)"
     cargo test -q --test adversary_catch --test churn_catch
     echo "==> cargo test -q --test proptest_graph (quick gate)"

@@ -1,7 +1,7 @@
 //! Offline shim for the [`crossbeam`](https://crates.io/crates/crossbeam)
 //! crate: the `channel` subset this workspace uses, implemented over
-//! `std::sync::mpsc`. Semantics relied upon by the threaded runtime —
-//! cloneable senders, bounded `try_send`, `recv_timeout`, and
+//! `std::sync::mpsc`. Semantics relied upon by the wall-clock runtime —
+//! cloneable senders, `recv_timeout`, a queue depth, and
 //! disconnect-on-drop — are all provided by std's channels.
 
 #![forbid(unsafe_code)]
@@ -13,76 +13,32 @@ pub mod channel {
     use std::sync::Arc;
     use std::time::Duration;
 
-    pub use std::sync::mpsc::{RecvTimeoutError, SendError, TryRecvError};
-
-    /// Error returned by [`Sender::try_send`] on a full or disconnected
-    /// channel.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The bounded channel is at capacity.
-        Full(T),
-        /// All receivers are gone.
-        Disconnected(T),
-    }
-
-    enum Inner<T> {
-        Unbounded(mpsc::Sender<T>),
-        Bounded(mpsc::SyncSender<T>),
-    }
-
-    impl<T> Clone for Inner<T> {
-        fn clone(&self) -> Self {
-            match self {
-                Inner::Unbounded(tx) => Inner::Unbounded(tx.clone()),
-                Inner::Bounded(tx) => Inner::Bounded(tx.clone()),
-            }
-        }
-    }
+    pub use std::sync::mpsc::{RecvTimeoutError, SendError};
 
     /// The sending half of a channel.
     pub struct Sender<T> {
-        inner: Inner<T>,
+        tx: mpsc::Sender<T>,
         depth: Arc<AtomicUsize>,
     }
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
             Sender {
-                inner: self.inner.clone(),
+                tx: self.tx.clone(),
                 depth: self.depth.clone(),
             }
         }
     }
 
     impl<T> Sender<T> {
-        /// Sends, blocking on a full bounded channel. Errors only when all
-        /// receivers have been dropped.
+        /// Sends without blocking. Errors only when all receivers have
+        /// been dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             // Count before the send so the receiver's decrement (which can
             // only follow a completed send) never underflows; undo on
             // failure.
             self.depth.fetch_add(1, Ordering::Relaxed);
-            let result = match &self.inner {
-                Inner::Unbounded(tx) => tx.send(value),
-                Inner::Bounded(tx) => tx.send(value),
-            };
-            if result.is_err() {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-            }
-            result
-        }
-
-        /// Non-blocking send: fails with [`TrySendError::Full`] instead of
-        /// waiting on a full bounded channel.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            let result = match &self.inner {
-                Inner::Unbounded(tx) => tx.send(value).map_err(|e| TrySendError::Disconnected(e.0)),
-                Inner::Bounded(tx) => tx.try_send(value).map_err(|e| match e {
-                    mpsc::TrySendError::Full(v) => TrySendError::Full(v),
-                    mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
-                }),
-            };
+            let result = self.tx.send(value);
             if result.is_err() {
                 self.depth.fetch_sub(1, Ordering::Relaxed);
             }
@@ -111,13 +67,6 @@ pub mod channel {
             Ok(value)
         }
 
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let value = self.rx.try_recv()?;
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-            Ok(value)
-        }
-
         /// Number of messages currently queued (approximate under
         /// concurrent sends, exact once senders quiesce) — the subset of
         /// crossbeam's `len()` the router-shard instrumentation samples.
@@ -131,27 +80,17 @@ pub mod channel {
         }
     }
 
-    fn pair<T>(tx: Inner<T>, rx: mpsc::Receiver<T>) -> (Sender<T>, Receiver<T>) {
+    /// Creates a channel of unbounded capacity.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+        let (tx, rx) = mpsc::channel();
         let depth = Arc::new(AtomicUsize::new(0));
         (
             Sender {
-                inner: tx,
+                tx,
                 depth: depth.clone(),
             },
             Receiver { rx, depth },
         )
-    }
-
-    /// Creates a channel of unbounded capacity.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        pair(Inner::Unbounded(tx), rx)
-    }
-
-    /// Creates a channel holding at most `cap` in-flight messages.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        pair(Inner::Bounded(tx), rx)
     }
 
     #[cfg(test)]
@@ -172,15 +111,6 @@ pub mod channel {
         }
 
         #[test]
-        fn bounded_try_send_full() {
-            let (tx, rx) = bounded::<u32>(1);
-            tx.try_send(1).unwrap();
-            assert!(matches!(tx.try_send(2), Err(TrySendError::Full(2))));
-            assert_eq!(rx.recv().unwrap(), 1);
-            tx.try_send(3).unwrap();
-        }
-
-        #[test]
         fn len_tracks_queued_messages() {
             let (tx, rx) = unbounded::<u32>();
             assert!(rx.is_empty());
@@ -189,13 +119,8 @@ pub mod channel {
             assert_eq!(rx.len(), 2);
             rx.recv().unwrap();
             assert_eq!(rx.len(), 1);
-            rx.try_recv().unwrap();
+            rx.recv_timeout(Duration::from_millis(10)).unwrap();
             assert!(rx.is_empty());
-            // Failed sends must not leak depth.
-            let (tx2, rx2) = bounded::<u32>(1);
-            tx2.try_send(1).unwrap();
-            assert!(tx2.try_send(2).is_err());
-            assert_eq!(rx2.len(), 1);
         }
 
         #[test]

@@ -154,6 +154,28 @@ fn tamper_delay_is_delivered_on_every_shard_count() {
     }
 }
 
+#[test]
+fn actors_share_a_bounded_worker_set() {
+    link::actors_share_a_bounded_worker_set(flood_runtime(2));
+}
+
+#[test]
+fn flood_past_the_mailbox_cap_is_deferred_then_delivered() {
+    for shards in SHARD_COUNTS {
+        let report = link::flood_past_the_mailbox_cap_is_delivered(flood_runtime(shards));
+        let obs = report.obs.expect("recorder installed");
+        assert!(
+            obs.counter("router_deferrals") > 0,
+            "shards={shards}: the full mailbox must defer the overflow"
+        );
+    }
+}
+
+#[test]
+fn backlog_does_not_starve_timers() {
+    link::backlog_does_not_starve_timers(flood_runtime(2));
+}
+
 /// The `adversary_sweep` within-model cell (Byzantine process 4 forging a
 /// PD while the network drops its output, chained behind a reorder
 /// window) keeps its verdict and its drop accounting on every shard

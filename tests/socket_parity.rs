@@ -129,3 +129,18 @@ fn socket_tamper_sees_per_sender_emission_order() {
 fn socket_tamper_delay_is_delivered() {
     link::delayed_messages_are_delivered(flood_runtime());
 }
+
+#[test]
+fn socket_actors_share_a_bounded_worker_set() {
+    link::actors_share_a_bounded_worker_set(flood_runtime());
+}
+
+#[test]
+fn socket_flood_past_the_mailbox_cap_is_delivered() {
+    link::flood_past_the_mailbox_cap_is_delivered(flood_runtime());
+}
+
+#[test]
+fn socket_backlog_does_not_starve_timers() {
+    link::backlog_does_not_starve_timers(flood_runtime());
+}
