@@ -82,11 +82,6 @@ pub struct Scenario {
     /// 60 s). Generous budgets are a scale knob, not a correctness one —
     /// the run still stops the moment every correct node has decided.
     pub threaded_wall_timeout: Option<Duration>,
-    /// Router shard count when run on the threaded substrate: `None`
-    /// defers to the runtime's auto default (`min(cores, 4)`), `Some(k)`
-    /// spreads delivery scheduling across `k` shards (see
-    /// [`ThreadedConfig::router_shards`]). Ignored by the simulator.
-    pub router_shards: Option<usize>,
     /// Attach an observability [`Recorder`] to the run (off by default).
     /// On the simulator the recorder runs in the **virtual** clock domain
     /// — two runs of the same scenario produce byte-identical
@@ -122,7 +117,6 @@ impl Scenario {
             view_timeout_base: 400,
             full_gossip: false,
             threaded_wall_timeout: None,
-            router_shards: None,
             observe: false,
         }
     }
@@ -172,13 +166,10 @@ impl Scenario {
         self
     }
 
-    /// Pins the threaded-substrate router shard count (leaving the knob
-    /// unset — or passing `0`, which [`ThreadedConfig::router_shards`]
-    /// defines as auto — defers to the runtime's `min(cores, 4)`
-    /// resolution, which is machine-dependent, not pinned). No effect on
-    /// the simulator.
-    pub fn with_router_shards(mut self, shards: usize) -> Self {
-        self.router_shards = Some(shards);
+    /// Inert: returns the scenario unchanged. The wall-clock runtime has
+    /// no router shards; this stays only while `benchmark/` still calls
+    /// it, and ROADMAP item 3(a) deletes it.
+    pub fn with_router_shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -437,7 +428,7 @@ impl Scenario {
     /// as every correct node has decided, so the timeout only bounds
     /// failing runs.
     ///
-    /// The mapping is *lossy*: the threaded router only applies a uniform
+    /// The mapping is *lossy*: the threaded link only applies a uniform
     /// random delay, so the pre-GST adversarial phase of
     /// [`DelayPolicy::PartialSynchrony`] is dropped (the threaded network
     /// behaves as if GST were 0). That weakens the adversary but cannot
@@ -460,7 +451,7 @@ impl Scenario {
                 .threaded_wall_timeout
                 .unwrap_or(Duration::from_secs(60)),
             seed: self.sim.seed,
-            router_shards: self.router_shards.unwrap_or(0),
+            ..ThreadedConfig::default()
         }
     }
 

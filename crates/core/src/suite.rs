@@ -109,8 +109,8 @@ impl ScenarioSuite {
     fn worker_count(&self, kind: RuntimeKind) -> usize {
         let hw = std::thread::available_parallelism().map_or(4, |n| n.get());
         // A wall-clock scenario brings its own worker pool (one worker per
-        // core) and router shards, so scenarios run side by side already
-        // oversubscribe the cores: cap the fan-out.
+        // core), so scenarios run side by side already oversubscribe the
+        // cores: cap the fan-out.
         let cap = match kind {
             RuntimeKind::Sim => hw,
             RuntimeKind::Threaded => hw.min(4),

@@ -48,8 +48,8 @@ impl SyncState {
 ///
 /// Certificates travel as `Arc<PdCertificate>` inside an `Arc<[_]>` bundle
 /// and the `GETPDS` have-set as `Arc<ProcessSet>`, so cloning a message —
-/// for fan-out, for the simulator's per-recipient copies, or across the
-/// threaded router's shard hops — bumps one reference count instead of
+/// for fan-out, or for the simulator's per-recipient copies — bumps one
+/// reference count instead of
 /// deep-copying signed records or even the bundle's pointer vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiscoveryMsg {

@@ -1,19 +1,14 @@
 //! The mechanisms every runtime needs exactly once: the delay [`Wheel`],
 //! the send-time gate [`admit`], and — for the one wall-clock runtime
-//! (`crate::wall`) — the worker [`Pool`] that runs every actor in turns,
-//! and the driving thread's coordinator ([`supervise`]).
-//!
-//! The [`Wheel`] keeps one FIFO bucket per distinct key, because the
-//! simulator queues thousands of events on each virtual tick; the
-//! wall-clock keys (`Instant`s) are nearly unique and pay one small bucket
-//! per item instead.
+//! (`crate::wall`) — the worker [`Pool`] and the driving thread's
+//! coordinator ([`supervise`]).
 //!
 //! On the wall-clock runtime the gate runs on the worker running the
 //! sending actor: a turn counts each send, shows it to the tamper (one
-//! shared lock, taken only when a tamper is installed) and hands only the
-//! admitted messages to its link's [`Egress`]. How a message then travels
-//! (router shards, TCP frames) and into which mailbox ([`Pool::deliver`])
-//! is the link's business.
+//! shared lock, taken only when a tamper is installed), and parks it for
+//! its link's [`Egress::delay`] on the pool's one wheel, beside the actors'
+//! timer wake-ups. The worker that finds it due hands it to
+//! [`Egress::carry`]: into a mailbox ([`Pool::deliver`]) or a TCP frame.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,28 +17,27 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use cupft_graph::ProcessId;
+use cupft_obs::Recorder;
 
 use crate::actor::{Actor, Context, Labeled, TimerKind};
 use crate::stats::NetStats;
 use crate::tamper::{Fate, Tamper};
 use crate::Time;
 
-/// A queue of items ordered by `(key, insertion order)`: the earliest key
-/// pops first, and equal keys pop in the order they were pushed.
+/// A queue of items ordered by `(due time, insertion order)`: the earliest
+/// time pops first, and equal times pop in the order they were pushed.
 ///
-/// One FIFO bucket per distinct key. The simulator is the heavy user:
-/// thousands of its events share each virtual tick and only ~10² ticks are
-/// pending, so a push appends to an existing bucket and a pop takes the
-/// front of the first one, instead of sifting through a heap of every
-/// pending event. The wall-clock users (router shards, the socket delay
-/// thread) key by `Instant`, which is nearly unique, so there most buckets
-/// hold one item.
-pub(crate) struct Wheel<K, T> {
-    buckets: BTreeMap<K, VecDeque<T>>,
+/// One FIFO bucket per distinct time: the simulator's virtual tick
+/// (thousands of its events share each tick and only ~10² ticks are
+/// pending), or the wall-clock pool's elapsed millisecond. So a push
+/// mostly appends to an existing bucket and a pop takes the front of the
+/// first one, instead of sifting through a heap of every pending item.
+pub(crate) struct Wheel<T> {
+    buckets: BTreeMap<Time, VecDeque<T>>,
     len: usize,
 }
 
-impl<K: Ord + Copy, T> Wheel<K, T> {
+impl<T> Wheel<T> {
     pub(crate) fn new() -> Self {
         Wheel {
             buckets: BTreeMap::new(),
@@ -56,24 +50,24 @@ impl<K: Ord + Copy, T> Wheel<K, T> {
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, key: K, item: T) {
-        self.buckets.entry(key).or_default().push_back(item);
+    pub(crate) fn push(&mut self, at: Time, item: T) {
+        self.buckets.entry(at).or_default().push_back(item);
         self.len += 1;
     }
 
-    /// The key that pops next, if any.
+    /// The time that pops next, if any.
     #[inline]
-    pub(crate) fn next_key(&self) -> Option<K> {
-        self.buckets.first_key_value().map(|(&key, _)| key)
+    pub(crate) fn next_key(&self) -> Option<Time> {
+        self.buckets.first_key_value().map(|(&at, _)| at)
     }
 
-    /// Pops the earliest entry if its key is at or before `now`; later
+    /// Pops the earliest entry if it is due at or before `now`; later
     /// entries stay queued.
     #[inline]
-    pub(crate) fn pop_due(&mut self, now: K) -> Option<(K, T)> {
+    pub(crate) fn pop_due(&mut self, now: Time) -> Option<(Time, T)> {
         let mut first = self.buckets.first_entry()?;
-        let key = *first.key();
-        if key > now {
+        let at = *first.key();
+        if at > now {
             return None;
         }
         let item = first.get_mut().pop_front().expect("no empty bucket");
@@ -81,7 +75,7 @@ impl<K: Ord + Copy, T> Wheel<K, T> {
             first.remove();
         }
         self.len -= 1;
-        Some((key, item))
+        Some((at, item))
     }
 }
 
@@ -113,16 +107,24 @@ pub(crate) fn admit<M>(
 
 /// A worker's handle onto its link.
 pub(crate) trait Egress<M> {
-    /// Carries one admitted message, held back `extra` milliseconds on
-    /// top of the link's own delay (a tamper's [`Fate::Delay`]).
-    fn send(&self, from: ProcessId, to: ProcessId, msg: M, extra: Time);
+    /// How long an admitted message from `from` waits before
+    /// [`Egress::carry`]: the link's own delay plus the `extra` ms of a
+    /// tamper's [`Fate::Delay`]. A zero wait is carried at once.
+    fn delay(&self, from: ProcessId, extra: Time) -> Duration;
+
+    /// Carries a message whose wait is over. Hands it back when a full
+    /// mailbox cannot take it yet; the pool retries it [`RETRY`] later.
+    fn carry(&self, pool: &Pool<M>, from: ProcessId, to: ProcessId, msg: M) -> Option<M>;
 }
 
 /// The most messages one mailbox holds: a link that finds it full retries
-/// later (the threaded router) or waits (a socket reader, which is TCP
+/// later (the threaded link) or waits (a socket reader, which is TCP
 /// back-pressure). Below the cap a mailbox allocates only for what it
 /// holds.
 const MAILBOX_CAP: usize = 4096;
+
+/// How much later a message handed back by [`Egress::carry`] is retried.
+const RETRY: Duration = Duration::from_millis(1);
 
 /// The most messages one turn handles after the actor's due timers.
 ///
@@ -147,36 +149,26 @@ const BATCH: usize = 64;
 /// over 8 ms send; spreading them over 3 ms kept most of the excess.
 const START_SPACING: Duration = Duration::from_micros(100);
 
-/// What a link's delivery into a mailbox came to.
-pub(crate) enum Delivery<M> {
-    /// Queued for one of the destination's next turns.
-    Queued,
-    /// The mailbox is at [`MAILBOX_CAP`]: the message comes back.
-    Full(M),
-    /// Not a local actor, halted, or the run is over: discarded.
-    Closed,
-}
-
-type Timers = Wheel<Time, TimerKind>;
-
-/// One actor's mailbox and scheduling state, shared with the link threads
-/// that deliver into it.
+/// One actor's mailbox and scheduling state, shared with every thread
+/// that delivers into it.
 struct Mailbox<M> {
     queue: VecDeque<(ProcessId, M)>,
+    /// Every message queued here, counted as it is queued.
+    delivered: NetStats,
     /// On the ready list or running a turn; a delivery into an
     /// unscheduled mailbox puts its actor on the ready list.
     scheduled: bool,
     /// Halted, or the run is over: takes no more messages.
     closed: bool,
-    /// When this actor is registered to wake on the pool's wake wheel;
-    /// its entries there for any other time are stale.
+    /// When this actor is registered to wake on the pool's wheel; its
+    /// wake-ups there for any other time are stale.
     wake: Option<Time>,
 }
 
 /// What only the worker running the actor's turn touches.
 struct Body<M> {
     actor: Box<dyn Actor<M>>,
-    timers: Timers,
+    timers: Wheel<TimerKind>,
     /// Every send it emitted (drops included) and every timer it fired.
     stats: NetStats,
     started: bool,
@@ -189,10 +181,18 @@ struct Cell<M> {
     body: Mutex<Body<M>>,
 }
 
-/// The ready list and the wake-ups of actors that sleep until a timer.
-struct RunQueue {
+/// What waits on the pool's wheel for its time.
+enum Due<M> {
+    /// The actor in this slot wakes for a timer (or for its start).
+    Wake(usize),
+    /// A message `(from, to, msg)` in flight, carried by the link.
+    Carry(ProcessId, ProcessId, M),
+}
+
+/// The ready list and the one wheel of everything that waits for a time.
+struct RunQueue<M> {
     ready: VecDeque<usize>,
-    wakes: Wheel<Time, usize>,
+    wheel: Wheel<Due<M>>,
 }
 
 /// What a finished turn leaves for the run queue.
@@ -208,23 +208,26 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The wall-clock runtime's worker pool: every actor of a run, each with a
 /// mailbox that grows as it fills (up to [`MAILBOX_CAP`]), run in turns by
-/// a fixed set of workers ([`Pool::work`]).
+/// a fixed set of workers ([`Pool::work`]), and every message in flight.
 ///
 /// An actor is runnable when its mailbox is non-empty or one of its timers
 /// is due, and it runs on one worker at a time. A turn starts the actor
 /// (first turn only), fires its due timers, handles at most [`BATCH`]
 /// messages, and yields. Each send is counted and shown to the tamper
-/// ([`admit`]) on the worker running the sender, in program order, before
-/// the link's [`Egress`] carries it.
+/// ([`admit`]) on the worker running the sender, in program order, then
+/// waits its [`Egress::delay`] on the pool's wheel; the worker that finds
+/// it due hands it to [`Egress::carry`].
 pub(crate) struct Pool<M> {
     slots: BTreeMap<ProcessId, usize>,
     cells: Vec<Cell<M>>,
-    queue: Mutex<RunQueue>,
-    /// Signalled when the ready list gains an entry, an earlier wake-up is
-    /// registered, or the run is over.
+    queue: Mutex<RunQueue<M>>,
+    /// Signalled when the ready list gains an entry, the wheel an earlier
+    /// one, or the run is over.
     work: Condvar,
     /// The installed tamper, consulted under this one lock.
     tamper: Option<Mutex<Box<dyn Tamper<M>>>>,
+    /// Where `wheel_depth` and `mailbox_deferrals` go, if observed.
+    recorder: Option<Arc<Recorder>>,
     /// Where a halt is reported to [`supervise`].
     halts: Sender<ProcessId>,
     /// Raised when the run is over; the link's threads watch it too.
@@ -238,6 +241,7 @@ impl<M: Labeled> Pool<M> {
     pub(crate) fn new(
         actors: Vec<Box<dyn Actor<M>>>,
         tamper: Option<Box<dyn Tamper<M>>>,
+        recorder: Option<Arc<Recorder>>,
         halts: Sender<ProcessId>,
         start: Instant,
     ) -> Self {
@@ -246,7 +250,7 @@ impl<M: Labeled> Pool<M> {
             .enumerate()
             .map(|(slot, a)| (a.id(), slot))
             .collect();
-        let (mut ready, mut wakes) = (VecDeque::new(), Wheel::new());
+        let (mut ready, mut wheel) = (VecDeque::new(), Wheel::new());
         let cells: Vec<Cell<M>> = actors
             .into_iter()
             .enumerate()
@@ -255,11 +259,12 @@ impl<M: Labeled> Pool<M> {
                 if at == 0 {
                     ready.push_back(slot);
                 } else {
-                    wakes.push(at, slot);
+                    wheel.push(at, Due::Wake(slot));
                 }
                 Cell {
                     mailbox: Mutex::new(Mailbox {
                         queue: VecDeque::new(),
+                        delivered: NetStats::default(),
                         scheduled: at == 0,
                         closed: false,
                         wake: (at > 0).then_some(at),
@@ -267,19 +272,23 @@ impl<M: Labeled> Pool<M> {
                     space: Condvar::new(),
                     body: Mutex::new(Body {
                         actor,
-                        timers: Timers::new(),
+                        timers: Wheel::new(),
                         stats: NetStats::default(),
                         started: false,
                     }),
                 }
             })
             .collect();
+        if let Some(rec) = &recorder {
+            rec.counter_add("mailbox_deferrals", 0);
+        }
         Pool {
             slots,
-            queue: Mutex::new(RunQueue { ready, wakes }),
+            queue: Mutex::new(RunQueue { ready, wheel }),
             cells,
             work: Condvar::new(),
             tamper: tamper.map(Mutex::new),
+            recorder,
             halts,
             shutdown: Arc::default(),
             start,
@@ -303,30 +312,34 @@ impl<M: Labeled> Pool<M> {
         self.start.elapsed().as_millis() as Time
     }
 
-    /// Queues `msg` from `from` for actor `to`. On a full mailbox, returns
-    /// the message as [`Delivery::Full`], or with `wait` blocks until a
-    /// slot frees or the mailbox closes.
-    pub(crate) fn deliver(
-        &self,
-        to: ProcessId,
-        from: ProcessId,
-        msg: M,
-        wait: bool,
-    ) -> Delivery<M> {
-        let Some(&slot) = self.slots.get(&to) else {
-            return Delivery::Closed;
-        };
+    /// The wheel time at which `delay` from now has passed: rounded *up*
+    /// to the millisecond, because an entry pops once the elapsed whole
+    /// milliseconds reach its time.
+    fn due_in(&self, delay: Duration) -> Time {
+        (self.start.elapsed() + delay)
+            .as_nanos()
+            .div_ceil(1_000_000) as Time
+    }
+
+    /// Queues `msg` from `from` for actor `to` and counts it delivered. On
+    /// a full mailbox ([`MAILBOX_CAP`]), hands the message back, or with
+    /// `wait` blocks until a slot frees or the mailbox closes. A message
+    /// for an actor that is not local, has halted, or whose run is over is
+    /// discarded.
+    pub(crate) fn deliver(&self, to: ProcessId, from: ProcessId, msg: M, wait: bool) -> Option<M> {
+        let &slot = self.slots.get(&to)?;
         let cell = &self.cells[slot];
         let mut mailbox = lock(&cell.mailbox);
         while !mailbox.closed && mailbox.queue.len() >= MAILBOX_CAP {
             if !wait {
-                return Delivery::Full(msg);
+                return Some(msg);
             }
             mailbox = cell.space.wait(mailbox).expect("worker pool lock poisoned");
         }
         if mailbox.closed {
-            return Delivery::Closed;
+            return None;
         }
+        mailbox.delivered.record_delivery(msg.payload_units());
         mailbox.queue.push_back((from, msg));
         let was_idle = !std::mem::replace(&mut mailbox.scheduled, true);
         drop(mailbox);
@@ -334,45 +347,91 @@ impl<M: Labeled> Pool<M> {
             lock(&self.queue).ready.push_back(slot);
             self.work.notify_one();
         }
-        Delivery::Queued
+        None
     }
 
-    /// One worker: runs turns until the run is over.
+    /// One worker: runs turns and carries due messages until the run is
+    /// over.
     pub(crate) fn work<E: Egress<M>>(&self, egress: &E) {
         let mut after = After::Nothing;
-        while let Some(slot) = self.next_turn(after) {
+        while let Some(slot) = self.next_turn(after, egress) {
             after = self.turn(slot, egress);
         }
     }
 
+    /// Puts `due` on the wheel at `at`.
+    fn park(&self, queue: &mut RunQueue<M>, at: Time, due: Due<M>) {
+        if queue.wheel.next_key().is_none_or(|first| at < first) {
+            // Another idle worker may be sleeping past `at`.
+            self.work.notify_one();
+        }
+        queue.wheel.push(at, due);
+    }
+
+    /// Carries one message through the link; what it hands back is
+    /// counted as a deferral and returned for the wheel, [`RETRY`] later.
+    fn carry<E: Egress<M>>(
+        &self,
+        egress: &E,
+        from: ProcessId,
+        to: ProcessId,
+        msg: M,
+    ) -> Option<(Time, Due<M>)> {
+        let msg = egress.carry(self, from, to, msg)?;
+        if let Some(rec) = &self.recorder {
+            rec.counter_add("mailbox_deferrals", 1);
+        }
+        Some((self.due_in(RETRY), Due::Carry(from, to, msg)))
+    }
+
     /// Files what the last turn left, then waits for the next runnable
     /// actor: the ready list's front, after every due wake-up has joined
-    /// it. `None` once the run is over.
-    fn next_turn(&self, after: After) -> Option<usize> {
+    /// it and every due message has been carried. `None` once the run is
+    /// over.
+    fn next_turn<E: Egress<M>>(&self, after: After, egress: &E) -> Option<usize> {
         let mut queue = lock(&self.queue);
         if let After::Wake(at, slot) = after {
-            if queue.wakes.next_key().is_none_or(|first| at < first) {
-                // Another idle worker may be sleeping past `at`.
-                self.work.notify_one();
-            }
-            queue.wakes.push(at, slot);
+            self.park(&mut queue, at, Due::Wake(slot));
         }
         let mut requeue = match after {
             After::Requeue(slot) => Some(slot),
             _ => None,
         };
+        let mut carries = Vec::new();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
             }
-            while let Some((at, slot)) = queue.wakes.pop_due(self.now()) {
-                let mut mailbox = lock(&self.cells[slot].mailbox);
-                if mailbox.wake == Some(at) {
-                    mailbox.wake = None;
-                    if !mailbox.closed && !std::mem::replace(&mut mailbox.scheduled, true) {
-                        queue.ready.push_back(slot);
+            while let Some((at, due)) = queue.wheel.pop_due(self.now()) {
+                match due {
+                    Due::Wake(slot) => {
+                        let mut mailbox = lock(&self.cells[slot].mailbox);
+                        if mailbox.wake == Some(at) {
+                            mailbox.wake = None;
+                            if !mailbox.closed && !std::mem::replace(&mut mailbox.scheduled, true) {
+                                queue.ready.push_back(slot);
+                            }
+                        }
                     }
+                    Due::Carry(from, to, msg) => carries.push((from, to, msg)),
                 }
+            }
+            if !carries.is_empty() {
+                if let Some(rec) = &self.recorder {
+                    rec.hist_record("wheel_depth", queue.wheel.len() as u64);
+                }
+                // Carried outside the lock: a delivery takes it to put its
+                // actor on the ready list.
+                drop(queue);
+                let retries: Vec<_> = carries
+                    .drain(..)
+                    .filter_map(|(from, to, msg)| self.carry(egress, from, to, msg))
+                    .collect();
+                queue = lock(&self.queue);
+                for (at, due) in retries {
+                    self.park(&mut queue, at, due);
+                }
+                continue;
             }
             // Behind the actors whose timers came due meanwhile.
             queue.ready.extend(requeue.take());
@@ -382,7 +441,7 @@ impl<M: Labeled> Pool<M> {
                 }
                 return Some(slot);
             }
-            queue = match queue.wakes.next_key() {
+            queue = match queue.wheel.next_key() {
                 Some(at) => {
                     let due = self.start + Duration::from_millis(at);
                     let wait = due.saturating_duration_since(Instant::now());
@@ -462,9 +521,11 @@ impl<M: Labeled> Pool<M> {
         mailbox.queue.pop_front()
     }
 
-    /// Applies a handler's effects: each send through [`admit`] to the
-    /// link, in program order; each timer onto the actor's wheel. Returns
-    /// whether the handler halted the actor.
+    /// Applies a handler's effects: each send through [`admit`], in
+    /// program order, then carried at once if its [`Egress::delay`] is
+    /// zero and parked on the wheel otherwise (all of a handler's parked
+    /// sends under one lock); each timer onto the actor's own wheel.
+    /// Returns whether the handler halted the actor.
     fn apply<E: Egress<M>>(
         &self,
         body: &mut Body<M>,
@@ -474,6 +535,7 @@ impl<M: Labeled> Pool<M> {
     ) -> bool {
         let id = ctx.self_id();
         let (sends, new_timers, halted) = ctx.into_effects();
+        let mut parked = Vec::new();
         for (to, msg) in sends {
             let mut tamper = self.tamper.as_ref().map(lock);
             let (label, payload) = (msg.label(), msg.payload_units());
@@ -488,7 +550,16 @@ impl<M: Labeled> Pool<M> {
             );
             drop(tamper);
             if let Some(extra) = admitted {
-                egress.send(id, to, msg, extra);
+                match egress.delay(id, extra) {
+                    Duration::ZERO => parked.extend(self.carry(egress, id, to, msg)),
+                    delay => parked.push((self.due_in(delay), Due::Carry(id, to, msg))),
+                }
+            }
+        }
+        if !parked.is_empty() {
+            let mut queue = lock(&self.queue);
+            for (at, due) in parked {
+                self.park(&mut queue, at, due);
             }
         }
         for (kind, delay) in new_timers {
@@ -499,7 +570,7 @@ impl<M: Labeled> Pool<M> {
 
     /// Ends the run: idle workers return, running ones after their turn,
     /// and every mailbox closes, so a link thread waiting on a full one
-    /// moves on.
+    /// moves on. Whatever is still on the wheel is discarded.
     pub(crate) fn shut_down(&self) {
         {
             let _queue = lock(&self.queue);
@@ -512,11 +583,17 @@ impl<M: Labeled> Pool<M> {
         }
     }
 
-    /// Every actor in its final state with its own counters, in
+    /// Every actor in its final state with its own counters (its sends,
+    /// drops and timers, and the deliveries into its mailbox), in
     /// registration order.
     pub(crate) fn into_actors(self) -> impl Iterator<Item = (Box<dyn Actor<M>>, NetStats)> {
         self.cells.into_iter().map(|cell| {
-            let body = cell.body.into_inner().expect("worker pool lock poisoned");
+            let mut body = cell.body.into_inner().expect("worker pool lock poisoned");
+            let mailbox = cell
+                .mailbox
+                .into_inner()
+                .expect("worker pool lock poisoned");
+            body.stats.merge(&mailbox.delivered);
             (body.actor, body.stats)
         })
     }
@@ -562,7 +639,7 @@ mod tests {
 
     #[test]
     fn wheel_pops_equal_keys_in_push_order() {
-        let mut wheel: Wheel<u64, &str> = Wheel::new();
+        let mut wheel: Wheel<&str> = Wheel::new();
         wheel.push(5, "late");
         wheel.push(3, "a");
         wheel.push(3, "b");
@@ -575,7 +652,7 @@ mod tests {
 
     #[test]
     fn wheel_pop_due_includes_key_equal_to_now() {
-        let mut wheel: Wheel<u64, ()> = Wheel::new();
+        let mut wheel: Wheel<()> = Wheel::new();
         assert_eq!(wheel.pop_due(10), None);
         wheel.push(10, ());
         wheel.push(11, ());
@@ -591,7 +668,7 @@ mod tests {
     /// "just below the earliest key" always exists).
     fn wheel_matches_sorted_model(seed: u64, key_of: fn(&mut StdRng, u64) -> u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut wheel: Wheel<u64, u64> = Wheel::new();
+        let mut wheel: Wheel<u64> = Wheel::new();
         let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
         let (mut pops, mut misses) = (0, 0);
         for seq in 0..4_000 {
@@ -694,7 +771,12 @@ mod tests {
     /// An egress that carries nothing anywhere.
     struct Discard;
     impl Egress<u32> for Discard {
-        fn send(&self, _: ProcessId, _: ProcessId, _: u32, _: Time) {}
+        fn delay(&self, _: ProcessId, _: Time) -> Duration {
+            Duration::ZERO
+        }
+        fn carry(&self, _: &Pool<u32>, _: ProcessId, _: ProcessId, _: u32) -> Option<u32> {
+            None
+        }
     }
 
     /// Re-arms its timer at delay 1 and works longer than that in the
@@ -744,7 +826,7 @@ mod tests {
             seen_at_firing: Vec::new(),
             first_firing: fired_tx,
         });
-        let pool = Pool::new(vec![actor], None, halt_tx, Instant::now());
+        let pool = Pool::new(vec![actor], None, None, halt_tx, Instant::now());
         let halted = std::thread::scope(|scope| {
             scope.spawn(|| pool.work(&Discard));
             // Only once the actor is inside its first (over-long) timer
@@ -752,8 +834,8 @@ mod tests {
             // at every turn.
             fired_rx.recv().expect("timer fired");
             for n in 0..MESSAGES {
-                let queued = pool.deliver(ProcessId::new(1), ProcessId::new(2), n, false);
-                assert!(matches!(queued, Delivery::Queued));
+                let refused = pool.deliver(ProcessId::new(1), ProcessId::new(2), n, false);
+                assert_eq!(refused, None);
             }
             let halted = halt_rx.recv_timeout(Duration::from_secs(20));
             pool.shut_down();
@@ -782,29 +864,24 @@ mod tests {
             seen_at_firing: Vec::new(),
             first_firing: unbounded().0,
         });
-        let pool = Pool::new(vec![actor], None, halt_tx, Instant::now());
+        let pool = Pool::new(vec![actor], None, None, halt_tx, Instant::now());
         let (to, from) = (ProcessId::new(1), ProcessId::new(2));
         for n in 0..MAILBOX_CAP as u32 {
-            assert!(matches!(pool.deliver(to, from, n, false), Delivery::Queued));
+            assert_eq!(pool.deliver(to, from, n, false), None);
         }
-        assert!(matches!(
-            pool.deliver(to, from, 7, false),
-            Delivery::Full(7)
-        ));
-        assert!(matches!(
-            pool.deliver(ProcessId::new(9), from, 7, false),
-            Delivery::Closed
-        ));
+        assert_eq!(pool.deliver(to, from, 7, false), Some(7), "full");
+        assert_eq!(pool.deliver(ProcessId::new(9), from, 7, false), None);
         std::thread::scope(|scope| {
             // A waiting delivery returns once the run is over.
             let waiting = scope.spawn(|| pool.deliver(to, from, 8, true));
             std::thread::sleep(Duration::from_millis(20));
             pool.shut_down();
-            assert!(matches!(
-                waiting.join().expect("no panic"),
-                Delivery::Closed
-            ));
+            assert_eq!(waiting.join().expect("no panic"), None);
         });
-        assert!(matches!(pool.deliver(to, from, 9, false), Delivery::Closed));
+        assert_eq!(pool.deliver(to, from, 9, false), None);
+        // Only the queued messages count as delivered: not the refused
+        // one, not the one for an unknown actor, not the discarded ones.
+        let (_, stats) = pool.into_actors().next().expect("one actor");
+        assert_eq!(stats.messages_delivered, MAILBOX_CAP as u64);
     }
 }

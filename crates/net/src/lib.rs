@@ -16,10 +16,8 @@
 //!   policies (needed to reproduce the indistinguishability executions of
 //!   Theorem 7 exactly);
 //! * [`threaded::ThreadedRuntime`] — the wall-clock runtime over in-memory
-//!   channels: randomized real-time delays applied by a **sharded router
-//!   plane** ([`ThreadedConfig::router_shards`], destination-hashed,
-//!   per-shard delay wheels and delivery counters merged
-//!   deterministically), for wall-clock validation
+//!   mailboxes: each send waits a randomized real-time delay on the worker
+//!   pool's one wheel, for wall-clock validation
 //!   ([`threaded::run_threaded`] remains as a by-value convenience);
 //! * [`socket::SocketRuntime`] — the same wall-clock runtime over TCP:
 //!   every send travels in the versioned [`cupft_wire`] frame format, with
@@ -31,7 +29,8 @@
 //! the sender. Both wall-clock substrates are [`wall::WallRuntime`]: they
 //! share the worker pool (one growing mailbox per actor, one worker
 //! thread per available core running the actors in turns, no thread per
-//! actor), the coordinator, shutdown and report assembly, and on both each
+//! actor, one wheel where every timer and every delayed message waits),
+//! the coordinator, shutdown and report assembly, and on both each
 //! send is counted and shown to an installed [`Tamper`] on the worker
 //! running the sender before the link carries it.
 //!

@@ -92,7 +92,7 @@ pub struct Simulation<M> {
     slot_of: BTreeMap<ProcessId, usize>,
     /// Pending events `(target slot, kind)`, keyed by their time. A send to
     /// an unregistered id carries slot `usize::MAX`: counted, then dropped.
-    queue: Wheel<Time, (usize, EventKind<M>)>,
+    queue: Wheel<(usize, EventKind<M>)>,
     now: Time,
     events_processed: u64,
     rng: StdRng,

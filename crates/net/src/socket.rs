@@ -30,9 +30,10 @@
 //! so a slow actor pushes back on its senders through TCP.
 //!
 //! The worker running the sender has already counted each message and
-//! shown it to the tamper: `Fate::Drop` never reaches this link, and
-//! `Fate::Delay` routes the already-encoded frame through a delay-wheel
-//! thread that forwards it to the connection pool when due.
+//! shown it to the tamper: `Fate::Drop` never reaches this link, and a
+//! `Fate::Delay` message waits on the worker pool's wheel and is encoded
+//! and handed to the connection pool by the worker that finds it due.
+//! Every other send is encoded and handed over at once.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
@@ -40,18 +41,16 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use cupft_graph::ProcessId;
-use cupft_obs::Recorder;
 use cupft_wire::frame::{frame, read_frame};
 use cupft_wire::{Decode, Encode, Reader, WireError};
 
 use crate::actor::Labeled;
-use crate::host::{Delivery, Egress, Pool, Wheel};
+use crate::host::{Egress, Pool};
 use crate::runtime::PeerAddr;
-use crate::stats::NetStats;
 use crate::wall::{Link, WallRuntime};
 use crate::Time;
 
@@ -82,14 +81,18 @@ impl Default for SocketConfig {
     }
 }
 
-/// The socket link before the run: its configuration, its bound
-/// listener, and the book of remote peers.
+/// The socket link: its configuration, its bound listener, the book of
+/// remote peers, and — while a run is on — its writers and accept loop.
 pub struct SocketLink {
     config: SocketConfig,
     listener: TcpListener,
     local_addr: SocketAddr,
     book: HashMap<ProcessId, SocketAddr>,
+    plane: Option<(Arc<ConnPool>, JoinHandle<Readers>)>,
 }
+
+/// Every accepted stream with its reader thread.
+type Readers = Vec<(TcpStream, JoinHandle<()>)>;
 
 /// The wall-clock runtime over the socket link: actors on the worker
 /// pool, every send encoded and carried over TCP — loopback within one
@@ -107,6 +110,7 @@ impl<M> SocketRuntime<M> {
             listener,
             local_addr,
             book: HashMap::new(),
+            plane: None,
         }))
     }
 
@@ -116,10 +120,6 @@ impl<M> SocketRuntime<M> {
         self.link.local_addr
     }
 }
-
-/// A tamper-delayed, already-encoded frame on its way to the delay wheel:
-/// due instant, destination address, frame bytes.
-type Delayed = (Instant, SocketAddr, Vec<u8>);
 
 /// Per-destination-address writer pool. One writer thread per remote
 /// address owns the `TcpStream`, writes pre-framed bytes, and reconnects
@@ -199,91 +199,55 @@ fn writer_loop(addr: SocketAddr, rx: Receiver<Vec<u8>>, shutdown: &AtomicBool) {
     }
 }
 
-/// The delay wheel thread: holds tamper-delayed frames until due, then
-/// forwards them to the connection pool. Exits once every sender is gone
-/// (the workers have been joined); pending frames are discarded, as the
-/// threaded link discards its delay wheels.
-fn delay_loop(rx: Receiver<Delayed>, pool: &ConnPool) {
-    let mut wheel: Wheel<Instant, (SocketAddr, Vec<u8>)> = Wheel::new();
-    loop {
-        let now = Instant::now();
-        while let Some((_, (addr, bytes))) = wheel.pop_due(now) {
-            pool.send_to(addr, bytes);
-        }
-        let wait = wheel
-            .next_key()
-            .map(|due| due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(50))
-            .min(Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
-            Ok((due, addr, bytes)) => wheel.push(due, (addr, bytes)),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
 /// The actor-side send handle: encode, frame, route.
 #[derive(Clone)]
 pub(crate) struct SocketTx {
     routes: Arc<HashMap<ProcessId, SocketAddr>>,
     pool: Arc<ConnPool>,
-    delay: Sender<Delayed>,
 }
 
-impl<M: Encode> Egress<M> for SocketTx {
-    fn send(&self, from: ProcessId, to: ProcessId, msg: M, extra: Time) {
+impl<M: Labeled + Encode> Egress<M> for SocketTx {
+    /// TCP is the link's own delay: only a tamper's holds a message back.
+    fn delay(&self, _: ProcessId, extra: Time) -> Duration {
+        Duration::from_millis(extra)
+    }
+
+    fn carry(&self, _: &Pool<M>, from: ProcessId, to: ProcessId, msg: M) -> Option<M> {
         // Sends to processes the route table does not know go nowhere —
         // the socket analogue of the simulator discarding events for
         // unknown actors.
-        let Some(&addr) = self.routes.get(&to) else {
-            return;
-        };
+        let &addr = self.routes.get(&to)?;
         let mut inner = Vec::new();
         from.encode(&mut inner);
         to.encode(&mut inner);
         msg.encode(&mut inner);
-        let bytes = frame(&inner);
-        if extra == 0 {
-            self.pool.send_to(addr, bytes);
-        } else {
-            let due = Instant::now() + Duration::from_millis(extra);
-            let _ = self.delay.send((due, addr, bytes));
-        }
+        self.pool.send_to(addr, frame(&inner));
+        None
     }
 }
 
 /// Decodes a frame's `from ‖ to ‖ msg` payload and delivers it into the
-/// destination mailbox, waiting while that is full; counts the delivery.
-fn dispatch<M: Labeled + Decode>(
-    pool: &Pool<M>,
-    stats: &mut NetStats,
-    payload: &[u8],
-) -> Result<(), WireError> {
+/// destination mailbox, waiting while that is full.
+fn dispatch<M: Labeled + Decode>(pool: &Pool<M>, payload: &[u8]) -> Result<(), WireError> {
     let mut r = Reader::new(payload);
     let from = ProcessId::decode(&mut r)?;
     let to = ProcessId::decode(&mut r)?;
     let msg = M::decode(&mut r)?;
     r.finish()?;
-    let payload_units = msg.payload_units();
-    if let Delivery::Queued = pool.deliver(to, from, msg, true) {
-        stats.record_delivery(payload_units);
-    }
+    pool.deliver(to, from, msg, true);
     Ok(())
 }
 
 /// One reader thread's loop: framed reads until clean EOF, a stream
 /// error, or a malformed frame — a peer that desyncs the stream cannot be
-/// resynchronized. Returns the deliveries it made.
-fn reader_loop<M: Labeled + Decode>(stream: TcpStream, pool: &Pool<M>) -> NetStats {
-    let mut stats = NetStats::default();
+/// resynchronized.
+fn reader_loop<M: Labeled + Decode>(stream: TcpStream, pool: &Pool<M>) {
     let mut reader = BufReader::new(stream);
     while let Ok(Some(payload)) = read_frame(&mut reader) {
-        if dispatch(pool, &mut stats, &payload).is_err() {
+        if dispatch(pool, &payload).is_err() {
             break;
         }
     }
-    stats
 }
 
 /// The accept loop: polls the (nonblocking) listener, spawning a reader
@@ -293,7 +257,7 @@ fn reader_loop<M: Labeled + Decode>(stream: TcpStream, pool: &Pool<M>) -> NetSta
 fn accept_loop<M: Labeled + Decode + Send + 'static>(
     listener: TcpListener,
     pool: &Arc<Pool<M>>,
-) -> Vec<(TcpStream, JoinHandle<NetStats>)> {
+) -> Readers {
     let mut readers = Vec::new();
     listener
         .set_nonblocking(true)
@@ -319,17 +283,9 @@ fn accept_loop<M: Labeled + Decode + Send + 'static>(
     readers
 }
 
-/// The socket link's threads while a run is on.
-pub(crate) struct SocketPlane {
-    pool: Arc<ConnPool>,
-    delay: JoinHandle<()>,
-    accept: JoinHandle<Vec<(TcpStream, JoinHandle<NetStats>)>>,
-}
-
 impl<M: Labeled + Encode + Decode + Send + 'static> Link<M> for SocketLink {
     const NAME: &'static str = "socket";
     type Tx = SocketTx;
-    type Open = SocketPlane;
 
     fn wall_timeout(&self) -> Duration {
         self.config.wall_timeout
@@ -338,11 +294,7 @@ impl<M: Labeled + Encode + Decode + Send + 'static> Link<M> for SocketLink {
     /// Local actors are routed through our own listener (every send rides
     /// TCP, so the codec is always exercised), remote peers from the
     /// registered book.
-    fn open(
-        &mut self,
-        actors: &Arc<Pool<M>>,
-        _: Option<&Arc<Recorder>>,
-    ) -> (SocketTx, SocketPlane) {
+    fn open(&mut self, actors: &Arc<Pool<M>>) -> SocketTx {
         let mut routes = self.book.clone();
         routes.extend(actors.ids().map(|id| (id, self.local_addr)));
         let pool = Arc::new(ConnPool {
@@ -350,45 +302,31 @@ impl<M: Labeled + Encode + Decode + Send + 'static> Link<M> for SocketLink {
             handles: Mutex::default(),
             shutdown: actors.shutdown.clone(),
         });
-        let (delay_tx, delay_rx) = unbounded::<Delayed>();
         let accept = {
             let listener = self.listener.try_clone().expect("listener clone");
             let actors = actors.clone();
             thread::spawn(move || accept_loop(listener, &actors))
         };
-        let delay = {
-            let pool = pool.clone();
-            thread::spawn(move || delay_loop(delay_rx, &pool))
-        };
-        let tx = SocketTx {
+        self.plane = Some((pool.clone(), accept));
+        SocketTx {
             routes: Arc::new(routes),
-            pool: pool.clone(),
-            delay: delay_tx,
-        };
-        let plane = SocketPlane {
             pool,
-            delay,
-            accept,
-        };
-        (tx, plane)
+        }
     }
 
-    /// Retires the delay thread first (it exits on disconnect now that the
-    /// workers' send handles are gone), then the writers, the accept loop
-    /// and — after force-closing the accepted streams, so readers unblock
-    /// even if a remote never closes its end — the readers.
-    fn close(plane: SocketPlane, _: Option<&Arc<Recorder>>) -> NetStats {
-        plane.delay.join().expect("delay wheel panicked");
-        // Nothing calls `send_to` after `close`: the workers and the delay
-        // thread, its only callers, are joined.
-        plane.pool.close();
-        let readers = plane.accept.join().expect("accept loop panicked");
-        let mut stats = NetStats::default();
+    /// Retires the writers, the accept loop and — after force-closing the
+    /// accepted streams, so readers unblock even if a remote never closes
+    /// its end — the readers.
+    fn close(&mut self) {
+        let (pool, accept) = self.plane.take().expect("the link is open");
+        // Nothing calls `send_to` after `close`: the workers, its only
+        // callers, are joined.
+        pool.close();
+        let readers = accept.join().expect("accept loop panicked");
         for (stream, reader) in readers {
             let _ = stream.shutdown(Shutdown::Both);
-            stats.merge(&reader.join().expect("socket reader panicked"));
+            reader.join().expect("socket reader panicked");
         }
-        stats
     }
 
     fn register_peer(&mut self, id: ProcessId, addr: PeerAddr, local: bool) {
@@ -418,6 +356,7 @@ mod tests {
     use crate::runtime::Runtime;
     use crate::tamper::{Fate, Tamper};
     use crate::threaded::Board;
+    use std::time::Instant;
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     enum Msg {

@@ -87,9 +87,8 @@ impl NetStats {
     /// per-label map.
     ///
     /// This is how the wall-clock runtime assembles the run's single
-    /// `NetStats` surface from per-actor and per-thread blocks — each
-    /// actor's sends, drops and timers, then the link's deliveries (router shards
-    /// in shard-index order, or socket readers). Every aggregate
+    /// `NetStats` surface from per-actor blocks — each actor's sends,
+    /// drops and timers, and the deliveries into its mailbox. Every aggregate
     /// (`messages_sent`, `payload_units`, `by_label`, …) is conserved: the
     /// merge equals what one observer of all the traffic would have
     /// recorded.
@@ -175,7 +174,7 @@ mod tests {
         b.record_drop(7);
         b.messages_delivered = 1;
 
-        // Merging shard-by-shard equals one router seeing all traffic.
+        // Merging block by block equals one observer seeing all traffic.
         let mut reference = NetStats::default();
         reference.record_send("PING", 0);
         reference.record_send("SETPDS", 5);

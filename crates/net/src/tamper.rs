@@ -28,10 +28,11 @@
 //! deterministic, so seeded tampers replay exactly.
 //!
 //! On the wall-clock runtime (both links) the tamper is consulted on the
-//! worker running the sending actor's turn, under one lock: one `&mut` tamper state
-//! sees every message once, at send time, with each sender's emissions in
-//! program order — so a `TamperSpec`'s observable semantics do not change
-//! with the link or with [`crate::ThreadedConfig::router_shards`].
+//! worker running the sending actor's turn, under one lock: one `&mut`
+//! tamper state sees every message once, at send time, with each sender's
+//! emissions in program order — so a `TamperSpec`'s observable semantics
+//! do not change with the link. A `Fate::Delay` message waits on the
+//! worker pool's one wheel, like every other delayed message.
 
 use cupft_graph::ProcessId;
 

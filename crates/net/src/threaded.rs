@@ -1,64 +1,45 @@
-//! The threaded link: the wall-clock runtime's actors over in-memory
-//! channels — one runtime, two links; the tamper is consulted on the
-//! worker running the sender, and the actors share the runtime's worker
-//! pool (no thread per actor).
-//!
-//! [`ThreadedRuntime`] is the shared wall-clock runtime over this link.
-//! An admitted message (the worker running the sender already counted it
-//! and showed it to the tamper) is hashed by destination onto one of
-//! [`ThreadedConfig::router_shards`] router shards. Each shard is one
-//! thread owning its own delay wheel, RNG stream and delivery counters; it
-//! applies a randomized delay and then delivers into the destination
-//! actor's mailbox, retrying later when that mailbox is full. Per-shard
-//! counters merge in shard-index order into the run's single
-//! [`NetStats`].
-//!
-//! `router_shards = 1` is the same plane with one shard. With more
-//! shards, Θ(n²) all-to-all traffic (Erdős–Rényi knowledge graphs) and
-//! hub-focused traffic (scale-free graphs) no longer funnel through one
-//! router thread.
+//! The threaded link: [`ThreadedRuntime`], the wall-clock runtime's
+//! actors over in-memory mailboxes, on the runtime's worker pool (no
+//! thread per actor, and none for the link). The worker running the
+//! sender samples each admitted message's delay — `min_delay`, plus a
+//! jitter from that sender's own RNG stream, seeded from `(seed, sender
+//! id)`, plus any tamper delay — and the message waits on the pool's one
+//! wheel until a worker delivers it into the destination's mailbox, or
+//! retries a millisecond later when that mailbox is full.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use cupft_graph::ProcessId;
-use cupft_obs::{Histogram, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::actor::{Actor, Labeled};
-use crate::host::{Delivery, Egress, Pool, Wheel};
+use crate::host::{Egress, Pool};
 use crate::runtime::Runtime;
 use crate::stats::NetStats;
 use crate::wall::{Link, WallRuntime};
 use crate::Time;
 
-/// Seed stride separating the per-shard delay-RNG streams (shard 0 keeps
-/// the configured seed unchanged).
-const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Seed stride separating the senders' jitter streams.
+const SENDER_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Configuration for the threaded runtime; it is also the threaded link
 /// itself, which needs nothing else before the run.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
-    /// Minimum artificial delivery delay.
+    /// Minimum artificial delivery delay: no message is delivered sooner.
     pub min_delay: Duration,
-    /// Maximum artificial delivery delay.
+    /// Maximum artificial delivery delay (before any tamper delay).
     pub max_delay: Duration,
     /// Wall-clock budget for the run.
     pub wall_timeout: Duration,
     /// Seed for the delay sampler.
     pub seed: u64,
-    /// Number of router shards the delivery plane runs on.
-    ///
-    /// `0` (the default) resolves to `min(available cores, 4)`. Each
-    /// shard is one thread owning its own delay wheel, RNG stream (shard 0
-    /// keeps `seed` exactly), and delivery counters; they are merged in
-    /// shard-index order into the reported totals.
+    /// Inert: nothing reads it. Every message waits on the worker pool's
+    /// one wheel, whatever this says; the field stays only while
+    /// `benchmark/` still sets it, and ROADMAP item 3(a) deletes it.
     pub router_shards: usize,
 }
 
@@ -74,21 +55,8 @@ impl Default for ThreadedConfig {
     }
 }
 
-impl ThreadedConfig {
-    /// The shard count this configuration resolves to: `router_shards`,
-    /// or `min(available cores, 4)` when left at the `0` auto default.
-    pub fn effective_router_shards(&self) -> usize {
-        match self.router_shards {
-            0 => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(4),
-            n => n,
-        }
-    }
-}
-
 /// The wall-clock runtime over the threaded link: actors on the worker
-/// pool, a sharded router plane applying randomized delivery delays.
+/// pool, each message delivered after a randomized delay.
 pub type ThreadedRuntime<M> = WallRuntime<M, ThreadedConfig>;
 
 impl<M> ThreadedRuntime<M> {
@@ -144,197 +112,58 @@ where
     }
 }
 
-/// An admitted message on its way to a router shard: `(from, to, msg,
-/// extra tamper delay in ms)`.
-type Routed<M> = (ProcessId, ProcessId, M, Time);
-
-/// The shard a destination's deliveries are scheduled on.
-fn shard_of(to: ProcessId, shard_count: usize) -> usize {
-    (to.raw() as usize) % shard_count
-}
-
-/// The actor-side handle onto the router plane: one channel per shard.
+/// The workers' handle onto the threaded link.
 #[derive(Clone)]
-pub(crate) struct Outbox<M> {
-    shards: Arc<Vec<Sender<Routed<M>>>>,
+pub(crate) struct Jitter {
+    min_delay: Duration,
+    /// `max_delay − min_delay`, in whole milliseconds.
+    spread: u64,
+    /// One stream per sender; only the worker running that sender's turn
+    /// draws from it, so each lock is uncontended.
+    streams: Arc<BTreeMap<ProcessId, Mutex<StdRng>>>,
 }
 
-impl<M> Egress<M> for Outbox<M> {
-    fn send(&self, from: ProcessId, to: ProcessId, msg: M, extra: Time) {
-        let _ = self.shards[shard_of(to, self.shards.len())].send((from, to, msg, extra));
+impl<M: Labeled> Egress<M> for Jitter {
+    fn delay(&self, from: ProcessId, extra: Time) -> Duration {
+        let jitter = match self.spread {
+            0 => 0,
+            spread => self.streams[&from]
+                .lock()
+                .expect("jitter stream poisoned")
+                .random_range(0..=spread),
+        };
+        self.min_delay + Duration::from_millis(jitter + extra)
+    }
+
+    /// Channels are reliable (Section II-A): a full mailbox hands the
+    /// message back to be retried, never dropped. A halted actor's is
+    /// discarded, as the simulator discards events for halted actors.
+    fn carry(&self, pool: &Pool<M>, from: ProcessId, to: ProcessId, msg: M) -> Option<M> {
+        pool.deliver(to, from, msg, false)
     }
 }
-
-/// Router-plane observability accumulators, kept local to each router
-/// loop (no synchronization on the hot path) and merged deterministically
-/// — shard-index order — into the run's [`Recorder`] after the loop
-/// exits.
-#[derive(Default)]
-pub(crate) struct RouterObs {
-    /// Inbox channel depth sampled once per loop iteration.
-    inbox_depth: Histogram,
-    /// Delay-wheel (pending heap) size sampled once per loop iteration.
-    wheel_depth: Histogram,
-    /// Deliveries re-pushed because the destination mailbox was full.
-    deferrals: u64,
-}
-
-impl RouterObs {
-    /// Folds this accumulator into `recorder` under the router metric
-    /// names. Histogram merge is exact and commutative; callers still
-    /// merge in shard-index order so the event of merging is itself
-    /// deterministic.
-    fn merge_into(&self, recorder: &Recorder) {
-        recorder.merge_hist("router_inbox_depth", &self.inbox_depth);
-        recorder.merge_hist("router_wheel_depth", &self.wheel_depth);
-        recorder.counter_add("router_deferrals", self.deferrals);
-    }
-}
-
-/// A shard's delay wheel: `(from, to, msg)` keyed by due instant.
-type DelayWheel<M> = Wheel<Instant, (ProcessId, ProcessId, M)>;
 
 impl<M: Clone + Send + Labeled + 'static> Link<M> for ThreadedConfig {
     const NAME: &'static str = "threaded";
-    type Tx = Outbox<M>;
-    type Open = Vec<thread::JoinHandle<(NetStats, RouterObs)>>;
+    type Tx = Jitter;
 
     fn wall_timeout(&self) -> Duration {
         self.wall_timeout
     }
 
-    fn open(
-        &mut self,
-        pool: &Arc<Pool<M>>,
-        recorder: Option<&Arc<Recorder>>,
-    ) -> (Outbox<M>, Self::Open) {
-        let shard_count = self.effective_router_shards();
-        if let Some(rec) = recorder {
-            rec.gauge_set("router_shards", shard_count as u64);
-        }
-        let observe = recorder.is_some();
-        let (mut shards, mut handles) = (Vec::new(), Vec::new());
-        for index in 0..shard_count {
-            let (tx, rx) = unbounded();
-            shards.push(tx);
-            let (config, pool) = (self.clone(), pool.clone());
-            handles.push(thread::spawn(move || {
-                shard_loop(index, rx, &pool, &config, observe)
-            }));
-        }
-        let outbox = Outbox {
-            shards: Arc::new(shards),
+    fn open(&mut self, pool: &Arc<Pool<M>>) -> Jitter {
+        let stream = |id: ProcessId| {
+            let seed = self
+                .seed
+                .wrapping_add(id.raw().wrapping_mul(SENDER_SEED_STRIDE));
+            Mutex::new(StdRng::seed_from_u64(seed))
         };
-        (outbox, handles)
-    }
-
-    /// Merges shard counters (and shard obs) in index order: deterministic
-    /// given the per-shard outcomes, and conserving every counter (see
-    /// `NetStats::merge`, `Histogram::merge`).
-    fn close(handles: Self::Open, recorder: Option<&Arc<Recorder>>) -> NetStats {
-        let mut stats = NetStats::default();
-        for handle in handles {
-            let (shard_stats, shard_obs) = handle.join().expect("router shard panicked");
-            stats.merge(&shard_stats);
-            if let Some(rec) = recorder {
-                shard_obs.merge_into(rec);
-            }
-        }
-        stats
-    }
-}
-
-/// Pops every due entry off a shard's delay wheel and delivers it into the
-/// destination mailbox. Channels are reliable (Section II-A): a full
-/// mailbox defers delivery, never drops — the entry is re-pushed strictly
-/// later than `now` so this loop terminates; the wall timeout bounds total
-/// retrying. A closed mailbox means the actor halted — dropping mirrors
-/// the simulator discarding events for halted actors.
-fn deliver_due<M: Labeled>(
-    wheel: &mut DelayWheel<M>,
-    pool: &Pool<M>,
-    stats: &mut NetStats,
-    now: Instant,
-    config: &ThreadedConfig,
-    deferred: &mut u64,
-) {
-    while let Some((_, (from, to, msg))) = wheel.pop_due(now) {
-        let payload = msg.payload_units();
-        match pool.deliver(to, from, msg, false) {
-            Delivery::Queued => stats.record_delivery(payload),
-            Delivery::Full(msg) => {
-                *deferred += 1;
-                let retry = now + config.min_delay.max(Duration::from_millis(1));
-                wheel.push(retry, (from, to, msg));
-            }
-            Delivery::Closed => {}
+        Jitter {
+            min_delay: self.min_delay,
+            spread: self.max_delay.saturating_sub(self.min_delay).as_millis() as u64,
+            streams: Arc::new(pool.ids().map(|id| (id, stream(id))).collect()),
         }
     }
-}
-
-/// One router shard's loop: schedule admitted messages through the delay
-/// wheel and deliver due ones into mailboxes, until the pool's `shutdown`
-/// is raised. Returns the shard's delivery counters and observability
-/// accumulators for the shard-index-order merge. `observe` gates the
-/// per-iteration depth sampling so unobserved runs pay nothing beyond a
-/// branch.
-fn shard_loop<M: Labeled>(
-    index: usize,
-    rx: Receiver<Routed<M>>,
-    pool: &Pool<M>,
-    config: &ThreadedConfig,
-    observe: bool,
-) -> (NetStats, RouterObs) {
-    let mut stats = NetStats::default();
-    let mut wheel: DelayWheel<M> = Wheel::new();
-    // Shard 0 keeps the configured seed; the others take decorrelated
-    // streams along a golden-ratio stride.
-    let mut rng = StdRng::seed_from_u64(
-        config
-            .seed
-            .wrapping_add((index as u64).wrapping_mul(SHARD_SEED_STRIDE)),
-    );
-    let spread = config
-        .max_delay
-        .saturating_sub(config.min_delay)
-        .as_millis() as u64;
-    let mut obs = RouterObs::default();
-    // The run is over once `shutdown` is up: pending wheel entries are
-    // discarded.
-    while !pool.shutdown.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        if observe {
-            obs.inbox_depth.record(rx.len() as u64);
-            obs.wheel_depth.record(wheel.len() as u64);
-        }
-        deliver_due(
-            &mut wheel,
-            pool,
-            &mut stats,
-            now,
-            config,
-            &mut obs.deferrals,
-        );
-        let wait = wheel
-            .next_key()
-            .map(|due| due.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5));
-        match rx.recv_timeout(wait) {
-            Ok((from, to, msg, extra)) => {
-                let jitter = if spread == 0 {
-                    0
-                } else {
-                    rng.random_range(0..=spread)
-                };
-                let delay = config.min_delay + Duration::from_millis(jitter + extra);
-                wheel.push(Instant::now() + delay, (from, to, msg));
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    (stats, obs)
 }
 
 /// Shared decision board: a tiny utility actors can use (via `Arc`) to
@@ -461,7 +290,6 @@ mod tests {
             pingpong_actors(&board),
             ThreadedConfig {
                 wall_timeout: Duration::from_secs(5),
-                router_shards: 1,
                 ..ThreadedConfig::default()
             },
         );
@@ -469,6 +297,10 @@ mod tests {
         assert_eq!(board.len(), 2);
         assert_eq!(report.stats.label_count("PING"), 1);
         assert_eq!(report.stats.label_count("PONG"), 1);
+        assert_eq!(report.stats.messages_sent, 2);
+        assert_eq!(report.stats.messages_delivered, 2);
+        // Delivered payload is counted once per delivery.
+        assert_eq!(report.stats.payload_delivered_units, 4);
     }
 
     #[test]
@@ -481,45 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn threaded_pingpong_on_every_shard_count() {
-        for shards in [2, 3, 4] {
-            let board = Board::new();
-            let report = run_threaded(
-                pingpong_actors(&board),
-                ThreadedConfig {
-                    wall_timeout: Duration::from_secs(5),
-                    router_shards: shards,
-                    ..ThreadedConfig::default()
-                },
-            );
-            assert!(report.all_halted, "shards={shards}: {report:?}");
-            assert_eq!(board.len(), 2, "shards={shards}");
-            // Merged shard stats must equal what one router would count.
-            assert_eq!(report.stats.label_count("PING"), 1, "shards={shards}");
-            assert_eq!(report.stats.label_count("PONG"), 1, "shards={shards}");
-            assert_eq!(report.stats.messages_sent, 2, "shards={shards}");
-            assert_eq!(report.stats.messages_delivered, 2, "shards={shards}");
-            // Delivered payload is counted once per delivery and conserved
-            // across the shard merge.
-            assert_eq!(report.stats.payload_delivered_units, 4, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn auto_shards_resolve_to_cores_capped_at_four() {
-        let config = ThreadedConfig::default();
-        assert_eq!(config.router_shards, 0);
-        let effective = config.effective_router_shards();
-        assert!((1..=4).contains(&effective), "effective={effective}");
-        let pinned = ThreadedConfig {
-            router_shards: 3,
-            ..ThreadedConfig::default()
-        };
-        assert_eq!(pinned.effective_router_shards(), 3);
-    }
-
-    #[test]
-    fn sharded_tamper_drop_is_counted_once() {
+    fn tamper_drop_is_counted_once() {
         struct DropPings;
         impl Tamper<Msg> for DropPings {
             fn disposition(
@@ -539,7 +333,6 @@ mod tests {
         let board = Board::new();
         let mut rt: ThreadedRuntime<Msg> = ThreadedRuntime::new(ThreadedConfig {
             wall_timeout: Duration::from_millis(300),
-            router_shards: 4,
             ..ThreadedConfig::default()
         });
         for actor in pingpong_actors(&board) {
@@ -569,20 +362,17 @@ mod tests {
             }
             fn on_message(&mut self, _: ProcessId, _: Msg, _: &mut Context<Msg>) {}
         }
-        for shards in [1, 2] {
-            let report = run_threaded(
-                vec![Box::new(Stuck {
-                    id: ProcessId::new(1),
-                }) as Box<dyn Actor<Msg>>],
-                ThreadedConfig {
-                    wall_timeout: Duration::from_millis(200),
-                    router_shards: shards,
-                    ..ThreadedConfig::default()
-                },
-            );
-            assert!(!report.all_halted);
-            assert!(report.elapsed >= Duration::from_millis(200));
-        }
+        let report = run_threaded(
+            vec![Box::new(Stuck {
+                id: ProcessId::new(1),
+            }) as Box<dyn Actor<Msg>>],
+            ThreadedConfig {
+                wall_timeout: Duration::from_millis(200),
+                ..ThreadedConfig::default()
+            },
+        );
+        assert!(!report.all_halted);
+        assert!(report.elapsed >= Duration::from_millis(200));
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! [`WallRuntime`] carries everything a wall-clock run does around its
 //! actors: registration and the before-the-run asserts, the tamper and
 //! recorder, the worker pool (`host::Pool`: one growing mailbox per actor,
-//! one worker thread per available core running the actors in turns), the
-//! coordinator (`host::supervise`), shutdown, the [`RuntimeReport`] and
-//! post-run inspection. A link supplies only how an admitted message
-//! travels into its destination's mailbox — the threaded link through
-//! destination-hashed router shards ([`crate::ThreadedConfig`]), the
-//! socket link as a wire frame over TCP ([`crate::socket::SocketLink`]).
+//! one worker thread per available core running the actors in turns, and
+//! one wheel where every timer wake-up and every message in flight waits
+//! for its time), the coordinator (`host::supervise`), shutdown, the
+//! [`RuntimeReport`] and post-run inspection. A link supplies only how
+//! long an admitted message waits and how it is carried when due — the
+//! threaded link into the destination's mailbox after a randomized delay
+//! ([`crate::ThreadedConfig`]), the socket link as a wire frame over TCP
+//! ([`crate::socket::SocketLink`]).
 //!
 //! Every send is counted and shown to the tamper on the worker running
 //! the sending actor (`host::admit` inside a turn), under one lock taken
 //! only when a tamper is installed. So the tamper sees each message once,
 //! with one `&mut` state, and each sender's emissions in program order, on
-//! either link and at any router-shard count.
+//! either link.
 //!
 //! Real-time interleaving is inherently nondeterministic — use
 //! [`crate::sim::Simulation`] for reproducible experiments and this
@@ -43,25 +45,18 @@ pub(crate) trait Link<M>: Sized {
     const NAME: &'static str;
     /// The workers' handle for sending.
     type Tx: Egress<M> + Clone + Send + 'static;
-    /// What the link keeps running between [`Link::open`] and
-    /// [`Link::close`].
-    type Open;
 
     /// The run's wall-clock budget.
     fn wall_timeout(&self) -> Duration;
 
     /// Starts carrying messages into the mailboxes of `pool`, until its
     /// `shutdown` is raised.
-    fn open(
-        &mut self,
-        pool: &Arc<Pool<M>>,
-        recorder: Option<&Arc<Recorder>>,
-    ) -> (Self::Tx, Self::Open);
+    fn open(&mut self, pool: &Arc<Pool<M>>) -> Self::Tx;
 
-    /// Retires the link once every worker has been joined (so no
-    /// [`Link::Tx`] is left); returns the deliveries it counted. Every
-    /// thread of the link that holds the pool is joined by then.
-    fn close(open: Self::Open, recorder: Option<&Arc<Recorder>>) -> NetStats;
+    /// Retires what [`Link::open`] started, once every worker has been
+    /// joined (so no [`Link::Tx`] is left): every thread of the link that
+    /// holds the pool is joined by then.
+    fn close(&mut self) {}
 
     /// Registers `id` at `addr`; `local` says whether `id` is one of this
     /// runtime's actors. A link of its own actors only accepts the
@@ -186,8 +181,14 @@ where
         let (halts, halt_rx) = unbounded();
         let actors = std::mem::take(&mut self.pending);
         let live = actors.iter().map(|actor| actor.id()).collect();
-        let pool = Arc::new(Pool::new(actors, self.tamper.take(), halts, start));
-        let (tx, link) = self.link.open(&pool, self.recorder.as_ref());
+        let pool = Arc::new(Pool::new(
+            actors,
+            self.tamper.take(),
+            self.recorder.clone(),
+            halts,
+            start,
+        ));
+        let tx = self.link.open(&pool);
 
         // Only local halts are tracked: remote peers are not ours to
         // track — a multi-process driver coordinates completion out of
@@ -206,14 +207,13 @@ where
             pool.shut_down();
             verdict
         });
-        let link_stats = L::close(link, self.recorder.as_ref());
+        self.link.close();
         let pool = Arc::into_inner(pool).expect("the link let go of the pool");
         let mut stats = NetStats::default();
-        for (actor, sent) in pool.into_actors() {
-            stats.merge(&sent);
+        for (actor, counted) in pool.into_actors() {
+            stats.merge(&counted);
             self.finished.insert(actor.id(), actor);
         }
-        stats.merge(&link_stats);
 
         self.elapsed = start.elapsed();
         self.stats = stats.clone();

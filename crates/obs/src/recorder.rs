@@ -77,9 +77,9 @@ impl Recorder {
         inner.hists.entry(name).or_default().record(value);
     }
 
-    /// Merges a locally-accumulated histogram into the named one — how
-    /// router shards fold their private depth histograms into the shared
-    /// report in shard-index order.
+    /// Merges a locally-accumulated histogram into the named one, so a
+    /// thread can record privately and fold its samples into the shared
+    /// report once.
     pub fn merge_hist(&self, name: &'static str, hist: &Histogram) {
         let mut inner = self.lock();
         inner.hists.entry(name).or_default().merge(hist);

@@ -38,7 +38,7 @@
 #                              # adversary_sweep grids, the family_sweep
 #                              # (each graph family once at modest n), the
 #                              # delta-gossip discovery_equivalence sweep,
-#                              # the router_shards parity sweep and the
+#                              # the threaded_link parity suite and the
 #                              # socket_parity suite (one link-conformance
 #                              # body on both wall-clock links, worker
 #                              # pool included), the
@@ -85,7 +85,7 @@ fi
 # edit no longer matches it.
 echo "==> cargo metadata --locked (benchmark/Cargo.lock still resolves)"
 if ! cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml > /dev/null; then
-    echo "verify.sh: a crate's [dependencies] changed and benchmark/Cargo.lock no longer matches; refresh that lock in the same change (ROADMAP item 1)" >&2
+    echo "verify.sh: a crate's [dependencies] changed and benchmark/Cargo.lock no longer matches; refresh that lock in the same change (ROADMAP item 3(c))" >&2
     exit 1
 fi
 
@@ -143,8 +143,8 @@ else
     cargo test -q --test family_sweep
     echo "==> cargo test -q --test discovery_equivalence (quick gate)"
     cargo test -q --test discovery_equivalence
-    echo "==> cargo test -q --test router_shards (quick gate)"
-    cargo test -q --test router_shards
+    echo "==> cargo test -q --test threaded_link (quick gate)"
+    cargo test -q --test threaded_link
     echo "==> cargo test -q --test socket_parity (quick gate)"
     cargo test -q --test socket_parity
     echo "==> cargo test -q --test verify_pipeline (quick gate)"

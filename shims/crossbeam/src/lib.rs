@@ -68,8 +68,8 @@ pub mod channel {
         }
 
         /// Number of messages currently queued (approximate under
-        /// concurrent sends, exact once senders quiesce) — the subset of
-        /// crossbeam's `len()` the router-shard instrumentation samples.
+        /// concurrent sends, exact once senders quiesce), as crossbeam's
+        /// `len()` reports it.
         pub fn len(&self) -> usize {
             self.depth.load(Ordering::Relaxed)
         }

@@ -154,7 +154,7 @@ fn families_tolerate_a_silent_expendable_vertex() {
 /// The four planted-committee families at n = 1000 (the ring is left out:
 /// its sink is the whole graph), once on the simulator and once on OS
 /// threads. Too slow for a debug `cargo test`, hence `#[ignore]`. The
-/// printed rows are where ROADMAP item 2's two anomalies are read from:
+/// printed rows are where ROADMAP item 8's two anomalies are read from:
 /// threaded `messages_sent` on scale-free and threaded `payload_units` on
 /// Erdős–Rényi, each against the simulator's row above it.
 #[test]

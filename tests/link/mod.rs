@@ -1,8 +1,8 @@
 //! The link-conformance body: one traffic-exact flood workload, checked
 //! the same way on every link of the wall-clock runtime.
 //!
-//! `tests/router_shards.rs` runs it on the threaded link at every shard
-//! count, `tests/socket_parity.rs` on the socket link over loopback TCP.
+//! `tests/threaded_link.rs` runs it on the threaded link,
+//! `tests/socket_parity.rs` on the socket link over loopback TCP.
 //! Each actor floods every peer `FLOOD_R` times, then sends one `Done`
 //! to each, and halts once it has heard everything it expects. Traffic
 //! totals are exact functions of the topology, and the trailing

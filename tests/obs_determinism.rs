@@ -144,8 +144,8 @@ fn threaded_outcome_is_unaffected_by_observation() {
         obs.complete_timelines(),
         observed.decisions.values().filter(|d| d.is_some()).count()
     );
-    assert!(obs.histogram("router_inbox_depth").is_some());
-    assert!(obs.gauges.contains_key("router_shards"));
+    assert!(obs.histogram("wheel_depth").is_some());
+    assert!(obs.counters.contains_key("mailbox_deferrals"));
     // Verification runs inside the actors' handlers: no stage metric.
     let names = obs
         .counters

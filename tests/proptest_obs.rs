@@ -2,12 +2,11 @@
 //! observationally equivalent to recording everything through a single
 //! recorder.
 //!
-//! The threaded router keeps a private `Histogram` per shard and folds
-//! them into the shared [`Recorder`] with `merge_hist` in shard-index
-//! order; these properties pin the algebra that makes that fold exact —
-//! merge conserves count/sum/extremes and lands every sample in the same
-//! log2 bucket a single recorder would have used, so quantiles cannot
-//! drift with the shard count.
+//! A recording site may keep private `Histogram`s and fold them into the
+//! shared [`Recorder`] with `merge_hist`; these properties pin the algebra
+//! that makes that fold exact — merge conserves count/sum/extremes and
+//! lands every sample in the same log2 bucket a single recorder would
+//! have used, so quantiles cannot drift with the number of shards.
 
 use bft_cupft::obs::{Histogram, Recorder};
 use proptest::prelude::*;
@@ -57,9 +56,9 @@ proptest! {
         prop_assert_eq!(merged.p999(), single.p999());
     }
 
-    /// The same equivalence through the [`Recorder`] API the router
-    /// actually uses: N shards folded with `merge_hist` produce the same
-    /// report histogram as one recorder seeing every sample directly.
+    /// The same equivalence through the [`Recorder`] API: N shards folded
+    /// with `merge_hist` produce the same report histogram as one recorder
+    /// seeing every sample directly.
     #[test]
     fn sharded_recorders_fold_to_the_single_recorder_report(
         samples in arb_samples(),
@@ -69,18 +68,15 @@ proptest! {
         let sharded = Recorder::new();
         let mut shard_hists = vec![Histogram::default(); shards];
         for (i, &v) in samples.iter().enumerate() {
-            single.hist_record("router_inbox_depth", v);
+            single.hist_record("depth", v);
             shard_hists[i % shards].record(v);
         }
         for shard in &shard_hists {
-            sharded.merge_hist("router_inbox_depth", shard);
+            sharded.merge_hist("depth", shard);
         }
         let a = single.snapshot();
         let b = sharded.snapshot();
-        prop_assert_eq!(
-            a.histogram("router_inbox_depth"),
-            b.histogram("router_inbox_depth")
-        );
+        prop_assert_eq!(a.histogram("depth"), b.histogram("depth"));
     }
 
     /// Quantiles are always bracketed by the recorded extremes, merged or

@@ -11,7 +11,7 @@
 //!    TCP, and asserts decision parity against the simulator itself
 //!    (printing the `SOCKET PARITY OK` line this test greps, same as CI).
 //! 3. **Link conformance** — the shared flood body of `tests/link`, the
-//!    same one `tests/router_shards.rs` runs on the threaded link: exact
+//!    same one `tests/threaded_link.rs` runs on the threaded link: exact
 //!    `NetStats` conservation, exact tamper drop accounting, per-sender
 //!    emission order at the tamper (even though deliveries fan out across
 //!    connections), and a tamper delay that is still delivered.
