@@ -12,8 +12,8 @@
 //! the same minimum and the same attempt count.
 //!
 //! The oracle is a plain closure (`&T -> bool`) so this module stays
-//! independent of how executions are produced — `cupft_core` wires it to
-//! "re-run the scenario, record the trace, ask the invariant checker".
+//! independent of how executions are produced — callers wire it to
+//! "re-run the scenario, ask `ScenarioOutcome::check`".
 
 use cupft_graph::ProcessId;
 

@@ -3,35 +3,13 @@
 //! An [`ExecutionTrace`] is the post-hoc evidence of one simulator run:
 //! every send and every delivery (the simulator's own trace, see
 //! [`cupft_net::Simulation::enable_trace`]), and every decision (read
-//! back from the actors). The [`crate::invariant`] checker rules on consensus
-//! properties over traces; determinism tests compare
+//! back from the actors). It is evidence, not a verdict: the consensus
+//! properties are judged once, by `cupft_core`'s
+//! `ScenarioOutcome::check`, on every runtime. Determinism tests compare
 //! [`ExecutionTrace::fingerprint`]s between record and replay runs.
 
-use cupft_graph::{ProcessId, ProcessSet};
+use cupft_graph::ProcessId;
 use cupft_net::Time;
-
-/// When a [`TraceEventKind::Knowledge`] sample was taken relative to a
-/// node's churn lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum KnowledgeMoment {
-    /// Just before a crash-recovering node snapshotted its state.
-    AtCrash,
-    /// Just after a recovering node restored its snapshot (before any
-    /// post-recovery gossip).
-    AtRecovery,
-    /// At the end of the run.
-    Final,
-}
-
-impl KnowledgeMoment {
-    fn tag(&self) -> u8 {
-        match self {
-            KnowledgeMoment::AtCrash => 0,
-            KnowledgeMoment::AtRecovery => 1,
-            KnowledgeMoment::Final => 2,
-        }
-    }
-}
 
 /// What happened at one point of an execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,18 +42,6 @@ pub enum TraceEventKind {
         /// The decided value bytes.
         value: Vec<u8>,
     },
-    /// A sample of a process's `S_received` knowledge, taken at a churn
-    /// lifecycle moment. The weakened churn invariants
-    /// (join-convergence, recovery-consistency) are predicates over these
-    /// samples.
-    Knowledge {
-        /// The sampled process.
-        process: ProcessId,
-        /// Its `S_received` set at the sample moment.
-        received: ProcessSet,
-        /// When in the churn lifecycle the sample was taken.
-        moment: KnowledgeMoment,
-    },
 }
 
 impl TraceEventKind {
@@ -84,7 +50,6 @@ impl TraceEventKind {
             TraceEventKind::Sent { .. } => 0,
             TraceEventKind::Delivered { .. } => 1,
             TraceEventKind::Decided { .. } => 2,
-            TraceEventKind::Knowledge { .. } => 3,
         }
     }
 }
@@ -128,36 +93,12 @@ impl ExecutionTrace {
         self.events.is_empty()
     }
 
-    /// Merges knowledge samples into the trace (builder style), keeping
-    /// the `(time, kind rank)` order. Churn-aware runners attach one
-    /// stream of [`TraceEventKind::Knowledge`] events after assembling
-    /// the send/delivery/decision streams.
-    pub fn with_knowledge(mut self, samples: Vec<TraceEvent>) -> Self {
-        self.events.extend(samples);
-        self.events.sort_by_key(|e| (e.time, e.kind.rank()));
-        self
-    }
-
     /// The decision events, in trace order.
     pub fn decisions(&self) -> impl Iterator<Item = (Time, ProcessId, &[u8])> {
         self.events.iter().filter_map(|e| match &e.kind {
             TraceEventKind::Decided { process, value } => {
                 Some((e.time, *process, value.as_slice()))
             }
-            _ => None,
-        })
-    }
-
-    /// The knowledge samples, in trace order.
-    pub fn knowledge(
-        &self,
-    ) -> impl Iterator<Item = (Time, ProcessId, &ProcessSet, KnowledgeMoment)> {
-        self.events.iter().filter_map(|e| match &e.kind {
-            TraceEventKind::Knowledge {
-                process,
-                received,
-                moment,
-            } => Some((e.time, *process, received, *moment)),
             _ => None,
         })
     }
@@ -199,19 +140,6 @@ impl ExecutionTrace {
                     mix(&process.raw().to_be_bytes());
                     mix(value);
                 }
-                TraceEventKind::Knowledge {
-                    process,
-                    received,
-                    moment,
-                } => {
-                    mix(b"K");
-                    mix(&process.raw().to_be_bytes());
-                    mix(&[moment.tag()]);
-                    mix(&(received.len() as u64).to_be_bytes());
-                    for p in received {
-                        mix(&p.raw().to_be_bytes());
-                    }
-                }
             }
         }
         hash
@@ -221,7 +149,6 @@ impl ExecutionTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cupft_graph::process_set;
 
     fn p(n: u64) -> ProcessId {
         ProcessId::new(n)
@@ -293,38 +220,5 @@ mod tests {
         let d: Vec<_> = trace.decisions().collect();
         assert_eq!(d.len(), 2);
         assert_eq!(d[0], (9, p(1), b"v".as_slice()));
-    }
-
-    #[test]
-    fn knowledge_samples_merge_and_fingerprint() {
-        let sample = |time, proc: u64, ids: [u64; 2], moment| TraceEvent {
-            time,
-            kind: TraceEventKind::Knowledge {
-                process: p(proc),
-                received: process_set(ids),
-                moment,
-            },
-        };
-        let base = ExecutionTrace::assemble(vec![sent(5, 1, 2)], vec![decided(5, 1, b"v")]);
-        let trace = base
-            .clone()
-            .with_knowledge(vec![sample(5, 1, [1, 2], KnowledgeMoment::Final)]);
-        // Equal-time knowledge sorts after sends and decisions.
-        assert!(matches!(
-            trace.events.last().unwrap().kind,
-            TraceEventKind::Knowledge { .. }
-        ));
-        let k: Vec<_> = trace.knowledge().collect();
-        assert_eq!(k.len(), 1);
-        assert_eq!(k[0].1, p(1));
-        assert_eq!(k[0].3, KnowledgeMoment::Final);
-        // Samples change the fingerprint; moment and contents both count.
-        assert_ne!(trace.fingerprint(), base.fingerprint());
-        let crash =
-            base.clone()
-                .with_knowledge(vec![sample(5, 1, [1, 2], KnowledgeMoment::AtCrash)]);
-        assert_ne!(trace.fingerprint(), crash.fingerprint());
-        let widened = base.with_knowledge(vec![sample(5, 1, [1, 3], KnowledgeMoment::Final)]);
-        assert_ne!(trace.fingerprint(), widened.fingerprint());
     }
 }

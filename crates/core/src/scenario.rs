@@ -14,10 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cupft_adversary::{
-    ChurnContext, ChurnSpec, ExecutionTrace, KnowledgeMoment, TamperSpec, TraceChecker, TraceEvent,
-    TraceEventKind,
-};
+use cupft_adversary::{ChurnSpec, ExecutionTrace, TamperSpec, TraceEvent, TraceEventKind};
 use cupft_committee::Value;
 use cupft_detector::SystemSetup;
 use cupft_graph::{DiGraph, ProcessId, ProcessSet};
@@ -232,14 +229,6 @@ impl Scenario {
         allowed
     }
 
-    /// A [`TraceChecker`] judging this scenario's correct set and allowed
-    /// values (no termination bound; add one with
-    /// [`TraceChecker::with_termination_bound`] — `sim.max_time` is the
-    /// natural choice for simulator runs).
-    pub fn trace_checker(&self) -> TraceChecker {
-        TraceChecker::new(self.correct(), self.allowed_values())
-    }
-
     /// The correct processes scheduled to depart under this scenario's
     /// churn (empty without churn). A departed process is still *correct*
     /// — it just may leave before deciding, so the stop condition and the
@@ -249,38 +238,6 @@ impl Scenario {
             .as_ref()
             .map(ChurnSpec::leavers)
             .unwrap_or_default()
-    }
-
-    /// A [`TraceChecker`] armed with the weakened churn invariants
-    /// (churn-agreement, join-convergence, recovery-consistency) for this
-    /// scenario's churn schedule, judged against `outcome`.
-    ///
-    /// The join-convergence reference knowledge is the intersection of the
-    /// final `S_received` views of the *stable* correct processes (no
-    /// scheduled join, departure, or crash) — what every joiner alive past
-    /// the fixpoint must also have pulled through gossip. With no stable
-    /// process the reference is empty and the invariant is vacuous.
-    pub fn churn_trace_checker(&self, outcome: &ScenarioOutcome) -> TraceChecker {
-        let spec = self.churn.clone().unwrap_or_default();
-        let joiners = spec.joiners();
-        let leavers = spec.leavers();
-        let recoverers = spec.recoverers();
-        let mut reference: Option<ProcessSet> = None;
-        for (id, view) in &outcome.final_views {
-            if joiners.contains(id) || leavers.contains(id) || recoverers.contains(id) {
-                continue;
-            }
-            reference = Some(match reference {
-                None => view.clone(),
-                Some(acc) => acc.iter().filter(|p| view.contains(p)).copied().collect(),
-            });
-        }
-        self.trace_checker().with_churn(ChurnContext {
-            joiners,
-            leavers,
-            recoverers,
-            reference_knowledge: reference.unwrap_or_default(),
-        })
     }
 }
 
@@ -325,24 +282,39 @@ pub struct ScenarioOutcome {
     /// is a superset of the [`cupft_net::RuntimeReport`]'s own snapshot.
     pub obs: Option<ObsReport>,
     allowed_values: BTreeSet<Vec<u8>>,
+    churn: ChurnSpec,
 }
 
-/// Verdicts on the four consensus properties (Section II-B).
+/// Verdicts on the consensus properties (Section II-B), and on the two
+/// knowledge properties a churn schedule adds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsensusCheck {
-    /// No two correct processes decided differently.
+    /// No two correct processes decided differently. A process that
+    /// decided and then departed still counts.
     pub agreement: bool,
     /// Every correct process decided within the horizon.
     pub termination: bool,
     /// Every decided value was proposed by some process.
     pub validity: bool,
+    /// Every late joiner that did not also depart ended the run holding
+    /// the reference knowledge: the intersection of the final
+    /// `S_received` views of the stable correct processes (no scheduled
+    /// join, departure or crash). With no stable process the reference is
+    /// empty. Vacuously true without churn.
+    pub join_convergence: bool,
+    /// Every crash-recovered process's restored and final `S_received`
+    /// both contain its view at the crash: recovery forgets nothing.
+    /// Vacuously true without churn.
+    pub recovery_consistency: bool,
     /// The distinct values decided by correct processes.
     pub decided_values: BTreeSet<Vec<u8>>,
 }
 
 impl ConsensusCheck {
-    /// All properties hold (Integrity holds by construction: nodes set
-    /// their decision at most once).
+    /// Agreement, termination and validity hold (Integrity holds by
+    /// construction: nodes set their decision at most once). The churn
+    /// verdicts stay apart: a schedule can cost knowledge without costing
+    /// consensus.
     pub fn consensus_solved(&self) -> bool {
         self.agreement && self.termination && self.validity
     }
@@ -364,8 +336,49 @@ impl ScenarioOutcome {
             validity: decided_values
                 .iter()
                 .all(|v| self.allowed_values.contains(v)),
+            join_convergence: self.joiners_converged(),
+            recovery_consistency: self.recoveries_consistent(),
             decided_values,
         }
+    }
+
+    /// See [`ConsensusCheck::join_convergence`]. A joiner with no final
+    /// view (a Byzantine id in the schedule) has not converged.
+    fn joiners_converged(&self) -> bool {
+        let leavers = self.churn.leavers();
+        let mut staying = self.churn.joiners();
+        staying.retain(|j| !leavers.contains(j));
+        if staying.is_empty() {
+            return true;
+        }
+        let churned = self.churn.nodes();
+        let mut stable = self
+            .final_views
+            .iter()
+            .filter(|(id, _)| !churned.contains(id))
+            .map(|(_, view)| view);
+        let reference = match stable.next() {
+            Some(first) => stable.fold(first.clone(), |acc, view| {
+                acc.intersection(view).copied().collect()
+            }),
+            None => ProcessSet::new(),
+        };
+        staying.iter().all(|j| {
+            self.final_views
+                .get(j)
+                .is_some_and(|view| reference.is_subset(view))
+        })
+    }
+
+    /// See [`ConsensusCheck::recovery_consistency`].
+    fn recoveries_consistent(&self) -> bool {
+        self.crash_views.iter().all(|(id, (_, crashed))| {
+            let restored = self.recovery_views.get(id).map(|(_, view)| view);
+            [restored, self.final_views.get(id)]
+                .into_iter()
+                .flatten()
+                .all(|later| crashed.is_subset(later))
+        })
     }
 
     /// The unique sink/core sets identified across correct processes.
@@ -608,6 +621,7 @@ fn collect<R: Runtime<NodeMsg>>(
         stats: runtime.stats().clone(),
         obs: None,
         allowed_values: scenario.allowed_values(),
+        churn: scenario.churn.clone().unwrap_or_default(),
     }
 }
 
@@ -666,7 +680,8 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
 ///
 /// The trace is a pure function of the scenario (including its seed):
 /// recording the same scenario twice yields byte-identical traces — the
-/// replay guarantee the invariant checker and the shrinker build on.
+/// replay guarantee record/replay tests compare. The verdicts come from
+/// the outcome's [`ScenarioOutcome::check`], as on every other run.
 /// Simulator-only; fault *injection* itself runs on either substrate.
 pub fn run_scenario_recorded(scenario: &Scenario) -> (ScenarioOutcome, ExecutionTrace) {
     let mut sim: Simulation<NodeMsg> = Simulation::new(scenario.sim.clone());
@@ -710,45 +725,7 @@ pub fn run_scenario_recorded(scenario: &Scenario) -> (ScenarioOutcome, Execution
             kind: TraceEventKind::Decided { process, value },
         })
         .collect();
-    let mut trace = ExecutionTrace::assemble(traffic, decisions);
-    if scenario.churn.is_some() {
-        // Knowledge samples feed the weakened churn invariants; they are
-        // only merged for churn scenarios so churn-free trace fingerprints
-        // stay exactly what they were before the churn axis existed.
-        let mut samples = Vec::new();
-        for (&id, (time, view)) in &outcome.crash_views {
-            samples.push(TraceEvent {
-                time: *time,
-                kind: TraceEventKind::Knowledge {
-                    process: id,
-                    received: view.clone(),
-                    moment: KnowledgeMoment::AtCrash,
-                },
-            });
-        }
-        for (&id, (time, view)) in &outcome.recovery_views {
-            samples.push(TraceEvent {
-                time: *time,
-                kind: TraceEventKind::Knowledge {
-                    process: id,
-                    received: view.clone(),
-                    moment: KnowledgeMoment::AtRecovery,
-                },
-            });
-        }
-        for (&id, view) in &outcome.final_views {
-            samples.push(TraceEvent {
-                time: outcome.end_time,
-                kind: TraceEventKind::Knowledge {
-                    process: id,
-                    received: view.clone(),
-                    moment: KnowledgeMoment::Final,
-                },
-            });
-        }
-        trace = trace.with_knowledge(samples);
-    }
-    (outcome, trace)
+    (outcome, ExecutionTrace::assemble(traffic, decisions))
 }
 
 #[cfg(test)]
@@ -764,6 +741,8 @@ mod tests {
         let outcome = run_scenario(&scenario);
         let check = outcome.check();
         assert!(check.consensus_solved(), "{outcome:?}");
+        // only correct processes are judged: Byzantine 4 is not recorded
+        assert!(!outcome.decisions.contains_key(&ProcessId::new(4)));
         // every correct process identified the paper's sink {1,2,3,4}
         assert_eq!(
             outcome.distinct_detections(),
@@ -849,12 +828,6 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, TraceEventKind::Delivered { .. })));
-        // the checker agrees with the outcome-level verdicts
-        let violations = scenario
-            .trace_checker()
-            .with_termination_bound(scenario.sim.max_time)
-            .check(&trace);
-        assert!(violations.is_empty(), "{violations:?}");
         // record → replay is byte-identical
         let (_, replay) = run_scenario_recorded(&scenario);
         assert_eq!(trace.fingerprint(), replay.fingerprint());
@@ -934,14 +907,159 @@ mod tests {
                 },
             ]));
         let (outcome, trace) = run_scenario_recorded(&scenario);
-        assert!(outcome.check().consensus_solved(), "{outcome:?}");
-        // Knowledge samples rode into the trace (crash + recovery + finals).
-        assert!(trace.knowledge().count() >= outcome.final_views.len());
-        let violations = scenario.churn_trace_checker(&outcome).check(&trace);
-        assert!(violations.is_empty(), "{violations:?}");
+        let check = outcome.check();
+        assert!(check.consensus_solved(), "{outcome:?}");
+        // The crash and the recovery fired, and both churn verdicts hold.
+        assert!(outcome.crash_views.contains_key(&ProcessId::new(5)));
+        assert!(outcome.recovery_views.contains_key(&ProcessId::new(5)));
+        assert!(check.join_convergence && check.recovery_consistency);
         // Same seed, same schedule → byte-identical trace.
         let (_, replay) = run_scenario_recorded(&scenario);
         assert_eq!(trace.fingerprint(), replay.fingerprint());
+    }
+
+    /// A hand-made outcome: each `(id, value)` is a correct process that
+    /// decided `value`, with no views sampled; `a` and `b` are the
+    /// proposals.
+    fn outcome_of(decisions: &[(u64, &[u8])], churn: ChurnSpec) -> ScenarioOutcome {
+        ScenarioOutcome {
+            decisions: decisions
+                .iter()
+                .map(|&(id, value)| (ProcessId::new(id), Some(value.to_vec())))
+                .collect(),
+            statuses: decisions
+                .iter()
+                .map(|&(id, _)| (ProcessId::new(id), NodeStatus::Decided))
+                .collect(),
+            crash_views: BTreeMap::new(),
+            recovery_views: BTreeMap::new(),
+            final_views: BTreeMap::new(),
+            detections: BTreeMap::new(),
+            detection_times: BTreeMap::new(),
+            decided_times: BTreeMap::new(),
+            end_time: 100,
+            stats: NetStats::default(),
+            obs: None,
+            allowed_values: [b"a".to_vec(), b"b".to_vec()].into(),
+            churn,
+        }
+    }
+
+    #[test]
+    fn disagreement_is_flagged() {
+        let clean = outcome_of(&[(1, b"a"), (2, b"a")], ChurnSpec::default()).check();
+        assert!(clean.consensus_solved(), "{clean:?}");
+        assert!(clean.join_convergence && clean.recovery_consistency);
+        let split = outcome_of(&[(1, b"a"), (2, b"b")], ChurnSpec::default()).check();
+        assert!(!split.agreement);
+        assert!(split.validity && split.termination);
+    }
+
+    #[test]
+    fn invalid_value_is_flagged() {
+        let check = outcome_of(&[(1, b"zz"), (2, b"zz")], ChurnSpec::default()).check();
+        assert!(!check.validity);
+        assert!(check.agreement);
+    }
+
+    #[test]
+    fn leaver_decision_counts_for_agreement() {
+        // Process 9 decided, then departed: its value still counts.
+        use cupft_adversary::ChurnEvent;
+        let churn = ChurnSpec::new(vec![ChurnEvent::LeaveAt {
+            tick: 50,
+            node: ProcessId::new(9),
+        }]);
+        let check = outcome_of(&[(1, b"a"), (9, b"b")], churn).check();
+        assert!(!check.agreement);
+    }
+
+    #[test]
+    fn join_convergence_requires_reference_knowledge() {
+        use cupft_adversary::ChurnEvent;
+        let join = ChurnEvent::JoinAt {
+            tick: 10,
+            node: ProcessId::new(2),
+            seed_peers: process_set([1]),
+        };
+        let with_views = |churn: &ChurnSpec, joiner: Option<&[u64]>| {
+            let mut outcome = outcome_of(&[(1, b"a"), (2, b"a")], churn.clone());
+            outcome
+                .final_views
+                .insert(ProcessId::new(1), process_set([1, 2, 3]));
+            if let Some(view) = joiner {
+                outcome
+                    .final_views
+                    .insert(ProcessId::new(2), process_set(view.iter().copied()));
+            }
+            outcome.check().join_convergence
+        };
+        let joined = ChurnSpec::new(vec![join.clone()]);
+        assert!(with_views(&joined, Some(&[1, 2, 3])), "converged joiner");
+        assert!(!with_views(&joined, Some(&[1, 2])), "missing PD 3");
+        assert!(!with_views(&joined, None), "no final view");
+        // A joiner that later departed is exempt.
+        let left = ChurnSpec::new(vec![
+            join,
+            ChurnEvent::LeaveAt {
+                tick: 20,
+                node: ProcessId::new(2),
+            },
+        ]);
+        assert!(with_views(&left, Some(&[1, 2])));
+        assert!(with_views(&left, None));
+    }
+
+    #[test]
+    fn no_stable_process_makes_the_reference_vacuous() {
+        use cupft_adversary::ChurnEvent;
+        let churn = ChurnSpec::new(vec![
+            ChurnEvent::JoinAt {
+                tick: 10,
+                node: ProcessId::new(2),
+                seed_peers: process_set([1]),
+            },
+            ChurnEvent::CrashRecoverAt {
+                tick: 10,
+                node: ProcessId::new(1),
+                down_for: 5,
+            },
+        ]);
+        let mut outcome = outcome_of(&[(1, b"a"), (2, b"a")], churn);
+        outcome
+            .final_views
+            .insert(ProcessId::new(1), process_set([1, 2]));
+        outcome
+            .final_views
+            .insert(ProcessId::new(2), process_set([]));
+        assert!(outcome.check().join_convergence);
+    }
+
+    #[test]
+    fn recovery_consistency_flags_view_regression() {
+        use cupft_adversary::ChurnEvent;
+        let churn = ChurnSpec::new(vec![ChurnEvent::CrashRecoverAt {
+            tick: 20,
+            node: ProcessId::new(1),
+            down_for: 20,
+        }]);
+        let consistent = |restored: &[u64], last: &[u64]| {
+            let mut outcome = outcome_of(&[(1, b"a")], churn.clone());
+            let p1 = ProcessId::new(1);
+            outcome.crash_views.insert(p1, (20, process_set([1, 2, 3])));
+            let restored = process_set(restored.iter().copied());
+            outcome.recovery_views.insert(p1, (40, restored));
+            outcome
+                .final_views
+                .insert(p1, process_set(last.iter().copied()));
+            outcome.check().recovery_consistency
+        };
+        assert!(consistent(&[1, 2, 3], &[1, 2, 3, 4]), "clean recovery");
+        assert!(!consistent(&[1], &[1, 2, 3]), "restored view regressed");
+        assert!(!consistent(&[1, 2, 3], &[1, 2]), "final view regressed");
+        // A recoverer that never reached its crash is vacuously consistent.
+        let never_crashed = outcome_of(&[(1, b"a")], churn.clone());
+        assert!(never_crashed.check().recovery_consistency);
     }
 
     #[test]

@@ -77,14 +77,6 @@ impl Recorder {
         inner.hists.entry(name).or_default().record(value);
     }
 
-    /// Merges a locally-accumulated histogram into the named one, so a
-    /// thread can record privately and fold its samples into the shared
-    /// report once.
-    pub fn merge_hist(&self, name: &'static str, hist: &Histogram) {
-        let mut inner = self.lock();
-        inner.hists.entry(name).or_default().merge(hist);
-    }
-
     /// Appends a ring event stamped with the clock's current time.
     pub fn event(&self, node: u64, what: &'static str) {
         self.event_at(node, what, self.clock.now());
@@ -198,27 +190,5 @@ mod tests {
         assert_eq!(report.phase_max(PhaseMark::Decided), Some(900));
         assert_eq!(report.events.len(), 5);
         assert_eq!(report.events[0].what, "first_gossip");
-    }
-
-    #[test]
-    fn merged_shard_histograms_equal_one_recorder() {
-        let shared = Recorder::new();
-        let mut shard_a = Histogram::new();
-        let mut shard_b = Histogram::new();
-        let solo = Recorder::new();
-        for v in [1u64, 5, 9] {
-            shard_a.record(v);
-            solo.hist_record("depth", v);
-        }
-        for v in [2u64, 1000] {
-            shard_b.record(v);
-            solo.hist_record("depth", v);
-        }
-        shared.merge_hist("depth", &shard_a);
-        shared.merge_hist("depth", &shard_b);
-        assert_eq!(
-            shared.snapshot().histogram("depth"),
-            solo.snapshot().histogram("depth")
-        );
     }
 }

@@ -1,15 +1,16 @@
 //! The fault-injection engine end to end: compose a Byzantine strategy
-//! from combinators, record an execution, check invariants over the
-//! trace, and — when a violation appears on an insufficiently connected
-//! graph — shrink the failing case to its minimal form.
+//! from combinators, record an execution, judge it with
+//! `ScenarioOutcome::check`, and — when a violation appears on an
+//! insufficiently connected graph — shrink the failing case to its
+//! minimal form.
 //!
 //! ```sh
 //! cargo run --example adversary_demo
 //! ```
 
-use bft_cupft::adversary::{shrink, Assignment, Invariant, Shrinkable};
+use bft_cupft::adversary::{shrink, Assignment, Shrinkable};
 use bft_cupft::core::{
-    run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario, TamperSpec,
+    run_scenario, run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario, TamperSpec,
 };
 use bft_cupft::graph::{fig1a, fig1b, process_set, ProcessId};
 
@@ -39,22 +40,17 @@ fn main() {
         })
         .with_seed(7);
     let (outcome, trace) = run_scenario_recorded(&tolerant);
-    let violations = tolerant
-        .trace_checker()
-        .with_termination_bound(tolerant.sim.max_time)
-        .check(&trace);
+    let check = outcome.check();
     println!(
-        "fig1b: solved={} | {} trace events, fingerprint {:#018x}, {} violations",
-        outcome.check().consensus_solved(),
+        "fig1b: solved={} | {} trace events, fingerprint {:#018x}",
+        check.consensus_solved(),
         trace.len(),
         trace.fingerprint(),
-        violations.len(),
     );
-    assert!(violations.is_empty());
+    assert!(check.consensus_solved(), "{check:?}");
 
     // 2. The same strategy on Fig. 1a (requirements violated): the two
-    //    components decide independently and the checker flags Agreement
-    //    from the recorded trace.
+    //    components decide independently and check flags Agreement.
     let initial: Assignment = vec![(ProcessId::new(4), spec)];
     let scenario_for = |assignment: &Assignment| {
         let mut s = Scenario::new(fig1a().graph().clone(), ProtocolMode::KnownThreshold(1))
@@ -65,15 +61,17 @@ fn main() {
         }
         s
     };
-    let scenario = scenario_for(&initial);
-    let (_, trace) = run_scenario_recorded(&scenario);
-    let violations = scenario.trace_checker().check(&trace);
-    for v in &violations {
-        println!("fig1a: VIOLATION {:?} — {}", v.invariant, v.detail);
-    }
-    assert!(violations
-        .iter()
-        .any(|v| v.invariant == Invariant::Agreement));
+    let check = run_scenario(&scenario_for(&initial)).check();
+    println!(
+        "fig1a: agreement={} | decided values {:?}",
+        check.agreement,
+        check
+            .decided_values
+            .iter()
+            .map(|v| String::from_utf8_lossy(v).into_owned())
+            .collect::<Vec<_>>(),
+    );
+    assert!(!check.agreement);
 
     // 3. Shrink, keeping process 4 faulty: which part of the composite
     //    actually matters? (None of it — bare silence already fails.)
@@ -81,12 +79,7 @@ fn main() {
         if assignment.is_empty() {
             return false;
         }
-        let s = scenario_for(assignment);
-        let (_, trace) = run_scenario_recorded(&s);
-        s.trace_checker()
-            .check(&trace)
-            .iter()
-            .any(|v| v.invariant == Invariant::Agreement)
+        !run_scenario(&scenario_for(assignment)).check().agreement
     };
     let shrunk = shrink(initial.clone(), &mut oracle);
     println!(

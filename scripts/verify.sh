@@ -17,12 +17,14 @@
 #                              # tests (the signed-field and cross-kind
 #                              # replay tables, the replica state machine),
 #                              # the cupft-adversary unit tests (combinators,
-#                              # traces, invariants, shrinking), the
+#                              # traces, shrinking), the
 #                              # cupft-net unit tests (the delay wheel, the
 #                              # send gate, the worker pool's fairness
 #                              # batch and mailbox cap, both links) and the
 #                              # adversary_catch / churn_catch
-#                              # inject-trace-flag-shrink loops,
+#                              # inject-flag-shrink loops (each run judged
+#                              # by ScenarioOutcome::check), a run of the
+#                              # adversary_demo example (its own asserts),
 #                              # the paper claims
 #                              # (table1_matrix, impossibility, theorems:
 #                              # Table I, Figs. 1-4, §III), the
@@ -123,6 +125,8 @@ else
     cargo test -q -p cupft-net --lib
     echo "==> cargo test -q --test adversary_catch --test churn_catch (quick gate)"
     cargo test -q --test adversary_catch --test churn_catch
+    echo "==> cargo run -q --example adversary_demo (quick gate)"
+    cargo run -q --example adversary_demo
     echo "==> cargo test -q --test proptest_graph (quick gate)"
     cargo test -q --test proptest_graph
     echo "==> cargo test -q --test table1_matrix --test impossibility --test theorems (paper claims)"

@@ -3,17 +3,16 @@
 //! 1. a composite strategy is injected on an *insufficiently connected*
 //!    graph (Fig. 1a, which fails 2-OSR once process 4 withholds its
 //!    edges) and the execution violates **Agreement**;
-//! 2. the invariant checker flags the violation from the *recorded
-//!    trace* (not from re-inspecting actors);
+//! 2. `ScenarioOutcome::check` flags the violation;
 //! 3. the shrinker reduces the failing (scenario, seed, strategy) triple
 //!    to a strictly smaller variant that still violates the same
-//!    invariant — all deterministic under the fixed seed;
+//!    property — all deterministic under the fixed seed;
 //! 4. injection of the same spec works on the threaded substrate too
-//!    (trace/shrink stay sim-only, per the determinism contract).
+//!    (shrinking stays sim-only, per the determinism contract).
 
-use bft_cupft::adversary::{shrink, Assignment, Invariant, Shrinkable};
+use bft_cupft::adversary::{shrink, Assignment, Shrinkable};
 use bft_cupft::core::{
-    run_scenario_recorded, ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario,
+    run_scenario, run_scenario_recorded, ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario,
 };
 use bft_cupft::graph::{fig1a, process_set, ProcessId};
 
@@ -40,35 +39,20 @@ fn scenario_with(assignment: &Assignment) -> Scenario {
 }
 
 fn violates_agreement(assignment: &Assignment) -> bool {
-    let scenario = scenario_with(assignment);
-    let (_, trace) = run_scenario_recorded(&scenario);
-    scenario
-        .trace_checker()
-        .check(&trace)
-        .iter()
-        .any(|v| v.invariant == Invariant::Agreement)
+    !run_scenario(&scenario_with(assignment)).check().agreement
 }
 
 #[test]
 fn inject_flag_shrink_end_to_end() {
     let initial: Assignment = vec![(ProcessId::new(4), initial_spec())];
 
-    // 1+2: the recorded trace exhibits the Agreement violation and the
-    // checker flags it.
+    // 1+2: the run violates Agreement, and only Agreement.
     let scenario = scenario_with(&initial);
     let (outcome, trace) = run_scenario_recorded(&scenario);
-    assert!(!outcome.check().agreement, "outcome-level cross-check");
-    let violations = scenario.trace_checker().check(&trace);
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.invariant == Invariant::Agreement),
-        "checker must flag Agreement from the trace: {violations:?}"
-    );
-    // both components decided, so no (bounded) termination violation
-    assert!(violations
-        .iter()
-        .all(|v| v.invariant == Invariant::Agreement));
+    let check = outcome.check();
+    assert!(!check.agreement, "check must flag Agreement: {check:?}");
+    // both components decided a proposed value within the horizon
+    assert!(check.termination && check.validity, "{check:?}");
 
     // 3a: the unconstrained shrink discovers the *graph* is the culprit —
     // Fig. 1a violates agreement even with every process correct (the
@@ -94,7 +78,7 @@ fn inject_flag_shrink_end_to_end() {
     assert_eq!((constrained.steps, constrained.attempts), (2, 5));
     assert!(constrained.minimal.size() < initial.size());
 
-    // determinism: the whole record→check→shrink loop replays identically
+    // determinism: the shrink and the recorded run replay identically
     let replay = shrink(initial, &mut violates_agreement);
     assert_eq!(replay, outcome);
     let (_, trace_b) = run_scenario_recorded(&scenario);

@@ -4,17 +4,16 @@
 //!    flag set, so the crash-rejoin path restores a *fresh* discovery
 //!    state instead of the snapshot — the recovered node silently loses
 //!    its pre-crash knowledge;
-//! 2. the churn-armed checker flags the **RecoveryConsistency** violation
-//!    from the recorded trace's knowledge samples (crash view vs.
-//!    recovery view), not from re-inspecting actors;
+//! 2. `ScenarioOutcome::check` flags it: `recovery_consistency` is false,
+//!    because the recovery view no longer contains the crash view;
 //! 3. [`shrink`] reduces the failing schedule — crash event plus
 //!    decoy join and leave — to the minimal single-event reproducer, all
 //!    deterministic under the fixed seed;
 //! 4. the control run (same schedule, honest recovery) passes every
-//!    weakened invariant, so the flag is what the checker catches.
+//!    verdict, so the flag is what the broken recovery causes.
 
-use bft_cupft::adversary::{shrink, ChurnEvent, ChurnSpec, Invariant, Shrinkable};
-use bft_cupft::core::{run_scenario_recorded, ProtocolMode, Scenario};
+use bft_cupft::adversary::{shrink, ChurnEvent, ChurnSpec, Shrinkable};
+use bft_cupft::core::{run_scenario, run_scenario_recorded, ProtocolMode, Scenario};
 use bft_cupft::graph::{fig1b, process_set, ProcessId};
 use bft_cupft::net::DelayPolicy;
 
@@ -58,44 +57,31 @@ fn scenario_with(spec: &ChurnSpec, broken: bool) -> Scenario {
         .with_broken_recovery(broken)
 }
 
-/// The shrink oracle: does this schedule, under broken recovery, make the
-/// checker flag a RecoveryConsistency violation?
+/// The shrink oracle: does this schedule, under broken recovery, break
+/// recovery consistency?
 fn violates_recovery(spec: &ChurnSpec) -> bool {
-    let scenario = scenario_with(spec, true);
-    let (outcome, trace) = run_scenario_recorded(&scenario);
-    scenario
-        .churn_trace_checker(&outcome)
-        .check(&trace)
-        .iter()
-        .any(|v| v.invariant == Invariant::RecoveryConsistency)
+    !run_scenario(&scenario_with(spec, true))
+        .check()
+        .recovery_consistency
 }
 
 #[test]
 fn inject_flag_shrink_churn_end_to_end() {
     let initial = initial_spec();
 
-    // 1+2: the recorded trace exhibits the knowledge regression and the
-    // checker flags exactly RecoveryConsistency — lost knowledge is a
-    // liveness wound, not a safety one, so consensus still solves and
-    // agreement holds.
+    // 1+2: the run shows the knowledge regression and check flags
+    // recovery consistency — lost knowledge is a liveness wound, not a
+    // safety one, so consensus still solves and agreement holds.
     let scenario = scenario_with(&initial, true);
     let (outcome, trace) = run_scenario_recorded(&scenario);
+    let check = outcome.check();
     assert!(
-        outcome.check().consensus_solved(),
+        check.consensus_solved(),
         "broken recovery costs knowledge, not safety: {outcome:?}"
     );
-    let violations = scenario.churn_trace_checker(&outcome).check(&trace);
     assert!(
-        violations
-            .iter()
-            .any(|v| v.invariant == Invariant::RecoveryConsistency),
-        "checker must flag RecoveryConsistency from the trace: {violations:?}"
-    );
-    assert!(
-        violations
-            .iter()
-            .all(|v| v.invariant != Invariant::ChurnAgreement),
-        "no agreement violation: {violations:?}"
+        !check.recovery_consistency,
+        "check must flag recovery consistency: {check:?}"
     );
 
     // 3: the shrinker strips both decoys and keeps the crash-rejoin —
@@ -116,7 +102,7 @@ fn inject_flag_shrink_churn_end_to_end() {
     assert_eq!((shrunk.steps, shrunk.attempts), (2, 4));
     assert!(violates_recovery(&shrunk.minimal));
 
-    // determinism: the whole record→check→shrink loop replays identically
+    // determinism: the shrink and the recorded run replay identically
     let replay = shrink(initial, &mut violates_recovery);
     assert_eq!(replay, shrunk);
     let (_, trace_b) = run_scenario_recorded(&scenario);
@@ -126,14 +112,12 @@ fn inject_flag_shrink_churn_end_to_end() {
 
 #[test]
 fn honest_recovery_is_the_control() {
-    // Same schedule, honest recovery: every weakened invariant passes,
-    // so the broken_recovery flag is precisely what the checker catches.
-    let scenario = scenario_with(&initial_spec(), false);
-    let (outcome, trace) = run_scenario_recorded(&scenario);
-    assert!(outcome.check().consensus_solved());
-    let violations = scenario.churn_trace_checker(&outcome).check(&trace);
+    // Same schedule, honest recovery: every verdict passes, so the
+    // broken_recovery flag is precisely what check catches.
+    let check = run_scenario(&scenario_with(&initial_spec(), false)).check();
+    assert!(check.consensus_solved(), "{check:?}");
     assert!(
-        violations.is_empty(),
-        "control must be clean: {violations:?}"
+        check.join_convergence && check.recovery_consistency,
+        "control must be clean: {check:?}"
     );
 }

@@ -124,6 +124,33 @@ fn learner_decides_on_majority_of_matching_answers() {
     assert_eq!(node.decision().map(|v| v.as_ref()), Some(&b"X"[..]));
 }
 
+/// Integrity (§II-B): a decision is final. A later quorum of matching
+/// answers for another value changes neither the value nor its time.
+#[test]
+fn learner_decides_once() {
+    let mut node = learning_node();
+    let mut ctx = Context::new(20, p(7));
+    for member in [1u64, 2, 3] {
+        node.on_message(
+            p(member),
+            NodeMsg::DecidedVal(Value::from_static(b"X")),
+            &mut ctx,
+        );
+    }
+    assert_eq!(node.decision().map(|v| v.as_ref()), Some(&b"X"[..]));
+    assert_eq!(node.decided_time, Some(20));
+    let mut later = Context::new(90, p(7));
+    for member in [1u64, 2, 3, 4] {
+        node.on_message(
+            p(member),
+            NodeMsg::DecidedVal(Value::from_static(b"Y")),
+            &mut later,
+        );
+    }
+    assert_eq!(node.decision().map(|v| v.as_ref()), Some(&b"X"[..]));
+    assert_eq!(node.decided_time, Some(20));
+}
+
 #[test]
 fn learner_ignores_answers_from_non_members() {
     let mut node = learning_node();

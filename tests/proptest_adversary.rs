@@ -1,9 +1,11 @@
 //! Property tests for the fault-injection engine's determinism contract:
 //! record → replay on the simulator is byte-identical for equal seeds,
-//! and shrinking preserves the violated invariant.
+//! and shrinking preserves the violated property.
 
-use bft_cupft::adversary::{shrink, Assignment, Invariant};
-use bft_cupft::core::{run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario};
+use bft_cupft::adversary::{shrink, Assignment};
+use bft_cupft::core::{
+    run_scenario, run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario,
+};
 use bft_cupft::graph::{fig1a, fig1b, process_set, ProcessId};
 use proptest::prelude::*;
 
@@ -45,8 +47,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Recording the same (scenario, seed, strategy) triple twice yields
-    /// byte-identical traces — the replay path underpinning the invariant
-    /// checker and the shrinker.
+    /// byte-identical traces and outcomes — the replay path the shrinker
+    /// relies on.
     #[test]
     fn record_replay_is_byte_identical(
         seed in 0u64..1000,
@@ -66,7 +68,7 @@ proptest! {
     }
 
     /// Whatever composite the search starts from, the shrinker's output
-    /// still violates the same invariant (Agreement on Fig. 1a) and never
+    /// still violates the same property (Agreement on Fig. 1a) and never
     /// grows.
     #[test]
     fn shrinking_preserves_the_violation(
@@ -95,12 +97,7 @@ proptest! {
             for (id, spec) in assignment {
                 scenario = scenario.with_byzantine(id.raw(), spec.clone());
             }
-            let (_, trace) = run_scenario_recorded(&scenario);
-            scenario
-                .trace_checker()
-                .check(&trace)
-                .iter()
-                .any(|v| v.invariant == Invariant::Agreement)
+            !run_scenario(&scenario).check().agreement
         };
         let outcome = shrink(initial, &mut violates);
         prop_assert!(violates(&outcome.minimal));

@@ -1,14 +1,12 @@
-//! Property tests for the observability layer: sharded recording must be
-//! observationally equivalent to recording everything through a single
-//! recorder.
+//! Property tests for the observability layer's histogram algebra.
 //!
-//! A recording site may keep private `Histogram`s and fold them into the
-//! shared [`Recorder`] with `merge_hist`; these properties pin the algebra
-//! that makes that fold exact — merge conserves count/sum/extremes and
-//! lands every sample in the same log2 bucket a single recorder would
-//! have used, so quantiles cannot drift with the number of shards.
+//! Histograms recorded apart and folded with `Histogram::merge` must
+//! equal one histogram that saw every sample: merge conserves
+//! count/sum/extremes and lands every sample in the same log2 bucket a
+//! single histogram would have used, so quantiles cannot drift with the
+//! number of parts folded.
 
-use bft_cupft::obs::{Histogram, Recorder};
+use bft_cupft::obs::Histogram;
 use proptest::prelude::*;
 
 /// Samples spanning the full bucket range: small values, bucket
@@ -54,29 +52,6 @@ proptest! {
         prop_assert_eq!(merged.p50(), single.p50());
         prop_assert_eq!(merged.p99(), single.p99());
         prop_assert_eq!(merged.p999(), single.p999());
-    }
-
-    /// The same equivalence through the [`Recorder`] API: N shards folded
-    /// with `merge_hist` produce the same report histogram as one recorder
-    /// seeing every sample directly.
-    #[test]
-    fn sharded_recorders_fold_to_the_single_recorder_report(
-        samples in arb_samples(),
-        shards in 1usize..8,
-    ) {
-        let single = Recorder::new();
-        let sharded = Recorder::new();
-        let mut shard_hists = vec![Histogram::default(); shards];
-        for (i, &v) in samples.iter().enumerate() {
-            single.hist_record("depth", v);
-            shard_hists[i % shards].record(v);
-        }
-        for shard in &shard_hists {
-            sharded.merge_hist("depth", shard);
-        }
-        let a = single.snapshot();
-        let b = sharded.snapshot();
-        prop_assert_eq!(a.histogram("depth"), b.histogram("depth"));
     }
 
     /// Quantiles are always bracketed by the recorded extremes, merged or
