@@ -751,6 +751,32 @@ mod tests {
     }
 
     #[test]
+    fn byzantine_decisions_do_not_count() {
+        // An equivocator injects its own values into the committee; the
+        // outcome records (and check() judges) the correct processes only.
+        let fig = fig4b();
+        let scenario = Scenario::new(fig.graph().clone(), ProtocolMode::UnknownThreshold)
+            .with_byzantine(
+                5,
+                ByzantineStrategy::EquivocateValue {
+                    committee: process_set([5, 6, 7, 8, 9]),
+                    value_a: Value::from_static(b"evil-A"),
+                    value_b: Value::from_static(b"evil-B"),
+                },
+            );
+        let outcome = run_scenario(&scenario);
+        let correct = scenario.correct();
+        assert!(outcome
+            .decisions
+            .keys()
+            .copied()
+            .eq(correct.iter().copied()));
+        assert!(outcome.statuses.keys().copied().eq(correct.iter().copied()));
+        let check = outcome.check();
+        assert!(check.consensus_solved(), "{outcome:?}");
+    }
+
+    #[test]
     fn bft_cupft_on_fig4a_all_correct() {
         let fig = fig4a();
         let scenario = Scenario::new(fig.graph().clone(), ProtocolMode::UnknownThreshold);
@@ -946,10 +972,14 @@ mod tests {
     }
 
     #[test]
-    fn disagreement_is_flagged() {
+    fn clean_outcome_passes() {
         let clean = outcome_of(&[(1, b"a"), (2, b"a")], ChurnSpec::default()).check();
         assert!(clean.consensus_solved(), "{clean:?}");
         assert!(clean.join_convergence && clean.recovery_consistency);
+    }
+
+    #[test]
+    fn disagreement_is_flagged() {
         let split = outcome_of(&[(1, b"a"), (2, b"b")], ChurnSpec::default()).check();
         assert!(!split.agreement);
         assert!(split.validity && split.termination);
