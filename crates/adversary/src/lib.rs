@@ -3,7 +3,7 @@
 //! The paper's results (Theorems 5–7, Table I) quantify over *arbitrary*
 //! Byzantine strategies and message schedules; this crate makes that
 //! adversary space a first-class, composable subsystem instead of a fixed
-//! enum of hard-coded actors. Six pieces:
+//! enum of hard-coded actors. Five pieces:
 //!
 //! * **Combinators** ([`strategy`]) — what a faulty process does is a
 //!   plain [`cupft_net::Actor`]; [`TargetSubset`], [`DelayRelease`] and
@@ -18,10 +18,6 @@
 //!   windows, targeted slow-downs, within-model drops) described as data
 //!   and compiled onto the [`cupft_net::Tamper`] interception hook, so one
 //!   schedule runs on both the simulator and the threaded runtime.
-//! * **Traces** ([`trace`]) — every send / delivery / decision of a run as
-//!   a compact [`ExecutionTrace`] with a stable fingerprint, built from
-//!   the simulator's own send/delivery trace, for record/replay
-//!   comparisons.
 //! * **Shrinking** ([`shrink`](fn@shrink)) — given a violating assignment
 //!   or churn schedule, deterministically search for a minimal failing
 //!   variant by pruning strategy combinators, fault sets and churn events.
@@ -31,10 +27,11 @@
 //!   [`shrink`](fn@shrink).
 //!
 //! `cupft_core` wires these into the `Scenario` runner (recorded runs, a
-//! strategy grid axis, and a shrink driver), and its
-//! `ScenarioOutcome::check` is the one judge of a run: the §II-B
-//! properties, plus join convergence and recovery consistency under
-//! churn. See `tests/adversary_catch.rs` at the workspace root for the
+//! strategy grid axis, and a shrink driver). A recorded run's evidence is
+//! the simulator's own send/delivery trace ([`cupft_net::TraceEntry`])
+//! plus the outcome's decisions, and `ScenarioOutcome::check` is the one
+//! judge of a run: the §II-B properties, plus join convergence and
+//! recovery consistency under churn. See `tests/adversary_catch.rs` at the workspace root for the
 //! end-to-end loop: inject → flag → shrink.
 
 #![forbid(unsafe_code)]
@@ -45,14 +42,12 @@ pub mod sched;
 pub mod shrink;
 pub mod spec;
 pub mod strategy;
-pub mod trace;
 
 pub use churn::{ChurnEvent, ChurnSpec};
 pub use sched::TamperSpec;
 pub use shrink::{shrink, Assignment, ShrinkOutcome, Shrinkable};
 pub use spec::StrategySpec;
 pub use strategy::{DelayRelease, FlipAfter, Mute, TargetSubset, FLIP_TICK, RELEASE_TICK};
-pub use trace::{ExecutionTrace, TraceEvent, TraceEventKind};
 
 /// Formats a process set compactly (`{1,2,3}`) — the shared formatter
 /// behind every spec and tamper label, so display names cannot drift

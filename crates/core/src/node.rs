@@ -334,9 +334,8 @@ impl Node {
         ctx.set_timer(DISCOVERY_TICK, self.config.discovery_period);
     }
 
-    fn churn_event(&self, what: &'static str, counter: &'static str, at: Time) {
+    fn churn_event(&self, counter: &'static str) {
         if let Some(rec) = &self.config.recorder {
-            rec.event_at(self.id.raw(), what, at);
             rec.counter_add(counter, 1);
         }
     }
@@ -348,13 +347,13 @@ impl Node {
         self.awaiting_join = false;
         let seeds = self.config.seed_peers.clone();
         self.discovery.seed_known(&seeds);
-        self.churn_event("churn_join", "churn_joins", ctx.now());
+        self.churn_event("churn_joins");
         self.begin_participation(ctx);
     }
 
     fn on_churn_leave(&mut self, ctx: &mut Context<NodeMsg>) {
         self.departed = true;
-        self.churn_event("churn_leave", "churn_leaves", ctx.now());
+        self.churn_event("churn_leaves");
         ctx.halt();
     }
 
@@ -380,7 +379,7 @@ impl Node {
         self.detect_dirty = false;
         self.phase = Phase::Discovering;
         self.down = true;
-        self.churn_event("churn_crash", "churn_crashes", ctx.now());
+        self.churn_event("churn_crashes");
         ctx.set_timer(CHURN_RECOVER_TICK, down_for.max(1));
     }
 
@@ -414,7 +413,7 @@ impl Node {
         self.discovery = restored;
         self.phase = Phase::Discovering;
         self.detect_dirty = true;
-        self.churn_event("churn_recover", "churn_recoveries", ctx.now());
+        self.churn_event("churn_recoveries");
         self.send_discovery_round(ctx);
         self.try_detect(ctx);
         ctx.set_timer(DISCOVERY_TICK, self.config.discovery_period);

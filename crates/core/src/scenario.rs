@@ -14,14 +14,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cupft_adversary::{ChurnSpec, ExecutionTrace, TamperSpec, TraceEvent, TraceEventKind};
+use cupft_adversary::{ChurnSpec, TamperSpec};
 use cupft_committee::Value;
 use cupft_detector::SystemSetup;
 use cupft_graph::{DiGraph, ProcessId, ProcessSet};
 use cupft_net::sim::Simulation;
 use cupft_net::socket::{SocketConfig, SocketRuntime};
 use cupft_net::threaded::{Board, ThreadedConfig, ThreadedRuntime};
-use cupft_net::{DelayPolicy, NetStats, Runtime, SimConfig, Time, TraceKind};
+use cupft_net::{DelayPolicy, NetStats, Runtime, SimConfig, Time, TraceEntry};
 use cupft_obs::{ObsReport, Recorder};
 
 use crate::byzantine::{build_strategy, ByzantineStrategy};
@@ -82,10 +82,10 @@ pub struct Scenario {
     /// Attach an observability [`Recorder`] to the run (off by default).
     /// On the simulator the recorder runs in the **virtual** clock domain
     /// — two runs of the same scenario produce byte-identical
-    /// [`ObsReport`]s — and on the threaded runtime in the wall domain (a
-    /// profile, not a trace). Observation never changes protocol
-    /// behavior: decisions, detections, and [`NetStats`] are identical
-    /// with the flag on or off.
+    /// [`ObsReport`]s — and on the wall-clock runtime in the wall domain
+    /// (elapsed milliseconds; a profile, not a trace). Observation never
+    /// changes protocol behavior: decisions, detections, and [`NetStats`]
+    /// are identical with the flag on or off.
     pub observe: bool,
 }
 
@@ -273,7 +273,8 @@ pub struct ScenarioOutcome {
     pub detection_times: BTreeMap<ProcessId, Option<Time>>,
     /// Decision times.
     pub decided_times: BTreeMap<ProcessId, Option<Time>>,
-    /// Simulated end time.
+    /// When the run ended: simulated ticks on the simulator, elapsed
+    /// milliseconds on the wall-clock runtime.
     pub end_time: Time,
     /// Network statistics.
     pub stats: NetStats,
@@ -296,11 +297,12 @@ pub struct ConsensusCheck {
     pub termination: bool,
     /// Every decided value was proposed by some process.
     pub validity: bool,
-    /// Every late joiner that did not also depart ended the run holding
-    /// the reference knowledge: the intersection of the final
+    /// Every correct late joiner that did not also depart ended the run
+    /// holding the reference knowledge: the intersection of the final
     /// `S_received` views of the stable correct processes (no scheduled
     /// join, departure or crash). With no stable process the reference is
-    /// empty. Vacuously true without churn.
+    /// empty. A join naming a Byzantine process is ignored, as the
+    /// scenario ignores it. Vacuously true without churn.
     pub join_convergence: bool,
     /// Every crash-recovered process's restored and final `S_received`
     /// both contain its view at the crash: recovery forgets nothing.
@@ -342,12 +344,12 @@ impl ScenarioOutcome {
         }
     }
 
-    /// See [`ConsensusCheck::join_convergence`]. A joiner with no final
-    /// view (a Byzantine id in the schedule) has not converged.
+    /// See [`ConsensusCheck::join_convergence`]. A correct joiner with no
+    /// final view has not converged.
     fn joiners_converged(&self) -> bool {
         let leavers = self.churn.leavers();
         let mut staying = self.churn.joiners();
-        staying.retain(|j| !leavers.contains(j));
+        staying.retain(|j| self.statuses.contains_key(j) && !leavers.contains(j));
         if staying.is_empty() {
             return true;
         }
@@ -386,7 +388,7 @@ impl ScenarioOutcome {
         self.detections.values().flatten().cloned().collect()
     }
 
-    /// Latest decision time among deciders (simulated ticks).
+    /// Latest decision time among deciders, in [`Self::end_time`]'s unit.
     pub fn last_decision_time(&self) -> Option<Time> {
         self.decided_times.values().flatten().copied().max()
     }
@@ -674,64 +676,28 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
 }
 
 /// Runs a scenario on the deterministic simulator with full execution
-/// recording: every send and every delivery (the simulator's own trace,
-/// sends marked when the scenario's tamper dropped them), and every
-/// decision of a correct process, merged into one [`ExecutionTrace`].
+/// recording: the simulator's own trace of every send (marked when the
+/// scenario's tamper dropped it) and every delivery, in execution order.
+/// Decisions are in the outcome ([`ScenarioOutcome::decisions`] and
+/// [`ScenarioOutcome::decided_times`]).
 ///
 /// The trace is a pure function of the scenario (including its seed):
-/// recording the same scenario twice yields byte-identical traces — the
+/// recording the same scenario twice yields identical traces — the
 /// replay guarantee record/replay tests compare. The verdicts come from
 /// the outcome's [`ScenarioOutcome::check`], as on every other run.
 /// Simulator-only; fault *injection* itself runs on either substrate.
-pub fn run_scenario_recorded(scenario: &Scenario) -> (ScenarioOutcome, ExecutionTrace) {
+pub fn run_scenario_recorded(scenario: &Scenario) -> (ScenarioOutcome, Vec<TraceEntry>) {
     let mut sim: Simulation<NodeMsg> = Simulation::new(scenario.sim.clone());
     sim.enable_trace();
     let outcome = run_scenario_on(scenario, &mut sim);
-
-    let traffic: Vec<TraceEvent> = sim
-        .trace()
-        .iter()
-        .map(|e| TraceEvent {
-            time: e.time,
-            kind: match e.kind {
-                TraceKind::Sent { dropped } => TraceEventKind::Sent {
-                    from: e.from,
-                    to: e.to,
-                    label: e.label,
-                    dropped,
-                },
-                TraceKind::Delivered => TraceEventKind::Delivered {
-                    from: e.from,
-                    to: e.to,
-                    label: e.label,
-                },
-            },
-        })
-        .collect();
-    let mut decisions: Vec<(Time, ProcessId, Vec<u8>)> = outcome
-        .decisions
-        .iter()
-        .filter_map(|(&id, decision)| {
-            let value = decision.clone()?;
-            let time = outcome.decided_times.get(&id).copied().flatten()?;
-            Some((time, id, value))
-        })
-        .collect();
-    decisions.sort();
-    let decisions = decisions
-        .into_iter()
-        .map(|(time, process, value)| TraceEvent {
-            time,
-            kind: TraceEventKind::Decided { process, value },
-        })
-        .collect();
-    (outcome, ExecutionTrace::assemble(traffic, decisions))
+    (outcome, sim.trace().to_vec())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cupft_graph::{fig1b, fig4a, fig4b, process_set};
+    use cupft_net::TraceKind;
 
     #[test]
     fn bft_cup_on_fig1b_with_silent_byzantine() {
@@ -831,6 +797,28 @@ mod tests {
         assert!(outcome.check().consensus_solved(), "{outcome:?}");
     }
 
+    /// A stable FNV-1a fingerprint of a simulator trace, for exact pins.
+    fn trace_fingerprint(trace: &[TraceEntry]) -> u64 {
+        let mut hash: u64 = 0xcbf29ce484222325;
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(0x100000001b3);
+            }
+        };
+        for e in trace {
+            mix(&e.time.to_be_bytes());
+            mix(&e.from.raw().to_be_bytes());
+            mix(&e.to.raw().to_be_bytes());
+            mix(e.label.as_bytes());
+            match e.kind {
+                TraceKind::Sent { dropped } => mix(&[b'S', dropped as u8]),
+                TraceKind::Delivered => mix(b"D"),
+            }
+        }
+        hash
+    }
+
     #[test]
     fn recorded_run_traces_and_passes_invariants() {
         let fig = fig1b();
@@ -839,30 +827,42 @@ mod tests {
             .with_seed(7);
         let (outcome, trace) = run_scenario_recorded(&scenario);
         assert!(outcome.check().consensus_solved());
-        // the whole recorded execution is pinned
-        assert_eq!(trace.len(), 1246);
-        assert_eq!(trace.fingerprint(), 0xead3a9cd358202dd);
-        // every correct decision shows up as a trace event
-        assert_eq!(trace.decisions().count(), scenario.correct().len());
+        // the whole recorded execution is pinned: traffic and decisions
+        assert_eq!(trace.len(), 1239);
+        assert_eq!(trace_fingerprint(&trace), 0x45368038b2be6d56);
+        assert_eq!(outcome.decisions.values().flatten().count(), 7);
+        let decided: Vec<(u64, Time)> = outcome
+            .decided_times
+            .iter()
+            .map(|(id, time)| (id.raw(), time.expect("decided")))
+            .collect();
+        assert_eq!(
+            decided,
+            [
+                (1, 303),
+                (2, 299),
+                (3, 298),
+                (5, 306),
+                (6, 309),
+                (7, 308),
+                (8, 310)
+            ]
+        );
         // sends and deliveries were captured
-        use cupft_adversary::TraceEventKind;
         assert!(trace
-            .events
             .iter()
-            .any(|e| matches!(e.kind, TraceEventKind::Sent { .. })));
-        assert!(trace
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, TraceEventKind::Delivered { .. })));
-        // record → replay is byte-identical
-        let (_, replay) = run_scenario_recorded(&scenario);
-        assert_eq!(trace.fingerprint(), replay.fingerprint());
+            .any(|e| matches!(e.kind, TraceKind::Sent { .. })));
+        assert!(trace.iter().any(|e| e.kind == TraceKind::Delivered));
+        // record → replay is identical
+        let (replay_outcome, replay) = run_scenario_recorded(&scenario);
         assert_eq!(trace, replay);
+        assert_eq!(outcome.decisions, replay_outcome.decisions);
+        assert_eq!(outcome.decided_times, replay_outcome.decided_times);
     }
 
     #[test]
     fn tamper_runs_on_scenario_and_is_recorded() {
-        use cupft_adversary::{TamperSpec, TraceEventKind};
+        use cupft_adversary::TamperSpec;
         let fig = fig1b();
         // Dropping everything the (already Byzantine) process 4 sends is
         // within-model: equivalent to process 4 staying silent.
@@ -879,14 +879,13 @@ mod tests {
         let (outcome, trace) = run_scenario_recorded(&scenario);
         assert!(outcome.check().consensus_solved(), "{outcome:?}");
         assert!(outcome.stats.messages_dropped > 0);
-        let count = |pred: fn(&TraceEventKind) -> bool| {
-            trace.events.iter().filter(|e| pred(&e.kind)).count() as u64
-        };
-        let dropped = count(|k| matches!(k, TraceEventKind::Sent { dropped: true, .. }));
+        let count =
+            |pred: fn(TraceKind) -> bool| trace.iter().filter(|e| pred(e.kind)).count() as u64;
+        let dropped = count(|k| k == TraceKind::Sent { dropped: true });
         assert_eq!(dropped, outcome.stats.messages_dropped);
-        let sent = count(|k| matches!(k, TraceEventKind::Sent { .. }));
+        let sent = count(|k| matches!(k, TraceKind::Sent { .. }));
         assert_eq!(sent, outcome.stats.messages_sent);
-        let delivered = count(|k| matches!(k, TraceEventKind::Delivered { .. }));
+        let delivered = count(|k| k == TraceKind::Delivered);
         assert_eq!(delivered, outcome.stats.messages_delivered);
     }
 
@@ -939,9 +938,11 @@ mod tests {
         assert!(outcome.crash_views.contains_key(&ProcessId::new(5)));
         assert!(outcome.recovery_views.contains_key(&ProcessId::new(5)));
         assert!(check.join_convergence && check.recovery_consistency);
-        // Same seed, same schedule → byte-identical trace.
-        let (_, replay) = run_scenario_recorded(&scenario);
-        assert_eq!(trace.fingerprint(), replay.fingerprint());
+        // Same seed, same schedule → identical trace and decisions.
+        let (replay_outcome, replay) = run_scenario_recorded(&scenario);
+        assert_eq!(trace, replay);
+        assert_eq!(outcome.decisions, replay_outcome.decisions);
+        assert_eq!(outcome.decided_times, replay_outcome.decided_times);
     }
 
     /// A hand-made outcome: each `(id, value)` is a correct process that
@@ -1038,6 +1039,23 @@ mod tests {
         ]);
         assert!(with_views(&left, Some(&[1, 2])));
         assert!(with_views(&left, None));
+    }
+
+    #[test]
+    fn byzantine_joiner_is_ignored() {
+        // The scenario ignores a churn event naming a Byzantine process,
+        // and so does the verdict: a silent 4 "joining" is no joiner.
+        use cupft_adversary::ChurnEvent;
+        let scenario = Scenario::new(fig1b().graph().clone(), ProtocolMode::KnownThreshold(1))
+            .with_byzantine(4, ByzantineStrategy::Silent)
+            .with_churn(ChurnSpec::new(vec![ChurnEvent::JoinAt {
+                tick: 100,
+                node: ProcessId::new(4),
+                seed_peers: process_set([1]),
+            }]));
+        let check = run_scenario(&scenario).check();
+        assert!(check.consensus_solved(), "{check:?}");
+        assert!(check.join_convergence, "{check:?}");
     }
 
     #[test]

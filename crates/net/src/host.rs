@@ -12,10 +12,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use cupft_graph::ProcessId;
 use cupft_obs::Recorder;
 
@@ -633,9 +633,9 @@ pub(crate) fn supervise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::mpsc::channel;
 
     #[test]
     fn wheel_pops_equal_keys_in_push_order() {
@@ -818,8 +818,8 @@ mod tests {
     #[test]
     fn always_due_timer_cannot_starve_the_inbox() {
         const MESSAGES: u32 = 150;
-        let (halt_tx, halt_rx) = unbounded();
-        let (fired_tx, fired_rx) = unbounded();
+        let (halt_tx, halt_rx) = channel();
+        let (fired_tx, fired_rx) = channel();
         let actor = Box::new(Busy {
             last: MESSAGES,
             received: 0,
@@ -857,12 +857,12 @@ mod tests {
 
     #[test]
     fn a_full_mailbox_refuses_or_waits_and_a_closed_one_discards() {
-        let (halt_tx, _halt_rx) = unbounded();
+        let (halt_tx, _halt_rx) = channel();
         let actor = Box::new(Busy {
             last: u32::MAX,
             received: 0,
             seen_at_firing: Vec::new(),
-            first_firing: unbounded().0,
+            first_firing: channel().0,
         });
         let pool = Pool::new(vec![actor], None, None, halt_tx, Instant::now());
         let (to, from) = (ProcessId::new(1), ProcessId::new(2));

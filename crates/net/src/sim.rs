@@ -136,15 +136,15 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
         self.tamper = Some(tamper);
     }
 
-    /// Installs an observability recorder and switches its clock to the
-    /// **virtual** domain: every timestamp the recorder hands out from
-    /// here on is a simulated tick, so observed traces are byte-identical
-    /// across same-seed runs. The simulator feeds the recorder its
+    /// Installs an observability recorder and stamps its report with the
+    /// **virtual** clock domain: every timestamp recorded from here on is
+    /// a simulated tick, so observed reports are byte-identical across
+    /// same-seed runs. The simulator feeds the recorder its
     /// event-loop profile (events per tick, queue depth, tick advance —
     /// the ROADMAP Open-Item-5 surface); observation never touches the
     /// RNG stream, the event order, or the stats.
     pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
-        recorder.clock().set_virtual();
+        recorder.set_virtual();
         self.recorder = Some(recorder);
     }
 
@@ -225,7 +225,6 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
                 rec.hist_record("sim_events_per_tick", self.tick_events);
                 rec.hist_record("sim_tick_advance", self.now - self.tick_now);
                 rec.counter_add("sim_ticks", 1);
-                rec.clock().advance_virtual(self.now);
                 self.tick_now = self.now;
                 self.tick_events = 0;
             }
@@ -322,7 +321,6 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
             self.tick_events = 0;
             self.tick_now = self.now;
         }
-        rec.clock().advance_virtual(self.now);
         Some(rec.snapshot())
     }
 

@@ -39,11 +39,11 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use cupft_graph::ProcessId;
 use cupft_wire::frame::{frame, read_frame};
 use cupft_wire::{Decode, Encode, Reader, WireError};
@@ -140,7 +140,7 @@ impl ConnPool {
             .expect("connection pool poisoned")
             .entry(addr)
             .or_insert_with(|| {
-                let (tx, rx) = unbounded::<Vec<u8>>();
+                let (tx, rx) = channel::<Vec<u8>>();
                 let shutdown = self.shutdown.clone();
                 let writer = thread::spawn(move || writer_loop(addr, rx, &shutdown));
                 self.handles

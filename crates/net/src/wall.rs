@@ -24,11 +24,11 @@
 //! runtime to validate that the protocols are not simulator artifacts.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use cupft_graph::ProcessId;
 use cupft_obs::Recorder;
 
@@ -178,7 +178,7 @@ where
             return report.clone();
         }
         let start = Instant::now();
-        let (halts, halt_rx) = unbounded();
+        let (halts, halt_rx) = channel();
         let actors = std::mem::take(&mut self.pending);
         let live = actors.iter().map(|actor| actor.id()).collect();
         let pool = Arc::new(Pool::new(

@@ -1,29 +1,22 @@
 //! The shared, thread-safe recorder every instrumentation site talks to.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::clock::Clock;
 use crate::hist::Histogram;
-use crate::report::{ObsEvent, ObsReport, PhaseMark, PhaseTimeline};
-
-/// Capacity of every recorder's event ring. Phase-mark events for a
-/// 1000-node run fit with room to spare; older entries are evicted (and
-/// counted) rather than growing without bound.
-pub const DEFAULT_EVENT_CAPACITY: usize = 8192;
+use crate::report::{ClockDomain, ObsReport, PhaseMark, PhaseTimeline};
 
 #[derive(Debug, Default)]
 struct Inner {
+    clock_domain: ClockDomain,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
     timelines: BTreeMap<u64, PhaseTimeline>,
-    events: VecDeque<ObsEvent>,
-    dropped: u64,
 }
 
-/// A metrics registry + event ring + phase-timeline store, shared across
-/// every instrumented layer of a run as an `Arc<Recorder>`.
+/// A metrics registry + phase-timeline store, shared across every
+/// instrumented layer of a run as an `Arc<Recorder>`.
 ///
 /// Metric names are `&'static str` literals at the call sites, so the
 /// hot path allocates nothing; the registry is a single mutex, which is
@@ -31,27 +24,22 @@ struct Inner {
 /// handful of times per message on the threaded runtime. Runs that do
 /// not observe never construct a recorder at all — every call site is
 /// gated on `Option<Arc<Recorder>>`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Recorder {
-    clock: Clock,
     inner: Mutex<Inner>,
 }
 
 impl Recorder {
-    /// A recorder with an event ring of [`DEFAULT_EVENT_CAPACITY`], clock
-    /// in the wall domain (the simulator switches it to virtual on
-    /// install).
+    /// An empty recorder in the wall clock domain (the simulator switches
+    /// it to virtual on install, see [`Recorder::set_virtual`]).
     pub fn new() -> Self {
-        Recorder {
-            clock: Clock::new(),
-            inner: Mutex::new(Inner::default()),
-        }
+        Recorder::default()
     }
 
-    /// The recorder's clock (substrates use this to pick or drive the
-    /// time domain).
-    pub fn clock(&self) -> &Clock {
-        &self.clock
+    /// Stamps the report with the virtual clock domain: every timestamp
+    /// the caller records is a simulated tick (idempotent).
+    pub fn set_virtual(&self) {
+        self.lock().clock_domain = ClockDomain::Virtual;
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -77,43 +65,18 @@ impl Recorder {
         inner.hists.entry(name).or_default().record(value);
     }
 
-    /// Appends a ring event stamped with the clock's current time.
-    pub fn event(&self, node: u64, what: &'static str) {
-        self.event_at(node, what, self.clock.now());
-    }
-
-    /// Appends a ring event with an explicit timestamp (instrumentation
-    /// sites that know the simulated time pass it directly, keeping the
-    /// trace exact even before the driver advanced the clock).
-    pub fn event_at(&self, node: u64, what: &'static str, at: u64) {
-        let mut inner = self.lock();
-        if inner.events.len() >= DEFAULT_EVENT_CAPACITY {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(ObsEvent {
-            at,
-            node,
-            what: what.to_string(),
-        });
-    }
-
-    /// Applies a phase mark to `node`'s timeline (see
-    /// [`PhaseTimeline::set`] for write semantics) and mirrors it into
-    /// the event ring.
+    /// Applies a phase mark, stamped `at` (see
+    /// [`ObsReport::clock_domain`] for the unit), to `node`'s timeline
+    /// (see [`PhaseTimeline::set`] for write semantics).
     pub fn mark(&self, node: u64, mark: PhaseMark, at: u64) {
-        {
-            let mut inner = self.lock();
-            inner.timelines.entry(node).or_default().set(mark, at);
-        }
-        self.event_at(node, mark.name(), at);
+        self.lock().timelines.entry(node).or_default().set(mark, at);
     }
 
     /// An immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> ObsReport {
         let inner = self.lock();
         ObsReport {
-            clock_domain: self.clock.domain(),
+            clock_domain: inner.clock_domain,
             counters: inner
                 .counters
                 .iter()
@@ -130,15 +93,7 @@ impl Recorder {
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
             timelines: inner.timelines.clone(),
-            events: inner.events.iter().cloned().collect(),
-            events_dropped: inner.dropped,
         }
-    }
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
     }
 }
 
@@ -163,21 +118,17 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_evicts_oldest_and_counts_drops() {
+    fn reports_start_in_the_wall_domain_until_set_virtual() {
         let rec = Recorder::new();
-        rec.event_at(1, "first", 0);
-        for at in 1..=DEFAULT_EVENT_CAPACITY as u64 {
-            rec.event_at(1, "later", at);
-        }
-        let report = rec.snapshot();
-        assert_eq!(report.events_dropped, 1);
-        assert_eq!(report.events.len(), DEFAULT_EVENT_CAPACITY);
-        assert_eq!(report.events[0].at, 1, "oldest entry evicted first");
-        assert!(report.events.iter().all(|e| e.what == "later"));
+        assert_eq!(rec.snapshot().clock_domain.name(), "wall");
+        rec.set_virtual();
+        rec.set_virtual();
+        assert_eq!(rec.snapshot().clock_domain, ClockDomain::Virtual);
+        assert_eq!(rec.snapshot().clock_domain.name(), "virtual");
     }
 
     #[test]
-    fn marks_build_timelines_and_mirror_into_the_ring() {
+    fn marks_build_timelines() {
         let rec = Recorder::new();
         rec.mark(7, PhaseMark::FirstGossip, 0);
         rec.mark(7, PhaseMark::SpdFixpoint, 400);
@@ -188,7 +139,5 @@ mod tests {
         assert_eq!(report.complete_timelines(), 1);
         assert_eq!(report.timelines[&7].decided, Some(900));
         assert_eq!(report.phase_max(PhaseMark::Decided), Some(900));
-        assert_eq!(report.events.len(), 5);
-        assert_eq!(report.events[0].what, "first_gossip");
     }
 }

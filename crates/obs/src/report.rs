@@ -1,10 +1,31 @@
-//! Immutable snapshots of a [`crate::Recorder`]: phase timelines, the
-//! metrics registry, and the event ring.
+//! Immutable snapshots of a [`crate::Recorder`]: phase timelines and the
+//! metrics registry.
 
 use std::collections::BTreeMap;
 
-use crate::clock::ClockDomain;
 use crate::hist::Histogram;
+
+/// Which time domain every timestamp of a report belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ClockDomain {
+    /// Simulated ticks of the discrete-event simulator. Deterministic: a
+    /// pure function of scenario + seed.
+    Virtual,
+    /// Elapsed milliseconds since the wall-clock runtime started its run
+    /// (the actors' `ctx.now()`). Never comparable across machines.
+    #[default]
+    Wall,
+}
+
+impl ClockDomain {
+    /// Stable lowercase name used in JSON exports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ClockDomain::Virtual => "virtual",
+            ClockDomain::Wall => "wall",
+        }
+    }
+}
 
 /// The five per-node marks of the protocol pipeline, in paper order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +46,7 @@ pub enum PhaseMark {
 }
 
 impl PhaseMark {
-    /// Stable snake_case name used in events and JSON exports.
+    /// Stable snake_case name used in JSON exports.
     pub fn name(&self) -> &'static str {
         match self {
             PhaseMark::FirstGossip => "first_gossip",
@@ -104,17 +125,6 @@ impl PhaseTimeline {
     }
 }
 
-/// One entry of the ring-buffered event log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsEvent {
-    /// Clock timestamp (see [`ObsReport::clock_domain`] for the unit).
-    pub at: u64,
-    /// The node the event concerns (raw process ID).
-    pub node: u64,
-    /// Stable event name (phase-mark names or instrumentation-site tags).
-    pub what: String,
-}
-
 /// An immutable snapshot of everything a [`crate::Recorder`] collected.
 ///
 /// Derives `Eq` so whole reports can be compared in determinism tests
@@ -131,10 +141,6 @@ pub struct ObsReport {
     pub histograms: BTreeMap<String, Histogram>,
     /// Per-node phase timelines, keyed by raw process ID.
     pub timelines: BTreeMap<u64, PhaseTimeline>,
-    /// The event ring contents, oldest first.
-    pub events: Vec<ObsEvent>,
-    /// Events evicted from the ring because it was full.
-    pub events_dropped: u64,
 }
 
 impl ObsReport {
@@ -190,8 +196,6 @@ mod tests {
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             timelines: BTreeMap::new(),
-            events: Vec::new(),
-            events_dropped: 0,
         };
         assert_eq!(report.phase_max(PhaseMark::Decided), None);
         let mut a = PhaseTimeline::default();

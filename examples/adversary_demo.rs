@@ -42,12 +42,18 @@ fn main() {
     let (outcome, trace) = run_scenario_recorded(&tolerant);
     let check = outcome.check();
     println!(
-        "fig1b: solved={} | {} trace events, fingerprint {:#018x}",
+        "fig1b: solved={} | {} sends and deliveries, {} decisions",
         check.consensus_solved(),
         trace.len(),
-        trace.fingerprint(),
+        outcome.decisions.values().flatten().count(),
     );
     assert!(check.consensus_solved(), "{check:?}");
+    // Recording is deterministic: a replay yields the same trace and
+    // the same decisions at the same times.
+    let (replayed, replay) = run_scenario_recorded(&tolerant);
+    assert_eq!(trace, replay);
+    assert_eq!(outcome.decisions, replayed.decisions);
+    assert_eq!(outcome.decided_times, replayed.decided_times);
 
     // 2. The same strategy on Fig. 1a (requirements violated): the two
     //    components decide independently and check flags Agreement.

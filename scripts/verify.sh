@@ -17,7 +17,7 @@
 #                              # tests (the signed-field and cross-kind
 #                              # replay tables, the replica state machine),
 #                              # the cupft-adversary unit tests (combinators,
-#                              # traces, shrinking), the
+#                              # shrinking), the
 #                              # cupft-net unit tests (the delay wheel, the
 #                              # send gate, the worker pool's fairness
 #                              # batch and mailbox cap, both links) and the
@@ -47,9 +47,11 @@
 #                              # verify_pipeline shared-verdict-memo suite
 #                              # (same fixpoint as private verification,
 #                              # forgeries counted once),
-#                              # the obs_determinism observability suite
-#                              # (byte-identical observed traces, no
-#                              # observer effect), and the churn gates
+#                              # the cupft-obs unit tests (recorder,
+#                              # report, histograms), the obs_determinism
+#                              # observability suite (byte-identical
+#                              # observed reports, no observer effect,
+#                              # wall marks within the run), and the churn gates
 #                              # (churn_invariants family×runtime sweep,
 #                              # proptest_churn snapshot/agreement
 #                              # properties) as early gates before the
@@ -153,6 +155,8 @@ else
     cargo test -q --test socket_parity
     echo "==> cargo test -q --test verify_pipeline (quick gate)"
     cargo test -q --test verify_pipeline
+    echo "==> cargo test -q -p cupft-obs --lib (quick gate)"
+    cargo test -q -p cupft-obs --lib
     echo "==> cargo test -q --test obs_determinism (quick gate)"
     cargo test -q --test obs_determinism
     echo "==> cargo test -q --test churn_invariants (quick gate)"

@@ -48,8 +48,8 @@ fn inject_flag_shrink_end_to_end() {
 
     // 1+2: the run violates Agreement, and only Agreement.
     let scenario = scenario_with(&initial);
-    let (outcome, trace) = run_scenario_recorded(&scenario);
-    let check = outcome.check();
+    let (recorded, trace) = run_scenario_recorded(&scenario);
+    let check = recorded.check();
     assert!(!check.agreement, "check must flag Agreement: {check:?}");
     // both components decided a proposed value within the horizon
     assert!(check.termination && check.validity, "{check:?}");
@@ -81,9 +81,10 @@ fn inject_flag_shrink_end_to_end() {
     // determinism: the shrink and the recorded run replay identically
     let replay = shrink(initial, &mut violates_agreement);
     assert_eq!(replay, outcome);
-    let (_, trace_b) = run_scenario_recorded(&scenario);
-    assert_eq!(trace.fingerprint(), trace_b.fingerprint());
+    let (replayed, trace_b) = run_scenario_recorded(&scenario);
     assert_eq!(trace, trace_b);
+    assert_eq!(recorded.decisions, replayed.decisions);
+    assert_eq!(recorded.decided_times, replayed.decided_times);
 }
 
 #[test]

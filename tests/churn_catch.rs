@@ -105,9 +105,10 @@ fn inject_flag_shrink_churn_end_to_end() {
     // determinism: the shrink and the recorded run replay identically
     let replay = shrink(initial, &mut violates_recovery);
     assert_eq!(replay, shrunk);
-    let (_, trace_b) = run_scenario_recorded(&scenario);
-    assert_eq!(trace.fingerprint(), trace_b.fingerprint());
+    let (replayed, trace_b) = run_scenario_recorded(&scenario);
     assert_eq!(trace, trace_b);
+    assert_eq!(outcome.decisions, replayed.decisions);
+    assert_eq!(outcome.decided_times, replayed.decided_times);
 }
 
 #[test]

@@ -264,7 +264,7 @@ fn churn_at_scale_is_byte_deterministic() {
     assert_eq!(outcome_a.recovery_views, outcome_b.recovery_views);
     assert_eq!(outcome_a.end_time, outcome_b.end_time);
     assert_eq!(obs_a, obs_b, "same seed + schedule → equal ObsReports");
-    // The churn events are visible in the report's event ring / counters.
+    // The churn events are visible in the report's counters.
     assert_eq!(obs_a.counter("churn_joins"), 1);
     assert_eq!(obs_a.counter("churn_crashes"), 1);
     assert_eq!(obs_a.counter("churn_recoveries"), 1);

@@ -1,12 +1,11 @@
 //! Cross-crate integration: the paper's impossibility results, reproduced
 //! as concrete failing executions.
 
-use bft_cupft::adversary::{ExecutionTrace, TraceEventKind};
 use bft_cupft::core::{
     run_scenario, run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario,
 };
 use bft_cupft::graph::{fig1a, fig2a, fig2b, fig2c, fig3a, fig3b, process_set};
-use bft_cupft::net::DelayPolicy;
+use bft_cupft::net::{DelayPolicy, TraceEntry, TraceKind};
 
 const NAIVE: ProtocolMode = ProtocolMode::NaiveGuess;
 
@@ -201,18 +200,13 @@ fn theorem7_traces_are_event_identical() {
     // …and the executions of {1,2,3} are event-identical up to A's
     // decision time: same deliveries, same senders, same times, same
     // message kinds.
-    let filter = |trace: &ExecutionTrace| -> Vec<(u64, u64, u64, &'static str)> {
+    let filter = |trace: &[TraceEntry]| -> Vec<(u64, u64, u64, &'static str)> {
         trace
-            .events
             .iter()
-            .filter_map(|e| match e.kind {
-                TraceEventKind::Delivered { from, to, label }
-                    if e.time <= decision_a && inner.contains(&to) =>
-                {
-                    Some((e.time, from.raw(), to.raw(), label))
-                }
-                _ => None,
+            .filter(|e| {
+                e.kind == TraceKind::Delivered && e.time <= decision_a && inner.contains(&e.to)
             })
+            .map(|e| (e.time, e.from.raw(), e.to.raw(), e.label))
             .collect()
     };
     let a_events = filter(&trace_a);

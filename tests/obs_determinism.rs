@@ -144,6 +144,14 @@ fn threaded_outcome_is_unaffected_by_observation() {
         obs.complete_timelines(),
         observed.decisions.values().filter(|d| d.is_some()).count()
     );
+    // Marks and the run's end share one unit: elapsed milliseconds.
+    for timeline in obs.timelines.values() {
+        for mark in PhaseMark::all() {
+            if let Some(at) = timeline.get(mark) {
+                assert!(at <= observed.end_time, "{} at {at}", mark.name());
+            }
+        }
+    }
     assert!(obs.histogram("wheel_depth").is_some());
     assert!(obs.counters.contains_key("mailbox_deferrals"));
     // Verification runs inside the actors' handlers: no stage metric.

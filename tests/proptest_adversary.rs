@@ -47,7 +47,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Recording the same (scenario, seed, strategy) triple twice yields
-    /// byte-identical traces and outcomes — the replay path the shrinker
+    /// identical traces and outcomes — the replay path the shrinker
     /// relies on.
     #[test]
     fn record_replay_is_byte_identical(
@@ -60,9 +60,9 @@ proptest! {
             .with_horizon(500_000);
         let (outcome_a, trace_a) = run_scenario_recorded(&scenario);
         let (outcome_b, trace_b) = run_scenario_recorded(&scenario);
-        prop_assert_eq!(trace_a.fingerprint(), trace_b.fingerprint());
         prop_assert_eq!(&trace_a, &trace_b);
-        prop_assert_eq!(outcome_a.decisions, outcome_b.decisions);
+        prop_assert_eq!(&outcome_a.decisions, &outcome_b.decisions);
+        prop_assert_eq!(&outcome_a.decided_times, &outcome_b.decided_times);
         // and the sufficient graph solved consensus under the spec
         prop_assert!(outcome_a.check().consensus_solved());
     }
