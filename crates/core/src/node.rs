@@ -8,7 +8,7 @@ use std::sync::Arc;
 use cupft_committee::{view_of_timer, Committee, CommitteeMsg, Replica, ReplicaConfig, Value};
 use cupft_crypto::{KeyRegistry, SigningKey};
 use cupft_detector::SystemSetup;
-use cupft_discovery::{DiscoveryState, GossipMode, DISCOVERY_TICK};
+use cupft_discovery::{DiscoveryState, GossipMode, PollGate, DISCOVERY_TICK};
 use cupft_graph::{ProcessId, ProcessSet, SinkDecomposition};
 use cupft_net::threaded::Board;
 use cupft_net::{Actor, Context, Time};
@@ -146,6 +146,8 @@ pub struct Node {
     decided: Option<Value>,
     pending_requests: ProcessSet,
     answers: BTreeMap<Vec<u8>, ProcessSet>,
+    /// The committee members with an unanswered `GetDecidedVal`.
+    learning_gate: PollGate,
     /// Whether the view changed since the last identification attempt.
     /// Identification is a pure function of the view in every mode, so
     /// re-running it on an unchanged view is wasted work — and running it
@@ -219,6 +221,7 @@ impl Node {
             decided: None,
             pending_requests: ProcessSet::new(),
             answers: BTreeMap::new(),
+            learning_gate: PollGate::default(),
             detect_dirty: false,
             detection_time: None,
             decided_time: None,
@@ -318,9 +321,11 @@ impl Node {
             ctx.send(to, NodeMsg::Discovery(msg));
             sent += 1;
         }
+        let deferred = self.discovery.take_polls_deferred();
         if let Some(rec) = &self.config.recorder {
             rec.counter_add("discovery_ticks", 1);
             rec.hist_record("discovery_round_msgs", sent);
+            rec.counter_add("polls_deferred", deferred);
         }
     }
 
@@ -376,6 +381,7 @@ impl Node {
         self.committee_backlog.clear();
         self.pending_requests = ProcessSet::new();
         self.answers.clear();
+        self.learning_gate.clear();
         self.detect_dirty = false;
         self.phase = Phase::Discovering;
         self.down = true;
@@ -479,14 +485,21 @@ impl Node {
         }
     }
 
+    /// Algorithm 3 line 6: `GetDecidedVal` to every other committee
+    /// member, minus the members whose last request is still unanswered
+    /// and not yet due for a re-poll ([`PollGate`]).
     fn send_learning_round(&mut self, ctx: &mut Context<NodeMsg>) {
         let Some(committee) = &self.committee else {
             return;
         };
         for &member in committee.members() {
-            if member != self.id {
+            if member != self.id && self.learning_gate.poll(member) {
                 ctx.send(member, NodeMsg::GetDecidedVal);
             }
+        }
+        let deferred = self.learning_gate.take_deferred();
+        if let Some(rec) = &self.config.recorder {
+            rec.counter_add("polls_deferred", deferred);
         }
     }
 
@@ -519,6 +532,7 @@ impl Node {
     }
 
     fn on_decided_val(&mut self, from: ProcessId, value: Value, ctx: &mut Context<NodeMsg>) {
+        self.learning_gate.answered(from);
         if self.decided.is_some() || self.phase == Phase::Discovering {
             return;
         }
@@ -786,6 +800,72 @@ mod tests {
         assert!(node.recovered());
         // Fresh state: only the node's own record is present.
         assert_eq!(node.discovery().view().received().len(), 1);
+    }
+
+    #[test]
+    fn unanswered_member_is_repolled_after_1_2_4_rounds() {
+        let fig = cupft_graph::fig1b();
+        let setup = SystemSetup::new(fig.graph());
+        let me = ProcessId::new(5);
+        let recorder = Arc::new(Recorder::new());
+        let mut node = Node::from_setup(
+            &setup,
+            me,
+            Value::from_static(b"v"),
+            NodeConfig {
+                mode: ProtocolMode::KnownThreshold(1),
+                recorder: Some(recorder.clone()),
+                crash_recover: Some((220, 50)),
+                ..NodeConfig::default()
+            },
+        )
+        .expect("process 5 is in the graph");
+        for v in fig.graph().vertices() {
+            node.discovery
+                .absorb(setup.shared_certificate_for(v).expect("registered"));
+        }
+        let polled = |ctx: &Context<NodeMsg>| -> ProcessSet {
+            ctx.queued_sends()
+                .iter()
+                .filter(|(_, m)| matches!(m, NodeMsg::GetDecidedVal))
+                .map(|(to, _)| *to)
+                .collect()
+        };
+        // Round 0: 5 identifies the committee {1, 2, 3, 4}, is not in it,
+        // and polls every member.
+        let mut ctx = Context::new(0, me);
+        node.try_detect(&mut ctx);
+        assert_eq!(node.phase(), Phase::Learning);
+        assert_eq!(polled(&ctx), cupft_graph::process_set([1, 2, 3, 4]));
+        // Member 1 answers (with too few matching answers to decide).
+        node.on_message(
+            ProcessId::new(1),
+            NodeMsg::DecidedVal(Value::from_static(b"v")),
+            &mut Context::new(5, me),
+        );
+        let mut rounds: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for round in 1..=10 {
+            let mut ctx = Context::new(round * 20, me);
+            node.on_timer(DISCOVERY_TICK, &mut ctx);
+            for member in polled(&ctx) {
+                rounds.entry(member.raw()).or_default().push(round);
+            }
+        }
+        // The answered member is polled at once and then waits like the
+        // rest; the silent ones are re-polled after 1, 2, 4 rounds.
+        assert_eq!(rounds[&1], [1, 3, 6]);
+        for member in [2, 3, 4] {
+            assert_eq!(rounds[&member], [2, 5, 10], "member {member}");
+        }
+        let report = recorder.snapshot();
+        assert_eq!(report.counter("polls_deferred"), 3 * 7 + 7);
+        // A churn crash forgets every unanswered request: the recovered
+        // learner polls every member at once.
+        node.on_timer(CHURN_CRASH_TICK, &mut Context::new(220, me));
+        let mut ctx = Context::new(270, me);
+        node.on_timer(CHURN_RECOVER_TICK, &mut ctx);
+        assert_eq!(node.phase(), Phase::Learning);
+        assert_eq!(polled(&ctx), cupft_graph::process_set([1, 2, 3, 4]));
     }
 
     #[test]

@@ -828,8 +828,8 @@ mod tests {
         let (outcome, trace) = run_scenario_recorded(&scenario);
         assert!(outcome.check().consensus_solved());
         // the whole recorded execution is pinned: traffic and decisions
-        assert_eq!(trace.len(), 1239);
-        assert_eq!(trace_fingerprint(&trace), 0x45368038b2be6d56);
+        assert_eq!(trace.len(), 669);
+        assert_eq!(trace_fingerprint(&trace), 0xcee2758ea483a141);
         assert_eq!(outcome.decisions.values().flatten().count(), 7);
         let decided: Vec<(u64, Time)> = outcome
             .decided_times
@@ -839,13 +839,13 @@ mod tests {
         assert_eq!(
             decided,
             [
-                (1, 303),
-                (2, 299),
-                (3, 298),
-                (5, 306),
-                (6, 309),
-                (7, 308),
-                (8, 310)
+                (1, 292),
+                (2, 289),
+                (3, 287),
+                (5, 296),
+                (6, 300),
+                (7, 296),
+                (8, 296)
             ]
         );
         // sends and deliveries were captured
@@ -915,7 +915,8 @@ mod tests {
     fn churn_run_passes_weakened_invariants() {
         use cupft_adversary::ChurnEvent;
         let fig = fig1b();
-        // Learner 8 joins late; learner 5 crash-recovers mid-run.
+        // Learner 8 joins late; learner 5 crash-recovers mid-run, before it
+        // has decided (it decides at 269 in the run without churn).
         let scenario = Scenario::new(fig.graph().clone(), ProtocolMode::KnownThreshold(1))
             .with_byzantine(4, ByzantineStrategy::Silent)
             .with_seed(3)
@@ -926,7 +927,7 @@ mod tests {
                     seed_peers: cupft_graph::process_set([5]),
                 },
                 ChurnEvent::CrashRecoverAt {
-                    tick: 300,
+                    tick: 200,
                     node: ProcessId::new(5),
                     down_for: 200,
                 },
@@ -937,6 +938,9 @@ mod tests {
         // The crash and the recovery fired, and both churn verdicts hold.
         assert!(outcome.crash_views.contains_key(&ProcessId::new(5)));
         assert!(outcome.recovery_views.contains_key(&ProcessId::new(5)));
+        // Node 5 decided only after it recovered.
+        let recovered_at = outcome.recovery_views[&ProcessId::new(5)].0;
+        assert!(outcome.decided_times[&ProcessId::new(5)] > Some(recovered_at));
         assert!(check.join_convergence && check.recovery_consistency);
         // Same seed, same schedule → identical trace and decisions.
         let (replay_outcome, replay) = run_scenario_recorded(&scenario);

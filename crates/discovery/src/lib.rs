@@ -35,6 +35,14 @@
 //!    [`cupft_detector::CertPool`] verdict memo, so each distinct
 //!    certificate pays for at most one HMAC check; a per-process set of
 //!    forged fingerprints counts each replayed forgery once.
+//! 4. **One request in flight per peer.** A round skips a peer whose last
+//!    `GETPDS` is still unanswered; any `SETPDS` from that peer answers
+//!    it. A peer that stays silent is polled again after 1, 2, 4, 8 …
+//!    skipped rounds: the wait doubles on each unanswered poll and resets
+//!    when the peer answers ([`PollGate`], which Algorithm 3's learning
+//!    rounds use too). Without it, a round before GST re-polled every
+//!    peer whose reply was still in flight, and each duplicate reply
+//!    carried the same certificates again.
 //!
 //! ## Why Algorithm 1's invariants survive
 //!
@@ -46,13 +54,19 @@
 //! > `j` along correct processes, then `i` eventually holds a certificate
 //! > from `c`'s author.
 //!
-//! Delta mode preserves (P) hop by hop: while `i` lacks `c`'s author,
-//! `i`'s `have` set omits it, so **every** reply `j` computes for `i`
-//! includes `c` — rule 1 cannot suppress an unreceived author, and rule 2
-//! cannot silence the pair, because `j`'s state (which counts `c`) cannot
-//! equal `i`'s state (which does not — the per-element fingerprints sum
-//! over *distinct* records). Dropped messages only delay the next
-//! request/reply pair, exactly as in the baseline. The single semantic
+//! Delta mode preserves (P) hop by hop, because **`i` polls `j`
+//! infinitely often** while `i` lacks `c`'s author: rule 2 cannot silence
+//! the pair, because `j`'s state (which counts `c`) cannot equal `i`'s
+//! state (which does not — the per-element fingerprints sum over
+//! *distinct* records), and rule 4 only spaces the polls out — an
+//! unanswered `j` is polled again after finitely many rounds, however
+//! long it stays silent. So some reply reaches `i` (on reliable links
+//! every reply does; after finitely many drops a later poll's does), and
+//! while `i` lacks `c`'s author, `i`'s `have` set omits it, so **every**
+//! reply `j` computes for `i` includes `c` — rule 1 cannot suppress an
+//! unreceived author. Dropped messages only delay the next request/reply
+//! pair: a drop costs at most as many rounds as the silence before it,
+//! never a certificate. The single semantic
 //! difference is benign: a second, *conflicting* certificate from an
 //! equivocating (hence Byzantine) author may not be re-shipped to a
 //! process that already holds one from that author — and Algorithm 1
@@ -86,9 +100,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod gate;
 mod msgs;
 mod state;
 
+pub use gate::PollGate;
 pub use msgs::{DiscoveryMsg, SyncState};
 pub use state::{DiscoveryState, GossipMode, DISCOVERY_TICK};
 

@@ -8,6 +8,7 @@ use cupft_detector::{CertPool, PdCertificate};
 use cupft_graph::{KnowledgeView, ProcessId, ProcessSet};
 use cupft_wire::{put_len, Decode, Encode, Reader};
 
+use crate::gate::PollGate;
 use crate::msgs::{DiscoveryMsg, SyncState};
 
 /// Timer kind used by discovery actors for the periodic round.
@@ -26,10 +27,12 @@ const SNAPSHOT_VERSION: u8 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GossipMode {
     /// Answer `GETPDS` with only the certificates the requester's have-set
-    /// is missing, and skip `GETPDS` rounds toward peers whose last
-    /// reported [`SyncState`] matches ours. Observationally equivalent to
-    /// [`GossipMode::Full`] (see the [crate docs](crate) for the
-    /// invariant argument) at a fraction of the delivered payload.
+    /// is missing, skip `GETPDS` rounds toward peers whose last reported
+    /// [`SyncState`] matches ours, and keep at most one `GETPDS` in flight
+    /// per peer ([`PollGate`]: a silent peer is re-polled after 1, 2, 4 …
+    /// skipped rounds). Observationally equivalent to [`GossipMode::Full`]
+    /// (see the [crate docs](crate) for the invariant argument) at a
+    /// fraction of the delivered payload.
     #[default]
     Delta,
     /// The literal Algorithm 1: every `GETPDS` is answered with the whole
@@ -65,6 +68,10 @@ pub enum GossipMode {
 /// let mut s = DiscoveryState::from_setup(&setup, ProcessId::new(1)).unwrap();
 /// let round = s.tick();
 /// assert_eq!(round.len(), 1); // GETPDS to process 2
+/// // 2 has not answered yet: the next round withholds the request, and
+/// // the one after that polls 2 again.
+/// assert!(s.tick().is_empty());
+/// assert_eq!(s.tick().len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DiscoveryState {
@@ -87,6 +94,8 @@ pub struct DiscoveryState {
     /// kind). Delta mode skips `GETPDS` toward peers whose report matches
     /// our own state.
     peer_state: BTreeMap<ProcessId, SyncState>,
+    /// The peers with an unanswered `GETPDS` (delta mode only).
+    gate: PollGate,
     mode: GossipMode,
     changed: bool,
     /// Certificates that failed signature verification (forgery attempts),
@@ -125,6 +134,7 @@ impl DiscoveryState {
             pool: Arc::new(CertPool::new()),
             forged: HashSet::new(),
             peer_state: BTreeMap::new(),
+            gate: PollGate::default(),
             mode: GossipMode::default(),
             changed: true,
             rejected_forgeries: 0,
@@ -206,23 +216,32 @@ impl DiscoveryState {
     /// process except ourselves — minus, in delta mode, the peers whose
     /// certificate set provably matches ours already (they have nothing we
     /// lack, and the moment either side changes the states stop matching
-    /// and polling resumes).
-    pub fn tick(&self) -> Vec<(ProcessId, DiscoveryMsg)> {
-        self.view
-            .known()
-            .iter()
-            .copied()
-            .filter(|&p| p != self.id && !self.peer_in_sync(p))
-            .map(|p| {
-                (
-                    p,
-                    DiscoveryMsg::GetPds {
-                        have: self.have.clone(),
-                        state: self.sync,
-                    },
-                )
-            })
-            .collect()
+    /// and polling resumes), and the peers whose last `GETPDS` is still
+    /// unanswered and not yet due for a re-poll ([`PollGate`]).
+    pub fn tick(&mut self) -> Vec<(ProcessId, DiscoveryMsg)> {
+        let mut round = Vec::new();
+        for &p in self.view.known() {
+            if p == self.id || self.peer_in_sync(p) {
+                continue;
+            }
+            if self.mode == GossipMode::Delta && !self.gate.poll(p) {
+                continue;
+            }
+            round.push((
+                p,
+                DiscoveryMsg::GetPds {
+                    have: self.have.clone(),
+                    state: self.sync,
+                },
+            ));
+        }
+        round
+    }
+
+    /// The `GETPDS` rounds' withheld polls since the last call (see
+    /// [`PollGate::take_deferred`]).
+    pub fn take_polls_deferred(&mut self) -> u64 {
+        self.gate.take_deferred()
     }
 
     /// Handles an incoming message, returning the responses to send.
@@ -254,6 +273,8 @@ impl DiscoveryState {
                 )]
             }
             DiscoveryMsg::SetPds { certs, state } => {
+                // Any `SETPDS` from `from` answers our `GETPDS` to it.
+                self.gate.answered(from);
                 self.peer_state.insert(from, state);
                 self.absorb_batch(&certs);
                 Vec::new()
@@ -349,11 +370,12 @@ impl DiscoveryState {
     /// to anything peers recorded about its previous incarnation (and vice
     /// versa), so the delta-gossip sync-skip re-arms on both sides — a
     /// rejoiner with a restored-but-stale `S_PD` can never be skipped
-    /// forever. Stale per-peer reports from before the crash are dropped
-    /// for the same reason.
+    /// forever. Stale per-peer reports and the poll gate's unanswered
+    /// requests from before the crash are dropped for the same reason.
     pub fn bump_epoch(&mut self) {
         self.sync.epoch = self.sync.epoch.wrapping_add(1);
         self.peer_state.clear();
+        self.gate.clear();
         self.changed = true;
     }
 
@@ -365,8 +387,8 @@ impl DiscoveryState {
     /// existed: the traits adopted the snapshot's conventions, not the
     /// other way around.
     ///
-    /// Volatile fields (per-peer sync reports, the verdict pool, forgery
-    /// counters) are deliberately excluded: a
+    /// Volatile fields (per-peer sync reports, the poll gate, the verdict
+    /// pool, forgery counters) are deliberately excluded: a
     /// rejoining node must re-learn the world's state, and memo/counter
     /// contents are observability, not protocol state. The encoding is
     /// canonical (sorted sets, certificates in author order), so
@@ -398,8 +420,8 @@ impl DiscoveryState {
     /// malformed or truncated snapshot, or when the snapshot lacks the
     /// owner's own certificate.
     ///
-    /// The rebuilt state has fresh volatile fields (empty peer reports, a
-    /// private pool); callers re-attach the run's pool via
+    /// The rebuilt state has fresh volatile fields (empty peer reports, an
+    /// empty poll gate, a private pool); callers re-attach the run's pool via
     /// [`Self::with_shared_pool`] and bump the incarnation via
     /// [`Self::bump_epoch`] as the *recovery* — distinct from mere
     /// deserialization, which round-trips byte-identically.
@@ -484,7 +506,7 @@ mod tests {
     #[test]
     fn tick_targets_known_processes() {
         let setup = line_setup();
-        let s = DiscoveryState::from_setup(&setup, p(2)).unwrap();
+        let mut s = DiscoveryState::from_setup(&setup, p(2)).unwrap();
         let out = s.tick();
         let targets: ProcessSet = out.iter().map(|(t, _)| *t).collect();
         assert_eq!(targets, process_set([1, 3]));
@@ -577,6 +599,42 @@ mod tests {
         // Full mode never suppresses.
         let full = s2.clone().with_gossip(GossipMode::Full);
         assert!(!full.peer_in_sync(p(1)));
+    }
+
+    /// The rounds among the next `rounds` in which `s` polls `peer`.
+    fn polled_rounds(s: &mut DiscoveryState, peer: ProcessId, rounds: usize) -> Vec<usize> {
+        (0..rounds)
+            .filter(|_| s.tick().iter().any(|(to, _)| *to == peer))
+            .collect()
+    }
+
+    #[test]
+    fn unanswered_peer_is_repolled_after_1_2_4_rounds() {
+        let setup = line_setup();
+        let mut s2 = DiscoveryState::from_setup(&setup, p(2)).unwrap();
+        // Neither peer answers: each is polled, then skipped 1, 2, 4 rounds.
+        assert_eq!(polled_rounds(&mut s2, p(1), 11), [0, 2, 5, 10]);
+        assert_eq!(s2.take_polls_deferred(), 2 * 7);
+        // Any SETPDS from 1 answers it: 1 is polled on the next round, and
+        // its wait starts again from one skipped round; 3 keeps its wait.
+        s2.handle(p(1), set_pds(Vec::new()));
+        let round: ProcessSet = s2.tick().iter().map(|(to, _)| *to).collect();
+        assert_eq!(round, process_set([1]));
+        assert_eq!(polled_rounds(&mut s2, p(1), 5), [1, 4]);
+        // A new incarnation forgets every unanswered request.
+        s2.bump_epoch();
+        let round: ProcessSet = s2.tick().iter().map(|(to, _)| *to).collect();
+        assert_eq!(round, process_set([1, 3]));
+    }
+
+    #[test]
+    fn full_mode_polls_every_round() {
+        let setup = line_setup();
+        let mut full = DiscoveryState::from_setup(&setup, p(2))
+            .unwrap()
+            .with_gossip(GossipMode::Full);
+        assert_eq!(polled_rounds(&mut full, p(1), 6), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(full.take_polls_deferred(), 0);
     }
 
     #[test]

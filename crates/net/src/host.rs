@@ -141,12 +141,14 @@ const BATCH: usize = 64;
 /// delivery if that comes sooner.
 ///
 /// Actors that start in the same millisecond arm their periodic timers in
-/// phase, so every period fires them all at once: the workers serialize
-/// that burst, and every reply computed at the back of it answers a stale
-/// request. On an 80-node dense Erdős–Rényi system over loopback TCP
-/// (10 seeds, 2 cores), starting every actor at once sent 1.6× the
-/// messages and 1.7× the certificates per decision that starts spread
-/// over 8 ms send; spreading them over 3 ms kept most of the excess.
+/// phase, so every period fires them all at once and the workers
+/// serialize that burst. Discovery keeps one `GETPDS` in flight per peer,
+/// so a reply computed at the back of a burst answers a single stale
+/// request, not one per round it waited; what the burst still costs is
+/// time. On an 80-node dense Erdős–Rényi system over loopback TCP
+/// (10 paired seeds, 2 cores), starting every actor at once took 1.6× the
+/// time to decide and sent 1.6× the messages and 1.5× the certificates
+/// per decision that starts 100 µs apart send.
 const START_SPACING: Duration = Duration::from_micros(100);
 
 /// One actor's mailbox and scheduling state, shared with every thread

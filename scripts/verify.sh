@@ -20,7 +20,10 @@
 #                              # shrinking), the
 #                              # cupft-net unit tests (the delay wheel, the
 #                              # send gate, the worker pool's fairness
-#                              # batch and mailbox cap, both links) and the
+#                              # batch and mailbox cap, both links), the
+#                              # cupft-discovery unit tests (the delta
+#                              # gossip rules, the poll gate's re-poll
+#                              # schedule, snapshots) and the
 #                              # adversary_catch / churn_catch
 #                              # inject-flag-shrink loops (each run judged
 #                              # by ScenarioOutcome::check), a run of the
@@ -40,6 +43,10 @@
 #                              # adversary_sweep grids, the family_sweep
 #                              # (each graph family once at modest n), the
 #                              # delta-gossip discovery_equivalence sweep,
+#                              # the proptest_discovery delta-vs-full
+#                              # properties and the poll_gate end-to-end
+#                              # tests (a silent peer polled O(log rounds)
+#                              # times, dropped replies cost rounds only),
 #                              # the threaded_link parity suite and the
 #                              # socket_parity suite (one link-conformance
 #                              # body on both wall-clock links, worker
@@ -125,6 +132,8 @@ else
     cargo test -q -p cupft-adversary --lib
     echo "==> cargo test -q -p cupft-net --lib (quick gate)"
     cargo test -q -p cupft-net --lib
+    echo "==> cargo test -q -p cupft-discovery --lib (quick gate)"
+    cargo test -q -p cupft-discovery --lib
     echo "==> cargo test -q --test adversary_catch --test churn_catch (quick gate)"
     cargo test -q --test adversary_catch --test churn_catch
     echo "==> cargo run -q --example adversary_demo (quick gate)"
@@ -149,6 +158,8 @@ else
     cargo test -q --test family_sweep
     echo "==> cargo test -q --test discovery_equivalence (quick gate)"
     cargo test -q --test discovery_equivalence
+    echo "==> cargo test -q --test proptest_discovery --test poll_gate (quick gate)"
+    cargo test -q --test proptest_discovery --test poll_gate
     echo "==> cargo test -q --test threaded_link (quick gate)"
     cargo test -q --test threaded_link
     echo "==> cargo test -q --test socket_parity (quick gate)"

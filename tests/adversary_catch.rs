@@ -75,7 +75,12 @@ fn inject_flag_shrink_end_to_end() {
         constrained.minimal,
         vec![(ProcessId::new(4), ByzantineStrategy::Silent)]
     );
-    assert_eq!((constrained.steps, constrained.attempts), (2, 5));
+    // Pinned search order: the first candidate, bare `FakePd`, no longer
+    // splits the decision on this seed (processes 5, 7 and 8 learn
+    // {1, 2, 3} through 4's fabricated PD before they identify, so every
+    // process decides v1), so the shrinker goes through the
+    // `TargetSubset`-wrapped `Silent` instead.
+    assert_eq!((constrained.steps, constrained.attempts), (2, 6));
     assert!(constrained.minimal.size() < initial.size());
 
     // determinism: the shrink and the recorded run replay identically

@@ -13,8 +13,8 @@
 //!    simulator, and decisions/detections match on the threaded runtime.
 //! 3. **Coverage** — the observed run carries all five phase marks for
 //!    every deciding node, the shared certificate pool's accounting (at
-//!    most one HMAC per distinct certificate, system-wide), and the
-//!    event-loop tick profile.
+//!    most one HMAC per distinct certificate, system-wide), the
+//!    event-loop tick profile, and the poll gate's withheld requests.
 
 use bft_cupft::core::{ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario, ScenarioOutcome};
 use bft_cupft::graph::{fig1b, GraphFamily};
@@ -102,6 +102,12 @@ fn observed_sim_runs_are_byte_deterministic_at_scale() {
     assert_eq!(per_tick.count(), obs_a.counter("sim_ticks"));
     assert!(obs_a.histogram("sim_queue_depth").is_some());
     assert!(obs_a.counter("discovery_ticks") > 0);
+    // ...and the poll gate: before GST (delays up to 120 ticks against a
+    // 20-tick period) replies trail their requests, so rounds withhold
+    // polls, and the count is as deterministic as the rest.
+    let deferred = obs_a.counter("polls_deferred");
+    assert!(deferred > 0, "pre-GST rounds must withhold polls");
+    assert_eq!(deferred, obs_b.counter("polls_deferred"));
 }
 
 #[test]
