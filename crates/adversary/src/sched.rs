@@ -49,7 +49,7 @@ pub enum TamperSpec {
 }
 
 impl TamperSpec {
-    /// Compact display label (suite labels, reports).
+    /// Compact display label (sweep labels, reports).
     pub fn label(&self) -> String {
         let set = crate::fmt_process_set;
         match self {

@@ -116,7 +116,7 @@ impl StrategySpec {
         matches!(self, StrategySpec::Silent)
     }
 
-    /// Compact display label (suite labels, shrink reports): the one name
+    /// Compact display label (sweep labels, shrink reports): the one name
     /// a strategy has.
     pub fn label(&self) -> String {
         let set = crate::fmt_process_set;

@@ -16,11 +16,10 @@
 //!   the Theorem 7 agreement violation.
 //!
 //! The [`scenario`] module runs whole systems (graph + Byzantine strategy
-//! assignment + delay policy) through either runtime behind the
-//! `cupft_net::Runtime` trait and checks the four consensus properties;
-//! the [`suite`] module fans whole scenario families across worker
-//! threads. Together they power the paper-artifact tests and most other
-//! integration tests.
+//! assignment + delay policy) through any runtime behind the
+//! `cupft_net::Runtime` trait and judges the run with
+//! [`ScenarioOutcome::check`]. It powers the paper-artifact tests and most
+//! other integration tests; a sweep is a plain loop over [`Scenario`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,6 @@ pub mod detect;
 pub mod msgs;
 pub mod node;
 pub mod scenario;
-pub mod suite;
 
 pub use byzantine::{build_strategy, ByzantineStrategy};
 pub use cupft_adversary::{ChurnEvent, ChurnSpec, TamperSpec};
@@ -43,8 +41,4 @@ pub use node::{
 pub use scenario::{
     run_scenario, run_scenario_on, run_scenario_recorded, ConsensusCheck, NodeStatus, RuntimeKind,
     Scenario, ScenarioOutcome,
-};
-pub use suite::{
-    FaultCase, GraphCase, PolicyCase, ScenarioGrid, ScenarioSuite, SuiteEntry, SuiteReport,
-    SuiteVerdict,
 };

@@ -165,7 +165,7 @@ impl Scenario {
 
     /// Inert: returns the scenario unchanged. The wall-clock runtime has
     /// no router shards; this stays only while `benchmark/` still calls
-    /// it, and ROADMAP item 3(a) deletes it.
+    /// it, and ROADMAP item 3(b) deletes it.
     pub fn with_router_shards(self, _shards: usize) -> Self {
         self
     }
@@ -308,6 +308,11 @@ pub struct ConsensusCheck {
     /// both contain its view at the crash: recovery forgets nothing.
     /// Vacuously true without churn.
     pub recovery_consistency: bool,
+    /// Every correct process that identified a sink or core identified
+    /// the same member set (see [`ScenarioOutcome::detections`]): the
+    /// unique committee that Algorithm 3's agreement rests on. Vacuously
+    /// true when at most one process identified.
+    pub committee_agreement: bool,
     /// The distinct values decided by correct processes.
     pub decided_values: BTreeSet<Vec<u8>>,
 }
@@ -316,14 +321,16 @@ impl ConsensusCheck {
     /// Agreement, termination and validity hold (Integrity holds by
     /// construction: nodes set their decision at most once). The churn
     /// verdicts stay apart: a schedule can cost knowledge without costing
-    /// consensus.
+    /// consensus. So does [`Self::committee_agreement`], which judges the
+    /// identification step rather than the decision.
     pub fn consensus_solved(&self) -> bool {
         self.agreement && self.termination && self.validity
     }
 }
 
 impl ScenarioOutcome {
-    /// Evaluates the consensus properties over the recorded decisions.
+    /// Evaluates the consensus properties over the recorded decisions and
+    /// identifications.
     pub fn check(&self) -> ConsensusCheck {
         let decided_values: BTreeSet<Vec<u8>> =
             self.decisions.values().flatten().cloned().collect();
@@ -340,6 +347,11 @@ impl ScenarioOutcome {
                 .all(|v| self.allowed_values.contains(v)),
             join_convergence: self.joiners_converged(),
             recovery_consistency: self.recoveries_consistent(),
+            committee_agreement: {
+                let mut identified = self.detections.values().flatten();
+                let first = identified.next();
+                identified.all(|members| Some(members) == first)
+            },
             decided_values,
         }
     }
@@ -394,7 +406,7 @@ impl ScenarioOutcome {
     }
 }
 
-/// Which execution substrate a scenario (or suite) runs on.
+/// Which execution substrate a scenario runs on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RuntimeKind {
     /// The deterministic discrete-event simulator ([`Simulation`]).
@@ -633,8 +645,7 @@ fn collect<R: Runtime<NodeMsg>>(
 ///
 /// This is the runtime-agnostic core: [`run_scenario`] instantiates it
 /// with the deterministic simulator, [`Scenario::run_on`] with either
-/// substrate, and the [`crate::suite::ScenarioSuite`] batch engine fans it
-/// across worker threads.
+/// substrate.
 pub fn run_scenario_on<R: Runtime<NodeMsg>>(
     scenario: &Scenario,
     runtime: &mut R,
@@ -988,6 +999,27 @@ mod tests {
         let split = outcome_of(&[(1, b"a"), (2, b"b")], ChurnSpec::default()).check();
         assert!(!split.agreement);
         assert!(split.validity && split.termination);
+    }
+
+    #[test]
+    fn split_identification_is_flagged() {
+        let mut outcome = outcome_of(&[(1, b"a"), (2, b"a"), (3, b"a")], ChurnSpec::default());
+        outcome.detections = [
+            (ProcessId::new(1), Some(process_set([1, 2, 3]))),
+            (ProcessId::new(2), None),
+            (ProcessId::new(3), Some(process_set([1, 2, 3]))),
+        ]
+        .into();
+        assert!(outcome.check().committee_agreement);
+        outcome
+            .detections
+            .insert(ProcessId::new(2), Some(process_set([1, 2])));
+        let split = outcome.check();
+        assert!(!split.committee_agreement);
+        assert!(
+            split.consensus_solved(),
+            "values alone still agree: {split:?}"
+        );
     }
 
     #[test]

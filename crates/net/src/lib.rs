@@ -35,8 +35,7 @@
 //! running the sender before the link carries it.
 //!
 //! Experiment code written against `Runtime` — like
-//! `cupft_core::run_scenario_on` and the `ScenarioSuite` batch engine —
-//! runs unchanged on all three substrates.
+//! `cupft_core::run_scenario_on` — runs unchanged on all three substrates.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 //! substrates.
 //!
 //! Protocol code is written against [`Actor`]; *experiment* code — the
-//! scenario runner, the suite engine, benches, tests — is written against
+//! scenario runner, benches, tests — is written against
 //! `Runtime`, so the same `Scenario` drives the deterministic
 //! discrete-event simulator ([`crate::sim::Simulation`]) or the one
 //! wall-clock runtime over either of its two links — in-memory channels
@@ -98,7 +98,7 @@ pub struct RuntimeReport {
 /// phase contract.
 pub trait Runtime<M: 'static> {
     /// A short human-readable substrate name (`"sim"` / `"threaded"` /
-    /// `"socket"`), used in suite reports and test diagnostics.
+    /// `"socket"`), used in sweep labels and test diagnostics.
     fn name(&self) -> &'static str;
 
     /// Registers an actor. Must be called before the first run.

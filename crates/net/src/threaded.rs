@@ -39,7 +39,7 @@ pub struct ThreadedConfig {
     pub seed: u64,
     /// Inert: nothing reads it. Every message waits on the worker pool's
     /// one wheel, whatever this says; the field stays only while
-    /// `benchmark/` still sets it, and ROADMAP item 3(a) deletes it.
+    /// `benchmark/` still sets it, and ROADMAP item 3(b) deletes it.
     pub router_shards: usize,
 }
 

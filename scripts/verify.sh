@@ -39,7 +39,7 @@
 #                              # wire_roundtrip codec proptests, the
 #                              # proptest_protocol properties (signed-PD
 #                              # tamper evidence, consensus under random
-#                              # faults), the suite_grid and
+#                              # faults), the witness_grid and
 #                              # adversary_sweep grids, the family_sweep
 #                              # (each graph family once at modest n), the
 #                              # delta-gossip discovery_equivalence sweep,
@@ -150,8 +150,8 @@ else
     cargo test -q --test wire_roundtrip
     echo "==> cargo test -q --test proptest_protocol (quick gate)"
     cargo test -q --test proptest_protocol
-    echo "==> cargo test -q --test suite_grid (quick gate)"
-    cargo test -q --test suite_grid
+    echo "==> cargo test -q --test witness_grid (quick gate)"
+    cargo test -q --test witness_grid
     echo "==> cargo test -q --test adversary_sweep (quick gate)"
     cargo test -q --test adversary_sweep
     echo "==> cargo test -q --test family_sweep (quick gate)"

@@ -7,111 +7,95 @@
 //! so every cell must solve consensus no matter how the single Byzantine
 //! process (4, outside both cores) composes its strategy.
 
+mod sweep;
+
 use bft_cupft::core::{
-    ByzantineStrategy, FaultCase, ProtocolMode, RuntimeKind, Scenario, ScenarioGrid, ScenarioSuite,
-    TamperSpec,
+    ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario, ScenarioOutcome, TamperSpec,
 };
 use bft_cupft::graph::{fig1b, fig4b, process_set, ProcessId};
 use bft_cupft::net::DelayPolicy;
 
-/// The four swept strategies: one plain leaf, one protocol attack, and
-/// two combinator compositions.
-fn strategies() -> Vec<FaultCase> {
+/// The four swept strategies of process 4: one plain leaf, one protocol
+/// attack, and two combinator compositions.
+fn strategies() -> Vec<ByzantineStrategy> {
     vec![
-        FaultCase::single(4, ByzantineStrategy::Silent),
-        FaultCase::single(
-            4,
-            ByzantineStrategy::ForgeUnsignedPd {
-                victim: ProcessId::new(1),
-                claimed: process_set([4]),
-            },
-        ),
-        FaultCase::single(
-            4,
-            ByzantineStrategy::DelayRelease {
-                until: 300,
-                inner: Box::new(ByzantineStrategy::FakePd {
-                    claimed: process_set([1, 2, 3]),
-                }),
-            },
-        ),
-        FaultCase::single(
-            4,
-            ByzantineStrategy::FlipAfter {
-                at: 400,
-                before: Box::new(ByzantineStrategy::FakePd {
-                    claimed: process_set([1, 2, 3]),
-                }),
-                after: Box::new(ByzantineStrategy::Silent),
-            },
-        ),
+        ByzantineStrategy::Silent,
+        ByzantineStrategy::ForgeUnsignedPd {
+            victim: ProcessId::new(1),
+            claimed: process_set([4]),
+        },
+        ByzantineStrategy::DelayRelease {
+            until: 300,
+            inner: Box::new(ByzantineStrategy::FakePd {
+                claimed: process_set([1, 2, 3]),
+            }),
+        },
+        ByzantineStrategy::FlipAfter {
+            at: 400,
+            before: Box::new(ByzantineStrategy::FakePd {
+                claimed: process_set([1, 2, 3]),
+            }),
+            after: Box::new(ByzantineStrategy::Silent),
+        },
     ]
 }
 
-fn policies(grid: ScenarioGrid) -> ScenarioGrid {
-    grid.policy("sync", DelayPolicy::Synchronous { delta: 10 }, 200_000)
-        .policy(
-            "psync",
-            DelayPolicy::PartialSynchrony {
-                gst: 200,
-                delta: 10,
-                pre_gst_max: 120,
-            },
-            200_000,
-        )
-        .seeds(0..4)
+/// graph {fig1b, fig4b} × strategy {4} × policy {sync, psync} × seed
+/// {0..4} = 64 scenarios. `psync` is `Scenario::new`'s default policy and
+/// horizon.
+fn sweep() -> Vec<(String, Scenario)> {
+    let graphs = [
+        ("fig1b", fig1b(), ProtocolMode::KnownThreshold(1)),
+        ("fig4b", fig4b(), ProtocolMode::UnknownThreshold),
+    ];
+    let mut cells = Vec::new();
+    for (graph_label, witness, mode) in graphs {
+        for strategy in strategies() {
+            for sync in [true, false] {
+                for seed in 0..4 {
+                    let mut scenario = Scenario::new(witness.graph().clone(), mode)
+                        .with_seed(seed)
+                        .with_byzantine(4, strategy.clone());
+                    if sync {
+                        scenario = scenario.with_policy(DelayPolicy::Synchronous { delta: 10 });
+                    }
+                    let policy = if sync { "sync" } else { "psync" };
+                    let label = format!("{graph_label}/{}@4/{policy}/s{seed}", strategy.label());
+                    cells.push((label, scenario));
+                }
+            }
+        }
+    }
+    assert_eq!(cells.len(), 64);
+    cells
 }
 
-/// graph {fig1b, fig4b} × strategy {4} × policy {sync, psync} × seed
-/// {0..4} = 64 scenarios.
-fn sweep() -> ScenarioSuite {
-    let with_strategies = |mut grid: ScenarioGrid| {
-        for case in strategies() {
-            grid = grid.fault(case);
-        }
-        policies(grid)
-    };
-    let mut suite = with_strategies(ScenarioGrid::new().graph(
-        "fig1b",
-        fig1b().graph().clone(),
-        ProtocolMode::KnownThreshold(1),
-    ))
-    .build();
-    suite.extend(
-        with_strategies(ScenarioGrid::new().graph(
-            "fig4b",
-            fig4b().graph().clone(),
-            ProtocolMode::UnknownThreshold,
-        ))
-        .build(),
-    );
-    suite
+fn run_sim(cells: &[(String, Scenario)]) -> Vec<ScenarioOutcome> {
+    sweep::fan_out(cells, |(_, scenario)| scenario.run_on(RuntimeKind::Sim))
 }
 
 #[test]
 fn sixty_four_cell_strategy_grid_solves_on_sim() {
-    let suite = sweep();
-    assert_eq!(suite.len(), 64);
-    let report = suite.run(RuntimeKind::Sim);
-    assert!(report.all_solved(), "failed cells: {:?}", report.failures());
-    // the fault segment carries the strategy label
-    assert!(report.verdicts[0].label.contains("/silent@4/"));
-    assert!(report
-        .verdicts
-        .iter()
-        .any(|v| v.label.contains("delay@300(fakepd{1,2,3})@4")));
+    let cells = sweep();
+    for ((label, _), outcome) in cells.iter().zip(run_sim(&cells)) {
+        let check = outcome.check();
+        assert!(
+            check.consensus_solved() && check.committee_agreement,
+            "{label}: {check:?}"
+        );
+    }
 }
 
+/// Simulations run side by side in one process equal the same
+/// simulations run one after another.
 #[test]
 fn strategy_grid_is_deterministic_across_worker_counts() {
-    let suite = sweep();
-    let parallel = suite.run(RuntimeKind::Sim);
-    for (p, entry) in parallel.verdicts.iter().zip(suite.entries()) {
-        let s = entry.scenario.run_on(RuntimeKind::Sim);
-        assert_eq!(p.label, entry.label);
-        assert_eq!(p.check, s.check());
-        assert_eq!(p.outcome.decisions, s.decisions);
-        assert_eq!(p.outcome.end_time, s.end_time);
+    let cells = sweep();
+    for ((label, scenario), side_by_side) in cells.iter().zip(run_sim(&cells)) {
+        let alone = scenario.run_on(RuntimeKind::Sim);
+        assert_eq!(side_by_side.check(), alone.check(), "{label}");
+        assert_eq!(side_by_side.decisions, alone.decisions, "{label}");
+        assert_eq!(side_by_side.end_time, alone.end_time, "{label}");
     }
 }
 
@@ -130,11 +114,10 @@ fn composite_strategy_injection_runs_threaded() {
                 }),
             },
         );
-    let outcome = scenario.run_on(RuntimeKind::Threaded);
+    let check = scenario.run_on(RuntimeKind::Threaded).check();
     assert!(
-        outcome.check().consensus_solved(),
-        "{:?}",
-        outcome.decisions
+        check.consensus_solved() && check.committee_agreement,
+        "{check:?}"
     );
 }
 
@@ -154,10 +137,10 @@ fn tamper_spec_runs_on_both_substrates() {
         });
     for kind in [RuntimeKind::Sim, RuntimeKind::Threaded] {
         let outcome = scenario.run_on(kind);
+        let check = outcome.check();
         assert!(
-            outcome.check().consensus_solved(),
-            "{kind:?}: {:?}",
-            outcome.decisions
+            check.consensus_solved() && check.committee_agreement,
+            "{kind:?}: {check:?}"
         );
         assert!(
             outcome.stats.messages_dropped > 0,

@@ -10,46 +10,20 @@
 //!
 //! `scripts/verify.sh --quick` fronts this test as the delta-gossip gate.
 
-use bft_cupft::core::{ProtocolMode, RuntimeKind, ScenarioGrid, SuiteReport};
+mod sweep;
+
+use bft_cupft::core::{ProtocolMode, RuntimeKind, Scenario, ScenarioOutcome};
 use bft_cupft::detector::SystemSetup;
 use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode};
-use bft_cupft::graph::{DiGraph, GraphFamily, KnowledgeView, ProcessId};
+use bft_cupft::graph::{DiGraph, KnowledgeView, ProcessId};
 use bft_cupft::net::sim::Simulation;
 use bft_cupft::net::threaded::{Board, ThreadedConfig, ThreadedRuntime};
 use bft_cupft::net::{DelayPolicy, Runtime, SimConfig};
 use std::collections::BTreeMap;
 use std::time::Duration;
+use sweep::{fan_out, sweep_families, SIZES};
 
-const SIZES: [usize; 3] = [10, 14, 18];
-
-fn psync() -> DelayPolicy {
-    DelayPolicy::PartialSynchrony {
-        gst: 200,
-        delta: 10,
-        pre_gst_max: 120,
-    }
-}
-
-/// Same topologies as `tests/family_sweep.rs`.
-fn sweep_families() -> Vec<GraphFamily> {
-    vec![
-        GraphFamily::erdos_renyi(16, 1),
-        GraphFamily::RingOfCliques {
-            cliques: 3,
-            clique_size: 4,
-            bridges: 3,
-            fault_threshold: 1,
-        },
-        GraphFamily::k_diamond(16, 1),
-        GraphFamily::BridgedPartition {
-            a_size: 8,
-            sink_size: 3,
-            bridge_width: 3,
-            fault_threshold: 1,
-        },
-    ]
-}
-
+/// Every sweep family at every size, generated from topology seed 11.
 fn family_graphs() -> Vec<(String, DiGraph)> {
     let mut out = Vec::new();
     for family in sweep_families() {
@@ -72,7 +46,11 @@ fn sim_views(
     let mut sim: Simulation<DiscoveryMsg> = Simulation::new(SimConfig {
         seed,
         max_time: 10_000,
-        policy: psync(),
+        policy: DelayPolicy::PartialSynchrony {
+            gst: 200,
+            delta: 10,
+            pre_gst_max: 120,
+        },
     });
     for v in graph.vertices() {
         let state = DiscoveryState::from_setup(&setup, v)
@@ -187,45 +165,51 @@ fn delta_views_match_full_baseline_on_threads() {
     }
 }
 
-fn consensus_report(
-    full_gossip: bool,
-    kind: RuntimeKind,
-    threaded_period: Option<u64>,
-) -> SuiteReport {
-    let mut grid = ScenarioGrid::new();
-    for family in sweep_families() {
-        grid = grid.family(&family, SIZES, 11, ProtocolMode::KnownThreshold(1));
-    }
-    let mut suite = grid.policy("psync", psync(), 400_000).seeds(0..1).build();
-    for entry in suite.entries_mut() {
-        entry.scenario = entry.scenario.clone().with_full_gossip(full_gossip);
-        if let Some(period) = threaded_period {
-            entry.scenario.discovery_period = period;
-            entry.scenario.view_timeout_base = 4_000;
-        }
-    }
-    suite.run(kind)
+/// Consensus on every family graph (seed 0, default partial synchrony,
+/// 400 000 horizon) with the full-`S_PD` baseline or delta gossip. Every
+/// run must solve consensus with one committee. On threads the tick knobs
+/// read as milliseconds: a 200 ms discovery period and a 4 s view timeout.
+fn consensus_outcomes(full_gossip: bool, kind: RuntimeKind) -> Vec<(String, ScenarioOutcome)> {
+    let cells: Vec<(String, Scenario)> = family_graphs()
+        .into_iter()
+        .map(|(label, graph)| {
+            let mut scenario = Scenario::new(graph, ProtocolMode::KnownThreshold(1))
+                .with_horizon(400_000)
+                .with_full_gossip(full_gossip);
+            if kind == RuntimeKind::Threaded {
+                scenario.discovery_period = 200;
+                scenario.view_timeout_base = 4_000;
+            }
+            (label, scenario)
+        })
+        .collect();
+    let outcomes = fan_out(&cells, |(_, scenario)| scenario.run_on(kind));
+    cells
+        .into_iter()
+        .zip(outcomes)
+        .map(|((label, _), outcome)| {
+            let check = outcome.check();
+            assert!(
+                check.consensus_solved() && check.committee_agreement,
+                "{label} (full gossip: {full_gossip}) on {}: {check:?}",
+                kind.label()
+            );
+            (label, outcome)
+        })
+        .collect()
 }
 
-/// Identical `ScenarioGrid` decisions between modes on the simulator.
+/// Identical decisions and identifications between modes on the simulator.
 #[test]
 fn delta_decisions_match_full_baseline_on_simulation() {
-    let full = consensus_report(true, RuntimeKind::Sim, None);
-    let delta = consensus_report(false, RuntimeKind::Sim, None);
-    assert!(
-        full.all_solved(),
-        "baseline failures: {:?}",
-        full.failures()
-    );
-    assert!(delta.all_solved(), "delta failures: {:?}", delta.failures());
-    for (f, d) in full.verdicts.iter().zip(&delta.verdicts) {
-        assert_eq!(f.label, d.label);
+    let full = consensus_outcomes(true, RuntimeKind::Sim);
+    let delta = consensus_outcomes(false, RuntimeKind::Sim);
+    for ((label, f), (_, d)) in full.iter().zip(&delta) {
         assert_eq!(
-            f.outcome.decisions, d.outcome.decisions,
-            "{}: decisions must be identical across gossip modes",
-            f.label
+            f.decisions, d.decisions,
+            "{label}: decisions must be identical across gossip modes"
         );
-        assert_eq!(f.outcome.detections, d.outcome.detections, "{}", f.label);
+        assert_eq!(f.detections, d.detections, "{label}");
     }
 }
 
@@ -234,20 +218,13 @@ fn delta_decisions_match_full_baseline_on_simulation() {
 /// identified committee — are compared, not timings).
 #[test]
 fn delta_decisions_match_full_baseline_on_threads() {
-    let full = consensus_report(true, RuntimeKind::Threaded, Some(200));
-    let delta = consensus_report(false, RuntimeKind::Threaded, Some(200));
-    assert!(
-        full.all_solved(),
-        "baseline failures: {:?}",
-        full.failures()
-    );
-    assert!(delta.all_solved(), "delta failures: {:?}", delta.failures());
-    for (f, d) in full.verdicts.iter().zip(&delta.verdicts) {
-        assert_eq!(f.label, d.label);
+    let full = consensus_outcomes(true, RuntimeKind::Threaded);
+    let delta = consensus_outcomes(false, RuntimeKind::Threaded);
+    for ((label, f), (_, d)) in full.iter().zip(&delta) {
         assert_eq!(
-            f.check.decided_values, d.check.decided_values,
-            "{}: decided values must agree across gossip modes",
-            f.label
+            f.check().decided_values,
+            d.check().decided_values,
+            "{label}: decided values must agree across gossip modes"
         );
     }
 }

@@ -1,9 +1,9 @@
-//! The family × size acceptance sweep: `ScenarioGrid::family` drives four
-//! topology families at three sizes through consensus on *both* runtimes,
-//! and a per-family fault/strategy sweep silences a structurally
-//! expendable vertex (one whose removal keeps the safe subgraph inside
-//! the family's advertised conditions) to confirm the generated systems
-//! tolerate the faults their parameters promise.
+//! The family × size acceptance sweep: four topology families, each
+//! generated at three sizes, run through consensus on *both* runtimes,
+//! and a per-family fault sweep silences a structurally expendable vertex
+//! (one whose removal keeps the safe subgraph inside the family's
+//! advertised conditions) to confirm the generated systems tolerate the
+//! faults their parameters promise.
 //!
 //! `scripts/verify.sh --quick` fronts this test as the family-sweep gate.
 //!
@@ -11,76 +11,54 @@
 //! parity rows (CI job `scale-parity`):
 //! `cargo test --release --test family_sweep -- --ignored --nocapture`.
 
+mod sweep;
+
 use std::time::{Duration, Instant};
 
-use bft_cupft::core::{
-    ByzantineStrategy, FaultCase, ProtocolMode, RuntimeKind, Scenario, ScenarioGrid, ScenarioSuite,
-};
-use bft_cupft::graph::GraphFamily;
-use bft_cupft::net::DelayPolicy;
+use bft_cupft::core::{ByzantineStrategy, ProtocolMode, RuntimeKind, Scenario, ScenarioOutcome};
+use bft_cupft::graph::{GraphFamily, ProcessId};
+use sweep::{fan_out, sweep_families, SIZES};
 
-const SIZES: [usize; 3] = [10, 14, 18];
-
-fn psync() -> DelayPolicy {
-    DelayPolicy::PartialSynchrony {
-        gst: 200,
-        delta: 10,
-        pre_gst_max: 120,
-    }
-}
-
-/// The sweep families. Ring and bridge widths are `f + 2` so that the
-/// fault sweep can remove one vertex and stay within the `(f+1)`-OSR
-/// conditions; Erdős–Rényi and k-diamond are already one-periphery-vertex
-/// resilient (peripheries never route through each other's victims).
-fn sweep_families() -> Vec<GraphFamily> {
-    vec![
-        GraphFamily::erdos_renyi(16, 1),
-        GraphFamily::RingOfCliques {
-            cliques: 3,
-            clique_size: 4,
-            bridges: 3,
-            fault_threshold: 1,
-        },
-        GraphFamily::k_diamond(16, 1),
-        GraphFamily::BridgedPartition {
-            a_size: 8,
-            sink_size: 3,
-            bridge_width: 3,
-            fault_threshold: 1,
-        },
-    ]
-}
-
-fn honest_grid(seeds: std::ops::Range<u64>, sizes: &[usize]) -> ScenarioSuite {
-    let mut grid = ScenarioGrid::new();
+/// Every sweep family at every size (topology seed 11) × `seeds`, all
+/// correct, under the default partial synchrony on a 400 000 horizon.
+fn honest_cells(seeds: std::ops::Range<u64>) -> Vec<(String, Scenario)> {
+    let mut cells = Vec::new();
     for family in sweep_families() {
-        grid = grid.family(
-            &family,
-            sizes.iter().copied(),
-            11,
-            ProtocolMode::KnownThreshold(1),
+        for size in SIZES {
+            let graph = family.scaled(size).generate(11).unwrap().system.graph;
+            for seed in seeds.clone() {
+                let scenario = Scenario::new(graph.clone(), ProtocolMode::KnownThreshold(1))
+                    .with_seed(seed)
+                    .with_horizon(400_000);
+                cells.push((format!("{}@n{size}/s{seed}", family.name()), scenario));
+            }
+        }
+    }
+    cells
+}
+
+fn assert_all_solved(cells: &[(String, Scenario)], outcomes: &[ScenarioOutcome], kind: &str) {
+    for ((label, _), outcome) in cells.iter().zip(outcomes) {
+        let check = outcome.check();
+        assert!(
+            check.consensus_solved() && check.committee_agreement,
+            "{label} on {kind}: {check:?}"
         );
     }
-    grid.policy("psync", psync(), 400_000).seeds(seeds).build()
 }
 
 #[test]
 fn four_families_three_sizes_solve_on_simulation() {
-    let suite = honest_grid(0..2, &SIZES);
-    assert_eq!(suite.len(), 24); // 4 families x 3 sizes x 2 seeds
-    let report = suite.run(RuntimeKind::Sim);
-    assert!(
-        report.all_solved(),
-        "failures on sim: {:?}",
-        report.failures()
-    );
+    let cells = honest_cells(0..2);
+    assert_eq!(cells.len(), 24); // 4 families x 3 sizes x 2 seeds
+    let outcomes = fan_out(&cells, |(_, scenario)| scenario.run_on(RuntimeKind::Sim));
+    assert_all_solved(&cells, &outcomes, "sim");
 }
 
 #[test]
 fn four_families_three_sizes_solve_on_threads() {
-    let mut suite = honest_grid(0..1, &SIZES);
-    assert_eq!(suite.len(), 12); // 4 families x 3 sizes x 1 seed
+    let mut cells = honest_cells(0..1);
+    assert_eq!(cells.len(), 12); // 4 families x 3 sizes x 1 seed
 
     // Tick-denominated knobs read as milliseconds on the threaded
     // substrate. Identification re-runs on every view change, so a generous
@@ -88,16 +66,14 @@ fn four_families_three_sizes_solve_on_threads() {
     // candidate search (expensive on whole-graph sinks like the ring) off
     // the CPU; the long view timeout keeps real scheduling jitter from
     // triggering spurious view changes.
-    for entry in suite.entries_mut() {
-        entry.scenario.discovery_period = 200;
-        entry.scenario.view_timeout_base = 4_000;
+    for (_, scenario) in &mut cells {
+        scenario.discovery_period = 200;
+        scenario.view_timeout_base = 4_000;
     }
-    let report = suite.run(RuntimeKind::Threaded);
-    assert!(
-        report.all_solved(),
-        "failures on threads: {:?}",
-        report.failures()
-    );
+    let outcomes = fan_out(&cells, |(_, scenario)| {
+        scenario.run_on(RuntimeKind::Threaded)
+    });
+    assert_all_solved(&cells, &outcomes, "threads");
 }
 
 /// Silencing the highest vertex ID — always a periphery/apex/outer-block
@@ -106,49 +82,31 @@ fn four_families_three_sizes_solve_on_threads() {
 /// keeps the safe subgraph within the advertised conditions.
 #[test]
 fn families_tolerate_a_silent_expendable_vertex() {
-    let mut suite = ScenarioSuite::new();
+    let mut cells = Vec::new();
     for family in sweep_families() {
         for size in [10usize, 14] {
             let scaled = family.scaled(size);
-            let sample = scaled.generate(11).unwrap();
-            let victim = sample
-                .system
-                .graph
-                .vertices()
-                .map(|v| v.raw())
-                .max()
-                .unwrap();
+            let system = scaled.generate(11).unwrap().system;
+            let victim = system.graph.vertices().map(|v| v.raw()).max().unwrap();
             assert!(
-                !sample
-                    .system
-                    .sink
-                    .contains(&bft_cupft::graph::ProcessId::new(victim))
-                    || sample.system.sink.len() == sample.system.graph.vertex_count(),
+                !system.sink.contains(&ProcessId::new(victim))
+                    || system.sink.len() == system.graph.vertex_count(),
                 "{}: victim must be expendable",
                 scaled.label()
             );
-            suite.extend(
-                ScenarioGrid::new()
-                    .graph(
-                        format!("{}@n{size}", family.name()),
-                        sample.system.graph,
-                        ProtocolMode::KnownThreshold(1),
-                    )
-                    .fault(FaultCase::none())
-                    .fault(FaultCase::single(victim, ByzantineStrategy::Silent))
-                    .policy("psync", psync(), 400_000)
-                    .seeds(0..1)
-                    .build(),
-            );
+            let correct =
+                Scenario::new(system.graph, ProtocolMode::KnownThreshold(1)).with_horizon(400_000);
+            let silent = correct
+                .clone()
+                .with_byzantine(victim, ByzantineStrategy::Silent);
+            let label = format!("{}@n{size}", family.name());
+            cells.push((format!("{label}/correct"), correct));
+            cells.push((format!("{label}/silent{victim}"), silent));
         }
     }
-    assert_eq!(suite.len(), 16); // 4 families x 2 sizes x {correct, silent}
-    let report = suite.run(RuntimeKind::Sim);
-    assert!(
-        report.all_solved(),
-        "failures with silent vertex: {:?}",
-        report.failures()
-    );
+    assert_eq!(cells.len(), 16); // 4 families x 2 sizes x {correct, silent}
+    let outcomes = fan_out(&cells, |(_, scenario)| scenario.run_on(RuntimeKind::Sim));
+    assert_all_solved(&cells, &outcomes, "sim");
 }
 
 /// The four planted-committee families at n = 1000 (the ring is left out:
@@ -170,7 +128,6 @@ fn thousand_vertex_cells_match_sim_decisions() {
         let n = graph.vertex_count();
         let scenario = Scenario::new(graph, ProtocolMode::KnownThreshold(1))
             .with_seed(1)
-            .with_policy(psync())
             .with_horizon(2_000_000);
         // Tick knobs read as milliseconds on threads: a slow polling
         // cadence keeps a thousand nodes from swamping the router plane
@@ -193,8 +150,9 @@ fn thousand_vertex_cells_match_sim_decisions() {
                 outcome.stats.messages_sent,
                 outcome.stats.payload_units,
             );
+            let check = outcome.check();
             assert!(
-                outcome.check().consensus_solved(),
+                check.consensus_solved() && check.committee_agreement,
                 "{} n={n} must solve on {}",
                 family.name(),
                 kind.label()

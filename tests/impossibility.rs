@@ -20,6 +20,10 @@ fn fig1a_components_split() {
     let check = outcome.check();
     assert!(!check.consensus_solved());
     assert!(!check.agreement, "both components decide: {check:?}");
+    assert!(
+        !check.committee_agreement,
+        "each on its own sink: {check:?}"
+    );
 }
 
 /// Theorem 7: systems A and B decide their own values; the merged system
@@ -71,6 +75,7 @@ fn theorem7_indistinguishability_violates_agreement() {
     let oab = run_scenario(&ab);
     let check = oab.check();
     assert!(!check.agreement, "Agreement must be violated: {check:?}");
+    assert!(!check.committee_agreement, "{check:?}");
     assert_eq!(check.decided_values.len(), 2);
     // The two camps adopted exactly the two sinks of the construction.
     let detections = oab.distinct_detections();
@@ -98,6 +103,7 @@ fn fig3a_false_sink_splits_decision() {
     let outcome = run_scenario(&scenario);
     let check = outcome.check();
     assert!(!check.agreement, "{check:?}");
+    assert!(!check.committee_agreement, "false and true sink: {check:?}");
 }
 
 /// Fig. 3b, the other half of the pair: {2,3,4,6} see the same local
@@ -116,6 +122,7 @@ fn fig3b_same_local_view_solves_consensus() {
     let outcome = run_scenario(&scenario);
     let check = outcome.check();
     assert!(check.consensus_solved(), "{check:?}");
+    assert!(check.committee_agreement, "{check:?}");
 }
 
 /// Theorem 7 binds EVERY f-unknown protocol — including the Core
@@ -146,6 +153,7 @@ fn core_algorithm_also_splits_on_fig2c_as_theorem7_demands() {
         !check.agreement,
         "Theorem 7 applies to the Core algorithm too: {check:?}"
     );
+    assert!(!check.committee_agreement, "{check:?}");
     assert_eq!(check.decided_values.len(), 2);
 }
 
