@@ -11,7 +11,7 @@
 //!   leaf, so a composed strategy runs on every [`cupft_net::Runtime`]
 //!   substrate unchanged.
 //! * **[`StrategySpec`]** ([`spec`]) — the same strategies as *data*: a
-//!   cloneable expression tree used for grid axes, labels, and shrinking.
+//!   cloneable expression tree used for sweep cells, labels, and shrinking.
 //!   Protocol crates compile specs into boxed actors for their message
 //!   type.
 //! * **[`TamperSpec`]** ([`sched`]) — network-side adversaries (reorder
@@ -26,8 +26,8 @@
 //!   the same kind of shrinkable data tree, minimized by the same
 //!   [`shrink`](fn@shrink).
 //!
-//! `cupft_core` wires these into the `Scenario` runner (recorded runs, a
-//! strategy grid axis, and a shrink driver). A recorded run's evidence is
+//! `cupft_core` wires these into the `Scenario` runner (recorded runs, one
+//! strategy per faulty process, and the oracle a shrink re-runs). A recorded run's evidence is
 //! the simulator's own send/delivery trace ([`cupft_net::TraceEntry`])
 //! plus the outcome's decisions, and `ScenarioOutcome::check` is the one
 //! judge of a run: the §II-B properties, plus join convergence and

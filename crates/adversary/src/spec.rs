@@ -1,7 +1,7 @@
 //! [`StrategySpec`]: Byzantine strategies as *data*.
 //!
 //! The executable Byzantine actors are opaque state machines — good for
-//! running, useless for storing in a [grid axis], comparing, or
+//! running, useless for storing in a sweep's cell list, comparing, or
 //! *shrinking*. `StrategySpec` is the declarative mirror: a small
 //! expression tree naming a strategy. Protocol crates compile a spec into
 //! a boxed [`cupft_net::Actor`] for their own message type (see
@@ -10,8 +10,6 @@
 //!
 //! The leaf variants are the paper's adversary playbook (§II-A, §III–IV);
 //! the combinator variants compose leaves into richer behaviors.
-//!
-//! [grid axis]: https://en.wikipedia.org/wiki/Full_factorial_experiment
 
 use cupft_committee::Value;
 use cupft_graph::{ProcessId, ProcessSet};
@@ -28,14 +26,6 @@ pub enum StrategySpec {
         /// The claimed PD.
         claimed: ProcessSet,
     },
-    /// Advertises different self-signed PDs to different requesters
-    /// (split-brain attempt in the discovery plane).
-    EquivocatePd {
-        /// PD served to requesters with even raw ID.
-        even: ProcessSet,
-        /// PD served to requesters with odd raw ID.
-        odd: ProcessSet,
-    },
     /// Runs discovery honestly and *additionally* pushes an unsigned
     /// (forged) PD record claiming to be `victim`'s — the attack
     /// Algorithm 1's signatures exist to reject.
@@ -47,22 +37,27 @@ pub enum StrategySpec {
     },
     /// Runs discovery honestly and answers every `GETDECIDEDVAL` with a
     /// fabricated value (the direct attack on Algorithm 3's learning
-    /// path, defeated by the `⌈(|S|+1)/2⌉` matching-answer threshold).
+    /// path, defeated by the matching-answer thresholds: `g + 1` for an
+    /// undecided member, `⌈(|S|+1)/2⌉ ≥ g + 1` for a learner, against at
+    /// most `g` lying members).
     LieDecidedVal {
         /// The fabricated decision served to learners.
         value: Value,
     },
-    /// Runs discovery honestly, then — as the view-0 leader of the given
-    /// committee — sends conflicting proposals to the two halves of the
-    /// committee and goes silent.
-    EquivocateValue {
-        /// The committee it expects to lead (the adversary knows the
-        /// graph, per §II-A).
-        committee: ProcessSet,
-        /// Proposal sent to the lower-ID half.
-        value_a: Value,
-        /// Proposal sent to the upper-ID half.
+    /// Twins (Bano et al., arXiv 2004.10617): two honest nodes under the
+    /// faulty process's one key. Twin A keeps the process's own PD and
+    /// proposal and talks only to `side_a`; twin B proposes `value_b`,
+    /// optionally advertises `pd_b` instead of the true PD, and talks to
+    /// everyone else. Every equivocation the protocol's messages allow —
+    /// conflicting PDs, proposals, votes and `DecidedVal` answers, each
+    /// individually valid — falls out of honest code.
+    Twins {
+        /// The processes twin A talks to; the rest talk to twin B.
+        side_a: ProcessSet,
+        /// Twin B's proposal.
         value_b: Value,
+        /// Twin B's self-signed PD, when it differs from the true one.
+        pd_b: Option<ProcessSet>,
     },
     /// Combinator: hold every message `inner` sends and release the
     /// backlog at `until` (withheld-PD / late-burst attacks).
@@ -93,17 +88,17 @@ pub enum StrategySpec {
 
 impl StrategySpec {
     /// The shrinker's size metric: weighted node count of the expression
-    /// tree. `Silent` weighs 1, every other leaf 2, a combinator 1 plus
-    /// its children — so *every* rewrite in [`Self::simplifications`]
-    /// (unwrap, child rewrite, collapse-to-Silent) is strictly smaller.
+    /// tree. `Silent` weighs 1, `Twins` 2 plus one per side-A member,
+    /// every other leaf 2, a combinator 1 plus its children — so *every*
+    /// rewrite in [`Self::simplifications`] (unwrap, child rewrite, side-A
+    /// removal, collapse-to-Silent) is strictly smaller.
     pub fn size(&self) -> usize {
         match self {
             StrategySpec::Silent => 1,
             StrategySpec::FakePd { .. }
-            | StrategySpec::EquivocatePd { .. }
             | StrategySpec::ForgeUnsignedPd { .. }
-            | StrategySpec::LieDecidedVal { .. }
-            | StrategySpec::EquivocateValue { .. } => 2,
+            | StrategySpec::LieDecidedVal { .. } => 2,
+            StrategySpec::Twins { side_a, .. } => 2 + side_a.len(),
             StrategySpec::DelayRelease { inner, .. } | StrategySpec::TargetSubset { inner, .. } => {
                 1 + inner.size()
             }
@@ -123,10 +118,12 @@ impl StrategySpec {
         match self {
             StrategySpec::Silent => "silent".into(),
             StrategySpec::FakePd { claimed } => format!("fakepd{}", set(claimed)),
-            StrategySpec::EquivocatePd { .. } => "equivpd".into(),
             StrategySpec::ForgeUnsignedPd { victim, .. } => format!("forge<{}>", victim.raw()),
             StrategySpec::LieDecidedVal { .. } => "lieval".into(),
-            StrategySpec::EquivocateValue { .. } => "equivval".into(),
+            StrategySpec::Twins { side_a, pd_b, .. } => match pd_b {
+                Some(pd) => format!("twins{}pd{}", set(side_a), set(pd)),
+                None => format!("twins{}", set(side_a)),
+            },
             StrategySpec::DelayRelease { until, inner } => {
                 format!("delay@{until}({})", inner.label())
             }
@@ -140,14 +137,14 @@ impl StrategySpec {
     }
 
     /// Values this strategy may inject into the committee plane — the
-    /// extra entries a validity check must allow (equivocated proposals
-    /// can legitimately be decided; a lied learning answer cannot pass the
-    /// majority threshold, so it is *not* allowed).
+    /// extra entries a validity check must allow. Twin B's proposal can
+    /// legitimately be decided (twin A proposes the process's own value,
+    /// which is allowed already). A lied learning answer cannot be: it
+    /// needs `g + 1` matching answers from a member and `⌈(|S|+1)/2⌉` from
+    /// a learner, and at most `g` members lie, so it is *not* allowed.
     pub fn injected_values(&self) -> Vec<Value> {
         match self {
-            StrategySpec::EquivocateValue {
-                value_a, value_b, ..
-            } => vec![value_a.clone(), value_b.clone()],
+            StrategySpec::Twins { value_b, .. } => vec![value_b.clone()],
             StrategySpec::DelayRelease { inner, .. } | StrategySpec::TargetSubset { inner, .. } => {
                 inner.injected_values()
             }
@@ -162,7 +159,8 @@ impl StrategySpec {
 
     /// The strictly smaller candidate rewrites of this spec, in the
     /// deterministic order the shrinker tries them: combinator unwraps
-    /// first (largest reduction), then child rewrites, then collapse to
+    /// first (largest reduction), then child rewrites, then `Twins` with
+    /// one side-A member fewer (ascending ID), then collapse to
     /// [`StrategySpec::Silent`]. `Silent` itself has no rewrites.
     pub fn simplifications(&self) -> Vec<StrategySpec> {
         let mut out = Vec::new();
@@ -201,6 +199,21 @@ impl StrategySpec {
                         at: *at,
                         before: before.clone(),
                         after: Box::new(s),
+                    });
+                }
+            }
+            StrategySpec::Twins {
+                side_a,
+                value_b,
+                pd_b,
+            } => {
+                for p in side_a {
+                    let mut fewer = side_a.clone();
+                    fewer.remove(p);
+                    out.push(StrategySpec::Twins {
+                        side_a: fewer,
+                        value_b: value_b.clone(),
+                        pd_b: pd_b.clone(),
                     });
                 }
             }
@@ -293,19 +306,46 @@ mod tests {
     fn injected_values_recurse() {
         let spec = StrategySpec::DelayRelease {
             until: 50,
-            inner: Box::new(StrategySpec::EquivocateValue {
-                committee: process_set([1, 2]),
-                value_a: Value::from_static(b"A"),
-                value_b: Value::from_static(b"B"),
-            }),
+            inner: Box::new(twins([2, 3], None)),
         };
-        assert_eq!(spec.injected_values().len(), 2);
+        assert_eq!(spec.injected_values(), vec![Value::from_static(b"B")]);
         assert!(StrategySpec::Silent.injected_values().is_empty());
+    }
+
+    fn twins<const N: usize>(side_a: [u64; N], pd_b: Option<ProcessSet>) -> StrategySpec {
+        StrategySpec::Twins {
+            side_a: process_set(side_a),
+            value_b: Value::from_static(b"B"),
+            pd_b,
+        }
+    }
+
+    #[test]
+    fn twins_shrink_toward_fewer_side_a_members() {
+        let spec = twins([2, 3], Some(process_set([5])));
+        assert_eq!(spec.size(), 4);
+        assert_eq!(
+            spec.simplifications(),
+            vec![
+                twins([3], Some(process_set([5]))),
+                twins([2], Some(process_set([5]))),
+                StrategySpec::Silent,
+            ]
+        );
+        assert_eq!(
+            twins([], None).simplifications(),
+            vec![StrategySpec::Silent]
+        );
     }
 
     #[test]
     fn labels_are_compact() {
         assert_eq!(StrategySpec::Silent.label(), "silent");
         assert_eq!(sample().label(), "target{1,2}(fakepd{1,2,3})");
+        assert_eq!(twins([2], None).label(), "twins{2}");
+        assert_eq!(
+            twins([2], Some(process_set([1, 3]))).label(),
+            "twins{2}pd{1,3}"
+        );
     }
 }

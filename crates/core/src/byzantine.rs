@@ -6,9 +6,10 @@
 //! process can do in the discovery plane — it may fabricate *its own* PD
 //! freely (even equivocate between several self-signed PDs), but cannot
 //! alter or invent records for correct processes (a forgery attempt is
-//! [`ByzantineStrategy::ForgeUnsignedPd`], and receivers reject it). In
-//! the committee plane a Byzantine leader may equivocate proposals, and
-//! any Byzantine member may stay silent.
+//! [`ByzantineStrategy::ForgeUnsignedPd`], and receivers reject it). Every
+//! equivocation honest messages allow — PDs, proposals, votes, learning
+//! answers — comes from [`ByzantineStrategy::Twins`], two honest [`Node`]s
+//! under the faulty process's key; any Byzantine member may stay silent.
 //!
 //! Strategies are *described* by [`ByzantineStrategy`] (=
 //! [`cupft_adversary::StrategySpec`], re-exported for compatibility — a
@@ -21,79 +22,64 @@
 use std::sync::Arc;
 
 use cupft_adversary::{DelayRelease, FlipAfter, Mute, TargetSubset};
-use cupft_committee::{CommitteeMsg, Value};
-use cupft_crypto::{KeyRegistry, SigningKey};
-use cupft_detector::PdCertificate;
+use cupft_committee::Value;
+use cupft_detector::{PdCertificate, SystemSetup};
 use cupft_discovery::{DiscoveryMsg, DiscoveryState, SyncState, DISCOVERY_TICK};
 use cupft_graph::{ProcessId, ProcessSet};
 use cupft_net::{Actor, Context};
 
 use crate::msgs::NodeMsg;
+use crate::node::{Node, NodeConfig};
 
 /// What a faulty process does (compatibility re-export of
 /// [`cupft_adversary::StrategySpec`]; see that type for the variants).
 pub use cupft_adversary::StrategySpec as ByzantineStrategy;
 
-/// Shared behavior of strategies that participate in the discovery plane:
-/// run Algorithm 1 ticks on the configured period and answer discovery
-/// traffic from a [`DiscoveryState`].
+/// What a discovery-running leaf does beyond honest discovery.
 #[derive(Debug)]
-struct DiscoveryLoop {
-    discovery: DiscoveryState,
-    period: u64,
+enum Extra {
+    /// [`ByzantineStrategy::FakePd`]: nothing; the lie is the PD it runs
+    /// discovery on — the Section III worked example (process 4 claiming
+    /// `PD = {1,2,3}`).
+    Nothing,
+    /// [`ByzantineStrategy::ForgeUnsignedPd`]: every `GETPDS` reply is
+    /// followed by a forged (unsigned) record claiming `claimed` as
+    /// `victim`'s PD — the attack Algorithm 1's signatures exist to reject:
+    /// correct receivers verify and discard it.
+    Forge {
+        victim: ProcessId,
+        claimed: ProcessSet,
+    },
+    /// [`ByzantineStrategy::LieDecidedVal`]: every `GETDECIDEDVAL` is
+    /// answered with this fabricated value — the direct attack on
+    /// Algorithm 3's learning path. At most `g` members lie, and an
+    /// undecided member adopts a value on `g + 1` matching answers, a
+    /// learner on `⌈(|S|+1)/2⌉ ≥ g + 1`, so the lie is never adopted.
+    Lie(Value),
 }
 
-impl DiscoveryLoop {
-    fn new(key: &SigningKey, registry: KeyRegistry, pd: ProcessSet, period: u64) -> Self {
-        DiscoveryLoop {
-            discovery: DiscoveryState::new(key, registry, pd),
-            period,
-        }
-    }
+/// A leaf that runs Algorithm 1 ticks on the configured period, answers
+/// discovery traffic from a [`DiscoveryState`], adds its [`Extra`], and is
+/// otherwise silent in the committee plane.
+#[derive(Debug)]
+struct DiscoveryLeaf {
+    discovery: DiscoveryState,
+    period: u64,
+    extra: Extra,
+}
 
-    fn id(&self) -> ProcessId {
-        self.discovery.id()
-    }
-
-    fn start(&mut self, ctx: &mut Context<NodeMsg>) {
-        self.tick(ctx);
-        ctx.set_timer(DISCOVERY_TICK, self.period);
-    }
-
+impl DiscoveryLeaf {
     fn tick(&mut self, ctx: &mut Context<NodeMsg>) {
         for (to, msg) in self.discovery.tick() {
             ctx.send(to, NodeMsg::Discovery(msg));
         }
-    }
-
-    fn handle(&mut self, from: ProcessId, msg: DiscoveryMsg, ctx: &mut Context<NodeMsg>) {
-        for (to, out) in self.discovery.handle(from, msg) {
-            ctx.send(to, NodeMsg::Discovery(out));
-        }
-    }
-
-    /// Returns whether the timer was the discovery tick (and re-arms it).
-    fn on_timer(&mut self, kind: u64, ctx: &mut Context<NodeMsg>) -> bool {
-        if kind != DISCOVERY_TICK {
-            return false;
-        }
-        self.tick(ctx);
         ctx.set_timer(DISCOVERY_TICK, self.period);
-        true
     }
 }
 
-/// Participates in discovery but advertises a fabricated own PD — the
-/// Section III worked example (process 4 claiming `PD = {1,2,3}`). Silent
-/// in the committee plane.
-#[derive(Debug)]
-struct FakePdStrategy {
-    disc: DiscoveryLoop,
-}
-
-impl Actor<NodeMsg> for FakePdStrategy {
+impl Actor<NodeMsg> for DiscoveryLeaf {
     fn id(&self) -> ProcessId {
-        self.disc.id()
+        self.discovery.id()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -101,187 +87,99 @@ impl Actor<NodeMsg> for FakePdStrategy {
     }
 
     fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
-        self.disc.start(ctx);
+        self.tick(ctx);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
-        if let NodeMsg::Discovery(m) = msg {
-            self.disc.handle(from, m, ctx);
-        }
-    }
-
-    fn on_timer(&mut self, kind: u64, ctx: &mut Context<NodeMsg>) {
-        self.disc.on_timer(kind, ctx);
-    }
-}
-
-/// Advertises different self-signed PDs to different requesters
-/// (split-brain attempt in the discovery plane). Does not run discovery
-/// rounds of its own.
-#[derive(Debug)]
-struct EquivocatePdStrategy {
-    key: SigningKey,
-    even: ProcessSet,
-    odd: ProcessSet,
-}
-
-impl Actor<NodeMsg> for EquivocatePdStrategy {
-    fn id(&self) -> ProcessId {
-        ProcessId::new(self.key.id())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
-        if let NodeMsg::Discovery(DiscoveryMsg::GetPds { .. }) = msg {
-            let pd = if from.raw().is_multiple_of(2) {
-                &self.even
-            } else {
-                &self.odd
-            };
-            let cert = PdCertificate::sign(&self.key, pd);
-            // A fabricated zero sync state never matches a correct
-            // requester's own state, so requesters keep polling — exactly
-            // the baseline behavior toward a Byzantine peer.
-            ctx.send(
-                from,
-                NodeMsg::Discovery(DiscoveryMsg::SetPds {
-                    certs: vec![Arc::new(cert)].into(),
-                    state: SyncState::default(),
-                }),
-            );
-        }
-    }
-}
-
-/// Runs discovery honestly and *additionally* pushes a forged (unsigned)
-/// PD record claiming to be `victim`'s — the attack Algorithm 1's
-/// signatures exist to reject: correct receivers verify and discard it,
-/// so consensus on a sufficient graph is unaffected.
-#[derive(Debug)]
-struct ForgeUnsignedPdStrategy {
-    disc: DiscoveryLoop,
-    victim: ProcessId,
-    claimed: ProcessSet,
-}
-
-impl Actor<NodeMsg> for ForgeUnsignedPdStrategy {
-    fn id(&self) -> ProcessId {
-        self.disc.id()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
-        self.disc.start(ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
-        if let NodeMsg::Discovery(m) = msg {
-            let requested = matches!(m, DiscoveryMsg::GetPds { .. });
-            self.disc.handle(from, m, ctx);
-            if requested {
-                let forged = PdCertificate::forge(self.victim, &self.claimed);
-                ctx.send(
-                    from,
-                    NodeMsg::Discovery(DiscoveryMsg::SetPds {
-                        certs: vec![Arc::new(forged)].into(),
-                        state: SyncState::default(),
-                    }),
-                );
+        match (msg, &self.extra) {
+            (NodeMsg::Discovery(m), extra) => {
+                let requested = matches!(m, DiscoveryMsg::GetPds { .. });
+                for (to, out) in self.discovery.handle(from, m) {
+                    ctx.send(to, NodeMsg::Discovery(out));
+                }
+                if let (true, Extra::Forge { victim, claimed }) = (requested, extra) {
+                    let forged = PdCertificate::forge(*victim, claimed);
+                    ctx.send(
+                        from,
+                        NodeMsg::Discovery(DiscoveryMsg::SetPds {
+                            certs: vec![Arc::new(forged)].into(),
+                            state: SyncState::default(),
+                        }),
+                    );
+                }
             }
-        }
-    }
-
-    fn on_timer(&mut self, kind: u64, ctx: &mut Context<NodeMsg>) {
-        self.disc.on_timer(kind, ctx);
-    }
-}
-
-/// Runs discovery honestly and answers every `GETDECIDEDVAL` with a
-/// fabricated value — the direct attack on Algorithm 3's learning path
-/// (line 7's `⌈(|S|+1)/2⌉` matching-answers threshold is what defeats it:
-/// at most `f` members lie, and `⌈(|S|+1)/2⌉ ≥ f+1`).
-#[derive(Debug)]
-struct LieDecidedValStrategy {
-    disc: DiscoveryLoop,
-    value: Value,
-}
-
-impl Actor<NodeMsg> for LieDecidedValStrategy {
-    fn id(&self) -> ProcessId {
-        self.disc.id()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
-        self.disc.start(ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
-        match msg {
-            NodeMsg::GetDecidedVal => {
-                ctx.send(from, NodeMsg::DecidedVal(self.value.clone()));
+            (NodeMsg::GetDecidedVal, Extra::Lie(value)) => {
+                ctx.send(from, NodeMsg::DecidedVal(value.clone()));
             }
-            NodeMsg::Discovery(m) => self.disc.handle(from, m, ctx),
             _ => {}
         }
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<NodeMsg>) {
-        self.disc.on_timer(kind, ctx);
+        if kind == DISCOVERY_TICK {
+            self.tick(ctx);
+        }
     }
 }
 
-/// Runs discovery honestly, then — as the view-0 leader of the given
-/// committee — sends conflicting proposals to the two halves of the
-/// committee and goes silent (the classic safety attack the prepare
-/// quorum must absorb).
+/// The timer-kind bit that marks twin B's timers, so each firing reaches
+/// the twin that armed it. No other timer kind sets it: the discovery,
+/// churn and view-timer kinds are far smaller, and `RELEASE_TICK` and
+/// `FLIP_TICK` have the top byte `0xAD`.
+const TWIN_B_TICK: u64 = 1 << 62;
+
+/// [`ByzantineStrategy::Twins`]: two honest nodes under one key. Twin A
+/// hears from and speaks to `side_a`, twin B everyone else; a twin's sends
+/// to its own id are delivered back to that twin at once.
 #[derive(Debug)]
-struct EquivocateValueStrategy {
-    key: SigningKey,
-    disc: DiscoveryLoop,
-    committee: ProcessSet,
-    value_a: Value,
-    value_b: Value,
-    equivocation_sent: bool,
+struct Twins {
+    side_a: ProcessSet,
+    a: Node,
+    b: Node,
 }
 
-impl EquivocateValueStrategy {
-    fn maybe_equivocate(&mut self, ctx: &mut Context<NodeMsg>) {
-        if self.equivocation_sent {
-            return;
-        }
-        let id = ProcessId::new(self.key.id());
-        // Only meaningful while it would be the view-0 leader (lowest ID).
-        if self.committee.iter().next() != Some(&id) {
-            return;
-        }
-        let members: Vec<ProcessId> = self.committee.iter().copied().collect();
-        let half = members.len() / 2;
-        let a = CommitteeMsg::pre_prepare(&self.key, 0, self.value_a.clone(), vec![]);
-        let b = CommitteeMsg::pre_prepare(&self.key, 0, self.value_b.clone(), vec![]);
-        for (i, &m) in members.iter().enumerate() {
-            if m == id {
-                continue;
+impl Twins {
+    /// Runs `f` on twin B (`to_b`) or twin A and applies its effects:
+    /// sends to its own id are handed back to it until none are left,
+    /// sends to the other side are dropped, and twin B's timers carry
+    /// [`TWIN_B_TICK`].
+    fn step(
+        &mut self,
+        to_b: bool,
+        ctx: &mut Context<NodeMsg>,
+        f: impl FnOnce(&mut Node, &mut Context<NodeMsg>),
+    ) {
+        let me = ctx.self_id();
+        let twin = if to_b { &mut self.b } else { &mut self.a };
+        let mut scratch = Context::new(ctx.now(), me);
+        f(twin, &mut scratch);
+        loop {
+            let (sends, timers, _) = scratch.into_effects();
+            for (kind, delay) in timers {
+                ctx.set_timer(if to_b { kind | TWIN_B_TICK } else { kind }, delay);
             }
-            let msg = if i < half { a.clone() } else { b.clone() };
-            ctx.send(m, msg.into());
+            scratch = Context::new(ctx.now(), me);
+            let mut own = Vec::new();
+            for (to, msg) in sends {
+                if to == me {
+                    own.push(msg);
+                } else if self.side_a.contains(&to) != to_b {
+                    ctx.send(to, msg);
+                }
+            }
+            if own.is_empty() {
+                return;
+            }
+            for msg in own {
+                twin.on_message(me, msg, &mut scratch);
+            }
         }
-        self.equivocation_sent = true;
     }
 }
 
-impl Actor<NodeMsg> for EquivocateValueStrategy {
+impl Actor<NodeMsg> for Twins {
     fn id(&self) -> ProcessId {
-        ProcessId::new(self.key.id())
+        self.a.id()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -289,96 +187,125 @@ impl Actor<NodeMsg> for EquivocateValueStrategy {
     }
 
     fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
-        self.disc.start(ctx);
+        self.step(false, ctx, |twin, ctx| twin.on_start(ctx));
+        self.step(true, ctx, |twin, ctx| twin.on_start(ctx));
     }
 
     fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
-        if let NodeMsg::Discovery(m) = msg {
-            self.disc.handle(from, m, ctx);
-        }
+        let to_b = !self.side_a.contains(&from);
+        self.step(to_b, ctx, |twin, ctx| twin.on_message(from, msg, ctx));
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<NodeMsg>) {
-        if self.disc.on_timer(kind, ctx) {
-            self.maybe_equivocate(ctx);
-        }
+        let to_b = kind & TWIN_B_TICK != 0;
+        self.step(to_b, ctx, |twin, ctx| {
+            twin.on_timer(kind & !TWIN_B_TICK, ctx)
+        });
     }
 }
 
-/// Compiles a [`ByzantineStrategy`] spec into the actor of the faulty
-/// process holding `key`.
+/// Compiles a [`ByzantineStrategy`] spec into the actor of faulty
+/// process `id` of `setup`.
 ///
-/// `true_pd` is what the participant detector actually returned; some
-/// strategies ignore it and substitute their own claim. Combinator specs
-/// recurse — the generic wrappers from [`cupft_adversary`] compose with
-/// every protocol strategy.
+/// `value` is the process's own proposal and `config` the configuration
+/// its honest twin nodes run with. Strategies that run discovery on the
+/// true PD take it from the setup's participant detector; some substitute
+/// their own claim. Combinator specs recurse — the generic wrappers from
+/// [`cupft_adversary`] compose with every protocol strategy.
+///
+/// # Panics
+///
+/// Panics if `id` is not a vertex of `setup`.
 pub fn build_strategy(
     spec: &ByzantineStrategy,
-    key: &SigningKey,
-    registry: &KeyRegistry,
-    true_pd: &ProcessSet,
-    period: u64,
+    setup: &SystemSetup,
+    id: ProcessId,
+    value: &Value,
+    config: &NodeConfig,
 ) -> Box<dyn Actor<NodeMsg>> {
+    let key = setup.key_of(id).expect("the faulty process is a vertex");
+    let registry = setup.registry();
+    let leaf = |pd: ProcessSet, extra| -> Box<dyn Actor<NodeMsg>> {
+        Box::new(DiscoveryLeaf {
+            discovery: DiscoveryState::new(key, registry.clone(), pd),
+            period: config.discovery_period,
+            extra,
+        })
+    };
+    let build = |inner: &ByzantineStrategy| build_strategy(inner, setup, id, value, config);
     match spec {
-        ByzantineStrategy::Silent => Box::new(Mute(ProcessId::new(key.id()))),
-        ByzantineStrategy::FakePd { claimed } => Box::new(FakePdStrategy {
-            disc: DiscoveryLoop::new(key, registry.clone(), claimed.clone(), period),
-        }),
-        ByzantineStrategy::EquivocatePd { even, odd } => Box::new(EquivocatePdStrategy {
-            key: key.clone(),
-            even: even.clone(),
-            odd: odd.clone(),
-        }),
-        ByzantineStrategy::ForgeUnsignedPd { victim, claimed } => {
-            Box::new(ForgeUnsignedPdStrategy {
-                disc: DiscoveryLoop::new(key, registry.clone(), true_pd.clone(), period),
+        ByzantineStrategy::Silent => Box::new(Mute(id)),
+        ByzantineStrategy::FakePd { claimed } => leaf(claimed.clone(), Extra::Nothing),
+        ByzantineStrategy::ForgeUnsignedPd { victim, claimed } => leaf(
+            setup.oracle().pd_of(id),
+            Extra::Forge {
                 victim: *victim,
                 claimed: claimed.clone(),
+            },
+        ),
+        ByzantineStrategy::LieDecidedVal { value } => {
+            leaf(setup.oracle().pd_of(id), Extra::Lie(value.clone()))
+        }
+        ByzantineStrategy::Twins {
+            side_a,
+            value_b,
+            pd_b,
+        } => {
+            let twin = |value: &Value| {
+                Node::from_setup(setup, id, value.clone(), config.clone()).expect("vertex")
+            };
+            let b = match pd_b {
+                Some(pd) => Node::new(
+                    key.clone(),
+                    registry.clone(),
+                    pd.clone(),
+                    value_b.clone(),
+                    config.clone(),
+                ),
+                None => twin(value_b),
+            };
+            Box::new(Twins {
+                side_a: side_a.clone(),
+                a: twin(value),
+                b,
             })
         }
-        ByzantineStrategy::LieDecidedVal { value } => Box::new(LieDecidedValStrategy {
-            disc: DiscoveryLoop::new(key, registry.clone(), true_pd.clone(), period),
-            value: value.clone(),
-        }),
-        ByzantineStrategy::EquivocateValue {
-            committee,
-            value_a,
-            value_b,
-        } => Box::new(EquivocateValueStrategy {
-            key: key.clone(),
-            disc: DiscoveryLoop::new(key, registry.clone(), true_pd.clone(), period),
-            committee: committee.clone(),
-            value_a: value_a.clone(),
-            value_b: value_b.clone(),
-            equivocation_sent: false,
-        }),
-        ByzantineStrategy::DelayRelease { until, inner } => Box::new(DelayRelease::new(
-            *until,
-            build_strategy(inner, key, registry, true_pd, period),
-        )),
-        ByzantineStrategy::TargetSubset { targets, inner } => Box::new(TargetSubset::new(
-            targets.clone(),
-            build_strategy(inner, key, registry, true_pd, period),
-        )),
-        ByzantineStrategy::FlipAfter { at, before, after } => Box::new(FlipAfter::new(
-            *at,
-            build_strategy(before, key, registry, true_pd, period),
-            build_strategy(after, key, registry, true_pd, period),
-        )),
+        ByzantineStrategy::DelayRelease { until, inner } => {
+            Box::new(DelayRelease::new(*until, build(inner)))
+        }
+        ByzantineStrategy::TargetSubset { targets, inner } => {
+            Box::new(TargetSubset::new(targets.clone(), build(inner)))
+        }
+        ByzantineStrategy::FlipAfter { at, before, after } => {
+            Box::new(FlipAfter::new(*at, build(before), build(after)))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cupft_graph::process_set;
+    use crate::detect::ProtocolMode;
+    use cupft_committee::CommitteeMsg;
+    use cupft_crypto::KeyRegistry;
+    use cupft_graph::{fig1b, process_set};
 
-    /// Builds faulty process 4 the way the scenario runner does.
+    /// Builds faulty process `id` of Fig. 1b the way the scenario runner
+    /// does, under `KnownThreshold(1)` (committee `{1,2,3,4}`).
+    fn build(id: u64, strategy: &ByzantineStrategy) -> (Box<dyn Actor<NodeMsg>>, SystemSetup) {
+        let setup = SystemSetup::new(fig1b().graph());
+        let config = NodeConfig {
+            mode: ProtocolMode::KnownThreshold(1),
+            ..NodeConfig::default()
+        };
+        let value = Value::from(format!("v{id}").into_bytes());
+        let actor = build_strategy(strategy, &setup, ProcessId::new(id), &value, &config);
+        (actor, setup)
+    }
+
     fn make(strategy: ByzantineStrategy) -> (Box<dyn Actor<NodeMsg>>, KeyRegistry) {
-        let mut registry = KeyRegistry::new();
-        let key = registry.register(4);
-        let actor = build_strategy(&strategy, &key, &registry, &process_set([1, 2, 3]), 20);
-        (actor, registry)
+        let (actor, setup) = build(4, &strategy);
+        (actor, setup.registry().clone())
     }
 
     /// A minimal incoming request (empty have-set: "send me everything").
@@ -387,6 +314,14 @@ mod tests {
             have: Arc::new(ProcessSet::new()),
             state: SyncState::default(),
         })
+    }
+
+    fn twins(side_a: ProcessSet, pd_b: Option<ProcessSet>) -> ByzantineStrategy {
+        ByzantineStrategy::Twins {
+            side_a,
+            value_b: Value::from_static(b"B"),
+            pd_b,
+        }
     }
 
     #[test]
@@ -421,25 +356,77 @@ mod tests {
         }
     }
 
+    /// Twins with even IDs on side A and a second PD for twin B: even
+    /// requesters get the true PD, odd ones `pd_b`, both validly signed.
     #[test]
     fn equivocate_pd_splits_by_requester() {
-        let (mut actor, registry) = make(ByzantineStrategy::EquivocatePd {
-            even: process_set([1]),
-            odd: process_set([2]),
-        });
+        let (mut actor, setup) =
+            build(4, &twins(process_set([2, 6, 8]), Some(process_set([5, 7]))));
         let pd_served = |actor: &mut Box<dyn Actor<NodeMsg>>, from: u64| {
             let mut ctx = Context::new(0, actor.id());
             actor.on_message(ProcessId::new(from), get_pds(), &mut ctx);
-            match &ctx.queued_sends()[0].1 {
-                NodeMsg::Discovery(DiscoveryMsg::SetPds { certs, .. }) => {
-                    assert!(certs[0].verify(&registry));
-                    certs[0].pd().clone()
-                }
-                _ => panic!("expected SetPds"),
-            }
+            let [(to, NodeMsg::Discovery(DiscoveryMsg::SetPds { certs, .. }))] = ctx.queued_sends()
+            else {
+                panic!("expected one SetPds, got {:?}", ctx.queued_sends());
+            };
+            assert_eq!(to.raw(), from);
+            let own = certs.iter().find(|c| c.author() == actor.id()).unwrap();
+            assert!(own.verify(setup.registry()));
+            own.pd().clone()
         };
-        assert_eq!(pd_served(&mut actor, 2), process_set([1]));
-        assert_eq!(pd_served(&mut actor, 3), process_set([2]));
+        assert_eq!(
+            pd_served(&mut actor, 2),
+            setup.oracle().pd_of(ProcessId::new(4))
+        );
+        assert_eq!(pd_served(&mut actor, 3), process_set([5, 7]));
+    }
+
+    /// A twinned view-0 leader: once each twin holds the whole view and
+    /// ticks, twin A proposes the process's own value to side A only and
+    /// twin B its `value_b` to the rest of the committee only.
+    #[test]
+    fn equivocate_value_sends_conflicting_proposals() {
+        let (mut actor, setup) = build(1, &twins(process_set([2]), None));
+        let view: Arc<[_]> = fig1b()
+            .graph()
+            .vertices()
+            .map(|v| setup.shared_certificate_for(v).expect("registered"))
+            .collect();
+        let everything = || {
+            NodeMsg::Discovery(DiscoveryMsg::SetPds {
+                certs: view.clone(),
+                state: SyncState::default(),
+            })
+        };
+        let mut ctx = Context::new(0, actor.id());
+        actor.on_message(ProcessId::new(2), everything(), &mut ctx);
+        actor.on_message(ProcessId::new(3), everything(), &mut ctx);
+        let mut ctx = Context::new(20, actor.id());
+        actor.on_timer(DISCOVERY_TICK, &mut ctx);
+        actor.on_timer(DISCOVERY_TICK | TWIN_B_TICK, &mut ctx);
+        let proposals: Vec<(u64, &[u8])> = ctx
+            .queued_sends()
+            .iter()
+            .filter_map(|(to, m)| match m {
+                NodeMsg::Committee(c) => match c.as_ref() {
+                    CommitteeMsg::PrePrepare { value, .. } => Some((to.raw(), value.as_ref())),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            proposals,
+            [(2, &b"v1"[..]), (3, &b"B"[..]), (4, &b"B"[..])],
+            "{:?}",
+            ctx.queued_sends()
+        );
+        // Twin B's timers carry the tag bit; twin A's do not.
+        let timers = ctx.queued_timers();
+        assert!(timers
+            .iter()
+            .any(|(kind, _)| *kind == DISCOVERY_TICK | TWIN_B_TICK));
+        assert!(timers.iter().any(|(kind, _)| *kind & TWIN_B_TICK == 0));
     }
 
     #[test]
@@ -466,34 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn equivocate_value_sends_conflicting_proposals() {
-        let mut registry = KeyRegistry::new();
-        let key = registry.register(1); // lowest ID => view-0 leader
-        let spec = ByzantineStrategy::EquivocateValue {
-            committee: process_set([1, 2, 3, 4]),
-            value_a: Value::from_static(b"A"),
-            value_b: Value::from_static(b"B"),
-        };
-        let mut actor = build_strategy(&spec, &key, &registry, &process_set([2, 3, 4]), 20);
-        let mut ctx = Context::new(100, actor.id());
-        actor.on_timer(DISCOVERY_TICK, &mut ctx);
-        let proposals: Vec<&NodeMsg> = ctx
-            .queued_sends()
-            .iter()
-            .filter(|(_, m)| matches!(m, NodeMsg::Committee(_)))
-            .map(|(_, m)| m)
-            .collect();
-        assert_eq!(proposals.len(), 3);
-        // second tick must not re-send
-        let mut ctx2 = Context::new(120, actor.id());
-        actor.on_timer(DISCOVERY_TICK, &mut ctx2);
-        assert!(ctx2
-            .queued_sends()
-            .iter()
-            .all(|(_, m)| !matches!(m, NodeMsg::Committee(_))));
-    }
-
-    #[test]
     fn combinator_specs_compile_and_compose() {
         // delay-release around fake-PD: nothing escapes before the release
         let (mut actor, _) = make(ByzantineStrategy::DelayRelease {
@@ -508,12 +467,11 @@ mod tests {
         // ... but the discovery tick and the release timer are both armed
         assert_eq!(ctx.queued_timers().len(), 2);
 
-        // target-subset around equivocate-PD: replies to 9 are swallowed
+        // target-subset around fake-PD: replies to 9 are swallowed
         let (mut actor, _) = make(ByzantineStrategy::TargetSubset {
             targets: process_set([1]),
-            inner: Box::new(ByzantineStrategy::EquivocatePd {
-                even: process_set([1]),
-                odd: process_set([2]),
+            inner: Box::new(ByzantineStrategy::FakePd {
+                claimed: process_set([1]),
             }),
         });
         let mut ctx = Context::new(0, actor.id());
@@ -535,10 +493,6 @@ mod tests {
             ByzantineStrategy::FakePd {
                 claimed: process_set([1, 2, 3]),
             },
-            ByzantineStrategy::EquivocatePd {
-                even: process_set([1]),
-                odd: process_set([2]),
-            },
             ByzantineStrategy::ForgeUnsignedPd {
                 victim: ProcessId::new(1),
                 claimed: process_set([4]),
@@ -546,11 +500,8 @@ mod tests {
             ByzantineStrategy::LieDecidedVal {
                 value: Value::from_static(b"evil"),
             },
-            ByzantineStrategy::EquivocateValue {
-                committee: process_set([1, 2, 3]),
-                value_a: Value::from_static(b"A"),
-                value_b: Value::from_static(b"B"),
-            },
+            twins(process_set([1]), None),
+            twins(process_set([2]), Some(process_set([1]))),
             ByzantineStrategy::DelayRelease {
                 until: 100,
                 inner: Box::new(ByzantineStrategy::FakePd {
@@ -569,10 +520,8 @@ mod tests {
                 after: Box::new(ByzantineStrategy::Silent),
             },
         ];
-        let mut registry = KeyRegistry::new();
-        let key = registry.register(4);
         for spec in specs {
-            let compiled = build_strategy(&spec, &key, &registry, &process_set([1, 2, 3]), 20);
+            let (compiled, _) = make(spec.clone());
             assert_eq!(compiled.id(), ProcessId::new(4), "{spec:?}");
         }
     }

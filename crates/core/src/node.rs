@@ -99,7 +99,9 @@ impl Default for NodeConfig {
 pub enum Phase {
     /// Running discovery, identification pending (Algorithm 3 line 2).
     Discovering,
-    /// Identified as a member; running committee consensus (line 4).
+    /// Identified as a member; running committee consensus (line 4), and
+    /// until it decides, polling the other members as a backstop: `g + 1`
+    /// matching `DecidedVal` answers decide it.
     Member,
     /// Identified as a non-member; learning the decision (lines 6–7).
     Learning,
@@ -279,6 +281,12 @@ impl Node {
     /// The identification result, if reached.
     pub fn detection(&self) -> Option<&SinkDecomposition> {
         self.detection.as_ref()
+    }
+
+    /// The committee the identification fixed (members and threshold
+    /// `g`), if reached.
+    pub(crate) fn committee(&self) -> Option<&Committee> {
+        self.committee.as_ref()
     }
 
     /// The discovery state (for assertions on `S_known` / `S_received`).
@@ -542,11 +550,19 @@ impl Node {
         if !committee.contains(from) {
             return;
         }
+        // Algorithm 3 line 7: a learner needs ⌈(|S|+1)/2⌉ identical
+        // answers from distinct members. An undecided member needs g + 1:
+        // its quorums already assume at most g Byzantine members, so g + 1
+        // answers include a correct member's decision, and a member whose
+        // own vote is missing may never see ⌈(|S|+1)/2⌉ others answer
+        // (docs/PAPER_MAP.md, Algorithm 3).
+        let needed = match self.phase {
+            Phase::Member => committee.fault_threshold() + 1,
+            Phase::Discovering | Phase::Learning => committee.learning_threshold(),
+        };
         let tally = self.answers.entry(value.to_vec()).or_default();
         tally.insert(from);
-        // Algorithm 3 line 7: ⌈(|S|+1)/2⌉ identical answers from distinct
-        // members.
-        if tally.len() >= committee.learning_threshold() {
+        if tally.len() >= needed {
             self.set_decided(value, ctx);
         }
     }
@@ -661,7 +677,10 @@ impl Actor<NodeMsg> for Node {
                         // liveness backstop, an undecided member also polls
                         // its peers for the decided value (the state-
                         // transfer role of checkpoints in full PBFT —
-                        // ⌈(|S|+1)/2⌉ matching answers are safe to adopt).
+                        // g + 1 matching answers are safe to adopt, see
+                        // `on_decided_val`). A decided replica drops every
+                        // committee message, so this is the only way a
+                        // member that missed the commit quorum catches up.
                         if self.decided.is_none() {
                             self.send_learning_round(ctx);
                         }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cupft_adversary::{ChurnSpec, TamperSpec};
-use cupft_committee::Value;
+use cupft_committee::{Committee, Value};
 use cupft_detector::SystemSetup;
 use cupft_graph::{DiGraph, ProcessId, ProcessSet};
 use cupft_net::sim::Simulation;
@@ -267,8 +267,9 @@ pub struct ScenarioOutcome {
     pub recovery_views: BTreeMap<ProcessId, (Time, ProcessSet)>,
     /// Final `S_received` view per correct process.
     pub final_views: BTreeMap<ProcessId, ProcessSet>,
-    /// Sink/core sets identified by the correct processes.
-    pub detections: BTreeMap<ProcessId, Option<ProcessSet>>,
+    /// The committee (sink/core members and their threshold `g`) each
+    /// correct process identified.
+    pub detections: BTreeMap<ProcessId, Option<Committee>>,
     /// Identification times.
     pub detection_times: BTreeMap<ProcessId, Option<Time>>,
     /// Decision times.
@@ -309,9 +310,10 @@ pub struct ConsensusCheck {
     /// Vacuously true without churn.
     pub recovery_consistency: bool,
     /// Every correct process that identified a sink or core identified
-    /// the same member set (see [`ScenarioOutcome::detections`]): the
-    /// unique committee that Algorithm 3's agreement rests on. Vacuously
-    /// true when at most one process identified.
+    /// the same members with the same threshold `g` (see
+    /// [`ScenarioOutcome::detections`]): the unique committee that
+    /// Algorithm 3's agreement rests on. Vacuously true when at most one
+    /// process identified.
     pub committee_agreement: bool,
     /// The distinct values decided by correct processes.
     pub decided_values: BTreeSet<Vec<u8>>,
@@ -395,9 +397,14 @@ impl ScenarioOutcome {
         })
     }
 
-    /// The unique sink/core sets identified across correct processes.
+    /// The unique sink/core member sets identified across correct
+    /// processes.
     pub fn distinct_detections(&self) -> BTreeSet<ProcessSet> {
-        self.detections.values().flatten().cloned().collect()
+        self.detections
+            .values()
+            .flatten()
+            .map(|c| c.members().iter().copied().collect())
+            .collect()
     }
 
     /// Latest decision time among deciders, in [`Self::end_time`]'s unit.
@@ -543,32 +550,37 @@ fn populate<R: Runtime<NodeMsg>>(
     recorder: Option<&Arc<Recorder>>,
     runtime: &mut R,
 ) -> ProcessSet {
+    // The protocol knobs. Correct nodes add the recorder, churn and
+    // test-only faults; a Byzantine process's twin nodes run without them.
+    let protocol = NodeConfig {
+        mode: scenario.mode,
+        discovery_period: scenario.discovery_period,
+        replica: cupft_committee::ReplicaConfig {
+            timeout_base: scenario.view_timeout_base,
+        },
+        full_gossip: scenario.full_gossip,
+        ..NodeConfig::default()
+    };
     for v in scenario.graph.vertices() {
         if let Some(strategy) = scenario.byzantine.get(&v) {
-            let key = setup.key_of(v).expect("registered");
             runtime.add_actor(build_strategy(
                 strategy,
-                key,
-                setup.registry(),
-                &setup.oracle().pd_of(v),
-                scenario.discovery_period,
+                setup,
+                v,
+                &scenario.value_of(v),
+                &protocol,
             ));
         } else {
             let churn = scenario.churn.as_ref();
             let join = churn.and_then(|c| c.join_of(v));
             let config = NodeConfig {
-                mode: scenario.mode,
-                discovery_period: scenario.discovery_period,
-                replica: cupft_committee::ReplicaConfig {
-                    timeout_base: scenario.view_timeout_base,
-                },
-                full_gossip: scenario.full_gossip,
                 recorder: recorder.cloned(),
                 join_at: join.map(|(tick, _)| tick),
                 seed_peers: join.map(|(_, seeds)| seeds.clone()).unwrap_or_default(),
                 leave_at: churn.and_then(|c| c.leave_of(v)),
                 crash_recover: churn.and_then(|c| c.crash_recover_of(v)),
                 broken_recovery: scenario.broken_recovery,
+                ..protocol.clone()
             };
             let mut node = Node::from_setup(setup, v, scenario.value_of(v), config)
                 .expect("vertex registered");
@@ -618,7 +630,7 @@ fn collect<R: Runtime<NodeMsg>>(
             recovery_views.insert(id, sample.clone());
         }
         final_views.insert(id, node.discovery().view().received());
-        detections.insert(id, node.detection().map(|d| d.members()));
+        detections.insert(id, node.committee().cloned());
         detection_times.insert(id, node.detection_time);
         decided_times.insert(id, node.decided_time);
     }
@@ -729,16 +741,16 @@ mod tests {
 
     #[test]
     fn byzantine_decisions_do_not_count() {
-        // An equivocator injects its own values into the committee; the
+        // A twinned leader injects two values into the committee; the
         // outcome records (and check() judges) the correct processes only.
         let fig = fig4b();
         let scenario = Scenario::new(fig.graph().clone(), ProtocolMode::UnknownThreshold)
             .with_byzantine(
                 5,
-                ByzantineStrategy::EquivocateValue {
-                    committee: process_set([5, 6, 7, 8, 9]),
-                    value_a: Value::from_static(b"evil-A"),
+                ByzantineStrategy::Twins {
+                    side_a: process_set([6, 7]),
                     value_b: Value::from_static(b"evil-B"),
+                    pd_b: None,
                 },
             );
         let outcome = run_scenario(&scenario);
@@ -1004,22 +1016,24 @@ mod tests {
     #[test]
     fn split_identification_is_flagged() {
         let mut outcome = outcome_of(&[(1, b"a"), (2, b"a"), (3, b"a")], ChurnSpec::default());
+        let committee = |members: [u64; 3], g| Some(Committee::new(process_set(members), g));
         outcome.detections = [
-            (ProcessId::new(1), Some(process_set([1, 2, 3]))),
+            (ProcessId::new(1), committee([1, 2, 3], 1)),
             (ProcessId::new(2), None),
-            (ProcessId::new(3), Some(process_set([1, 2, 3]))),
+            (ProcessId::new(3), committee([1, 2, 3], 1)),
         ]
         .into();
         assert!(outcome.check().committee_agreement);
-        outcome
-            .detections
-            .insert(ProcessId::new(2), Some(process_set([1, 2])));
-        let split = outcome.check();
-        assert!(!split.committee_agreement);
-        assert!(
-            split.consensus_solved(),
-            "values alone still agree: {split:?}"
-        );
+        // Different members, then the same members with a different `g`.
+        for other in [committee([1, 2, 4], 1), committee([1, 2, 3], 0)] {
+            outcome.detections.insert(ProcessId::new(2), other);
+            let split = outcome.check();
+            assert!(!split.committee_agreement, "{:?}", outcome.detections);
+            assert!(
+                split.consensus_solved(),
+                "values alone still agree: {split:?}"
+            );
+        }
     }
 
     #[test]

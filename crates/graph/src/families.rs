@@ -255,7 +255,8 @@ impl GraphFamily {
         ]
     }
 
-    /// Short family identifier (the grid-label segment).
+    /// Short family identifier (the family segment of a sweep cell's
+    /// label).
     pub fn name(&self) -> &'static str {
         match self {
             GraphFamily::ErdosRenyi { .. } => "erdos-renyi",

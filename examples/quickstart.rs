@@ -27,9 +27,9 @@ fn main() {
     for (id, decision) in &outcome.decisions {
         let core = outcome.detections[id]
             .as_ref()
-            .map(|s| {
-                let ids: Vec<String> = s.iter().map(|p| p.raw().to_string()).collect();
-                format!("{{{}}}", ids.join(","))
+            .map(|c| {
+                let ids: Vec<String> = c.members().iter().map(|p| p.raw().to_string()).collect();
+                format!("{{{}}} (g = {})", ids.join(","), c.fault_threshold())
             })
             .unwrap_or_else(|| "?".into());
         println!(

@@ -26,7 +26,10 @@
 #                              # schedule, snapshots) and the
 #                              # adversary_catch / churn_catch
 #                              # inject-flag-shrink loops (each run judged
-#                              # by ScenarioOutcome::check), a run of the
+#                              # by ScenarioOutcome::check), the twins
+#                              # enumeration (every committee member of
+#                              # Figs. 1b, 4a and 4b twinned against every
+#                              # split of the other members), a run of the
 #                              # adversary_demo example (its own asserts),
 #                              # the paper claims
 #                              # (table1_matrix, impossibility, theorems:
@@ -136,6 +139,8 @@ else
     cargo test -q -p cupft-discovery --lib
     echo "==> cargo test -q --test adversary_catch --test churn_catch (quick gate)"
     cargo test -q --test adversary_catch --test churn_catch
+    echo "==> cargo test -q --test twins (quick gate)"
+    cargo test -q --test twins
     echo "==> cargo run -q --example adversary_demo (quick gate)"
     cargo run -q --example adversary_demo
     echo "==> cargo test -q --test proptest_graph (quick gate)"

@@ -2,6 +2,7 @@
 //! witness graphs and generated graph families, across Byzantine
 //! strategies, fault placements, and seeds.
 
+use bft_cupft::committee::Value;
 use bft_cupft::core::{run_scenario, ByzantineStrategy, ProtocolMode, Scenario};
 use bft_cupft::graph::{fig1b, fig4a, fig4b, process_set, GdiParams, Generator};
 
@@ -15,10 +16,14 @@ fn strategies() -> Vec<(&'static str, ByzantineStrategy)> {
             },
         ),
         (
+            // Twins: even IDs hear twin A (the true PD), odd IDs twin B,
+            // which advertises a second self-signed PD and proposes its
+            // own value.
             "equivocate_pd",
-            ByzantineStrategy::EquivocatePd {
-                even: process_set([1, 2]),
-                odd: process_set([2, 3]),
+            ByzantineStrategy::Twins {
+                side_a: process_set([2, 4, 6, 8]),
+                value_b: Value::from_static(b"twin-b"),
+                pd_b: Some(process_set([2, 3])),
             },
         ),
     ]
@@ -76,21 +81,29 @@ fn bft_cupft_fig4b_byzantine_sweep() {
 
 #[test]
 fn bft_cupft_fig4b_equivocating_core_leader() {
-    // Process 5 is the lowest-ID core member, hence view-0 leader.
-    for seed in 0..3 {
-        let scenario = Scenario::new(fig4b().graph().clone(), ProtocolMode::UnknownThreshold)
-            .with_byzantine(
-                5,
-                ByzantineStrategy::EquivocateValue {
-                    committee: process_set([5, 6, 7, 8, 9]),
-                    value_a: bft_cupft::committee::Value::from_static(b"evil-A"),
-                    value_b: bft_cupft::committee::Value::from_static(b"evil-B"),
-                },
-            )
-            .with_seed(seed);
-        let outcome = run_scenario(&scenario);
-        let check = outcome.check();
-        assert!(check.consensus_solved(), "seed{seed}: {check:?}");
+    // Process 5 is the lowest-ID core member, hence view-0 leader. As
+    // twins it proposes its own value to side A and `evil-B` to the rest,
+    // and both twins keep voting. With side A = {6} twin B's side holds a
+    // commit quorum; with {6, 7} neither side does and view 1 decides.
+    for side_a in [process_set([6]), process_set([6, 7])] {
+        for seed in 0..3 {
+            let scenario = Scenario::new(fig4b().graph().clone(), ProtocolMode::UnknownThreshold)
+                .with_byzantine(
+                    5,
+                    ByzantineStrategy::Twins {
+                        side_a: side_a.clone(),
+                        value_b: Value::from_static(b"evil-B"),
+                        pd_b: None,
+                    },
+                )
+                .with_seed(seed);
+            let outcome = run_scenario(&scenario);
+            let check = outcome.check();
+            assert!(
+                check.consensus_solved() && check.committee_agreement,
+                "side A {side_a:?}, seed{seed}: {check:?}"
+            );
+        }
     }
 }
 
@@ -193,7 +206,7 @@ fn lying_decided_val_cannot_poison_learners() {
             .with_byzantine(
                 4,
                 ByzantineStrategy::LieDecidedVal {
-                    value: bft_cupft::committee::Value::from_static(b"poison"),
+                    value: Value::from_static(b"poison"),
                 },
             )
             .with_seed(seed);
@@ -214,7 +227,7 @@ fn lying_decided_val_on_cupft_core_member() {
             .with_byzantine(
                 6,
                 ByzantineStrategy::LieDecidedVal {
-                    value: bft_cupft::committee::Value::from_static(b"poison"),
+                    value: Value::from_static(b"poison"),
                 },
             )
             .with_seed(seed);
@@ -252,7 +265,7 @@ fn combined_byzantine_attack_f2_extended() {
             .with_byzantine(
                 byz[1].raw(),
                 ByzantineStrategy::LieDecidedVal {
-                    value: bft_cupft::committee::Value::from_static(b"poison"),
+                    value: Value::from_static(b"poison"),
                 },
             )
             .with_seed(seed)

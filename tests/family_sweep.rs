@@ -47,10 +47,14 @@ fn assert_all_solved(cells: &[(String, Scenario)], outcomes: &[ScenarioOutcome],
     }
 }
 
+/// Seed 1 only: the seed-0 cells are the twelve that
+/// `tests/discovery_equivalence.rs`'s
+/// `delta_decisions_match_full_baseline_on_simulation` already runs and
+/// judges the same way.
 #[test]
 fn four_families_three_sizes_solve_on_simulation() {
-    let cells = honest_cells(0..2);
-    assert_eq!(cells.len(), 24); // 4 families x 3 sizes x 2 seeds
+    let cells = honest_cells(1..2);
+    assert_eq!(cells.len(), 12); // 4 families x 3 sizes x 1 seed
     let outcomes = fan_out(&cells, |(_, scenario)| scenario.run_on(RuntimeKind::Sim));
     assert_all_solved(&cells, &outcomes, "sim");
 }

@@ -3,6 +3,7 @@
 //! and shrinking preserves the violated property.
 
 use bft_cupft::adversary::{shrink, Assignment};
+use bft_cupft::committee::Value;
 use bft_cupft::core::{
     run_scenario, run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario,
 };
@@ -20,9 +21,10 @@ fn arb_spec() -> impl Strategy<Value = ByzantineStrategy> {
             victim: ProcessId::new(1),
             claimed: process_set([4]),
         }),
-        Just(ByzantineStrategy::EquivocatePd {
-            even: process_set([1, 2]),
-            odd: process_set([2, 3]),
+        Just(ByzantineStrategy::Twins {
+            side_a: process_set([2, 4, 6, 8]),
+            value_b: Value::from_static(b"twin-b"),
+            pd_b: Some(process_set([2, 3])),
         }),
     ];
     (leaf, 0u8..4, 50u64..500).prop_map(|(inner, combinator, at)| match combinator {

@@ -1,6 +1,7 @@
 //! Property-based tests over the protocol stacks: consensus properties
 //! under randomized seeds, fault placements, and delay parameters.
 
+use bft_cupft::committee::Value;
 use bft_cupft::core::{run_scenario, ByzantineStrategy, ProtocolMode, Scenario};
 use bft_cupft::crypto::KeyRegistry;
 use bft_cupft::detector::PdCertificate;
@@ -14,14 +15,13 @@ fn arb_strategy() -> impl Strategy<Value = ByzantineStrategy> {
         proptest::collection::btree_set(1u64..9, 0..4).prop_map(|s| ByzantineStrategy::FakePd {
             claimed: s.into_iter().map(ProcessId::new).collect(),
         }),
-        (
-            proptest::collection::btree_set(1u64..9, 0..3),
-            proptest::collection::btree_set(1u64..9, 0..3)
-        )
-            .prop_map(|(a, b)| ByzantineStrategy::EquivocatePd {
-                even: a.into_iter().map(ProcessId::new).collect(),
-                odd: b.into_iter().map(ProcessId::new).collect(),
-            }),
+        // Twins split by parity: even IDs hear the true PD, odd IDs a
+        // second self-signed one.
+        proptest::collection::btree_set(1u64..9, 0..3).prop_map(|b| ByzantineStrategy::Twins {
+            side_a: process_set([2, 4, 6, 8]),
+            value_b: Value::from_static(b"twin-b"),
+            pd_b: Some(b.into_iter().map(ProcessId::new).collect()),
+        }),
     ]
 }
 
