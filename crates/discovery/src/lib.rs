@@ -19,9 +19,12 @@
 //! 1. **Requester-described deltas.** A `GETPDS` carries the authors the
 //!    requester already holds certificates for ([`DiscoveryMsg::GetPds`]'s
 //!    `have` set) and the responder replies with only the missing
-//!    records. The delta is recomputed *statelessly* from each request:
-//!    the responder never marks anything "already sent" on its own, so a
-//!    dropped or reordered reply costs one round, never a certificate.
+//!    records, in author order. The responder holds its certificates in
+//!    one table sorted by author, so the reply is one merge walk of that
+//!    table against the sorted `have` set. The delta is recomputed
+//!    *statelessly* from each request: the responder never marks anything
+//!    "already sent" on its own, so a dropped or reordered reply costs one
+//!    round, never a certificate.
 //! 2. **Sync-state suppression.** Every message carries a [`SyncState`] —
 //!    count plus commutative fingerprint of the sender's certificate set.
 //!    A process skips its `GETPDS` toward a peer exactly while the peer's
@@ -31,10 +34,14 @@
 //!    exchanged message, and polling resumes.
 //! 3. **Memoized verification.** [`DiscoveryState::absorb_batch`]
 //!    discards exact duplicates of held records *before* hashing or
-//!    signature verification and settles the rest through the state's
-//!    [`cupft_detector::CertPool`] verdict memo, so each distinct
-//!    certificate pays for at most one HMAC check; a per-process set of
-//!    forged fingerprints counts each replayed forgery once.
+//!    signature verification (one binary search of the author-sorted
+//!    table and one equality check per shipped record; on dense graphs
+//!    nearly every shipped record is such a duplicate, so this filter,
+//!    not verification, is the cost of a bundle) and settles the rest
+//!    through the state's [`cupft_detector::CertPool`] verdict memo, so
+//!    each distinct certificate pays for at most one HMAC check; a
+//!    per-process set of forged fingerprints counts each replayed forgery
+//!    once.
 //! 4. **One request in flight per peer.** A round skips a peer whose last
 //!    `GETPDS` is still unanswered; any `SETPDS` from that peer answers
 //!    it. A peer that stays silent is polled again after 1, 2, 4, 8 …

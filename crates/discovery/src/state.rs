@@ -50,11 +50,14 @@ pub enum GossipMode {
 /// runs inside the simulator, the threaded runtime, and the full protocol
 /// nodes.
 ///
-/// Certificates are held as `Arc<PdCertificate>` and re-shipped by
-/// reference; signature verification goes through the state's
-/// [`CertPool`] verdict memo (private to the process, or the run's shared
-/// one), so each distinct record pays for at most one HMAC check no matter
-/// how often the network re-delivers it.
+/// Certificates are held as `Arc<PdCertificate>` in one table sorted by
+/// author and re-shipped by reference. A shipped record is looked up by
+/// one binary search of that table, so a held duplicate costs a search
+/// and an equality check; a `GETPDS` delta reply is one merge walk of the
+/// table against the requester's sorted have-set. Signature verification
+/// goes through the state's [`CertPool`] verdict memo (private to the
+/// process, or the run's shared one), so each distinct record pays for at
+/// most one HMAC check no matter how often the network re-delivers it.
 ///
 /// # Example
 ///
@@ -78,7 +81,8 @@ pub struct DiscoveryState {
     id: ProcessId,
     registry: KeyRegistry,
     view: KnowledgeView,
-    certs: BTreeMap<ProcessId, Arc<PdCertificate>>,
+    /// `S_PD`: one verified certificate per author, sorted by author.
+    certs: Vec<(ProcessId, Arc<PdCertificate>)>,
     /// Cached snapshot of the held certificate authors (== `S_received`),
     /// shipped inside `GETPDS` as a shared `Arc`.
     have: Arc<ProcessSet>,
@@ -122,13 +126,11 @@ impl DiscoveryState {
         let id = own_cert.author();
         let mut sync = SyncState::default();
         sync.add(own_cert.fingerprint());
-        let mut certs = BTreeMap::new();
-        certs.insert(id, own_cert);
         DiscoveryState {
             id,
             registry,
             view: KnowledgeView::new(id, pd),
-            certs,
+            certs: vec![(id, own_cert)],
             have: Arc::new([id].into_iter().collect()),
             sync,
             pool: Arc::new(CertPool::new()),
@@ -192,7 +194,7 @@ impl DiscoveryState {
 
     /// The verified certificates held (`S_PD`).
     pub fn certificates(&self) -> impl Iterator<Item = &PdCertificate> + '_ {
-        self.certs.values().map(|c| c.as_ref())
+        self.certs.iter().map(|(_, c)| c.as_ref())
     }
 
     /// The summary of the held certificate set (what peers receive in
@@ -256,13 +258,8 @@ impl DiscoveryState {
                 // the requester's next round: nothing is ever marked
                 // "already sent" without the requester proving it.
                 let certs: Vec<Arc<PdCertificate>> = match self.mode {
-                    GossipMode::Full => self.certs.values().cloned().collect(),
-                    GossipMode::Delta => self
-                        .certs
-                        .iter()
-                        .filter(|(author, _)| !have.contains(author))
-                        .map(|(_, c)| c.clone())
-                        .collect(),
+                    GossipMode::Full => self.certs.iter().map(|(_, c)| c.clone()).collect(),
+                    GossipMode::Delta => self.missing_from(&have),
                 };
                 vec![(
                     from,
@@ -311,7 +308,9 @@ impl DiscoveryState {
 
     /// Admits one record with its verification verdict.
     fn admit(&mut self, record: Arc<PdCertificate>, ok: bool) {
-        if self.holds(&record) {
+        let author = record.author();
+        let slot = self.slot(author);
+        if slot.is_ok_and(|i| same_record(&self.certs[i].1, &record)) {
             return; // an earlier copy in the same bundle was just admitted
         }
         if !ok {
@@ -320,29 +319,47 @@ impl DiscoveryState {
             }
             return;
         }
-        let author = record.author();
-        if self.certs.contains_key(&author) {
+        let Err(i) = slot else {
             // Equivocating author (necessarily Byzantine): first wins.
             self.conflicting_records += 1;
             return;
-        }
+        };
         self.sync.add(record.fingerprint());
         Arc::make_mut(&mut self.have).insert(author);
         let pd = record.pd().clone();
-        self.certs.insert(author, record);
+        self.certs.insert(i, (author, record));
         if self.view.record_pd(author, pd) {
             self.changed = true;
         }
     }
 
-    /// Whether `record` is exactly the certificate held for its author:
-    /// the same allocation, or an equal record (e.g. a decoded copy).
-    /// Equality compares the record bytes and never computes a
-    /// fingerprint.
+    /// Where `author`'s certificate sits in the table (`Ok`), or where it
+    /// would be inserted (`Err`).
+    fn slot(&self, author: ProcessId) -> Result<usize, usize> {
+        self.certs.binary_search_by_key(&author, |(a, _)| *a)
+    }
+
+    /// Whether `record` is exactly the certificate held for its author.
     fn holds(&self, record: &Arc<PdCertificate>) -> bool {
-        self.certs
-            .get(&record.author())
-            .is_some_and(|held| Arc::ptr_eq(held, record) || **held == **record)
+        self.slot(record.author())
+            .is_ok_and(|i| same_record(&self.certs[i].1, record))
+    }
+
+    /// The held certificates whose author is not in `have`, in author
+    /// order: one merge walk of the table against the sorted have-set.
+    fn missing_from(&self, have: &ProcessSet) -> Vec<Arc<PdCertificate>> {
+        let have = have.as_slice();
+        let mut next = 0;
+        let mut missing = Vec::new();
+        for (author, cert) in &self.certs {
+            while next < have.len() && have[next] < *author {
+                next += 1;
+            }
+            if have.get(next) != Some(author) {
+                missing.push(cert.clone());
+            }
+        }
+        missing
     }
 
     /// The verification memo in use — exposed so a crash-recovering node
@@ -405,7 +422,7 @@ impl DiscoveryState {
         self.sync.epoch.encode(&mut out);
         self.view.known().encode(&mut out);
         put_len(&mut out, self.certs.len());
-        for cert in self.certs.values() {
+        for (_, cert) in &self.certs {
             cert.encode(&mut out);
         }
         out
@@ -461,6 +478,13 @@ impl DiscoveryState {
         state.changed = true;
         Some(state)
     }
+}
+
+/// Whether `held` and `record` are the same record: the same allocation,
+/// or equal bytes (e.g. a decoded copy). Equality never computes a
+/// fingerprint.
+fn same_record(held: &Arc<PdCertificate>, record: &Arc<PdCertificate>) -> bool {
+    Arc::ptr_eq(held, record) || **held == **record
 }
 
 #[cfg(test)]
@@ -734,6 +758,38 @@ mod tests {
         );
         // The criterion the churn layer relies on: a second serialization
         // reproduces the exact bytes.
+        assert_eq!(restored.to_bytes(), bytes);
+    }
+
+    /// The canonical snapshot layout, pinned by digest: vertex 1 of an
+    /// n = 300 Erdős–Rényi sample holding every certificate of the system
+    /// (absorbed in descending author order) plus one seeded ID. Churn
+    /// recovery relies on these exact bytes.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let graph = cupft_graph::GraphFamily::erdos_renyi(100, 1)
+            .scaled(300)
+            .generate(1)
+            .unwrap()
+            .system
+            .graph;
+        let setup = SystemSetup::new(&graph);
+        let mut s = DiscoveryState::from_setup(&setup, p(1)).unwrap();
+        let certs: Vec<Arc<PdCertificate>> = setup
+            .processes()
+            .iter()
+            .rev()
+            .map(|&id| setup.shared_certificate_for(id).unwrap())
+            .collect();
+        s.absorb_batch(&certs);
+        s.seed_known(&process_set([100_000]));
+        assert_eq!(s.certificates().count(), 300);
+        let bytes = s.to_bytes();
+        assert_eq!(
+            cupft_crypto::sha256::to_hex(&cupft_crypto::sha256::digest(&bytes)),
+            "1238f4e9c0ee88b3f6c9b0703ebf029a42bd4e50609f848c469eabe172d4a6fe"
+        );
+        let restored = DiscoveryState::from_bytes(&bytes, setup.registry().clone()).unwrap();
         assert_eq!(restored.to_bytes(), bytes);
     }
 

@@ -23,7 +23,8 @@
 #                              # batch and mailbox cap, both links), the
 #                              # cupft-discovery unit tests (the delta
 #                              # gossip rules, the poll gate's re-poll
-#                              # schedule, snapshots) and the
+#                              # schedule, snapshots and their pinned
+#                              # SHA-256) and the
 #                              # adversary_catch / churn_catch
 #                              # inject-flag-shrink loops (each run judged
 #                              # by ScenarioOutcome::check), the twins
@@ -46,8 +47,13 @@
 #                              # adversary_sweep grids, the family_sweep
 #                              # (each graph family once at modest n), the
 #                              # delta-gossip discovery_equivalence sweep,
-#                              # the proptest_discovery delta-vs-full
-#                              # properties and the poll_gate end-to-end
+#                              # the proptest_discovery properties
+#                              # (delta views equal full views;
+#                              # absorb_batch against a sequential model
+#                              # over random batch cuts; the GETPDS reply
+#                              # is the ordered difference of the held
+#                              # table and the have-set) and the
+#                              # poll_gate end-to-end
 #                              # tests (a silent peer polled O(log rounds)
 #                              # times, dropped replies cost rounds only),
 #                              # the threaded_link parity suite and the
