@@ -209,9 +209,9 @@ impl Actor<NodeMsg> for Twins {
 ///
 /// `value` is the process's own proposal and `config` the configuration
 /// its honest twin nodes run with. Strategies that run discovery on the
-/// true PD take it from the setup's participant detector; some substitute
-/// their own claim. Combinator specs recurse — the generic wrappers from
-/// [`cupft_adversary`] compose with every protocol strategy.
+/// true PD start from the record the setup signed; `FakePd` and a twin's
+/// `pd_b` sign their own claim. Combinator specs recurse — the generic
+/// wrappers from [`cupft_adversary`] compose with every protocol strategy.
 ///
 /// # Panics
 ///
@@ -225,27 +225,29 @@ pub fn build_strategy(
 ) -> Box<dyn Actor<NodeMsg>> {
     let key = setup.key_of(id).expect("the faulty process is a vertex");
     let registry = setup.registry();
-    let leaf = |pd: ProcessSet, extra| -> Box<dyn Actor<NodeMsg>> {
+    let leaf = |discovery, extra| -> Box<dyn Actor<NodeMsg>> {
         Box::new(DiscoveryLeaf {
-            discovery: DiscoveryState::new(key, registry.clone(), pd),
+            discovery,
             period: config.discovery_period,
             extra,
         })
     };
+    let true_pd = || DiscoveryState::from_setup(setup, id).expect("vertex");
     let build = |inner: &ByzantineStrategy| build_strategy(inner, setup, id, value, config);
     match spec {
         ByzantineStrategy::Silent => Box::new(Mute(id)),
-        ByzantineStrategy::FakePd { claimed } => leaf(claimed.clone(), Extra::Nothing),
+        ByzantineStrategy::FakePd { claimed } => leaf(
+            DiscoveryState::new(key, registry.clone(), claimed.clone()),
+            Extra::Nothing,
+        ),
         ByzantineStrategy::ForgeUnsignedPd { victim, claimed } => leaf(
-            setup.oracle().pd_of(id),
+            true_pd(),
             Extra::Forge {
                 victim: *victim,
                 claimed: claimed.clone(),
             },
         ),
-        ByzantineStrategy::LieDecidedVal { value } => {
-            leaf(setup.oracle().pd_of(id), Extra::Lie(value.clone()))
-        }
+        ByzantineStrategy::LieDecidedVal { value } => leaf(true_pd(), Extra::Lie(value.clone())),
         ByzantineStrategy::Twins {
             side_a,
             value_b,
@@ -375,8 +377,11 @@ mod tests {
             own.pd().clone()
         };
         assert_eq!(
-            pd_served(&mut actor, 2),
-            setup.oracle().pd_of(ProcessId::new(4))
+            &pd_served(&mut actor, 2),
+            setup
+                .shared_certificate_for(ProcessId::new(4))
+                .unwrap()
+                .pd()
         );
         assert_eq!(pd_served(&mut actor, 3), process_set([5, 7]));
     }

@@ -239,8 +239,8 @@ impl Node {
     }
 
     /// Convenience constructor from a [`SystemSetup`]; the node's own
-    /// certificate is interned in the setup's shared certificate pool, and
-    /// discovery verifies every certificate through that pool
+    /// certificate is the one the setup signed, and discovery verifies
+    /// every certificate through the setup's shared verdict memo
     /// ([`cupft_detector::CertPool`]), so each distinct certificate costs
     /// one HMAC check system-wide rather than one per process.
     pub fn from_setup(

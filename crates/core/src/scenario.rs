@@ -678,10 +678,11 @@ pub fn run_scenario_on<R: Runtime<NodeMsg>>(
     let expected = correct.iter().filter(|v| !leavers.contains(v)).count();
     let report = runtime.run_until_stopped(&mut || board.len() >= expected);
     let obs = recorder.map(|rec| {
-        // Dump the shared certificate pool's end-of-run state as gauges,
-        // then snapshot — this snapshot supersedes the RuntimeReport's.
+        // Dump the certificates the setup signed and the shared verdict
+        // memo's end-of-run state as gauges, then snapshot — this
+        // snapshot supersedes the RuntimeReport's.
         let pool = setup.pool();
-        rec.gauge_set("cert_pool_len", pool.len() as u64);
+        rec.gauge_set("cert_pool_len", setup.processes().len() as u64);
         rec.gauge_set("cert_forged_records", pool.forged_records());
         rec.gauge_set("cert_memo_hits", pool.memo_hits());
         rec.gauge_set("cert_memo_misses", pool.memo_misses());

@@ -3,11 +3,11 @@
 //! Section II-C: each process `i` obtains its initial knowledge from a
 //! local oracle `PDᵢ` returning a fixed subset of processes; the oracles
 //! collectively define the knowledge connectivity graph. This crate
-//! provides the oracle ([`PdOracle`]), the signed PD record `⟨i, PDᵢ⟩ᵢ`
-//! ([`PdCertificate`], whose one wire encoding is also what it signs and
-//! hashes), the shared [`CertPool`], and the [`SystemSetup`] helper wiring
-//! a whole simulated system (keys + oracles) from a knowledge connectivity
-//! graph.
+//! provides the signed PD record `⟨i, PDᵢ⟩ᵢ` ([`PdCertificate`], whose
+//! one wire encoding is also what it signs and hashes), the shared
+//! verification memo [`CertPool`], and the [`SystemSetup`] helper wiring a
+//! whole simulated system from a knowledge connectivity graph: one key per
+//! vertex, and each vertex's PD (its out-neighbourhood) signed once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,78 +25,29 @@ mod wire;
 
 pub use signed::PdCertificate;
 
-/// The participant detector oracle: a static map from process to its
-/// initial knowledge, derived from a knowledge connectivity graph.
+/// A shared, thread-safe memo of [`PdCertificate`] verification verdicts,
+/// keyed by fingerprint.
 ///
-/// The oracle always returns the same set for the same process (the PD of
-/// the CUP model is static; knowledge growth happens in the Discovery
-/// protocol's state, not in the oracle).
-///
-/// # Example
-///
-/// ```
-/// use cupft_detector::PdOracle;
-/// use cupft_graph::{DiGraph, ProcessId, process_set};
-///
-/// let g = DiGraph::from_edges([(1, 2), (1, 3), (2, 3)]);
-/// let oracle = PdOracle::from_graph(&g);
-/// assert_eq!(oracle.pd_of(ProcessId::new(1)), process_set([2, 3]));
-/// assert!(oracle.pd_of(ProcessId::new(9)).is_empty());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PdOracle {
-    pds: BTreeMap<ProcessId, ProcessSet>,
-}
-
-impl PdOracle {
-    /// Derives the oracle from a knowledge connectivity graph: `PDᵢ` is the
-    /// out-neighborhood of `i`.
-    pub fn from_graph(graph: &DiGraph) -> Self {
-        PdOracle {
-            pds: graph
-                .vertices()
-                .map(|v| (v, graph.out_neighbors(v)))
-                .collect(),
-        }
-    }
-
-    /// The PD of `id` (empty for unknown processes).
-    pub fn pd_of(&self, id: ProcessId) -> ProcessSet {
-        self.pds.get(&id).cloned().unwrap_or_default()
-    }
-
-    /// All processes known to the oracle.
-    pub fn processes(&self) -> ProcessSet {
-        self.pds.keys().copied().collect()
-    }
-}
-
-/// A shared, thread-safe interning pool of [`PdCertificate`]s keyed by
-/// fingerprint.
-///
-/// The delta-gossip discovery path passes certificates around as
-/// `Arc<PdCertificate>` so that cloning a `SETPDS` message is
-/// pointer-bumping; the pool is where those `Arc`s are born. Interning the
-/// same record twice returns the *same* allocation, so a simulation with
-/// `n` processes holds each certificate once, not `O(n)` times.
+/// Every process of a run verifies through one pool, so a record verified
+/// by any process is settled for all of them: `n` processes verifying the
+/// same `n` certificates cost `n` HMACs, not `n²`.
 ///
 /// # Example
 ///
 /// ```
-/// use cupft_detector::{CertPool, PdCertificate, SystemSetup};
+/// use cupft_detector::{CertPool, SystemSetup};
 /// use cupft_graph::{DiGraph, ProcessId};
-/// use std::sync::Arc;
 ///
 /// let setup = SystemSetup::new(&DiGraph::from_edges([(1, 2), (2, 1)]));
+/// let cert = setup.shared_certificate_for(ProcessId::new(1)).unwrap();
 /// let pool = CertPool::new();
-/// let a = pool.intern(setup.certificate_for(ProcessId::new(1)).unwrap());
-/// let b = pool.intern(setup.certificate_for(ProcessId::new(1)).unwrap());
-/// assert!(Arc::ptr_eq(&a, &b));
-/// assert_eq!(pool.len(), 1);
+/// let bundle = [cert.clone(), cert.clone()];
+/// assert_eq!(pool.verify_batch(&bundle, setup.registry()), [true, true]);
+/// assert_eq!(pool.verdict(cert.fingerprint()), Some(true));
+/// assert_eq!((pool.memo_hits(), pool.memo_misses()), (1, 1));
 /// ```
 #[derive(Debug, Default)]
 pub struct CertPool {
-    by_fp: RwLock<HashMap<u128, Arc<PdCertificate>>>,
     /// Memoized verification verdicts, keyed by fingerprint. Sound to
     /// share system-wide because verification is a pure function of the
     /// record bytes against the one shared [`KeyRegistry`], and the
@@ -124,33 +75,6 @@ impl CertPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         CertPool::default()
-    }
-
-    /// Returns the pooled `Arc` for `cert`, inserting it on first sight.
-    pub fn intern(&self, cert: PdCertificate) -> Arc<PdCertificate> {
-        let mut pool = self.by_fp.write().expect("cert pool poisoned");
-        pool.entry(cert.fingerprint())
-            .or_insert_with(|| Arc::new(cert))
-            .clone()
-    }
-
-    /// Looks up a pooled certificate by fingerprint.
-    pub fn get(&self, fingerprint: u128) -> Option<Arc<PdCertificate>> {
-        self.by_fp
-            .read()
-            .expect("cert pool poisoned")
-            .get(&fingerprint)
-            .cloned()
-    }
-
-    /// Number of distinct certificates interned.
-    pub fn len(&self) -> usize {
-        self.by_fp.read().expect("cert pool poisoned").len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The memoized verdict for `fingerprint`, if any process has
@@ -255,46 +179,52 @@ impl CertPool {
 }
 
 /// Wires a complete simulated system from a knowledge connectivity graph:
-/// one registered key per vertex plus the PD oracle.
+/// one registered key per vertex, and each vertex's PD record `⟨i, PDᵢ⟩ᵢ`
+/// (`PDᵢ` is `i`'s out-neighbourhood) signed once, as Algorithm 1 line 1
+/// has every process do.
 ///
 /// # Example
 ///
 /// ```
 /// use cupft_detector::SystemSetup;
-/// use cupft_graph::{DiGraph, ProcessId};
+/// use cupft_graph::{process_set, DiGraph, ProcessId};
 ///
 /// let g = DiGraph::from_edges([(1, 2), (2, 1)]);
 /// let setup = SystemSetup::new(&g);
 /// let key = setup.key_of(ProcessId::new(1)).unwrap();
-/// let cert = setup.certificate_for(ProcessId::new(1)).unwrap();
+/// let cert = setup.shared_certificate_for(ProcessId::new(1)).unwrap();
 /// assert!(cert.verify(setup.registry()));
+/// assert_eq!(cert.pd(), &process_set([2]));
 /// assert_eq!(key.id(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SystemSetup {
     registry: KeyRegistry,
-    keys: BTreeMap<ProcessId, SigningKey>,
-    oracle: PdOracle,
+    /// Each vertex's signing key and its signed PD record.
+    members: BTreeMap<ProcessId, (SigningKey, Arc<PdCertificate>)>,
     pool: Arc<CertPool>,
 }
 
 impl SystemSetup {
-    /// Registers every vertex of `graph` and derives the PD oracle.
+    /// Registers every vertex of `graph` and signs its PD.
     pub fn new(graph: &DiGraph) -> Self {
         let mut registry = KeyRegistry::new();
-        let keys = graph
+        let members = graph
             .vertices()
-            .map(|v| (v, registry.register(v.raw())))
+            .map(|v| {
+                let key = registry.register(v.raw());
+                let cert = Arc::new(PdCertificate::sign(&key, &graph.out_neighbors(v)));
+                (v, (key, cert))
+            })
             .collect();
         SystemSetup {
             registry,
-            keys,
-            oracle: PdOracle::from_graph(graph),
+            members,
             pool: Arc::new(CertPool::new()),
         }
     }
 
-    /// The setup's shared certificate pool (clones share it).
+    /// The setup's shared verification memo (clones share it).
     pub fn pool(&self) -> &Arc<CertPool> {
         &self.pool
     }
@@ -304,31 +234,20 @@ impl SystemSetup {
         &self.registry
     }
 
-    /// The PD oracle.
-    pub fn oracle(&self) -> &PdOracle {
-        &self.oracle
-    }
-
     /// The signing key of `id`, if registered.
     pub fn key_of(&self, id: ProcessId) -> Option<&SigningKey> {
-        self.keys.get(&id)
+        self.members.get(&id).map(|(key, _)| key)
     }
 
-    /// Convenience: `id`'s correctly-signed PD certificate.
-    pub fn certificate_for(&self, id: ProcessId) -> Option<PdCertificate> {
-        let key = self.keys.get(&id)?;
-        Some(PdCertificate::sign(key, &self.oracle.pd_of(id)))
-    }
-
-    /// Like [`Self::certificate_for`], but interned in the setup's shared
-    /// [`CertPool`] — repeated calls return the same allocation.
+    /// `id`'s correctly-signed PD certificate. Every call, on every clone
+    /// of the setup, returns the same allocation.
     pub fn shared_certificate_for(&self, id: ProcessId) -> Option<Arc<PdCertificate>> {
-        Some(self.pool.intern(self.certificate_for(id)?))
+        self.members.get(&id).map(|(_, cert)| cert.clone())
     }
 
     /// All process IDs in the system.
     pub fn processes(&self) -> ProcessSet {
-        self.keys.keys().copied().collect()
+        self.members.keys().copied().collect()
     }
 }
 
@@ -343,19 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn oracle_matches_graph() {
-        let g = DiGraph::from_edges([(1, 2), (1, 3), (3, 1)]);
-        let oracle = PdOracle::from_graph(&g);
-        assert_eq!(oracle.pd_of(p(1)), process_set([2, 3]));
-        assert_eq!(oracle.pd_of(p(2)), ProcessSet::new());
-        assert_eq!(oracle.processes(), process_set([1, 2, 3]));
-    }
-
-    #[test]
     fn certificate_roundtrip() {
         let g = DiGraph::from_edges([(1, 2), (1, 3)]);
         let setup = SystemSetup::new(&g);
-        let cert = setup.certificate_for(p(1)).unwrap();
+        let cert = setup.shared_certificate_for(p(1)).unwrap();
         assert_eq!(cert.author(), p(1));
         assert_eq!(cert.pd(), &process_set([2, 3]));
         assert!(cert.verify(setup.registry()));
@@ -389,7 +299,9 @@ mod tests {
         assert_eq!(setup.processes(), process_set([1, 2, 3, 4]));
         for v in setup.processes() {
             assert!(setup.key_of(v).is_some());
-            assert!(setup.certificate_for(v).unwrap().verify(setup.registry()));
+            let cert = setup.shared_certificate_for(v).unwrap();
+            assert!(cert.verify(setup.registry()));
+            assert_eq!(cert.pd(), &g.out_neighbors(v));
         }
     }
 
@@ -398,7 +310,6 @@ mod tests {
         let g = DiGraph::from_edges([(1, 2)]);
         let setup = SystemSetup::new(&g);
         assert!(setup.key_of(p(9)).is_none());
-        assert!(setup.certificate_for(p(9)).is_none());
         assert!(setup.shared_certificate_for(p(9)).is_none());
     }
 
@@ -406,18 +317,19 @@ mod tests {
     fn fingerprint_tracks_exact_contents() {
         let g = DiGraph::from_edges([(1, 2), (2, 1)]);
         let setup = SystemSetup::new(&g);
-        let a = setup.certificate_for(p(1)).unwrap();
-        let b = setup.certificate_for(p(1)).unwrap();
+        let a = setup.shared_certificate_for(p(1)).unwrap();
+        // Signing is deterministic: a re-signed record is equal.
+        let b = PdCertificate::sign(setup.key_of(p(1)).unwrap(), a.pd());
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a, b);
+        assert_eq!(*a, b);
         // Different author ⇒ different fingerprint.
-        let c = setup.certificate_for(p(2)).unwrap();
+        let c = setup.shared_certificate_for(p(2)).unwrap();
         assert_ne!(a.fingerprint(), c.fingerprint());
         // Same author + PD but forged signature ⇒ different fingerprint
         // (the signature bytes are part of the record's identity).
         let forged = PdCertificate::forge(p(1), a.pd());
         assert_ne!(a.fingerprint(), forged.fingerprint());
-        assert_ne!(a, forged);
+        assert_ne!(*a, forged);
     }
 
     #[test]
@@ -426,10 +338,10 @@ mod tests {
         // and its verdict.
         let g = DiGraph::from_edges([(1, 2), (2, 1)]);
         let setup = SystemSetup::new(&g);
-        let cert = setup.certificate_for(p(1)).unwrap();
+        let cert = setup.shared_certificate_for(p(1)).unwrap();
         let rebuilt =
             PdCertificate::from_parts(cert.author(), cert.pd().clone(), *cert.signature());
-        assert_eq!(rebuilt, cert);
+        assert_eq!(rebuilt, *cert);
         assert_eq!(rebuilt.fingerprint(), cert.fingerprint());
         assert!(rebuilt.verify(setup.registry()));
         // Forged records survive the round-trip as forged.
@@ -451,7 +363,7 @@ mod tests {
     fn decoded_copies_equal_hash_and_verify_like_their_originals() {
         let g = DiGraph::from_edges([(1, 2), (2, 1)]);
         let setup = SystemSetup::new(&g);
-        let signed = setup.certificate_for(p(1)).unwrap();
+        let signed = PdCertificate::sign(setup.key_of(p(1)).unwrap(), &process_set([2]));
         let forged = PdCertificate::forge(p(2), &process_set([9]));
         for original in [&signed, &forged] {
             assert!(!original.is_hashed(), "constructors do not hash");
@@ -603,24 +515,24 @@ mod tests {
     }
 
     #[test]
-    fn pool_interns_by_fingerprint() {
+    fn shared_certificate_is_one_allocation_across_calls_and_clones() {
         let g = DiGraph::from_edges([(1, 2), (2, 1)]);
         let setup = SystemSetup::new(&g);
-        let shared1 = setup.shared_certificate_for(p(1)).unwrap();
-        let shared2 = setup.shared_certificate_for(p(1)).unwrap();
-        assert!(Arc::ptr_eq(&shared1, &shared2));
-        assert_eq!(setup.pool().len(), 1);
-        assert_eq!(
-            setup.pool().get(shared1.fingerprint()).as_deref(),
-            Some(shared1.as_ref())
-        );
-        assert!(setup.pool().get(0).is_none());
-        // Clones of the setup share the pool.
+        let first = setup.shared_certificate_for(p(1)).unwrap();
+        assert!(Arc::ptr_eq(
+            &first,
+            &setup.shared_certificate_for(p(1)).unwrap()
+        ));
         let clone = setup.clone();
-        let shared3 = clone.shared_certificate_for(p(1)).unwrap();
-        assert!(Arc::ptr_eq(&shared1, &shared3));
-        let _ = clone.shared_certificate_for(p(2)).unwrap();
-        assert_eq!(setup.pool().len(), 2);
-        assert!(!setup.pool().is_empty());
+        assert!(Arc::ptr_eq(
+            &first,
+            &clone.shared_certificate_for(p(1)).unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            &first,
+            &clone.shared_certificate_for(p(2)).unwrap()
+        ));
+        // Clones share the verdict memo too.
+        assert!(Arc::ptr_eq(setup.pool(), clone.pool()));
     }
 }

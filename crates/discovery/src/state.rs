@@ -116,20 +116,19 @@ impl DiscoveryState {
     /// the process's own PD and `S_PD = {⟨i, PDᵢ⟩ᵢ}`. Dissemination
     /// defaults to [`GossipMode::Delta`].
     pub fn new(key: &SigningKey, registry: KeyRegistry, pd: ProcessSet) -> Self {
-        let own_cert = Arc::new(PdCertificate::sign(key, &pd));
-        DiscoveryState::with_own_cert(registry, pd, own_cert)
+        DiscoveryState::with_own_cert(registry, Arc::new(PdCertificate::sign(key, &pd)))
     }
 
-    /// The state of a process whose own record is `own_cert` and whose PD
-    /// is `pd`, verifying through a fresh private [`CertPool`].
-    fn with_own_cert(registry: KeyRegistry, pd: ProcessSet, own_cert: Arc<PdCertificate>) -> Self {
+    /// The state of a process whose own record is `own_cert`, verifying
+    /// through a fresh private [`CertPool`].
+    fn with_own_cert(registry: KeyRegistry, own_cert: Arc<PdCertificate>) -> Self {
         let id = own_cert.author();
         let mut sync = SyncState::default();
         sync.add(own_cert.fingerprint());
         DiscoveryState {
             id,
             registry,
-            view: KnowledgeView::new(id, pd),
+            view: KnowledgeView::new(id, own_cert.pd().clone()),
             certs: vec![(id, own_cert)],
             have: Arc::new([id].into_iter().collect()),
             sync,
@@ -144,17 +143,15 @@ impl DiscoveryState {
         }
     }
 
-    /// Convenience constructor from a [`cupft_detector::SystemSetup`]; the
-    /// process's own certificate is interned in the setup's shared
-    /// [`cupft_detector::CertPool`], so every actor of a simulation holds
-    /// the same allocation.
+    /// Convenience constructor from a [`cupft_detector::SystemSetup`]: the
+    /// process's own certificate is the one the setup signed, so every
+    /// actor of a simulation holds the same allocation.
     ///
     /// Returns `None` if `id` is not part of the setup.
     pub fn from_setup(setup: &cupft_detector::SystemSetup, id: ProcessId) -> Option<Self> {
         let own_cert = setup.shared_certificate_for(id)?;
         Some(DiscoveryState::with_own_cert(
             setup.registry().clone(),
-            setup.oracle().pd_of(id),
             own_cert,
         ))
     }
@@ -466,8 +463,7 @@ impl DiscoveryState {
         // Trailing garbage: not our snapshot.
         r.finish().ok()?;
         let own = certs.iter().find(|c| c.author() == id)?.clone();
-        let mut state =
-            DiscoveryState::with_own_cert(registry, own.pd().clone(), own).with_gossip(mode);
+        let mut state = DiscoveryState::with_own_cert(registry, own).with_gossip(mode);
         certs.retain(|c| c.author() != id);
         state.absorb_batch(&certs);
         // Re-seed identifiers that were known without a received PD (seed
@@ -665,8 +661,8 @@ mod tests {
     fn setpds_expands_knowledge_transitively() {
         let setup = line_setup();
         let mut s1 = DiscoveryState::from_setup(&setup, p(1)).unwrap();
-        let cert2 = setup.certificate_for(p(2)).unwrap();
-        s1.handle(p(2), set_pds(vec![cert2]));
+        let cert2 = setup.shared_certificate_for(p(2)).unwrap();
+        s1.handle(p(2), set_pds(vec![(*cert2).clone()]));
         // 2's PD = {1,3}: process 1 now knows 3.
         assert_eq!(*s1.view().known(), process_set([1, 2, 3]));
         assert_eq!(s1.view().received(), process_set([1, 2]));

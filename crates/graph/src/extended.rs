@@ -7,7 +7,8 @@ use crate::digraph::DiGraph;
 use crate::error::GraphError;
 use crate::id::{ProcessId, ProcessSet};
 use crate::osr::{osr_report, OsrReport};
-use crate::predicates::{max_threshold, subset_masks};
+use crate::predicates::{max_threshold_at, subset_masks};
+use crate::snapshot::{select, ViewSnapshot};
 use crate::view::KnowledgeView;
 
 /// The core of an extended `k`-OSR graph, with its detected parameters.
@@ -61,19 +62,16 @@ pub fn is_extended_k_osr(
 ) -> Result<ExtendedOsrReport, GraphError> {
     let masks = subset_masks(g.vertex_count(), cutoff)?;
     let base = osr_report(g, k);
-    let view = KnowledgeView::omniscient(g);
-    let vertices: Vec<ProcessId> = g.vertices().collect();
+    let mut snap = ViewSnapshot::new(&KnowledgeView::omniscient(g));
+    // Every vertex's PD is received, so these are all the vertices.
+    let vertices = snap.received();
 
     // Enumerate every S1 once; fold into (member set -> max threshold).
     let mut sink_thresholds: BTreeMap<ProcessSet, usize> = BTreeMap::new();
+    let mut s1 = Vec::new();
     for mask in masks {
-        let s1: ProcessSet = vertices
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &p)| p)
-            .collect();
-        if let Some(dec) = max_threshold(&view, &s1) {
+        select(&vertices, mask, &mut s1);
+        if let Some(dec) = max_threshold_at(&mut snap, &s1) {
             let members = dec.members();
             let entry = sink_thresholds.entry(members).or_insert(dec.threshold);
             *entry = (*entry).max(dec.threshold);

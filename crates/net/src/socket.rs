@@ -250,35 +250,37 @@ fn reader_loop<M: Labeled + Decode>(stream: TcpStream, pool: &Pool<M>) {
     }
 }
 
-/// The accept loop: polls the (nonblocking) listener, spawning a reader
-/// thread per inbound connection, until shutdown. Returns the readers and
-/// a clone of every accepted stream, so shutdown can force-close them and
-/// join the readers even if a peer never closes its end.
+/// The accept loop: polls `accept` (a nonblocking listener's), spawning
+/// a reader thread per inbound connection, until shutdown. Returns the
+/// readers and a clone of every accepted stream, so shutdown can
+/// force-close them and join the readers even if a peer never closes its
+/// end.
+///
+/// Every accept error is retried after the same 2 ms pause: besides
+/// `WouldBlock`, what accept(2) reports is transient — descriptor
+/// pressure (`EMFILE`/`ENFILE`), a connection aborted before it was
+/// accepted, the pending network errors it says to retry — and giving up
+/// would leave every later inbound connection unread.
 fn accept_loop<M: Labeled + Decode + Send + 'static>(
-    listener: TcpListener,
+    mut accept: impl FnMut() -> io::Result<TcpStream>,
     pool: &Arc<Pool<M>>,
 ) -> Readers {
     let mut readers = Vec::new();
-    listener
-        .set_nonblocking(true)
-        .expect("listener nonblocking");
     while !pool.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).expect("stream blocking");
-                let _ = stream.set_nodelay(true);
-                let Ok(clone) = stream.try_clone() else {
-                    continue;
-                };
-                let pool = pool.clone();
-                let reader = thread::spawn(move || reader_loop(stream, &pool));
-                readers.push((clone, reader));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+        let Ok(stream) = accept() else {
+            thread::sleep(Duration::from_millis(2));
+            continue;
+        };
+        if stream.set_nonblocking(false).is_err() {
+            continue;
         }
+        let _ = stream.set_nodelay(true);
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        let pool = pool.clone();
+        let reader = thread::spawn(move || reader_loop(stream, &pool));
+        readers.push((clone, reader));
     }
     readers
 }
@@ -304,8 +306,11 @@ impl<M: Labeled + Encode + Decode + Send + 'static> Link<M> for SocketLink {
         });
         let accept = {
             let listener = self.listener.try_clone().expect("listener clone");
+            listener
+                .set_nonblocking(true)
+                .expect("listener nonblocking");
             let actors = actors.clone();
-            thread::spawn(move || accept_loop(listener, &actors))
+            thread::spawn(move || accept_loop(|| listener.accept().map(|(s, _)| s), &actors))
         };
         self.plane = Some((pool.clone(), accept));
         SocketTx {
@@ -582,5 +587,59 @@ mod tests {
         assert!(report.stopped || report.all_halted);
         let initiator: &Node = a.actor_as(ProcessId::new(1)).expect("inspectable");
         assert!(initiator.got_reply);
+    }
+
+    #[test]
+    fn accept_loop_survives_a_transient_accept_error() {
+        // One aborted connection, then a real one carrying a PING for
+        // actor 2: the loop must keep accepting and deliver it.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("bound");
+        let (halts, _) = channel();
+        let pool = Arc::new(Pool::new(
+            vec![Box::new(Node {
+                id: ProcessId::new(2),
+                peer: ProcessId::new(1),
+                initiator: false,
+                board: Board::new(),
+                got_reply: false,
+            }) as Box<dyn Actor<Msg>>],
+            None,
+            None,
+            halts,
+            Instant::now(),
+        ));
+        let (accepted, on_accept) = channel();
+        let mut aborted = false;
+        let accept = move || {
+            if !std::mem::replace(&mut aborted, true) {
+                return Err(io::ErrorKind::ConnectionAborted.into());
+            }
+            let stream = listener.accept()?.0;
+            let _ = accepted.send(());
+            Ok(stream)
+        };
+        let accept_thread = {
+            let pool = pool.clone();
+            thread::spawn(move || accept_loop(accept, &pool))
+        };
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let mut inner = Vec::new();
+        ProcessId::new(1).encode(&mut inner);
+        ProcessId::new(2).encode(&mut inner);
+        Msg::Ping.encode(&mut inner);
+        client.write_all(&frame(&inner)).expect("write");
+        drop(client);
+        let accepted = on_accept.recv_timeout(Duration::from_secs(5)).is_ok();
+        pool.shutdown.store(true, Ordering::SeqCst);
+        let readers = accept_thread.join().expect("accept loop panicked");
+        assert!(accepted, "the accept loop gave up after ConnectionAborted");
+        for (_, reader) in readers {
+            reader.join().expect("socket reader panicked");
+        }
+        let pool = Arc::into_inner(pool).expect("readers joined");
+        let (_, stats) = pool.into_actors().next().expect("one actor");
+        assert_eq!(stats.messages_delivered, 1);
     }
 }

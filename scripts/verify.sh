@@ -24,7 +24,9 @@
 #                              # cupft-discovery unit tests (the delta
 #                              # gossip rules, the poll gate's re-poll
 #                              # schedule, snapshots and their pinned
-#                              # SHA-256) and the
+#                              # SHA-256), the cupft-detector unit tests
+#                              # (the setup's once-signed certificates,
+#                              # fingerprints, the verdict memo) and the
 #                              # adversary_catch / churn_catch
 #                              # inject-flag-shrink loops (each run judged
 #                              # by ScenarioOutcome::check), the twins
@@ -143,6 +145,8 @@ else
     cargo test -q -p cupft-net --lib
     echo "==> cargo test -q -p cupft-discovery --lib (quick gate)"
     cargo test -q -p cupft-discovery --lib
+    echo "==> cargo test -q -p cupft-detector --lib (quick gate)"
+    cargo test -q -p cupft-detector --lib
     echo "==> cargo test -q --test adversary_catch --test churn_catch (quick gate)"
     cargo test -q --test adversary_catch --test churn_catch
     echo "==> cargo test -q --test twins (quick gate)"

@@ -13,10 +13,10 @@ fn p(n: u64) -> ProcessId {
     ProcessId::new(n)
 }
 
-/// Wraps raw certificates in a SETPDS message.
-fn set_pds(certs: Vec<bft_cupft::detector::PdCertificate>) -> NodeMsg {
+/// Wraps certificates in a SETPDS message.
+fn set_pds(certs: Vec<Arc<bft_cupft::detector::PdCertificate>>) -> NodeMsg {
     NodeMsg::Discovery(DiscoveryMsg::SetPds {
-        certs: certs.into_iter().map(Arc::new).collect(),
+        certs: certs.into(),
         state: SyncState::default(),
     })
 }
@@ -40,7 +40,7 @@ fn learning_node() -> Node {
     let certs: Vec<_> = fig
         .graph()
         .vertices()
-        .map(|v| setup.certificate_for(v).unwrap())
+        .map(|v| setup.shared_certificate_for(v).unwrap())
         .collect();
     let mut ctx = Context::new(10, p(7));
     node.on_message(p(5), set_pds(certs), &mut ctx);
@@ -71,7 +71,7 @@ fn learner_requests_decided_value_from_all_members() {
     let certs: Vec<_> = fig
         .graph()
         .vertices()
-        .map(|v| setup.certificate_for(v).unwrap())
+        .map(|v| setup.shared_certificate_for(v).unwrap())
         .collect();
     let mut ctx = Context::new(10, p(7));
     node.on_message(p(5), set_pds(certs), &mut ctx);
@@ -248,7 +248,7 @@ fn member_node_starts_replica_and_proposes() {
     let certs: Vec<_> = fig
         .graph()
         .vertices()
-        .map(|v| setup.certificate_for(v).unwrap())
+        .map(|v| setup.shared_certificate_for(v).unwrap())
         .collect();
     let mut ctx = Context::new(10, p(1));
     node.on_message(p(2), set_pds(certs), &mut ctx);

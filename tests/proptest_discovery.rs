@@ -200,7 +200,7 @@ impl Shipped {
         match self {
             Shipped::Held(a) => (setup.shared_certificate_for(id(a)).unwrap(), true),
             Shipped::Decoded(a) => {
-                let bytes = encode_to_vec(&setup.certificate_for(id(a)).unwrap());
+                let bytes = encode_to_vec(&*setup.shared_certificate_for(id(a)).unwrap());
                 (Arc::new(decode_from_slice(&bytes).unwrap()), true)
             }
             Shipped::Forged(a, v) => {
@@ -230,7 +230,7 @@ struct AbsorbModel {
 
 impl AbsorbModel {
     fn new(setup: &SystemSetup, me: ProcessId) -> Self {
-        let own = setup.certificate_for(me).unwrap();
+        let own = PdCertificate::clone(&setup.shared_certificate_for(me).unwrap());
         let mut sync = SyncState::default();
         sync.add(own.fingerprint());
         AbsorbModel {
@@ -350,7 +350,9 @@ proptest! {
         let held: BTreeSet<ProcessId> =
             absorbed.iter().map(|&a| ProcessId::new(a)).chain([me]).collect();
         let expect = |authors: &mut dyn Iterator<Item = &ProcessId>| -> Vec<PdCertificate> {
-            authors.map(|&a| setup.certificate_for(a).unwrap()).collect()
+            authors
+                .map(|&a| PdCertificate::clone(&setup.shared_certificate_for(a).unwrap()))
+                .collect()
         };
         let missing = expect(&mut held.iter().filter(|a| !have.contains(a)));
         prop_assert_eq!(reply_to(&mut delta, have.clone()), missing);

@@ -59,18 +59,20 @@ fn subsets(set: &ProcessSet) -> Vec<ProcessSet> {
         .collect()
 }
 
-/// The cell `name/twin<twin>/twins{side A}/s<seed>`: `graph` under `mode`
-/// with process `twin` running as twins split at `side_a`.
+/// The cell `name/twin<twin>/twins{side A}[pd{pd_b}]/s<seed>`: `graph`
+/// under `mode` with process `twin` running as twins split at `side_a`,
+/// twin B claiming `pd_b` if given.
 fn cell(
     (name, graph, mode): (&str, &DiGraph, ProtocolMode),
     twin: ProcessId,
     side_a: ProcessSet,
+    pd_b: Option<ProcessSet>,
     seed: u64,
 ) -> (String, Scenario) {
     let spec = ByzantineStrategy::Twins {
         side_a,
         value_b: Value::from_static(b"twin-b"),
-        pd_b: None,
+        pd_b,
     };
     let label = format!("{name}/twin{}/{}/s{seed}", twin.raw(), spec.label());
     let scenario = Scenario::new(graph.clone(), mode)
@@ -133,11 +135,43 @@ fn fig1b_twin_1_split_2_terminates() {
                 (name, &graph, mode),
                 ProcessId::new(1),
                 process_set([2]),
+                None,
                 seed,
             )
         })
         .collect();
     assert_clean("fig1b twin 1 | {2}", &cells);
+}
+
+/// ROADMAP item 15(d): of two conflicting verified PDs from one author,
+/// discovery keeps the first. Twin 1 of Fig. 4a shows its true PD to 4
+/// and `pd_b = {5}` to everyone else; twin 9 of Fig. 4b its true PD to 6
+/// and `{8}` to the rest. On these seeds every correct process decides and
+/// all identify one committee. With `DiscoveryState::admit` keeping the
+/// last record instead, all five cells still decide one value, but the
+/// correct processes identify different committees.
+#[test]
+fn first_conflicting_pd_wins_keeps_one_committee() {
+    // (figure, twin, the one member on side A, pd_b's one member, seeds)
+    let witnesses = [
+        ("fig4a", 1, 4, 5, [0, 2, 3].as_slice()),
+        ("fig4b", 9, 6, 8, [0, 3].as_slice()),
+    ];
+    let mut cells = Vec::new();
+    for (name, graph, mode, _) in figures() {
+        for &(_, twin, peer, claim, seeds) in witnesses.iter().filter(|w| w.0 == name) {
+            for &seed in seeds {
+                cells.push(cell(
+                    (name, &graph, mode),
+                    ProcessId::new(twin),
+                    process_set([peer]),
+                    Some(process_set([claim])),
+                    seed,
+                ));
+            }
+        }
+    }
+    assert_clean("first conflicting PD wins", &cells);
 }
 
 /// Every committee member as the twin × every nonempty proper split of
@@ -154,7 +188,7 @@ fn every_committee_twin_and_split_decides() {
                 if side_a.is_empty() || side_a == others {
                     continue;
                 }
-                cells.push(cell((name, &graph, mode), twin, side_a, 0));
+                cells.push(cell((name, &graph, mode), twin, side_a, None, 0));
             }
         }
     }
@@ -178,7 +212,7 @@ fn every_vertex_twin_and_split_decides() {
             others.remove(&last);
             for side_a in subsets(&others) {
                 for seed in 0..4 {
-                    cells.push(cell((name, &graph, mode), twin, side_a.clone(), seed));
+                    cells.push(cell((name, &graph, mode), twin, side_a.clone(), None, seed));
                 }
             }
         }
