@@ -133,8 +133,9 @@ impl ChurnEvent {
 
 /// A whole churn schedule: the events, in schedule order.
 ///
-/// At most one event per node is honored per kind; accessors return the
-/// first match, which keeps shrinking well-defined on degenerate inputs.
+/// At most one event per node is honored per kind, the first in schedule
+/// order ([`ChurnSpec::events_of`]), which keeps shrinking well-defined on
+/// degenerate inputs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChurnSpec {
     /// The scheduled events.
@@ -166,37 +167,25 @@ impl ChurnSpec {
         format!("churn[{}]", parts.join(","))
     }
 
-    /// The first scheduled join of `node`, if any.
-    pub fn join_of(&self, node: ProcessId) -> Option<(Time, &ProcessSet)> {
-        self.events.iter().find_map(|e| match e {
-            ChurnEvent::JoinAt {
-                tick,
-                node: n,
-                seed_peers,
-            } if *n == node => Some((*tick, seed_peers)),
-            _ => None,
-        })
-    }
-
-    /// The first scheduled departure of `node`, if any.
-    pub fn leave_of(&self, node: ProcessId) -> Option<Time> {
-        self.events.iter().find_map(|e| match e {
-            ChurnEvent::LeaveAt { tick, node: n } if *n == node => Some(*tick),
-            _ => None,
-        })
-    }
-
-    /// The first scheduled crash-recovery of `node`, if any, as
-    /// `(crash_tick, down_for)`.
-    pub fn crash_recover_of(&self, node: ProcessId) -> Option<(Time, Time)> {
-        self.events.iter().find_map(|e| match e {
-            ChurnEvent::CrashRecoverAt {
-                tick,
-                node: n,
-                down_for,
-            } if *n == node => Some((*tick, *down_for)),
-            _ => None,
-        })
+    /// The events `node` honours: the first scheduled event of each kind
+    /// that names it. They come in the order a node arms them — leave,
+    /// crash-recovery, join — so when two fall on one tick the departure
+    /// pre-empts the others and the crash pre-empts the join.
+    pub fn events_of(&self, node: ProcessId) -> Vec<ChurnEvent> {
+        let first = |kind: fn(&ChurnEvent) -> bool| {
+            self.events
+                .iter()
+                .find(|e| e.node() == node && kind(e))
+                .cloned()
+        };
+        [
+            first(|e| matches!(e, ChurnEvent::LeaveAt { .. })),
+            first(|e| matches!(e, ChurnEvent::CrashRecoverAt { .. })),
+            first(|e| matches!(e, ChurnEvent::JoinAt { .. })),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// All nodes with a scheduled join.
@@ -320,15 +309,31 @@ mod tests {
 
     #[test]
     fn accessors_find_first_match() {
-        let s = sample();
-        let (tick, seeds) = s.join_of(p(9)).unwrap();
-        assert_eq!(tick, 100);
-        assert_eq!(*seeds, process_set([1, 2]));
-        assert_eq!(s.leave_of(p(3)), Some(200));
-        assert_eq!(s.crash_recover_of(p(7)), Some((150, 80)));
-        assert_eq!(s.join_of(p(3)), None);
+        let mut s = sample();
+        // A second event of a kind a node already has is not honoured.
+        s.events.push(ChurnEvent::LeaveAt {
+            tick: 10,
+            node: p(3),
+        });
+        s.events.push(ChurnEvent::LeaveAt {
+            tick: 300,
+            node: p(9),
+        });
+        assert_eq!(
+            s.events_of(p(9)),
+            [
+                ChurnEvent::LeaveAt {
+                    tick: 300,
+                    node: p(9),
+                },
+                s.events[0].clone(),
+            ]
+        );
+        assert_eq!(s.events_of(p(3)), [s.events[1].clone()]);
+        assert_eq!(s.events_of(p(7)), [s.events[2].clone()]);
+        assert!(s.events_of(p(1)).is_empty());
         assert_eq!(s.joiners(), process_set([9]));
-        assert_eq!(s.leavers(), process_set([3]));
+        assert_eq!(s.leavers(), process_set([3, 9]));
         assert_eq!(s.recoverers(), process_set([7]));
         assert_eq!(s.nodes(), process_set([3, 7, 9]));
     }
@@ -351,7 +356,7 @@ mod tests {
         assert_eq!(cs[0].events.len(), 2);
         assert!(cs
             .iter()
-            .any(|c| c.events.len() == 3 && c.join_of(p(9)).unwrap().1.is_empty()));
+            .any(|c| c.events.len() == 3 && c.events[0].size() == 1));
         // Duplicate events produce deduplicated candidates.
         let dup = ChurnSpec::new(vec![
             ChurnEvent::LeaveAt {
@@ -369,7 +374,7 @@ mod tests {
     #[test]
     fn shrinks_to_single_event_reproducer() {
         // Oracle: fails whenever node 7 crash-recovers at all.
-        let mut oracle = |s: &ChurnSpec| s.crash_recover_of(p(7)).is_some();
+        let mut oracle = |s: &ChurnSpec| !s.events_of(p(7)).is_empty();
         let outcome = shrink(sample(), &mut oracle);
         assert_eq!(
             outcome.minimal,

@@ -34,10 +34,7 @@ pub use byzantine::{build_strategy, ByzantineStrategy};
 pub use cupft_adversary::{ChurnEvent, ChurnSpec, TamperSpec};
 pub use detect::ProtocolMode;
 pub use msgs::NodeMsg;
-pub use node::{
-    Node, NodeConfig, Phase, CHURN_CRASH_TICK, CHURN_JOIN_TICK, CHURN_LEAVE_TICK,
-    CHURN_RECOVER_TICK,
-};
+pub use node::{Node, NodeConfig, Phase};
 pub use scenario::{
     run_scenario, run_scenario_on, run_scenario_recorded, ConsensusCheck, NodeStatus, RuntimeKind,
     Scenario, ScenarioOutcome,

@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use cupft_adversary::ChurnEvent;
 use cupft_committee::{view_of_timer, Committee, CommitteeMsg, Replica, ReplicaConfig, Value};
 use cupft_crypto::{KeyRegistry, SigningKey};
 use cupft_detector::SystemSetup;
@@ -17,20 +18,11 @@ use cupft_obs::{PhaseMark, Recorder};
 use crate::detect::ProtocolMode;
 use crate::msgs::NodeMsg;
 
-/// Timer kind for a scheduled late join (see [`NodeConfig::join_at`]).
-/// The churn timer kinds live below the committee view-timer base and
-/// away from [`DISCOVERY_TICK`], so the three timer namespaces never
-/// collide.
-pub const CHURN_JOIN_TICK: u64 = 0xC4A1;
-/// Timer kind for a scheduled silent departure
-/// (see [`NodeConfig::leave_at`]).
-pub const CHURN_LEAVE_TICK: u64 = 0xC4A2;
-/// Timer kind for a scheduled crash of a crash-recovering node
-/// (see [`NodeConfig::crash_recover`]).
-pub const CHURN_CRASH_TICK: u64 = 0xC4A3;
-/// Timer kind for the recovery of a crashed node, armed by the crash
-/// handler with the configured down time.
-pub const CHURN_RECOVER_TICK: u64 = 0xC4A4;
+/// Private churn timer kinds, below the committee view timers and away
+/// from [`DISCOVERY_TICK`]: event `i` of [`NodeConfig::churn`] fires as
+/// `CHURN_TICK + i`, and a crash arms `RECOVER_TICK`.
+const RECOVER_TICK: u64 = 0xC4A0;
+const CHURN_TICK: u64 = 0xC4A1;
 
 /// Node tuning knobs.
 #[derive(Debug, Clone)]
@@ -41,35 +33,27 @@ pub struct NodeConfig {
     pub discovery_period: u64,
     /// Committee replica configuration.
     pub replica: ReplicaConfig,
-    /// Run discovery with the literal full-`S_PD` dissemination of
-    /// Algorithm 1 ([`cupft_discovery::GossipMode::Full`]) instead of the
-    /// default delta gossip — the baseline the equivalence sweep and the
+    /// How discovery disseminates `S_PD`: delta gossip (the default), or
+    /// the literal full-`S_PD` dissemination of Algorithm 1
+    /// ([`GossipMode::Full`]) — the baseline the equivalence sweep and the
     /// payload benches compare against.
-    pub full_gossip: bool,
+    pub gossip: GossipMode,
     /// Observability recorder (see [`cupft_obs`]): when set, the node
     /// stamps its [`PhaseMark`] timeline (first gossip → `S_PD` fixpoint →
     /// sink identified → view installed → decided) and records discovery /
     /// detection instruments. `None` (the default) records nothing — the
     /// per-event cost of the disabled path is one `Option` check.
     pub recorder: Option<Arc<Recorder>>,
-    /// If set, the node is a *late joiner*: it stays dormant (sending and
-    /// receiving nothing) until this tick, then bootstraps discovery from
-    /// [`NodeConfig::seed_peers`] and participates normally.
-    pub join_at: Option<Time>,
-    /// Out-of-band bootstrap hints for a late joiner: processes seeded
-    /// into `S_known` (without a PD record) at join time, so the joiner
-    /// has someone to poll even when its own PD is sparse.
-    pub seed_peers: ProcessSet,
-    /// If set, the node departs silently at this tick: it halts forever
-    /// with no goodbye message — indistinguishable, to the rest of the
-    /// system, from a crash.
-    pub leave_at: Option<Time>,
-    /// If set as `(crash_tick, down_for)`, the node crashes at
-    /// `crash_tick`, snapshots its durable discovery state
-    /// ([`DiscoveryState::to_bytes`]), stays down for `down_for` ticks,
-    /// then restores from the snapshot with a bumped membership epoch and
-    /// rejoins discovery.
-    pub crash_recover: Option<(Time, Time)>,
+    /// The churn events this node honours, at most one per kind (see
+    /// [`cupft_adversary::ChurnSpec::events_of`]). `JoinAt`: dormant
+    /// (sending and receiving nothing) until its tick, then seeds `S_known`
+    /// with the seed peers and starts discovery. `LeaveAt`: halts for good
+    /// with no goodbye — to the others, a crash. `CrashRecoverAt`: down at
+    /// its tick holding only the durable record (see [`Node`]), then after
+    /// `down_for` ticks restores discovery from its snapshot
+    /// ([`DiscoveryState::to_bytes`]) with a bumped membership epoch.
+    /// Empty (the default): up from start to end.
+    pub churn: Vec<ChurnEvent>,
     /// Test-only fault: a crash-recovering node restores from a *fresh*
     /// discovery state instead of its snapshot, deliberately violating
     /// recovery-consistency. Exists so the adversarial churn tests can
@@ -83,18 +67,15 @@ impl Default for NodeConfig {
             mode: ProtocolMode::UnknownThreshold,
             discovery_period: 20,
             replica: ReplicaConfig::default(),
-            full_gossip: false,
+            gossip: GossipMode::default(),
             recorder: None,
-            join_at: None,
-            seed_peers: ProcessSet::new(),
-            leave_at: None,
-            crash_recover: None,
+            churn: Vec::new(),
             broken_recovery: false,
         }
     }
 }
 
-/// The protocol phase a node is in.
+/// The protocol phase a node is in, read off its committee and replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Running discovery, identification pending (Algorithm 3 line 2).
@@ -107,7 +88,52 @@ pub enum Phase {
     Learning,
 }
 
+/// Where a node stands in its churn lifecycle.
+#[derive(Debug)]
+enum Presence {
+    /// A late joiner before its join tick.
+    AwaitingJoin,
+    /// Taking part in the protocol.
+    Up,
+    /// Crashed, holding the discovery snapshot it recovers from.
+    Down(Vec<u8>),
+    /// Left the system for good.
+    Departed,
+}
+
+/// The state a crash loses: everything identification and the committee
+/// built on top of discovery. A crash resets it in one assignment.
+#[derive(Debug, Default)]
+struct Volatile {
+    detection: Option<SinkDecomposition>,
+    committee: Option<Committee>,
+    replica: Option<Replica>,
+    /// Committee messages that arrived before identification, in arrival
+    /// order, and how many each sender queued (see `Node::backlog`).
+    committee_backlog: Vec<(ProcessId, CommitteeMsg)>,
+    backlog_by_sender: BTreeMap<ProcessId, usize>,
+    pending_requests: ProcessSet,
+    answers: BTreeMap<Vec<u8>, ProcessSet>,
+    /// The committee members with an unanswered `GetDecidedVal`.
+    learning_gate: PollGate,
+    /// Whether the view changed since the last identification attempt.
+    /// Identification is a pure function of the view in every mode, so
+    /// re-running it on an unchanged view is wasted work — and running it
+    /// on *every* view change (instead of once per discovery tick) is what
+    /// made the candidate search the end-to-end bottleneck at n ≥ a few
+    /// hundred.
+    detect_dirty: bool,
+}
+
 /// A correct BFT-CUP / BFT-CUPFT process.
+///
+/// Its state splits the way a crash does (see
+/// [`NodeConfig::churn`]): the volatile part — identification, the
+/// committee replica, the learning tallies — is lost; the durable record
+/// is the discovery state (kept as a snapshot while the node is down),
+/// the decision with its detection and decision times, and whether the
+/// node has recovered. The [`Phase`] is not stored: it follows from the
+/// volatile committee and replica.
 ///
 /// # Example
 ///
@@ -140,36 +166,17 @@ pub struct Node {
     my_value: Value,
 
     discovery: DiscoveryState,
-    phase: Phase,
-    detection: Option<SinkDecomposition>,
-    committee: Option<Committee>,
-    replica: Option<Replica>,
-    committee_backlog: Vec<(ProcessId, CommitteeMsg)>,
+    presence: Presence,
+    volatile: Volatile,
     decided: Option<Value>,
-    pending_requests: ProcessSet,
-    answers: BTreeMap<Vec<u8>, ProcessSet>,
-    /// The committee members with an unanswered `GetDecidedVal`.
-    learning_gate: PollGate,
-    /// Whether the view changed since the last identification attempt.
-    /// Identification is a pure function of the view in every mode, so
-    /// re-running it on an unchanged view is wasted work — and running it
-    /// on *every* view change (instead of once per discovery tick) is what
-    /// made the candidate search the end-to-end bottleneck at n ≥ a few
-    /// hundred.
-    detect_dirty: bool,
-
     /// Simulated time at which identification succeeded.
     pub detection_time: Option<Time>,
     /// Simulated time at which the node decided.
     pub decided_time: Option<Time>,
+    /// Whether the node has been through a churn crash-recovery.
+    recovered: bool,
     board: Option<Board<Vec<u8>>>,
 
-    // Churn lifecycle (see the CHURN_* timer kinds).
-    awaiting_join: bool,
-    departed: bool,
-    down: bool,
-    recovered: bool,
-    crash_snapshot: Option<Vec<u8>>,
     /// `(tick, S_received)` at the moment of a churn crash — the
     /// recovery-consistency invariant's "before" sample.
     pub crash_view: Option<(Time, ProcessSet)>,
@@ -179,14 +186,6 @@ pub struct Node {
 }
 
 impl Node {
-    fn gossip_of(config: &NodeConfig) -> GossipMode {
-        if config.full_gossip {
-            GossipMode::Full
-        } else {
-            GossipMode::Delta
-        }
-    }
-
     /// Creates a node from its key, the shared registry, its PD, and its
     /// proposal value.
     pub fn new(
@@ -196,8 +195,7 @@ impl Node {
         my_value: Value,
         config: NodeConfig,
     ) -> Self {
-        let discovery =
-            DiscoveryState::new(&key, registry.clone(), pd).with_gossip(Node::gossip_of(&config));
+        let discovery = DiscoveryState::new(&key, registry.clone(), pd).with_gossip(config.gossip);
         Node::with_discovery(key, registry, my_value, config, discovery)
     }
 
@@ -215,24 +213,13 @@ impl Node {
             config,
             my_value,
             discovery,
-            phase: Phase::Discovering,
-            detection: None,
-            committee: None,
-            replica: None,
-            committee_backlog: Vec::new(),
+            presence: Presence::Up,
+            volatile: Volatile::default(),
             decided: None,
-            pending_requests: ProcessSet::new(),
-            answers: BTreeMap::new(),
-            learning_gate: PollGate::default(),
-            detect_dirty: false,
             detection_time: None,
             decided_time: None,
-            board: None,
-            awaiting_join: false,
-            departed: false,
-            down: false,
             recovered: false,
-            crash_snapshot: None,
+            board: None,
             crash_view: None,
             recovery_view: None,
         }
@@ -251,7 +238,7 @@ impl Node {
     ) -> Option<Self> {
         let key = setup.key_of(id)?.clone();
         let discovery = DiscoveryState::from_setup(setup, id)?
-            .with_gossip(Node::gossip_of(&config))
+            .with_gossip(config.gossip)
             .with_shared_pool(setup.pool().clone());
         Some(Node::with_discovery(
             key,
@@ -273,20 +260,25 @@ impl Node {
         self.decided.as_ref()
     }
 
-    /// The node's current phase.
+    /// The node's current phase: discovering until it holds a committee,
+    /// then a member if it runs a replica and a learner otherwise.
     pub fn phase(&self) -> Phase {
-        self.phase
+        match (&self.volatile.committee, &self.volatile.replica) {
+            (None, _) => Phase::Discovering,
+            (Some(_), Some(_)) => Phase::Member,
+            (Some(_), None) => Phase::Learning,
+        }
     }
 
     /// The identification result, if reached.
     pub fn detection(&self) -> Option<&SinkDecomposition> {
-        self.detection.as_ref()
+        self.volatile.detection.as_ref()
     }
 
     /// The committee the identification fixed (members and threshold
     /// `g`), if reached.
     pub(crate) fn committee(&self) -> Option<&Committee> {
-        self.committee.as_ref()
+        self.volatile.committee.as_ref()
     }
 
     /// The discovery state (for assertions on `S_known` / `S_received`).
@@ -296,12 +288,12 @@ impl Node {
 
     /// The committee replica's current view, when this node is a member.
     pub fn replica_view(&self) -> Option<u64> {
-        self.replica.as_ref().map(|r| r.view())
+        self.volatile.replica.as_ref().map(|r| r.view())
     }
 
     /// Whether the node departed via a scheduled churn leave.
     pub fn departed(&self) -> bool {
-        self.departed
+        matches!(self.presence, Presence::Departed)
     }
 
     /// Whether the node has been through a churn crash-recovery.
@@ -313,7 +305,7 @@ impl Node {
     /// silently departed, or down between a churn crash and its recovery.
     /// A dormant node sends and receives nothing.
     fn dormant(&self) -> bool {
-        self.awaiting_join || self.departed || self.down
+        !matches!(self.presence, Presence::Up)
     }
 
     /// Stamps one phase-timeline mark when a recorder is attached.
@@ -353,57 +345,45 @@ impl Node {
         }
     }
 
-    fn on_churn_join(&mut self, ctx: &mut Context<NodeMsg>) {
-        if !self.awaiting_join {
-            return;
+    fn on_churn(&mut self, event: ChurnEvent, ctx: &mut Context<NodeMsg>) {
+        match event {
+            ChurnEvent::JoinAt { seed_peers, .. } => {
+                if !matches!(self.presence, Presence::AwaitingJoin) {
+                    return;
+                }
+                self.presence = Presence::Up;
+                self.discovery.seed_known(&seed_peers);
+                self.churn_event("churn_joins");
+                self.begin_participation(ctx);
+            }
+            ChurnEvent::LeaveAt { .. } => {
+                self.presence = Presence::Departed;
+                self.churn_event("churn_leaves");
+                ctx.halt();
+            }
+            ChurnEvent::CrashRecoverAt { down_for, .. } => {
+                if self.dormant() {
+                    return; // a crash tick cannot hit a node that is not up
+                }
+                // The durable record stays: the discovery snapshot, and the
+                // decision (write-once — the decide-once guard makes
+                // contradicting it structurally impossible) with its times.
+                self.crash_view = Some((ctx.now(), self.discovery.view().received()));
+                self.presence = Presence::Down(self.discovery.to_bytes());
+                self.volatile = Volatile::default();
+                self.churn_event("churn_crashes");
+                ctx.set_timer(RECOVER_TICK, down_for.max(1));
+            }
         }
-        self.awaiting_join = false;
-        let seeds = self.config.seed_peers.clone();
-        self.discovery.seed_known(&seeds);
-        self.churn_event("churn_joins");
-        self.begin_participation(ctx);
-    }
-
-    fn on_churn_leave(&mut self, ctx: &mut Context<NodeMsg>) {
-        self.departed = true;
-        self.churn_event("churn_leaves");
-        ctx.halt();
-    }
-
-    fn on_churn_crash(&mut self, ctx: &mut Context<NodeMsg>) {
-        if self.dormant() {
-            return; // a crash tick cannot hit a node that is not up
-        }
-        let Some((_, down_for)) = self.config.crash_recover else {
-            return;
-        };
-        // Durable state: the discovery snapshot and the decision (a decided
-        // value is write-once and survives the crash — the decide-once
-        // guard makes contradicting it structurally impossible). Everything
-        // else is volatile and lost.
-        self.crash_snapshot = Some(self.discovery.to_bytes());
-        self.crash_view = Some((ctx.now(), self.discovery.view().received()));
-        self.detection = None;
-        self.committee = None;
-        self.replica = None;
-        self.committee_backlog.clear();
-        self.pending_requests = ProcessSet::new();
-        self.answers.clear();
-        self.learning_gate.clear();
-        self.detect_dirty = false;
-        self.phase = Phase::Discovering;
-        self.down = true;
-        self.churn_event("churn_crashes");
-        ctx.set_timer(CHURN_RECOVER_TICK, down_for.max(1));
     }
 
     fn on_churn_recover(&mut self, ctx: &mut Context<NodeMsg>) {
-        if !self.down {
+        let Presence::Down(snapshot) = &mut self.presence else {
             return;
-        }
-        self.down = false;
+        };
+        let snapshot = std::mem::take(snapshot);
+        self.presence = Presence::Up;
         self.recovered = true;
-        let snapshot = self.crash_snapshot.take().unwrap_or_default();
         let restored = if self.config.broken_recovery {
             // Deliberate defect (test-only): forget everything learned
             // before the crash and restart discovery from the bare PD.
@@ -414,7 +394,7 @@ impl Node {
                 .cloned()
                 .unwrap_or_default();
             DiscoveryState::new(&self.key, self.registry.clone(), own_pd)
-                .with_gossip(Node::gossip_of(&self.config))
+                .with_gossip(self.config.gossip)
         } else {
             DiscoveryState::from_bytes(&snapshot, self.registry.clone())
                 .expect("crash snapshot was produced by to_bytes")
@@ -425,8 +405,7 @@ impl Node {
         restored.bump_epoch();
         self.recovery_view = Some((ctx.now(), restored.view().received()));
         self.discovery = restored;
-        self.phase = Phase::Discovering;
-        self.detect_dirty = true;
+        self.volatile.detect_dirty = true;
         self.churn_event("churn_recoveries");
         self.send_discovery_round(ctx);
         self.try_detect(ctx);
@@ -434,7 +413,7 @@ impl Node {
     }
 
     fn try_detect(&mut self, ctx: &mut Context<NodeMsg>) {
-        if self.detection.is_some() {
+        if self.volatile.detection.is_some() {
             return;
         }
         if let Some(rec) = &self.config.recorder {
@@ -459,10 +438,11 @@ impl Node {
         // replica. It rejoins passively and adopts the committee's
         // decision through the ⌈(|S|+1)/2⌉ learning backstop instead.
         let is_member = committee.contains(self.id) && !self.recovered;
-        self.detection = Some(detection);
-        self.committee = Some(committee.clone());
+        self.volatile.detection = Some(detection);
+        self.volatile.committee = Some(committee.clone());
+        // View 0 is installed the moment the replica starts; learners
+        // install the committee (their "view") at adoption too.
         if is_member {
-            self.phase = Phase::Member;
             let mut replica = Replica::new(
                 self.key.clone(),
                 self.registry.clone(),
@@ -471,15 +451,14 @@ impl Node {
                 self.config.replica,
             );
             let fx = replica.start();
-            self.replica = Some(replica);
-            // View 0 is installed the moment the replica starts; learners
-            // install the committee (their "view") at adoption too.
+            self.volatile.replica = Some(replica);
             self.mark(PhaseMark::ViewInstalled, ctx.now());
             self.apply_replica_effects(fx, ctx);
             // Drain committee messages that arrived before identification.
-            let backlog = std::mem::take(&mut self.committee_backlog);
+            let backlog = std::mem::take(&mut self.volatile.committee_backlog);
             for (from, msg) in backlog {
                 let fx = self
+                    .volatile
                     .replica
                     .as_mut()
                     .expect("replica just created")
@@ -487,9 +466,32 @@ impl Node {
                 self.apply_replica_effects(fx, ctx);
             }
         } else {
-            self.phase = Phase::Learning;
             self.mark(PhaseMark::ViewInstalled, ctx.now());
             self.send_learning_round(ctx);
+        }
+    }
+
+    /// Queues a committee message that arrived before identification,
+    /// within a whole-backlog cap and a per-sender bound, so one
+    /// flooding sender cannot crowd out the leader's pre-prepare.
+    fn backlog(&mut self, from: ProcessId, msg: CommitteeMsg) {
+        const BACKLOG_CAP: usize = 8192;
+        // An honest member never reaches this before the receiver
+        // identifies: it sends at most four committee messages per view
+        // (pre-prepare, prepare, commit, view change), and no correct
+        // member enters view `v` before some correct member's timer ran
+        // out in every earlier view. Those timers double up to 256 × the
+        // base, so 1 024 messages take over 250 views: more than 25 M
+        // ticks at the default base of 400.
+        const BACKLOG_PER_SENDER: usize = 1024;
+        let v = &mut self.volatile;
+        if v.committee_backlog.len() >= BACKLOG_CAP {
+            return;
+        }
+        let queued = v.backlog_by_sender.entry(from).or_default();
+        if *queued < BACKLOG_PER_SENDER {
+            *queued += 1;
+            v.committee_backlog.push((from, msg));
         }
     }
 
@@ -497,15 +499,16 @@ impl Node {
     /// member, minus the members whose last request is still unanswered
     /// and not yet due for a re-poll ([`PollGate`]).
     fn send_learning_round(&mut self, ctx: &mut Context<NodeMsg>) {
-        let Some(committee) = &self.committee else {
+        let v = &mut self.volatile;
+        let Some(committee) = &v.committee else {
             return;
         };
         for &member in committee.members() {
-            if member != self.id && self.learning_gate.poll(member) {
+            if member != self.id && v.learning_gate.poll(member) {
                 ctx.send(member, NodeMsg::GetDecidedVal);
             }
         }
-        let deferred = self.learning_gate.take_deferred();
+        let deferred = v.learning_gate.take_deferred();
         if let Some(rec) = &self.config.recorder {
             rec.counter_add("polls_deferred", deferred);
         }
@@ -533,34 +536,33 @@ impl Node {
             board.publish(self.id, value.to_vec());
         }
         self.decided = Some(value.clone());
-        let pending = std::mem::take(&mut self.pending_requests);
+        let pending = std::mem::take(&mut self.volatile.pending_requests);
         for requester in pending {
             ctx.send(requester, NodeMsg::DecidedVal(value.clone()));
         }
     }
 
     fn on_decided_val(&mut self, from: ProcessId, value: Value, ctx: &mut Context<NodeMsg>) {
-        self.learning_gate.answered(from);
-        if self.decided.is_some() || self.phase == Phase::Discovering {
-            return;
-        }
-        let Some(committee) = &self.committee else {
-            return;
-        };
-        if !committee.contains(from) {
-            return;
-        }
+        self.volatile.learning_gate.answered(from);
         // Algorithm 3 line 7: a learner needs ⌈(|S|+1)/2⌉ identical
         // answers from distinct members. An undecided member needs g + 1:
         // its quorums already assume at most g Byzantine members, so g + 1
         // answers include a correct member's decision, and a member whose
         // own vote is missing may never see ⌈(|S|+1)/2⌉ others answer
         // (docs/PAPER_MAP.md, Algorithm 3).
-        let needed = match self.phase {
+        let phase = self.phase();
+        let v = &mut self.volatile;
+        let Some(committee) = &v.committee else {
+            return;
+        };
+        if self.decided.is_some() || !committee.contains(from) {
+            return;
+        }
+        let needed = match phase {
             Phase::Member => committee.fault_threshold() + 1,
             Phase::Discovering | Phase::Learning => committee.learning_threshold(),
         };
-        let tally = self.answers.entry(value.to_vec()).or_default();
+        let tally = v.answers.entry(value.to_vec()).or_default();
         tally.insert(from);
         if tally.len() >= needed {
             self.set_decided(value, ctx);
@@ -578,20 +580,20 @@ impl Actor<NodeMsg> for Node {
     }
 
     fn on_start(&mut self, ctx: &mut Context<NodeMsg>) {
-        if let Some(at) = self.config.leave_at {
-            ctx.set_timer(CHURN_LEAVE_TICK, at.saturating_sub(ctx.now()));
+        for (i, event) in self.config.churn.iter().enumerate() {
+            ctx.set_timer(
+                CHURN_TICK + i as u64,
+                event.tick().saturating_sub(ctx.now()),
+            );
         }
-        if let Some((at, _)) = self.config.crash_recover {
-            ctx.set_timer(CHURN_CRASH_TICK, at.saturating_sub(ctx.now()));
+        // A late joiner is dormant until its join tick: no first-gossip
+        // mark, no discovery round, and every delivery is swallowed.
+        let joins = |e: &ChurnEvent| matches!(e, ChurnEvent::JoinAt { .. });
+        if self.config.churn.iter().any(joins) {
+            self.presence = Presence::AwaitingJoin;
+        } else {
+            self.begin_participation(ctx);
         }
-        if let Some(at) = self.config.join_at {
-            // Dormant until the join tick: no first-gossip mark, no
-            // discovery round, and every delivery is swallowed.
-            self.awaiting_join = true;
-            ctx.set_timer(CHURN_JOIN_TICK, at.saturating_sub(ctx.now()));
-            return;
-        }
-        self.begin_participation(ctx);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: NodeMsg, ctx: &mut Context<NodeMsg>) {
@@ -614,28 +616,23 @@ impl Actor<NodeMsg> for Node {
                     // change this node ever absorbs *is* its local `S_PD`
                     // fixpoint time.
                     self.mark(PhaseMark::SpdFixpoint, ctx.now());
-                    if self.phase == Phase::Discovering {
-                        self.detect_dirty = true;
+                    if self.phase() == Phase::Discovering {
+                        self.volatile.detect_dirty = true;
                     }
                 }
             }
-            NodeMsg::Committee(m) => match &mut self.replica {
+            NodeMsg::Committee(m) => match &mut self.volatile.replica {
                 Some(replica) => {
                     let fx = replica.handle(from, *m);
                     self.apply_replica_effects(fx, ctx);
                 }
-                None => {
-                    const BACKLOG_CAP: usize = 8192;
-                    if self.committee_backlog.len() < BACKLOG_CAP {
-                        self.committee_backlog.push((from, *m));
-                    }
-                }
+                None => self.backlog(from, *m),
             },
             NodeMsg::GetDecidedVal => match &self.decided {
                 Some(value) => ctx.send(from, NodeMsg::DecidedVal(value.clone())),
                 None => {
                     // Algorithm 3 line 9: wait until val ≠ ⊥, then answer.
-                    self.pending_requests.insert(from);
+                    self.volatile.pending_requests.insert(from);
                 }
             },
             NodeMsg::DecidedVal(value) => self.on_decided_val(from, value, ctx),
@@ -646,12 +643,12 @@ impl Actor<NodeMsg> for Node {
         // Churn timers fire *through* dormancy: the join tick is what ends
         // the pre-join dormancy, and the recover tick is what ends the
         // down window.
-        match timer {
-            CHURN_JOIN_TICK => return self.on_churn_join(ctx),
-            CHURN_LEAVE_TICK => return self.on_churn_leave(ctx),
-            CHURN_CRASH_TICK => return self.on_churn_crash(ctx),
-            CHURN_RECOVER_TICK => return self.on_churn_recover(ctx),
-            _ => {}
+        if timer == RECOVER_TICK {
+            return self.on_churn_recover(ctx);
+        }
+        let churn = timer.checked_sub(CHURN_TICK);
+        if let Some(event) = churn.and_then(|i| self.config.churn.get(i as usize)) {
+            return self.on_churn(event.clone(), ctx);
         }
         if self.dormant() {
             // Pre-crash discovery/view timers landing in the down window
@@ -660,27 +657,23 @@ impl Actor<NodeMsg> for Node {
         }
         match timer {
             DISCOVERY_TICK => {
-                match self.phase {
+                match self.phase() {
                     Phase::Discovering => {
                         self.send_discovery_round(ctx);
-                        if std::mem::take(&mut self.detect_dirty) {
+                        if std::mem::take(&mut self.volatile.detect_dirty) {
                             self.try_detect(ctx);
                         }
                     }
-                    Phase::Learning => {
-                        if self.decided.is_none() {
-                            self.send_learning_round(ctx);
-                        }
-                    }
-                    Phase::Member => {
-                        // The committee drives itself via view timers; as a
-                        // liveness backstop, an undecided member also polls
-                        // its peers for the decided value (the state-
-                        // transfer role of checkpoints in full PBFT —
-                        // g + 1 matching answers are safe to adopt, see
-                        // `on_decided_val`). A decided replica drops every
-                        // committee message, so this is the only way a
-                        // member that missed the commit quorum catches up.
+                    Phase::Learning | Phase::Member => {
+                        // A learner polls the committee until it decides.
+                        // A member's committee drives itself via view
+                        // timers; as a liveness backstop, an undecided
+                        // member polls its peers too (the state-transfer
+                        // role of checkpoints in full PBFT — g + 1 matching
+                        // answers are safe to adopt, see `on_decided_val`).
+                        // A decided replica drops every committee message,
+                        // so this is the only way a member that missed the
+                        // commit quorum catches up.
                         if self.decided.is_none() {
                             self.send_learning_round(ctx);
                         }
@@ -694,7 +687,9 @@ impl Actor<NodeMsg> for Node {
                 }
             }
             kind => {
-                if let (Some(view), Some(replica)) = (view_of_timer(kind), &mut self.replica) {
+                if let (Some(view), Some(replica)) =
+                    (view_of_timer(kind), &mut self.volatile.replica)
+                {
                     let fx = replica.on_timeout(view);
                     self.apply_replica_effects(fx, ctx);
                 }
@@ -736,24 +731,35 @@ mod tests {
         )
     }
 
+    fn crash_recover(tick: Time, down_for: Time) -> ChurnEvent {
+        ChurnEvent::CrashRecoverAt {
+            tick,
+            node: ProcessId::new(1),
+            down_for,
+        }
+    }
+
     #[test]
     fn late_joiner_is_dormant_until_join_tick() {
         let mut node = test_node(NodeConfig {
-            join_at: Some(100),
-            seed_peers: [ProcessId::new(3)].into_iter().collect(),
+            churn: vec![ChurnEvent::JoinAt {
+                tick: 100,
+                node: ProcessId::new(1),
+                seed_peers: [ProcessId::new(3)].into_iter().collect(),
+            }],
             ..NodeConfig::default()
         });
         let mut ctx = Context::new(0, ProcessId::new(1));
         node.on_start(&mut ctx);
         assert!(ctx.queued_sends().is_empty(), "dormant joiner sent");
-        assert_eq!(ctx.queued_timers(), &[(CHURN_JOIN_TICK, 100)]);
+        assert_eq!(ctx.queued_timers(), &[(CHURN_TICK, 100)]);
         // Deliveries before the join tick are swallowed.
         let mut ctx = Context::new(10, ProcessId::new(1));
         node.on_message(ProcessId::new(2), NodeMsg::GetDecidedVal, &mut ctx);
         assert!(ctx.queued_sends().is_empty());
         // The join tick seeds knowledge and opens discovery.
         let mut ctx = Context::new(100, ProcessId::new(1));
-        node.on_timer(CHURN_JOIN_TICK, &mut ctx);
+        node.on_timer(CHURN_TICK, &mut ctx);
         assert!(!ctx.queued_sends().is_empty(), "joiner did not gossip");
         assert!(node.discovery().view().known().contains(&ProcessId::new(3)));
     }
@@ -761,14 +767,17 @@ mod tests {
     #[test]
     fn leaver_halts_at_leave_tick() {
         let mut node = test_node(NodeConfig {
-            leave_at: Some(50),
+            churn: vec![ChurnEvent::LeaveAt {
+                tick: 50,
+                node: ProcessId::new(1),
+            }],
             ..NodeConfig::default()
         });
         let mut ctx = Context::new(0, ProcessId::new(1));
         node.on_start(&mut ctx);
-        assert!(ctx.queued_timers().contains(&(CHURN_LEAVE_TICK, 50)));
+        assert!(ctx.queued_timers().contains(&(CHURN_TICK, 50)));
         let mut ctx = Context::new(50, ProcessId::new(1));
-        node.on_timer(CHURN_LEAVE_TICK, &mut ctx);
+        node.on_timer(CHURN_TICK, &mut ctx);
         assert!(ctx.is_halted());
         assert!(node.departed());
     }
@@ -776,14 +785,14 @@ mod tests {
     #[test]
     fn crash_recovery_restores_the_pre_crash_view() {
         let mut node = test_node(NodeConfig {
-            crash_recover: Some((30, 50)),
+            churn: vec![crash_recover(30, 50)],
             ..NodeConfig::default()
         });
         let mut ctx = Context::new(0, ProcessId::new(1));
         node.on_start(&mut ctx);
         let mut ctx = Context::new(30, ProcessId::new(1));
-        node.on_timer(CHURN_CRASH_TICK, &mut ctx);
-        assert_eq!(ctx.queued_timers(), &[(CHURN_RECOVER_TICK, 50)]);
+        node.on_timer(CHURN_TICK, &mut ctx);
+        assert_eq!(ctx.queued_timers(), &[(RECOVER_TICK, 50)]);
         let (crash_at, crash_set) = node.crash_view.clone().expect("crash sampled");
         assert_eq!(crash_at, 30);
         // Down: deliveries are swallowed.
@@ -792,7 +801,7 @@ mod tests {
         assert!(ctx.queued_sends().is_empty());
         // Recovery restores the snapshot view exactly.
         let mut ctx = Context::new(80, ProcessId::new(1));
-        node.on_timer(CHURN_RECOVER_TICK, &mut ctx);
+        node.on_timer(RECOVER_TICK, &mut ctx);
         assert!(node.recovered());
         let (rec_at, rec_set) = node.recovery_view.clone().expect("recovery sampled");
         assert_eq!(rec_at, 80);
@@ -803,7 +812,7 @@ mod tests {
     #[test]
     fn broken_recovery_loses_the_pre_crash_view() {
         let mut node = test_node(NodeConfig {
-            crash_recover: Some((30, 50)),
+            churn: vec![crash_recover(30, 50)],
             broken_recovery: true,
             ..NodeConfig::default()
         });
@@ -813,9 +822,9 @@ mod tests {
         // learning a peer directly through the crash/recover cycle check:
         // the restored state must start from the bare own PD again.
         let mut ctx = Context::new(30, ProcessId::new(1));
-        node.on_timer(CHURN_CRASH_TICK, &mut ctx);
+        node.on_timer(CHURN_TICK, &mut ctx);
         let mut ctx = Context::new(80, ProcessId::new(1));
-        node.on_timer(CHURN_RECOVER_TICK, &mut ctx);
+        node.on_timer(RECOVER_TICK, &mut ctx);
         assert!(node.recovered());
         // Fresh state: only the node's own record is present.
         assert_eq!(node.discovery().view().received().len(), 1);
@@ -834,7 +843,11 @@ mod tests {
             NodeConfig {
                 mode: ProtocolMode::KnownThreshold(1),
                 recorder: Some(recorder.clone()),
-                crash_recover: Some((220, 50)),
+                churn: vec![ChurnEvent::CrashRecoverAt {
+                    tick: 220,
+                    node: me,
+                    down_for: 50,
+                }],
                 ..NodeConfig::default()
             },
         )
@@ -880,9 +893,9 @@ mod tests {
         assert_eq!(report.counter("polls_deferred"), 3 * 7 + 7);
         // A churn crash forgets every unanswered request: the recovered
         // learner polls every member at once.
-        node.on_timer(CHURN_CRASH_TICK, &mut Context::new(220, me));
+        node.on_timer(CHURN_TICK, &mut Context::new(220, me));
         let mut ctx = Context::new(270, me);
-        node.on_timer(CHURN_RECOVER_TICK, &mut ctx);
+        node.on_timer(RECOVER_TICK, &mut ctx);
         assert_eq!(node.phase(), Phase::Learning);
         assert_eq!(polled(&ctx), cupft_graph::process_set([1, 2, 3, 4]));
     }

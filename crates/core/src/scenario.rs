@@ -14,9 +14,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cupft_adversary::{ChurnSpec, TamperSpec};
+use cupft_adversary::{ChurnEvent, ChurnSpec, TamperSpec};
 use cupft_committee::{Committee, Value};
 use cupft_detector::SystemSetup;
+use cupft_discovery::GossipMode;
 use cupft_graph::{DiGraph, ProcessId, ProcessSet};
 use cupft_net::sim::Simulation;
 use cupft_net::socket::{SocketConfig, SocketRuntime};
@@ -72,9 +73,8 @@ pub struct Scenario {
     pub discovery_period: u64,
     /// Committee view-timeout base.
     pub view_timeout_base: u64,
-    /// Run correct nodes with the full-`S_PD` baseline dissemination
-    /// instead of delta gossip (see [`NodeConfig::full_gossip`]).
-    pub full_gossip: bool,
+    /// How correct nodes disseminate `S_PD` (see [`NodeConfig::gossip`]).
+    pub gossip: GossipMode,
     /// Wall-clock budget when run on the threaded substrate (default
     /// 60 s). Generous budgets are a scale knob, not a correctness one —
     /// the run still stops the moment every correct node has decided.
@@ -112,7 +112,7 @@ impl Scenario {
             },
             discovery_period: 20,
             view_timeout_base: 400,
-            full_gossip: false,
+            gossip: GossipMode::default(),
             threaded_wall_timeout: None,
             observe: false,
         }
@@ -177,11 +177,10 @@ impl Scenario {
         self
     }
 
-    /// Selects the full-`S_PD` baseline dissemination for correct nodes
-    /// (delta gossip is the default) — what the equivalence sweep and the
-    /// payload benches compare against.
-    pub fn with_full_gossip(mut self, full: bool) -> Self {
-        self.full_gossip = full;
+    /// Selects how correct nodes disseminate `S_PD` (see
+    /// [`Scenario::gossip`]).
+    pub fn with_gossip(mut self, gossip: GossipMode) -> Self {
+        self.gossip = gossip;
         self
     }
 
@@ -558,7 +557,7 @@ fn populate<R: Runtime<NodeMsg>>(
         replica: cupft_committee::ReplicaConfig {
             timeout_base: scenario.view_timeout_base,
         },
-        full_gossip: scenario.full_gossip,
+        gossip: scenario.gossip,
         ..NodeConfig::default()
     };
     for v in scenario.graph.vertices() {
@@ -571,20 +570,22 @@ fn populate<R: Runtime<NodeMsg>>(
                 &protocol,
             ));
         } else {
-            let churn = scenario.churn.as_ref();
-            let join = churn.and_then(|c| c.join_of(v));
+            let churn = scenario
+                .churn
+                .as_ref()
+                .map(|c| c.events_of(v))
+                .unwrap_or_default();
+            let is_leaver = churn
+                .iter()
+                .any(|e| matches!(e, ChurnEvent::LeaveAt { .. }));
             let config = NodeConfig {
                 recorder: recorder.cloned(),
-                join_at: join.map(|(tick, _)| tick),
-                seed_peers: join.map(|(_, seeds)| seeds.clone()).unwrap_or_default(),
-                leave_at: churn.and_then(|c| c.leave_of(v)),
-                crash_recover: churn.and_then(|c| c.crash_recover_of(v)),
+                churn,
                 broken_recovery: scenario.broken_recovery,
                 ..protocol.clone()
             };
             let mut node = Node::from_setup(setup, v, scenario.value_of(v), config)
                 .expect("vertex registered");
-            let is_leaver = churn.is_some_and(|c| c.leave_of(v).is_some());
             if !is_leaver {
                 // A scheduled leaver does not report to the board: it may
                 // decide before departing, but the run must not stop (or

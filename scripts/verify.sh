@@ -12,6 +12,10 @@
 #                              # feasible-part enumeration, the cupft-core
 #                              # unit tests, incl. the Core guard and the
 #                              # one identification gate per view change,
+#                              # the node_paths white-box tests of the
+#                              # node's lifecycle: learning, answers, a
+#                              # departure, a one-sender flood of the
+#                              # pre-identification committee backlog,
 #                              # and the proptest_graph kernel-vs-oracle
 #                              # properties), the cupft-committee unit
 #                              # tests (the signed-field and cross-kind
@@ -137,6 +141,8 @@ else
     cargo test -q -p cupft-graph --lib
     echo "==> cargo test -q -p cupft-core --lib (quick gate)"
     cargo test -q -p cupft-core --lib
+    echo "==> cargo test -q --test node_paths (quick gate)"
+    cargo test -q --test node_paths
     echo "==> cargo test -q -p cupft-committee --lib (quick gate)"
     cargo test -q -p cupft-committee --lib
     echo "==> cargo test -q -p cupft-adversary --lib (quick gate)"

@@ -157,7 +157,7 @@ fn assert_churn_cell_green(family: &GraphFamily, spec: &ChurnSpec, outcome: &Sce
         "{name}: the late joiner must still decide"
     );
     let leaver = *spec.leavers().iter().next().expect("one leaver");
-    let leaver_scheduled_early = spec.leave_of(leaver).unwrap() < 1_000;
+    let leaver_scheduled_early = spec.events_of(leaver)[0].tick() < 1_000;
     if leaver_scheduled_early {
         assert_eq!(
             outcome.statuses[&leaver],

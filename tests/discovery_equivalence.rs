@@ -169,13 +169,13 @@ fn delta_views_match_full_baseline_on_threads() {
 /// 400 000 horizon) with the full-`S_PD` baseline or delta gossip. Every
 /// run must solve consensus with one committee. On threads the tick knobs
 /// read as milliseconds: a 200 ms discovery period and a 4 s view timeout.
-fn consensus_outcomes(full_gossip: bool, kind: RuntimeKind) -> Vec<(String, ScenarioOutcome)> {
+fn consensus_outcomes(gossip: GossipMode, kind: RuntimeKind) -> Vec<(String, ScenarioOutcome)> {
     let cells: Vec<(String, Scenario)> = family_graphs()
         .into_iter()
         .map(|(label, graph)| {
             let mut scenario = Scenario::new(graph, ProtocolMode::KnownThreshold(1))
                 .with_horizon(400_000)
-                .with_full_gossip(full_gossip);
+                .with_gossip(gossip);
             if kind == RuntimeKind::Threaded {
                 scenario.discovery_period = 200;
                 scenario.view_timeout_base = 4_000;
@@ -191,7 +191,7 @@ fn consensus_outcomes(full_gossip: bool, kind: RuntimeKind) -> Vec<(String, Scen
             let check = outcome.check();
             assert!(
                 check.consensus_solved() && check.committee_agreement,
-                "{label} (full gossip: {full_gossip}) on {}: {check:?}",
+                "{label} ({gossip:?} gossip) on {}: {check:?}",
                 kind.label()
             );
             (label, outcome)
@@ -202,8 +202,8 @@ fn consensus_outcomes(full_gossip: bool, kind: RuntimeKind) -> Vec<(String, Scen
 /// Identical decisions and identifications between modes on the simulator.
 #[test]
 fn delta_decisions_match_full_baseline_on_simulation() {
-    let full = consensus_outcomes(true, RuntimeKind::Sim);
-    let delta = consensus_outcomes(false, RuntimeKind::Sim);
+    let full = consensus_outcomes(GossipMode::Full, RuntimeKind::Sim);
+    let delta = consensus_outcomes(GossipMode::Delta, RuntimeKind::Sim);
     for ((label, f), (_, d)) in full.iter().zip(&delta) {
         assert_eq!(
             f.decisions, d.decisions,
@@ -218,8 +218,8 @@ fn delta_decisions_match_full_baseline_on_simulation() {
 /// identified committee — are compared, not timings).
 #[test]
 fn delta_decisions_match_full_baseline_on_threads() {
-    let full = consensus_outcomes(true, RuntimeKind::Threaded);
-    let delta = consensus_outcomes(false, RuntimeKind::Threaded);
+    let full = consensus_outcomes(GossipMode::Full, RuntimeKind::Threaded);
+    let delta = consensus_outcomes(GossipMode::Delta, RuntimeKind::Threaded);
     for ((label, f), (_, d)) in full.iter().zip(&delta) {
         assert_eq!(
             f.check().decided_values,

@@ -1,8 +1,8 @@
 //! Node-level white-box tests: the Algorithm 3 learning path, the answer
 //! protocol, and crash behavior, driven by hand through `Context`.
 
-use bft_cupft::committee::Value;
-use bft_cupft::core::{Node, NodeConfig, NodeMsg, Phase, ProtocolMode, CHURN_LEAVE_TICK};
+use bft_cupft::committee::{CommitteeMsg, Value};
+use bft_cupft::core::{ChurnEvent, Node, NodeConfig, NodeMsg, Phase, ProtocolMode};
 use bft_cupft::detector::SystemSetup;
 use bft_cupft::discovery::{DiscoveryMsg, SyncState, DISCOVERY_TICK};
 use bft_cupft::graph::{fig1b, process_set, ProcessId};
@@ -213,7 +213,10 @@ fn crashed_node_stops_mid_protocol() {
         Value::from_static(b"mine"),
         NodeConfig {
             mode: ProtocolMode::KnownThreshold(1),
-            leave_at: Some(15),
+            churn: vec![ChurnEvent::LeaveAt {
+                tick: 15,
+                node: p(7),
+            }],
             ..NodeConfig::default()
         },
     )
@@ -221,8 +224,15 @@ fn crashed_node_stops_mid_protocol() {
     let mut ctx = Context::new(0, p(7));
     node.on_start(&mut ctx);
     assert!(!ctx.queued_sends().is_empty(), "alive before the crash");
+    // The leave timer is the one start armed for tick 15.
+    let leave_tick = ctx
+        .queued_timers()
+        .iter()
+        .find(|&&(_, delay)| delay == 15)
+        .expect("leave timer armed")
+        .0;
     let mut ctx = Context::new(15, p(7));
-    node.on_timer(CHURN_LEAVE_TICK, &mut ctx);
+    node.on_timer(leave_tick, &mut ctx);
     let mut ctx = Context::new(20, p(7));
     node.on_message(p(1), NodeMsg::GetDecidedVal, &mut ctx);
     node.on_timer(bft_cupft::discovery::DISCOVERY_TICK, &mut ctx);
@@ -261,4 +271,58 @@ fn member_node_starts_replica_and_proposes() {
         .filter(|(_, m)| matches!(m, NodeMsg::Committee(_)))
         .count();
     assert!(proposals >= 4, "leader must broadcast its pre-prepare");
+}
+
+/// ROADMAP item 11: one sender cannot fill the pre-identification
+/// committee backlog. Process 5 floods member 2 with 8 192 junk votes
+/// before 2 identifies; the view-0 leader's pre-prepare, delivered after
+/// the flood, must still be queued, so identifying makes 2 broadcast its
+/// view-0 prepare.
+#[test]
+fn committee_backlog_flood_from_one_sender_keeps_the_leaders_proposal() {
+    let fig = fig1b();
+    let setup = SystemSetup::new(fig.graph());
+    let mut node = Node::from_setup(
+        &setup,
+        p(2),
+        Value::from_static(b"mine"),
+        NodeConfig {
+            mode: ProtocolMode::KnownThreshold(1),
+            ..NodeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut ctx = Context::new(10, p(2));
+    let flooder = setup.key_of(p(5)).unwrap();
+    for view in 0..8_192u64 {
+        let junk = CommitteeMsg::prepare(flooder, view, [0xAB; 32]);
+        node.on_message(p(5), junk.into(), &mut ctx);
+    }
+    let leader = setup.key_of(p(1)).unwrap();
+    let proposal = CommitteeMsg::pre_prepare(leader, 0, Value::from_static(b"lead"), vec![]);
+    node.on_message(p(1), proposal.into(), &mut ctx);
+    assert!(
+        ctx.queued_sends().is_empty(),
+        "nothing sent before identifying"
+    );
+    let certs: Vec<_> = fig
+        .graph()
+        .vertices()
+        .map(|v| setup.shared_certificate_for(v).unwrap())
+        .collect();
+    node.on_message(p(3), set_pds(certs), &mut ctx);
+    node.on_timer(DISCOVERY_TICK, &mut ctx);
+    assert_eq!(node.phase(), Phase::Member);
+    let prepared_to: Vec<u64> = ctx
+        .queued_sends()
+        .iter()
+        .filter_map(|(to, m)| match m {
+            NodeMsg::Committee(c) => match **c {
+                CommitteeMsg::Prepare { view: 0, .. } => Some(to.raw()),
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect();
+    assert_eq!(prepared_to, [1, 2, 3, 4], "member 2 prepares view 0");
 }
