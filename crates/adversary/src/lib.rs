@@ -15,7 +15,7 @@
 //!   Protocol crates compile specs into boxed actors for their message
 //!   type.
 //! * **[`TamperSpec`]** ([`sched`]) — network-side adversaries (reorder
-//!   windows, targeted slow-downs, within-model drops) described as data
+//!   windows, within-model drops) described as data
 //!   and compiled onto the [`cupft_net::Tamper`] interception hook, so one
 //!   schedule runs on both the simulator and the threaded runtime.
 //! * **Shrinking** ([`shrink`](fn@shrink)) — given a violating assignment

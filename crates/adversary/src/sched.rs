@@ -30,14 +30,6 @@ pub enum TamperSpec {
         /// Seed of the tamper's own RNG.
         seed: u64,
     },
-    /// Adds a fixed extra delay to every message *sent by* one of
-    /// `senders`.
-    DelayFrom {
-        /// The slowed senders.
-        senders: ProcessSet,
-        /// Extra delay (ticks / milliseconds).
-        extra: Time,
-    },
     /// Drops every message *sent by* one of `senders`. Within the model
     /// only when those senders are faulty.
     DropFrom {
@@ -54,9 +46,6 @@ impl TamperSpec {
         let set = crate::fmt_process_set;
         match self {
             TamperSpec::ReorderWindow { window, .. } => format!("reorder<{window}"),
-            TamperSpec::DelayFrom { senders, extra } => {
-                format!("slow{}+{extra}", set(senders))
-            }
             TamperSpec::DropFrom { senders } => format!("drop{}", set(senders)),
             TamperSpec::Chain(parts) => {
                 let labels: Vec<String> = parts.iter().map(|p| p.label()).collect();
@@ -71,10 +60,6 @@ impl TamperSpec {
             TamperSpec::ReorderWindow { window, seed } => Box::new(ReorderTamper {
                 window: *window,
                 rng: StdRng::seed_from_u64(*seed),
-            }),
-            TamperSpec::DelayFrom { senders, extra } => Box::new(DelayFromTamper {
-                senders: senders.clone(),
-                extra: *extra,
             }),
             TamperSpec::DropFrom { senders } => Box::new(DropFromTamper {
                 senders: senders.clone(),
@@ -97,21 +82,6 @@ impl<M> Tamper<M> for ReorderTamper {
             Fate::Deliver
         } else {
             Fate::Delay(self.rng.random_range(0..=self.window))
-        }
-    }
-}
-
-struct DelayFromTamper {
-    senders: ProcessSet,
-    extra: Time,
-}
-
-impl<M> Tamper<M> for DelayFromTamper {
-    fn disposition(&mut self, from: ProcessId, _: ProcessId, _: &'static str, _: Time) -> Fate {
-        if self.senders.contains(&from) {
-            Fate::Delay(self.extra)
-        } else {
-            Fate::Deliver
         }
     }
 }
@@ -188,17 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_from_targets_senders_only() {
-        let mut t: Box<dyn Tamper<u32>> = TamperSpec::DelayFrom {
-            senders: process_set([4]),
-            extra: 100,
-        }
-        .build();
-        assert_eq!(t.disposition(p(4), p(1), "X", 0), Fate::Delay(100));
-        assert_eq!(t.disposition(p(1), p(4), "X", 0), Fate::Deliver);
-    }
-
-    #[test]
     fn drop_from_silences_senders() {
         let mut t: Box<dyn Tamper<u32>> = TamperSpec::DropFrom {
             senders: process_set([4]),
@@ -210,24 +169,31 @@ mod tests {
 
     #[test]
     fn chain_combines_drop_wins_delays_add() {
-        let mut t: Box<dyn Tamper<u32>> = TamperSpec::Chain(vec![
-            TamperSpec::DelayFrom {
-                senders: process_set([1]),
-                extra: 10,
-            },
-            TamperSpec::DelayFrom {
-                senders: process_set([1, 2]),
-                extra: 5,
-            },
-            TamperSpec::DropFrom {
-                senders: process_set([3]),
-            },
-        ])
-        .build();
-        assert_eq!(t.disposition(p(1), p(9), "X", 0), Fate::Delay(15));
-        assert_eq!(t.disposition(p(2), p(9), "X", 0), Fate::Delay(5));
-        assert_eq!(t.disposition(p(3), p(9), "X", 0), Fate::Drop);
-        assert_eq!(t.disposition(p(9), p(1), "X", 0), Fate::Deliver);
+        let reorder = |seed| TamperSpec::ReorderWindow { window: 50, seed };
+        let drop3 = TamperSpec::DropFrom {
+            senders: process_set([3]),
+        };
+        let mut chain: Box<dyn Tamper<u32>> =
+            TamperSpec::Chain(vec![reorder(1), reorder(2), drop3]).build();
+        let mut a: Box<dyn Tamper<u32>> = reorder(1).build();
+        let mut b: Box<dyn Tamper<u32>> = reorder(2).build();
+        let delay = |fate: Fate| match fate {
+            Fate::Deliver => 0,
+            Fate::Delay(d) => d,
+            Fate::Drop => panic!("reorder never drops"),
+        };
+        for now in 0..32 {
+            // The drop is the last part, so both reorders see every message.
+            let (from, to) = (p(now % 4), p(9));
+            let sum =
+                delay(a.disposition(from, to, "X", now)) + delay(b.disposition(from, to, "X", now));
+            let want = match (from == p(3), sum) {
+                (true, _) => Fate::Drop,
+                (false, 0) => Fate::Deliver,
+                (false, d) => Fate::Delay(d),
+            };
+            assert_eq!(chain.disposition(from, to, "X", now), want, "at {now}");
+        }
     }
 
     #[test]
@@ -241,11 +207,10 @@ mod tests {
         );
         let chain = TamperSpec::Chain(vec![
             TamperSpec::ReorderWindow { window: 9, seed: 0 },
-            TamperSpec::DelayFrom {
+            TamperSpec::DropFrom {
                 senders: process_set([1]),
-                extra: 3,
             },
         ]);
-        assert_eq!(chain.label(), "reorder<9&slow{1}+3");
+        assert_eq!(chain.label(), "reorder<9&drop{1}");
     }
 }

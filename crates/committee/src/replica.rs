@@ -108,7 +108,6 @@ pub struct Replica {
     values: BTreeMap<(u64, Digest), Value>,
     prepares: BTreeMap<(u64, Digest), BTreeMap<ProcessId, Signature>>,
     commits: BTreeMap<(u64, Digest), BTreeSet<ProcessId>>,
-    sent_prepare: BTreeSet<u64>,
     sent_commit: BTreeSet<u64>,
     sent_view_change: BTreeSet<u64>,
     proposed_in: BTreeSet<u64>,
@@ -144,7 +143,6 @@ impl Replica {
             values: BTreeMap::new(),
             prepares: BTreeMap::new(),
             commits: BTreeMap::new(),
-            sent_prepare: BTreeSet::new(),
             sent_commit: BTreeSet::new(),
             sent_view_change: BTreeSet::new(),
             proposed_in: BTreeSet::new(),
@@ -274,20 +272,16 @@ impl Replica {
             }
         }
         let d = digest(&value);
-        match self.accepted.get(&view) {
-            Some(existing) if *existing != d => return, // equivocation
-            Some(_) => return,                          // duplicate
-            None => {}
+        if self.accepted.contains_key(&view) {
+            return; // a duplicate or an equivocation
         }
         self.accepted.insert(view, d);
         self.values.insert((view, d), value);
         if view > self.view {
             self.enter_view(view, fx);
         }
-        if self.sent_prepare.insert(view) {
-            let msg = CommitteeMsg::prepare(&self.key, view, d);
-            fx.broadcast(&self.committee, msg);
-        }
+        let msg = CommitteeMsg::prepare(&self.key, view, d);
+        fx.broadcast(&self.committee, msg);
     }
 
     fn on_prepare(&mut self, view: u64, d: Digest, signature: Signature, fx: &mut Effects) {

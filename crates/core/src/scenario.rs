@@ -22,7 +22,7 @@ use cupft_graph::{DiGraph, ProcessId, ProcessSet};
 use cupft_net::sim::Simulation;
 use cupft_net::socket::{SocketConfig, SocketRuntime};
 use cupft_net::threaded::{Board, ThreadedConfig, ThreadedRuntime};
-use cupft_net::{DelayPolicy, NetStats, Runtime, SimConfig, Time, TraceEntry};
+use cupft_net::{Actor, DelayPolicy, NetStats, Runtime, SimConfig, Time, TraceEntry};
 use cupft_obs::{ObsReport, Recorder};
 
 use crate::byzantine::{build_strategy, ByzantineStrategy};
@@ -536,66 +536,58 @@ impl Scenario {
             }
         }
     }
-}
 
-/// Registers the scenario's actors on `runtime`: correct processes as
-/// [`Node`]s wired to `board` (scheduled leavers excepted), Byzantine
-/// processes as the actors [`build_strategy`] compiles from their spec.
-/// Returns the correct process set.
-fn populate<R: Runtime<NodeMsg>>(
-    scenario: &Scenario,
-    setup: &SystemSetup,
-    board: &Board<Vec<u8>>,
-    recorder: Option<&Arc<Recorder>>,
-    runtime: &mut R,
-) -> ProcessSet {
-    // The protocol knobs. Correct nodes add the recorder, churn and
-    // test-only faults; a Byzantine process's twin nodes run without them.
-    let protocol = NodeConfig {
-        mode: scenario.mode,
-        discovery_period: scenario.discovery_period,
-        replica: cupft_committee::ReplicaConfig {
-            timeout_base: scenario.view_timeout_base,
-        },
-        gossip: scenario.gossip,
-        ..NodeConfig::default()
-    };
-    for v in scenario.graph.vertices() {
-        if let Some(strategy) = scenario.byzantine.get(&v) {
-            runtime.add_actor(build_strategy(
-                strategy,
-                setup,
-                v,
-                &scenario.value_of(v),
-                &protocol,
-            ));
-        } else {
-            let churn = scenario
-                .churn
-                .as_ref()
-                .map(|c| c.events_of(v))
-                .unwrap_or_default();
-            let is_leaver = churn
-                .iter()
-                .any(|e| matches!(e, ChurnEvent::LeaveAt { .. }));
-            let config = NodeConfig {
-                recorder: recorder.cloned(),
-                churn,
-                broken_recovery: scenario.broken_recovery,
-                ..protocol.clone()
-            };
-            let mut node = Node::from_setup(setup, v, scenario.value_of(v), config)
-                .expect("vertex registered");
-            if !is_leaver {
-                // A scheduled leaver does not report to the board: it may
-                // decide before departing, but the run must not stop (or
-                // keep waiting) on its account.
-                node = node.with_board(board.clone());
-            }
-            runtime.add_actor(Box::new(node));
+    /// The actor process `v` runs: for a Byzantine process, the actor
+    /// [`build_strategy`] compiles from its spec; for a correct one, a
+    /// [`Node`] with the recorder, its churn events and the test-only
+    /// faults, wired to `board` unless it is a scheduled leaver. Every
+    /// runtime a scenario runs on, and every process of a multi-process
+    /// deployment, gets its actors from here.
+    pub fn actor_for(
+        &self,
+        setup: &SystemSetup,
+        v: ProcessId,
+        board: &Board<Vec<u8>>,
+        recorder: Option<&Arc<Recorder>>,
+    ) -> Box<dyn Actor<NodeMsg>> {
+        // The protocol knobs. Correct nodes add the recorder, churn and
+        // test-only faults; a Byzantine process's twin nodes run without them.
+        let protocol = NodeConfig {
+            mode: self.mode,
+            discovery_period: self.discovery_period,
+            replica: cupft_committee::ReplicaConfig {
+                timeout_base: self.view_timeout_base,
+            },
+            gossip: self.gossip,
+            ..NodeConfig::default()
+        };
+        if let Some(strategy) = self.byzantine.get(&v) {
+            return build_strategy(strategy, setup, v, &self.value_of(v), &protocol);
         }
+        let churn = self
+            .churn
+            .as_ref()
+            .map(|c| c.events_of(v))
+            .unwrap_or_default();
+        let is_leaver = churn
+            .iter()
+            .any(|e| matches!(e, ChurnEvent::LeaveAt { .. }));
+        let config = NodeConfig {
+            recorder: recorder.cloned(),
+            churn,
+            broken_recovery: self.broken_recovery,
+            ..protocol
+        };
+        let mut node =
+            Node::from_setup(setup, v, self.value_of(v), config).expect("vertex registered");
+        if !is_leaver {
+            // A scheduled leaver does not report to the board: it may
+            // decide before departing, but the run must not stop (or
+            // keep waiting) on its account.
+            node = node.with_board(board.clone());
+        }
+        Box::new(node)
     }
-    scenario.correct()
 }
 
 /// Reads the per-node observations back out of a finished runtime.
@@ -666,7 +658,9 @@ pub fn run_scenario_on<R: Runtime<NodeMsg>>(
     let setup = SystemSetup::new(&scenario.graph);
     let board: Board<Vec<u8>> = Board::new();
     let recorder = scenario.observe.then(|| Arc::new(Recorder::new()));
-    let correct = populate(scenario, &setup, &board, recorder.as_ref(), runtime);
+    for v in scenario.graph.vertices() {
+        runtime.add_actor(scenario.actor_for(&setup, v, &board, recorder.as_ref()));
+    }
     if let Some(spec) = &scenario.tamper {
         runtime.set_tamper(spec.build());
     }
@@ -675,6 +669,7 @@ pub fn run_scenario_on<R: Runtime<NodeMsg>>(
     }
     // Scheduled leavers are not wired to the board (they may depart before
     // deciding), so the stop condition counts only the staying correct set.
+    let correct = scenario.correct();
     let leavers = scenario.leavers();
     let expected = correct.iter().filter(|v| !leavers.contains(v)).count();
     let report = runtime.run_until_stopped(&mut || board.len() >= expected);

@@ -13,7 +13,7 @@
 //! The literal Algorithm 1 ships the **whole** `S_PD` in every `SETPDS`,
 //! which makes the protocol's payload complexity `O(rounds · n³)` records
 //! system-wide — the wall every end-to-end experiment beyond a few dozen
-//! processes used to hit. [`GossipMode::Delta`] (the default) changes
+//! processes hits. [`GossipMode::Delta`] (the default) changes
 //! *how much* is shipped, never *what is eventually known*:
 //!
 //! 1. **Requester-described deltas.** A `GETPDS` carries the authors the

@@ -17,10 +17,9 @@ pub const DISCOVERY_TICK: u64 = 0xD15C;
 /// Magic bytes opening every [`DiscoveryState`] snapshot.
 const SNAPSHOT_MAGIC: &[u8; 7] = b"CUPFTSS";
 
-/// Snapshot layout version (the byte after the magic — historically the
-/// `\x01` of the original `CUPFTSS\x01` header, now an explicit version
-/// field). Bump when the layout changes; [`DiscoveryState::from_bytes`]
-/// rejects versions it does not speak.
+/// Snapshot layout version (the byte after the magic). Bump when the
+/// layout changes; [`DiscoveryState::from_bytes`] rejects versions it does
+/// not speak.
 const SNAPSHOT_VERSION: u8 = 1;
 
 /// How a [`DiscoveryState`] disseminates its certificate set.
@@ -396,10 +395,7 @@ impl DiscoveryState {
     /// Serializes the durable core of the state — identity, gossip mode,
     /// membership epoch, `S_known`, and the verified certificate set — as a
     /// versioned, length-prefixed byte string built from the
-    /// [`cupft_wire::Encode`] codecs (hand-rolled; no serde). The layout
-    /// is byte-for-byte what this codec produced before the wire traits
-    /// existed: the traits adopted the snapshot's conventions, not the
-    /// other way around.
+    /// [`cupft_wire::Encode`] codecs (hand-rolled; no serde).
     ///
     /// Volatile fields (per-peer sync reports, the poll gate, the verdict
     /// pool, forgery counters) are deliberately excluded: a

@@ -62,24 +62,30 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// and trailing garbage.
 pub fn unframe(bytes: &[u8]) -> Result<&[u8], WireError> {
     let mut r = crate::Reader::new(bytes);
-    let magic = r.take(4)?;
-    if magic != FRAME_MAGIC {
+    let header = r.take(HEADER_LEN)?.try_into().expect("HEADER_LEN bytes");
+    let len = payload_len(header)?;
+    let payload = r.take(len)?;
+    r.finish()?;
+    Ok(payload)
+}
+
+/// Checks a frame header's magic, version and length bound, returning
+/// the payload length it announces.
+fn payload_len(header: &[u8; HEADER_LEN]) -> Result<usize, WireError> {
+    if header[..4] != FRAME_MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = r.u8()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
+    if header[4] != WIRE_VERSION {
+        return Err(WireError::BadVersion(header[4]));
     }
-    let len = r.u32()? as usize;
+    let len = u32::from_be_bytes(header[5..].try_into().expect("len 4")) as usize;
     if len > MAX_FRAME_PAYLOAD {
         return Err(WireError::Oversized {
             len: len as u64,
             max: MAX_FRAME_PAYLOAD as u64,
         });
     }
-    let payload = r.take(len)?;
-    r.finish()?;
-    Ok(payload)
+    Ok(len)
 }
 
 /// An error while moving frames over a byte stream: either the transport
@@ -140,20 +146,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameIoError> {
         }
         _ => {}
     }
-    if header[..4] != FRAME_MAGIC {
-        return Err(WireError::BadMagic.into());
-    }
-    if header[4] != WIRE_VERSION {
-        return Err(WireError::BadVersion(header[4]).into());
-    }
-    let len = u32::from_be_bytes(header[5..9].try_into().expect("len 4")) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Oversized {
-            len: len as u64,
-            max: MAX_FRAME_PAYLOAD as u64,
-        }
-        .into());
-    }
+    let len = payload_len(&header)?;
     let mut payload = vec![0u8; len];
     let got = read_full(r, &mut payload)?;
     if got < len {
@@ -223,6 +216,35 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert_eq!(unframe(&trailing), Err(WireError::Trailing(1)));
+    }
+
+    /// The headers `unframe_rejects_corruption` feeds to `unframe`, read
+    /// off a stream: every TCP frame a peer sends goes through this path.
+    #[test]
+    fn read_frame_rejects_bad_headers() {
+        let good = frame(b"payload");
+        let read = |bytes: Vec<u8>| read_frame(&mut Cursor::new(bytes));
+
+        let mut bad_magic = good.clone();
+        bad_magic[0] ^= 0xFF;
+        assert!(matches!(
+            read(bad_magic),
+            Err(FrameIoError::Wire(WireError::BadMagic))
+        ));
+
+        let mut bad_version = good.clone();
+        bad_version[4] = 99;
+        assert!(matches!(
+            read(bad_version),
+            Err(FrameIoError::Wire(WireError::BadVersion(99)))
+        ));
+
+        let mut oversized = good;
+        oversized[5..9].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(
+            read(oversized),
+            Err(FrameIoError::Wire(WireError::Oversized { .. }))
+        ));
     }
 
     #[test]

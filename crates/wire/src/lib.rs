@@ -1,10 +1,9 @@
 //! The one wire codec for every BFT-CUPFT protocol message.
 //!
 //! Hand-rolled and dependency-free by design — the workspace carries no
-//! serde, and the codec that predates this crate
-//! (`DiscoveryState::to_bytes`) set the precedent: explicit byte layouts,
-//! big-endian integers, bounds-checked reads, and no reflection. This crate lifts that discipline into a pair
-//! of traits every message-owning crate implements for its own types:
+//! serde: explicit byte layouts, big-endian integers, bounds-checked
+//! reads, and no reflection, as a pair of traits every message-owning
+//! crate implements for its own types:
 //!
 //! * [`Encode`] — append the canonical byte form to a buffer. Encoding is
 //!   **deterministic**: the same value always produces the same bytes, so
@@ -23,9 +22,8 @@
 //!
 //! All integers are big-endian. Collections carry a `u64` count prefix,
 //! byte strings a `u64` length prefix, enums a `u8` tag, `Option` a
-//! `u8` presence byte — exactly the layout the discovery snapshot codec
-//! has used since it was introduced, so migrating it onto these traits
-//! changed no bytes.
+//! `u8` presence byte. The discovery snapshot (`DiscoveryState::to_bytes`)
+//! is built from the same codecs.
 //!
 //! # Example
 //!

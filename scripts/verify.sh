@@ -1,83 +1,16 @@
 #!/usr/bin/env bash
-# Repo verification: lock files, formatting, lints, and the tier-1
-# build+test gate.
+# Repo verification: the one definition of the gates CI runs.
 #
-#   scripts/verify.sh          # everything (what the CI `full` path runs),
-#                              # including the standalone benchmark/
-#                              # package's build and tests
-#   scripts/verify.sh --quick  # skip the release build (fast local loop,
-#                              # and the CI `quick` job); fronts the
-#                              # sink-search gates (the cupft-graph unit
-#                              # tests, incl. the exhaustive fallback's
-#                              # feasible-part enumeration, the cupft-core
-#                              # unit tests, incl. the Core guard and the
-#                              # one identification gate per view change,
-#                              # the node_paths white-box tests of the
-#                              # node's lifecycle: learning, answers, a
-#                              # departure, a one-sender flood of the
-#                              # pre-identification committee backlog,
-#                              # and the proptest_graph kernel-vs-oracle
-#                              # properties), the cupft-committee unit
-#                              # tests (the signed-field and cross-kind
-#                              # replay tables, the replica state machine),
-#                              # the cupft-adversary unit tests (combinators,
-#                              # shrinking), the
-#                              # cupft-net unit tests (the delay wheel, the
-#                              # send gate, the worker pool's fairness
-#                              # batch and mailbox cap, both links), the
-#                              # cupft-discovery unit tests (the delta
-#                              # gossip rules, the poll gate's re-poll
-#                              # schedule, snapshots and their pinned
-#                              # SHA-256), the cupft-detector unit tests
-#                              # (the setup's once-signed certificates,
-#                              # fingerprints, the verdict memo) and the
-#                              # adversary_catch / churn_catch
-#                              # inject-flag-shrink loops (each run judged
-#                              # by ScenarioOutcome::check), the twins
-#                              # enumeration (every committee member of
-#                              # Figs. 1b, 4a and 4b twinned against every
-#                              # split of the other members), a run of the
-#                              # adversary_demo example (its own asserts),
-#                              # the paper claims
-#                              # (table1_matrix, impossibility, theorems:
-#                              # Table I, Figs. 1-4, §III), the
-#                              # trajectory_pins exact constants (sweep
-#                              # payload + virtual-time phase marks), the
-#                              # core_search_parity
-#                              # pinned executions (the sink/core search
-#                              # returns what it always returned), the
-#                              # wire_roundtrip codec proptests, the
-#                              # proptest_protocol properties (signed-PD
-#                              # tamper evidence, consensus under random
-#                              # faults), the witness_grid and
-#                              # adversary_sweep grids, the family_sweep
-#                              # (each graph family once at modest n), the
-#                              # delta-gossip discovery_equivalence sweep,
-#                              # the proptest_discovery properties
-#                              # (delta views equal full views;
-#                              # absorb_batch against a sequential model
-#                              # over random batch cuts; the GETPDS reply
-#                              # is the ordered difference of the held
-#                              # table and the have-set) and the
-#                              # poll_gate end-to-end
-#                              # tests (a silent peer polled O(log rounds)
-#                              # times, dropped replies cost rounds only),
-#                              # the threaded_link parity suite and the
-#                              # socket_parity suite (one link-conformance
-#                              # body on both wall-clock links, worker
-#                              # pool included), the
-#                              # verify_pipeline shared-verdict-memo suite
-#                              # (same fixpoint as private verification,
-#                              # forgeries counted once),
-#                              # the cupft-obs unit tests (recorder,
-#                              # report, histograms), the obs_determinism
-#                              # observability suite (byte-identical
-#                              # observed reports, no observer effect,
-#                              # wall marks within the run), and the churn gates
-#                              # (churn_invariants family×runtime sweep,
-#                              # proptest_churn snapshot/agreement
-#                              # properties) as early gates before the
-#                              # full test run
+#   scripts/verify.sh --quick  # both Cargo.lock checks, fmt, clippy, the
+#                              # example builds and a run of adversary_demo,
+#                              # rustdoc, then `cargo test -q`: every test
+#                              # target of the workspace, once (the CI
+#                              # `quick` job)
+#   scripts/verify.sh          # the same, plus the release build and the
+#                              # standalone benchmark/ package's tests (the
+#                              # CI `full` job, before its smoke runs)
+#
+# What each test target covers is in its own file's `//!` header.
 #
 # CI ↔ verify.sh contract (.github/workflows/ci.yml relies on this):
 #   * every gate propagates its exit code — the script runs under
@@ -124,6 +57,10 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo build --examples"
 cargo build --examples
 
+# The demo's asserts are its own test; `cargo test` does not run examples.
+echo "==> cargo run -q --example adversary_demo"
+cargo run -q --example adversary_demo
+
 echo "==> cargo doc --no-deps -q"
 # Explicit exit-code check: `set -e` covers this today, but the doc gate
 # has been silently lost before by refactors that piped or backgrounded
@@ -136,65 +73,6 @@ fi
 if [[ "$quick" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
-else
-    echo "==> cargo test -q -p cupft-graph --lib (quick gate)"
-    cargo test -q -p cupft-graph --lib
-    echo "==> cargo test -q -p cupft-core --lib (quick gate)"
-    cargo test -q -p cupft-core --lib
-    echo "==> cargo test -q --test node_paths (quick gate)"
-    cargo test -q --test node_paths
-    echo "==> cargo test -q -p cupft-committee --lib (quick gate)"
-    cargo test -q -p cupft-committee --lib
-    echo "==> cargo test -q -p cupft-adversary --lib (quick gate)"
-    cargo test -q -p cupft-adversary --lib
-    echo "==> cargo test -q -p cupft-net --lib (quick gate)"
-    cargo test -q -p cupft-net --lib
-    echo "==> cargo test -q -p cupft-discovery --lib (quick gate)"
-    cargo test -q -p cupft-discovery --lib
-    echo "==> cargo test -q -p cupft-detector --lib (quick gate)"
-    cargo test -q -p cupft-detector --lib
-    echo "==> cargo test -q --test adversary_catch --test churn_catch (quick gate)"
-    cargo test -q --test adversary_catch --test churn_catch
-    echo "==> cargo test -q --test twins (quick gate)"
-    cargo test -q --test twins
-    echo "==> cargo run -q --example adversary_demo (quick gate)"
-    cargo run -q --example adversary_demo
-    echo "==> cargo test -q --test proptest_graph (quick gate)"
-    cargo test -q --test proptest_graph
-    echo "==> cargo test -q --test table1_matrix --test impossibility --test theorems (paper claims)"
-    cargo test -q --test table1_matrix --test impossibility --test theorems
-    echo "==> cargo test -q --test trajectory_pins (quick gate)"
-    cargo test -q --test trajectory_pins
-    echo "==> cargo test -q --test core_search_parity (quick gate)"
-    cargo test -q --test core_search_parity
-    echo "==> cargo test -q --test wire_roundtrip (quick gate)"
-    cargo test -q --test wire_roundtrip
-    echo "==> cargo test -q --test proptest_protocol (quick gate)"
-    cargo test -q --test proptest_protocol
-    echo "==> cargo test -q --test witness_grid (quick gate)"
-    cargo test -q --test witness_grid
-    echo "==> cargo test -q --test adversary_sweep (quick gate)"
-    cargo test -q --test adversary_sweep
-    echo "==> cargo test -q --test family_sweep (quick gate)"
-    cargo test -q --test family_sweep
-    echo "==> cargo test -q --test discovery_equivalence (quick gate)"
-    cargo test -q --test discovery_equivalence
-    echo "==> cargo test -q --test proptest_discovery --test poll_gate (quick gate)"
-    cargo test -q --test proptest_discovery --test poll_gate
-    echo "==> cargo test -q --test threaded_link (quick gate)"
-    cargo test -q --test threaded_link
-    echo "==> cargo test -q --test socket_parity (quick gate)"
-    cargo test -q --test socket_parity
-    echo "==> cargo test -q --test verify_pipeline (quick gate)"
-    cargo test -q --test verify_pipeline
-    echo "==> cargo test -q -p cupft-obs --lib (quick gate)"
-    cargo test -q -p cupft-obs --lib
-    echo "==> cargo test -q --test obs_determinism (quick gate)"
-    cargo test -q --test obs_determinism
-    echo "==> cargo test -q --test churn_invariants (quick gate)"
-    cargo test -q --test churn_invariants
-    echo "==> cargo test -q --test proptest_churn (quick gate)"
-    cargo test -q --test proptest_churn
 fi
 
 echo "==> cargo test -q"

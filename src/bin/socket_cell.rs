@@ -5,7 +5,7 @@
 //! the requested graph-family sample, runs the deterministic simulator on
 //! it for ground truth, then spawns one OS process per vertex (re-invoking
 //! this same binary with `--node <id>`). Each **node process** hosts a
-//! single protocol [`Node`] inside a [`SocketRuntime`], so every protocol
+//! single protocol `Node` inside a [`SocketRuntime`], so every protocol
 //! message crosses a process boundary over loopback TCP in the versioned
 //! `cupft_wire` frame format.
 //!
@@ -40,19 +40,11 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bft_cupft::committee::{ReplicaConfig, Value};
-use bft_cupft::core::{Node, NodeConfig, ProtocolMode, RuntimeKind, Scenario};
+use bft_cupft::core::{ProtocolMode, RuntimeKind, Scenario};
 use bft_cupft::detector::SystemSetup;
-use bft_cupft::graph::{DiGraph, GraphFamily, ProcessId};
+use bft_cupft::graph::{GraphFamily, ProcessId};
 use bft_cupft::net::threaded::Board;
 use bft_cupft::net::{PeerAddr, Runtime, SocketConfig, SocketRuntime};
-
-/// Discovery tick period in milliseconds — wall-clock substrates read the
-/// tick-denominated knobs as ms (same retuning the threaded sweeps use).
-const DISCOVERY_PERIOD_MS: u64 = 100;
-/// Committee view-timeout base in milliseconds: generous, so real
-/// scheduling and TCP jitter cannot trigger spurious view changes.
-const VIEW_TIMEOUT_MS: u64 = 4_000;
 
 struct Args {
     family: String,
@@ -126,14 +118,23 @@ fn family_of(name: &str, n: usize, f: usize) -> Result<GraphFamily, String> {
     })
 }
 
-/// Every process derives the same graph from the same arguments — the
-/// topology is part of the cell's configuration, not shipped over a wire.
-fn cell_graph(args: &Args) -> Result<DiGraph, String> {
+/// Every process derives the same scenario from the same arguments — the
+/// topology and the protocol knobs are part of the cell's configuration,
+/// not shipped over a wire. The socket runtime reads the tick-denominated
+/// knobs as milliseconds: a 100 ms discovery period, and a 4 s view
+/// timeout so that real scheduling and TCP jitter cannot trigger spurious
+/// view changes.
+fn cell_scenario(args: &Args) -> Result<Scenario, String> {
     let family = family_of(&args.family, args.n, args.f)?;
     let sample = family
         .generate(args.graph_seed)
         .map_err(|e| format!("{}: {e:?}", family.label()))?;
-    Ok(sample.system.graph)
+    Ok(Scenario {
+        discovery_period: 100,
+        view_timeout_base: 4_000,
+        ..Scenario::new(sample.system.graph, ProtocolMode::KnownThreshold(args.f))
+            .with_seed(args.seed)
+    })
 }
 
 fn hex(bytes: &[u8]) -> String {
@@ -153,22 +154,13 @@ fn unhex(s: &str) -> Result<Vec<u8>, String> {
 // ---- node process ----
 
 fn run_node(args: &Args, id: u64) -> Result<(), String> {
-    let graph = cell_graph(args)?;
+    let scenario = cell_scenario(args)?;
     let id = ProcessId::new(id);
-    let setup = SystemSetup::new(&graph);
-    let config = NodeConfig {
-        mode: ProtocolMode::KnownThreshold(args.f),
-        discovery_period: DISCOVERY_PERIOD_MS,
-        replica: ReplicaConfig {
-            timeout_base: VIEW_TIMEOUT_MS,
-        },
-        ..NodeConfig::default()
-    };
-    let value = Value::from(format!("v{}", id.raw()).into_bytes());
+    if !scenario.graph.contains_vertex(id) {
+        return Err(format!("process {id} is not a vertex of the cell graph"));
+    }
+    let setup = SystemSetup::new(&scenario.graph);
     let board: Board<Vec<u8>> = Board::new();
-    let node = Node::from_setup(&setup, id, value, config)
-        .ok_or_else(|| format!("process {id} is not a vertex of the cell graph"))?
-        .with_board(board.clone());
 
     let stop = Arc::new(AtomicBool::new(false));
     let mut rt: SocketRuntime<bft_cupft::core::NodeMsg> = SocketRuntime::new(SocketConfig {
@@ -176,7 +168,7 @@ fn run_node(args: &Args, id: u64) -> Result<(), String> {
         ..SocketConfig::default()
     })
     .map_err(|e| format!("bind listener: {e}"))?;
-    rt.add_actor(Box::new(node));
+    rt.add_actor(scenario.actor_for(&setup, id, &board, None));
 
     println!("ADDR {} {}", id.raw(), rt.local_addr());
     io::stdout().flush().map_err(|e| e.to_string())?;
@@ -369,13 +361,11 @@ impl Cell {
 }
 
 fn run_coordinator(args: &Args) -> Result<(), String> {
-    let graph = cell_graph(args)?;
-    let ids: Vec<ProcessId> = graph.vertices().collect();
+    let scenario = cell_scenario(args)?;
+    let ids: Vec<ProcessId> = scenario.graph.vertices().collect();
     let family = family_of(&args.family, args.n, args.f)?;
 
     // Ground truth: the deterministic simulator on the identical scenario.
-    let scenario =
-        Scenario::new(graph.clone(), ProtocolMode::KnownThreshold(args.f)).with_seed(args.seed);
     let sim = scenario.run_on(RuntimeKind::Sim);
     if !sim.check().consensus_solved() {
         return Err(format!(

@@ -17,8 +17,6 @@
 //! 3. **Determinism at scale** — a seeded join + crash-rejoin schedule on
 //!    k-diamond at n ≥ 100 produces byte-identical decisions *and*
 //!    [`ObsReport`]s across two same-seed observed sim runs.
-//!
-//! `scripts/verify.sh --quick` fronts this test as the churn gate.
 
 use bft_cupft::adversary::{ChurnEvent, ChurnSpec};
 use bft_cupft::core::{

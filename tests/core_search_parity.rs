@@ -19,8 +19,6 @@
 //! valid sink it misses, and a 192-system grid. Deleting any one of its
 //! three mechanisms (cut splitting, peeling, the exhaustive fallback)
 //! moves the grid.
-//!
-//! `scripts/verify.sh --quick` fronts this test.
 
 use std::collections::BTreeSet;
 

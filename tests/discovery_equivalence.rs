@@ -7,18 +7,17 @@
 //! (shared cert pool, requester-described deltas, sync-state suppression,
 //! memoized verification) has to clear; the invariant argument lives in
 //! the `cupft_discovery` crate docs.
-//!
-//! `scripts/verify.sh --quick` fronts this test as the delta-gossip gate.
 
+mod discovery_sim;
 mod sweep;
 
 use bft_cupft::core::{ProtocolMode, RuntimeKind, Scenario, ScenarioOutcome};
 use bft_cupft::detector::SystemSetup;
 use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode};
 use bft_cupft::graph::{DiGraph, KnowledgeView, ProcessId};
-use bft_cupft::net::sim::Simulation;
 use bft_cupft::net::threaded::{Board, ThreadedConfig, ThreadedRuntime};
-use bft_cupft::net::{DelayPolicy, Runtime, SimConfig};
+use bft_cupft::net::Runtime;
+use discovery_sim::{final_views, DiscoverySim};
 use std::collections::BTreeMap;
 use std::time::Duration;
 use sweep::{fan_out, sweep_families, SIZES};
@@ -42,36 +41,12 @@ fn sim_views(
     mode: GossipMode,
     seed: u64,
 ) -> (BTreeMap<ProcessId, KnowledgeView>, u64) {
-    let setup = SystemSetup::new(graph);
-    let mut sim: Simulation<DiscoveryMsg> = Simulation::new(SimConfig {
-        seed,
-        max_time: 10_000,
-        policy: DelayPolicy::PartialSynchrony {
-            gst: 200,
-            delta: 10,
-            pre_gst_max: 120,
-        },
-    });
-    for v in graph.vertices() {
-        let state = DiscoveryState::from_setup(&setup, v)
-            .unwrap()
-            .with_gossip(mode);
-        sim.add_actor(Box::new(DiscoveryActor::new(state, 20)));
-    }
+    let mut sim = DiscoverySim::new(graph, seed, 10_000)
+        .with_gossip(mode)
+        .build();
     sim.run_until(|s| s.now() > 6_000);
     let payload = sim.stats().label_payload("SETPDS");
-    let views = sim
-        .into_actors()
-        .into_iter()
-        .map(|(id, actor)| {
-            let d = actor
-                .as_any()
-                .downcast_ref::<DiscoveryActor>()
-                .expect("discovery actor");
-            (id, d.state().view().clone())
-        })
-        .collect();
-    (views, payload)
+    (final_views(sim), payload)
 }
 
 /// Byte-identical final views per process on the simulator, and ≥10x less

@@ -5,8 +5,6 @@
 //! advertised conditions) to confirm the generated systems tolerate the
 //! faults their parameters promise.
 //!
-//! `scripts/verify.sh --quick` fronts this test as the family-sweep gate.
-//!
 //! One `#[ignore]`d release-mode test carries the n = 1000 sim-vs-threaded
 //! parity rows (CI job `scale-parity`):
 //! `cargo test --release --test family_sweep -- --ignored --nocapture`.

@@ -9,12 +9,14 @@
 //!    rounds, never a certificate: the requester still ends on the
 //!    full-`S_PD` views.
 
+mod discovery_sim;
+
 use bft_cupft::core::{run_scenario_recorded, ByzantineStrategy, ProtocolMode, Scenario};
-use bft_cupft::detector::SystemSetup;
-use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode};
+use bft_cupft::discovery::{DiscoveryMsg, GossipMode};
 use bft_cupft::graph::{fig1b, DiGraph, KnowledgeView, ProcessId};
-use bft_cupft::net::sim::Simulation;
-use bft_cupft::net::{DelayPolicy, Fate, SimConfig, Tamper, Time, TraceKind};
+use bft_cupft::net::{Fate, Tamper, Time, TraceKind};
+use discovery_sim::DiscoverySim;
+use std::collections::BTreeMap;
 
 fn p(n: u64) -> ProcessId {
     ProcessId::new(n)
@@ -94,41 +96,14 @@ fn final_views(
     graph: &DiGraph,
     mode: GossipMode,
     tamper: Option<DropFirstReplies>,
-) -> (u64, Vec<(ProcessId, KnowledgeView)>) {
-    let setup = SystemSetup::new(graph);
-    let mut sim: Simulation<DiscoveryMsg> = Simulation::new(SimConfig {
-        seed: 5,
-        max_time: 4_100,
-        policy: DelayPolicy::PartialSynchrony {
-            gst: 200,
-            delta: 10,
-            pre_gst_max: 120,
-        },
-    });
-    if let Some(tamper) = tamper {
-        sim.set_tamper(Box::new(tamper));
-    }
-    for v in graph.vertices() {
-        let state = DiscoveryState::from_setup(&setup, v)
-            .expect("vertex registered")
-            .with_gossip(mode);
-        sim.add_actor(Box::new(DiscoveryActor::new(state, 20)));
-    }
+) -> (u64, BTreeMap<ProcessId, KnowledgeView>) {
+    let mut sim = DiscoverySim::new(graph, 5, 4_100)
+        .with_gossip(mode)
+        .with_tamper(tamper.map(|t| Box::new(t) as Box<dyn Tamper<DiscoveryMsg>>))
+        .build();
     sim.run_until(|s| s.now() > 4_000);
     let dropped = sim.stats().messages_dropped;
-    let views = sim
-        .into_actors()
-        .into_iter()
-        .map(|(id, actor)| {
-            let state = actor
-                .as_any()
-                .downcast_ref::<DiscoveryActor>()
-                .expect("discovery actor")
-                .state();
-            (id, state.view().clone())
-        })
-        .collect();
-    (dropped, views)
+    (dropped, discovery_sim::final_views(sim))
 }
 
 #[test]

@@ -16,22 +16,15 @@
 //!    joiner); `ScenarioOutcome::check`'s agreement must still hold on
 //!    whatever did decide.
 
+mod discovery_sim;
+
 use bft_cupft::adversary::{ChurnEvent, ChurnSpec, TamperSpec};
 use bft_cupft::core::{run_scenario, ProtocolMode, Scenario};
 use bft_cupft::detector::SystemSetup;
-use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode};
+use bft_cupft::discovery::DiscoveryState;
 use bft_cupft::graph::{process_set, FamilySample, GraphFamily};
-use bft_cupft::net::sim::Simulation;
-use bft_cupft::net::{DelayPolicy, SimConfig};
+use discovery_sim::{final_states, psync, DiscoverySim};
 use proptest::prelude::*;
-
-fn psync() -> DelayPolicy {
-    DelayPolicy::PartialSynchrony {
-        gst: 200,
-        delta: 10,
-        pre_gst_max: 120,
-    }
-}
 
 /// A family sample picked by index, at a small size (the properties are
 /// about protocol logic, not scale).
@@ -99,26 +92,12 @@ proptest! {
     ) {
         let graph = &sample.system.graph;
         let setup = SystemSetup::new(graph);
-        let mut sim: Simulation<DiscoveryMsg> = Simulation::new(SimConfig {
-            seed,
-            max_time: 20_000,
-            policy: psync(),
-        });
-        for v in graph.vertices() {
-            let state = DiscoveryState::from_setup(&setup, v)
-                .unwrap()
-                .with_gossip(GossipMode::Delta);
-            sim.add_actor(Box::new(DiscoveryActor::new(state, 20)));
-        }
+        let mut sim = DiscoverySim::new(graph, seed, 20_000).build();
         // Stop mid-run on purpose: partially-propagated states exercise
         // the codec harder than converged ones.
         sim.run_until(|s| s.now() > 900);
-        for (id, actor) in sim.into_actors() {
-            let d = actor
-                .as_any()
-                .downcast_ref::<DiscoveryActor>()
-                .expect("discovery actor");
-            let bytes = d.state().to_bytes();
+        let states = final_states(sim, |state| (state.to_bytes(), state.view().clone()));
+        for (id, (bytes, view)) in states {
             let restored = DiscoveryState::from_bytes(&bytes, setup.registry().clone())
                 .expect("round-trip decodes");
             prop_assert_eq!(
@@ -127,7 +106,7 @@ proptest! {
                 "re-encoding must be byte-identical for {}",
                 id
             );
-            prop_assert_eq!(restored.view(), d.state().view());
+            prop_assert_eq!(restored.view(), &view);
         }
     }
 

@@ -15,24 +15,17 @@
 //!   requester's have-set lacks, in ascending author order (delta mode),
 //!   or every held certificate in author order (full mode).
 
+mod discovery_sim;
+
 use bft_cupft::adversary::TamperSpec;
 use bft_cupft::detector::{PdCertificate, SystemSetup};
-use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode, SyncState};
+use bft_cupft::discovery::{DiscoveryMsg, DiscoveryState, GossipMode, SyncState};
 use bft_cupft::graph::{process_set, DiGraph, GraphFamily, KnowledgeView, ProcessId, ProcessSet};
-use bft_cupft::net::sim::Simulation;
-use bft_cupft::net::{DelayPolicy, SimConfig};
 use bft_cupft::wire::{decode_from_slice, encode_to_vec};
+use discovery_sim::{final_views, silencing, DiscoverySim};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-fn psync() -> DelayPolicy {
-    DelayPolicy::PartialSynchrony {
-        gst: 200,
-        delta: 10,
-        pre_gst_max: 120,
-    }
-}
 
 /// A family sample picked by index, at a small size (the properties are
 /// about protocol logic, not scale).
@@ -76,38 +69,12 @@ fn run_discovery(
     tamper: &Option<TamperSpec>,
     silenced: Option<ProcessId>,
 ) -> BTreeMap<ProcessId, KnowledgeView> {
-    let setup = SystemSetup::new(graph);
-    let mut sim: Simulation<DiscoveryMsg> = Simulation::new(SimConfig {
-        seed,
-        max_time: 20_000,
-        policy: psync(),
-    });
-    let mut parts: Vec<TamperSpec> = tamper.iter().cloned().collect();
-    if let Some(victim) = silenced {
-        parts.push(TamperSpec::DropFrom {
-            senders: process_set([victim.raw()]),
-        });
-    }
-    if !parts.is_empty() {
-        sim.set_tamper(TamperSpec::Chain(parts).build());
-    }
-    for v in graph.vertices() {
-        let state = DiscoveryState::from_setup(&setup, v)
-            .unwrap()
-            .with_gossip(mode);
-        sim.add_actor(Box::new(DiscoveryActor::new(state, 20)));
-    }
+    let mut sim = DiscoverySim::new(graph, seed, 20_000)
+        .with_gossip(mode)
+        .with_tamper(silencing(tamper, silenced))
+        .build();
     sim.run_until(|s| s.now() > 12_000);
-    sim.into_actors()
-        .into_iter()
-        .map(|(id, actor)| {
-            let d = actor
-                .as_any()
-                .downcast_ref::<DiscoveryActor>()
-                .expect("discovery actor");
-            (id, d.state().view().clone())
-        })
-        .collect()
+    final_views(sim)
 }
 
 proptest! {

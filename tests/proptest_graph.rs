@@ -8,8 +8,6 @@
 //! obviously right; the oracle properties at the bottom of this file hold
 //! the kernel to it, result for result, on the paper's witness graphs, on
 //! random digraphs, and on partial views with a lying PD.
-//!
-//! `scripts/verify.sh --quick` fronts this test.
 
 use bft_cupft::graph::{
     condensation, exact_sink_with_threshold, fig1a, fig1b, fig2a, fig2b, fig2c, fig3a, fig3b,

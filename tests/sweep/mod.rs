@@ -3,10 +3,8 @@
 //!
 //! A sweep is a plain loop that builds `(label, Scenario)` cells, runs
 //! them through [`fan_out`] and judges each outcome with
-//! `ScenarioOutcome::check`. `tests/table1_matrix.rs`,
-//! `tests/witness_grid.rs`, `tests/adversary_sweep.rs`,
-//! `tests/family_sweep.rs` and `tests/discovery_equivalence.rs` include
-//! it; each uses only part of it.
+//! `ScenarioOutcome::check`. Each test that includes it uses only part of
+//! it.
 
 #![allow(dead_code)]
 

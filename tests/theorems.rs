@@ -2,16 +2,17 @@
 //! witness graphs and generated families.
 
 use bft_cupft::core::{run_scenario, ByzantineStrategy, ProtocolMode, Scenario};
-use bft_cupft::detector::SystemSetup;
-use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState};
+use bft_cupft::discovery::DiscoveryActor;
 use bft_cupft::graph::{
     exact_best_sink, fig1b, fig4a, fig4b, is_extended_k_osr, osr_report, process_set,
     CandidateSearch, GdiParams, GeneratedSystem, Generator, KnowledgeView, ProcessSet,
 };
 use bft_cupft::net::sim::Simulation;
 use bft_cupft::net::{DelayPolicy, SimConfig};
+use discovery_sim::{DiscoverySim, PERIOD};
 use rrb::{RrbActor, RrbMsg};
 
+mod discovery_sim;
 mod rrb;
 
 /// Theorem 1 (necessity side, spot check): the witness graphs satisfying
@@ -30,26 +31,17 @@ fn theorem1_requirements_on_witnesses() {
 #[test]
 fn theorem2_discovery_convergence_and_bound() {
     let fig = fig1b();
-    let setup = SystemSetup::new(fig.graph());
     let gst = 200u64;
     let delta = 10u64;
-    let period = 20u64;
-    let mut sim = Simulation::new(SimConfig {
-        seed: 3,
-        max_time: 100_000,
-        policy: DelayPolicy::PartialSynchrony {
+    let period = PERIOD;
+    let mut sim = DiscoverySim::new(fig.graph(), 3, 100_000)
+        .with_policy(DelayPolicy::PartialSynchrony {
             gst,
             delta,
             pre_gst_max: 150,
-        },
-    });
-    for v in fig.graph().vertices() {
-        if fig.byzantine().contains(&v) {
-            continue;
-        }
-        let state = DiscoveryState::from_setup(&setup, v).unwrap();
-        sim.add_actor(Box::new(DiscoveryActor::new(state, period)));
-    }
+        })
+        .only(fig.correct())
+        .build();
     let correct_sink = process_set([1, 2, 3]);
     let correct: Vec<_> = fig.correct().into_iter().collect();
     let converged = sim.run_until(|s| {
@@ -181,12 +173,11 @@ fn section3_config(seed: u64) -> SimConfig {
 /// Signed discovery until every correct sink member holds every sink
 /// member's PD.
 fn run_signed_discovery(sys: &GeneratedSystem, seed: u64) -> GoalRun {
-    let setup = SystemSetup::new(&sys.graph);
-    let mut sim: Simulation<DiscoveryMsg> = Simulation::new(section3_config(seed));
-    for v in &sys.correct() {
-        let state = DiscoveryState::from_setup(&setup, *v).unwrap();
-        sim.add_actor(Box::new(DiscoveryActor::new(state, 20)));
-    }
+    let config = section3_config(seed);
+    let mut sim = DiscoverySim::new(&sys.graph, seed, config.max_time)
+        .with_policy(config.policy)
+        .only(sys.correct())
+        .build();
     let sink: Vec<_> = sys.sink.iter().copied().collect();
     let reached = sim.run_until(|s| {
         sink.iter().all(|&member| {

@@ -6,48 +6,21 @@
 //! four n = 100 planted-committee cells and two churned ones. A change
 //! that moves one of them has changed what the protocol sends or when it
 //! decides; it edits the constant here and says why in CHANGES.md.
-//!
-//! `scripts/verify.sh --quick` fronts this test.
+
+mod discovery_sim;
+mod sweep;
 
 use bft_cupft::core::{ChurnEvent, ChurnSpec, ProtocolMode, RuntimeKind, Scenario};
-use bft_cupft::detector::SystemSetup;
-use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode};
+use bft_cupft::discovery::GossipMode;
 use bft_cupft::graph::{
     process_set, DiGraph, GeneratedSystem, GraphFamily, KnowledgeView, ProcessId,
 };
-use bft_cupft::net::sim::Simulation;
-use bft_cupft::net::{DelayPolicy, SimConfig};
 use bft_cupft::obs::{ObsReport, PhaseMark};
+use discovery_sim::{final_views, psync, DiscoverySim};
+use std::collections::BTreeMap;
+use sweep::sweep_families;
 
 const SWEEP_HORIZON: u64 = 4_000;
-
-fn psync() -> DelayPolicy {
-    DelayPolicy::PartialSynchrony {
-        gst: 200,
-        delta: 10,
-        pre_gst_max: 120,
-    }
-}
-
-/// Same parameterization as `tests/family_sweep.rs`.
-fn sweep_families() -> Vec<GraphFamily> {
-    vec![
-        GraphFamily::erdos_renyi(16, 1),
-        GraphFamily::RingOfCliques {
-            cliques: 3,
-            clique_size: 4,
-            bridges: 3,
-            fault_threshold: 1,
-        },
-        GraphFamily::k_diamond(16, 1),
-        GraphFamily::BridgedPartition {
-            a_size: 8,
-            sink_size: 3,
-            bridge_width: 3,
-            fault_threshold: 1,
-        },
-    ]
-}
 
 /// Discovery-only actors over `graph` to the sweep horizon: delivered
 /// `SETPDS` payload and every node's final view.
@@ -55,33 +28,13 @@ fn discovery_run(
     graph: &DiGraph,
     mode: GossipMode,
     seed: u64,
-) -> (u64, Vec<(ProcessId, KnowledgeView)>) {
-    let setup = SystemSetup::new(graph);
-    let mut sim: Simulation<DiscoveryMsg> = Simulation::new(SimConfig {
-        seed,
-        max_time: SWEEP_HORIZON + 100,
-        policy: psync(),
-    });
-    for v in graph.vertices() {
-        let state = DiscoveryState::from_setup(&setup, v)
-            .expect("vertex registered")
-            .with_gossip(mode);
-        sim.add_actor(Box::new(DiscoveryActor::new(state, 20)));
-    }
+) -> (u64, BTreeMap<ProcessId, KnowledgeView>) {
+    let mut sim = DiscoverySim::new(graph, seed, SWEEP_HORIZON + 100)
+        .with_gossip(mode)
+        .build();
     sim.run_until(|s| s.now() > SWEEP_HORIZON);
     let payload = sim.stats().label_payload("SETPDS");
-    let views = sim
-        .into_actors()
-        .into_iter()
-        .map(|(id, actor)| {
-            let discovery = actor
-                .as_any()
-                .downcast_ref::<DiscoveryActor>()
-                .expect("discovery actor");
-            (id, discovery.state().view().clone())
-        })
-        .collect();
-    (payload, views)
+    (payload, final_views(sim))
 }
 
 #[test]

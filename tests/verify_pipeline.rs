@@ -18,25 +18,19 @@
 //!    is counted exactly once globally and once per process, whether the
 //!    replay is the shared allocation or a decoded copy.
 
+mod discovery_sim;
+
 use std::sync::Arc;
 
 use bft_cupft::adversary::TamperSpec;
 use bft_cupft::detector::{PdCertificate, SystemSetup};
-use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState, GossipMode};
+use bft_cupft::discovery::{DiscoveryActor, DiscoveryMsg, DiscoveryState};
 use bft_cupft::graph::{fig1b, process_set, DiGraph, GraphFamily, KnowledgeView, ProcessId};
-use bft_cupft::net::sim::Simulation;
-use bft_cupft::net::{Actor, Context, DelayPolicy, SimConfig, TimerKind};
+use bft_cupft::net::{Actor, Context, TimerKind};
 use bft_cupft::wire::{decode_from_slice, encode_to_vec};
+use discovery_sim::{final_views, silencing, DiscoverySim};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-fn psync() -> DelayPolicy {
-    DelayPolicy::PartialSynchrony {
-        gst: 200,
-        delta: 10,
-        pre_gst_max: 120,
-    }
-}
 
 /// A family sample picked by index, at a small size.
 fn arb_graph() -> impl Strategy<Value = DiGraph> {
@@ -110,46 +104,15 @@ fn run_discovery_with(
     silenced: Option<ProcessId>,
     decoded: bool,
 ) -> BTreeMap<ProcessId, KnowledgeView> {
-    let setup = SystemSetup::new(graph);
-    let mut sim: Simulation<DiscoveryMsg> = Simulation::new(SimConfig {
-        seed,
-        max_time: 20_000,
-        policy: psync(),
-    });
-    let mut parts: Vec<TamperSpec> = tamper.iter().cloned().collect();
-    if let Some(victim) = silenced {
-        parts.push(TamperSpec::DropFrom {
-            senders: process_set([victim.raw()]),
-        });
+    let mut sim = DiscoverySim::new(graph, seed, 20_000)
+        .with_shared_pool(pooled)
+        .with_tamper(silencing(tamper, silenced));
+    if decoded {
+        sim = sim.with_wrapper(|actor| Box::new(Decoding(actor)));
     }
-    if !parts.is_empty() {
-        sim.set_tamper(TamperSpec::Chain(parts).build());
-    }
-    for v in graph.vertices() {
-        let mut state = DiscoveryState::from_setup(&setup, v)
-            .unwrap()
-            .with_gossip(GossipMode::Delta);
-        if pooled {
-            state = state.with_shared_pool(setup.pool().clone());
-        }
-        let actor = DiscoveryActor::new(state, 20);
-        if decoded {
-            sim.add_actor(Box::new(Decoding(actor)));
-        } else {
-            sim.add_actor(Box::new(actor));
-        }
-    }
+    let mut sim = sim.build();
     sim.run_until(|s| s.now() > 12_000);
-    sim.into_actors()
-        .into_iter()
-        .map(|(id, actor)| {
-            let d = actor
-                .as_any()
-                .downcast_ref::<DiscoveryActor>()
-                .expect("discovery actor");
-            (id, d.state().view().clone())
-        })
-        .collect()
+    final_views(sim)
 }
 
 proptest! {
