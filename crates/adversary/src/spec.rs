@@ -36,10 +36,10 @@ pub enum StrategySpec {
         claimed: ProcessSet,
     },
     /// Runs discovery honestly and answers every `GETDECIDEDVAL` with a
-    /// fabricated value (the direct attack on Algorithm 3's learning
-    /// path, defeated by the matching-answer thresholds: `g + 1` for an
-    /// undecided member, `⌈(|S|+1)/2⌉ ≥ g + 1` for a learner, against at
-    /// most `g` lying members).
+    /// commit certificate for a fabricated value (the direct attack on
+    /// Algorithm 3's learning path, defeated by the certificate check:
+    /// adopting a value takes a quorum of the committee's signed commits,
+    /// and the liar can sign only its own).
     LieDecidedVal {
         /// The fabricated decision served to learners.
         value: Value,
@@ -139,9 +139,9 @@ impl StrategySpec {
     /// Values this strategy may inject into the committee plane — the
     /// extra entries a validity check must allow. Twin B's proposal can
     /// legitimately be decided (twin A proposes the process's own value,
-    /// which is allowed already). A lied learning answer cannot be: it
-    /// needs `g + 1` matching answers from a member and `⌈(|S|+1)/2⌉` from
-    /// a learner, and at most `g` members lie, so it is *not* allowed.
+    /// which is allowed already). A lied learning answer cannot be: its
+    /// certificate holds one commit where a quorum is needed, so it is
+    /// *not* allowed.
     pub fn injected_values(&self) -> Vec<Value> {
         match self {
             StrategySpec::Twins { value_b, .. } => vec![value_b.clone()],

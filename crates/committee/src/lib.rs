@@ -28,7 +28,7 @@ mod msgs;
 mod quorum;
 mod replica;
 
-pub use msgs::{CommitteeMsg, PreparedCert, Value, ViewChangeRecord};
+pub use msgs::{CommitteeMsg, QuorumCert, Value, ViewChangeRecord, Vote};
 pub use quorum::Committee;
 pub use replica::{
     view_of_timer, view_timer_kind, Effects, Replica, ReplicaConfig, VIEW_TIMER_BASE,

@@ -44,32 +44,50 @@ fn member_signed(
         && registry.verify(signature.signer(), message, signature)
 }
 
-/// A *prepared certificate*: proof that some quorum prepared `value` in
-/// `view`. Carried by view-change messages so a new leader cannot revert a
-/// possibly-decided value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedCert {
-    /// The view in which the quorum prepared.
-    pub view: u64,
-    /// The prepared value.
-    pub value: Value,
-    /// Quorum of prepare signatures over `(view, digest(value))`.
-    pub prepares: Vec<Signature>,
+/// The two votes over `(view, digest)`, each signed in its own domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Vote {
+    /// The voter accepted the leader's proposal.
+    Prepare,
+    /// The voter saw a quorum prepare the value.
+    Commit,
 }
 
-impl PreparedCert {
-    /// Verifies the certificate: all prepares are valid signatures by
-    /// distinct committee members over this view/digest, and there are at
-    /// least `quorum_size` of them.
-    pub fn verify(&self, registry: &KeyRegistry, committee: &Committee) -> bool {
-        let message = signing_message(D_PREPARE, self.view, &digest(&self.value)[..]);
-        let mut signers = std::collections::BTreeSet::new();
-        for p in &self.prepares {
-            if !member_signed(registry, committee, p, &message) || !signers.insert(p.signer()) {
-                return false;
-            }
+impl Vote {
+    fn domain(self) -> &'static str {
+        match self {
+            Vote::Prepare => D_PREPARE,
+            Vote::Commit => D_COMMIT,
         }
-        signers.len() >= committee.quorum_size()
+    }
+}
+
+/// A quorum's [`Vote`]s for `value` in `view`. Over prepares it is the
+/// *prepared certificate* a view change carries, so a new leader cannot
+/// revert a possibly decided value; over commits, the *commit
+/// certificate* that proves a decision. Which vote it holds is implied by
+/// where it travels, so a prepare quorum cannot pass for a commit quorum.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QuorumCert {
+    /// The view of the votes.
+    pub view: u64,
+    /// The value voted for.
+    pub value: Value,
+    /// The quorum's vote signatures over `(view, digest(value))`.
+    pub signatures: Vec<Signature>,
+}
+
+impl QuorumCert {
+    /// Verifies the certificate as a quorum of `vote`s: at least
+    /// `quorum_size` signatures, each by a distinct committee member over
+    /// this view and value's digest.
+    pub fn verify(&self, registry: &KeyRegistry, committee: &Committee, vote: Vote) -> bool {
+        let message = signing_message(vote.domain(), self.view, &digest(&self.value)[..]);
+        let mut signers = std::collections::BTreeSet::new();
+        self.signatures.len() >= committee.quorum_size()
+            && self.signatures.iter().all(|s| {
+                signers.insert(s.signer()) && member_signed(registry, committee, s, &message)
+            })
     }
 }
 
@@ -79,14 +97,14 @@ pub struct ViewChangeRecord {
     /// The view the sender wants to enter.
     pub new_view: u64,
     /// The sender's highest prepared certificate, if any.
-    pub prepared: Option<PreparedCert>,
+    pub prepared: Option<QuorumCert>,
     /// Signature over `new_view` and `prepared`.
     pub signature: Signature,
 }
 
 impl ViewChangeRecord {
     /// Signs a view-change vote.
-    pub fn sign(key: &SigningKey, new_view: u64, prepared: Option<PreparedCert>) -> Self {
+    pub fn sign(key: &SigningKey, new_view: u64, prepared: Option<QuorumCert>) -> Self {
         let signature = key.sign(&signing_message(D_VIEWCHANGE, new_view, &prepared));
         ViewChangeRecord {
             new_view,
@@ -108,7 +126,7 @@ impl ViewChangeRecord {
             && self
                 .prepared
                 .as_ref()
-                .is_none_or(|cert| cert.verify(registry, committee))
+                .is_none_or(|cert| cert.verify(registry, committee, Vote::Prepare))
     }
 }
 
@@ -127,22 +145,15 @@ pub enum CommitteeMsg {
         /// View-change justification (empty for view 0).
         justification: Vec<ViewChangeRecord>,
     },
-    /// Prepare vote over `(view, digest)`.
-    Prepare {
+    /// Prepare or commit vote over `(view, digest)`.
+    Vote {
+        /// Which vote.
+        kind: Vote,
         /// Vote view.
         view: u64,
-        /// Digest of the pre-prepared value.
+        /// Digest of the voted value.
         digest: Digest,
-        /// Voter signature.
-        signature: Signature,
-    },
-    /// Commit vote over `(view, digest)`.
-    Commit {
-        /// Vote view.
-        view: u64,
-        /// Digest of the prepared value.
-        digest: Digest,
-        /// Voter signature.
+        /// Voter signature over `(view, digest)` in `kind`'s domain.
         signature: Signature,
     },
     /// View-change vote.
@@ -166,24 +177,25 @@ impl CommitteeMsg {
         }
     }
 
-    /// Builds a signed prepare vote.
-    pub fn prepare(key: &SigningKey, view: u64, d: Digest) -> Self {
-        let signature = key.sign(&signing_message(D_PREPARE, view, &d[..]));
-        CommitteeMsg::Prepare {
+    /// Builds a signed vote of `kind`.
+    pub fn vote(key: &SigningKey, kind: Vote, view: u64, d: Digest) -> Self {
+        let signature = key.sign(&signing_message(kind.domain(), view, &d[..]));
+        CommitteeMsg::Vote {
+            kind,
             view,
             digest: d,
             signature,
         }
     }
 
+    /// Builds a signed prepare vote.
+    pub fn prepare(key: &SigningKey, view: u64, d: Digest) -> Self {
+        Self::vote(key, Vote::Prepare, view, d)
+    }
+
     /// Builds a signed commit vote.
     pub fn commit(key: &SigningKey, view: u64, d: Digest) -> Self {
-        let signature = key.sign(&signing_message(D_COMMIT, view, &d[..]));
-        CommitteeMsg::Commit {
-            view,
-            digest: d,
-            signature,
-        }
+        Self::vote(key, Vote::Commit, view, d)
     }
 
     /// Verifies the message's signature and structural consistency
@@ -200,12 +212,9 @@ impl CommitteeMsg {
                 signing_message(D_PREPREPARE, *view, value),
                 &justification[..],
             ),
-            CommitteeMsg::Prepare { view, digest, .. } => {
-                (signing_message(D_PREPARE, *view, &digest[..]), &[][..])
-            }
-            CommitteeMsg::Commit { view, digest, .. } => {
-                (signing_message(D_COMMIT, *view, &digest[..]), &[][..])
-            }
+            CommitteeMsg::Vote {
+                kind, view, digest, ..
+            } => (signing_message(kind.domain(), *view, &digest[..]), &[][..]),
             CommitteeMsg::ViewChange(vc) => return vc.verify(registry, committee),
         };
         member_signed(registry, committee, self.signature(), &message)
@@ -217,9 +226,9 @@ impl CommitteeMsg {
     /// The attached signature.
     pub fn signature(&self) -> &Signature {
         match self {
-            CommitteeMsg::PrePrepare { signature, .. }
-            | CommitteeMsg::Prepare { signature, .. }
-            | CommitteeMsg::Commit { signature, .. } => signature,
+            CommitteeMsg::PrePrepare { signature, .. } | CommitteeMsg::Vote { signature, .. } => {
+                signature
+            }
             CommitteeMsg::ViewChange(vc) => &vc.signature,
         }
     }
@@ -234,31 +243,29 @@ impl Labeled for CommitteeMsg {
     fn label(&self) -> &'static str {
         match self {
             CommitteeMsg::PrePrepare { .. } => "PREPREPARE",
-            CommitteeMsg::Prepare { .. } => "PREPARE",
-            CommitteeMsg::Commit { .. } => "COMMIT",
+            CommitteeMsg::Vote { kind, .. } => match kind {
+                Vote::Prepare => "PREPARE",
+                Vote::Commit => "COMMIT",
+            },
             CommitteeMsg::ViewChange(_) => "VIEWCHANGE",
         }
     }
 }
 
-fn decode_digest(r: &mut Reader<'_>) -> Result<Digest, WireError> {
-    Ok(r.take(DIGEST_LEN)?.try_into().expect("digest length"))
-}
-
-impl Encode for PreparedCert {
+impl Encode for QuorumCert {
     fn encode(&self, out: &mut Vec<u8>) {
         self.view.encode(out);
         self.value.encode(out);
-        self.prepares.encode(out);
+        self.signatures.encode(out);
     }
 }
 
-impl Decode for PreparedCert {
+impl Decode for QuorumCert {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PreparedCert {
+        Ok(QuorumCert {
             view: r.u64()?,
             value: Value::decode(r)?,
-            prepares: Vec::decode(r)?,
+            signatures: Vec::decode(r)?,
         })
     }
 }
@@ -302,22 +309,16 @@ impl Encode for CommitteeMsg {
                 signature.encode(out);
                 justification.encode(out);
             }
-            CommitteeMsg::Prepare {
+            CommitteeMsg::Vote {
+                kind,
                 view,
                 digest,
                 signature,
             } => {
-                out.push(1);
-                view.encode(out);
-                out.extend_from_slice(digest);
-                signature.encode(out);
-            }
-            CommitteeMsg::Commit {
-                view,
-                digest,
-                signature,
-            } => {
-                out.push(2);
+                out.push(match kind {
+                    Vote::Prepare => 1,
+                    Vote::Commit => 2,
+                });
                 view.encode(out);
                 out.extend_from_slice(digest);
                 signature.encode(out);
@@ -339,14 +340,14 @@ impl Decode for CommitteeMsg {
                 signature: Signature::decode(r)?,
                 justification: Vec::decode(r)?,
             }),
-            1 => Ok(CommitteeMsg::Prepare {
+            tag @ (1 | 2) => Ok(CommitteeMsg::Vote {
+                kind: if tag == 1 {
+                    Vote::Prepare
+                } else {
+                    Vote::Commit
+                },
                 view: r.u64()?,
-                digest: decode_digest(r)?,
-                signature: Signature::decode(r)?,
-            }),
-            2 => Ok(CommitteeMsg::Commit {
-                view: r.u64()?,
-                digest: decode_digest(r)?,
+                digest: r.take(DIGEST_LEN)?.try_into().expect("digest length"),
                 signature: Signature::decode(r)?,
             }),
             3 => Ok(CommitteeMsg::ViewChange(ViewChangeRecord::decode(r)?)),
@@ -381,12 +382,12 @@ mod tests {
 
     /// A valid prepared certificate: members 1..=3 (a quorum) prepared
     /// `value` in `view`.
-    fn cert(keys: &[SigningKey], view: u64, value: &'static [u8]) -> PreparedCert {
+    fn cert(keys: &[SigningKey], view: u64, value: &'static [u8]) -> QuorumCert {
         let d = digest(value);
-        PreparedCert {
+        QuorumCert {
             view,
             value: Bytes::from_static(value),
-            prepares: keys[..3]
+            signatures: keys[..3]
                 .iter()
                 .map(|k| *CommitteeMsg::prepare(k, view, d).signature())
                 .collect(),
@@ -395,9 +396,9 @@ mod tests {
 
     fn signature_mut(msg: &mut CommitteeMsg) -> &mut Signature {
         match msg {
-            CommitteeMsg::PrePrepare { signature, .. }
-            | CommitteeMsg::Prepare { signature, .. }
-            | CommitteeMsg::Commit { signature, .. } => signature,
+            CommitteeMsg::PrePrepare { signature, .. } | CommitteeMsg::Vote { signature, .. } => {
+                signature
+            }
             CommitteeMsg::ViewChange(vc) => &mut vc.signature,
         }
     }
@@ -430,22 +431,22 @@ mod tests {
                 }
             }),
             ("prepare view", prep.clone(), |m, _| {
-                if let CommitteeMsg::Prepare { view, .. } = m {
+                if let CommitteeMsg::Vote { view, .. } = m {
                     *view += 1;
                 }
             }),
             ("prepare digest", prep, |m, _| {
-                if let CommitteeMsg::Prepare { digest: d, .. } = m {
+                if let CommitteeMsg::Vote { digest: d, .. } = m {
                     *d = digest(b"EVIL");
                 }
             }),
             ("commit view", comm.clone(), |m, _| {
-                if let CommitteeMsg::Commit { view, .. } = m {
+                if let CommitteeMsg::Vote { view, .. } = m {
                     *view += 1;
                 }
             }),
             ("commit digest", comm, |m, _| {
-                if let CommitteeMsg::Commit { digest: d, .. } = m {
+                if let CommitteeMsg::Vote { digest: d, .. } = m {
                     *d = digest(b"EVIL");
                 }
             }),
@@ -474,7 +475,10 @@ mod tests {
                 prepared: Some(c), ..
             }) = &tampered
             {
-                assert!(c.verify(&registry, &committee), "{field}: swapped cert");
+                assert!(
+                    c.verify(&registry, &committee, Vote::Prepare),
+                    "{field}: swapped cert"
+                );
             }
             assert!(!tampered.verify(&registry, &committee), "{field}: tampered");
         }
@@ -535,33 +539,24 @@ mod tests {
         let value = Bytes::from_static(b"v");
         let d = digest(&value);
         let make_prepare = |k: &SigningKey| *CommitteeMsg::prepare(k, 2, d).signature();
+        let cert = |signatures| QuorumCert {
+            view: 2,
+            value: value.clone(),
+            signatures,
+        };
         // quorum = 3
-        let good = PreparedCert {
-            view: 2,
-            value: value.clone(),
-            prepares: vec![
-                make_prepare(&keys[0]),
-                make_prepare(&keys[1]),
-                make_prepare(&keys[2]),
-            ],
-        };
-        assert!(good.verify(&registry, &committee));
-        let short = PreparedCert {
-            view: 2,
-            value: value.clone(),
-            prepares: vec![make_prepare(&keys[0]), make_prepare(&keys[1])],
-        };
-        assert!(!short.verify(&registry, &committee));
-        let duplicated = PreparedCert {
-            view: 2,
-            value,
-            prepares: vec![
-                make_prepare(&keys[0]),
-                make_prepare(&keys[0]),
-                make_prepare(&keys[1]),
-            ],
-        };
-        assert!(!duplicated.verify(&registry, &committee));
+        let good = cert(keys[..3].iter().map(make_prepare).collect());
+        assert!(good.verify(&registry, &committee, Vote::Prepare));
+        // A prepare quorum is no commit quorum.
+        assert!(!good.verify(&registry, &committee, Vote::Commit));
+        let short = cert(keys[..2].iter().map(make_prepare).collect());
+        assert!(!short.verify(&registry, &committee, Vote::Prepare));
+        let duplicated = cert(vec![
+            make_prepare(&keys[0]),
+            make_prepare(&keys[0]),
+            make_prepare(&keys[1]),
+        ]);
+        assert!(!duplicated.verify(&registry, &committee, Vote::Prepare));
     }
 
     #[test]
@@ -578,10 +573,10 @@ mod tests {
     #[test]
     fn view_change_with_bogus_cert_rejected() {
         let (registry, keys, committee) = setup();
-        let bogus = PreparedCert {
+        let bogus = QuorumCert {
             view: 1,
             value: Bytes::from_static(b"v"),
-            prepares: vec![],
+            signatures: vec![],
         };
         let vc = ViewChangeRecord::sign(&keys[0], 2, Some(bogus));
         assert!(!vc.verify(&registry, &committee));

@@ -56,12 +56,6 @@ impl Committee {
         (self.len() + self.fault_threshold + 1).div_ceil(2)
     }
 
-    /// The decision-learning threshold of Algorithm 3 line 7:
-    /// `⌈(|S| + 1) / 2⌉` matching answers (≥ f+1, so at least one correct).
-    pub fn learning_threshold(&self) -> usize {
-        (self.len() + 1).div_ceil(2)
-    }
-
     /// The leader of `view` (round-robin over the sorted member list).
     pub fn leader_of(&self, view: u64) -> ProcessId {
         self.members[(view % self.members.len() as u64) as usize]
@@ -107,15 +101,6 @@ mod tests {
                 let q = c.quorum_size();
                 assert!(2 * q > n + f, "f={f} n={n}: quorums must intersect in f+1");
             }
-        }
-    }
-
-    #[test]
-    fn learning_threshold_exceeds_f() {
-        for f in 0..4usize {
-            let n = 2 * f + 1;
-            let c = Committee::new(process_set(1..=(n as u64)), f);
-            assert!(c.learning_threshold() > f);
         }
     }
 

@@ -6,7 +6,7 @@ use cupft_crypto::sha256::{digest, Digest};
 use cupft_crypto::{KeyRegistry, Signature, SigningKey};
 use cupft_graph::ProcessId;
 
-use crate::msgs::{CommitteeMsg, PreparedCert, Value, ViewChangeRecord};
+use crate::msgs::{CommitteeMsg, QuorumCert, Value, ViewChangeRecord, Vote};
 use crate::quorum::Committee;
 
 /// Base for view-timeout timer kinds: the timer for view `v` has kind
@@ -40,15 +40,16 @@ impl Default for ReplicaConfig {
 }
 
 /// Effects produced by one replica step: messages to send, a timer to arm,
-/// and possibly a decision.
+/// and possibly a decision with its proof.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Outgoing messages.
     pub msgs: Vec<(ProcessId, CommitteeMsg)>,
     /// Timer to arm: `(kind, delay)`.
     pub timer: Option<(u64, u64)>,
-    /// The decided value, the first time the replica decides.
-    pub decided: Option<Value>,
+    /// The commit certificate of the decision, the first time the
+    /// replica decides.
+    pub decided: Option<QuorumCert>,
 }
 
 impl Effects {
@@ -106,14 +107,14 @@ pub struct Replica {
     accepted: BTreeMap<u64, Digest>,
     /// Values learned from valid pre-prepares, for commit-time lookup.
     values: BTreeMap<(u64, Digest), Value>,
-    prepares: BTreeMap<(u64, Digest), BTreeMap<ProcessId, Signature>>,
-    commits: BTreeMap<(u64, Digest), BTreeSet<ProcessId>>,
+    /// Vote signatures per `(vote, view, digest)`, one per member.
+    votes: BTreeMap<(Vote, u64, Digest), BTreeMap<ProcessId, Signature>>,
     sent_commit: BTreeSet<u64>,
     sent_view_change: BTreeSet<u64>,
     proposed_in: BTreeSet<u64>,
     view_changes: BTreeMap<u64, BTreeMap<ProcessId, ViewChangeRecord>>,
-    prepared_cert: Option<PreparedCert>,
-    decided: Option<Value>,
+    prepared_cert: Option<QuorumCert>,
+    decided: Option<QuorumCert>,
 }
 
 impl Replica {
@@ -141,8 +142,7 @@ impl Replica {
             view: 0,
             accepted: BTreeMap::new(),
             values: BTreeMap::new(),
-            prepares: BTreeMap::new(),
-            commits: BTreeMap::new(),
+            votes: BTreeMap::new(),
             sent_commit: BTreeSet::new(),
             sent_view_change: BTreeSet::new(),
             proposed_in: BTreeSet::new(),
@@ -159,7 +159,7 @@ impl Replica {
 
     /// The decided value, if any (Integrity: set at most once).
     pub fn decision(&self) -> Option<&Value> {
-        self.decided.as_ref()
+        self.decided.as_ref().map(|cert| &cert.value)
     }
 
     /// The current view.
@@ -206,13 +206,20 @@ impl Replica {
                 justification,
                 ..
             } => self.on_pre_prepare(view, value, signer, justification, &mut fx),
-            CommitteeMsg::Prepare {
+            CommitteeMsg::Vote {
+                kind,
                 view,
                 digest,
                 signature,
-            } => self.on_prepare(view, digest, signature, &mut fx),
-            CommitteeMsg::Commit { view, digest, .. } => {
-                self.on_commit(view, digest, signer, &mut fx);
+            } => {
+                self.votes
+                    .entry((kind, view, digest))
+                    .or_default()
+                    .insert(signer, signature);
+                match kind {
+                    Vote::Prepare => self.try_prepare(view, digest, &mut fx),
+                    Vote::Commit => self.try_decide(view, digest, &mut fx),
+                }
             }
             CommitteeMsg::ViewChange(vc) => self.on_view_change(vc, &mut fx),
         }
@@ -239,13 +246,8 @@ impl Replica {
         // decision still requires a commit quorum over the same digest.
         if view < self.view {
             let d = digest(&value);
-            self.values.insert((view, d), value.clone());
-            if let Some(ids) = self.commits.get(&(view, d)) {
-                if ids.len() >= self.committee.quorum_size() && self.decided.is_none() {
-                    self.decided = Some(value.clone());
-                    fx.decided = Some(value);
-                }
-            }
+            self.values.insert((view, d), value);
+            self.try_decide(view, d, fx);
             return;
         }
         // Views > 0 need a quorum of view-change votes and a value choice
@@ -284,41 +286,42 @@ impl Replica {
         fx.broadcast(&self.committee, msg);
     }
 
-    fn on_prepare(&mut self, view: u64, d: Digest, signature: Signature, fx: &mut Effects) {
-        self.prepares
-            .entry((view, d))
-            .or_default()
-            .insert(ProcessId::new(signature.signer()), signature);
-        let count = self.prepares[&(view, d)].len();
-        if count >= self.committee.quorum_size() {
-            // We are "prepared" for (view, d) if we know the value.
-            if let Some(value) = self.values.get(&(view, d)).cloned() {
-                let better = self.prepared_cert.as_ref().is_none_or(|c| view > c.view);
-                if better {
-                    let prepares = self.prepares[&(view, d)].values().copied().collect();
-                    self.prepared_cert = Some(PreparedCert {
-                        view,
-                        value,
-                        prepares,
-                    });
-                }
-                if self.sent_commit.insert(view) {
-                    let msg = CommitteeMsg::commit(&self.key, view, d);
-                    fx.broadcast(&self.committee, msg);
-                }
-            }
+    /// We are "prepared" for (view, d) once a quorum prepared a value we
+    /// know: keep the highest prepared certificate and commit, once.
+    fn try_prepare(&mut self, view: u64, d: Digest, fx: &mut Effects) {
+        let Some(cert) = self.quorum_cert(Vote::Prepare, view, d) else {
+            return;
+        };
+        if self.prepared_cert.as_ref().is_none_or(|c| view > c.view) {
+            self.prepared_cert = Some(cert);
+        }
+        if self.sent_commit.insert(view) {
+            let msg = CommitteeMsg::commit(&self.key, view, d);
+            fx.broadcast(&self.committee, msg);
         }
     }
 
-    fn on_commit(&mut self, view: u64, d: Digest, signer: ProcessId, fx: &mut Effects) {
-        self.commits.entry((view, d)).or_default().insert(signer);
-        let count = self.commits[&(view, d)].len();
-        if count >= self.committee.quorum_size() {
-            if let Some(value) = self.values.get(&(view, d)) {
-                self.decided = Some(value.clone());
-                fx.decided = Some(value.clone());
-            }
+    /// Decides once a quorum committed a value we know, keeping the
+    /// commit certificate as the decision's proof.
+    fn try_decide(&mut self, view: u64, d: Digest, fx: &mut Effects) {
+        if let Some(cert) = self.quorum_cert(Vote::Commit, view, d) {
+            self.decided = Some(cert.clone());
+            fx.decided = Some(cert);
         }
+    }
+
+    /// The certificate of a quorum's `vote`s for `(view, d)`, once a
+    /// quorum has voted and the value is known.
+    fn quorum_cert(&self, vote: Vote, view: u64, d: Digest) -> Option<QuorumCert> {
+        let signatures = self.votes.get(&(vote, view, d))?;
+        if signatures.len() < self.committee.quorum_size() {
+            return None;
+        }
+        Some(QuorumCert {
+            view,
+            value: self.values.get(&(view, d))?.clone(),
+            signatures: signatures.values().copied().collect(),
+        })
     }
 
     fn on_view_change(&mut self, vc: ViewChangeRecord, fx: &mut Effects) {
@@ -432,6 +435,11 @@ mod tests {
                 continue;
             };
             let fx = r.handle(from, msg);
+            if let Some(cert) = &fx.decided {
+                // A decision's proof is a quorum of commits, not prepares.
+                assert!(cert.verify(&r.registry, &r.committee, Vote::Commit));
+                assert!(!cert.verify(&r.registry, &r.committee, Vote::Prepare));
+            }
             for (to2, m2) in fx.msgs {
                 queue.push((r.id(), to2, m2));
             }

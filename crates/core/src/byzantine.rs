@@ -22,7 +22,8 @@
 use std::sync::Arc;
 
 use cupft_adversary::{DelayRelease, FlipAfter, Mute, TargetSubset};
-use cupft_committee::Value;
+use cupft_committee::{CommitteeMsg, QuorumCert, Value};
+use cupft_crypto::sha256::digest;
 use cupft_detector::{PdCertificate, SystemSetup};
 use cupft_discovery::{DiscoveryMsg, DiscoveryState, SyncState, DISCOVERY_TICK};
 use cupft_graph::{ProcessId, ProcessSet};
@@ -51,11 +52,10 @@ enum Extra {
         claimed: ProcessSet,
     },
     /// [`ByzantineStrategy::LieDecidedVal`]: every `GETDECIDEDVAL` is
-    /// answered with this fabricated value — the direct attack on
-    /// Algorithm 3's learning path. At most `g` members lie, and an
-    /// undecided member adopts a value on `g + 1` matching answers, a
-    /// learner on `⌈(|S|+1)/2⌉ ≥ g + 1`, so the lie is never adopted.
-    Lie(Value),
+    /// answered with a commit certificate for a fabricated value that
+    /// holds only the liar's own commit — the direct attack on Algorithm
+    /// 3's learning path. It is no quorum, so it is never adopted.
+    Lie(Arc<QuorumCert>),
 }
 
 /// A leaf that runs Algorithm 1 ticks on the configured period, answers
@@ -108,8 +108,8 @@ impl Actor<NodeMsg> for DiscoveryLeaf {
                     );
                 }
             }
-            (NodeMsg::GetDecidedVal, Extra::Lie(value)) => {
-                ctx.send(from, NodeMsg::DecidedVal(value.clone()));
+            (NodeMsg::GetDecidedVal, Extra::Lie(cert)) => {
+                ctx.send(from, NodeMsg::DecidedVal(cert.clone()));
             }
             _ => {}
         }
@@ -247,7 +247,15 @@ pub fn build_strategy(
                 claimed: claimed.clone(),
             },
         ),
-        ByzantineStrategy::LieDecidedVal { value } => leaf(true_pd(), Extra::Lie(value.clone())),
+        ByzantineStrategy::LieDecidedVal { value } => {
+            let commit = CommitteeMsg::commit(key, 0, digest(value));
+            let cert = QuorumCert {
+                view: 0,
+                value: value.clone(),
+                signatures: vec![*commit.signature()],
+            };
+            leaf(true_pd(), Extra::Lie(Arc::new(cert)))
+        }
         ByzantineStrategy::Twins {
             side_a,
             value_b,

@@ -1,6 +1,8 @@
 //! The unified message type spoken by all protocol nodes.
 
-use cupft_committee::{CommitteeMsg, Value};
+use std::sync::Arc;
+
+use cupft_committee::{CommitteeMsg, QuorumCert};
 use cupft_discovery::DiscoveryMsg;
 use cupft_net::Labeled;
 use cupft_wire::{Decode, Encode, Reader, WireError};
@@ -21,8 +23,9 @@ pub enum NodeMsg {
     Committee(Box<CommitteeMsg>),
     /// "Send me the decided value" (Algorithm 3 line 6).
     GetDecidedVal,
-    /// The decided value (Algorithm 3 line 10).
-    DecidedVal(Value),
+    /// The decided value (Algorithm 3 line 10) with its proof: the commit
+    /// certificate the sender decided on, shared by all its answers.
+    DecidedVal(Arc<QuorumCert>),
 }
 
 // Every queued simulator event and every wall-clock inbox slot holds one
@@ -63,9 +66,9 @@ impl Encode for NodeMsg {
                 m.encode(out);
             }
             NodeMsg::GetDecidedVal => out.push(2),
-            NodeMsg::DecidedVal(v) => {
+            NodeMsg::DecidedVal(cert) => {
                 out.push(3);
-                v.encode(out);
+                cert.encode(out);
             }
         }
     }
@@ -77,7 +80,7 @@ impl Decode for NodeMsg {
             0 => Ok(NodeMsg::Discovery(DiscoveryMsg::decode(r)?)),
             1 => Ok(NodeMsg::Committee(Box::new(CommitteeMsg::decode(r)?))),
             2 => Ok(NodeMsg::GetDecidedVal),
-            3 => Ok(NodeMsg::DecidedVal(Value::decode(r)?)),
+            3 => Ok(NodeMsg::DecidedVal(Arc::decode(r)?)),
             tag => Err(WireError::BadTag { ty: "NodeMsg", tag }),
         }
     }
@@ -98,6 +101,7 @@ impl From<CommitteeMsg> for NodeMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cupft_committee::Value;
 
     #[test]
     fn labels_delegate() {
@@ -108,9 +112,11 @@ mod tests {
         assert_eq!(NodeMsg::from(get.clone()).label(), "GETPDS");
         assert_eq!(NodeMsg::from(get).payload_units(), 0);
         assert_eq!(NodeMsg::GetDecidedVal.label(), "GETDECIDEDVAL");
-        assert_eq!(
-            NodeMsg::DecidedVal(Value::from_static(b"v")).label(),
-            "DECIDEDVAL"
-        );
+        let cert = QuorumCert {
+            view: 0,
+            value: Value::from_static(b"v"),
+            signatures: Vec::new(),
+        };
+        assert_eq!(NodeMsg::DecidedVal(Arc::new(cert)).label(), "DECIDEDVAL");
     }
 }

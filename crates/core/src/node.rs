@@ -6,7 +6,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cupft_adversary::ChurnEvent;
-use cupft_committee::{view_of_timer, Committee, CommitteeMsg, Replica, ReplicaConfig, Value};
+use cupft_committee::{
+    view_of_timer, Committee, CommitteeMsg, QuorumCert, Replica, ReplicaConfig, Value, Vote,
+};
 use cupft_crypto::{KeyRegistry, SigningKey};
 use cupft_detector::SystemSetup;
 use cupft_discovery::{DiscoveryState, GossipMode, PollGate, DISCOVERY_TICK};
@@ -81,8 +83,8 @@ pub enum Phase {
     /// Running discovery, identification pending (Algorithm 3 line 2).
     Discovering,
     /// Identified as a member; running committee consensus (line 4), and
-    /// until it decides, polling the other members as a backstop: `g + 1`
-    /// matching `DecidedVal` answers decide it.
+    /// until it decides, polling the other members as a backstop: one
+    /// commit certificate decides it, as it does a learner.
     Member,
     /// Identified as a non-member; learning the decision (lines 6–7).
     Learning,
@@ -113,7 +115,6 @@ struct Volatile {
     committee_backlog: Vec<(ProcessId, CommitteeMsg)>,
     backlog_by_sender: BTreeMap<ProcessId, usize>,
     pending_requests: ProcessSet,
-    answers: BTreeMap<Vec<u8>, ProcessSet>,
     /// The committee members with an unanswered `GetDecidedVal`.
     learning_gate: PollGate,
     /// Whether the view changed since the last identification attempt.
@@ -129,11 +130,11 @@ struct Volatile {
 ///
 /// Its state splits the way a crash does (see
 /// [`NodeConfig::churn`]): the volatile part — identification, the
-/// committee replica, the learning tallies — is lost; the durable record
+/// committee replica, the learning polls — is lost; the durable record
 /// is the discovery state (kept as a snapshot while the node is down),
-/// the decision with its detection and decision times, and whether the
-/// node has recovered. The [`Phase`] is not stored: it follows from the
-/// volatile committee and replica.
+/// the decision's commit certificate with the detection and decision
+/// times, and whether the node has recovered. The [`Phase`] is not
+/// stored: it follows from the volatile committee and replica.
 ///
 /// # Example
 ///
@@ -168,7 +169,7 @@ pub struct Node {
     discovery: DiscoveryState,
     presence: Presence,
     volatile: Volatile,
-    decided: Option<Value>,
+    decided: Option<Arc<QuorumCert>>,
     /// Simulated time at which identification succeeded.
     pub detection_time: Option<Time>,
     /// Simulated time at which the node decided.
@@ -257,7 +258,7 @@ impl Node {
 
     /// The node's decision, if reached.
     pub fn decision(&self) -> Option<&Value> {
-        self.decided.as_ref()
+        self.decided.as_deref().map(|cert| &cert.value)
     }
 
     /// The node's current phase: discovering until it holds a committee,
@@ -436,7 +437,7 @@ impl Node {
         // state is volatile, so a member that crashed mid-consensus could
         // equivocate against its own pre-crash votes if it restarted the
         // replica. It rejoins passively and adopts the committee's
-        // decision through the ⌈(|S|+1)/2⌉ learning backstop instead.
+        // decision from a commit certificate, as a learner does.
         let is_member = committee.contains(self.id) && !self.recovered;
         self.volatile.detection = Some(detection);
         self.volatile.committee = Some(committee.clone());
@@ -521,52 +522,25 @@ impl Node {
         if let Some((kind, delay)) = fx.timer {
             ctx.set_timer(kind, delay);
         }
-        if let Some(value) = fx.decided {
-            self.set_decided(value, ctx);
+        if let Some(cert) = fx.decided {
+            self.set_decided(Arc::new(cert), ctx);
         }
     }
 
-    fn set_decided(&mut self, value: Value, ctx: &mut Context<NodeMsg>) {
+    fn set_decided(&mut self, cert: Arc<QuorumCert>, ctx: &mut Context<NodeMsg>) {
         if self.decided.is_some() {
             return; // Integrity: decide at most once
         }
         self.decided_time = Some(ctx.now());
         self.mark(PhaseMark::Decided, ctx.now());
         if let Some(board) = &self.board {
-            board.publish(self.id, value.to_vec());
+            board.publish(self.id, cert.value.to_vec());
         }
-        self.decided = Some(value.clone());
         let pending = std::mem::take(&mut self.volatile.pending_requests);
         for requester in pending {
-            ctx.send(requester, NodeMsg::DecidedVal(value.clone()));
+            ctx.send(requester, NodeMsg::DecidedVal(cert.clone()));
         }
-    }
-
-    fn on_decided_val(&mut self, from: ProcessId, value: Value, ctx: &mut Context<NodeMsg>) {
-        self.volatile.learning_gate.answered(from);
-        // Algorithm 3 line 7: a learner needs ⌈(|S|+1)/2⌉ identical
-        // answers from distinct members. An undecided member needs g + 1:
-        // its quorums already assume at most g Byzantine members, so g + 1
-        // answers include a correct member's decision, and a member whose
-        // own vote is missing may never see ⌈(|S|+1)/2⌉ others answer
-        // (docs/PAPER_MAP.md, Algorithm 3).
-        let phase = self.phase();
-        let v = &mut self.volatile;
-        let Some(committee) = &v.committee else {
-            return;
-        };
-        if self.decided.is_some() || !committee.contains(from) {
-            return;
-        }
-        let needed = match phase {
-            Phase::Member => committee.fault_threshold() + 1,
-            Phase::Discovering | Phase::Learning => committee.learning_threshold(),
-        };
-        let tally = v.answers.entry(value.to_vec()).or_default();
-        tally.insert(from);
-        if tally.len() >= needed {
-            self.set_decided(value, ctx);
-        }
+        self.decided = Some(cert);
     }
 }
 
@@ -629,13 +603,25 @@ impl Actor<NodeMsg> for Node {
                 None => self.backlog(from, *m),
             },
             NodeMsg::GetDecidedVal => match &self.decided {
-                Some(value) => ctx.send(from, NodeMsg::DecidedVal(value.clone())),
+                Some(cert) => ctx.send(from, NodeMsg::DecidedVal(cert.clone())),
                 None => {
                     // Algorithm 3 line 9: wait until val ≠ ⊥, then answer.
                     self.volatile.pending_requests.insert(from);
                 }
             },
-            NodeMsg::DecidedVal(value) => self.on_decided_val(from, value, ctx),
+            NodeMsg::DecidedVal(cert) => {
+                // Algorithm 3 line 7 as PBFT's commit rule: a certificate
+                // that verifies against our committee holds a correct
+                // member's commit (docs/PAPER_MAP.md). `from` vouches for
+                // nothing; it only marks the poll answered.
+                self.volatile.learning_gate.answered(from);
+                let committee = self.volatile.committee.as_ref();
+                if self.decided.is_none()
+                    && committee.is_some_and(|c| cert.verify(&self.registry, c, Vote::Commit))
+                {
+                    self.set_decided(cert, ctx);
+                }
+            }
         }
     }
 
@@ -669,8 +655,9 @@ impl Actor<NodeMsg> for Node {
                         // A member's committee drives itself via view
                         // timers; as a liveness backstop, an undecided
                         // member polls its peers too (the state-transfer
-                        // role of checkpoints in full PBFT — g + 1 matching
-                        // answers are safe to adopt, see `on_decided_val`).
+                        // role of checkpoints in full PBFT — a commit
+                        // certificate is safe to adopt, see `DecidedVal`
+                        // in `on_message`).
                         // A decided replica drops every committee message,
                         // so this is the only way a member that missed the
                         // commit quorum catches up.
@@ -869,12 +856,24 @@ mod tests {
         node.try_detect(&mut ctx);
         assert_eq!(node.phase(), Phase::Learning);
         assert_eq!(polled(&ctx), cupft_graph::process_set([1, 2, 3, 4]));
-        // Member 1 answers (with too few matching answers to decide).
+        // Member 1 answers with a certificate one commit short of the
+        // quorum of 3, which decides nothing.
+        let value = Value::from_static(b"v");
+        let commit = |id| {
+            let key = setup.key_of(ProcessId::new(id)).expect("registered");
+            *CommitteeMsg::commit(key, 0, cupft_crypto::sha256::digest(&value)).signature()
+        };
+        let short = QuorumCert {
+            view: 0,
+            value: value.clone(),
+            signatures: vec![commit(1), commit(2)],
+        };
         node.on_message(
             ProcessId::new(1),
-            NodeMsg::DecidedVal(Value::from_static(b"v")),
+            NodeMsg::DecidedVal(Arc::new(short)),
             &mut Context::new(5, me),
         );
+        assert!(node.decision().is_none());
         let mut rounds: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for round in 1..=10 {
             let mut ctx = Context::new(round * 20, me);

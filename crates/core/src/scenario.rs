@@ -848,8 +848,8 @@ mod tests {
         let (outcome, trace) = run_scenario_recorded(&scenario);
         assert!(outcome.check().consensus_solved());
         // the whole recorded execution is pinned: traffic and decisions
-        assert_eq!(trace.len(), 669);
-        assert_eq!(trace_fingerprint(&trace), 0xcee2758ea483a141);
+        assert_eq!(trace.len(), 651);
+        assert_eq!(trace_fingerprint(&trace), 0xbc4125900a004d7a);
         assert_eq!(outcome.decisions.values().flatten().count(), 7);
         let decided: Vec<(u64, Time)> = outcome
             .decided_times
@@ -862,10 +862,10 @@ mod tests {
                 (1, 292),
                 (2, 289),
                 (3, 287),
-                (5, 296),
-                (6, 300),
-                (7, 296),
-                (8, 296)
+                (5, 292),
+                (6, 293),
+                (7, 291),
+                (8, 294)
             ]
         );
         // sends and deliveries were captured

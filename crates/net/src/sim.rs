@@ -139,10 +139,9 @@ impl<M: Clone + Labeled + 'static> Simulation<M> {
     /// Installs an observability recorder and stamps its report with the
     /// **virtual** clock domain: every timestamp recorded from here on is
     /// a simulated tick, so observed reports are byte-identical across
-    /// same-seed runs. The simulator feeds the recorder its
-    /// event-loop profile (events per tick, queue depth, tick advance —
-    /// the ROADMAP Open-Item-5 surface); observation never touches the
-    /// RNG stream, the event order, or the stats.
+    /// same-seed runs. The simulator feeds the recorder its event-loop
+    /// profile (events per tick, queue depth, tick advance); observation
+    /// never touches the RNG stream, the event order, or the stats.
     pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
         recorder.set_virtual();
         self.recorder = Some(recorder);

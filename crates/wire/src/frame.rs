@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   b"CUWF"
-//! 4       1     version WIRE_VERSION (currently 2)
+//! 4       1     version WIRE_VERSION (currently 3)
 //! 5       4     length  payload byte count, u32 BE, ≤ MAX_FRAME_PAYLOAD
 //! 9       len   payload (an Encode-produced value, usually an Envelope)
 //! ```
@@ -27,7 +27,7 @@ use crate::WireError;
 pub const FRAME_MAGIC: [u8; 4] = *b"CUWF";
 
 /// The wire version this build speaks (header byte 4).
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Fixed header size: magic + version + length.
 pub const HEADER_LEN: usize = 9;

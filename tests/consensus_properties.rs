@@ -198,43 +198,54 @@ fn integrity_no_node_decides_twice() {
 
 #[test]
 fn lying_decided_val_cannot_poison_learners() {
-    // Byzantine sink member answers every GETDECIDEDVAL with a fabricated
-    // value; learners require ⌈(|S|+1)/2⌉ ≥ f+1 matching answers, so one
-    // liar can neither convince them nor block them.
-    for seed in 0..4 {
-        let scenario = Scenario::new(fig1b().graph().clone(), ProtocolMode::KnownThreshold(1))
-            .with_byzantine(
-                4,
-                ByzantineStrategy::LieDecidedVal {
-                    value: Value::from_static(b"poison"),
-                },
-            )
-            .with_seed(seed);
-        let outcome = run_scenario(&scenario);
-        let check = outcome.check();
-        assert!(check.consensus_solved(), "seed{seed}: {check:?}");
-        assert!(
-            !check.decided_values.contains(b"poison".as_slice()),
-            "seed{seed}: the fabricated value must never be decided"
-        );
+    // A Byzantine sink member, at every member position, answers every
+    // GETDECIDEDVAL with a commit certificate for a fabricated value that
+    // holds only its own commit. Adopting a value takes a certificate
+    // with a quorum of the committee's commits, so one liar can neither
+    // convince anyone nor block them.
+    for liar in [1, 2, 3, 4] {
+        for seed in 0..4 {
+            let scenario = Scenario::new(fig1b().graph().clone(), ProtocolMode::KnownThreshold(1))
+                .with_byzantine(
+                    liar,
+                    ByzantineStrategy::LieDecidedVal {
+                        value: Value::from_static(b"poison"),
+                    },
+                )
+                .with_seed(seed);
+            let outcome = run_scenario(&scenario);
+            let check = outcome.check();
+            assert!(check.consensus_solved(), "seed{seed}: {check:?}");
+            assert!(
+                !check.decided_values.contains(b"poison".as_slice()),
+                "seed{seed}: the fabricated value must never be decided"
+            );
+        }
     }
 }
 
 #[test]
 fn lying_decided_val_on_cupft_core_member() {
-    for seed in 0..3 {
-        let scenario = Scenario::new(fig4b().graph().clone(), ProtocolMode::UnknownThreshold)
-            .with_byzantine(
-                6,
-                ByzantineStrategy::LieDecidedVal {
-                    value: Value::from_static(b"poison"),
-                },
-            )
-            .with_seed(seed);
-        let outcome = run_scenario(&scenario);
-        let check = outcome.check();
-        assert!(check.consensus_solved(), "seed{seed}: {check:?}");
-        assert!(!check.decided_values.contains(b"poison".as_slice()));
+    // The same liar at every core-member position of Fig. 4a and Fig. 4b.
+    let placements = [(fig4a(), [1, 2, 3, 4, 5]), (fig4b(), [5, 6, 7, 8, 9])];
+    for (figure, core) in placements {
+        for liar in core {
+            for seed in 0..3 {
+                let scenario =
+                    Scenario::new(figure.graph().clone(), ProtocolMode::UnknownThreshold)
+                        .with_byzantine(
+                            liar,
+                            ByzantineStrategy::LieDecidedVal {
+                                value: Value::from_static(b"poison"),
+                            },
+                        )
+                        .with_seed(seed);
+                let outcome = run_scenario(&scenario);
+                let check = outcome.check();
+                assert!(check.consensus_solved(), "seed{seed}: {check:?}");
+                assert!(!check.decided_values.contains(b"poison".as_slice()));
+            }
+        }
     }
 }
 

@@ -85,21 +85,21 @@ fn core_unknown_f(seed: u64) -> (Scenario, ProcessSet) {
 fn core_unknown_f_executions_are_pinned() {
     const PINS: [Pinned; 3] = [
         Pinned {
-            end_time: 322,
-            messages_sent: 2_821,
+            end_time: 319,
+            messages_sent: 2_768,
             payload_units: 3_501,
             decided: b"v39",
         },
         Pinned {
-            end_time: 607,
-            messages_sent: 2_944,
+            end_time: 603,
+            messages_sent: 2_897,
             payload_units: 2_939,
             decided: b"v34",
         },
         Pinned {
-            end_time: 288,
-            messages_sent: 3_169,
-            payload_units: 4_079,
+            end_time: 282,
+            messages_sent: 3_095,
+            payload_units: 4_024,
             decided: b"v10",
         },
     ];
@@ -122,9 +122,9 @@ fn er100_known_threshold_execution_is_pinned() {
         &outcome,
         &sample.system.sink,
         &Pinned {
-            end_time: 284,
-            messages_sent: 14_063,
-            payload_units: 195_533,
+            end_time: 283,
+            messages_sent: 13_998,
+            payload_units: 195_469,
             decided: b"v1",
         },
     );

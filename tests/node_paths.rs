@@ -1,8 +1,11 @@
-//! Node-level white-box tests: the Algorithm 3 learning path, the answer
-//! protocol, and crash behavior, driven by hand through `Context`.
+//! Node-level white-box tests: the Algorithm 3 learning path (one commit
+//! certificate decides), the answer protocol, and crash behavior, driven
+//! by hand through `Context`.
 
-use bft_cupft::committee::{CommitteeMsg, Value};
+use bft_cupft::committee::{CommitteeMsg, QuorumCert, Value, Vote};
 use bft_cupft::core::{ChurnEvent, Node, NodeConfig, NodeMsg, Phase, ProtocolMode};
+use bft_cupft::crypto::sha256::digest;
+use bft_cupft::crypto::Signature;
 use bft_cupft::detector::SystemSetup;
 use bft_cupft::discovery::{DiscoveryMsg, SyncState, DISCOVERY_TICK};
 use bft_cupft::graph::{fig1b, process_set, ProcessId};
@@ -85,87 +88,110 @@ fn learner_requests_decided_value_from_all_members() {
     assert_eq!(targets, vec![1, 2, 3, 4]);
 }
 
-#[test]
-fn learner_decides_on_majority_of_matching_answers() {
-    let mut node = learning_node();
-    let mut ctx = Context::new(20, p(7));
-    // |S| = 4: learning threshold = ceil(5/2) = 3 distinct members.
-    node.on_message(
-        p(1),
-        NodeMsg::DecidedVal(Value::from_static(b"X")),
-        &mut ctx,
-    );
-    assert!(node.decision().is_none());
-    // duplicate from the same member does not advance the tally
-    node.on_message(
-        p(1),
-        NodeMsg::DecidedVal(Value::from_static(b"X")),
-        &mut ctx,
-    );
-    assert!(node.decision().is_none());
-    // a conflicting answer opens its own tally
-    node.on_message(
-        p(4),
-        NodeMsg::DecidedVal(Value::from_static(b"Y")),
-        &mut ctx,
-    );
-    assert!(node.decision().is_none());
-    node.on_message(
-        p(2),
-        NodeMsg::DecidedVal(Value::from_static(b"X")),
-        &mut ctx,
-    );
-    assert!(node.decision().is_none());
-    node.on_message(
-        p(3),
-        NodeMsg::DecidedVal(Value::from_static(b"X")),
-        &mut ctx,
-    );
-    assert_eq!(node.decision().map(|v| v.as_ref()), Some(&b"X"[..]));
+/// `vote` signatures over `(view, digest(value))` by each of `signers`,
+/// with their keys from Fig. 1b's setup.
+fn signatures(vote: Vote, view: u64, value: &[u8], signers: &[u64]) -> Vec<Signature> {
+    let setup = SystemSetup::new(fig1b().graph());
+    let d = digest(value);
+    signers
+        .iter()
+        .map(|&id| *CommitteeMsg::vote(setup.key_of(p(id)).unwrap(), vote, view, d).signature())
+        .collect()
 }
 
-/// Integrity (§II-B): a decision is final. A later quorum of matching
-/// answers for another value changes neither the value nor its time.
+/// A `DecidedVal` claiming `value` was decided in `view` on `signatures`.
+fn decided_val(view: u64, value: &'static [u8], signatures: Vec<Signature>) -> NodeMsg {
+    NodeMsg::DecidedVal(Arc::new(QuorumCert {
+        view,
+        value: Value::from_static(value),
+        signatures,
+    }))
+}
+
+/// A valid commit certificate: members 1, 2 and 3, a quorum of Fig. 1b's
+/// committee `{1, 2, 3, 4}` at `g = 1`, committed `value` in `view`.
+fn commit_cert(view: u64, value: &'static [u8]) -> NodeMsg {
+    decided_val(
+        view,
+        value,
+        signatures(Vote::Commit, view, value, &[1, 2, 3]),
+    )
+}
+
+/// One valid commit certificate decides a learner in one message, whoever
+/// sends it: a member, a non-member, or the learner itself.
+#[test]
+fn learner_decides_on_one_valid_commit_certificate() {
+    for from in [1u64, 4, 6, 7] {
+        let mut node = learning_node();
+        node.on_message(p(from), commit_cert(0, b"X"), &mut Context::new(20, p(7)));
+        assert_eq!(
+            node.decision().map(|v| v.as_ref()),
+            Some(&b"X"[..]),
+            "from {from}"
+        );
+        assert_eq!(node.decided_time, Some(20), "from {from}");
+    }
+}
+
+/// A certificate that is not a quorum of the learner's committee's commits
+/// over its own view and value decides nothing, even when every member
+/// sends it.
+#[test]
+fn learner_rejects_every_invalid_certificate() {
+    let commits = |signers: &[u64]| signatures(Vote::Commit, 0, b"X", signers);
+    let cases = [
+        ("under-quorum", decided_val(0, b"X", commits(&[1, 2]))),
+        (
+            "non-member signer",
+            decided_val(0, b"X", commits(&[1, 2, 5])),
+        ),
+        (
+            "duplicated signer",
+            decided_val(0, b"X", commits(&[1, 1, 2])),
+        ),
+        ("forged signature", {
+            let mut forged = commits(&[1, 2]);
+            forged.push(Signature::forged(3));
+            decided_val(0, b"X", forged)
+        }),
+        (
+            "signed over another value",
+            decided_val(0, b"X", signatures(Vote::Commit, 0, b"Y", &[1, 2, 3])),
+        ),
+        (
+            "signed over another view",
+            decided_val(0, b"X", signatures(Vote::Commit, 1, b"X", &[1, 2, 3])),
+        ),
+        (
+            "prepare quorum as commit quorum",
+            decided_val(0, b"X", signatures(Vote::Prepare, 0, b"X", &[1, 2, 3])),
+        ),
+    ];
+    for (case, msg) in cases {
+        let mut node = learning_node();
+        let mut ctx = Context::new(20, p(7));
+        for member in 1..=4 {
+            node.on_message(p(member), msg.clone(), &mut ctx);
+        }
+        assert!(node.decision().is_none(), "{case} decided");
+    }
+}
+
+/// Integrity (§II-B): a decision is final. A later valid certificate for
+/// another value changes neither the value nor its time.
 #[test]
 fn learner_decides_once() {
     let mut node = learning_node();
-    let mut ctx = Context::new(20, p(7));
-    for member in [1u64, 2, 3] {
-        node.on_message(
-            p(member),
-            NodeMsg::DecidedVal(Value::from_static(b"X")),
-            &mut ctx,
-        );
-    }
+    node.on_message(p(1), commit_cert(0, b"X"), &mut Context::new(20, p(7)));
     assert_eq!(node.decision().map(|v| v.as_ref()), Some(&b"X"[..]));
     assert_eq!(node.decided_time, Some(20));
     let mut later = Context::new(90, p(7));
     for member in [1u64, 2, 3, 4] {
-        node.on_message(
-            p(member),
-            NodeMsg::DecidedVal(Value::from_static(b"Y")),
-            &mut later,
-        );
+        node.on_message(p(member), commit_cert(1, b"Y"), &mut later);
     }
     assert_eq!(node.decision().map(|v| v.as_ref()), Some(&b"X"[..]));
     assert_eq!(node.decided_time, Some(20));
-}
-
-#[test]
-fn learner_ignores_answers_from_non_members() {
-    let mut node = learning_node();
-    let mut ctx = Context::new(20, p(7));
-    for from in [5u64, 6, 8] {
-        node.on_message(
-            p(from),
-            NodeMsg::DecidedVal(Value::from_static(b"X")),
-            &mut ctx,
-        );
-    }
-    assert!(
-        node.decision().is_none(),
-        "answers from non-members must not count"
-    );
 }
 
 #[test]
@@ -177,21 +203,15 @@ fn undecided_node_parks_requests_and_answers_on_decision() {
         ctx.queued_sends().is_empty(),
         "no answer before a decision exists"
     );
-    // Decide via three matching answers; the parked request must be
-    // answered in the same step.
+    // Decide on one certificate; the parked request must be answered in
+    // the same step, with that certificate.
     let mut ctx = Context::new(30, p(7));
-    for from in [1u64, 2, 3] {
-        node.on_message(
-            p(from),
-            NodeMsg::DecidedVal(Value::from_static(b"Z")),
-            &mut ctx,
-        );
-    }
+    node.on_message(p(1), commit_cert(0, b"Z"), &mut ctx);
     let answered: Vec<(u64, &[u8])> = ctx
         .queued_sends()
         .iter()
         .filter_map(|(to, m)| match m {
-            NodeMsg::DecidedVal(v) => Some((to.raw(), v.as_ref())),
+            NodeMsg::DecidedVal(cert) => Some((to.raw(), cert.value.as_ref())),
             _ => None,
         })
         .collect();
@@ -318,7 +338,11 @@ fn committee_backlog_flood_from_one_sender_keeps_the_leaders_proposal() {
         .iter()
         .filter_map(|(to, m)| match m {
             NodeMsg::Committee(c) => match **c {
-                CommitteeMsg::Prepare { view: 0, .. } => Some(to.raw()),
+                CommitteeMsg::Vote {
+                    kind: Vote::Prepare,
+                    view: 0,
+                    ..
+                } => Some(to.raw()),
                 _ => None,
             },
             _ => None,

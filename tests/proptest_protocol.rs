@@ -138,6 +138,5 @@ proptest! {
         let q = committee.quorum_size();
         prop_assert!(2 * q > n + f);
         prop_assert!(q <= n, "quorum must be formable");
-        prop_assert!(committee.learning_threshold() > f);
     }
 }

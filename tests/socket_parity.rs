@@ -16,12 +16,21 @@
 //!    emission order at the tamper (even though deliveries fan out across
 //!    connections), and a tamper delay that is still delivered.
 
+use std::net::TcpStream;
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use bft_cupft::core::{ProtocolMode, RuntimeKind, Scenario};
-use bft_cupft::graph::GraphFamily;
+use bft_cupft::committee::{QuorumCert, Value};
+use bft_cupft::core::{
+    run_scenario_on, ByzantineStrategy, NodeMsg, ProtocolMode, RuntimeKind, Scenario,
+};
+use bft_cupft::crypto::Signature;
+use bft_cupft::graph::{fig1b, GraphFamily, ProcessId};
 use bft_cupft::net::{SocketConfig, SocketRuntime};
+use bft_cupft::wire::frame::write_frame;
+use bft_cupft::wire::Encode;
 use link::FloodMsg;
 
 mod link;
@@ -143,4 +152,94 @@ fn socket_flood_past_the_mailbox_cap_is_delivered() {
 #[test]
 fn socket_backlog_does_not_starve_timers() {
     link::backlog_does_not_starve_timers(flood_runtime());
+}
+
+// ---- forged senders on the real wire ----
+
+/// A `DecidedVal` for `forged`, a value nobody proposed, in a commit
+/// certificate whose signatures claim members 1, 2 and 3 but were made
+/// without their keys.
+fn forged_decided_val() -> NodeMsg {
+    NodeMsg::DecidedVal(Arc::new(QuorumCert {
+        view: 0,
+        value: Value::from_static(b"forged"),
+        signatures: (1..=3).map(Signature::forged).collect(),
+    }))
+}
+
+/// A raw TCP client connects to the listener of a `fig1b` socket run
+/// (`KnownThreshold(1)`, member 4 silent) and, until the run ends, writes
+/// framed envelopes that claim `from` = 1, 2 and 3 and carry a
+/// `DecidedVal` for a value nobody proposed, addressed to every learner.
+/// The envelope's `from` is taken on trust, so only the message itself
+/// can stop the forgery: no correct process may decide it.
+#[test]
+fn forged_decided_val_frames_decide_no_correct_process() {
+    let scenario = socket_variant(
+        &Scenario::new(fig1b().graph().clone(), ProtocolMode::KnownThreshold(1))
+            .with_byzantine(4, ByzantineStrategy::Silent),
+    );
+    let mut runtime: SocketRuntime<NodeMsg> =
+        SocketRuntime::new(scenario.socket_config()).expect("bind");
+    let addr = runtime.local_addr();
+    let learners: Vec<ProcessId> = scenario
+        .correct()
+        .into_iter()
+        .filter(|p| p.raw() > 4)
+        .collect();
+    let frames: Vec<Vec<u8>> = learners
+        .iter()
+        .flat_map(|&to| {
+            (1..=3).map(move |from| {
+                let mut payload = Vec::new();
+                ProcessId::new(from).encode(&mut payload);
+                to.encode(&mut payload);
+                forged_decided_val().encode(&mut payload);
+                payload
+            })
+        })
+        .collect();
+    let done = Arc::new(AtomicBool::new(false));
+    let forger = {
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect to the run");
+            // A closed run may leave a write blocked on a full window: the
+            // timeout ends the forger then, well after any backpressure
+            // within the run.
+            stream
+                .set_write_timeout(Some(Duration::from_secs(1)))
+                .expect("write timeout");
+            let mut written = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                for payload in &frames {
+                    if write_frame(&mut stream, payload).is_err() {
+                        return written;
+                    }
+                    written += 1;
+                }
+                std::thread::yield_now();
+            }
+            written
+        })
+    };
+    let outcome = run_scenario_on(&scenario, &mut runtime);
+    done.store(true, Ordering::SeqCst);
+    let written = forger.join().expect("forger thread");
+    let check = outcome.check();
+    println!(
+        "forged frames written: {written}; decisions: {:?}",
+        outcome
+            .decisions
+            .iter()
+            .map(|(p, d)| (p.raw(), d.as_deref().map(String::from_utf8_lossy)))
+            .collect::<Vec<_>>()
+    );
+    assert!(written > 0, "the forger wrote nothing");
+    assert!(
+        !check.decided_values.contains(b"forged".as_slice()),
+        "a correct process decided the forged value: {:?}",
+        outcome.decisions
+    );
+    assert!(check.consensus_solved(), "{check:?}");
 }

@@ -97,10 +97,10 @@ fn phase_marks(report: &ObsReport) -> (u64, u64, u64) {
 #[test]
 fn phase_marks_at_n100_are_pinned() {
     for (family, pinned) in [
-        (GraphFamily::erdos_renyi(100, 1), (265, 200, 267)),
-        (GraphFamily::k_diamond(100, 1), (229, 240, 312)),
-        (GraphFamily::scale_free(100, 1), (262, 220, 283)),
-        (GraphFamily::bridged_partition(100, 1), (277, 220, 278)),
+        (GraphFamily::erdos_renyi(100, 1), (243, 200, 265)),
+        (GraphFamily::k_diamond(100, 1), (229, 240, 307)),
+        (GraphFamily::scale_free(100, 1), (262, 220, 278)),
+        (GraphFamily::bridged_partition(100, 1), (273, 220, 275)),
     ] {
         let (_, scenario) = cell(&family);
         assert_eq!(
@@ -115,8 +115,8 @@ fn phase_marks_at_n100_are_pinned() {
 #[test]
 fn churned_phase_marks_at_n100_are_pinned() {
     for (family, pinned) in [
-        (GraphFamily::k_diamond(100, 1), (614, 620, 631)),
-        (GraphFamily::erdos_renyi(100, 1), (608, 420, 615)),
+        (GraphFamily::k_diamond(100, 1), (609, 620, 628)),
+        (GraphFamily::erdos_renyi(100, 1), (608, 420, 611)),
     ] {
         let (GeneratedSystem { graph, sink, .. }, scenario) = cell(&family);
         // Churn the two highest periphery ids: the planted committee

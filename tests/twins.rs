@@ -124,8 +124,9 @@ fn assert_clean(what: &str, cells: &[(String, Scenario)]) {
 /// ROADMAP item 16: on Fig. 1b under `KnownThreshold(1)`, twin A of
 /// process 1 talks only to 2, twin B to 3, 4 and the learners. Twin B, 3
 /// and 4 commit twin B's value; 2 prepared twin A's proposal, holds 2 of
-/// the 3 commits it needs, and its learning backstop gets only 3's and
-/// 4's answers. It must still decide.
+/// the 3 commits it needs, and only 3 and 4 answer its learning
+/// backstop. Either answer is the commit certificate its sender decided
+/// on, which decides 2 alone. It must still decide.
 #[test]
 fn fig1b_twin_1_split_2_terminates() {
     let (name, graph, mode, _) = figures().swap_remove(0);

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use proptest::collection::{btree_set, vec as pvec};
 use proptest::prelude::*;
 
-use bft_cupft::committee::{CommitteeMsg, PreparedCert, Value, ViewChangeRecord};
+use bft_cupft::committee::{CommitteeMsg, QuorumCert, Value, ViewChangeRecord, Vote};
 use bft_cupft::core::NodeMsg;
 use bft_cupft::crypto::sha256::{digest, Digest};
 use bft_cupft::crypto::{KeyRegistry, Signature};
@@ -104,12 +104,12 @@ fn arb_discovery() -> BoxedStrategy<DiscoveryMsg> {
     .boxed()
 }
 
-fn arb_prepared_cert() -> impl Strategy<Value = PreparedCert> {
-    (any::<u64>(), arb_value(), pvec(arb_sig(), 0..4)).prop_map(|(view, value, prepares)| {
-        PreparedCert {
+fn arb_quorum_cert() -> impl Strategy<Value = QuorumCert> {
+    (any::<u64>(), arb_value(), pvec(arb_sig(), 0..4)).prop_map(|(view, value, signatures)| {
+        QuorumCert {
             view,
             value,
-            prepares,
+            signatures,
         }
     })
 }
@@ -117,7 +117,7 @@ fn arb_prepared_cert() -> impl Strategy<Value = PreparedCert> {
 fn arb_view_change() -> BoxedStrategy<ViewChangeRecord> {
     (
         any::<u64>(),
-        prop_oneof![Just(None), arb_prepared_cert().prop_map(Some).boxed(),],
+        prop_oneof![Just(None), arb_quorum_cert().prop_map(Some).boxed(),],
         arb_sig(),
     )
         .prop_map(|(new_view, prepared, signature)| ViewChangeRecord {
@@ -144,20 +144,18 @@ fn arb_committee() -> BoxedStrategy<CommitteeMsg> {
                     justification,
                 }
             ),
-        (any::<u64>(), arb_digest(), arb_sig()).prop_map(|(view, digest, signature)| {
-            CommitteeMsg::Prepare {
+        (
+            prop_oneof![Just(Vote::Prepare), Just(Vote::Commit)],
+            any::<u64>(),
+            arb_digest(),
+            arb_sig()
+        )
+            .prop_map(|(kind, view, digest, signature)| CommitteeMsg::Vote {
+                kind,
                 view,
                 digest,
                 signature,
-            }
-        }),
-        (any::<u64>(), arb_digest(), arb_sig()).prop_map(|(view, digest, signature)| {
-            CommitteeMsg::Commit {
-                view,
-                digest,
-                signature,
-            }
-        }),
+            }),
         arb_view_change().prop_map(CommitteeMsg::ViewChange),
     ]
     .boxed()
@@ -168,7 +166,7 @@ fn arb_node_msg() -> BoxedStrategy<NodeMsg> {
         arb_discovery().prop_map(NodeMsg::Discovery),
         arb_committee().prop_map(NodeMsg::from),
         Just(NodeMsg::GetDecidedVal),
-        arb_value().prop_map(NodeMsg::DecidedVal),
+        arb_quorum_cert().prop_map(|cert| NodeMsg::DecidedVal(Arc::new(cert))),
     ]
     .boxed()
 }
@@ -201,7 +199,7 @@ proptest! {
 
     #[test]
     fn committee_msgs_roundtrip(
-        cert in arb_prepared_cert(),
+        cert in arb_quorum_cert(),
         vc in arb_view_change(),
         msg in arb_committee(),
     ) {
@@ -335,18 +333,37 @@ fn stream_reader_yields_frames_then_clean_eof() {
 #[test]
 fn signed_roundtrip_still_verifies_after_the_wire() {
     // Byte-identical re-encoding is what keeps signatures valid across
-    // hops: a prepare vote survives encode → frame → unframe → decode and
-    // still verifies against the committee.
+    // hops: a prepare vote, and a commit certificate of a real quorum in a
+    // `DecidedVal`, survive encode → frame → unframe → decode and still
+    // verify against the committee.
+    fn trip<T: Encode + Decode>(msg: &T) -> T {
+        let bytes = frame(&encode_to_vec(msg));
+        decode_from_slice(unframe(&bytes).expect("frame")).expect("decode")
+    }
     let mut registry = KeyRegistry::new();
-    let key = registry.register(3);
-    let d = digest(b"proposal");
-    let msg = CommitteeMsg::prepare(&key, 2, d);
-    let bytes = frame(&encode_to_vec(&msg));
-    let back: CommitteeMsg = decode_from_slice(unframe(&bytes).expect("frame")).expect("decode");
-    assert_eq!(back, msg);
+    let keys: Vec<_> = (1..=4).map(|id| registry.register(id)).collect();
     let committee =
         bft_cupft::committee::Committee::new(bft_cupft::graph::process_set([1, 2, 3, 4]), 1);
+    let d = digest(b"proposal");
+    let msg = CommitteeMsg::prepare(&keys[2], 2, d);
+    let back = trip(&msg);
+    assert_eq!(back, msg);
     assert!(back.verify(&registry, &committee));
+    let cert = QuorumCert {
+        view: 2,
+        value: Value::from_static(b"proposal"),
+        signatures: keys[..3]
+            .iter()
+            .map(|key| *CommitteeMsg::commit(key, 2, d).signature())
+            .collect(),
+    };
+    let decided = NodeMsg::DecidedVal(Arc::new(cert));
+    let back = trip(&decided);
+    assert_eq!(back, decided);
+    let NodeMsg::DecidedVal(cert) = back else {
+        unreachable!("a DecidedVal decodes as one")
+    };
+    assert!(cert.verify(&registry, &committee, Vote::Commit));
 }
 
 #[test]
