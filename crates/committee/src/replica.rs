@@ -398,9 +398,11 @@ mod tests {
     fn make_replicas(n: u64, f: usize) -> (Vec<Replica>, KeyRegistry, Committee) {
         let mut registry = KeyRegistry::new();
         let committee = Committee::new(process_set(1..=n), f);
-        let replicas = (1..=n)
-            .map(|i| {
-                let key = registry.register(i);
+        let keys: Vec<_> = (1..=n).map(|i| registry.register(i)).collect();
+        let replicas = keys
+            .into_iter()
+            .map(|key| {
+                let i = key.id();
                 Replica::new(
                     key,
                     registry.clone(),

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 use crate::hmac::hmac_sha256;
 use crate::sha256::{Digest, DIGEST_LEN};
@@ -92,15 +92,13 @@ impl fmt::Debug for SigningKey {
     }
 }
 
-#[derive(Debug, Default)]
-struct RegistryInner {
-    secrets: BTreeMap<u64, Digest>,
-}
-
 /// The simulated PKI: issues signing keys and verifies signatures.
 ///
-/// Cheaply cloneable (shared interior); a single registry is shared by all
-/// processes of a simulation, mirroring the paper's assumption that IDs are
+/// A value: an `Arc` of one immutable id → secret table. Clones share the
+/// table, and [`Self::register`] copies it on write, so a clone taken
+/// before a registration does not see that key. Every process of a
+/// simulation holds a clone taken after every vertex is registered,
+/// mirroring the paper's assumption of a fixed PKI: IDs are
 /// Sybil-resistant and signatures verifiable by everyone.
 ///
 /// # Example
@@ -117,9 +115,9 @@ struct RegistryInner {
 /// let fake = mallory.sign(b"payload");
 /// assert!(!registry.verify(7, b"payload", &fake));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct KeyRegistry {
-    inner: Arc<RwLock<RegistryInner>>,
+    secrets: Arc<BTreeMap<u64, Digest>>,
 }
 
 impl KeyRegistry {
@@ -135,90 +133,62 @@ impl KeyRegistry {
     /// the Sybil guard — one ID, one key.
     pub fn register(&mut self, id: u64) -> SigningKey {
         let secret = derive_secret(id);
-        self.write().secrets.insert(id, secret);
+        Arc::make_mut(&mut self.secrets).insert(id, secret);
         SigningKey { id, secret }
     }
 
     /// Whether `id` has been registered.
     pub fn contains(&self, id: u64) -> bool {
-        self.read().secrets.contains_key(&id)
+        self.secrets.contains_key(&id)
     }
 
-    /// Verifies that `sig` is `id`'s signature over `message`.
+    /// Verifies that `sig` is `id`'s signature over `message`: signer-claim
+    /// check, secret lookup, HMAC recompute, constant-time-style tag
+    /// comparison.
     ///
     /// Returns `false` for unregistered IDs, signer mismatches, and invalid
     /// tags.
     pub fn verify(&self, id: u64, message: &[u8], sig: &Signature) -> bool {
-        verify_against(&self.read(), id, message, sig)
+        if sig.signer != id {
+            return false;
+        }
+        let Some(secret) = self.secrets.get(&id) else {
+            return false;
+        };
+        let expected = hmac_sha256(secret, message);
+        // Constant-time-style comparison (not strictly needed in a
+        // simulation, but cheap and good hygiene).
+        let mut diff = 0u8;
+        for (a, b) in expected.iter().zip(sig.tag.iter()) {
+            diff |= a ^ b;
+        }
+        diff == 0
     }
 
-    /// Opens a batch-verification session: the returned [`BatchVerifier`]
-    /// holds the registry's read lock, so verifying a whole bundle of
-    /// signatures (a SETPDS worth of certificates) pays for lock
-    /// acquisition once instead of per record. Readers don't exclude each
-    /// other, so many batch sessions can verify concurrently; only
-    /// [`Self::register`] is blocked while a session is open — keep
-    /// sessions short-lived.
-    pub fn batch(&self) -> BatchVerifier<'_> {
-        BatchVerifier { inner: self.read() }
+    /// The registry itself. Inert: verification takes no lock, so there is
+    /// no session to open; this stays only while `benchmark/` still calls
+    /// it, and ROADMAP item 3 deletes it.
+    pub fn batch(&self) -> &KeyRegistry {
+        self
     }
 
     /// Number of registered processes.
     pub fn len(&self) -> usize {
-        self.read().secrets.len()
+        self.secrets.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.read().secrets.is_empty()
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, RegistryInner> {
-        self.inner.read().expect("key registry poisoned")
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, RegistryInner> {
-        self.inner.write().expect("key registry poisoned")
+        self.secrets.is_empty()
     }
 }
 
-/// The shared verification body: signer-claim check, secret lookup, HMAC
-/// recompute, constant-time-style tag comparison. [`KeyRegistry::verify`]
-/// runs it under a fresh read lock per call; [`BatchVerifier`] runs it
-/// under one held lock per session.
-fn verify_against(inner: &RegistryInner, id: u64, message: &[u8], sig: &Signature) -> bool {
-    if sig.signer != id {
-        return false;
-    }
-    let Some(secret) = inner.secrets.get(&id) else {
-        return false;
-    };
-    let expected = hmac_sha256(secret, message);
-    // Constant-time-style comparison (not strictly needed in a
-    // simulation, but cheap and good hygiene).
-    let mut diff = 0u8;
-    for (a, b) in expected.iter().zip(sig.tag.iter()) {
-        diff |= a ^ b;
-    }
-    diff == 0
-}
-
-/// A verification session over a snapshot of the registry.
-///
-/// Created by [`KeyRegistry::batch`]; holds the registry's read lock for
-/// its lifetime, so a bundle of verifications pays one lock acquisition
-/// total. Verification itself is pure — the session observes the key set
-/// as of its creation, which is all the simulation needs (registration
-/// happens before any traffic flows).
-pub struct BatchVerifier<'a> {
-    inner: RwLockReadGuard<'a, RegistryInner>,
-}
-
-impl BatchVerifier<'_> {
-    /// Verifies that `sig` is `id`'s signature over `message` — same
-    /// semantics as [`KeyRegistry::verify`], without re-locking.
-    pub fn verify(&self, id: u64, message: &[u8], sig: &Signature) -> bool {
-        verify_against(&self.inner, id, message, sig)
+impl fmt::Debug for KeyRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print a secret: the registered ids only.
+        f.debug_tuple("KeyRegistry")
+            .field(&self.secrets.keys())
+            .finish()
     }
 }
 
@@ -275,13 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_clone_shares_state() {
+    fn clone_sees_registrations_made_before_it() {
         let mut reg = KeyRegistry::new();
-        let reg2 = reg.clone();
-        let key = reg.register(5);
-        let sig = key.sign(b"x");
-        assert!(reg2.verify(5, b"x", &sig));
-        assert_eq!(reg2.len(), 1);
+        let before = reg.clone();
+        let sig = reg.register(5).sign(b"x");
+        let after = reg.clone();
+        assert!(!before.verify(5, b"x", &sig));
+        assert!(before.is_empty());
+        assert!(after.verify(5, b"x", &sig));
+        assert_eq!(after.len(), 1);
     }
 
     #[test]
@@ -299,21 +271,8 @@ mod tests {
         let key = reg.register(1);
         let dbg = format!("{key:?}");
         assert_eq!(dbg, "SigningKey(p1)");
-    }
-
-    #[test]
-    fn batch_verifier_matches_per_call_verify() {
-        let mut reg = KeyRegistry::new();
-        let keys: Vec<SigningKey> = (1..=8).map(|id| reg.register(id)).collect();
-        let sigs: Vec<Signature> = keys.iter().map(|k| k.sign(b"round-1")).collect();
-        let batch = reg.batch();
-        for (key, sig) in keys.iter().zip(&sigs) {
-            assert!(batch.verify(key.id(), b"round-1", sig));
-            assert!(!batch.verify(key.id(), b"round-2", sig));
-        }
-        // unregistered + mismatched-signer claims fail identically
-        assert!(!batch.verify(99, b"round-1", &Signature::forged(99)));
-        assert!(!batch.verify(2, b"round-1", &sigs[0]));
+        reg.register(2);
+        assert_eq!(format!("{reg:?}"), "KeyRegistry([1, 2])");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231 vectors;
 //! * [`SigningKey`] / [`KeyRegistry`] — a MAC-based signature scheme over a
 //!   simulated PKI: every process holds a private key, verification goes
-//!   through the shared registry. A Byzantine *actor* in the simulation has
-//!   no API to read another process's key, so forging a correct process's
-//!   signature is impossible by construction — which is exactly the
+//!   through the registry, one immutable table shared by every process. A
+//!   Byzantine *actor* in the simulation has no API to read another
+//!   process's key, so forging a correct process's signature is
+//!   impossible by construction — which is exactly the
 //!   existential-unforgeability assumption the paper makes.
 //!
 //! The signed records themselves live with the protocols that send them:
@@ -42,4 +43,4 @@ pub mod sha256;
 mod keys;
 mod wire;
 
-pub use keys::{BatchVerifier, KeyRegistry, Signature, SigningKey};
+pub use keys::{KeyRegistry, Signature, SigningKey};

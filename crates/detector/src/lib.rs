@@ -107,9 +107,8 @@ impl CertPool {
     }
 
     /// Memoized verification of a whole SETPDS bundle: one memo probe
-    /// pass under a single lock acquisition, then one
-    /// [`KeyRegistry::batch`] session for the misses, then one pass
-    /// recording the fresh verdicts. A fingerprint missed more than once
+    /// pass under a single lock acquisition, then one HMAC check and one
+    /// recorded verdict per miss. A fingerprint missed more than once
     /// in the bundle is verified once; its repeats reuse that verdict and
     /// count as memo hits. Returns one verdict per input certificate, in
     /// order.
@@ -141,17 +140,9 @@ impl CertPool {
             .fetch_add((certs.len() - misses.len()) as u64, Ordering::Relaxed);
         self.memo_misses
             .fetch_add(misses.len() as u64, Ordering::Relaxed);
-        if misses.is_empty() {
-            return out;
-        }
-        {
-            let batch = registry.batch();
-            for &i in &misses {
-                out[i] = certs[i].verify_with(&batch);
-            }
-        }
         for &i in &misses {
-            out[i] = self.record_verdict(certs[i].fingerprint(), out[i]);
+            let ok = certs[i].verify(registry);
+            out[i] = self.record_verdict(certs[i].fingerprint(), ok);
         }
         for (i, first) in repeats {
             out[i] = out[first];

@@ -5,7 +5,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
-use cupft_crypto::{sha256, BatchVerifier, KeyRegistry, Signature, SigningKey};
+use cupft_crypto::{sha256, KeyRegistry, Signature, SigningKey};
 use cupft_graph::{ProcessId, ProcessSet};
 use cupft_wire::Encode;
 
@@ -145,17 +145,6 @@ impl PdCertificate {
         )
     }
 
-    /// Verifies the signature inside an open batch session (see
-    /// [`KeyRegistry::batch`]) — same verdict as [`Self::verify`],
-    /// amortizing the registry lock over a whole bundle.
-    pub fn verify_with(&self, batch: &BatchVerifier<'_>) -> bool {
-        batch.verify(
-            self.author.raw(),
-            &signing_message(self.author, &self.pd),
-            &self.signature,
-        )
-    }
-
     fn key(&self) -> (ProcessId, &ProcessSet, &Signature) {
         (self.author, &self.pd, &self.signature)
     }
@@ -257,20 +246,6 @@ mod tests {
         let tampered = PdCertificate::forge(p(1), &process_set([5, 6, 7]));
         assert!(original.verify(&reg));
         assert!(!tampered.verify(&reg));
-    }
-
-    #[test]
-    fn verify_with_agrees_with_verify() {
-        let mut reg = KeyRegistry::new();
-        let key = reg.register(1);
-        let good = PdCertificate::sign(&key, &process_set([2, 3]));
-        let bad = PdCertificate::forge(p(4), &process_set([2, 3]));
-        let batch = reg.batch();
-        assert!(good.verify_with(&batch));
-        assert!(!bad.verify_with(&batch));
-        drop(batch);
-        assert!(good.verify(&reg));
-        assert!(!bad.verify(&reg));
     }
 
     #[test]

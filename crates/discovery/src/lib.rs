@@ -92,7 +92,7 @@
 //! run's pool after [`DiscoveryState::with_shared_pool`].
 //! [`DiscoveryState::absorb_batch`] hands the not-held certificates of
 //! each inbound `SETPDS` to one [`cupft_detector::CertPool::verify_batch`]
-//! call, batch-verifying the memo misses under one registry read lock, so
+//! call, which verifies each memo miss once against the registry, so
 //! with the shared pool each distinct certificate costs one HMAC
 //! system-wide. This is the only place a certificate is verified.
 //!

@@ -3,9 +3,10 @@
 #
 #   scripts/verify.sh --quick  # both Cargo.lock checks, fmt, clippy, the
 #                              # example builds and a run of adversary_demo,
-#                              # rustdoc, then `cargo test -q`: every test
-#                              # target of the workspace, once (the CI
-#                              # `quick` job)
+#                              # rustdoc, then `cargo test -q --no-fail-fast`:
+#                              # every test target of the workspace, once,
+#                              # even after one fails, so a red run lists
+#                              # every failing target (the CI `quick` job)
 #   scripts/verify.sh          # the same, plus the release build and the
 #                              # standalone benchmark/ package's tests (the
 #                              # CI `full` job, before its smoke runs)
@@ -75,8 +76,10 @@ if [[ "$quick" -eq 0 ]]; then
     cargo build --release
 fi
 
-echo "==> cargo test -q"
-cargo test -q
+# --no-fail-fast: a failing target does not stop the others; cargo still
+# exits nonzero if any failed.
+echo "==> cargo test -q --no-fail-fast"
+cargo test -q --no-fail-fast
 
 if [[ "$quick" -eq 0 ]]; then
     # benchmark/ is a workspace of its own, so nothing above compiles it;

@@ -2,7 +2,7 @@
 //! on all five graph families, on both runtimes, judged by
 //! `ScenarioOutcome::check`: agreement over every process that ever
 //! decided, plus its two churn verdicts, join convergence and recovery
-//! consistency.
+//! consistency, and one identified committee (`committee_agreement`).
 //!
 //! Three claims:
 //!
@@ -138,6 +138,10 @@ fn assert_churn_cell_green(family: &GraphFamily, spec: &ChurnSpec, outcome: &Sce
     assert!(
         check.join_convergence && check.recovery_consistency,
         "{name}: churn verdicts must hold: {check:?}"
+    );
+    assert!(
+        check.committee_agreement,
+        "{name}: every correct process must identify one committee: {check:?}"
     );
     let recoverer = *spec.recoverers().iter().next().expect("one recoverer");
     assert!(

@@ -9,9 +9,10 @@ use proptest::prelude::*;
 fn make_replicas(n: u64, f: usize) -> Vec<Replica> {
     let mut registry = KeyRegistry::new();
     let committee = Committee::new(process_set(1..=n), f);
-    (1..=n)
-        .map(|i| {
-            let key = registry.register(i);
+    let keys: Vec<_> = (1..=n).map(|i| registry.register(i)).collect();
+    keys.into_iter()
+        .map(|key| {
+            let i = key.id();
             Replica::new(
                 key,
                 registry.clone(),

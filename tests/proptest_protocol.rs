@@ -48,6 +48,7 @@ proptest! {
         let outcome = run_scenario(&scenario);
         let check = outcome.check();
         prop_assert!(check.consensus_solved(), "{check:?}");
+        prop_assert!(check.committee_agreement, "{check:?}");
     }
 
     /// BFT-CUPFT on Fig. 4b: same sweep, fault threshold withheld.
@@ -69,6 +70,7 @@ proptest! {
         let outcome = run_scenario(&scenario);
         let check = outcome.check();
         prop_assert!(check.consensus_solved(), "{check:?}");
+        prop_assert!(check.committee_agreement, "{check:?}");
         prop_assert_eq!(outcome.distinct_detections().len(), 1);
     }
 
@@ -84,7 +86,9 @@ proptest! {
             .with_byzantine(byz.raw(), ByzantineStrategy::Silent)
             .with_seed(run_seed);
         let outcome = run_scenario(&scenario);
-        prop_assert!(outcome.check().consensus_solved());
+        let check = outcome.check();
+        prop_assert!(check.consensus_solved(), "{check:?}");
+        prop_assert!(check.committee_agreement, "{check:?}");
         prop_assert_eq!(
             outcome.distinct_detections(),
             [sys.expected_detection()].into_iter().collect()

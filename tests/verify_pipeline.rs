@@ -1,8 +1,8 @@
 //! Acceptance tests for shared certificate verification: every
 //! `DiscoveryState` attached to the run's `CertPool` settles the
 //! certificates of each `SETPDS` bundle in `absorb_batch` against one
-//! system-wide verdict memo (batch HMAC under one registry read lock),
-//! instead of verifying every certificate itself.
+//! system-wide verdict memo (one HMAC per distinct record), instead of
+//! verifying every certificate itself.
 //!
 //! Two claims, both at the `DiscoveryState` level, with no runtime stage:
 //!

@@ -17,14 +17,30 @@
 //! replicas for its quorum of 9 and its holders stall; on seeds 2 and 3 it
 //! reaches that quorum and commits `v5`, against the `g = 1` committee's
 //! `v12`. That half is identification (item 4(a)), not learning.
+//!
+//! Three more groups, all in the simulator at horizon 20 000:
+//!
+//! * item 25: `fig4a` under unknown `f` with process 1 running Twins whose
+//!   twin B signs a second PD `{5}`. Processes 2–4 identify `{1..5}`
+//!   (`g = 2`), the rest `{1..9}` (`g = 1`); on seeds 2 and 3 the two
+//!   committees decide `v1` and `twin-b`;
+//! * item 1's stall classes under unknown `f`: fabricated IDs in a core
+//!   member's PD (`fig4a` member 4, `fig4b` member 5) and a silent `fig4a`
+//!   member 4. No correct process identifies a committee;
+//! * item 12: `fig1b` under `KnownThreshold(1)` with process 4 silent and
+//!   one crash-recovery of member 1, 2 or 3. 32 of the 36 runs decide
+//!   nothing.
 
 mod sweep;
 
 use std::collections::BTreeMap;
 
+use bft_cupft::adversary::{ChurnEvent, ChurnSpec};
 use bft_cupft::committee::Value;
 use bft_cupft::core::{ByzantineStrategy, NodeStatus, ProtocolMode, RuntimeKind, Scenario};
-use bft_cupft::graph::{process_set, GdiParams, Generator};
+use bft_cupft::graph::{
+    fig1b, fig4a, fig4b, process_set, FigureGraph, GdiParams, Generator, ProcessId,
+};
 use bft_cupft::net::Time;
 use sweep::fan_out;
 
@@ -61,7 +77,7 @@ fn verdict(
 
 /// One known violation (or its control) and its verdict per seed.
 struct Row {
-    name: &'static str,
+    name: String,
     /// The ROADMAP item that owns the row.
     item: &'static str,
     scenario: Scenario,
@@ -86,6 +102,24 @@ fn generated_witness(mode: ProtocolMode, strategy: ByzantineStrategy) -> Scenari
     Scenario::new(sys.graph, mode).with_byzantine(10, strategy)
 }
 
+/// A paper figure with Byzantine process `byzantine` running `strategy`.
+fn figure(
+    fig: FigureGraph,
+    mode: ProtocolMode,
+    byzantine: u64,
+    strategy: ByzantineStrategy,
+) -> Scenario {
+    Scenario::new(fig.graph().clone(), mode).with_byzantine(byzantine, strategy)
+}
+
+/// `FakePd` claiming `claimed`; item 1's rows mix three made-up IDs into
+/// real ones.
+fn fake_pd(claimed: impl IntoIterator<Item = u64>) -> ByzantineStrategy {
+    ByzantineStrategy::FakePd {
+        claimed: process_set(claimed),
+    }
+}
+
 fn rows() -> Vec<Row> {
     let lie = || ByzantineStrategy::LieDecidedVal {
         value: Value::from_static(b"lie"),
@@ -95,7 +129,7 @@ fn rows() -> Vec<Row> {
         |value: &'static str| verdict((true, true, true), &[(value, 15)], 0, &[((4, 1), 15)]);
     vec![
         Row {
-            name: "generated-lie/unknown-f",
+            name: "generated-lie/unknown-f".into(),
             item: "4",
             scenario: generated_witness(ProtocolMode::UnknownThreshold, lie()),
             horizon: 20_000,
@@ -125,7 +159,7 @@ fn rows() -> Vec<Row> {
             ],
         },
         Row {
-            name: "generated-lie/known-1",
+            name: "generated-lie/known-1".into(),
             item: "4",
             scenario: generated_witness(ProtocolMode::KnownThreshold(1), lie()),
             horizon: 20_000,
@@ -142,20 +176,157 @@ fn rows() -> Vec<Row> {
             ],
         },
         Row {
-            name: "generated-silent/unknown-f",
+            name: "generated-silent/unknown-f".into(),
             item: "4",
             scenario: generated_witness(ProtocolMode::UnknownThreshold, ByzantineStrategy::Silent),
             horizon: 20_000,
             verdicts: (1..=3).map(|seed| (seed, all_decide("v12"))).collect(),
         },
         Row {
-            name: "generated-silent/known-1",
+            name: "generated-silent/known-1".into(),
             item: "4",
             scenario: generated_witness(ProtocolMode::KnownThreshold(1), ByzantineStrategy::Silent),
             horizon: 20_000,
             verdicts: (1..=3).map(|seed| (seed, all_decide("v12"))).collect(),
         },
+        Row {
+            name: "fig4a-twins-pd/unknown-f".into(),
+            item: "25",
+            scenario: figure(
+                fig4a(),
+                ProtocolMode::UnknownThreshold,
+                1,
+                ByzantineStrategy::Twins {
+                    side_a: process_set([2, 3, 4]),
+                    value_b: Value::from_static(b"twin-b"),
+                    pd_b: Some(process_set([5])),
+                },
+            ),
+            horizon: 20_000,
+            verdicts: vec![
+                (
+                    0,
+                    verdict(
+                        (true, false, false),
+                        &[("v1", 4)],
+                        4,
+                        &[((5, 2), 4), ((9, 1), 4)],
+                    ),
+                ),
+                (
+                    1,
+                    verdict(
+                        (true, false, false),
+                        &[("twin-b", 7)],
+                        1,
+                        &[((5, 2), 1), ((9, 1), 7)],
+                    ),
+                ),
+                (2, twins_split()),
+                (3, twins_split()),
+            ],
+        },
+        stall_row(
+            "fig4a-fakepd4/unknown-f",
+            figure(
+                fig4a(),
+                ProtocolMode::UnknownThreshold,
+                4,
+                fake_pd([1, 2, 3, 1000, 1001, 1002]),
+            ),
+        ),
+        stall_row(
+            "fig4b-fakepd5/unknown-f",
+            figure(
+                fig4b(),
+                ProtocolMode::UnknownThreshold,
+                5,
+                fake_pd([6, 7, 8, 9, 1000, 1001, 1002]),
+            ),
+        ),
+        stall_row(
+            "fig4a-silent4/unknown-f",
+            figure(
+                fig4a(),
+                ProtocolMode::UnknownThreshold,
+                4,
+                ByzantineStrategy::Silent,
+            ),
+        ),
     ]
+    .into_iter()
+    .chain(crash_recover_rows())
+    .collect()
+}
+
+/// Item 25 on seeds 2 and 3: processes 2–4 identify `{1..5}` at `g = 2`
+/// and decide `v1`, processes 5–9 identify `{1..9}` at `g = 1` and decide
+/// `twin-b`.
+fn twins_split() -> Verdict {
+    verdict(
+        (false, true, false),
+        &[("twin-b", 5), ("v1", 3)],
+        0,
+        &[((5, 2), 3), ((9, 1), 5)],
+    )
+}
+
+/// One of item 1's stall classes on seeds 0–3: no correct process
+/// identifies a committee, so none of the 8 decides.
+fn stall_row(name: &str, scenario: Scenario) -> Row {
+    Row {
+        name: name.into(),
+        item: "1",
+        scenario,
+        horizon: 20_000,
+        verdicts: (0..=3)
+            .map(|seed| (seed, verdict((true, false, true), &[], 8, &[])))
+            .collect(),
+    }
+}
+
+/// Item 12: `fig1b` under `KnownThreshold(1)` with process 4 `Silent`
+/// leaves exactly the three correct members 1–3 to run the committee, so
+/// one crash-recovery of any of them (down 30 ticks) mostly stalls all 7
+/// correct processes. The runs that decide are pinned by `(node, tick,
+/// seed)`.
+fn crash_recover_rows() -> Vec<Row> {
+    let decides = [(1, 250, 1), (1, 250, 2), (2, 250, 1), (3, 250, 1)];
+    let stalled = || verdict((true, false, true), &[], 7, &[((4, 1), 7)]);
+    let decided = || verdict((true, true, true), &[("v1", 7)], 0, &[((4, 1), 7)]);
+    let mut rows = Vec::new();
+    for node in 1..=3u64 {
+        for tick in [100, 150, 200, 250] {
+            let churn = ChurnSpec::new(vec![ChurnEvent::CrashRecoverAt {
+                tick,
+                node: ProcessId::new(node),
+                down_for: 30,
+            }]);
+            rows.push(Row {
+                name: format!("fig1b-silent4-crash{node}@{tick}/known-1"),
+                item: "12",
+                scenario: figure(
+                    fig1b(),
+                    ProtocolMode::KnownThreshold(1),
+                    4,
+                    ByzantineStrategy::Silent,
+                )
+                .with_churn(churn),
+                horizon: 20_000,
+                verdicts: (0..=2)
+                    .map(|seed| {
+                        let expected = if decides.contains(&(node, tick, seed)) {
+                            decided()
+                        } else {
+                            stalled()
+                        };
+                        (seed, expected)
+                    })
+                    .collect(),
+            });
+        }
+    }
+    rows
 }
 
 fn observe(scenario: &Scenario) -> Verdict {
